@@ -1,10 +1,13 @@
-"""Throughput comparison of the jitted and pure-numpy simulation kernels.
+"""Throughput of the simulation kernels on the bundled two-area case.
 
 Run: python benchmarks/bench_kernels.py [--seconds 2.0]
 
-Times single RHS evaluations and full RK4 integration spans on the bundled
-two-area case under both backends (OSCDAMP_BACKEND is overridden in-process).
-numba is optional: without it only the numpy backend is timed.
+Times the numpy RHS plan build, single RHS evaluations of one state (B = 1)
+and of a stack of B = 2n states (the stack `linearize` evaluates), and
+200-step RK4 spans of one state and of a 50-row stack, under each available
+backend (OSCDAMP_BACKEND is overridden in-process).  The numpy RHS figures
+time a plan built beforehand; one `kernels.rhs` call costs the plan build
+plus that.  numba is optional: without it only the numpy backend is timed.
 """
 
 import argparse
@@ -18,6 +21,9 @@ from oscdamp import kernels
 from oscdamp.case import parse_case
 from oscdamp.powerflow import solve_power_flow, build_ybus, kron_reduce
 from oscdamp.dynamics import initialize_from_power_flow
+
+SPAN_STEPS = 200
+SPAN_ROWS = 50
 
 
 def timed(fn, seconds):
@@ -43,27 +49,32 @@ def main():
     m = eq.model
     rng = np.random.default_rng(0)
     y = eq.state + 0.02 * rng.standard_normal(m.n_states)
+    stack = eq.state + 0.02 * rng.standard_normal((2 * m.n_states, m.n_states))
+    rows = stack[:SPAN_ROWS]
     margs = (m.pf, m.pi, m.gains, m.xref, m.active, m.gmat, m.bmat, m.omega0)
 
-    results = {}
+    t_plan = timed(lambda: kernels.RhsPlan(m.pf, m.pi, m.omega0), args.seconds)
+    print(f"numpy plan build {1e6 * t_plan:8.1f} us")
+    bound = kernels.RhsPlan(m.pf, m.pi, m.omega0).bind(*margs[2:7])
     backends = ("numpy", "numba") if kernels.HAVE_NUMBA else ("numpy",)
     for backend in backends:
         os.environ[kernels.ENV_VAR] = backend
-        t_rhs = timed(lambda: kernels.rhs(y, *margs), args.seconds)
-        t_span = timed(lambda: kernels.rk4_span(y.copy(), 0.005, 200, *margs),
+        f = bound if backend == "numpy" else (lambda ys: kernels.rhs(ys, *margs))
+        t_rhs = timed(lambda: f(y), args.seconds)
+        t_stack = timed(lambda: f(stack), args.seconds)
+        t_span = timed(lambda: kernels.rk4_span(y.copy(), 0.005, SPAN_STEPS, *margs),
                        args.seconds)
-        results[backend] = (t_rhs, t_span)
-        print(f"{backend:>6}: rhs {1e6 * t_rhs:8.2f} us/call   "
-              f"rk4 span(200 steps) {1e3 * t_span:8.3f} ms "
-              f"({1e6 * t_span / 200:7.2f} us/step)")
+        t_rows = timed(lambda: kernels.rk4_span(rows.copy(), 0.005, SPAN_STEPS, *margs),
+                       args.seconds)
+        print(f"{backend:>6}: rhs B=1 {1e6 * t_rhs:8.1f} us   "
+              f"rhs B={stack.shape[0]} {1e6 * t_stack:8.1f} us   "
+              f"span {SPAN_STEPS} steps {1e3 * t_span:8.2f} ms "
+              f"({1e6 * t_span / SPAN_STEPS:6.1f} us/step)   "
+              f"{SPAN_ROWS}-row span {1e3 * t_rows:8.2f} ms "
+              f"({1e6 * t_rows / (SPAN_STEPS * SPAN_ROWS):6.2f} us/row-step)")
     os.environ.pop(kernels.ENV_VAR, None)
-
     if not kernels.HAVE_NUMBA:
         print("numba not timed: numba is not importable")
-        return
-    s_rhs = results["numpy"][0] / results["numba"][0]
-    s_span = results["numpy"][1] / results["numba"][1]
-    print(f"speedup numba vs numpy: rhs {s_rhs:.1f}x, rk4 span {s_span:.1f}x")
 
 
 if __name__ == "__main__":

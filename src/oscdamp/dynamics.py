@@ -141,15 +141,7 @@ def electrical_power(reduced: ReducedNetwork, delta: np.ndarray,
     Four-term EMF product form evaluated at absolute angles; the transient
     saliency correction is not part of this quantity.
     """
-    g, b = reduced.g, reduced.b
-    cd = np.cos(delta)
-    sd = np.sin(delta)
-    e_re = edp * sd + eqp * cd
-    e_im = eqp * sd - edp * cd
-    i_re = g @ e_re - b @ e_im
-    i_im = g @ e_im + b @ e_re
-    i_d = i_re * sd - i_im * cd
-    i_q = i_re * cd + i_im * sd
+    *_, i_d, i_q = kernels.network_currents(delta, eqp, edp, reduced.g, reduced.b)
     return edp * i_d + eqp * i_q
 
 

@@ -4,13 +4,13 @@ Two interchangeable implementations live here:
 
 * a loop-structured version compiled with numba ``@njit`` (the default when
   numba is importable), and
-* a vectorized pure-numpy fallback.
+* a vectorized pure-numpy version built on an :class:`RhsPlan`.
 
 Selection is an environment flag, read once per call site through
 :func:`active_backend`:
 
     OSCDAMP_BACKEND=numba   force the jitted kernels (error if numba missing)
-    OSCDAMP_BACKEND=numpy   force the pure-numpy fallback
+    OSCDAMP_BACKEND=numpy   force the pure-numpy kernels
     OSCDAMP_BACKEND=auto    numba when importable, numpy otherwise (default)
 
 An unknown value or a numba request without numba raises :class:`BackendError`.
@@ -20,8 +20,20 @@ uncompiled, to the names the dispatcher uses (``_rhs_nb``, ``_span_nb``), so
 they remain runnable plain Python; only :func:`active_backend` keeps them from
 being selected.
 
-Both paths implement identical math; ``benchmarks/bench_kernels.py`` compares
-their throughput and the test suite pins their agreement.
+The numpy kernels build an :class:`RhsPlan` from ``(pf, pi, omega0)`` once per
+:func:`rhs` or :func:`rk4_span` call: the gather indices of the base,
+governor, exciter and PSS states, the per-device coefficient vectors, and the
+permutation that puts the concatenated derivative blocks back into state
+order.  :func:`rhs` takes ``y`` of shape ``(n_states,)`` or ``(B, n_states)``;
+:func:`rk4_span` integrates either shape in place and records into ``out`` of
+shape ``(T, n_states)`` or ``(T, B, n_states)``.  A single state and a
+one-row stack give the same bits, which are those of the per-call numpy
+kernel that preceded the plan; the rows of a larger stack go through
+matrix-matrix products and agree with single-state calls to about 1e-13.
+Under the numba backend a stack runs row by row through the loop kernels.
+
+Both paths implement identical math; ``benchmarks/bench_kernels.py`` times
+them and the test suite pins their agreement.
 """
 
 from __future__ import annotations
@@ -116,113 +128,228 @@ def active_backend() -> str:
     return choice
 
 
-# --- pure-numpy implementation -------------------------------------------------
+# --- pure-numpy implementation: the RHS plan -------------------------------------
 
-def rhs_numpy(y, pf, pi, gains, xref, active, gmat, bmat, omega0):
-    """Vectorized full-model right-hand side; returns dy."""
-    dy = np.zeros_like(y)
-    i_delta = pi[:, PI.I_DELTA]
-    i_omega = pi[:, PI.I_OMEGA]
-    i_eqp = pi[:, PI.I_EQP]
-    i_edp = pi[:, PI.I_EDP]
-    gov = pi[:, PI.HAS_GOV] == 1
-    exc = pi[:, PI.HAS_EXC] == 1
-    pss = pi[:, PI.HAS_PSS] == 1
+_GOV_SLOTS = [PI.I_DELTA, PI.I_OMEGA, PI.I_PM, PI.I_XM, PI.I_XE]
 
-    delta = y[i_delta]
-    omega_r = y[i_omega]
-    eqp = y[i_eqp]
-    edp = y[i_edp]
+
+def network_currents(delta, eqp, edp, gmat, bmat):
+    """EMF components in the synchronous frame, the reduced-network currents
+    and their d/q projections, per machine over the last axis.  The products
+    are written ``e @ gmat.T``, which equals ``gmat @ e`` bit for bit for one
+    state; stacked rows go through a matrix-matrix product."""
     sd, cd = np.sin(delta), np.cos(delta)
-
-    # reduced-network currents in the synchronous frame
     e_re = edp * sd + eqp * cd
     e_im = eqp * sd - edp * cd
-    i_re = gmat @ e_re - bmat @ e_im
-    i_im = gmat @ e_im + bmat @ e_re
+    gt, bt = gmat.T, bmat.T
+    i_re = e_re @ gt - e_im @ bt
+    i_im = e_im @ gt + e_re @ bt
     i_d = i_re * sd - i_im * cd
     i_q = i_re * cd + i_im * sd
-    pe_sys = edp * i_d + eqp * i_q + (pf[:, PF.XQP] - pf[:, PF.XDP]) * i_d * i_q
-    vt = np.hypot(e_re + pf[:, PF.XDP] * i_im, e_im - pf[:, PF.XDP] * i_re)
+    return e_re, e_im, i_re, i_im, i_d, i_q
 
-    pm = np.where(gov, y[np.maximum(pi[:, PI.I_PM], 0)], pf[:, PF.PMCONST])
-    xm = np.where(gov, y[np.maximum(pi[:, PI.I_XM], 0)], 0.0)
-    xe = np.where(gov, y[np.maximum(pi[:, PI.I_XE], 0)], 0.0)
-    efd = np.where(exc, y[np.maximum(pi[:, PI.I_EFD], 0)], pf[:, PF.EFDCONST])
-    z1 = np.where(pss, y[np.maximum(pi[:, PI.I_Z1], 0)], 0.0)
-    z2 = np.where(pss, y[np.maximum(pi[:, PI.I_Z2], 0)], 0.0)
-    z3 = np.where(pss, y[np.maximum(pi[:, PI.I_Z3], 0)], 0.0)
 
-    pe_m = pe_sys / pf[:, PF.SOUT]
-    h2 = 2.0 * pf[:, PF.H]
-    dy[i_delta] = omega_r
-    dy[i_omega] = -(pf[:, PF.D] / h2) * omega_r + (omega0 / h2) * (pm - pe_m)
-    dy[i_eqp] = (-eqp - (pf[:, PF.XD] - pf[:, PF.XDP]) * i_d + efd) / pf[:, PF.TD0P]
-    dy[i_edp] = (-edp + (pf[:, PF.XQ] - pf[:, PF.XQP]) * i_q) / pf[:, PF.TQ0P]
+def feedback(gains, dx):
+    """Per-machine gains . dx over the design states, dx of shape (..., m, 5).
 
-    # PSS: gain + washout + two lead-lag stages on per-unit slip
-    slip = omega_r / omega0
-    u1 = pf[:, PF.KS] * slip
-    d_z1 = np.where(pss, (u1 - z1) / np.where(pss, pf[:, PF.TW], 1.0), 0.0)
-    y1 = u1 - z1
-    tp2 = np.where(pss, pf[:, PF.TP2], 1.0)
-    d_z2 = np.where(pss, (y1 - z2) / tp2, 0.0)
-    y2 = z2 + pf[:, PF.TP1] / tp2 * (y1 - z2)
-    tp4 = np.where(pss, pf[:, PF.TP4], 1.0)
-    d_z3 = np.where(pss, (y2 - z3) / tp4, 0.0)
-    y3 = z3 + pf[:, PF.TP3] / tp4 * (y2 - z3)
-    vpss = np.where(pss, np.clip(y3, pf[:, PF.VSMIN], pf[:, PF.VSMAX]), 0.0)
+    A stack is evaluated as one 2-D einsum over all its rows, so that every
+    row sums in the order of a single (m, 5) call."""
+    if dx.ndim == 2:
+        return np.einsum("ij,ij->i", gains, dx)
+    flat = dx.reshape(-1, 5)
+    tiled = np.tile(gains, (flat.shape[0] // gains.shape[0], 1))
+    return np.einsum("ij,ij->i", tiled, flat).reshape(dx.shape[:-1])
 
-    if pss.any():
-        dy[pi[pss, PI.I_Z1]] = d_z1[pss]
-        dy[pi[pss, PI.I_Z2]] = d_z2[pss]
-        dy[pi[pss, PI.I_Z3]] = d_z3[pss]
 
-    if exc.any():
-        ta = np.where(exc, pf[:, PF.TA], 1.0)
-        efd_cmd = np.clip(pf[:, PF.KA] * (pf[:, PF.VREF] - vt + vpss),
-                          pf[:, PF.EFDMIN], pf[:, PF.EFDMAX])
-        d_efd = (efd_cmd - efd) / ta
-        dy[pi[exc, PI.I_EFD]] = d_efd[exc]
+class RhsPlan:
+    """Gather indices, per-device coefficients and the output permutation of the
+    model RHS, derived once from the packed parameters ``(pf, pi, omega0)``.
 
-    if gov.any():
-        x5 = np.stack([delta, omega_r, pm, xm, xe], axis=1)
-        u = active * np.einsum("ij,ij->i", gains, x5 - xref)
-        pc = pf[:, PF.PCREF] + u
-        ke, te = pf[:, PF.KE], np.where(gov, pf[:, PF.TE], 1.0)
-        t3, t4 = pf[:, PF.T3], pf[:, PF.T4]
-        t5 = np.where(gov, pf[:, PF.T5], 1.0)
-        tm = np.where(gov, pf[:, PF.TM], 1.0)
-        rr = np.where(gov, pf[:, PF.RDROOP], 1.0)
-        d_xe = -ke / (te * rr * omega0) * omega_r - xe / te + pc / te
-        # anti-windup: hold the valve state when pinned against an active limit
-        d_xe = np.where((xe >= 1.0) & (d_xe > 0.0), 0.0, d_xe)
-        d_xe = np.where((xe <= 0.0) & (d_xe < 0.0), 0.0, d_xe)
-        d_xm = (-ke * t3 / (tm * te * rr * omega0) * omega_r
-                - xm / tm + (1.0 - t3 / te) * xe / tm + t3 / (tm * te) * pc)
-        d_pm = (-ke * t3 * t4 / (tm * te * t5 * rr * omega0) * omega_r
-                - pm / t5 + (1.0 - t4 / tm) * xm / t5
-                + t4 / (tm * t5) * (1.0 - t3 / te) * xe
-                + t3 * t4 / (tm * te * t5) * pc)
-        dy[pi[gov, PI.I_PM]] = d_pm[gov]
-        dy[pi[gov, PI.I_XM]] = d_xm[gov]
-        dy[pi[gov, PI.I_XE]] = d_xe[gov]
-    return dy
+    States ``y`` are ``(n_states,)`` or stacked ``(..., n_states)``; every
+    method works over the last axis.  Slots of absent devices (the mechanical
+    power of an ungoverned machine, the field voltage of an unexcited one) are
+    read from constants appended to ``y`` by :meth:`extend`.  Each device's
+    equations run over the machines that have it, and the derivative blocks
+    are concatenated and permuted back into state order.  Every expression
+    keeps its evaluation order; only whole left-to-right prefixes made of
+    parameters (such as ``-ke / (te * rr * omega0)``) are hoisted into the
+    coefficient vectors, so a single state gives the bits of evaluating the
+    formulas in full.
+    """
+
+    def __init__(self, pf, pi, omega0):
+        n = pf.shape[0]
+        has_gov, has_exc, has_pss = (pi[:, [PI.HAS_GOV, PI.HAS_EXC, PI.HAS_PSS]] == 1).T
+        gov, exc, pss = (np.flatnonzero(has) for has in (has_gov, has_exc, has_pss))
+        n_states = 4 * n + 3 * gov.size + exc.size + 3 * pss.size
+        self.omega0 = omega0
+
+        # absent-device slots point past the state into [PMCONST, 0.0, EFDCONST]
+        pm_at = n_states + np.arange(n)
+        zero_at = n_states + n
+        efd_at = n_states + n + 1 + np.arange(n)
+        self.const = None
+        if gov.size < n or exc.size < n:
+            self.const = np.concatenate((pf[:, PF.PMCONST], [0.0], pf[:, PF.EFDCONST]))
+        slot5 = pi[:, _GOV_SLOTS]
+        slot5[~has_gov, 2] = pm_at[~has_gov]
+        slot5[~has_gov, 3:] = zero_at
+        self.ix5 = slot5                                    # (n, 5) design states
+        efd_ix = np.where(has_exc, pi[:, PI.I_EFD], efd_at)
+        # rows: delta, omega, eqp, edp, pm, efd
+        self.ix_mach = np.stack([pi[:, PI.I_DELTA], pi[:, PI.I_OMEGA],
+                                 pi[:, PI.I_EQP], pi[:, PI.I_EDP],
+                                 slot5[:, 2], efd_ix])
+
+        # network and rotor/two-axis coefficients
+        self.xdp = pf[:, PF.XDP]
+        self.xq_corr = pf[:, PF.XQP] - pf[:, PF.XDP]
+        self.sout = pf[:, PF.SOUT]
+        h2 = 2.0 * pf[:, PF.H]
+        self.c_damp = -(pf[:, PF.D] / h2)
+        self.c_acc = omega0 / h2
+        self.xd_diff = pf[:, PF.XD] - pf[:, PF.XDP]
+        self.xq_diff = pf[:, PF.XQ] - pf[:, PF.XQP]
+        self.td0p = pf[:, PF.TD0P]
+        self.tq0p = pf[:, PF.TQ0P]
+
+        # PSS (washout + two lead-lags): rows omega, z1, z2, z3
+        p = pf[pss]
+        self.ix_pss = pi[pss][:, [PI.I_OMEGA, PI.I_Z1, PI.I_Z2, PI.I_Z3]].T
+        self.ks, self.tw = p[:, PF.KS], p[:, PF.TW]
+        self.tp2, self.tp4 = p[:, PF.TP2], p[:, PF.TP4]
+        self.lead1 = p[:, PF.TP1] / p[:, PF.TP2]
+        self.lead2 = p[:, PF.TP3] / p[:, PF.TP4]
+        self.vsmin, self.vsmax = p[:, PF.VSMIN], p[:, PF.VSMAX]
+
+        # exciter: the stabilizing signal of machines with both devices
+        p = pf[exc]
+        self.exc = None if exc.size == n else exc
+        self.ix_efd = pi[exc, PI.I_EFD]
+        self.ka, self.ta, self.vref = p[:, PF.KA], p[:, PF.TA], p[:, PF.VREF]
+        self.efdmin, self.efdmax = p[:, PF.EFDMIN], p[:, PF.EFDMAX]
+        both = has_pss[exc]
+        self.vpss_dst = np.flatnonzero(both)
+        pss_pos = np.zeros(n, dtype=pi.dtype)
+        pss_pos[pss] = np.arange(pss.size)
+        self.vpss_src = pss_pos[exc[both]]
+        self.vpss_all = exc.size == pss.size and both.all()
+
+        # governor/turbine chain
+        p = pf[gov]
+        self.gov = None if gov.size == n else gov
+        self.ix5_gov = slot5[gov]
+        self.ix_xe = pi[gov, PI.I_XE]
+        ke, te, t3, t4 = p[:, PF.KE], p[:, PF.TE], p[:, PF.T3], p[:, PF.T4]
+        t5, tm, rr = p[:, PF.T5], p[:, PF.TM], p[:, PF.RDROOP]
+        self.pcref, self.te, self.tm, self.t5 = p[:, PF.PCREF], te, tm, t5
+        self.xe_w = -ke / (te * rr * omega0)
+        self.xm_w = -ke * t3 / (tm * te * rr * omega0)
+        self.xm_xe = 1.0 - t3 / te
+        self.xm_pc = t3 / (tm * te)
+        self.pm_w = -ke * t3 * t4 / (tm * te * t5 * rr * omega0)
+        self.pm_xm = 1.0 - t4 / tm
+        self.pm_xe = t4 / (tm * t5) * (1.0 - t3 / te)
+        self.pm_pc = t3 * t4 / (tm * te * t5)
+
+        # derivative blocks in concatenation order -> state order
+        order = np.concatenate((pi[:, PI.I_DELTA], pi[:, PI.I_OMEGA],
+                                pi[:, PI.I_EQP], pi[:, PI.I_EDP],
+                                self.ix_pss[1:].ravel(), self.ix_efd,
+                                pi[gov][:, [PI.I_PM, PI.I_XM, PI.I_XE]].T.ravel()))
+        self.perm = np.empty_like(order)
+        self.perm[order] = np.arange(order.size)
+
+    def extend(self, y):
+        """``y`` with the absent-device constants appended along the last axis."""
+        if self.const is None:
+            return y
+        return np.concatenate(
+            (y, np.broadcast_to(self.const, y.shape[:-1] + self.const.shape)), axis=-1)
+
+    def machine_states(self, ye):
+        """delta, omega, eqp, edp, pm, efd per machine, each ``(..., n_mach)``."""
+        g = ye[..., self.ix_mach]
+        return tuple(g[..., k, :] for k in range(6))
+
+    def network(self, delta, eqp, edp, gmat, bmat):
+        """:func:`network_currents` plus the electrical power (system base)."""
+        e_re, e_im, i_re, i_im, i_d, i_q = network_currents(delta, eqp, edp, gmat, bmat)
+        pe_sys = edp * i_d + eqp * i_q + self.xq_corr * i_d * i_q
+        return e_re, e_im, i_re, i_im, i_d, i_q, pe_sys
+
+    def bind(self, gains, xref, active, gmat, bmat):
+        """The RHS ``y -> dy`` for one controller setting and one network."""
+        if self.gov is not None:
+            gains, xref, active = gains[self.gov], xref[self.gov], active[self.gov]
+        return lambda y: self._rhs(y, gains, xref, active, gmat, bmat)
+
+    def _rhs(self, y, gains, xref, active, gmat, bmat):
+        ye = self.extend(y)
+        delta, omega_r, eqp, edp, pm, efd = self.machine_states(ye)
+        e_re, e_im, i_re, i_im, i_d, i_q, pe_sys = self.network(delta, eqp, edp,
+                                                                gmat, bmat)
+        vt = np.hypot(e_re + self.xdp * i_im, e_im - self.xdp * i_re)
+        blocks = [omega_r,
+                  self.c_damp * omega_r + self.c_acc * (pm - pe_sys / self.sout),
+                  (-eqp - self.xd_diff * i_d + efd) / self.td0p,
+                  (-edp + self.xq_diff * i_q) / self.tq0p]
+
+        vpss = None
+        if self.ks.size:
+            g = ye[..., self.ix_pss]
+            w, z1, z2, z3 = (g[..., k, :] for k in range(4))
+            u1 = self.ks * (w / self.omega0)
+            y1 = u1 - z1
+            d2 = y1 - z2
+            y2 = z2 + self.lead1 * d2
+            d3 = y2 - z3
+            y3 = z3 + self.lead2 * d3
+            blocks += [y1 / self.tw, d2 / self.tp2, d3 / self.tp4]
+            vpss = np.minimum(np.maximum(y3, self.vsmin), self.vsmax)
+
+        if self.ka.size:
+            if self.exc is not None:
+                vt = vt[..., self.exc]
+            if not self.vpss_all:
+                vp = np.zeros(vt.shape)
+                if vpss is not None:
+                    vp[..., self.vpss_dst] = vpss[..., self.vpss_src]
+                vpss = vp
+            efd_cmd = np.minimum(np.maximum(self.ka * (self.vref - vt + vpss),
+                                            self.efdmin), self.efdmax)
+            blocks.append((efd_cmd - ye[..., self.ix_efd]) / self.ta)
+
+        if self.pcref.size:
+            x5 = ye[..., self.ix5_gov]
+            w, pm, xm, xe = x5[..., 1], x5[..., 2], x5[..., 3], x5[..., 4]
+            pc = self.pcref + active * feedback(gains, x5 - xref)
+            te, tm, t5 = self.te, self.tm, self.t5
+            d_xe = self.xe_w * w - xe / te + pc / te
+            # anti-windup: hold the valve state when pinned against an active limit
+            hold = ((xe >= 1.0) & (d_xe > 0.0)) | ((xe <= 0.0) & (d_xe < 0.0))
+            blocks += [self.pm_w * w - pm / t5 + self.pm_xm * xm / t5
+                       + self.pm_xe * xe + self.pm_pc * pc,
+                       self.xm_w * w - xm / tm + self.xm_xe * xe / tm + self.xm_pc * pc,
+                       np.where(hold, 0.0, d_xe)]
+        return np.concatenate(blocks, axis=-1)[..., self.perm]
 
 
 def _rk4_span_numpy(y, h, nsteps, pf, pi, gains, xref, active, gmat, bmat,
                     omega0, out, out_offset):
-    """Advance nsteps RK4 steps, recording each new state; -1 on success else the
-    (0-based) step index at which the state left the divergence limit."""
-    gov = pi[:, PI.HAS_GOV] == 1
-    idx_xe = pi[gov, PI.I_XE]
+    """Advance nsteps RK4 steps in place, recording each new state; -1 on success
+    else the (0-based) step index at which some row left the divergence limit."""
+    plan = RhsPlan(pf, pi, omega0)
+    f = plan.bind(gains, xref, active, gmat, bmat)
+    ix_xe = plan.ix_xe
+    half, sixth = 0.5 * h, h / 6.0
     for k in range(nsteps):
-        k1 = rhs_numpy(y, pf, pi, gains, xref, active, gmat, bmat, omega0)
-        k2 = rhs_numpy(y + 0.5 * h * k1, pf, pi, gains, xref, active, gmat, bmat, omega0)
-        k3 = rhs_numpy(y + 0.5 * h * k2, pf, pi, gains, xref, active, gmat, bmat, omega0)
-        k4 = rhs_numpy(y + h * k3, pf, pi, gains, xref, active, gmat, bmat, omega0)
-        y += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        y[idx_xe] = np.clip(y[idx_xe], 0.0, 1.0)
+        k1 = f(y)
+        k2 = f(y + half * k1)
+        k3 = f(y + half * k2)
+        k4 = f(y + h * k3)
+        y += sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y[..., ix_xe] = np.minimum(np.maximum(y[..., ix_xe], 0.0), 1.0)
         if not np.all(np.abs(y) < DIVERGENCE_LIMIT):
             return k
         if out is not None:
@@ -413,22 +540,33 @@ _EMPTY = np.zeros((0, 0))
 
 
 def rhs(y, pf, pi, gains, xref, active, gmat, bmat, omega0):
+    """dy for y of shape (n_states,) or (B, n_states)."""
     if active_backend() == "numba":
         fn, _ = _numba_funcs()
         dy = np.zeros_like(y)
-        fn(y, dy, pf, pi, gains, xref, active, gmat, bmat, omega0)
+        for row, drow in zip(y.reshape(-1, y.shape[-1]), dy.reshape(-1, y.shape[-1])):
+            fn(row, drow, pf, pi, gains, xref, active, gmat, bmat, omega0)
         return dy
-    return rhs_numpy(y, pf, pi, gains, xref, active, gmat, bmat, omega0)
+    return RhsPlan(pf, pi, omega0).bind(gains, xref, active, gmat, bmat)(y)
 
 
 def rk4_span(y, h, nsteps, pf, pi, gains, xref, active, gmat, bmat, omega0,
              out=None, out_offset=0):
-    """Integrate in place over nsteps fixed steps; see _rk4_span_numpy for the contract."""
+    """Integrate y of shape (n_states,) or (B, n_states) in place over nsteps
+    fixed steps, storing step k's state in out[out_offset + k] when out (shape
+    (T, n_states) or (T, B, n_states)) is given.  Returns -1, or the first
+    (0-based) step after which some row left the divergence limit."""
     if active_backend() == "numba":
         _, fn = _numba_funcs()
-        target = out if out is not None else _EMPTY
-        return fn(y, h, nsteps, pf, pi, gains, xref, active, gmat, bmat,
-                  omega0, target, out_offset)
+        if y.ndim == 1:
+            target = out if out is not None else _EMPTY
+            return fn(y, h, nsteps, pf, pi, gains, xref, active, gmat, bmat,
+                      omega0, target, out_offset)
+        # rows run independently; after a divergence the others may stand later
+        bad = [fn(y[b], h, nsteps, pf, pi, gains, xref, active, gmat, bmat,
+                  omega0, out[:, b] if out is not None else _EMPTY, out_offset)
+               for b in range(y.shape[0])]
+        return min((k for k in bad if k >= 0), default=-1)
     return _rk4_span_numpy(y, h, nsteps, pf, pi, gains, xref, active, gmat,
                            bmat, omega0, out, out_offset)
 

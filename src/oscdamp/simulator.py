@@ -26,6 +26,11 @@ from .synthesis import ControllerSet
 from . import kernels
 
 
+# rows per block of derived-channel evaluation: bounds the temporaries of a
+# long segment to well under the size of the trajectory itself
+_DERIVED_BLOCK_ROWS = 512
+
+
 class ScenarioError(Exception):
     pass
 
@@ -320,48 +325,28 @@ def simulate(case: PowerSystemCase, controllers: ControllerSet | None,
 
 def _derived_channels(model: SimModel, states: np.ndarray, tgrid: np.ndarray,
                       segments: list, bus_ids) -> tuple:
-    lay = model.layout
+    """Electrical power, mechanical power, auxiliary governor signal and bus
+    voltages, evaluated for blocks of rows at once on each segment's network
+    and controller setting."""
+    plan = kernels.RhsPlan(model.pf, model.pi, model.omega0)
     n_t = states.shape[0]
-    n_m = model.n_machines
-    pe = np.zeros((n_t, n_m))
-    pm_sys = np.zeros((n_t, n_m))
-    u_out = np.zeros((n_t, n_m))
+    pe = np.zeros((n_t, model.n_machines))
+    pm_sys = np.zeros_like(pe)
+    u_out = np.zeros_like(pe)
     vbus = np.zeros((n_t, len(bus_ids)), dtype=complex)
-    delta = states[:, lay.delta_indices]
-    eqp = states[:, [lay.idx(m, "eqp") for m in lay.machine_ids]]
-    edp = states[:, [lay.idx(m, "edp") for m in lay.machine_ids]]
-    sd, cd = np.sin(delta), np.cos(delta)
-    e_re = edp * sd + eqp * cd
-    e_im = eqp * sd - edp * cd
-    emf = e_re + 1j * e_im
-    xq_corr = model.pf[:, kernels.PF.XQP] - model.pf[:, kernels.PF.XDP]
-    sout = model.pf[:, kernels.PF.SOUT]
-
-    gov = model.pi[:, kernels.PI.HAS_GOV] == 1
-    pm_idx = np.maximum(model.pi[:, kernels.PI.I_PM], 0)
-    xm_idx = np.maximum(model.pi[:, kernels.PI.I_XM], 0)
-    xe_idx = np.maximum(model.pi[:, kernels.PI.I_XE], 0)
-    pm_mach = np.where(gov[None, :], states[:, pm_idx], model.pf[:, kernels.PF.PMCONST][None, :])
-    xm_mach = np.where(gov[None, :], states[:, xm_idx], 0.0)
-    xe_mach = np.where(gov[None, :], states[:, xe_idx], 0.0)
-    pm_sys[:] = pm_mach * sout[None, :]
-
-    bounds = [s.t_start for s in segments] + [np.inf]
-    seg = 0
-    for k in range(n_t):
-        t = tgrid[k]
-        while seg + 1 < len(segments) and t >= bounds[seg + 1] - 1e-12:
-            seg += 1
-        s = segments[seg]
-        i_re = s.g @ e_re[k] - s.b @ e_im[k]
-        i_im = s.g @ e_im[k] + s.b @ e_re[k]
-        i_d = i_re * sd[k] - i_im * cd[k]
-        i_q = i_re * cd[k] + i_im * sd[k]
-        pe[k] = edp[k] * i_d + eqp[k] * i_q + xq_corr * i_d * i_q
-        vbus[k] = s.vsolve @ emf[k]
-        x5 = np.stack([delta[k], states[k, lay.speed_indices], pm_mach[k],
-                       xm_mach[k], xe_mach[k]], axis=1)
-        u_out[k] = s.active * np.einsum("ij,ij->i", model.gains, x5 - s.xref)
+    # a row belongs to the last segment started at or before its time
+    bounds = ([0] + [int(np.count_nonzero(tgrid < s.t_start - 1e-12))
+                     for s in segments[1:]] + [n_t])
+    for s, r0, r1 in zip(segments, bounds, bounds[1:]):
+        for b0 in range(r0, r1, _DERIVED_BLOCK_ROWS):
+            rows = slice(b0, min(b0 + _DERIVED_BLOCK_ROWS, r1))
+            ye = plan.extend(states[rows])
+            delta, _, eqp, edp, pm, _ = plan.machine_states(ye)
+            e_re, e_im, *_, pe[rows] = plan.network(delta, eqp, edp, s.g, s.b)
+            vbus[rows] = (e_re + 1j * e_im) @ s.vsolve.T
+            pm_sys[rows] = pm * plan.sout
+            u_out[rows] = s.active * kernels.feedback(model.gains,
+                                                      ye[:, plan.ix5] - s.xref)
     return pe, pm_sys, u_out, vbus
 
 

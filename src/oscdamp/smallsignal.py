@@ -69,21 +69,20 @@ class ModeTable:
 
 def linearize(model: SimModel, equilibrium: np.ndarray,
               step: float = 1e-6) -> np.ndarray:
-    """Central-difference state matrix of the model RHS about an equilibrium."""
+    """Central-difference state matrix of the model RHS about an equilibrium,
+    all 2n perturbed states evaluated in one stacked RHS call."""
     r0 = model.rhs(equilibrium)
     if np.max(np.abs(r0)) > 1e-6:
         raise NonEquilibriumError(
             f"RHS norm {np.max(np.abs(r0)):.3e} at the linearization point")
     n = equilibrium.size
-    a = np.empty((n, n))
-    for j in range(n):
-        h = step * max(1.0, abs(equilibrium[j]))
-        yp = equilibrium.copy()
-        ym = equilibrium.copy()
-        yp[j] += h
-        ym[j] -= h
-        a[:, j] = (model.rhs(yp) - model.rhs(ym)) / (2.0 * h)
-    return a
+    h = step * np.maximum(1.0, np.abs(equilibrium))
+    cols = np.arange(n)
+    shifted = np.tile(equilibrium, (2 * n, 1))
+    shifted[cols, cols] += h
+    shifted[n + cols, cols] -= h
+    r = model.rhs(shifted)           # rows: +h_j perturbations, then -h_j
+    return np.ascontiguousarray(((r[:n] - r[n:]) / (2.0 * h)[:, None]).T)
 
 
 def modal_analysis(a_full: np.ndarray,

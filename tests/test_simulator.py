@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from oscdamp import kernels, simulator
 from oscdamp.case import scale_stress
 from oscdamp.powerflow import solve_power_flow, branch_flow
 from oscdamp.simulator import (Scenario, Event, ScenarioError, parse_scenario,
@@ -269,6 +270,49 @@ def test_deactivate_controllers_event(bundled_case, bundled_design):
     # at equilibrium u stays zero either way; the active mask change is logged
     assert res.event_log[0]["action"] == "deactivate_controllers"
     assert np.max(np.abs(res.u)) < 1e-8
+
+
+def test_derived_channels_match_per_step_reference(bundled_case, bundled_design,
+                                                    monkeypatch):
+    """Channels derived per event segment equal a step-by-step evaluation on
+    each step's network and controller setting (u bit for bit)."""
+    seen = {}
+    derive = simulator._derived_channels
+
+    def spy(model, states, tgrid, segments, bus_ids):
+        seen.update(model=model, states=states, tgrid=tgrid, segments=segments)
+        return derive(model, states, tgrid, segments, bus_ids)
+
+    monkeypatch.setattr(simulator, "_derived_channels", spy)
+    ctrl, _ = bundled_design
+    sc = Scenario(duration=3.0, events=(
+        Event(0.5037, "step_load", (4, 50.0, 10.0)),
+        Event(1.0, "trip_line", (3, 101, 1)),
+        Event(2.0, "deactivate_controllers", ((1,),))))
+    res = simulate(bundled_case, ctrl, sc)
+    model, segments = seen["model"], seen["segments"]
+    lay = model.layout
+    eqp_ix = [lay.idx(m, "eqp") for m in lay.machine_ids]
+    edp_ix = [lay.idx(m, "edp") for m in lay.machine_ids]
+    xq_corr = model.pf[:, kernels.PF.XQP] - model.pf[:, kernels.PF.XDP]
+    bounds = [sg.t_start for sg in segments] + [np.inf]
+    seg = 0
+    for k, t in enumerate(seen["tgrid"]):
+        while t >= bounds[seg + 1] - 1e-12:
+            seg += 1
+        sg = segments[seg]
+        y = seen["states"][k]
+        eqp, edp = y[eqp_ix], y[edp_ix]
+        e_re, e_im, _, _, i_d, i_q = kernels.network_currents(
+            y[lay.delta_indices], eqp, edp, sg.g, sg.b)
+        pe = edp * i_d + eqp * i_q + xq_corr * i_d * i_q
+        x5 = np.array([model.design_state(y, i) for i in range(model.n_machines)])
+        u = sg.active * np.einsum("ij,ij->i", model.gains, x5 - sg.xref)
+        assert np.allclose(res.pe_sys[k], pe, rtol=1e-12, atol=1e-12)
+        assert np.allclose(res.bus_voltage[k], sg.vsolve @ (e_re + 1j * e_im),
+                           rtol=1e-12, atol=1e-12)
+        assert np.array_equal(res.u[k], u)
+    assert seg == len(segments) - 1
 
 
 def test_initial_active_machine_list(bundled_case, bundled_design):

@@ -34,6 +34,22 @@ def test_linearize_recovers_linear_system(bundled_eq):
     assert np.allclose(sub, dm.a[2:, :], rtol=1e-6, atol=1e-8)
 
 
+def test_linearize_matches_column_reference(bundled_eq, bundled_design):
+    """The stacked evaluation reproduces one central difference per column."""
+    model = bundled_eq.model.copy()
+    ctrl, _ = bundled_design
+    model.set_controllers(ctrl.gains, bundled_eq.x5)
+    x0 = bundled_eq.state
+    ref = np.empty((x0.size, x0.size))
+    for j in range(x0.size):
+        h = 1e-6 * max(1.0, abs(x0[j]))
+        yp, ym = x0.copy(), x0.copy()
+        yp[j] += h
+        ym[j] -= h
+        ref[:, j] = (model.rhs(yp) - model.rhs(ym)) / (2.0 * h)
+    assert np.allclose(linearize(model, x0), ref, rtol=1e-9, atol=1e-5)
+
+
 def test_single_machine_block_equals_analytic():
     doc = json.loads(make_two_bus_text())
     case = parse_case(doc if isinstance(doc, str) else json.dumps(json.loads(make_two_bus_text())))

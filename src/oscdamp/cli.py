@@ -29,15 +29,13 @@ from .simulator import (ScenarioError, parse_scenario, simulate, measure,
 from .lmi import LmiError, export_sdpa
 from .areas import machine_areas, tie_flow_mw
 from .report import write_report
-from .kernels import BackendError
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 EXIT_DIVERGED = 4
 
-INPUT_ERRORS = (CaseError, ScenarioError, BackendError, FileNotFoundError,
-                json.JSONDecodeError)
+INPUT_ERRORS = (CaseError, ScenarioError, FileNotFoundError, json.JSONDecodeError)
 NUMERIC_ERRORS = (PowerFlowDiverged, KronReductionError, InitializationError,
                   NonEquilibriumError, NoOscillatoryMode, SynthesisError, LmiError)
 
@@ -165,8 +163,7 @@ def cmd_modal(args) -> int:
 def cmd_design(args) -> int:
     case, text = _load_case(args.case)
     _, red, eq = _pipeline(case)
-    subset = _subset_from_arg(case, "all" if args.controllers == "none"
-                              else args.controllers)
+    subset = _subset_from_arg(case, args.controllers)    # main() maps none to all
     ctrl, res = design_controllers(case, eq, red, subset=subset,
                                    beta_bar=args.beta_bar,
                                    bound_scale=args.bound_scale)
@@ -363,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None, help="output directory for reports")
         sp.add_argument("--band", type=float, nargs=2, default=(0.1, 3.0),
                         metavar=("LO", "HI"), help="oscillatory band (Hz)")
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--workers", type=int, default=1)
         if controllers:
             sp.add_argument("--controllers", default="none",
@@ -384,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("design", help="synthesize decentralized damping gains")
     common(sp)
-    sp.set_defaults(func=cmd_design, controllers_default="all")
+    sp.set_defaults(func=cmd_design)
 
     sp = sub.add_parser("simulate", help="nonlinear time-domain simulation")
     common(sp)

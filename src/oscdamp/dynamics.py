@@ -98,12 +98,7 @@ def build_design_matrices(machine: Machine, gov: GovernorParams,
     return DesignModel(machine_id=machine.id, a=a, b=b, g=g)
 
 
-def design_rhs(dm: DesignModel, x5: np.ndarray, pc: float, pe_m: float) -> np.ndarray:
-    """Time derivative of the 5-state design model (pe_m on the machine base)."""
-    return dm.a @ x5 + dm.b * pc + dm.g * pe_m
-
-
-# --- elementary right-hand sides (documenting/unit-test form) -----------------
+# --- elementary right-hand sides (the reference form the kernel tests use) -----
 
 def rotor_rhs(delta: float, omega_r: float, pm: float, pe: float,
               h: float, d: float, omega0: float) -> tuple[float, float]:
@@ -269,20 +264,12 @@ def assemble_model(case: PowerSystemCase, reduced: ReducedNetwork) -> SimModel:
                     active=np.zeros(n))
 
 
-@dataclass(frozen=True)
-class ControlInput:
-    machine: int
-    pc_ref: float      # dispatch reference, machine-base p.u.
-    u: float = 0.0     # auxiliary signal; total command is pc_ref + u
-
-
 @dataclass
 class Equilibrium:
     """Initialized operating point: configured model plus the fixed-point state."""
 
     model: SimModel
     state: np.ndarray
-    control_inputs: tuple[ControlInput, ...]
     boundary_machines: tuple[int, ...]
     delta: np.ndarray
     eqp: np.ndarray
@@ -335,7 +322,6 @@ def initialize_from_power_flow(case: PowerSystemCase, sol: PowerFlowSolution,
     y0 = np.zeros(layout.n_states)
     p_out, q_out = _machine_bus_outputs(case, sol)
     vc = sol.voltage()
-    ctrl: list[ControlInput] = []
     boundary: list[int] = []
     delta = np.zeros(n)
     eqp = np.zeros(n)
@@ -382,11 +368,9 @@ def initialize_from_power_flow(case: PowerSystemCase, sol: PowerFlowSolution,
             y0[layout.idx(m.id, "pm")] = pm_m
             y0[layout.idx(m.id, "xm")] = pm_m
             y0[layout.idx(m.id, "xe")] = pm_m
-            ctrl.append(ControlInput(machine=m.id, pc_ref=pm_m))
             model.pf[k, PF.PCREF] = pm_m
         else:
             model.pf[k, PF.PMCONST] = pm_m
-            ctrl.append(ControlInput(machine=m.id, pc_ref=pm_m))
 
         if model.pi[k, PI.HAS_EXC]:
             exc = case.exciter_for(m.id)
@@ -401,6 +385,5 @@ def initialize_from_power_flow(case: PowerSystemCase, sol: PowerFlowSolution,
         # PSS washout states are zero at any speed equilibrium
 
     model.xref = x5.copy()
-    return Equilibrium(model=model, state=y0, control_inputs=tuple(ctrl),
-                       boundary_machines=tuple(boundary), delta=delta,
-                       eqp=eqp, edp=edp, pe_sys=pe_sys, x5=x5)
+    return Equilibrium(model=model, state=y0, boundary_machines=tuple(boundary),
+                       delta=delta, eqp=eqp, edp=edp, pe_sys=pe_sys, x5=x5)

@@ -1,55 +1,24 @@
 """Hot numeric kernels: full-system RHS evaluation and fixed-step RK4 spans.
 
-Two interchangeable implementations live here:
+The model RHS is evaluated through an :class:`RhsPlan`, built from
+``(pf, pi, omega0)`` once per :func:`rhs` or :func:`rk4_span` call: the
+gather indices of the base, governor, exciter and PSS states, the per-device
+coefficient vectors, and the permutation that puts the concatenated
+derivative blocks back into state order.  :func:`rhs` takes ``y`` of shape
+``(n_states,)`` or ``(B, n_states)``; :func:`rk4_span` integrates either
+shape in place and records into ``out`` of shape ``(T, n_states)`` or
+``(T, B, n_states)``.  A single state and a one-row stack give the same bits;
+the rows of a larger stack go through matrix-matrix products and agree with
+single-state calls to about 1e-13.
 
-* a loop-structured version compiled with numba ``@njit`` (the default when
-  numba is importable), and
-* a vectorized pure-numpy version built on an :class:`RhsPlan`.
-
-Selection is an environment flag, read once per call site through
-:func:`active_backend`:
-
-    OSCDAMP_BACKEND=numba   force the jitted kernels (error if numba missing)
-    OSCDAMP_BACKEND=numpy   force the pure-numpy kernels
-    OSCDAMP_BACKEND=auto    numba when importable, numpy otherwise (default)
-
-An unknown value or a numba request without numba raises :class:`BackendError`.
-
-numba is optional. Without it the loop-structured kernels stay bound,
-uncompiled, to the names the dispatcher uses (``_rhs_nb``, ``_span_nb``), so
-they remain runnable plain Python; only :func:`active_backend` keeps them from
-being selected.
-
-The numpy kernels build an :class:`RhsPlan` from ``(pf, pi, omega0)`` once per
-:func:`rhs` or :func:`rk4_span` call: the gather indices of the base,
-governor, exciter and PSS states, the per-device coefficient vectors, and the
-permutation that puts the concatenated derivative blocks back into state
-order.  :func:`rhs` takes ``y`` of shape ``(n_states,)`` or ``(B, n_states)``;
-:func:`rk4_span` integrates either shape in place and records into ``out`` of
-shape ``(T, n_states)`` or ``(T, B, n_states)``.  A single state and a
-one-row stack give the same bits, which are those of the per-call numpy
-kernel that preceded the plan; the rows of a larger stack go through
-matrix-matrix products and agree with single-state calls to about 1e-13.
-Under the numba backend a stack runs row by row through the loop kernels.
-
-Both paths implement identical math; ``benchmarks/bench_kernels.py`` times
-them and the test suite pins their agreement.
+The test suite pins the plan to a per-machine reference written from the
+elementary forms in :mod:`oscdamp.dynamics`.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    import numba
-    HAVE_NUMBA = True
-except ImportError:
-    numba = None
-    HAVE_NUMBA = False
-
-ENV_VAR = "OSCDAMP_BACKEND"
 DIVERGENCE_LIMIT = 1e6
 
 
@@ -113,22 +82,10 @@ class PI:
 NPI = 14
 
 
-class BackendError(ValueError):
-    """The kernel backend named by the environment cannot be used."""
-
-
 def active_backend() -> str:
-    choice = os.environ.get(ENV_VAR, "auto").strip().lower()
-    if choice not in ("auto", "numba", "numpy"):
-        raise BackendError(f"{ENV_VAR} must be auto, numba or numpy (got {choice!r})")
-    if choice == "numba" and not HAVE_NUMBA:
-        raise BackendError(f"{ENV_VAR}=numba requested but numba is not importable")
-    if choice == "auto":
-        return "numba" if HAVE_NUMBA else "numpy"
-    return choice
+    """Name of the kernel implementation; there is one."""
+    return "numpy"
 
-
-# --- pure-numpy implementation: the RHS plan -------------------------------------
 
 _GOV_SLOTS = [PI.I_DELTA, PI.I_OMEGA, PI.I_PM, PI.I_XM, PI.I_XE]
 
@@ -335,10 +292,18 @@ class RhsPlan:
         return np.concatenate(blocks, axis=-1)[..., self.perm]
 
 
-def _rk4_span_numpy(y, h, nsteps, pf, pi, gains, xref, active, gmat, bmat,
-                    omega0, out, out_offset):
-    """Advance nsteps RK4 steps in place, recording each new state; -1 on success
-    else the (0-based) step index at which some row left the divergence limit."""
+def rhs(y, pf, pi, gains, xref, active, gmat, bmat, omega0):
+    """dy for y of shape (n_states,) or (B, n_states)."""
+    return RhsPlan(pf, pi, omega0).bind(gains, xref, active, gmat, bmat)(y)
+
+
+def rk4_span(y, h, nsteps, pf, pi, gains, xref, active, gmat, bmat, omega0,
+             out=None, out_offset=0):
+    """Integrate y of shape (n_states,) or (B, n_states) in place over nsteps
+    fixed steps, clamping the valve states to [0, 1] after each step and
+    storing step k's state in out[out_offset + k] when out (shape
+    (T, n_states) or (T, B, n_states)) is given.  Returns -1, or the first
+    (0-based) step after which some row left the divergence limit."""
     plan = RhsPlan(pf, pi, omega0)
     f = plan.bind(gains, xref, active, gmat, bmat)
     ix_xe = plan.ix_xe
@@ -355,234 +320,3 @@ def _rk4_span_numpy(y, h, nsteps, pf, pi, gains, xref, active, gmat, bmat,
         if out is not None:
             out[out_offset + k] = y
     return -1
-
-
-# --- numba implementation --------------------------------------------------------
-# Module-level integer aliases so the jitted loops can reference columns by name.
-C_H, C_D, C_SOUT, C_XD, C_XQ, C_XDP, C_XQP, C_TD0P, C_TQ0P = (
-    PF.H, PF.D, PF.SOUT, PF.XD, PF.XQ, PF.XDP, PF.XQP, PF.TD0P, PF.TQ0P)
-C_KE, C_TE, C_T3, C_T4, C_T5, C_TM, C_R = (
-    PF.KE, PF.TE, PF.T3, PF.T4, PF.T5, PF.TM, PF.RDROOP)
-C_KA, C_TA, C_EFDMIN, C_EFDMAX, C_VREF = (
-    PF.KA, PF.TA, PF.EFDMIN, PF.EFDMAX, PF.VREF)
-C_KS, C_TW, C_TP1, C_TP2, C_TP3, C_TP4, C_VSMIN, C_VSMAX = (
-    PF.KS, PF.TW, PF.TP1, PF.TP2, PF.TP3, PF.TP4, PF.VSMIN, PF.VSMAX)
-C_PCREF, C_PMCONST, C_EFDCONST = PF.PCREF, PF.PMCONST, PF.EFDCONST
-J_DELTA, J_OMEGA, J_EQP, J_EDP, J_PM, J_XM, J_XE, J_EFD, J_Z1, J_Z2, J_Z3 = (
-    PI.I_DELTA, PI.I_OMEGA, PI.I_EQP, PI.I_EDP, PI.I_PM, PI.I_XM, PI.I_XE,
-    PI.I_EFD, PI.I_Z1, PI.I_Z2, PI.I_Z3)
-J_GOV, J_EXC, J_PSS = PI.HAS_GOV, PI.HAS_EXC, PI.HAS_PSS
-
-
-def _rhs_loops(y, dy, pf, pi, gains, xref, active, gmat, bmat, omega0):
-    n = pf.shape[0]
-    e_re = np.empty(n)
-    e_im = np.empty(n)
-    sd = np.empty(n)
-    cd = np.empty(n)
-    for i in range(n):
-        d = y[pi[i, J_DELTA]]
-        sd[i] = np.sin(d)
-        cd[i] = np.cos(d)
-        eqp = y[pi[i, J_EQP]]
-        edp = y[pi[i, J_EDP]]
-        e_re[i] = edp * sd[i] + eqp * cd[i]
-        e_im[i] = eqp * sd[i] - edp * cd[i]
-    for i in range(n):
-        acc_re = 0.0
-        acc_im = 0.0
-        for j in range(n):
-            acc_re += gmat[i, j] * e_re[j] - bmat[i, j] * e_im[j]
-            acc_im += gmat[i, j] * e_im[j] + bmat[i, j] * e_re[j]
-        i_d = acc_re * sd[i] - acc_im * cd[i]
-        i_q = acc_re * cd[i] + acc_im * sd[i]
-        eqp = y[pi[i, J_EQP]]
-        edp = y[pi[i, J_EDP]]
-        omega_r = y[pi[i, J_OMEGA]]
-        xdp = pf[i, C_XDP]
-        pe_sys = edp * i_d + eqp * i_q + (pf[i, C_XQP] - xdp) * i_d * i_q
-        vt_re = e_re[i] + xdp * acc_im
-        vt_im = e_im[i] - xdp * acc_re
-        vt = np.sqrt(vt_re * vt_re + vt_im * vt_im)
-
-        if pi[i, J_GOV] == 1:
-            pm = y[pi[i, J_PM]]
-            xm = y[pi[i, J_XM]]
-            xe = y[pi[i, J_XE]]
-        else:
-            pm = pf[i, C_PMCONST]
-            xm = 0.0
-            xe = 0.0
-        if pi[i, J_EXC] == 1:
-            efd = y[pi[i, J_EFD]]
-        else:
-            efd = pf[i, C_EFDCONST]
-
-        pe_m = pe_sys / pf[i, C_SOUT]
-        h2 = 2.0 * pf[i, C_H]
-        dy[pi[i, J_DELTA]] = omega_r
-        dy[pi[i, J_OMEGA]] = -(pf[i, C_D] / h2) * omega_r + (omega0 / h2) * (pm - pe_m)
-        dy[pi[i, J_EQP]] = (-eqp - (pf[i, C_XD] - xdp) * i_d + efd) / pf[i, C_TD0P]
-        dy[pi[i, J_EDP]] = (-edp + (pf[i, C_XQ] - pf[i, C_XQP]) * i_q) / pf[i, C_TQ0P]
-
-        vpss = 0.0
-        if pi[i, J_PSS] == 1:
-            z1 = y[pi[i, J_Z1]]
-            z2 = y[pi[i, J_Z2]]
-            z3 = y[pi[i, J_Z3]]
-            slip = omega_r / omega0
-            u1 = pf[i, C_KS] * slip
-            dy[pi[i, J_Z1]] = (u1 - z1) / pf[i, C_TW]
-            y1 = u1 - z1
-            dy[pi[i, J_Z2]] = (y1 - z2) / pf[i, C_TP2]
-            y2 = z2 + pf[i, C_TP1] / pf[i, C_TP2] * (y1 - z2)
-            dy[pi[i, J_Z3]] = (y2 - z3) / pf[i, C_TP4]
-            y3 = z3 + pf[i, C_TP3] / pf[i, C_TP4] * (y2 - z3)
-            vpss = y3
-            if vpss < pf[i, C_VSMIN]:
-                vpss = pf[i, C_VSMIN]
-            elif vpss > pf[i, C_VSMAX]:
-                vpss = pf[i, C_VSMAX]
-
-        if pi[i, J_EXC] == 1:
-            efd_cmd = pf[i, C_KA] * (pf[i, C_VREF] - vt + vpss)
-            if efd_cmd < pf[i, C_EFDMIN]:
-                efd_cmd = pf[i, C_EFDMIN]
-            elif efd_cmd > pf[i, C_EFDMAX]:
-                efd_cmd = pf[i, C_EFDMAX]
-            dy[pi[i, J_EFD]] = (efd_cmd - efd) / pf[i, C_TA]
-
-        if pi[i, J_GOV] == 1:
-            u = 0.0
-            if active[i] != 0.0:
-                u = (gains[i, 0] * (y[pi[i, J_DELTA]] - xref[i, 0])
-                     + gains[i, 1] * (omega_r - xref[i, 1])
-                     + gains[i, 2] * (pm - xref[i, 2])
-                     + gains[i, 3] * (xm - xref[i, 3])
-                     + gains[i, 4] * (xe - xref[i, 4]))
-            pc = pf[i, C_PCREF] + u
-            ke = pf[i, C_KE]
-            te = pf[i, C_TE]
-            t3 = pf[i, C_T3]
-            t4 = pf[i, C_T4]
-            t5 = pf[i, C_T5]
-            tm = pf[i, C_TM]
-            rr = pf[i, C_R]
-            d_xe = -ke / (te * rr * omega0) * omega_r - xe / te + pc / te
-            if xe >= 1.0 and d_xe > 0.0:
-                d_xe = 0.0
-            elif xe <= 0.0 and d_xe < 0.0:
-                d_xe = 0.0
-            dy[pi[i, J_XE]] = d_xe
-            dy[pi[i, J_XM]] = (-ke * t3 / (tm * te * rr * omega0) * omega_r
-                               - xm / tm + (1.0 - t3 / te) * xe / tm
-                               + t3 / (tm * te) * pc)
-            dy[pi[i, J_PM]] = (-ke * t3 * t4 / (tm * te * t5 * rr * omega0) * omega_r
-                               - pm / t5 + (1.0 - t4 / tm) * xm / t5
-                               + t4 / (tm * t5) * (1.0 - t3 / te) * xe
-                               + t3 * t4 / (tm * te * t5) * pc)
-
-
-_rhs_nb = numba.njit(cache=True)(_rhs_loops) if HAVE_NUMBA else _rhs_loops
-
-
-def _rk4_span_loops(y, h, nsteps, pf, pi, gains, xref, active, gmat, bmat,
-                    omega0, out, out_offset):
-    ns = y.shape[0]
-    n = pf.shape[0]
-    k1 = np.zeros(ns)
-    k2 = np.zeros(ns)
-    k3 = np.zeros(ns)
-    k4 = np.zeros(ns)
-    ytmp = np.empty(ns)
-    for step in range(nsteps):
-        _rhs_nb(y, k1, pf, pi, gains, xref, active, gmat, bmat, omega0)
-        for s in range(ns):
-            ytmp[s] = y[s] + 0.5 * h * k1[s]
-        _rhs_nb(ytmp, k2, pf, pi, gains, xref, active, gmat, bmat, omega0)
-        for s in range(ns):
-            ytmp[s] = y[s] + 0.5 * h * k2[s]
-        _rhs_nb(ytmp, k3, pf, pi, gains, xref, active, gmat, bmat, omega0)
-        for s in range(ns):
-            ytmp[s] = y[s] + h * k3[s]
-        _rhs_nb(ytmp, k4, pf, pi, gains, xref, active, gmat, bmat, omega0)
-        bad = False
-        for s in range(ns):
-            y[s] += (h / 6.0) * (k1[s] + 2.0 * k2[s] + 2.0 * k3[s] + k4[s])
-        for i in range(n):
-            if pi[i, J_GOV] == 1:
-                ix = pi[i, J_XE]
-                if y[ix] < 0.0:
-                    y[ix] = 0.0
-                elif y[ix] > 1.0:
-                    y[ix] = 1.0
-        for s in range(ns):
-            if not (np.abs(y[s]) < DIVERGENCE_LIMIT):
-                bad = True
-        if bad:
-            return step
-        if out.shape[0] > 0:
-            for s in range(ns):
-                out[out_offset + step, s] = y[s]
-    return -1
-
-
-_span_nb = numba.njit(cache=True)(_rk4_span_loops) if HAVE_NUMBA else _rk4_span_loops
-
-
-def _numba_funcs():
-    return _rhs_nb, _span_nb
-
-
-# --- dispatch ---------------------------------------------------------------------
-
-_EMPTY = np.zeros((0, 0))
-
-
-def rhs(y, pf, pi, gains, xref, active, gmat, bmat, omega0):
-    """dy for y of shape (n_states,) or (B, n_states)."""
-    if active_backend() == "numba":
-        fn, _ = _numba_funcs()
-        dy = np.zeros_like(y)
-        for row, drow in zip(y.reshape(-1, y.shape[-1]), dy.reshape(-1, y.shape[-1])):
-            fn(row, drow, pf, pi, gains, xref, active, gmat, bmat, omega0)
-        return dy
-    return RhsPlan(pf, pi, omega0).bind(gains, xref, active, gmat, bmat)(y)
-
-
-def rk4_span(y, h, nsteps, pf, pi, gains, xref, active, gmat, bmat, omega0,
-             out=None, out_offset=0):
-    """Integrate y of shape (n_states,) or (B, n_states) in place over nsteps
-    fixed steps, storing step k's state in out[out_offset + k] when out (shape
-    (T, n_states) or (T, B, n_states)) is given.  Returns -1, or the first
-    (0-based) step after which some row left the divergence limit."""
-    if active_backend() == "numba":
-        _, fn = _numba_funcs()
-        if y.ndim == 1:
-            target = out if out is not None else _EMPTY
-            return fn(y, h, nsteps, pf, pi, gains, xref, active, gmat, bmat,
-                      omega0, target, out_offset)
-        # rows run independently; after a divergence the others may stand later
-        bad = [fn(y[b], h, nsteps, pf, pi, gains, xref, active, gmat, bmat,
-                  omega0, out[:, b] if out is not None else _EMPTY, out_offset)
-               for b in range(y.shape[0])]
-        return min((k for k in bad if k >= 0), default=-1)
-    return _rk4_span_numpy(y, h, nsteps, pf, pi, gains, xref, active, gmat,
-                           bmat, omega0, out, out_offset)
-
-
-def warmup() -> None:
-    """Trigger JIT compilation on a tiny system so timed runs exclude compile cost."""
-    if active_backend() != "numba":
-        return
-    pf = np.zeros((1, NPF))
-    pf[0, [PF.H, PF.SOUT, PF.TD0P, PF.TQ0P]] = 1.0
-    pf[0, [PF.XD, PF.XQ, PF.XDP, PF.XQP]] = [1.0, 1.0, 0.5, 0.5]
-    pi_ = np.full((1, NPI), -1, dtype=np.int64)
-    pi_[0, :4] = [0, 1, 2, 3]
-    pi_[0, PI.HAS_GOV:] = 0
-    y = np.zeros(4)
-    g = np.zeros((1, 1))
-    rk4_span(y, 0.01, 2, pf, pi_, np.zeros((1, 5)), np.zeros((1, 5)),
-             np.zeros(1), g, g, 2 * np.pi * 60,
-             out=np.zeros((2, 4)), out_offset=0)

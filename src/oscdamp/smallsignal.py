@@ -30,6 +30,11 @@ LOCAL = "local"
 CONTROL = "control"
 REAL = "real"
 
+# Eigenvalues this close to the origin are reported as exactly zero: the
+# rotor-angle reference gives a structural zero whose computed sign follows
+# roundoff (|re| ~1e-9 on the bundled case; the next-smallest |lambda| is 0.12).
+ZERO_EIGENVALUE_TOL = 1e-6
+
 
 @dataclass
 class Mode:
@@ -90,7 +95,8 @@ def modal_analysis(a_full: np.ndarray,
     """Eigen-decomposition with per-mode frequency, damping and participation.
 
     Conjugate pairs are reported once (positive imaginary part kept); modes are
-    sorted by damping ratio ascending.
+    sorted by damping ratio ascending.  An eigenvalue with modulus below
+    ``ZERO_EIGENVALUE_TOL`` is reported as 0, with damping ratio 1.
     """
     if a_full.ndim != 2 or a_full.shape[0] != a_full.shape[1]:
         raise ValueError("state matrix must be square")
@@ -101,6 +107,8 @@ def modal_analysis(a_full: np.ndarray,
         lam = w[i]
         if lam.imag < 0.0:
             continue
+        if abs(lam) < ZERO_EIGENVALUE_TOL:
+            lam = 0j
         mag = abs(lam)
         zeta = 1.0 if mag == 0.0 else float(-lam.real / mag)
         part = np.abs(vl[:, i] * vr[:, i])

@@ -3,17 +3,11 @@ import json
 import pytest
 
 import oscdamp
-from oscdamp import kernels
 from oscdamp.case import parse_case
 from oscdamp.powerflow import solve_power_flow, build_ybus, kron_reduce
 from oscdamp.dynamics import initialize_from_power_flow
 from oscdamp.synthesis import design_controllers
 from oscdamp.areas import machine_areas
-
-
-@pytest.fixture(scope="session", autouse=True)
-def jit_warmup():
-    kernels.warmup()
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,6 @@ from pathlib import Path
 import pytest
 
 import oscdamp
-from oscdamp import kernels
 from oscdamp.cli import main, EXIT_OK, EXIT_INPUT, EXIT_NUMERIC, EXIT_DIVERGED
 from oscdamp.report import strip_metadata
 from conftest import make_two_bus_text
@@ -67,15 +66,6 @@ def test_input_error_exit_code(tmp_path):
     invalid = tmp_path / "invalid.json"
     invalid.write_text(json.dumps(doc))
     assert main(["pf", "--case", str(invalid)]) == EXIT_INPUT
-
-
-def test_bad_backend_exit_code(case_path, tmp_path, monkeypatch, capsys):
-    bad = ["sparkle"] if kernels.HAVE_NUMBA else ["sparkle", "numba"]
-    for value in bad:
-        monkeypatch.setenv(kernels.ENV_VAR, value)
-        assert main(["modal", "--case", case_path,
-                     "--out", str(tmp_path / value)]) == EXIT_INPUT
-        assert "input error:" in capsys.readouterr().err
 
 
 def test_numeric_error_exit_code(tmp_path):

@@ -8,8 +8,8 @@ from oscdamp.case import parse_case
 from oscdamp.powerflow import solve_power_flow, build_ybus, kron_reduce, ReducedNetwork
 from oscdamp.dynamics import (rotor_rhs, governor_turbine_rhs, two_axis_rhs,
                               electrical_power, build_design_matrices,
-                              design_rhs, initialize_from_power_flow,
-                              InitializationError)
+                              initialize_from_power_flow, InitializationError)
+from oscdamp.kernels import PF
 from conftest import make_two_bus_text
 
 W0 = 2 * math.pi * 60
@@ -182,7 +182,7 @@ def test_design_matrices_match_fd_jacobian(bundled_case):
         jac[:, j] = (rhs(xp) - rhs(xm_)) / (2 * h)
     assert np.allclose(jac, dm.a, rtol=1e-6, atol=1e-9)
     # the affine parts line up with the same model
-    assert np.allclose(rhs(x0), design_rhs(dm, x0, pc, pe), atol=1e-12)
+    assert np.allclose(rhs(x0), dm.a @ x0 + dm.b * pc + dm.g * pe, atol=1e-12)
 
 
 def test_initialization_fixed_point(bundled_eq):
@@ -221,12 +221,12 @@ def test_valve_ceiling_violation():
 
 
 def test_control_input_unity_chain(bundled_eq):
-    for ci, mid in zip(bundled_eq.control_inputs,
-                       bundled_eq.model.layout.machine_ids):
-        lay = bundled_eq.model.layout
-        assert ci.pc_ref == bundled_eq.state[lay.idx(mid, "pm")]
-        assert ci.pc_ref == bundled_eq.state[lay.idx(mid, "xe")]
-        assert ci.u == 0.0
+    model = bundled_eq.model
+    lay = model.layout
+    for k, mid in enumerate(lay.machine_ids):
+        assert model.pf[k, PF.PCREF] == bundled_eq.state[lay.idx(mid, "pm")]
+        assert model.pf[k, PF.PCREF] == bundled_eq.state[lay.idx(mid, "xe")]
+    assert not model.active.any()       # no auxiliary signal at initialization
 
 
 def test_exciter_limit_violation_at_equilibrium():

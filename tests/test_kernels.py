@@ -1,12 +1,15 @@
-"""Backend selection, loop/numpy parity and stacked shapes for the hot kernels.
+"""The RHS plan against a per-machine reference, and stacked shapes.
 
-The parity tests compare the numpy kernels with the loop-structured kernels
-(``_rhs_loops``, ``_rk4_span_loops``). Where numba is importable they reach the
-loop kernels through ``OSCDAMP_BACKEND=numba``, compiled. Where numba is
-missing they call the same functions uncompiled, so the math is still pinned
-but the numba-compiled form itself goes unchecked.  Besides the bundled case,
-where every machine has a governor and an exciter, a variant with missing
-devices checks the plan's gathers of absent-device constants.
+The parity tests compare :mod:`oscdamp.kernels` with a reference written here
+from the elementary forms in :mod:`oscdamp.dynamics` (``rotor_rhs``,
+``two_axis_rhs``, ``governor_turbine_rhs``), the exciter and PSS equations,
+the anti-windup hold and a plain RK4 loop with the valve clamp and the
+divergence check.  The reference never touches :class:`kernels.RhsPlan`; its
+network currents come from :func:`kernels.network_currents`, which
+``test_electrical_power_term_by_term_oracle`` checks against a brute-force
+sum.  Besides the bundled case, where every machine has a governor and an
+exciter, a variant with missing devices checks the plan's gathers of
+absent-device constants.
 """
 
 import json
@@ -16,9 +19,11 @@ import pytest
 
 import oscdamp
 from oscdamp import kernels
-from oscdamp.case import parse_case
+from oscdamp.case import GovernorParams, parse_case
 from oscdamp.powerflow import solve_power_flow, build_ybus, kron_reduce
-from oscdamp.dynamics import initialize_from_power_flow
+from oscdamp.dynamics import (initialize_from_power_flow, rotor_rhs,
+                              two_axis_rhs, governor_turbine_rhs)
+from oscdamp.kernels import PF, PI
 
 PSS = {"ks": 20.0, "tw": 10.0, "t1": 0.05, "t2": 0.02, "t3": 3.0, "t4": 5.4,
        "vmin": -0.2, "vmax": 0.2}
@@ -38,61 +43,95 @@ def partial_eq():
     return initialize_from_power_flow(case, sol, red)
 
 
-def test_backend_env_selection(monkeypatch):
-    monkeypatch.setenv(kernels.ENV_VAR, "numpy")
-    assert kernels.active_backend() == "numpy"
-    monkeypatch.setenv(kernels.ENV_VAR, "numba")
-    if kernels.HAVE_NUMBA:
-        assert kernels.active_backend() == "numba"
-    else:
-        with pytest.raises(kernels.BackendError):
-            kernels.active_backend()
-    monkeypatch.setenv(kernels.ENV_VAR, "auto")
-    assert kernels.active_backend() == ("numba" if kernels.HAVE_NUMBA else "numpy")
-    monkeypatch.setenv(kernels.ENV_VAR, "sparkle")
-    with pytest.raises(ValueError):
-        kernels.active_backend()
-
-
 def _model_args(model):
     return (model.pf, model.pi, model.gains, model.xref, model.active,
             model.gmat, model.bmat, model.omega0)
 
 
-def _loop_rhs(y, model, monkeypatch):
-    """RHS from the loop kernel: jitted through the numba backend when numba is
-    importable, the same function uncompiled otherwise."""
-    if kernels.HAVE_NUMBA:
-        monkeypatch.setenv(kernels.ENV_VAR, "numba")
-        return kernels.rhs(y, *_model_args(model))
-    fn, _ = kernels._numba_funcs()
+def _reference_rhs(y, model):
+    """dy of one state, machine by machine, from the elementary forms."""
+    pf, pi, w0 = model.pf, model.pi, model.omega0
     dy = np.zeros_like(y)
-    fn(y, dy, *_model_args(model))
+    delta, eqp, edp = (y[pi[:, col]] for col in (PI.I_DELTA, PI.I_EQP, PI.I_EDP))
+    e_re, e_im, i_re, i_im, i_d, i_q = kernels.network_currents(
+        delta, eqp, edp, model.gmat, model.bmat)
+    for k in range(model.n_machines):
+        p, ix = pf[k], pi[k]
+        omega = y[ix[PI.I_OMEGA]]
+        if ix[PI.HAS_GOV]:
+            pm, xm, xe = y[ix[[PI.I_PM, PI.I_XM, PI.I_XE]]]
+        else:
+            pm, xm, xe = p[PF.PMCONST], 0.0, 0.0
+        efd = y[ix[PI.I_EFD]] if ix[PI.HAS_EXC] else p[PF.EFDCONST]
+        pe_sys = (edp[k] * i_d[k] + eqp[k] * i_q[k]
+                  + (p[PF.XQP] - p[PF.XDP]) * i_d[k] * i_q[k])
+        dy[ix[[PI.I_DELTA, PI.I_OMEGA]]] = rotor_rhs(
+            delta[k], omega, pm, pe_sys / p[PF.SOUT], p[PF.H], p[PF.D], w0)
+        dy[ix[[PI.I_EQP, PI.I_EDP]]] = two_axis_rhs(
+            eqp[k], edp[k], i_d[k], i_q[k], efd, p[PF.XD], p[PF.XQ],
+            p[PF.XDP], p[PF.XQP], p[PF.TD0P], p[PF.TQ0P])
+
+        vpss = 0.0
+        if ix[PI.HAS_PSS]:
+            z1, z2, z3 = y[ix[[PI.I_Z1, PI.I_Z2, PI.I_Z3]]]
+            u1 = p[PF.KS] * (omega / w0)
+            y1 = u1 - z1                                        # washout
+            y2 = z2 + p[PF.TP1] / p[PF.TP2] * (y1 - z2)         # lead-lag 1
+            y3 = z3 + p[PF.TP3] / p[PF.TP4] * (y2 - z3)         # lead-lag 2
+            dy[ix[[PI.I_Z1, PI.I_Z2, PI.I_Z3]]] = (
+                y1 / p[PF.TW], (y1 - z2) / p[PF.TP2], (y2 - z3) / p[PF.TP4])
+            vpss = min(max(y3, p[PF.VSMIN]), p[PF.VSMAX])
+
+        if ix[PI.HAS_EXC]:
+            # terminal voltage behind the transient reactance
+            vt = abs(complex(e_re[k], e_im[k])
+                     - 1j * p[PF.XDP] * complex(i_re[k], i_im[k]))
+            efd_cmd = min(max(p[PF.KA] * (p[PF.VREF] - vt + vpss),
+                              p[PF.EFDMIN]), p[PF.EFDMAX])
+            dy[ix[PI.I_EFD]] = (efd_cmd - efd) / p[PF.TA]
+
+        if ix[PI.HAS_GOV]:
+            x5 = np.array([delta[k], omega, pm, xm, xe])
+            pc = p[PF.PCREF] + model.active[k] * (model.gains[k] @ (x5 - model.xref[k]))
+            gov = GovernorParams(machine=k, ke=p[PF.KE], te=p[PF.TE], t3=p[PF.T3],
+                                 t4=p[PF.T4], t5=p[PF.T5], tm=p[PF.TM],
+                                 r=p[PF.RDROOP])
+            d_pm, d_xm, d_xe = governor_turbine_rhs(pm, xm, xe, omega, pc, gov, w0)
+            if (xe >= 1.0 and d_xe > 0.0) or (xe <= 0.0 and d_xe < 0.0):
+                d_xe = 0.0                                      # anti-windup hold
+            dy[ix[[PI.I_PM, PI.I_XM, PI.I_XE]]] = d_pm, d_xm, d_xe
     return dy
 
 
-def _loop_span(y, h, nsteps, model, out, monkeypatch):
-    """rk4_span through the loop kernels, as _loop_rhs does for the RHS."""
-    if kernels.HAVE_NUMBA:
-        monkeypatch.setenv(kernels.ENV_VAR, "numba")
-        return kernels.rk4_span(y, h, nsteps, *_model_args(model), out=out,
-                                out_offset=0)
-    _, fn = kernels._numba_funcs()
-    return fn(y, h, nsteps, *_model_args(model), out, 0)
+def _reference_span(y, h, nsteps, model, out=None):
+    """Plain RK4 on the reference RHS with the valve clamp and the divergence
+    check; -1, or the first step after which y left the divergence limit."""
+    pi = model.pi
+    xe_ix = pi[pi[:, PI.HAS_GOV] == 1, PI.I_XE]
+    for k in range(nsteps):
+        k1 = _reference_rhs(y, model)
+        k2 = _reference_rhs(y + 0.5 * h * k1, model)
+        k3 = _reference_rhs(y + 0.5 * h * k2, model)
+        k4 = _reference_rhs(y + h * k3, model)
+        y += h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y[xe_ix] = np.clip(y[xe_ix], 0.0, 1.0)
+        if not np.all(np.abs(y) < kernels.DIVERGENCE_LIMIT):
+            return k
+        if out is not None:
+            out[k] = y
+    return -1
 
 
-def test_rhs_parity(bundled_eq, monkeypatch):
+def test_rhs_parity(bundled_eq):
     model = bundled_eq.model
     rng = np.random.default_rng(0)
     for _ in range(10):
         y = bundled_eq.state + 0.1 * rng.standard_normal(model.n_states)
-        monkeypatch.setenv(kernels.ENV_VAR, "numpy")
-        d_np = kernels.rhs(y, *_model_args(model))
-        d_nb = _loop_rhs(y, model, monkeypatch)
-        assert np.allclose(d_np, d_nb, rtol=1e-12, atol=1e-12)
+        d_plan = kernels.rhs(y, *_model_args(model))
+        assert np.allclose(d_plan, _reference_rhs(y, model), rtol=1e-12, atol=1e-12)
 
 
-def test_rhs_parity_with_controllers(bundled_eq, bundled_design, monkeypatch):
+def test_rhs_parity_with_controllers(bundled_eq, bundled_design):
     model = bundled_eq.model.copy()
     ctrl, _ = bundled_design
     model.gains = ctrl.gains.copy()
@@ -100,25 +139,21 @@ def test_rhs_parity_with_controllers(bundled_eq, bundled_design, monkeypatch):
     model.xref = bundled_eq.x5.copy()
     rng = np.random.default_rng(1)
     y = bundled_eq.state + 0.05 * rng.standard_normal(model.n_states)
-    monkeypatch.setenv(kernels.ENV_VAR, "numpy")
-    d_np = kernels.rhs(y, *_model_args(model))
-    d_nb = _loop_rhs(y, model, monkeypatch)
-    assert np.allclose(d_np, d_nb, rtol=1e-12, atol=1e-10)
+    d_plan = kernels.rhs(y, *_model_args(model))
+    assert np.allclose(d_plan, _reference_rhs(y, model), rtol=1e-12, atol=1e-10)
 
 
-def test_span_parity(bundled_eq, monkeypatch):
+def test_span_parity(bundled_eq):
     model = bundled_eq.model
     rng = np.random.default_rng(2)
     y0 = bundled_eq.state + 0.02 * rng.standard_normal(model.n_states)
-    out_np = np.zeros((200, model.n_states))
-    out_nb = np.zeros((200, model.n_states))
-    y_np, y_nb = y0.copy(), y0.copy()
-    monkeypatch.setenv(kernels.ENV_VAR, "numpy")
-    r1 = kernels.rk4_span(y_np, 0.005, 200, *_model_args(model), out=out_np,
+    out_plan = np.zeros((200, model.n_states))
+    out_ref = np.zeros((200, model.n_states))
+    r1 = kernels.rk4_span(y0.copy(), 0.005, 200, *_model_args(model), out=out_plan,
                           out_offset=0)
-    r2 = _loop_span(y_nb, 0.005, 200, model, out_nb, monkeypatch)
+    r2 = _reference_span(y0.copy(), 0.005, 200, model, out_ref)
     assert r1 == r2 == -1
-    assert np.allclose(out_np, out_nb, rtol=1e-10, atol=1e-10)
+    assert np.allclose(out_plan, out_ref, rtol=1e-10, atol=1e-10)
 
 
 def test_divergence_detection(bundled_eq):
@@ -129,7 +164,7 @@ def test_divergence_detection(bundled_eq):
     assert step >= 0
 
 
-def test_valve_clamp_invariant(bundled_eq, monkeypatch):
+def test_valve_clamp_invariant(bundled_eq):
     model = bundled_eq.model
     lay = model.layout
     y = bundled_eq.state.copy()
@@ -144,32 +179,47 @@ def test_valve_clamp_invariant(bundled_eq, monkeypatch):
         assert xe.min() == 0.0 or xe.max() == 1.0   # the kick actually hit a limit
 
 
-def test_partial_device_rhs_parity(partial_eq, monkeypatch):
+def test_partial_device_rhs_parity(partial_eq):
     model = partial_eq.model.copy()
     rng = np.random.default_rng(3)
     model.gains = 100.0 * rng.standard_normal((model.n_machines, 5))
     model.active = np.array([1.0, 0.0, 1.0, 0.0])
     for scale in (0.01, 0.1, 1.0):      # 1.0 drives the limiters
         y = partial_eq.state + scale * rng.standard_normal(model.n_states)
-        monkeypatch.setenv(kernels.ENV_VAR, "numpy")
-        d_np = kernels.rhs(y, *_model_args(model))
-        d_nb = _loop_rhs(y, model, monkeypatch)
-        assert np.allclose(d_np, d_nb, rtol=1e-12, atol=1e-10)
+        d_plan = kernels.rhs(y, *_model_args(model))
+        assert np.allclose(d_plan, _reference_rhs(y, model), rtol=1e-12, atol=1e-10)
 
 
-def test_partial_device_span_parity(partial_eq, monkeypatch):
+def test_partial_device_span_parity(partial_eq):
     model = partial_eq.model
     rng = np.random.default_rng(4)
     y0 = partial_eq.state + 0.02 * rng.standard_normal(model.n_states)
-    out_np = np.zeros((200, model.n_states))
-    out_nb = np.zeros((200, model.n_states))
-    y_np, y_nb = y0.copy(), y0.copy()
-    monkeypatch.setenv(kernels.ENV_VAR, "numpy")
-    r1 = kernels.rk4_span(y_np, 0.005, 200, *_model_args(model), out=out_np,
+    out_plan = np.zeros((200, model.n_states))
+    out_ref = np.zeros((200, model.n_states))
+    r1 = kernels.rk4_span(y0.copy(), 0.005, 200, *_model_args(model), out=out_plan,
                           out_offset=0)
-    r2 = _loop_span(y_nb, 0.005, 200, model, out_nb, monkeypatch)
+    r2 = _reference_span(y0.copy(), 0.005, 200, model, out_ref)
     assert r1 == r2 == -1
-    assert np.allclose(out_np, out_nb, rtol=1e-10, atol=1e-10)
+    assert np.allclose(out_plan, out_ref, rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("kick", [20.0, -5.0])
+def test_span_parity_through_valve_limits(bundled_eq, kick):
+    """A speed kick drives every valve onto a limit (shut for +20 rad/s, wide
+    open for -5 rad/s), where the clamp and the anti-windup hold act."""
+    model = bundled_eq.model
+    lay = model.layout
+    y0 = bundled_eq.state.copy()
+    y0[lay.speed_indices] += kick
+    out_plan = np.zeros((400, model.n_states))
+    out_ref = np.zeros((400, model.n_states))
+    r1 = kernels.rk4_span(y0.copy(), 0.005, 400, *_model_args(model), out=out_plan,
+                          out_offset=0)
+    r2 = _reference_span(y0.copy(), 0.005, 400, model, out_ref)
+    assert r1 == r2 == -1
+    assert np.allclose(out_plan, out_ref, rtol=1e-10, atol=1e-10)
+    xe = out_ref[:, [lay.idx(m, "xe") for m in lay.machine_ids]]
+    assert np.all(xe.min(axis=0) == 0.0) if kick > 0 else np.all(xe.max(axis=0) == 1.0)
 
 
 @pytest.mark.parametrize("which", ["bundled", "partial"])
@@ -208,34 +258,13 @@ def test_stacked_span_matches_rows(partial_eq):
     assert np.all((xe >= 0.0) & (xe <= 1.0))
 
 
-def test_stacked_span_reports_first_divergent_row(bundled_eq, monkeypatch):
+def test_stacked_span_reports_first_divergent_row(bundled_eq):
     model = bundled_eq.model
     lay = model.layout
     ys = np.tile(bundled_eq.state, (2, 1))
     ys[1, lay.idx(1, "delta")] += 9.9e5     # rotor 1 runs past the limit
     ys[1, lay.idx(1, "omega")] += 1e5
-    first = _loop_span(ys[1].copy(), 0.005, 400, model, kernels._EMPTY, monkeypatch)
+    first = _reference_span(ys[1].copy(), 0.005, 400, model)
     assert 0 < first < 399
-    monkeypatch.setenv(kernels.ENV_VAR, "numpy")
     assert kernels.rk4_span(ys, 0.005, 400, *_model_args(model)) == first
     assert np.allclose(ys[0], bundled_eq.state, atol=1e-6)   # the quiet row
-
-
-def test_loop_backend_stacks_rows(partial_eq, monkeypatch):
-    """Under the loop backend a stack runs row by row through the loop kernels
-    (uncompiled where numba is missing) and agrees with the numpy stack."""
-    model = partial_eq.model
-    rng = np.random.default_rng(7)
-    ys = partial_eq.state + 0.02 * rng.standard_normal((2, model.n_states))
-    out_np = np.zeros((20, 2, model.n_states))
-    y_np = ys.copy()
-    monkeypatch.setenv(kernels.ENV_VAR, "numpy")
-    d_np = kernels.rhs(ys, *_model_args(model))
-    assert kernels.rk4_span(y_np, 0.005, 20, *_model_args(model), out=out_np) == -1
-    monkeypatch.setattr(kernels, "active_backend", lambda: "numba")
-    out_nb = np.zeros((20, 2, model.n_states))
-    y_nb = ys.copy()
-    assert np.allclose(kernels.rhs(ys, *_model_args(model)), d_np,
-                       rtol=1e-12, atol=1e-10)
-    assert kernels.rk4_span(y_nb, 0.005, 20, *_model_args(model), out=out_nb) == -1
-    assert np.allclose(out_nb, out_np, rtol=1e-10, atol=1e-10)

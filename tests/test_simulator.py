@@ -275,7 +275,9 @@ def test_deactivate_controllers_event(bundled_case, bundled_design):
 def test_derived_channels_match_per_step_reference(bundled_case, bundled_design,
                                                     monkeypatch):
     """Channels derived per event segment equal a step-by-step evaluation on
-    each step's network and controller setting (u bit for bit)."""
+    each step's network and controller setting (u bit for bit).  The second
+    scenario activates the controllers once the system has settled after a
+    load step, so the later segments carry a new reference ``xref``."""
     seen = {}
     derive = simulator._derived_channels
 
@@ -285,34 +287,44 @@ def test_derived_channels_match_per_step_reference(bundled_case, bundled_design,
 
     monkeypatch.setattr(simulator, "_derived_channels", spy)
     ctrl, _ = bundled_design
-    sc = Scenario(duration=3.0, events=(
-        Event(0.5037, "step_load", (4, 50.0, 10.0)),
-        Event(1.0, "trip_line", (3, 101, 1)),
-        Event(2.0, "deactivate_controllers", ((1,),))))
-    res = simulate(bundled_case, ctrl, sc)
-    model, segments = seen["model"], seen["segments"]
-    lay = model.layout
-    eqp_ix = [lay.idx(m, "eqp") for m in lay.machine_ids]
-    edp_ix = [lay.idx(m, "edp") for m in lay.machine_ids]
-    xq_corr = model.pf[:, kernels.PF.XQP] - model.pf[:, kernels.PF.XDP]
-    bounds = [sg.t_start for sg in segments] + [np.inf]
-    seg = 0
-    for k, t in enumerate(seen["tgrid"]):
-        while t >= bounds[seg + 1] - 1e-12:
-            seg += 1
-        sg = segments[seg]
-        y = seen["states"][k]
-        eqp, edp = y[eqp_ix], y[edp_ix]
-        e_re, e_im, _, _, i_d, i_q = kernels.network_currents(
-            y[lay.delta_indices], eqp, edp, sg.g, sg.b)
-        pe = edp * i_d + eqp * i_q + xq_corr * i_d * i_q
-        x5 = np.array([model.design_state(y, i) for i in range(model.n_machines)])
-        u = sg.active * np.einsum("ij,ij->i", model.gains, x5 - sg.xref)
-        assert np.allclose(res.pe_sys[k], pe, rtol=1e-12, atol=1e-12)
-        assert np.allclose(res.bus_voltage[k], sg.vsolve @ (e_re + 1j * e_im),
-                           rtol=1e-12, atol=1e-12)
-        assert np.array_equal(res.u[k], u)
-    assert seg == len(segments) - 1
+    scenarios = [
+        Scenario(duration=3.0, events=(
+            Event(0.5037, "step_load", (4, 50.0, 10.0)),
+            Event(1.0, "trip_line", (3, 101, 1)),
+            Event(2.0, "deactivate_controllers", ((1,),)))),
+        Scenario(duration=16.5, dt=0.01, events=(
+            Event(1.0, "step_load", (4, 0.05, 0.0)),
+            Event(15.5, "activate_controllers", ("all",))),
+            initial_active="none"),
+    ]
+    for sc in scenarios:
+        res = simulate(bundled_case, ctrl, sc)
+        model, segments = seen["model"], seen["segments"]
+        lay = model.layout
+        eqp_ix = [lay.idx(m, "eqp") for m in lay.machine_ids]
+        edp_ix = [lay.idx(m, "edp") for m in lay.machine_ids]
+        xq_corr = model.pf[:, kernels.PF.XQP] - model.pf[:, kernels.PF.XDP]
+        bounds = [sg.t_start for sg in segments] + [np.inf]
+        seg = 0
+        for k, t in enumerate(seen["tgrid"]):
+            while t >= bounds[seg + 1] - 1e-12:
+                seg += 1
+            sg = segments[seg]
+            y = seen["states"][k]
+            eqp, edp = y[eqp_ix], y[edp_ix]
+            e_re, e_im, _, _, i_d, i_q = kernels.network_currents(
+                y[lay.delta_indices], eqp, edp, sg.g, sg.b)
+            pe = edp * i_d + eqp * i_q + xq_corr * i_d * i_q
+            x5 = np.array([model.design_state(y, i) for i in range(model.n_machines)])
+            u = sg.active * np.einsum("ij,ij->i", model.gains, x5 - sg.xref)
+            assert np.allclose(res.pe_sys[k], pe, rtol=1e-12, atol=1e-12)
+            assert np.allclose(res.bus_voltage[k], sg.vsolve @ (e_re + 1j * e_im),
+                               rtol=1e-12, atol=1e-12)
+            assert np.array_equal(res.u[k], u)
+        assert seg == len(segments) - 1
+    acts = [e for e in res.event_log if e["action"] == "activate_controllers"]
+    assert acts[0]["reference"] == "settled_state"
+    assert not np.array_equal(segments[-1].xref, segments[0].xref)
 
 
 def test_initial_active_machine_list(bundled_case, bundled_design):

@@ -194,3 +194,17 @@ def test_mode_csv_shape(bundled_eq):
     lines = table.to_csv().strip().splitlines()
     assert lines[0] == "re,im,freq_hz,damping_pct,class,top_participant"
     assert len(lines) == len(table.modes) + 1
+
+
+def test_zero_eigenvalue_sign_is_not_reported():
+    """A structural zero eigenvalue reads the same whichever sign roundoff gave it."""
+    rng = np.random.default_rng(8)
+    t = rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
+    csvs = []
+    for eps in (1e-9, -1e-9):
+        core = np.diag([0.0, 0.0, eps, -2.0])
+        core[:2, :2] = [[-0.1, 4.0], [-4.0, -0.1]]
+        a = t @ core @ np.linalg.inv(t)
+        csvs.append(modal_analysis(a, ("a", "b", "c", "d")).to_csv())
+    assert csvs[0] == csvs[1]
+    assert "\n0,0,0,100,," in csvs[0]

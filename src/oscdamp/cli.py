@@ -10,10 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-
-import numpy as np
 
 from .case import (CaseError, PowerSystemCase, parse_case, validate_case,
                    scale_stress, apply_line_trip)
@@ -21,7 +18,8 @@ from .powerflow import (PowerFlowDiverged, KronReductionError, build_ybus,
                         solve_power_flow, kron_reduce)
 from .dynamics import InitializationError, initialize_from_power_flow
 from .smallsignal import (NonEquilibriumError, NoOscillatoryMode, linearize,
-                          modal_analysis, classify_table, min_damping)
+                          closed_loop_matrix, modal_analysis, classify_table,
+                          min_damping)
 from .synthesis import (SynthesisError, ControllerSet, design_controllers,
                         DEFAULT_BOUND_SCALE)
 from .simulator import (ScenarioError, parse_scenario, simulate, measure,
@@ -72,42 +70,69 @@ def _subset_from_arg(case, spec: str) -> list[int] | None:
     return subset
 
 
-def _controllers_for(case, args, base_eq, base_red) -> ControllerSet | None:
-    """Resolve --controllers/--gains into a ControllerSet (None for PSS-only)."""
-    spec = getattr(args, "controllers", "none")
-    if spec == "none":
+def _controllers_for(case, args, red=None, eq=None) -> ControllerSet | None:
+    """Resolve --controllers/--gains into a ControllerSet (None for PSS-only).
+
+    Designing needs the base operating point: pass its build as `red`/`eq`
+    when the caller has one; otherwise it is built here, and only then."""
+    if args.controllers == "none":
         return None
-    if getattr(args, "gains", None):
+    if args.gains:
         doc = json.loads(Path(args.gains).read_text())
         return ControllerSet.from_dict(doc["results"]["controllers"]
                                        if "results" in doc else doc)
-    ctrl, _ = design_controllers(case, base_eq, base_red,
-                                 subset=_subset_from_arg(case, spec),
+    if eq is None:
+        _, red, eq = _pipeline(case)
+    ctrl, _ = design_controllers(case, eq, red,
+                                 subset=_subset_from_arg(case, args.controllers),
                                  beta_bar=args.beta_bar,
                                  bound_scale=args.bound_scale)
     return ctrl
 
 
-def _modal_for(case, controllers: ControllerSet | None, areas: dict,
-               band: tuple[float, float], allow_empty_band: bool = False):
-    sol, red, eq = _pipeline(case)
-    model = eq.model
-    if controllers is not None:
-        order = [controllers.machine_ids.index(m) for m in model.layout.machine_ids]
-        model.gains = controllers.gains[order].copy()
-        model.active = np.any(model.gains != 0.0, axis=1).astype(float)
-        model.xref = eq.x5.copy()
-    a_full = linearize(model, eq.state)
-    table = classify_table(modal_analysis(a_full, model.layout.labels),
-                           model.layout.speed_indices, areas,
-                           model.layout.machine_ids)
+def _modal_for(case, eq, areas: dict, controllers: ControllerSet | None = None):
+    """Open-loop mode table at a built operating point, plus the closed-loop
+    one (else None) when controllers are given.  The point is linearized
+    once; the closed-loop matrix is derived from the open-loop one."""
+    layout = eq.model.layout
+    a_open = linearize(eq.model, eq.state)
+
+    def table(a):
+        return classify_table(modal_analysis(a, layout.labels),
+                              layout.speed_indices, areas, layout.machine_ids)
+
+    open_table = table(a_open)
+    if controllers is None:
+        return open_table, None
+    order = [controllers.machine_ids.index(m) for m in layout.machine_ids]
+    a_closed = closed_loop_matrix(a_open, case, layout, controllers.gains[order])
+    return open_table, table(a_closed)
+
+
+def _point_row(case, controllers, areas: dict, band, detail: bool) -> dict:
+    """Baseline and, with controllers, robust minimum damping at one analysed
+    operating point of a sweep (`detail`: also tie flow, frequency and mode
+    classes) or of an N-1 scan."""
     try:
-        worst = min_damping(table, band[0], band[1])
-    except NoOscillatoryMode:
-        if not allow_empty_band:
-            raise
-        worst = None
-    return sol, table, worst
+        sol, _, eq = _pipeline(case)
+        open_table, closed_table = _modal_for(case, eq, areas, controllers)
+        worst = min_damping(open_table, *band)
+    except NUMERIC_ERRORS as exc:
+        return {"converged": False, "error": str(exc)}
+    row = {"converged": True, "zeta_baseline_pct": 100 * worst.damping_ratio}
+    if detail:
+        row.update(tie_flow_mw=tie_flow_mw(case, sol),
+                   mode_class=worst.classification, freq_hz=worst.frequency_hz)
+    if closed_table is not None:
+        try:
+            worst_c = min_damping(closed_table, *band)
+        except NoOscillatoryMode as exc:
+            row["robust_error"] = str(exc)
+            return row
+        row["zeta_robust_pct"] = 100 * worst_c.damping_ratio
+        if detail:
+            row["robust_mode_class"] = worst_c.classification
+    return row
 
 
 def _mode_dict(m) -> dict:
@@ -138,11 +163,14 @@ def cmd_pf(args) -> int:
 
 def cmd_modal(args) -> int:
     case, text = _load_case(args.case)
-    areas = machine_areas(case)
-    _, red0, eq0 = _pipeline(case)
-    controllers = _controllers_for(case, args, eq0, red0)
-    sol, table, worst = _modal_for(case, controllers, areas, args.band,
-                                   allow_empty_band=True)
+    sol, red, eq = _pipeline(case)
+    controllers = _controllers_for(case, args, red, eq)
+    open_table, closed_table = _modal_for(case, eq, machine_areas(case), controllers)
+    table = open_table if closed_table is None else closed_table
+    try:
+        worst = min_damping(table, *args.band)
+    except NoOscillatoryMode:
+        worst = None
     results = {
         "tie_flow_mw": tie_flow_mw(case, sol),
         "controllers": controllers.to_dict() if controllers else None,
@@ -167,8 +195,8 @@ def cmd_design(args) -> int:
     ctrl, res = design_controllers(case, eq, red, subset=subset,
                                    beta_bar=args.beta_bar,
                                    bound_scale=args.bound_scale)
-    areas = machine_areas(case)
-    _, table, worst = _modal_for(case, ctrl, areas, args.band)
+    _, table = _modal_for(case, eq, machine_areas(case), ctrl)
+    worst = min_damping(table, *args.band)
     results = {
         "synthesis": res.summary(),
         "controllers": ctrl.to_dict(),
@@ -190,8 +218,7 @@ def cmd_design(args) -> int:
 def cmd_simulate(args) -> int:
     case, text = _load_case(args.case)
     scenario = parse_scenario(Path(args.scenario).read_text())
-    _, red0, eq0 = _pipeline(case)
-    controllers = _controllers_for(case, args, eq0, red0)
+    controllers = _controllers_for(case, args)
     result = simulate(case, controllers, scenario)
     channels = args.channels.split(",") if args.channels else \
         [f"delta_rel:{result.machine_ids[-1]}:{result.machine_ids[0]}"] + \
@@ -231,33 +258,11 @@ def cmd_sweep(args) -> int:
     if not fractions or any(f <= 0 for f in fractions):
         raise CaseError("stress fractions must be positive")
     areas = machine_areas(case)
-    _, red0, eq0 = _pipeline(case)
-    controllers = _controllers_for(case, args, eq0, red0)
-
-    def point(frac: float) -> dict:
-        stressed = scale_stress(case, frac)
-        row = {"fraction": frac}
-        try:
-            sol, table, worst = _modal_for(stressed, None, areas, args.band)
-            row.update(converged=True, tie_flow_mw=tie_flow_mw(stressed, sol),
-                       zeta_baseline_pct=100 * worst.damping_ratio,
-                       mode_class=worst.classification,
-                       freq_hz=worst.frequency_hz)
-        except NUMERIC_ERRORS as exc:
-            row.update(converged=False, error=str(exc))
-            return row
-        if controllers is not None:
-            try:
-                _, _, worst_c = _modal_for(stressed, controllers, areas, args.band)
-                row["zeta_robust_pct"] = 100 * worst_c.damping_ratio
-                row["robust_mode_class"] = worst_c.classification
-            except NUMERIC_ERRORS as exc:
-                row["robust_error"] = str(exc)
-        return row
-
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        rows = list(pool.map(point, fractions))
-    rows.sort(key=lambda r: r["fraction"])
+    controllers = _controllers_for(case, args)
+    rows = [{"fraction": frac,
+             **_point_row(scale_stress(case, frac), controllers, areas,
+                          args.band, detail=True)}
+            for frac in sorted(fractions)]
     results = {"rows": rows,
                "controllers": controllers.to_dict() if controllers else None}
     if args.out:
@@ -281,31 +286,11 @@ def cmd_sweep(args) -> int:
 def cmd_scan_n1(args) -> int:
     case, text = _load_case(args.case)
     areas = machine_areas(case)
-    _, red0, eq0 = _pipeline(case)
-    controllers = _controllers_for(case, args, eq0, red0)
-    branches = [br.key() for br in case.in_service_branches()]
-
-    def point(key) -> dict:
-        f, t, c = key
-        row = {"branch": list(key)}
-        tripped = apply_line_trip(case, f, t, c)
-        try:
-            _, _, worst = _modal_for(tripped, None, areas, args.band)
-            row.update(converged=True, zeta_baseline_pct=100 * worst.damping_ratio)
-        except NUMERIC_ERRORS as exc:
-            row.update(converged=False, error=str(exc))
-            return row
-        if controllers is not None:
-            try:
-                _, _, worst_c = _modal_for(tripped, controllers, areas, args.band)
-                row["zeta_robust_pct"] = 100 * worst_c.damping_ratio
-            except NUMERIC_ERRORS as exc:
-                row["robust_error"] = str(exc)
-        return row
-
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        rows = list(pool.map(point, branches))
-    rows.sort(key=lambda r: tuple(r["branch"]))
+    controllers = _controllers_for(case, args)
+    rows = [{"branch": list(key),
+             **_point_row(apply_line_trip(case, *key), controllers, areas,
+                          args.band, detail=False)}
+            for key in sorted(br.key() for br in case.in_service_branches())]
     n_conv = sum(1 for r in rows if r["converged"])
     results = {"rows": rows, "branches_total": len(rows),
                "branches_converged": n_conv,
@@ -355,53 +340,41 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="turbine-governor damping control toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, controllers=True):
+    def command(name, func, help, band=True, controllers=True, gains=True):
+        """A subcommand with the flags its function reads."""
+        sp = sub.add_parser(name, help=help)
         sp.add_argument("--case", required=True, help="case JSON file")
         sp.add_argument("--out", default=None, help="output directory for reports")
-        sp.add_argument("--band", type=float, nargs=2, default=(0.1, 3.0),
-                        metavar=("LO", "HI"), help="oscillatory band (Hz)")
-        sp.add_argument("--workers", type=int, default=1)
+        if band:
+            sp.add_argument("--band", type=float, nargs=2, default=(0.1, 3.0),
+                            metavar=("LO", "HI"), help="oscillatory band (Hz)")
         if controllers:
             sp.add_argument("--controllers", default="none",
                             help="'all', 'none', or comma-separated machine ids")
-            sp.add_argument("--gains", default=None,
-                            help="reuse gains from a design report JSON")
             sp.add_argument("--beta-bar", type=float, default=1.0, dest="beta_bar")
             sp.add_argument("--bound-scale", type=float,
                             default=DEFAULT_BOUND_SCALE, dest="bound_scale")
+        if gains:
+            sp.add_argument("--gains", default=None,
+                            help="reuse gains from a design report JSON")
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("pf", help="solve the AC power flow")
-    common(sp, controllers=False)
-    sp.set_defaults(func=cmd_pf)
-
-    sp = sub.add_parser("modal", help="small-signal modal analysis")
-    common(sp)
-    sp.set_defaults(func=cmd_modal)
-
-    sp = sub.add_parser("design", help="synthesize decentralized damping gains")
-    common(sp)
-    sp.set_defaults(func=cmd_design)
-
-    sp = sub.add_parser("simulate", help="nonlinear time-domain simulation")
-    common(sp)
+    command("pf", cmd_pf, "solve the AC power flow",
+            band=False, controllers=False, gains=False)
+    command("modal", cmd_modal, "small-signal modal analysis")
+    command("design", cmd_design, "synthesize decentralized damping gains",
+            gains=False)
+    sp = command("simulate", cmd_simulate, "nonlinear time-domain simulation")
     sp.add_argument("--scenario", required=True, help="scenario JSON file")
     sp.add_argument("--channels", default=None,
                     help="comma-separated output channels")
-    sp.set_defaults(func=cmd_simulate)
-
-    sp = sub.add_parser("sweep", help="stress sweep of minimum damping vs tie flow")
-    common(sp)
+    sp = command("sweep", cmd_sweep, "stress sweep of minimum damping vs tie flow")
     sp.add_argument("--fractions", required=True,
                     help="comma-separated stress fractions")
-    sp.set_defaults(func=cmd_sweep)
-
-    sp = sub.add_parser("scan-n1", help="single-line-outage damping scan")
-    common(sp)
-    sp.set_defaults(func=cmd_scan_n1)
-
-    sp = sub.add_parser("export-sdpa", help="write the synthesis LMI in SDPA format")
-    common(sp)
-    sp.set_defaults(func=cmd_export_sdpa)
+    command("scan-n1", cmd_scan_n1, "single-line-outage damping scan")
+    command("export-sdpa", cmd_export_sdpa, "write the synthesis LMI in SDPA format",
+            band=False, gains=False)
     return p
 
 

@@ -168,12 +168,6 @@ class SimModel:
         return kernels.rhs(y, self.pf, self.pi, self.gains, self.xref,
                            self.active, self.gmat, self.bmat, self.omega0)
 
-    def with_network(self, reduced: ReducedNetwork) -> "SimModel":
-        out = self.copy()
-        out.gmat = reduced.g.copy()
-        out.bmat = reduced.b.copy()
-        return out
-
     def copy(self) -> "SimModel":
         return SimModel(layout=self.layout, omega0=self.omega0,
                         pf=self.pf.copy(), pi=self.pi.copy(),

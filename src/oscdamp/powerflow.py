@@ -111,8 +111,7 @@ def _scheduled_injections(case: PowerSystemCase) -> tuple[np.ndarray, np.ndarray
 
 
 def solve_power_flow(case: PowerSystemCase, tol: float = 1e-10,
-                     max_iter: int = 25,
-                     warm_start: PowerFlowSolution | None = None) -> PowerFlowSolution:
+                     max_iter: int = 25) -> PowerFlowSolution:
     """Full Newton power flow in polar coordinates from a flat start.
 
     Raises PowerFlowDiverged when the iteration cap is hit or the update
@@ -134,9 +133,6 @@ def solve_power_flow(case: PowerSystemCase, tol: float = 1e-10,
     s_spec, vset = _scheduled_injections(case)
     vm = np.ones(n)
     va = np.zeros(n)
-    if warm_start is not None:
-        vm = warm_start.vm.copy()
-        va = warm_start.va.copy()
     vm[pv] = vset[pv]
     vm[slack[0]] = vset[slack[0]]
     va[slack[0]] = 0.0

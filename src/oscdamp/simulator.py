@@ -169,9 +169,9 @@ def _internal_emf(model: SimModel, states: np.ndarray) -> np.ndarray:
 
 
 def simulate(case: PowerSystemCase, controllers: ControllerSet | None,
-             scenario: Scenario, pf_tol: float = 1e-10) -> SimulationResult:
+             scenario: Scenario) -> SimulationResult:
     scenario.validate()
-    sol = solve_power_flow(case, tol=pf_tol)
+    sol = solve_power_flow(case)
     red0 = kron_reduce(build_ybus(case), case, sol)
     eq = initialize_from_power_flow(case, sol, red0)
     model = eq.model

@@ -1,9 +1,10 @@
 """Numerical linearization, eigenanalysis, and modal metrics.
 
-The state matrix comes from central finite differences of the full nonlinear
-RHS about an equilibrium; eigenvalues/eigenvectors from LAPACK's balanced
-Hessenberg + shifted-QR path (scipy.linalg.eig), which also supplies the left
-eigenvectors needed for participation factors.
+The open-loop state matrix comes from central finite differences of the full
+nonlinear RHS about an equilibrium; the closed-loop one adds the governor
+feedback to it in closed form.  Eigenvalues/eigenvectors come from LAPACK's
+balanced Hessenberg + shifted-QR path (scipy.linalg.eig), which also supplies
+the left eigenvectors needed for participation factors.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .dynamics import SimModel
+from .case import PowerSystemCase
+from .dynamics import SimModel, StateLayout, build_design_matrices
 
 
 class NonEquilibriumError(Exception):
@@ -88,6 +90,30 @@ def linearize(model: SimModel, equilibrium: np.ndarray,
     shifted[n + cols, cols] -= h
     r = model.rhs(shifted)           # rows: +h_j perturbations, then -h_j
     return np.ascontiguousarray(((r[:n] - r[n:]) / (2.0 * h)[:, None]).T)
+
+
+def closed_loop_matrix(a_open: np.ndarray, case: PowerSystemCase,
+                       layout: StateLayout, gains: np.ndarray) -> np.ndarray:
+    """State matrix with the damping controllers in service.
+
+    The control input enters the governor chain linearly through the design
+    model's input column, so machine k adds ``b_k k_k^T`` on its pm, xm, xe
+    rows and its delta, omega, pm, xm, xe columns.  `gains` holds one row
+    per machine in layout order; a machine without a governor or with an
+    all-zero row adds nothing.  Linearizing about a point where a valve sits
+    on its limit, the finite-difference matrix also sees the simulator's
+    anti-windup hold, which this sum leaves out.
+    """
+    a = a_open.copy()
+    for m, k_row in zip(case.machines, gains):
+        gov = case.governor_for(m.id)
+        if gov is None:
+            continue
+        b = build_design_matrices(m, gov, case.omega0).b[2:]
+        rows = [layout.idx(m.id, s) for s in ("pm", "xm", "xe")]
+        cols = [layout.idx(m.id, s) for s in ("delta", "omega", "pm", "xm", "xe")]
+        a[np.ix_(rows, cols)] += np.outer(b, k_row)
+    return a
 
 
 def modal_analysis(a_full: np.ndarray,

@@ -165,10 +165,30 @@ def test_sweep_degenerate_matches_modal(case_path, tmp_path):
 def test_sweep_rows_sorted_and_recorded(case_path, tmp_path):
     out = tmp_path / "out"
     assert main(["sweep", "--case", case_path, "--fractions", "1.05,0.95",
-                 "--workers", "2", "--out", str(out)]) == EXIT_OK
+                 "--out", str(out)]) == EXIT_OK
     rows = json.loads((out / "sweep.json").read_text())["results"]["rows"]
     assert [r["fraction"] for r in rows] == [0.95, 1.05]
     assert all(r["converged"] for r in rows)
+
+
+def test_sweep_builds_and_linearizes_each_point_once(case_path, tmp_path,
+                                                     monkeypatch, bundled_design):
+    import oscdamp.cli as cli
+    gains = tmp_path / "design.json"
+    gains.write_text(json.dumps({"results": {"controllers": bundled_design[0].to_dict()}}))
+    calls = {"solve_power_flow": 0, "linearize": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(cli, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    out = tmp_path / "out"
+    assert main(["sweep", "--case", case_path, "--fractions", "0.95,1.05",
+                 "--controllers", "all", "--gains", str(gains),
+                 "--out", str(out)]) == EXIT_OK
+    rows = json.loads((out / "sweep.json").read_text())["results"]["rows"]
+    assert all("zeta_robust_pct" in r for r in rows)
+    assert calls == {"solve_power_flow": 2, "linearize": 2}
 
 
 def test_scan_radial_case_all_island(tmp_path):
@@ -183,8 +203,7 @@ def test_scan_radial_case_all_island(tmp_path):
 
 def test_scan_row_count(case_path, tmp_path):
     out = tmp_path / "out"
-    assert main(["scan-n1", "--case", case_path, "--out", str(out),
-                 "--workers", "2"]) == EXIT_OK
+    assert main(["scan-n1", "--case", case_path, "--out", str(out)]) == EXIT_OK
     doc = json.loads((out / "scan_n1.json").read_text())
     assert doc["results"]["branches_total"] == 14
     assert len(doc["results"]["rows"]) <= 14

@@ -183,12 +183,3 @@ def test_kron_electrical_power_matches_pf(bundled_case, bundled_sol, bundled_red
     pe = electrical_power(bundled_red, eq.delta, eq.eqp, eq.edp)
     p_out, _ = _machine_bus_outputs(bundled_case, bundled_sol)
     assert np.max(np.abs(pe - p_out)) < 1e-6
-
-
-def test_warm_start_accepted(bundled_case, bundled_sol):
-    from oscdamp.case import scale_stress
-    stressed = scale_stress(bundled_case, 1.03)
-    cold = solve_power_flow(stressed)
-    warm = solve_power_flow(stressed, warm_start=bundled_sol)
-    assert warm.iterations <= cold.iterations
-    assert np.allclose(warm.vm, cold.vm, atol=1e-9)

@@ -4,13 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from oscdamp.case import parse_case
+from oscdamp.case import parse_case, scale_stress, apply_line_trip
 from oscdamp.powerflow import solve_power_flow, build_ybus, kron_reduce
 from oscdamp.dynamics import initialize_from_power_flow, build_design_matrices
 from oscdamp.smallsignal import (Mode, NonEquilibriumError, NoOscillatoryMode,
-                                 linearize, modal_analysis, classify_mode,
-                                 classify_table, min_damping, INTER_AREA,
-                                 LOCAL, CONTROL, REAL)
+                                 linearize, closed_loop_matrix, modal_analysis,
+                                 classify_mode, classify_table, min_damping,
+                                 INTER_AREA, LOCAL, CONTROL, REAL)
 from conftest import make_two_bus_text
 
 
@@ -48,6 +48,66 @@ def test_linearize_matches_column_reference(bundled_eq, bundled_design):
         ym[j] -= h
         ref[:, j] = (model.rhs(yp) - model.rhs(ym)) / (2.0 * h)
     assert np.allclose(linearize(model, x0), ref, rtol=1e-9, atol=1e-5)
+
+
+def _equilibrium(case):
+    sol = solve_power_flow(case)
+    return initialize_from_power_flow(case, sol, kron_reduce(build_ybus(case), case, sol))
+
+
+def _closed_loop_pair(case, eq, gains):
+    """The derived closed-loop matrix and the finite-difference one of the
+    model with the gains in service (active where a row is nonzero, reference
+    at the equilibrium)."""
+    model = eq.model.copy()
+    model.set_controllers(gains, eq.x5, np.any(gains != 0.0, axis=1))
+    derived = closed_loop_matrix(linearize(eq.model, eq.state), case,
+                                 eq.model.layout, gains)
+    return derived, linearize(model, eq.state)
+
+
+@pytest.mark.parametrize("variant", ["bundled", "x0.9", "x1.1", "trip-3-101-1",
+                                     "no-gov-4-zero-row-1"])
+def test_closed_loop_matrix_matches_linearize(bundled_text, bundled_case,
+                                              bundled_design, variant):
+    ctrl, _ = bundled_design
+    gains = ctrl.gains[[ctrl.machine_ids.index(m) for m in
+                        (m.id for m in bundled_case.machines)]].copy()
+    if variant == "no-gov-4-zero-row-1":
+        doc = json.loads(bundled_text)
+        doc["governors"] = [g for g in doc["governors"] if g["machine"] != 4]
+        case = parse_case(json.dumps(doc))
+        gains[0] = 0.0
+    else:
+        case = {"bundled": bundled_case,
+                "x0.9": scale_stress(bundled_case, 0.9),
+                "x1.1": scale_stress(bundled_case, 1.1),
+                "trip-3-101-1": apply_line_trip(bundled_case, 3, 101, 1)}[variant]
+    derived, fd = _closed_loop_pair(case, _equilibrium(case), gains)
+    assert np.allclose(derived, fd, rtol=1e-9, atol=1e-5)
+
+
+def test_closed_loop_matrix_at_valve_limit(bundled_design):
+    """With the valve on its limit the finite-difference matrix sees the
+    anti-windup hold: one side of each central difference on the xe row is
+    held at zero, so it reads half the slope there.  The derived matrix adds
+    the full feedback b_xe * k to that row, and the two differ by exactly
+    half of it on the delta, omega, pm and xm columns."""
+    doc = json.loads(make_two_bus_text(p_mw=0.0, q_mvar=0.0))
+    doc["machines"][0]["p_sched_mw"] = 0.0
+    case = parse_case(json.dumps(doc))
+    eq = _equilibrium(case)
+    assert eq.boundary_machines == (1,)
+    gains = bundled_design[0].gains[:1]
+    derived, fd = _closed_loop_pair(case, eq, gains)
+    lay = eq.model.layout
+    b_xe = build_design_matrices(case.machines[0], case.governor_for(1),
+                                 case.omega0).b[4]
+    held = [lay.idx(1, s) for s in ("delta", "omega", "pm", "xm")]
+    expected = fd.copy()
+    expected[lay.idx(1, "xe"), held] += 0.5 * b_xe * gains[0, :4]
+    assert np.allclose(derived, expected, rtol=1e-9, atol=1e-5)
+    assert not np.allclose(derived, fd, rtol=1e-9, atol=1e-5)
 
 
 def test_single_machine_block_equals_analytic():

@@ -79,8 +79,10 @@ def _controllers_for(case, args, red=None, eq=None) -> ControllerSet | None:
         return None
     if args.gains:
         doc = json.loads(Path(args.gains).read_text())
-        return ControllerSet.from_dict(doc["results"]["controllers"]
+        ctrl = ControllerSet.from_dict(doc["results"]["controllers"]
                                        if "results" in doc else doc)
+        ctrl.gains_for(tuple(m.id for m in case.machines))    # a row for every machine
+        return ctrl
     if eq is None:
         _, red, eq = _pipeline(case)
     ctrl, _ = design_controllers(case, eq, red,
@@ -90,10 +92,12 @@ def _controllers_for(case, args, red=None, eq=None) -> ControllerSet | None:
     return ctrl
 
 
-def _modal_for(case, eq, areas: dict, controllers: ControllerSet | None = None):
-    """Open-loop mode table at a built operating point, plus the closed-loop
-    one (else None) when controllers are given.  The point is linearized
-    once; the closed-loop matrix is derived from the open-loop one."""
+def _modal_for(case, eq, areas: dict, controllers: ControllerSet | None = None,
+               open_loop: bool = True):
+    """Mode tables at a built operating point: the open-loop one when
+    `open_loop`, and the closed-loop one when controllers are given; each is
+    None otherwise.  The point is linearized once; the closed-loop matrix is
+    derived from the open-loop one."""
     layout = eq.model.layout
     a_open = linearize(eq.model, eq.state)
 
@@ -101,11 +105,11 @@ def _modal_for(case, eq, areas: dict, controllers: ControllerSet | None = None):
         return classify_table(modal_analysis(a, layout.labels),
                               layout.speed_indices, areas, layout.machine_ids)
 
-    open_table = table(a_open)
+    open_table = table(a_open) if open_loop else None
     if controllers is None:
         return open_table, None
-    order = [controllers.machine_ids.index(m) for m in layout.machine_ids]
-    a_closed = closed_loop_matrix(a_open, case, layout, controllers.gains[order])
+    a_closed = closed_loop_matrix(a_open, case, layout,
+                                  controllers.gains_for(layout.machine_ids))
     return open_table, table(a_closed)
 
 
@@ -165,7 +169,8 @@ def cmd_modal(args) -> int:
     case, text = _load_case(args.case)
     sol, red, eq = _pipeline(case)
     controllers = _controllers_for(case, args, red, eq)
-    open_table, closed_table = _modal_for(case, eq, machine_areas(case), controllers)
+    open_table, closed_table = _modal_for(case, eq, machine_areas(case), controllers,
+                                          open_loop=controllers is None)
     table = open_table if closed_table is None else closed_table
     try:
         worst = min_damping(table, *args.band)
@@ -195,7 +200,7 @@ def cmd_design(args) -> int:
     ctrl, res = design_controllers(case, eq, red, subset=subset,
                                    beta_bar=args.beta_bar,
                                    bound_scale=args.bound_scale)
-    _, table = _modal_for(case, eq, machine_areas(case), ctrl)
+    _, table = _modal_for(case, eq, machine_areas(case), ctrl, open_loop=False)
     worst = min_damping(table, *args.band)
     results = {
         "synthesis": res.summary(),

@@ -14,7 +14,7 @@ and PSS slots exist only when the corresponding device is present.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -142,9 +142,11 @@ def electrical_power(reduced: ReducedNetwork, delta: np.ndarray,
 
 # --- assembled simulation model ------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class SimModel:
-    """Packed parameter arrays plus network coupling; consumed by the kernels."""
+    """Packed parameter arrays, the pre-disturbance reduced network and the one
+    RHS plan built from them.  Immutable: the arrays are read-only, and the
+    network and controller setting of a call are arguments, not fields."""
 
     layout: StateLayout
     omega0: float
@@ -152,9 +154,12 @@ class SimModel:
     pi: np.ndarray          # (n_mach, kernels.NPI) int params
     gmat: np.ndarray        # (n_mach, n_mach)
     bmat: np.ndarray        # (n_mach, n_mach)
-    gains: np.ndarray       # (n_mach, 5) feedback over [delta, omega, pm, xm, xe]
-    xref: np.ndarray        # (n_mach, 5) controller reference states
-    active: np.ndarray      # (n_mach,) 1.0 while the machine's controller is in service
+    plan: kernels.RhsPlan = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for a in (self.pf, self.pi, self.gmat, self.bmat):
+            a.flags.writeable = False
+        object.__setattr__(self, "plan", kernels.RhsPlan(self.pf, self.pi, self.omega0))
 
     @property
     def n_machines(self) -> int:
@@ -164,45 +169,14 @@ class SimModel:
     def n_states(self) -> int:
         return self.layout.n_states
 
-    def rhs(self, y: np.ndarray) -> np.ndarray:
-        return kernels.rhs(y, self.pf, self.pi, self.gains, self.xref,
-                           self.active, self.gmat, self.bmat, self.omega0)
-
-    def copy(self) -> "SimModel":
-        return SimModel(layout=self.layout, omega0=self.omega0,
-                        pf=self.pf.copy(), pi=self.pi.copy(),
-                        gmat=self.gmat.copy(), bmat=self.bmat.copy(),
-                        gains=self.gains.copy(), xref=self.xref.copy(),
-                        active=self.active.copy())
-
-    def set_controllers(self, gains: np.ndarray, xref: np.ndarray,
-                        active: np.ndarray | bool = True) -> None:
-        self.gains = np.asarray(gains, dtype=float).copy()
-        self.xref = np.asarray(xref, dtype=float).copy()
-        if isinstance(active, (bool, int, float)):
-            self.active = np.full(self.n_machines, 1.0 if active else 0.0)
-        else:
-            self.active = np.asarray(active, dtype=float).copy()
-
-    def design_state(self, y: np.ndarray, k: int) -> np.ndarray:
-        """[delta, omega, pm, xm, xe] for machine k (pm from the constant when ungoverned)."""
-        pi = self.pi
-        x5 = np.empty(5)
-        x5[0] = y[pi[k, PI.I_DELTA]]
-        x5[1] = y[pi[k, PI.I_OMEGA]]
-        if pi[k, PI.HAS_GOV]:
-            x5[2] = y[pi[k, PI.I_PM]]
-            x5[3] = y[pi[k, PI.I_XM]]
-            x5[4] = y[pi[k, PI.I_XE]]
-        else:
-            x5[2] = self.pf[k, PF.PMCONST]
-            x5[3] = 0.0
-            x5[4] = 0.0
-        return x5
+    def rhs(self, y: np.ndarray, control: kernels.Control | None = None) -> np.ndarray:
+        """dy on the model's own network, with `control` in service if given."""
+        return kernels.rhs(y, self.plan, self.gmat, self.bmat, control)
 
 
-def assemble_model(case: PowerSystemCase, reduced: ReducedNetwork) -> SimModel:
-    layout = build_layout(case)
+def _pack_parameters(case: PowerSystemCase, layout: StateLayout):
+    """The float and integer parameter matrices, without the equilibrium
+    references (PCREF, PMCONST, VREF, EFDCONST)."""
     n = len(case.machines)
     pf = np.zeros((n, kernels.NPF))
     pi = np.full((n, kernels.NPI), -1, dtype=np.int64)
@@ -252,15 +226,12 @@ def assemble_model(case: PowerSystemCase, reduced: ReducedNetwork) -> SimModel:
             pf[k, PF.TP4] = pss.t4
             pf[k, PF.VSMIN] = pss.vmin
             pf[k, PF.VSMAX] = pss.vmax
-    return SimModel(layout=layout, omega0=case.omega0, pf=pf, pi=pi,
-                    gmat=reduced.g.copy(), bmat=reduced.b.copy(),
-                    gains=np.zeros((n, 5)), xref=np.zeros((n, 5)),
-                    active=np.zeros(n))
+    return pf, pi
 
 
 @dataclass
 class Equilibrium:
-    """Initialized operating point: configured model plus the fixed-point state."""
+    """Initialized operating point: the model plus its fixed-point state."""
 
     model: SimModel
     state: np.ndarray
@@ -308,10 +279,11 @@ def initialize_from_power_flow(case: PowerSystemCase, sol: PowerFlowSolution,
     The returned state is an exact fixed point of the assembled model: machine
     EMFs reproduce the power-flow currents through the reduced network, the
     governor chain sits at its unity-gain steady state, and exciter references
-    absorb the required field voltage.
+    absorb the required field voltage.  The model is built last, once its
+    parameters hold these references.
     """
-    model = assemble_model(case, reduced)
-    layout = model.layout
+    layout = build_layout(case)
+    pf, pi = _pack_parameters(case, layout)
     n = len(case.machines)
     y0 = np.zeros(layout.n_states)
     p_out, q_out = _machine_bus_outputs(case, sol)
@@ -328,7 +300,7 @@ def initialize_from_power_flow(case: PowerSystemCase, sol: PowerFlowSolution,
         v = vc[i]
         s = complex(p_out[k], q_out[k])
         cur = np.conj(s / v)
-        pfk = model.pf[k]
+        pfk = pf[k]
         xq_eff = pfk[PF.XQ] - pfk[PF.XQP] + pfk[PF.XDP]
         dlt = float(np.angle(v + 1j * xq_eff * cur))
         rot = np.exp(-1j * (dlt - math.pi / 2))
@@ -346,7 +318,7 @@ def initialize_from_power_flow(case: PowerSystemCase, sol: PowerFlowSolution,
 
         pm_m = pe / pfk[PF.SOUT]
         x5[k] = [dlt, 0.0, pm_m, pm_m, pm_m]
-        if model.pi[k, PI.HAS_GOV]:
+        if pi[k, PI.HAS_GOV]:
             if pm_m > 1.0 + 1e-9:
                 raise InitializationError(
                     f"machine {m.id}: equilibrium requires valve opening "
@@ -362,22 +334,23 @@ def initialize_from_power_flow(case: PowerSystemCase, sol: PowerFlowSolution,
             y0[layout.idx(m.id, "pm")] = pm_m
             y0[layout.idx(m.id, "xm")] = pm_m
             y0[layout.idx(m.id, "xe")] = pm_m
-            model.pf[k, PF.PCREF] = pm_m
+            pf[k, PF.PCREF] = pm_m
         else:
-            model.pf[k, PF.PMCONST] = pm_m
+            pf[k, PF.PMCONST] = pm_m
 
-        if model.pi[k, PI.HAS_EXC]:
+        if pi[k, PI.HAS_EXC]:
             exc = case.exciter_for(m.id)
             if not (exc.efd_min + 1e-12 <= efd <= exc.efd_max - 1e-12):
                 raise InitializationError(
                     f"machine {m.id}: equilibrium field voltage {efd:.4f} outside "
                     f"limits [{exc.efd_min}, {exc.efd_max}]")
             y0[layout.idx(m.id, "efd")] = efd
-            model.pf[k, PF.VREF] = abs(v) + efd / exc.ka
+            pf[k, PF.VREF] = abs(v) + efd / exc.ka
         else:
-            model.pf[k, PF.EFDCONST] = efd
+            pf[k, PF.EFDCONST] = efd
         # PSS washout states are zero at any speed equilibrium
 
-    model.xref = x5.copy()
+    model = SimModel(layout=layout, omega0=case.omega0, pf=pf, pi=pi,
+                     gmat=reduced.g.copy(), bmat=reduced.b.copy())
     return Equilibrium(model=model, state=y0, boundary_machines=tuple(boundary),
                        delta=delta, eqp=eqp, edp=edp, pe_sys=pe_sys, x5=x5)

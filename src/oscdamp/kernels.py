@@ -1,21 +1,32 @@
 """Hot numeric kernels: full-system RHS evaluation and fixed-step RK4 spans.
 
-The model RHS is evaluated through an :class:`RhsPlan`, built from
-``(pf, pi, omega0)`` once per :func:`rhs` or :func:`rk4_span` call: the
-gather indices of the base, governor, exciter and PSS states, the per-device
-coefficient vectors, and the permutation that puts the concatenated
-derivative blocks back into state order.  :func:`rhs` takes ``y`` of shape
-``(n_states,)`` or ``(B, n_states)``; :func:`rk4_span` integrates either
-shape in place and records into ``out`` of shape ``(T, n_states)`` or
-``(T, B, n_states)``.  A single state and a one-row stack give the same bits;
-the rows of a larger stack go through matrix-matrix products and agree with
-single-state calls to about 1e-13.
+The model RHS is evaluated through an :class:`RhsPlan`, built once per model
+from ``(pf, pi, omega0)``: the gather indices of the base, governor, exciter
+and PSS states, the per-device coefficient vectors, and the permutation that
+puts the concatenated derivative blocks back into state order.  The network
+``(gmat, bmat)`` and the governor feedback in service (a :class:`Control`, or
+None for none) are arguments of each call, never state of the plan.
+:func:`rhs` takes ``y`` of shape ``(n_states,)`` or ``(B, n_states)``, real
+or complex; :func:`rk4_span` integrates either real shape in place and
+records into ``out`` of shape ``(T, n_states)`` or ``(T, B, n_states)``.  A
+single state and a one-row stack give the same bits; the rows of a larger
+stack go through matrix-matrix products and agree with single-state calls to
+about 1e-13.
+
+Complex states carry a complex-step perturbation: every expression is the
+analytic continuation of its real form (the terminal-voltage modulus becomes
+``sqrt(re**2 + im**2)``), and the limiters (PSS and exciter clamps, the
+anti-windup hold) decide on real parts only, so the imaginary part of
+``rhs(x + i h e_j)`` is ``h`` times column j of the Jacobian.  Real states
+evaluate the plain real expressions, bit for bit.
 
 The test suite pins the plan to a per-machine reference written from the
 elementary forms in :mod:`oscdamp.dynamics`.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,6 +115,26 @@ def network_currents(delta, eqp, edp, gmat, bmat):
     i_d = i_re * sd - i_im * cd
     i_q = i_re * cd + i_im * sd
     return e_re, e_im, i_re, i_im, i_d, i_q
+
+
+class Control(NamedTuple):
+    """Governor feedback in service: each machine's valve command is
+    ``pcref + active * gains . (x5 - xref)`` over its design states."""
+    gains: np.ndarray       # (n_mach, 5) over [delta, omega, pm, xm, xe]
+    xref: np.ndarray        # (n_mach, 5) reference design states
+    active: np.ndarray      # (n_mach,) 1.0 while the machine's controller is in service
+
+
+def _clip(x, lo, hi):
+    """min(max(x, lo), hi); a complex-step perturbation passes through where
+    the real part is not clamped."""
+    c = np.minimum(np.maximum(x.real, lo), hi)
+    return c if x.dtype.kind != "c" else np.where(c == x.real, x, c)
+
+
+def _modulus(re, im):
+    """|re + i im|, continued as sqrt(re^2 + im^2) to complex parts."""
+    return np.hypot(re, im) if re.dtype.kind != "c" else np.sqrt(re * re + im * im)
 
 
 def feedback(gains, dx):
@@ -235,18 +266,18 @@ class RhsPlan:
         pe_sys = edp * i_d + eqp * i_q + self.xq_corr * i_d * i_q
         return e_re, e_im, i_re, i_im, i_d, i_q, pe_sys
 
-    def bind(self, gains, xref, active, gmat, bmat):
-        """The RHS ``y -> dy`` for one controller setting and one network."""
-        if self.gov is not None:
-            gains, xref, active = gains[self.gov], xref[self.gov], active[self.gov]
-        return lambda y: self._rhs(y, gains, xref, active, gmat, bmat)
+    def bind(self, gmat, bmat, control=None):
+        """The RHS ``y -> dy`` on one network with one controller setting."""
+        if control is not None and self.gov is not None:
+            control = Control(*(a[self.gov] for a in control))
+        return lambda y: self._rhs(y, gmat, bmat, control)
 
-    def _rhs(self, y, gains, xref, active, gmat, bmat):
+    def _rhs(self, y, gmat, bmat, control):
         ye = self.extend(y)
         delta, omega_r, eqp, edp, pm, efd = self.machine_states(ye)
         e_re, e_im, i_re, i_im, i_d, i_q, pe_sys = self.network(delta, eqp, edp,
                                                                 gmat, bmat)
-        vt = np.hypot(e_re + self.xdp * i_im, e_im - self.xdp * i_re)
+        vt = _modulus(e_re + self.xdp * i_im, e_im - self.xdp * i_re)
         blocks = [omega_r,
                   self.c_damp * omega_r + self.c_acc * (pm - pe_sys / self.sout),
                   (-eqp - self.xd_diff * i_d + efd) / self.td0p,
@@ -263,28 +294,30 @@ class RhsPlan:
             d3 = y2 - z3
             y3 = z3 + self.lead2 * d3
             blocks += [y1 / self.tw, d2 / self.tp2, d3 / self.tp4]
-            vpss = np.minimum(np.maximum(y3, self.vsmin), self.vsmax)
+            vpss = _clip(y3, self.vsmin, self.vsmax)
 
         if self.ka.size:
             if self.exc is not None:
                 vt = vt[..., self.exc]
             if not self.vpss_all:
-                vp = np.zeros(vt.shape)
+                vp = np.zeros(vt.shape, vt.dtype)
                 if vpss is not None:
                     vp[..., self.vpss_dst] = vpss[..., self.vpss_src]
                 vpss = vp
-            efd_cmd = np.minimum(np.maximum(self.ka * (self.vref - vt + vpss),
-                                            self.efdmin), self.efdmax)
+            efd_cmd = _clip(self.ka * (self.vref - vt + vpss), self.efdmin, self.efdmax)
             blocks.append((efd_cmd - ye[..., self.ix_efd]) / self.ta)
 
         if self.pcref.size:
             x5 = ye[..., self.ix5_gov]
             w, pm, xm, xe = x5[..., 1], x5[..., 2], x5[..., 3], x5[..., 4]
-            pc = self.pcref + active * feedback(gains, x5 - xref)
+            pc = self.pcref
+            if control is not None:
+                pc = pc + control.active * feedback(control.gains, x5 - control.xref)
             te, tm, t5 = self.te, self.tm, self.t5
             d_xe = self.xe_w * w - xe / te + pc / te
             # anti-windup: hold the valve state when pinned against an active limit
-            hold = ((xe >= 1.0) & (d_xe > 0.0)) | ((xe <= 0.0) & (d_xe < 0.0))
+            xe_r, d_xe_r = xe.real, d_xe.real
+            hold = ((xe_r >= 1.0) & (d_xe_r > 0.0)) | ((xe_r <= 0.0) & (d_xe_r < 0.0))
             blocks += [self.pm_w * w - pm / t5 + self.pm_xm * xm / t5
                        + self.pm_xe * xe + self.pm_pc * pc,
                        self.xm_w * w - xm / tm + self.xm_xe * xe / tm + self.xm_pc * pc,
@@ -292,20 +325,18 @@ class RhsPlan:
         return np.concatenate(blocks, axis=-1)[..., self.perm]
 
 
-def rhs(y, pf, pi, gains, xref, active, gmat, bmat, omega0):
-    """dy for y of shape (n_states,) or (B, n_states)."""
-    return RhsPlan(pf, pi, omega0).bind(gains, xref, active, gmat, bmat)(y)
+def rhs(y, plan, gmat, bmat, control=None):
+    """dy for y of shape (n_states,) or (B, n_states) through a model's plan."""
+    return plan.bind(gmat, bmat, control)(y)
 
 
-def rk4_span(y, h, nsteps, pf, pi, gains, xref, active, gmat, bmat, omega0,
-             out=None, out_offset=0):
+def rk4_span(y, h, nsteps, plan, gmat, bmat, control=None, out=None, out_offset=0):
     """Integrate y of shape (n_states,) or (B, n_states) in place over nsteps
     fixed steps, clamping the valve states to [0, 1] after each step and
     storing step k's state in out[out_offset + k] when out (shape
     (T, n_states) or (T, B, n_states)) is given.  Returns -1, or the first
     (0-based) step after which some row left the divergence limit."""
-    plan = RhsPlan(pf, pi, omega0)
-    f = plan.bind(gains, xref, active, gmat, bmat)
+    f = plan.bind(gmat, bmat, control)
     ix_xe = plan.ix_xe
     half, sixth = 0.5 * h, h / 6.0
     for k in range(nsteps):

@@ -175,27 +175,24 @@ def simulate(case: PowerSystemCase, controllers: ControllerSet | None,
     red0 = kron_reduce(build_ybus(case), case, sol)
     eq = initialize_from_power_flow(case, sol, red0)
     model = eq.model
+    plan = model.plan
     lay = model.layout
     n_mach = model.n_machines
     y_load = load_admittances(case, sol)
 
-    if controllers is not None:
-        order = [controllers.machine_ids.index(m) for m in lay.machine_ids]
-        model.gains = controllers.gains[order].copy()
-    has_gain = np.any(model.gains != 0.0, axis=1).astype(float)
+    gains = (np.zeros((n_mach, 5)) if controllers is None
+             else controllers.gains_for(lay.machine_ids))
+    has_gain = np.any(gains != 0.0, axis=1).astype(float)
     if controllers is None or scenario.initial_active == "none":
-        model.active = np.zeros(n_mach)
+        active = np.zeros(n_mach)
     elif scenario.initial_active == "all":
-        model.active = has_gain.copy()
+        active = has_gain.copy()
     else:
-        model.active = has_gain * np.array(
+        active = has_gain * np.array(
             [1.0 if m in scenario.initial_active else 0.0 for m in lay.machine_ids])
-    model.xref = eq.x5.copy()
 
     current_case = case
     red, vsolve, bus_ids = _network_matrices(current_case, y_load)
-    model.gmat = red.g.copy()
-    model.bmat = red.b.copy()
 
     dt = scenario.dt
     n_steps = int(round(scenario.duration / dt))
@@ -204,20 +201,23 @@ def simulate(case: PowerSystemCase, controllers: ControllerSet | None,
     states[0] = eq.state
     y = eq.state.copy()
     event_log: list = []
-    segments = [_Segment(0.0, model.gmat.copy(), model.bmat.copy(), vsolve,
-                         model.active.copy(), model.xref.copy())]
+    segments = [_Segment(0.0, red.g, red.b, vsolve, active, eq.x5)]
     divergent = False
     div_time = None
     topology_changed = False
     step = 0
 
+    def span(h: float, count: int, **record) -> int:
+        """RK4 over `count` steps on the current segment's network and control."""
+        s = segments[-1]
+        return kernels.rk4_span(y, h, count, plan, s.g, s.b,
+                                kernels.Control(gains, s.xref, s.active), **record)
+
     def advance(count: int) -> bool:
         nonlocal step, divergent, div_time
         if count <= 0:
             return True
-        bad = kernels.rk4_span(y, dt, count, model.pf, model.pi, model.gains,
-                               model.xref, model.active, model.gmat, model.bmat,
-                               model.omega0, out=states, out_offset=step + 1)
+        bad = span(dt, count, out=states, out_offset=step + 1)
         if bad >= 0:
             divergent = True
             div_time = float(tgrid[step + bad + 1])
@@ -229,12 +229,13 @@ def simulate(case: PowerSystemCase, controllers: ControllerSet | None,
 
     def fire(ev: Event, t_now: float) -> None:
         nonlocal current_case, y_load, vsolve, bus_ids, topology_changed
+        seg = segments[-1]
+        g, b, active, xref = seg.g, seg.b, seg.active, seg.xref
         if ev.action == "trip_line":
             f, t, c = ev.params
             current_case = apply_line_trip(current_case, f, t, c)
             red, vsolve, bus_ids = _network_matrices(current_case, y_load)
-            model.gmat = red.g.copy()
-            model.bmat = red.b.copy()
+            g, b = red.g, red.b
             topology_changed = True
             event_log.append({"time": t_now, "action": "trip_line", "branch": [f, t, c]})
         elif ev.action == "step_load":
@@ -247,8 +248,7 @@ def simulate(case: PowerSystemCase, controllers: ControllerSet | None,
             y_load = y_load.copy()
             y_load[idx] += np.conj(s) / (vm_now ** 2 if vm_now > 0 else 1.0)
             red, vsolve, bus_ids = _network_matrices(current_case, y_load)
-            model.gmat = red.g.copy()
-            model.bmat = red.b.copy()
+            g, b = red.g, red.b
             topology_changed = True
             event_log.append({"time": t_now, "action": "step_load", "bus": bus,
                               "dp_mw": dp, "dq_mvar": dq})
@@ -258,7 +258,7 @@ def simulate(case: PowerSystemCase, controllers: ControllerSet | None,
                 [1.0 if m in sel else 0.0 for m in lay.machine_ids])
             if ev.action == "activate_controllers":
                 omega = y[lay.speed_indices]
-                rhs = model.rhs(y)
+                rhs = kernels.rhs(y, plan, g, b, kernels.Control(gains, xref, active))
                 non_angle = np.delete(rhs, lay.delta_indices)
                 # post-event steady state is a uniformly drifting frame:
                 # speeds equal (common droop slip) and all other derivatives quiet
@@ -267,21 +267,19 @@ def simulate(case: PowerSystemCase, controllers: ControllerSet | None,
                 if topology_changed and settled:
                     # the settled operating point on the changed network is the
                     # operative equilibrium and becomes the reference
-                    model.xref = np.array([model.design_state(y, k)
-                                           for k in range(n_mach)])
+                    xref = plan.extend(y)[plan.ix5]
                     ref_src = "settled_state"
                 else:
                     ref_src = "pre_disturbance_equilibrium"
-                model.active = np.clip(model.active + mask, 0, 1) * has_gain
+                active = np.clip(active + mask, 0, 1) * has_gain
                 event_log.append({"time": t_now, "action": ev.action,
                                   "machines": "all" if sel == "all" else list(sel),
                                   "reference": ref_src})
             else:
-                model.active = model.active * (1.0 - mask)
+                active = active * (1.0 - mask)
                 event_log.append({"time": t_now, "action": ev.action,
                                   "machines": "all" if sel == "all" else list(sel)})
-        segments.append(_Segment(t_now, model.gmat.copy(), model.bmat.copy(),
-                                 vsolve, model.active.copy(), model.xref.copy()))
+        segments.append(_Segment(t_now, g, b, vsolve, active, xref))
 
     for ev in scenario.events:
         if divergent:
@@ -292,17 +290,13 @@ def simulate(case: PowerSystemCase, controllers: ControllerSet | None,
         frac = ev.time - step * dt
         if frac > 1e-9:
             # split step: integrate to the event instant, fire, finish the step
-            if kernels.rk4_span(y, frac, 1, model.pf, model.pi, model.gains,
-                                model.xref, model.active, model.gmat,
-                                model.bmat, model.omega0) >= 0:
+            if span(frac, 1) >= 0:
                 divergent, div_time = True, ev.time
                 states[step + 1:] = y
                 break
             fire(ev, ev.time)
             rest = (step + 1) * dt - ev.time
-            if kernels.rk4_span(y, rest, 1, model.pf, model.pi, model.gains,
-                                model.xref, model.active, model.gmat,
-                                model.bmat, model.omega0) >= 0:
+            if span(rest, 1) >= 0:
                 divergent, div_time = True, float(tgrid[step + 1])
                 states[step + 1:] = y
                 break
@@ -313,8 +307,8 @@ def simulate(case: PowerSystemCase, controllers: ControllerSet | None,
     if not divergent:
         advance(n_steps - step)
 
-    pe, pm_sys, u_out, vbus = _derived_channels(model, states, tgrid, segments,
-                                                bus_ids)
+    pe, pm_sys, u_out, vbus = _derived_channels(model, gains, states, tgrid,
+                                                segments, bus_ids)
     return SimulationResult(time=tgrid, states=states, layout=lay,
                             machine_ids=lay.machine_ids, pe_sys=pe,
                             pm_sys=pm_sys, u=u_out, bus_voltage=vbus,
@@ -323,12 +317,12 @@ def simulate(case: PowerSystemCase, controllers: ControllerSet | None,
                             divergent=divergent, divergence_time=div_time)
 
 
-def _derived_channels(model: SimModel, states: np.ndarray, tgrid: np.ndarray,
-                      segments: list, bus_ids) -> tuple:
+def _derived_channels(model: SimModel, gains: np.ndarray, states: np.ndarray,
+                      tgrid: np.ndarray, segments: list, bus_ids) -> tuple:
     """Electrical power, mechanical power, auxiliary governor signal and bus
     voltages, evaluated for blocks of rows at once on each segment's network
     and controller setting."""
-    plan = kernels.RhsPlan(model.pf, model.pi, model.omega0)
+    plan = model.plan
     n_t = states.shape[0]
     pe = np.zeros((n_t, model.n_machines))
     pm_sys = np.zeros_like(pe)
@@ -345,8 +339,7 @@ def _derived_channels(model: SimModel, states: np.ndarray, tgrid: np.ndarray,
             e_re, e_im, *_, pe[rows] = plan.network(delta, eqp, edp, s.g, s.b)
             vbus[rows] = (e_re + 1j * e_im) @ s.vsolve.T
             pm_sys[rows] = pm * plan.sout
-            u_out[rows] = s.active * kernels.feedback(model.gains,
-                                                      ye[:, plan.ix5] - s.xref)
+            u_out[rows] = s.active * kernels.feedback(gains, ye[:, plan.ix5] - s.xref)
     return pe, pm_sys, u_out, vbus
 
 

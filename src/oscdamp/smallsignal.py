@@ -1,10 +1,11 @@
-"""Numerical linearization, eigenanalysis, and modal metrics.
+"""Complex-step linearization, eigenanalysis, and modal metrics.
 
-The open-loop state matrix comes from central finite differences of the full
-nonlinear RHS about an equilibrium; the closed-loop one adds the governor
-feedback to it in closed form.  Eigenvalues/eigenvectors come from LAPACK's
-balanced Hessenberg + shifted-QR path (scipy.linalg.eig), which also supplies
-the left eigenvectors needed for participation factors.
+The open-loop state matrix is the complex-step derivative of the full
+nonlinear RHS about an equilibrium, exact to roundoff with no step to tune
+(Squire & Trapp 1998, SIAM Review 40(1)); the closed-loop one adds the
+governor feedback to it in closed form.  Eigenvalues/eigenvectors come from
+LAPACK's balanced Hessenberg + shifted-QR path (scipy.linalg.eig), which also
+supplies the left eigenvectors needed for participation factors.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import scipy.linalg
 
 from .case import PowerSystemCase
 from .dynamics import SimModel, StateLayout, build_design_matrices
+from .kernels import Control
 
 
 class NonEquilibriumError(Exception):
@@ -36,6 +38,10 @@ REAL = "real"
 # rotor-angle reference gives a structural zero whose computed sign follows
 # roundoff (|re| ~1e-9 on the bundled case; the next-smallest |lambda| is 0.12).
 ZERO_EIGENVALUE_TOL = 1e-6
+
+# Imaginary step of the complex-step derivative.  Its square vanishes against
+# any state, so the result does not depend on it.
+COMPLEX_STEP = 1e-30
 
 
 @dataclass
@@ -75,21 +81,15 @@ class ModeTable:
 
 
 def linearize(model: SimModel, equilibrium: np.ndarray,
-              step: float = 1e-6) -> np.ndarray:
-    """Central-difference state matrix of the model RHS about an equilibrium,
-    all 2n perturbed states evaluated in one stacked RHS call."""
-    r0 = model.rhs(equilibrium)
-    if np.max(np.abs(r0)) > 1e-6:
-        raise NonEquilibriumError(
-            f"RHS norm {np.max(np.abs(r0)):.3e} at the linearization point")
-    n = equilibrium.size
-    h = step * np.maximum(1.0, np.abs(equilibrium))
-    cols = np.arange(n)
-    shifted = np.tile(equilibrium, (2 * n, 1))
-    shifted[cols, cols] += h
-    shifted[n + cols, cols] -= h
-    r = model.rhs(shifted)           # rows: +h_j perturbations, then -h_j
-    return np.ascontiguousarray(((r[:n] - r[n:]) / (2.0 * h)[:, None]).T)
+              control: Control | None = None) -> np.ndarray:
+    """State matrix of the model RHS about an equilibrium by complex step:
+    column j is Im f(x + i h e_j) / h, all n perturbed states in one stacked
+    RHS call, whose real part is f(x) for the equilibrium check."""
+    r = model.rhs(equilibrium + 1j * COMPLEX_STEP * np.eye(equilibrium.size), control)
+    resid = np.max(np.abs(r.real))
+    if resid > 1e-6:
+        raise NonEquilibriumError(f"RHS norm {resid:.3e} at the linearization point")
+    return np.ascontiguousarray(r.imag.T / COMPLEX_STEP)
 
 
 def closed_loop_matrix(a_open: np.ndarray, case: PowerSystemCase,
@@ -100,9 +100,9 @@ def closed_loop_matrix(a_open: np.ndarray, case: PowerSystemCase,
     model's input column, so machine k adds ``b_k k_k^T`` on its pm, xm, xe
     rows and its delta, omega, pm, xm, xe columns.  `gains` holds one row
     per machine in layout order; a machine without a governor or with an
-    all-zero row adds nothing.  Linearizing about a point where a valve sits
-    on its limit, the finite-difference matrix also sees the simulator's
-    anti-windup hold, which this sum leaves out.
+    all-zero row adds nothing.  It equals :func:`linearize` of the model with
+    the controllers in service, also where a valve sits on its limit: there
+    the anti-windup hold is inactive at the equilibrium itself.
     """
     a = a_open.copy()
     for m, k_row in zip(case.machines, gains):

@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .case import PowerSystemCase
+from .case import CaseError, PowerSystemCase
 from .powerflow import ReducedNetwork
 from .dynamics import DesignModel, Equilibrium, build_design_matrices
-from .lmi import (LmiProblem, Term, SolverOptions, LmiSolution, SolutionCheck,
-                  solve_sdp, check_solution)
+from .lmi import (LmiProblem, Term, LmiSolution, SolutionCheck, solve_sdp,
+                  check_solution)
 
 
 class SynthesisError(Exception):
@@ -32,6 +32,14 @@ class SynthesisError(Exception):
 # Deployment disturbance level as a fraction of the formal over-bound; see
 # design_controllers for the rationale.  Tuned on the bundled benchmark.
 DEFAULT_BOUND_SCALE = 1e-2
+
+# EMF ceilings of the coupling bound: this factor times the equilibrium
+# magnitudes, with an absolute floor on the d-axis.
+E_MAX_FACTOR = 1.3
+E_MAX_D_FLOOR = 0.1
+
+# Shift that makes every strict inequality of the synthesis LMI non-strict.
+EPS = 1e-6
 
 
 @dataclass
@@ -187,15 +195,12 @@ def _embed(total: int, offset: int, dim: int) -> np.ndarray:
 
 def assemble_synthesis_lmi(design_models: list[DesignModel],
                            h_rows: list[np.ndarray],
-                           beta_bar: np.ndarray | float = 1.0,
-                           eps: float = 1e-6,
-                           fixed_kappa: tuple[float, float] | None = None) -> LmiProblem:
+                           beta_bar: np.ndarray | float = 1.0) -> LmiProblem:
     """Build the gain-synthesis LMI over the given machines.
 
     Variables per machine: Y (5x5 symmetric), five gain-seed scalars L_k,
-    and the scalars gamma, kappa_y, kappa_l (the latter two become fixed
-    values when `fixed_kappa` is supplied).  Strict inequalities carry an
-    eps*I shift.  The objective minimizes sum(gamma + kappa_y + kappa_l).
+    and the scalars gamma, kappa_y, kappa_l.  Strict inequalities carry an
+    EPS*I shift.  The objective minimizes sum(gamma + kappa_y + kappa_l).
     """
     n = len(design_models)
     if n == 0:
@@ -213,11 +218,10 @@ def assemble_synthesis_lmi(design_models: list[DesignModel],
             p.add_scalar(f"L{i}_{k}")
         p.add_scalar(f"gamma{i}")
         p.objective[f"gamma{i}"] = 1.0
-        if fixed_kappa is None:
-            p.add_scalar(f"kappaY{i}")
-            p.add_scalar(f"kappaL{i}")
-            p.objective[f"kappaY{i}"] = 1.0
-            p.objective[f"kappaL{i}"] = 1.0
+        p.add_scalar(f"kappaY{i}")
+        p.add_scalar(f"kappaL{i}")
+        p.objective[f"kappaY{i}"] = 1.0
+        p.objective[f"kappaL{i}"] = 1.0
 
     m_rows = [h.shape[0] for h in h_rows]
     dim = 5 * n + n + sum(m_rows)
@@ -230,11 +234,11 @@ def assemble_synthesis_lmi(design_models: list[DesignModel],
 
     # per-machine positivity of Y
     for i in range(n):
-        con = p.add_constraint(f"Ypos{i}", 5, const=-eps * np.eye(5))
+        con = p.add_constraint(f"Ypos{i}", 5, const=-EPS * np.eye(5))
         con.terms.append(Term(f"Y{i}", np.eye(5), np.eye(5)))
 
     # the bordered stabilization block, negated into PSD form
-    const = -eps * np.eye(dim)
+    const = -EPS * np.eye(dim)
     for i, dm in enumerate(design_models):
         const[5 * i:5 * i + 5, c_dist + i] -= dm.g
         const[c_dist + i, 5 * i:5 * i + 5] -= dm.g
@@ -259,15 +263,12 @@ def assemble_synthesis_lmi(design_models: list[DesignModel],
                                           symmetrize=True))
 
     for i in range(n):
-        # gain-seed magnitude block: [[kl*I, -L'], [-L, 1]] >= eps*I
-        const6 = -eps * np.eye(6)
+        # gain-seed magnitude block: [[kl*I, -L'], [-L, 1]] >= EPS*I
+        const6 = -EPS * np.eye(6)
         const6[5, 5] += 1.0
-        if fixed_kappa is not None:
-            const6[:5, :5] += fixed_kappa[1] * np.eye(5)
         con = p.add_constraint(f"gainmag{i}", 6, const=const6)
-        if fixed_kappa is None:
-            p5 = _embed(6, 0, 5)
-            con.terms.append(Term(f"kappaL{i}", p5, p5.T))
+        p5 = _embed(6, 0, 5)
+        con.terms.append(Term(f"kappaL{i}", p5, p5.T))
         for k in range(5):
             lcol = np.zeros((6, 1))
             lcol[k, 0] = 1.0
@@ -275,21 +276,18 @@ def assemble_synthesis_lmi(design_models: list[DesignModel],
             rrow[0, 5] = 1.0
             con.terms.append(Term(f"L{i}_{k}", -lcol, rrow, symmetrize=True))
 
-        # conditioning block: [[Y, I], [I, ky*I]] >= eps*I
-        const10 = -eps * np.eye(10)
+        # conditioning block: [[Y, I], [I, ky*I]] >= EPS*I
+        const10 = -EPS * np.eye(10)
         const10[:5, 5:] += np.eye(5)
         const10[5:, :5] += np.eye(5)
-        if fixed_kappa is not None:
-            const10[5:, 5:] += fixed_kappa[0] * np.eye(5)
         con = p.add_constraint(f"conditioning{i}", 10, const=const10)
         con.terms.append(Term(f"Y{i}", _embed(10, 0, 5), _embed(10, 0, 5).T))
-        if fixed_kappa is None:
-            p5 = _embed(10, 5, 5)
-            con.terms.append(Term(f"kappaY{i}", p5, p5.T))
+        p5 = _embed(10, 5, 5)
+        con.terms.append(Term(f"kappaY{i}", p5, p5.T))
 
-        # robustness margin: gamma < 1/beta^2 (strict via eps)
+        # robustness margin: gamma < 1/beta^2 (strict via EPS)
         con = p.add_constraint(f"margin{i}", 1,
-                               const=[[1.0 / beta[i] ** 2 - eps]])
+                               const=[[1.0 / beta[i] ** 2 - EPS]])
         con.terms.append(Term(f"gamma{i}", [[-1.0]], [[1.0]]))
     return p
 
@@ -302,12 +300,12 @@ class ControllerSet:
     gains: np.ndarray          # (n, 5); zero rows for uncontrolled machines
     x_ref: np.ndarray          # (n, 5)
 
-    def control(self, k: int, x5: np.ndarray) -> float:
-        return float(self.gains[k] @ (x5 - self.x_ref[k]))
-
-    def active_machines(self) -> list[int]:
-        return [m for i, m in enumerate(self.machine_ids)
-                if np.any(self.gains[i] != 0.0)]
+    def gains_for(self, machine_ids: tuple[int, ...]) -> np.ndarray:
+        """Gain rows in the order of `machine_ids`; every id must have one."""
+        missing = [m for m in machine_ids if m not in self.machine_ids]
+        if missing:
+            raise CaseError(f"controller gains lack machine(s) {missing}")
+        return self.gains[[self.machine_ids.index(m) for m in machine_ids]]
 
     def to_dict(self) -> dict:
         return {"machine_ids": list(self.machine_ids),
@@ -337,7 +335,6 @@ class SynthesisResult:
     e_max_d: np.ndarray
     beta_bar: np.ndarray
     bound_scale: float = 1.0
-    eps: float = 1e-6
     closed_loop_eigs: dict = field(default_factory=dict)
 
     def summary(self) -> dict:
@@ -355,7 +352,7 @@ class SynthesisResult:
             "e_max_d": self.e_max_d.tolist(),
             "beta_bar": self.beta_bar.tolist(),
             "bound_scale": self.bound_scale,
-            "eps": self.eps,
+            "eps": EPS,
             "closed_loop_max_re": max(float(np.max(e.real))
                                       for e in self.closed_loop_eigs.values()),
         }
@@ -403,18 +400,13 @@ def design_controllers(case: PowerSystemCase, equilibrium: Equilibrium,
                        reduced: ReducedNetwork,
                        subset: list[int] | None = None,
                        beta_bar: float | np.ndarray = 1.0,
-                       e_max_factor: float = 1.3,
-                       e_max_d_floor: float = 0.1,
-                       eps: float = 1e-6,
-                       bound_scale: float = DEFAULT_BOUND_SCALE,
-                       fixed_kappa: tuple[float, float] | None = None,
-                       options: SolverOptions | None = None
+                       bound_scale: float = DEFAULT_BOUND_SCALE
                        ) -> tuple[ControllerSet, SynthesisResult]:
     """Full synthesis pipeline at an initialized operating point.
 
     `subset` lists machine ids to host controllers (default: every machine
-    with a governor).  EMF ceilings default to e_max_factor times the
-    equilibrium magnitudes with an absolute floor on the d-axis.
+    with a governor).  EMF ceilings are E_MAX_FACTOR times the equilibrium
+    magnitudes with an absolute floor of E_MAX_D_FLOOR on the d-axis.
 
     `bound_scale` sets the disturbance level the gains are certified against,
     as a fraction of the formal quadratic over-bound.  The over-bound's
@@ -436,8 +428,8 @@ def design_controllers(case: PowerSystemCase, equilibrium: Equilibrium,
 
     all_ids = tuple(m.id for m in case.machines)
     pos = {mid: k for k, mid in enumerate(all_ids)}
-    e_max_q = e_max_factor * np.abs(equilibrium.eqp)
-    e_max_d = np.maximum(e_max_factor * np.abs(equilibrium.edp), e_max_d_floor)
+    e_max_q = E_MAX_FACTOR * np.abs(equilibrium.eqp)
+    e_max_d = np.maximum(E_MAX_FACTOR * np.abs(equilibrium.edp), E_MAX_D_FLOOR)
     power_scale = np.array([case.base_mva / m.mva for m in case.machines])
     bounds = coupling_bounds(reduced, e_max_q, e_max_d, power_scale=power_scale)
 
@@ -456,9 +448,8 @@ def design_controllers(case: PowerSystemCase, equilibrium: Equilibrium,
                      for dm in design_models]
     beta = np.full(len(subset_ids), float(beta_bar)) if np.isscalar(beta_bar) \
         else np.asarray(beta_bar, dtype=float)
-    problem = assemble_synthesis_lmi(scaled_models, h_rows, beta_bar=beta,
-                                     eps=eps, fixed_kappa=fixed_kappa)
-    solution = solve_sdp(problem, options)
+    problem = assemble_synthesis_lmi(scaled_models, h_rows, beta_bar=beta)
+    solution = solve_sdp(problem)
     if solution.status != "optimal":
         raise SynthesisError(f"synthesis LMI not solved: status {solution.status}")
     chk = check_solution(problem, solution)
@@ -471,11 +462,11 @@ def design_controllers(case: PowerSystemCase, equilibrium: Equilibrium,
                 for i, dm in enumerate(design_models)},
         gains={mid: controllers.gains[pos[mid]] for mid in subset_ids},
         gamma={dm.machine_id: solution.values[f"gamma{i}"] for i, dm in enumerate(design_models)},
-        kappa_y={dm.machine_id: (solution.values[f"kappaY{i}"] if fixed_kappa is None
-                                 else fixed_kappa[0]) for i, dm in enumerate(design_models)},
-        kappa_l={dm.machine_id: (solution.values[f"kappaL{i}"] if fixed_kappa is None
-                                 else fixed_kappa[1]) for i, dm in enumerate(design_models)},
+        kappa_y={dm.machine_id: solution.values[f"kappaY{i}"]
+                 for i, dm in enumerate(design_models)},
+        kappa_l={dm.machine_id: solution.values[f"kappaL{i}"]
+                 for i, dm in enumerate(design_models)},
         solution=solution, check=chk, problem=problem,
         e_max_q=e_max_q, e_max_d=e_max_d, beta_bar=beta,
-        bound_scale=bound_scale, eps=eps, closed_loop_eigs=eigs)
+        bound_scale=bound_scale, closed_loop_eigs=eigs)
     return controllers, result

@@ -31,21 +31,20 @@ def _report(num: int, ok: bool, detail: str) -> None:
     assert ok, detail
 
 
-def _closed_loop(case, eq, controllers):
-    model = eq.model.copy()
-    order = [controllers.machine_ids.index(m) for m in model.layout.machine_ids]
-    model.gains = controllers.gains[order].copy()
-    model.active = np.any(model.gains != 0.0, axis=1).astype(float)
-    model.xref = eq.x5.copy()
-    return model
+def _closed_loop(eq, controllers):
+    """The controllers in service wherever a gain row is nonzero, referenced
+    to the equilibrium."""
+    gains = controllers.gains_for(eq.model.layout.machine_ids)
+    return kernels.Control(gains, eq.x5, np.any(gains != 0.0, axis=1).astype(float))
 
 
 def _min_mode(case, controllers=None, areas=None):
     sol = solve_power_flow(case)
     red = kron_reduce(build_ybus(case), case, sol)
     eq = initialize_from_power_flow(case, sol, red)
-    model = eq.model if controllers is None else _closed_loop(case, eq, controllers)
-    table = modal_analysis(linearize(model, eq.state), model.layout.labels)
+    model = eq.model
+    control = None if controllers is None else _closed_loop(eq, controllers)
+    table = modal_analysis(linearize(model, eq.state, control), model.layout.labels)
     if areas is not None:
         classify_table(table, model.layout.speed_indices, areas,
                        model.layout.machine_ids)
@@ -221,7 +220,8 @@ def test_criterion_7_numerical_cross_checks(bundled_case, bundled_eq,
     checks.append(("RK4 empirical order", order >= 3.7, f"{order:.2f}"))
 
     # closed-loop convergence from 50 random perturbed starts, integrated as one stack
-    model = _closed_loop(bundled_case, bundled_eq, ctrl)
+    model = bundled_eq.model
+    control = _closed_loop(bundled_eq, ctrl)
     rng = np.random.default_rng(42)
     starts = []
     for _ in range(50):
@@ -229,9 +229,8 @@ def test_criterion_7_numerical_cross_checks(bundled_case, bundled_eq,
         d *= 0.1 / np.linalg.norm(d)
         starts.append(bundled_eq.state + d)
     y = np.array(starts)
-    bad = kernels.rk4_span(y, 0.005, 6000, model.pf, model.pi, model.gains,
-                           model.xref, model.active, model.gmat,
-                           model.bmat, model.omega0)
+    bad = kernels.rk4_span(y, 0.005, 6000, model.plan, model.gmat, model.bmat,
+                           control)
     diverged = bad >= 0
     worst_dev = float(np.max(np.linalg.norm(y - bundled_eq.state, axis=1)))
     checks.append(("50-perturbation convergence", not diverged and worst_dev < 1e-3,

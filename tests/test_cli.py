@@ -191,6 +191,43 @@ def test_sweep_builds_and_linearizes_each_point_once(case_path, tmp_path,
     assert calls == {"solve_power_flow": 2, "linearize": 2}
 
 
+def test_modal_tables_computed_only_when_read(case_path, tmp_path, monkeypatch,
+                                              bundled_design):
+    """`design` and `modal --controllers` read only the closed-loop table;
+    each `sweep` point reads both."""
+    import oscdamp.cli as cli
+    gains = tmp_path / "design.json"
+    gains.write_text(json.dumps({"results": {"controllers": bundled_design[0].to_dict()}}))
+    calls = []
+    modal = cli.modal_analysis
+    monkeypatch.setattr(cli, "modal_analysis", lambda *a: calls.append(1) or modal(*a))
+    out = str(tmp_path / "out")
+    for argv, expected in ((["design"], 1),
+                           (["modal", "--controllers", "all", "--gains", str(gains)], 1),
+                           (["sweep", "--fractions", "0.95,1.05", "--controllers", "all",
+                             "--gains", str(gains)], 4)):
+        calls.clear()
+        assert main([*argv, "--case", case_path, "--out", out]) == EXIT_OK
+        assert len(calls) == expected, argv
+
+
+@pytest.mark.parametrize("command", ["modal", "sweep", "scan-n1", "simulate"])
+def test_gains_missing_a_machine_is_input_error(command, case_path, tmp_path, capsys,
+                                                bundled_design):
+    ctrl = bundled_design[0].to_dict()
+    ctrl = {k: v[:3] for k, v in ctrl.items()}          # machine 4 left out
+    gains = tmp_path / "gains.json"
+    gains.write_text(json.dumps(ctrl))
+    # x3.0 has no power flow: the gains are checked before any point is built
+    extra = {"sweep": ["--fractions", "3.0"],
+             "simulate": ["--scenario", str(tmp_path / "scen.json")]}.get(command, [])
+    (tmp_path / "scen.json").write_text(json.dumps({"duration": 0.1}))
+    assert main([command, "--case", case_path, "--controllers", "all",
+                 "--gains", str(gains), *extra]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "input error:" in err and "[4]" in err
+
+
 def test_scan_radial_case_all_island(tmp_path):
     p = tmp_path / "radial.json"
     p.write_text(make_two_bus_text())

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -226,7 +227,11 @@ def test_control_input_unity_chain(bundled_eq):
     for k, mid in enumerate(lay.machine_ids):
         assert model.pf[k, PF.PCREF] == bundled_eq.state[lay.idx(mid, "pm")]
         assert model.pf[k, PF.PCREF] == bundled_eq.state[lay.idx(mid, "xe")]
-    assert not model.active.any()       # no auxiliary signal at initialization
+    # the initialized model is immutable: its plan was built from these values
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.gmat = model.gmat.copy()
+    with pytest.raises(ValueError):
+        model.pf[0, PF.PCREF] = 0.0
 
 
 def test_exciter_limit_violation_at_equilibrium():

@@ -43,12 +43,11 @@ def partial_eq():
     return initialize_from_power_flow(case, sol, red)
 
 
-def _model_args(model):
-    return (model.pf, model.pi, model.gains, model.xref, model.active,
-            model.gmat, model.bmat, model.omega0)
+def _model_args(model, control=None):
+    return model.plan, model.gmat, model.bmat, control
 
 
-def _reference_rhs(y, model):
+def _reference_rhs(y, model, control=None):
     """dy of one state, machine by machine, from the elementary forms."""
     pf, pi, w0 = model.pf, model.pi, model.omega0
     dy = np.zeros_like(y)
@@ -92,7 +91,9 @@ def _reference_rhs(y, model):
 
         if ix[PI.HAS_GOV]:
             x5 = np.array([delta[k], omega, pm, xm, xe])
-            pc = p[PF.PCREF] + model.active[k] * (model.gains[k] @ (x5 - model.xref[k]))
+            pc = p[PF.PCREF]
+            if control is not None:
+                pc = pc + control.active[k] * (control.gains[k] @ (x5 - control.xref[k]))
             gov = GovernorParams(machine=k, ke=p[PF.KE], te=p[PF.TE], t3=p[PF.T3],
                                  t4=p[PF.T4], t5=p[PF.T5], tm=p[PF.TM],
                                  r=p[PF.RDROOP])
@@ -132,15 +133,13 @@ def test_rhs_parity(bundled_eq):
 
 
 def test_rhs_parity_with_controllers(bundled_eq, bundled_design):
-    model = bundled_eq.model.copy()
+    model = bundled_eq.model
     ctrl, _ = bundled_design
-    model.gains = ctrl.gains.copy()
-    model.active = np.ones(model.n_machines)
-    model.xref = bundled_eq.x5.copy()
+    control = kernels.Control(ctrl.gains, bundled_eq.x5, np.ones(model.n_machines))
     rng = np.random.default_rng(1)
     y = bundled_eq.state + 0.05 * rng.standard_normal(model.n_states)
-    d_plan = kernels.rhs(y, *_model_args(model))
-    assert np.allclose(d_plan, _reference_rhs(y, model), rtol=1e-12, atol=1e-10)
+    d_plan = kernels.rhs(y, *_model_args(model, control))
+    assert np.allclose(d_plan, _reference_rhs(y, model, control), rtol=1e-12, atol=1e-10)
 
 
 def test_span_parity(bundled_eq):
@@ -180,14 +179,15 @@ def test_valve_clamp_invariant(bundled_eq):
 
 
 def test_partial_device_rhs_parity(partial_eq):
-    model = partial_eq.model.copy()
+    model = partial_eq.model
     rng = np.random.default_rng(3)
-    model.gains = 100.0 * rng.standard_normal((model.n_machines, 5))
-    model.active = np.array([1.0, 0.0, 1.0, 0.0])
+    control = kernels.Control(100.0 * rng.standard_normal((model.n_machines, 5)),
+                              partial_eq.x5, np.array([1.0, 0.0, 1.0, 0.0]))
     for scale in (0.01, 0.1, 1.0):      # 1.0 drives the limiters
         y = partial_eq.state + scale * rng.standard_normal(model.n_states)
-        d_plan = kernels.rhs(y, *_model_args(model))
-        assert np.allclose(d_plan, _reference_rhs(y, model), rtol=1e-12, atol=1e-10)
+        d_plan = kernels.rhs(y, *_model_args(model, control))
+        assert np.allclose(d_plan, _reference_rhs(y, model, control),
+                           rtol=1e-12, atol=1e-10)
 
 
 def test_partial_device_span_parity(partial_eq):
@@ -268,3 +268,20 @@ def test_stacked_span_reports_first_divergent_row(bundled_eq):
     assert 0 < first < 399
     assert kernels.rk4_span(ys, 0.005, 400, *_model_args(model)) == first
     assert np.allclose(ys[0], bundled_eq.state, atol=1e-6)   # the quiet row
+
+
+def test_plan_built_once_per_model(bundled_case, bundled_eq, monkeypatch):
+    """The model builds its plan when it is initialized; evaluating,
+    linearizing and simulating it build no other."""
+    from oscdamp.simulator import Scenario, Event, simulate
+    from oscdamp.smallsignal import linearize
+    builds = []
+    init = kernels.RhsPlan.__init__
+    monkeypatch.setattr(kernels.RhsPlan, "__init__",
+                        lambda self, *a: builds.append(1) or init(self, *a))
+    bundled_eq.rhs_norm()
+    linearize(bundled_eq.model, bundled_eq.state)
+    assert builds == []
+    simulate(bundled_case, None, Scenario(duration=0.1, dt=0.01,
+                                          events=(Event(0.05, "trip_line", (3, 101, 1)),)))
+    assert builds == [1]

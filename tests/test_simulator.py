@@ -152,8 +152,7 @@ def test_linear_regime_agreement(bundled_case, bundled_sol, bundled_red):
         from oscdamp import kernels
         traj = np.zeros((n_steps, eq.model.n_states))
         m = eq.model
-        kernels.rk4_span(y, dt_out / 2, 2 * n_steps, m.pf, m.pi, m.gains,
-                         m.xref, m.active, m.gmat, m.bmat, m.omega0,
+        kernels.rk4_span(y, dt_out / 2, 2 * n_steps, m.plan, m.gmat, m.bmat,
                          out=np.zeros((2 * n_steps, m.n_states)), out_offset=0)
         # rebuild trajectory at dt_out for comparison
         y = eq.state + alpha * direction
@@ -161,8 +160,7 @@ def test_linear_regime_agreement(bundled_case, bundled_sol, bundled_red):
         errs = []
         refs = []
         for k in range(n_steps):
-            kernels.rk4_span(y, dt_out / 2, 2, m.pf, m.pi, m.gains, m.xref,
-                             m.active, m.gmat, m.bmat, m.omega0)
+            kernels.rk4_span(y, dt_out / 2, 2, m.plan, m.gmat, m.bmat)
             z = prop @ z
             errs.append(np.linalg.norm((y - eq.state) / alpha - z))
             refs.append(np.linalg.norm(z))
@@ -281,9 +279,10 @@ def test_derived_channels_match_per_step_reference(bundled_case, bundled_design,
     seen = {}
     derive = simulator._derived_channels
 
-    def spy(model, states, tgrid, segments, bus_ids):
-        seen.update(model=model, states=states, tgrid=tgrid, segments=segments)
-        return derive(model, states, tgrid, segments, bus_ids)
+    def spy(model, gains, states, tgrid, segments, bus_ids):
+        seen.update(model=model, gains=gains, states=states, tgrid=tgrid,
+                    segments=segments)
+        return derive(model, gains, states, tgrid, segments, bus_ids)
 
     monkeypatch.setattr(simulator, "_derived_channels", spy)
     ctrl, _ = bundled_design
@@ -299,8 +298,10 @@ def test_derived_channels_match_per_step_reference(bundled_case, bundled_design,
     ]
     for sc in scenarios:
         res = simulate(bundled_case, ctrl, sc)
-        model, segments = seen["model"], seen["segments"]
+        model, gains, segments = seen["model"], seen["gains"], seen["segments"]
         lay = model.layout
+        design_ix = [[lay.idx(m, s) for s in ("delta", "omega", "pm", "xm", "xe")]
+                     for m in lay.machine_ids]     # every bundled machine is governed
         eqp_ix = [lay.idx(m, "eqp") for m in lay.machine_ids]
         edp_ix = [lay.idx(m, "edp") for m in lay.machine_ids]
         xq_corr = model.pf[:, kernels.PF.XQP] - model.pf[:, kernels.PF.XDP]
@@ -315,8 +316,7 @@ def test_derived_channels_match_per_step_reference(bundled_case, bundled_design,
             e_re, e_im, _, _, i_d, i_q = kernels.network_currents(
                 y[lay.delta_indices], eqp, edp, sg.g, sg.b)
             pe = edp * i_d + eqp * i_q + xq_corr * i_d * i_q
-            x5 = np.array([model.design_state(y, i) for i in range(model.n_machines)])
-            u = sg.active * np.einsum("ij,ij->i", model.gains, x5 - sg.xref)
+            u = sg.active * np.einsum("ij,ij->i", gains, y[design_ix] - sg.xref)
             assert np.allclose(res.pe_sys[k], pe, rtol=1e-12, atol=1e-12)
             assert np.allclose(res.bus_voltage[k], sg.vsolve @ (e_re + 1j * e_im),
                                rtol=1e-12, atol=1e-12)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oscdamp.case import parse_case, scale_stress, apply_line_trip
+from oscdamp.kernels import Control
 from oscdamp.powerflow import solve_power_flow, build_ybus, kron_reduce
 from oscdamp.dynamics import initialize_from_power_flow, build_design_matrices
 from oscdamp.smallsignal import (Mode, NonEquilibriumError, NoOscillatoryMode,
@@ -20,7 +21,7 @@ def test_linearize_requires_equilibrium(bundled_eq):
 
 
 def test_linearize_recovers_linear_system(bundled_eq):
-    """On the governor block the model is linear, so FD is exact to roundoff."""
+    """On the governor block the model is linear, so the matrix is exact to roundoff."""
     a_full = linearize(bundled_eq.model, bundled_eq.state)
     lay = bundled_eq.model.layout
     case_machine = 1
@@ -35,10 +36,11 @@ def test_linearize_recovers_linear_system(bundled_eq):
 
 
 def test_linearize_matches_column_reference(bundled_eq, bundled_design):
-    """The stacked evaluation reproduces one central difference per column."""
-    model = bundled_eq.model.copy()
+    """The complex-step matrix agrees with one central difference per column
+    to the truncation error of the difference."""
+    model = bundled_eq.model
     ctrl, _ = bundled_design
-    model.set_controllers(ctrl.gains, bundled_eq.x5)
+    control = Control(ctrl.gains, bundled_eq.x5, np.ones(model.n_machines))
     x0 = bundled_eq.state
     ref = np.empty((x0.size, x0.size))
     for j in range(x0.size):
@@ -46,8 +48,8 @@ def test_linearize_matches_column_reference(bundled_eq, bundled_design):
         yp, ym = x0.copy(), x0.copy()
         yp[j] += h
         ym[j] -= h
-        ref[:, j] = (model.rhs(yp) - model.rhs(ym)) / (2.0 * h)
-    assert np.allclose(linearize(model, x0), ref, rtol=1e-9, atol=1e-5)
+        ref[:, j] = (model.rhs(yp, control) - model.rhs(ym, control)) / (2.0 * h)
+    assert np.allclose(linearize(model, x0, control), ref, rtol=1e-9, atol=1e-5)
 
 
 def _equilibrium(case):
@@ -55,59 +57,63 @@ def _equilibrium(case):
     return initialize_from_power_flow(case, sol, kron_reduce(build_ybus(case), case, sol))
 
 
+def _valve_limit_case():
+    """Two-bus case whose machine sits at zero output: its valve is shut."""
+    doc = json.loads(make_two_bus_text(p_mw=0.0, q_mvar=0.0))
+    doc["machines"][0]["p_sched_mw"] = 0.0
+    return parse_case(json.dumps(doc))
+
+
 def _closed_loop_pair(case, eq, gains):
-    """The derived closed-loop matrix and the finite-difference one of the
-    model with the gains in service (active where a row is nonzero, reference
-    at the equilibrium)."""
-    model = eq.model.copy()
-    model.set_controllers(gains, eq.x5, np.any(gains != 0.0, axis=1))
+    """The derived closed-loop matrix and the linearization of the model with
+    the gains in service (active where a row is nonzero, reference at the
+    equilibrium)."""
+    control = Control(gains, eq.x5, np.any(gains != 0.0, axis=1).astype(float))
     derived = closed_loop_matrix(linearize(eq.model, eq.state), case,
                                  eq.model.layout, gains)
-    return derived, linearize(model, eq.state)
+    return derived, linearize(eq.model, eq.state, control)
 
 
 @pytest.mark.parametrize("variant", ["bundled", "x0.9", "x1.1", "trip-3-101-1",
-                                     "no-gov-4-zero-row-1"])
+                                     "no-gov-4-zero-row-1", "valve-limit"])
 def test_closed_loop_matrix_matches_linearize(bundled_text, bundled_case,
                                               bundled_design, variant):
     ctrl, _ = bundled_design
-    gains = ctrl.gains[[ctrl.machine_ids.index(m) for m in
-                        (m.id for m in bundled_case.machines)]].copy()
+    gains = ctrl.gains_for(tuple(m.id for m in bundled_case.machines))
     if variant == "no-gov-4-zero-row-1":
         doc = json.loads(bundled_text)
         doc["governors"] = [g for g in doc["governors"] if g["machine"] != 4]
         case = parse_case(json.dumps(doc))
         gains[0] = 0.0
+    elif variant == "valve-limit":
+        case = _valve_limit_case()
+        gains = gains[:1]
     else:
         case = {"bundled": bundled_case,
                 "x0.9": scale_stress(bundled_case, 0.9),
                 "x1.1": scale_stress(bundled_case, 1.1),
                 "trip-3-101-1": apply_line_trip(bundled_case, 3, 101, 1)}[variant]
-    derived, fd = _closed_loop_pair(case, _equilibrium(case), gains)
-    assert np.allclose(derived, fd, rtol=1e-9, atol=1e-5)
+    derived, linearized = _closed_loop_pair(case, _equilibrium(case), gains)
+    assert np.max(np.abs(derived - linearized)) <= 1e-12 * np.max(np.abs(linearized))
 
 
 def test_closed_loop_matrix_at_valve_limit(bundled_design):
-    """With the valve on its limit the finite-difference matrix sees the
-    anti-windup hold: one side of each central difference on the xe row is
-    held at zero, so it reads half the slope there.  The derived matrix adds
-    the full feedback b_xe * k to that row, and the two differ by exactly
-    half of it on the delta, omega, pm and xm columns."""
-    doc = json.loads(make_two_bus_text(p_mw=0.0, q_mvar=0.0))
-    doc["machines"][0]["p_sched_mw"] = 0.0
-    case = parse_case(json.dumps(doc))
+    """With the valve shut at the equilibrium the anti-windup hold does not
+    act on the derivative there, so the xe row keeps its analytic slope:
+    -ke/(te r omega0) on omega in open loop, plus the feedback k_omega/te in
+    closed loop, in the derived matrix and the linearization alike."""
+    case = _valve_limit_case()
     eq = _equilibrium(case)
     assert eq.boundary_machines == (1,)
     gains = bundled_design[0].gains[:1]
-    derived, fd = _closed_loop_pair(case, eq, gains)
+    gov = case.governor_for(1)
+    slope = -gov.ke / (gov.te * gov.r * case.omega0)
     lay = eq.model.layout
-    b_xe = build_design_matrices(case.machines[0], case.governor_for(1),
-                                 case.omega0).b[4]
-    held = [lay.idx(1, s) for s in ("delta", "omega", "pm", "xm")]
-    expected = fd.copy()
-    expected[lay.idx(1, "xe"), held] += 0.5 * b_xe * gains[0, :4]
-    assert np.allclose(derived, expected, rtol=1e-9, atol=1e-5)
-    assert not np.allclose(derived, fd, rtol=1e-9, atol=1e-5)
+    xe, omega = lay.idx(1, "xe"), lay.idx(1, "omega")
+    assert linearize(eq.model, eq.state)[xe, omega] == pytest.approx(slope, rel=1e-12)
+    closed = slope + gains[0, 1] / gov.te
+    for a in _closed_loop_pair(case, eq, gains):
+        assert a[xe, omega] == pytest.approx(closed, rel=1e-12)
 
 
 def test_single_machine_block_equals_analytic():

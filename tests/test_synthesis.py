@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oscdamp import kernels
 from oscdamp.powerflow import ReducedNetwork, solve_power_flow, build_ybus, kron_reduce
 from oscdamp.dynamics import initialize_from_power_flow
 from oscdamp.synthesis import (SynthesisError, coupling_bounds, coupling_rows,
@@ -170,9 +171,9 @@ def test_gain_locality(bundled_design):
 
 
 def test_zero_gain_zero_control(bundled_design):
+    """The governor feedback the simulator evaluates is zero at the reference."""
     ctrl, _ = bundled_design
-    k = ctrl.machine_ids.index(1)
-    assert ctrl.control(k, ctrl.x_ref[k]) == 0.0
+    assert np.all(kernels.feedback(ctrl.gains, ctrl.x_ref - ctrl.x_ref) == 0.0)
 
 
 def test_closed_loop_hurwitz(bundled_design):

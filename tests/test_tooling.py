@@ -2,8 +2,11 @@
 each one it names must exist on the package, or `--trace 1` fails."""
 
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
+
+from oscdamp import kernels
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -16,3 +19,8 @@ def test_span_wraps_resolve(monkeypatch):
     missing = [(target, attr) for target, attr, _, _ in spans.WRAPS
                if not callable(getattr(spans._resolve(target), attr, None))]
     assert spans.WRAPS and missing == []
+
+
+def test_rk4_span_nsteps_is_third_parameter():
+    """The tracer reads a span's step count from the third positional argument."""
+    assert list(inspect.signature(kernels.rk4_span).parameters)[2] == "nsteps"

@@ -159,6 +159,13 @@ class PowerSystemCase:
     def in_service_branches(self) -> tuple[Branch, ...]:
         return tuple(br for br in self.branches if br.in_service)
 
+    def find_branch(self, from_bus: int, to_bus: int, circuit: int) -> Branch | None:
+        """Circuit `circuit` between the two buses, in either orientation."""
+        ends = {from_bus, to_bus}
+        return next((br for br in self.branches
+                     if br.circuit == circuit and {br.from_bus, br.to_bus} == ends),
+                    None)
+
     def setpoint_for_bus(self, bus: Bus) -> float:
         """Voltage setpoint of a PV/slack bus, falling back to its machine's v_sched."""
         if bus.voltage_setpoint is not None:
@@ -406,19 +413,21 @@ def validate_case(case: PowerSystemCase) -> list[str]:
                 v.append(f"bus {b.id}: {b.kind} bus with no setpoint and no machine")
 
     if len(bus_ids) > 1:
-        unreachable = _unreachable_buses(case)
+        unreachable = unreachable_buses(case)
         if unreachable:
             v.append(f"network not connected over in-service branches; "
                      f"unreachable buses: {sorted(unreachable)}")
     return v
 
 
-def _unreachable_buses(case: PowerSystemCase) -> set[int]:
+def unreachable_buses(case: PowerSystemCase) -> set[int]:
+    """Buses cut off from the slack bus (the first bus if there is no slack)
+    over the in-service branches."""
     adj: dict[int, set[int]] = {b.id: set() for b in case.buses}
     for br in case.in_service_branches():
         adj[br.from_bus].add(br.to_bus)
         adj[br.to_bus].add(br.from_bus)
-    start = case.buses[0].id
+    start = next((b.id for b in case.buses if b.kind == "slack"), case.buses[0].id)
     seen = {start}
     stack = [start]
     while stack:
@@ -464,12 +473,7 @@ def scale_stress(case: PowerSystemCase, fraction: float,
 def apply_line_trip(case: PowerSystemCase, from_bus: int, to_bus: int,
                     circuit: int) -> PowerSystemCase:
     """Return a copy of the case with one branch switched out; input unchanged."""
-    target = None
-    for br in case.branches:
-        ends = {br.from_bus, br.to_bus}
-        if ends == {from_bus, to_bus} and br.circuit == circuit:
-            target = br
-            break
+    target = case.find_branch(from_bus, to_bus, circuit)
     if target is None:
         raise CaseError(f"branch {from_bus}-{to_bus} circuit {circuit} not found")
     if not target.in_service:

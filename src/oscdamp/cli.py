@@ -13,9 +13,9 @@ import sys
 from pathlib import Path
 
 from .case import (CaseError, PowerSystemCase, parse_case, validate_case,
-                   scale_stress, apply_line_trip)
-from .powerflow import (PowerFlowDiverged, KronReductionError, build_ybus,
-                        solve_power_flow, kron_reduce)
+                   scale_stress, apply_line_trip, unreachable_buses)
+from .powerflow import (PowerFlowDiverged, KronReductionError, solve_power_flow,
+                        load_admittances, kron_reduce)
 from .dynamics import InitializationError, initialize_from_power_flow
 from .smallsignal import (NonEquilibriumError, NoOscillatoryMode, linearize,
                           closed_loop_matrix, modal_analysis, classify_table,
@@ -48,10 +48,12 @@ def _load_case(path: str) -> tuple[PowerSystemCase, str]:
 
 
 def _pipeline(case: PowerSystemCase):
+    """The operating point of a case: its power flow, and the equilibrium on
+    the network reduced with the loads frozen at the solved voltages."""
     sol = solve_power_flow(case)
-    red = kron_reduce(build_ybus(case), case, sol)
-    eq = initialize_from_power_flow(case, sol, red)
-    return sol, red, eq
+    eq = initialize_from_power_flow(
+        case, sol, kron_reduce(case, load_admittances(case, sol)))
+    return sol, eq
 
 
 def _subset_from_arg(case, spec: str) -> list[int] | None:
@@ -70,11 +72,11 @@ def _subset_from_arg(case, spec: str) -> list[int] | None:
     return subset
 
 
-def _controllers_for(case, args, red=None, eq=None) -> ControllerSet | None:
+def _controllers_for(case, args, eq=None) -> ControllerSet | None:
     """Resolve --controllers/--gains into a ControllerSet (None for PSS-only).
 
-    Designing needs the base operating point: pass its build as `red`/`eq`
-    when the caller has one; otherwise it is built here, and only then."""
+    Designing needs the base operating point: pass it as `eq` when the
+    caller has one; otherwise it is built here, and only then."""
     if args.controllers == "none":
         return None
     if args.gains:
@@ -84,8 +86,8 @@ def _controllers_for(case, args, red=None, eq=None) -> ControllerSet | None:
         ctrl.gains_for(tuple(m.id for m in case.machines))    # a row for every machine
         return ctrl
     if eq is None:
-        _, red, eq = _pipeline(case)
-    ctrl, _ = design_controllers(case, eq, red,
+        _, eq = _pipeline(case)
+    ctrl, _ = design_controllers(case, eq,
                                  subset=_subset_from_arg(case, args.controllers),
                                  beta_bar=args.beta_bar,
                                  bound_scale=args.bound_scale)
@@ -118,7 +120,7 @@ def _point_row(case, controllers, areas: dict, band, detail: bool) -> dict:
     operating point of a sweep (`detail`: also tie flow, frequency and mode
     classes) or of an N-1 scan."""
     try:
-        sol, _, eq = _pipeline(case)
+        sol, eq = _pipeline(case)
         open_table, closed_table = _modal_for(case, eq, areas, controllers)
         worst = min_damping(open_table, *band)
     except NUMERIC_ERRORS as exc:
@@ -137,6 +139,15 @@ def _point_row(case, controllers, areas: dict, band, detail: bool) -> dict:
         if detail:
             row["robust_mode_class"] = worst_c.classification
     return row
+
+
+def _outage_row(case, controllers, areas: dict, band) -> dict:
+    """One N-1 row: an outage that islands buses names those cut off from the
+    slack bus and runs no power flow; any other is an analysed point."""
+    islanded = unreachable_buses(case)
+    if islanded:
+        return {"converged": False, "islanded": sorted(islanded)}
+    return _point_row(case, controllers, areas, band, detail=False)
 
 
 def _mode_dict(m) -> dict:
@@ -167,8 +178,8 @@ def cmd_pf(args) -> int:
 
 def cmd_modal(args) -> int:
     case, text = _load_case(args.case)
-    sol, red, eq = _pipeline(case)
-    controllers = _controllers_for(case, args, red, eq)
+    sol, eq = _pipeline(case)
+    controllers = _controllers_for(case, args, eq)
     open_table, closed_table = _modal_for(case, eq, machine_areas(case), controllers,
                                           open_loop=controllers is None)
     table = open_table if closed_table is None else closed_table
@@ -195,9 +206,9 @@ def cmd_modal(args) -> int:
 
 def cmd_design(args) -> int:
     case, text = _load_case(args.case)
-    _, red, eq = _pipeline(case)
+    _, eq = _pipeline(case)
     subset = _subset_from_arg(case, args.controllers)    # main() maps none to all
-    ctrl, res = design_controllers(case, eq, red, subset=subset,
+    ctrl, res = design_controllers(case, eq, subset=subset,
                                    beta_bar=args.beta_bar,
                                    bound_scale=args.bound_scale)
     _, table = _modal_for(case, eq, machine_areas(case), ctrl, open_loop=False)
@@ -293,10 +304,10 @@ def cmd_scan_n1(args) -> int:
     areas = machine_areas(case)
     controllers = _controllers_for(case, args)
     rows = [{"branch": list(key),
-             **_point_row(apply_line_trip(case, *key), controllers, areas,
-                          args.band, detail=False)}
+             **_outage_row(apply_line_trip(case, *key), controllers, areas, args.band)}
             for key in sorted(br.key() for br in case.in_service_branches())]
     n_conv = sum(1 for r in rows if r["converged"])
+    n_island = sum(1 for r in rows if "islanded" in r)
     results = {"rows": rows, "branches_total": len(rows),
                "branches_converged": n_conv,
                "controllers": controllers.to_dict() if controllers else None}
@@ -308,7 +319,7 @@ def cmd_scan_n1(args) -> int:
                     f"{r.get('zeta_robust_pct', '')}\n")
         write_report(args.out, "scan_n1", _config(args), results, text,
                      {"scan_n1.csv": csv})
-    print(f"scanned {len(rows)} branches, {n_conv} converged")
+    print(f"scanned {len(rows)} branches, {n_conv} converged, {n_island} islanded")
     for r in rows:
         if r["converged"]:
             extra = f" robust {r.get('zeta_robust_pct', float('nan')):6.2f}%" \
@@ -320,10 +331,10 @@ def cmd_scan_n1(args) -> int:
 
 def cmd_export_sdpa(args) -> int:
     case, text = _load_case(args.case)
-    _, red, eq = _pipeline(case)
+    _, eq = _pipeline(case)
     subset = _subset_from_arg(case, "all" if args.controllers == "none"
                               else args.controllers)
-    _, res = design_controllers(case, eq, red, subset=subset,
+    _, res = design_controllers(case, eq, subset=subset,
                                 beta_bar=args.beta_bar,
                                 bound_scale=args.bound_scale)
     sdpa_text = export_sdpa(res.problem)

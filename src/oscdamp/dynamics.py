@@ -231,9 +231,11 @@ def _pack_parameters(case: PowerSystemCase, layout: StateLayout):
 
 @dataclass
 class Equilibrium:
-    """Initialized operating point: the model plus its fixed-point state."""
+    """Initialized operating point: the model, its fixed-point state and the
+    reduced network it was initialized on."""
 
     model: SimModel
+    network: ReducedNetwork
     state: np.ndarray
     boundary_machines: tuple[int, ...]
     delta: np.ndarray
@@ -352,5 +354,6 @@ def initialize_from_power_flow(case: PowerSystemCase, sol: PowerFlowSolution,
 
     model = SimModel(layout=layout, omega0=case.omega0, pf=pf, pi=pi,
                      gmat=reduced.g.copy(), bmat=reduced.b.copy())
-    return Equilibrium(model=model, state=y0, boundary_machines=tuple(boundary),
+    return Equilibrium(model=model, network=reduced, state=y0,
+                       boundary_machines=tuple(boundary),
                        delta=delta, eqp=eqp, edp=edp, pe_sys=pe_sys, x5=x5)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .case import PowerSystemCase
+from .case import Branch, PowerSystemCase
 
 
 class PowerFlowDiverged(Exception):
@@ -64,15 +64,31 @@ class PowerFlowSolution:
 
 @dataclass(frozen=True)
 class ReducedNetwork:
-    """Conductance/susceptance coupling between machine internal nodes."""
+    """Conductance/susceptance coupling between machine internal nodes, and
+    the map from the internal EMFs back to the bus voltages."""
 
     g: np.ndarray          # real (m, m)
     b: np.ndarray          # real (m, m)
     machine_ids: tuple[int, ...]
+    emf_to_bus: np.ndarray | None = None     # complex (n_bus, m): v = emf_to_bus @ e
+    bus_ids: tuple[int, ...] = ()
 
     @property
     def n_machines(self) -> int:
         return len(self.machine_ids)
+
+
+def _pi_admittances(br: Branch) -> tuple[complex, complex]:
+    """Series admittance and half the line charging of a pi-model branch."""
+    return 1.0 / complex(br.r, br.x), 1j * br.b / 2.0
+
+
+def branch_power(br: Branch, vf, vt):
+    """Complex power (p.u.) entering the branch at the end with voltage `vf`
+    (scalars or arrays); the pi model is end-symmetric, so either orientation
+    is evaluated directly."""
+    ys, sh = _pi_admittances(br)
+    return vf * np.conj(ys * (vf - vt) + sh * vf)
 
 
 def build_ybus(case: PowerSystemCase) -> AdmittanceMatrix:
@@ -82,8 +98,7 @@ def build_ybus(case: PowerSystemCase) -> AdmittanceMatrix:
     n = len(bus_ids)
     y = np.zeros((n, n), dtype=complex)
     for br in case.in_service_branches():
-        ys = 1.0 / complex(br.r, br.x)
-        sh = 1j * br.b / 2.0
+        ys, sh = _pi_admittances(br)
         f, t = idx[br.from_bus], idx[br.to_bus]
         y[f, f] += ys + sh
         y[t, t] += ys + sh
@@ -198,16 +213,15 @@ def machine_internal_admittances(case: PowerSystemCase) -> np.ndarray:
     return 1.0 / (1j * xdp_sys)
 
 
-def kron_reduce(ybus: AdmittanceMatrix, case: PowerSystemCase,
-                sol: PowerFlowSolution,
-                y_load: np.ndarray | None = None) -> ReducedNetwork:
-    """Eliminate every node except machine internal nodes by Schur complement.
+def kron_reduce(case: PowerSystemCase, y_load: np.ndarray) -> ReducedNetwork:
+    """Eliminate every bus, keeping the machine internal nodes (Schur complement).
 
-    Loads become shunt admittances from the solved voltages; each machine
-    attaches through its transient reactance to a new internal node.
+    The augmented admittance is Ybus, plus the per-bus load shunts `y_load`
+    (constant-impedance loads), plus each machine's transient admittance to a
+    new internal node.  The one elimination solve gives both the reduction and
+    the map from internal EMFs to bus voltages.
     """
-    if y_load is None:
-        y_load = load_admittances(case, sol)
+    ybus = build_ybus(case)
     n = len(ybus.bus_ids)
     m = len(case.machines)
     idx = {bid: i for i, bid in enumerate(ybus.bus_ids)}
@@ -229,34 +243,22 @@ def kron_reduce(ybus: AdmittanceMatrix, case: PowerSystemCase,
     y_ke = aug[np.ix_(keep, elim)]
     y_ee = aug[np.ix_(elim, elim)]
     try:
-        reduced = y_kk - y_ke @ np.linalg.solve(y_ee, y_ke.T)
+        x = np.linalg.solve(y_ee, y_ke.T)
     except np.linalg.LinAlgError as exc:
         raise KronReductionError("singular elimination block (islanded node)") from exc
-    if not np.all(np.isfinite(reduced)):
+    reduced = y_kk - y_ke @ x
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(reduced))):
         raise KronReductionError("non-finite entries after elimination (islanded node)")
     return ReducedNetwork(g=reduced.real.copy(), b=reduced.imag.copy(),
-                          machine_ids=tuple(mach.id for mach in case.machines))
+                          machine_ids=tuple(mach.id for mach in case.machines),
+                          emf_to_bus=-x, bus_ids=ybus.bus_ids)
 
 
 def branch_flow(case: PowerSystemCase, sol: PowerFlowSolution,
                 from_bus: int, to_bus: int, circuit: int) -> complex:
     """Complex power (p.u.) entering the branch at from_bus."""
-    br = None
-    for cand in case.in_service_branches():
-        if (cand.from_bus, cand.to_bus, cand.circuit) == (from_bus, to_bus, circuit):
-            br = cand
-            sign = 1
-            break
-        if (cand.to_bus, cand.from_bus, cand.circuit) == (from_bus, to_bus, circuit):
-            br = cand
-            sign = -1
-            break
-    if br is None:
+    br = case.find_branch(from_bus, to_bus, circuit)
+    if br is None or not br.in_service:
         raise ValueError(f"branch {from_bus}-{to_bus} circuit {circuit} not in service")
     vc = sol.voltage()
-    f = sol.index_of(from_bus)
-    t = sol.index_of(to_bus)
-    ys = 1.0 / complex(br.r, br.x)
-    sh = 1j * br.b / 2.0
-    i_from = ys * (vc[f] - vc[t]) + sh * vc[f]
-    return vc[f] * np.conj(i_from)
+    return branch_power(br, vc[sol.index_of(from_bus)], vc[sol.index_of(to_bus)])

@@ -3,9 +3,10 @@
 Classic RK4 on the closed-loop multi-machine model.  Events (line trip, load
 step, controller activation/deactivation) land exactly on their times: when
 an event falls inside a step, the step is split so the state grid stays
-uniform.  After a topology or load event the reduced network is rebuilt from
-a re-factored admittance matrix with load admittances frozen at their
-pre-disturbance values (constant-impedance loads); dynamic states carry over
+uniform.  After a topology or load event the network is reduced again, with
+load admittances frozen at their pre-disturbance values (constant-impedance
+loads); each reduction also maps the internal EMFs to the bus voltages, from
+which the `vm:` and `flow:` channels are read.  Dynamic states carry over
 continuously.  Controller references stay at the last pre-disturbance
 equilibrium unless activation finds the system settled on a changed network.
 """
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .case import PowerSystemCase, apply_line_trip
-from .powerflow import (build_ybus, solve_power_flow, kron_reduce,
-                        load_admittances, machine_internal_admittances)
+from .powerflow import (KronReductionError, ReducedNetwork, branch_power,
+                        solve_power_flow, kron_reduce, load_admittances)
 from .dynamics import SimModel, initialize_from_power_flow
 from .synthesis import ControllerSet
 from . import kernels
@@ -99,11 +100,9 @@ def parse_scenario(text: str) -> Scenario:
 
 @dataclass
 class _Segment:
-    """Network map and controller configuration valid from t_start onward."""
+    """Network and controller configuration valid from t_start onward."""
     t_start: float
-    g: np.ndarray
-    b: np.ndarray
-    vsolve: np.ndarray
+    network: ReducedNetwork
     active: np.ndarray
     xref: np.ndarray
 
@@ -138,28 +137,6 @@ class SimulationResult:
         return buf.getvalue()
 
 
-def _network_matrices(case: PowerSystemCase, y_load: np.ndarray):
-    """Machine-coupling reduction plus the linear map internal EMF -> bus voltages."""
-    ybus = build_ybus(case)
-    n = len(ybus.bus_ids)
-    idx = {b: i for i, b in enumerate(ybus.bus_ids)}
-    y_int = machine_internal_admittances(case)
-    y_aug = ybus.y + np.diag(y_load)
-    inj_cols = np.zeros((n, len(case.machines)), dtype=complex)
-    for k, m in enumerate(case.machines):
-        i = idx[m.bus]
-        y_aug[i, i] += y_int[k]
-        inj_cols[i, k] = y_int[k]
-    try:
-        vsolve = np.linalg.solve(y_aug, inj_cols)
-    except np.linalg.LinAlgError as exc:
-        raise ScenarioError("event left the network islanded") from exc
-    if not np.all(np.isfinite(vsolve)):
-        raise ScenarioError("event left the network islanded")
-    red = kron_reduce(ybus, case, None, y_load=y_load)
-    return red, vsolve, ybus.bus_ids
-
-
 def _internal_emf(model: SimModel, states: np.ndarray) -> np.ndarray:
     lay = model.layout
     delta = states[..., lay.delta_indices]
@@ -172,13 +149,12 @@ def simulate(case: PowerSystemCase, controllers: ControllerSet | None,
              scenario: Scenario) -> SimulationResult:
     scenario.validate()
     sol = solve_power_flow(case)
-    red0 = kron_reduce(build_ybus(case), case, sol)
-    eq = initialize_from_power_flow(case, sol, red0)
+    y_load = load_admittances(case, sol)
+    eq = initialize_from_power_flow(case, sol, kron_reduce(case, y_load))
     model = eq.model
     plan = model.plan
     lay = model.layout
     n_mach = model.n_machines
-    y_load = load_admittances(case, sol)
 
     gains = (np.zeros((n_mach, 5)) if controllers is None
              else controllers.gains_for(lay.machine_ids))
@@ -192,7 +168,6 @@ def simulate(case: PowerSystemCase, controllers: ControllerSet | None,
             [1.0 if m in scenario.initial_active else 0.0 for m in lay.machine_ids])
 
     current_case = case
-    red, vsolve, bus_ids = _network_matrices(current_case, y_load)
 
     dt = scenario.dt
     n_steps = int(round(scenario.duration / dt))
@@ -201,7 +176,7 @@ def simulate(case: PowerSystemCase, controllers: ControllerSet | None,
     states[0] = eq.state
     y = eq.state.copy()
     event_log: list = []
-    segments = [_Segment(0.0, red.g, red.b, vsolve, active, eq.x5)]
+    segments = [_Segment(0.0, eq.network, active, eq.x5)]
     divergent = False
     div_time = None
     topology_changed = False
@@ -210,7 +185,7 @@ def simulate(case: PowerSystemCase, controllers: ControllerSet | None,
     def span(h: float, count: int, **record) -> int:
         """RK4 over `count` steps on the current segment's network and control."""
         s = segments[-1]
-        return kernels.rk4_span(y, h, count, plan, s.g, s.b,
+        return kernels.rk4_span(y, h, count, plan, s.network.g, s.network.b,
                                 kernels.Control(gains, s.xref, s.active), **record)
 
     def advance(count: int) -> bool:
@@ -227,28 +202,32 @@ def simulate(case: PowerSystemCase, controllers: ControllerSet | None,
         step += count
         return True
 
+    def reduce() -> ReducedNetwork:
+        try:
+            return kron_reduce(current_case, y_load)
+        except KronReductionError as exc:
+            raise ScenarioError("event left the network islanded") from exc
+
     def fire(ev: Event, t_now: float) -> None:
-        nonlocal current_case, y_load, vsolve, bus_ids, topology_changed
+        nonlocal current_case, y_load, topology_changed
         seg = segments[-1]
-        g, b, active, xref = seg.g, seg.b, seg.active, seg.xref
+        net, active, xref = seg.network, seg.active, seg.xref
         if ev.action == "trip_line":
             f, t, c = ev.params
             current_case = apply_line_trip(current_case, f, t, c)
-            red, vsolve, bus_ids = _network_matrices(current_case, y_load)
-            g, b = red.g, red.b
+            net = reduce()
             topology_changed = True
             event_log.append({"time": t_now, "action": "trip_line", "branch": [f, t, c]})
         elif ev.action == "step_load":
             bus, dp, dq = ev.params
-            if bus not in bus_ids:
+            if bus not in net.bus_ids:
                 raise ScenarioError(f"step_load references unknown bus {bus}")
-            idx = list(bus_ids).index(bus)
-            vm_now = abs((vsolve @ _internal_emf(model, y))[idx])
+            idx = net.bus_ids.index(bus)
+            vm_now = abs((net.emf_to_bus @ _internal_emf(model, y))[idx])
             s = complex(dp, dq) / current_case.base_mva
             y_load = y_load.copy()
             y_load[idx] += np.conj(s) / (vm_now ** 2 if vm_now > 0 else 1.0)
-            red, vsolve, bus_ids = _network_matrices(current_case, y_load)
-            g, b = red.g, red.b
+            net = reduce()
             topology_changed = True
             event_log.append({"time": t_now, "action": "step_load", "bus": bus,
                               "dp_mw": dp, "dq_mvar": dq})
@@ -258,7 +237,8 @@ def simulate(case: PowerSystemCase, controllers: ControllerSet | None,
                 [1.0 if m in sel else 0.0 for m in lay.machine_ids])
             if ev.action == "activate_controllers":
                 omega = y[lay.speed_indices]
-                rhs = kernels.rhs(y, plan, g, b, kernels.Control(gains, xref, active))
+                rhs = kernels.rhs(y, plan, net.g, net.b,
+                                  kernels.Control(gains, xref, active))
                 non_angle = np.delete(rhs, lay.delta_indices)
                 # post-event steady state is a uniformly drifting frame:
                 # speeds equal (common droop slip) and all other derivatives quiet
@@ -279,7 +259,7 @@ def simulate(case: PowerSystemCase, controllers: ControllerSet | None,
                 active = active * (1.0 - mask)
                 event_log.append({"time": t_now, "action": ev.action,
                                   "machines": "all" if sel == "all" else list(sel)})
-        segments.append(_Segment(t_now, g, b, vsolve, active, xref))
+        segments.append(_Segment(t_now, net, active, xref))
 
     for ev in scenario.events:
         if divergent:
@@ -308,17 +288,17 @@ def simulate(case: PowerSystemCase, controllers: ControllerSet | None,
         advance(n_steps - step)
 
     pe, pm_sys, u_out, vbus = _derived_channels(model, gains, states, tgrid,
-                                                segments, bus_ids)
+                                                segments)
     return SimulationResult(time=tgrid, states=states, layout=lay,
                             machine_ids=lay.machine_ids, pe_sys=pe,
                             pm_sys=pm_sys, u=u_out, bus_voltage=vbus,
-                            bus_ids=tuple(bus_ids), event_log=event_log,
+                            bus_ids=eq.network.bus_ids, event_log=event_log,
                             case=case, base_mva=case.base_mva,
                             divergent=divergent, divergence_time=div_time)
 
 
 def _derived_channels(model: SimModel, gains: np.ndarray, states: np.ndarray,
-                      tgrid: np.ndarray, segments: list, bus_ids) -> tuple:
+                      tgrid: np.ndarray, segments: list) -> tuple:
     """Electrical power, mechanical power, auxiliary governor signal and bus
     voltages, evaluated for blocks of rows at once on each segment's network
     and controller setting."""
@@ -327,7 +307,7 @@ def _derived_channels(model: SimModel, gains: np.ndarray, states: np.ndarray,
     pe = np.zeros((n_t, model.n_machines))
     pm_sys = np.zeros_like(pe)
     u_out = np.zeros_like(pe)
-    vbus = np.zeros((n_t, len(bus_ids)), dtype=complex)
+    vbus = np.zeros((n_t, len(segments[0].network.bus_ids)), dtype=complex)
     # a row belongs to the last segment started at or before its time
     bounds = ([0] + [int(np.count_nonzero(tgrid < s.t_start - 1e-12))
                      for s in segments[1:]] + [n_t])
@@ -336,8 +316,9 @@ def _derived_channels(model: SimModel, gains: np.ndarray, states: np.ndarray,
             rows = slice(b0, min(b0 + _DERIVED_BLOCK_ROWS, r1))
             ye = plan.extend(states[rows])
             delta, _, eqp, edp, pm, _ = plan.machine_states(ye)
-            e_re, e_im, *_, pe[rows] = plan.network(delta, eqp, edp, s.g, s.b)
-            vbus[rows] = (e_re + 1j * e_im) @ s.vsolve.T
+            e_re, e_im, *_, pe[rows] = plan.network(delta, eqp, edp,
+                                                    s.network.g, s.network.b)
+            vbus[rows] = (e_re + 1j * e_im) @ s.network.emf_to_bus.T
             pm_sys[rows] = pm * plan.sout
             u_out[rows] = s.active * kernels.feedback(gains, ye[:, plan.ix5] - s.xref)
     return pe, pm_sys, u_out, vbus
@@ -363,7 +344,7 @@ def measure(result: SimulationResult, channel: str) -> np.ndarray:
         if kind == "u":
             return result.u[:, ids.index(int(parts[1]))]
         if kind == "vm":
-            return np.abs(result.bus_voltage[:, list(result.bus_ids).index(int(parts[1]))])
+            return np.abs(result.bus_voltage[:, result.bus_ids.index(int(parts[1]))])
         if kind == "flow":
             return _branch_flow_series(result, int(parts[1]), int(parts[2]),
                                        int(parts[3]))
@@ -374,27 +355,19 @@ def measure(result: SimulationResult, channel: str) -> np.ndarray:
 
 def _branch_flow_series(result: SimulationResult, f: int, t: int,
                         circuit: int) -> np.ndarray:
-    br = None
-    for cand in result.case.branches:
-        if {cand.from_bus, cand.to_bus} == {f, t} and cand.circuit == circuit:
-            br = cand
-            break
+    br = result.case.find_branch(f, t, circuit)
     if br is None:
         raise ScenarioError(f"branch {f}-{t} circuit {circuit} not in the case")
     trip_time = np.inf
     if not br.in_service:
         trip_time = -np.inf
     for ev in result.event_log:
-        if ev["action"] == "trip_line" and \
-                {ev["branch"][0], ev["branch"][1]} == {f, t} and ev["branch"][2] == circuit:
+        if ev["action"] == "trip_line" and result.case.find_branch(*ev["branch"]) is br:
             trip_time = ev["time"]
             break
-    vf = result.bus_voltage[:, list(result.bus_ids).index(f)]
-    vt = result.bus_voltage[:, list(result.bus_ids).index(t)]
-    ys = 1.0 / complex(br.r, br.x)
-    sh = 1j * br.b / 2.0
-    # pi model is end-symmetric, so the requested orientation is evaluated directly
-    p = np.real(vf * np.conj(ys * (vf - vt) + sh * vf)) * result.base_mva
+    vf = result.bus_voltage[:, result.bus_ids.index(f)]
+    vt = result.bus_voltage[:, result.bus_ids.index(t)]
+    p = np.real(branch_power(br, vf, vt)) * result.base_mva
     p[result.time >= trip_time - 1e-12] = 0.0
     return p
 

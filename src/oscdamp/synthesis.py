@@ -294,11 +294,11 @@ def assemble_synthesis_lmi(design_models: list[DesignModel],
 
 @dataclass
 class ControllerSet:
-    """Per-machine feedback rows over [delta, omega_r, pm, xm, xe] plus references."""
+    """Per-machine feedback rows over [delta, omega_r, pm, xm, xe]; the
+    reference they act about is each operating point's own equilibrium."""
 
     machine_ids: tuple[int, ...]
     gains: np.ndarray          # (n, 5); zero rows for uncontrolled machines
-    x_ref: np.ndarray          # (n, 5)
 
     def gains_for(self, machine_ids: tuple[int, ...]) -> np.ndarray:
         """Gain rows in the order of `machine_ids`; every id must have one."""
@@ -309,14 +309,13 @@ class ControllerSet:
 
     def to_dict(self) -> dict:
         return {"machine_ids": list(self.machine_ids),
-                "gains": self.gains.tolist(),
-                "x_ref": self.x_ref.tolist()}
+                "gains": self.gains.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ControllerSet":
+        """Read a `controllers` block; an `x_ref` entry of older files is ignored."""
         return cls(machine_ids=tuple(d["machine_ids"]),
-                   gains=np.array(d["gains"], dtype=float),
-                   x_ref=np.array(d["x_ref"], dtype=float))
+                   gains=np.array(d["gains"], dtype=float))
 
 
 @dataclass
@@ -360,7 +359,6 @@ class SynthesisResult:
 
 def extract_gains(solution: LmiSolution, design_models: list[DesignModel],
                   subset_ids: list[int], all_ids: tuple[int, ...],
-                  x_ref: np.ndarray,
                   state_scale: np.ndarray | None = None) -> tuple[ControllerSet, dict]:
     """Recover k_i = L_i Y_i^{-1} and assert the design-level closed loop is stable.
 
@@ -392,17 +390,16 @@ def extract_gains(solution: LmiSolution, design_models: list[DesignModel],
     for k, mid in enumerate(all_ids):
         if mid in gains_by_id:
             gains[k] = gains_by_id[mid]
-    return ControllerSet(machine_ids=tuple(all_ids), gains=gains,
-                         x_ref=np.asarray(x_ref, dtype=float).copy()), eigs_by_id
+    return ControllerSet(machine_ids=tuple(all_ids), gains=gains), eigs_by_id
 
 
 def design_controllers(case: PowerSystemCase, equilibrium: Equilibrium,
-                       reduced: ReducedNetwork,
                        subset: list[int] | None = None,
                        beta_bar: float | np.ndarray = 1.0,
                        bound_scale: float = DEFAULT_BOUND_SCALE
                        ) -> tuple[ControllerSet, SynthesisResult]:
-    """Full synthesis pipeline at an initialized operating point.
+    """Full synthesis pipeline at an initialized operating point, on the
+    reduced network the point was initialized on.
 
     `subset` lists machine ids to host controllers (default: every machine
     with a governor).  EMF ceilings are E_MAX_FACTOR times the equilibrium
@@ -431,7 +428,8 @@ def design_controllers(case: PowerSystemCase, equilibrium: Equilibrium,
     e_max_q = E_MAX_FACTOR * np.abs(equilibrium.eqp)
     e_max_d = np.maximum(E_MAX_FACTOR * np.abs(equilibrium.edp), E_MAX_D_FLOOR)
     power_scale = np.array([case.base_mva / m.mva for m in case.machines])
-    bounds = coupling_bounds(reduced, e_max_q, e_max_d, power_scale=power_scale)
+    bounds = coupling_bounds(equilibrium.network, e_max_q, e_max_d,
+                             power_scale=power_scale)
 
     subset_pos = [pos[mid] for mid in subset_ids]
     h_rows = coupling_rows(bounds, subset=subset_pos, weight_scale=bound_scale)
@@ -454,7 +452,7 @@ def design_controllers(case: PowerSystemCase, equilibrium: Equilibrium,
         raise SynthesisError(f"synthesis LMI not solved: status {solution.status}")
     chk = check_solution(problem, solution)
     controllers, eigs = extract_gains(solution, scaled_models, subset_ids,
-                                      all_ids, equilibrium.x5, state_scale=tscale)
+                                      all_ids, state_scale=tscale)
     result = SynthesisResult(
         subset=tuple(subset_ids),
         y_mats={dm.machine_id: solution.values[f"Y{i}"] for i, dm in enumerate(design_models)},

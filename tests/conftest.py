@@ -4,7 +4,7 @@ import pytest
 
 import oscdamp
 from oscdamp.case import parse_case
-from oscdamp.powerflow import solve_power_flow, build_ybus, kron_reduce
+from oscdamp.powerflow import solve_power_flow, load_admittances, kron_reduce
 from oscdamp.dynamics import initialize_from_power_flow
 from oscdamp.synthesis import design_controllers
 from oscdamp.areas import machine_areas
@@ -27,7 +27,7 @@ def bundled_sol(bundled_case):
 
 @pytest.fixture(scope="session")
 def bundled_red(bundled_case, bundled_sol):
-    return kron_reduce(build_ybus(bundled_case), bundled_case, bundled_sol)
+    return kron_reduce(bundled_case, load_admittances(bundled_case, bundled_sol))
 
 
 @pytest.fixture(scope="session")
@@ -41,9 +41,9 @@ def bundled_areas(bundled_case):
 
 
 @pytest.fixture(scope="session")
-def bundled_design(bundled_case, bundled_eq, bundled_red):
+def bundled_design(bundled_case, bundled_eq):
     """Default all-machine synthesis; shared because the solve is expensive."""
-    return design_controllers(bundled_case, bundled_eq, bundled_red)
+    return design_controllers(bundled_case, bundled_eq)
 
 
 def make_two_bus_text(p_mw=50.0, q_mvar=20.0, x=0.1):

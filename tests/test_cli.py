@@ -238,6 +238,25 @@ def test_scan_radial_case_all_island(tmp_path):
     assert doc["results"]["branches_converged"] == 0
 
 
+def test_scan_islanding_outages_run_no_power_flow(case_path, tmp_path, monkeypatch):
+    """An outage that cuts buses off from the slack bus is reported with those
+    buses before any power flow; only the connected outages are solved."""
+    import oscdamp.cli as cli
+    calls = []
+    solve = cli.solve_power_flow
+    monkeypatch.setattr(cli, "solve_power_flow", lambda case: calls.append(1) or solve(case))
+    out = tmp_path / "out"
+    assert main(["scan-n1", "--case", case_path, "--out", str(out)]) == EXIT_OK
+    rows = json.loads((out / "scan_n1.json").read_text())["results"]["rows"]
+    islanded = {tuple(r["branch"]): r for r in rows if "islanded" in r}
+    assert len(islanded) == 10
+    assert len(calls) == 4
+    assert all(r == {"branch": list(k), "converged": False, "islanded": r["islanded"]}
+               for k, r in islanded.items())
+    assert islanded[(3, 4, 1)]["islanded"] == [4]
+    assert islanded[(20, 3, 1)]["islanded"] == [1, 2, 10, 20]
+
+
 def test_scan_row_count(case_path, tmp_path):
     out = tmp_path / "out"
     assert main(["scan-n1", "--case", case_path, "--out", str(out)]) == EXIT_OK

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from oscdamp.case import parse_case
-from oscdamp.powerflow import solve_power_flow, build_ybus, kron_reduce, ReducedNetwork
+from oscdamp.powerflow import (solve_power_flow, load_admittances, kron_reduce,
+                               ReducedNetwork)
 from oscdamp.dynamics import (rotor_rhs, governor_turbine_rhs, two_axis_rhs,
                               electrical_power, build_design_matrices,
                               initialize_from_power_flow, InitializationError)
@@ -194,7 +195,7 @@ def test_initialization_fixed_point_after_trip(bundled_case):
     from oscdamp.case import apply_line_trip
     tripped = apply_line_trip(bundled_case, 3, 101, 1)
     sol = solve_power_flow(tripped)
-    red = kron_reduce(build_ybus(tripped), tripped, sol)
+    red = kron_reduce(tripped, load_admittances(tripped, sol))
     eq = initialize_from_power_flow(tripped, sol, red)
     assert eq.rhs_norm() < 1e-8
 
@@ -204,7 +205,7 @@ def test_zero_output_machine_is_boundary():
     doc["machines"][0]["p_sched_mw"] = 0.0
     case = parse_case(json.dumps(doc))
     sol = solve_power_flow(case)
-    red = kron_reduce(build_ybus(case), case, sol)
+    red = kron_reduce(case, load_admittances(case, sol))
     eq = initialize_from_power_flow(case, sol, red)
     assert eq.boundary_machines == (1,)
     lay = eq.model.layout
@@ -216,7 +217,7 @@ def test_valve_ceiling_violation():
     doc = json.loads(make_two_bus_text(p_mw=120.0, q_mvar=10.0))
     case = parse_case(json.dumps(doc))
     sol = solve_power_flow(case)
-    red = kron_reduce(build_ybus(case), case, sol)
+    red = kron_reduce(case, load_admittances(case, sol))
     with pytest.raises(InitializationError, match="valve"):
         initialize_from_power_flow(case, sol, red)
 
@@ -240,6 +241,6 @@ def test_exciter_limit_violation_at_equilibrium():
                         "efd_min": -0.5, "efd_max": 0.5}]
     case = parse_case(json.dumps(doc))
     sol = solve_power_flow(case)
-    red = kron_reduce(build_ybus(case), case, sol)
+    red = kron_reduce(case, load_admittances(case, sol))
     with pytest.raises(InitializationError, match="field voltage"):
         initialize_from_power_flow(case, sol, red)

@@ -20,7 +20,7 @@ import pytest
 import oscdamp
 from oscdamp import kernels
 from oscdamp.case import GovernorParams, parse_case
-from oscdamp.powerflow import solve_power_flow, build_ybus, kron_reduce
+from oscdamp.powerflow import solve_power_flow, load_admittances, kron_reduce
 from oscdamp.dynamics import (initialize_from_power_flow, rotor_rhs,
                               two_axis_rhs, governor_turbine_rhs)
 from oscdamp.kernels import PF, PI
@@ -39,7 +39,7 @@ def partial_eq():
     doc["psss"] = [dict(machine=m, **PSS) for m in (1, 3)]
     case = parse_case(json.dumps(doc))
     sol = solve_power_flow(case)
-    red = kron_reduce(build_ybus(case), case, sol)
+    red = kron_reduce(case, load_admittances(case, sol))
     return initialize_from_power_flow(case, sol, red)
 
 

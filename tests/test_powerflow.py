@@ -5,7 +5,7 @@ import pytest
 
 from oscdamp.case import parse_case
 from oscdamp.powerflow import (PowerFlowDiverged, build_ybus, solve_power_flow,
-                               kron_reduce)
+                               load_admittances, kron_reduce, branch_flow)
 from oscdamp.areas import tie_flow_mw
 from conftest import make_two_bus_text
 
@@ -145,7 +145,7 @@ def test_kron_two_machines_one_bus():
     }
     case = parse_case(json.dumps(doc))
     sol = solve_power_flow(case)
-    red = kron_reduce(build_ybus(case), case, sol)
+    red = kron_reduce(case, load_admittances(case, sol))
     y = red.g + 1j * red.b
     # hand circuit reduction: internal nodes through ya, yb into one bus node
     # (no load, no other shunts): Y_red = [[ya,0],[0,yb]] - [ya,yb]'[ya,yb]/(ya+yb)
@@ -174,6 +174,30 @@ def test_kron_preserves_equilibrium_injections(bundled_case, bundled_sol, bundle
         v = vc[bundled_sol.index_of(m.bus)]
         i_full = np.conj(complex(p_out[k], q_out[k]) / v)
         assert abs(i_red[k] - i_full) < 1e-8
+
+
+def test_kron_bus_map_reproduces_pf_voltages(bundled_eq, bundled_sol):
+    """The EMF-to-bus-voltage map of the reduction returns the solved bus
+    voltages at the equilibrium EMFs."""
+    eq = bundled_eq
+    emf = (eq.edp + 1j * eq.eqp) * np.exp(1j * (eq.delta - np.pi / 2))
+    assert eq.network.bus_ids == bundled_sol.bus_ids
+    assert np.max(np.abs(eq.network.emf_to_bus @ emf - bundled_sol.voltage())) < 1e-9
+
+
+def test_branch_flows_balance_bus_injections(bundled_case, bundled_sol):
+    """At every bus the pi-model flows into its branches, read from either
+    end, plus its shunt equal the solved net injection."""
+    vc = bundled_sol.voltage()
+    for bus in bundled_case.buses:
+        s_out = sum(branch_flow(bundled_case, bundled_sol, bus.id,
+                                br.to_bus if br.from_bus == bus.id else br.from_bus,
+                                br.circuit)
+                    for br in bundled_case.in_service_branches()
+                    if bus.id in (br.from_bus, br.to_bus))
+        i = bundled_sol.index_of(bus.id)
+        s_out += abs(vc[i]) ** 2 * np.conj(1j * bus.shunt_susceptance)
+        assert abs(s_out - complex(bundled_sol.p[i], bundled_sol.q[i])) < 1e-9
 
 
 def test_kron_electrical_power_matches_pf(bundled_case, bundled_sol, bundled_red):

@@ -194,15 +194,33 @@ def test_activation_reference_is_predisturbance(bundled_case, bundled_design):
 
 def test_activation_reference_after_settling(bundled_case, bundled_design):
     ctrl, _ = bundled_design
-    # small event, long settle, then activation: the settled state on the new
-    # network becomes the reference
-    sc = Scenario(duration=121.0, dt=0.01,
-                  events=(Event(1.0, "step_load", (4, 10.0, 0.0)),
-                          Event(120.0, "activate_controllers", ("all",))),
-                  initial_active="none")
-    res = simulate(bundled_case, ctrl, sc)
-    acts = [e for e in res.event_log if e["action"] == "activate_controllers"]
-    assert acts[0]["reference"] == "settled_state"
+    # a 0.01 MW load step reads settled from about 3 s on: activated at 8 s,
+    # the settled state on the new network becomes the reference; activated
+    # half a second after the step, the pre-disturbance equilibrium stays
+    for t_act, reference in ((8.0, "settled_state"),
+                             (1.5, "pre_disturbance_equilibrium")):
+        sc = Scenario(duration=t_act + 0.5, dt=0.01,
+                      events=(Event(1.0, "step_load", (4, 0.01, 0.0)),
+                              Event(t_act, "activate_controllers", ("all",))),
+                      initial_active="none")
+        res = simulate(bundled_case, ctrl, sc)
+        acts = [e for e in res.event_log if e["action"] == "activate_controllers"]
+        assert acts[0]["reference"] == reference
+
+
+@pytest.mark.parametrize("events, reductions", [
+    ((), 1),
+    ((Event(1.0, "trip_line", (3, 101, 1)),), 2),
+])
+def test_one_reduction_per_network(bundled_case, monkeypatch, events, reductions):
+    """The pre-disturbance network is reduced once, for the equilibrium and
+    the first segment alike; each network event reduces once more."""
+    calls = []
+    reduce = simulator.kron_reduce
+    monkeypatch.setattr(simulator, "kron_reduce",
+                        lambda *a, **kw: calls.append(1) or reduce(*a, **kw))
+    simulate(bundled_case, None, Scenario(duration=2.0, dt=0.01, events=events))
+    assert len(calls) == reductions
 
 
 def test_ringdown_synthetic_damped():
@@ -279,10 +297,10 @@ def test_derived_channels_match_per_step_reference(bundled_case, bundled_design,
     seen = {}
     derive = simulator._derived_channels
 
-    def spy(model, gains, states, tgrid, segments, bus_ids):
+    def spy(model, gains, states, tgrid, segments):
         seen.update(model=model, gains=gains, states=states, tgrid=tgrid,
                     segments=segments)
-        return derive(model, gains, states, tgrid, segments, bus_ids)
+        return derive(model, gains, states, tgrid, segments)
 
     monkeypatch.setattr(simulator, "_derived_channels", spy)
     ctrl, _ = bundled_design
@@ -314,11 +332,12 @@ def test_derived_channels_match_per_step_reference(bundled_case, bundled_design,
             y = seen["states"][k]
             eqp, edp = y[eqp_ix], y[edp_ix]
             e_re, e_im, _, _, i_d, i_q = kernels.network_currents(
-                y[lay.delta_indices], eqp, edp, sg.g, sg.b)
+                y[lay.delta_indices], eqp, edp, sg.network.g, sg.network.b)
             pe = edp * i_d + eqp * i_q + xq_corr * i_d * i_q
             u = sg.active * np.einsum("ij,ij->i", gains, y[design_ix] - sg.xref)
             assert np.allclose(res.pe_sys[k], pe, rtol=1e-12, atol=1e-12)
-            assert np.allclose(res.bus_voltage[k], sg.vsolve @ (e_re + 1j * e_im),
+            assert np.allclose(res.bus_voltage[k],
+                               sg.network.emf_to_bus @ (e_re + 1j * e_im),
                                rtol=1e-12, atol=1e-12)
             assert np.array_equal(res.u[k], u)
         assert seg == len(segments) - 1

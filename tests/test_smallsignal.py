@@ -6,7 +6,7 @@ import pytest
 
 from oscdamp.case import parse_case, scale_stress, apply_line_trip
 from oscdamp.kernels import Control
-from oscdamp.powerflow import solve_power_flow, build_ybus, kron_reduce
+from oscdamp.powerflow import solve_power_flow, load_admittances, kron_reduce
 from oscdamp.dynamics import initialize_from_power_flow, build_design_matrices
 from oscdamp.smallsignal import (Mode, NonEquilibriumError, NoOscillatoryMode,
                                  linearize, closed_loop_matrix, modal_analysis,
@@ -54,7 +54,7 @@ def test_linearize_matches_column_reference(bundled_eq, bundled_design):
 
 def _equilibrium(case):
     sol = solve_power_flow(case)
-    return initialize_from_power_flow(case, sol, kron_reduce(build_ybus(case), case, sol))
+    return initialize_from_power_flow(case, sol, kron_reduce(case, load_admittances(case, sol)))
 
 
 def _valve_limit_case():
@@ -120,7 +120,7 @@ def test_single_machine_block_equals_analytic():
     doc = json.loads(make_two_bus_text())
     case = parse_case(doc if isinstance(doc, str) else json.dumps(json.loads(make_two_bus_text())))
     sol = solve_power_flow(case)
-    red = kron_reduce(build_ybus(case), case, sol)
+    red = kron_reduce(case, load_admittances(case, sol))
     eq = initialize_from_power_flow(case, sol, red)
     a_full = linearize(eq.model, eq.state)
     lay = eq.model.layout

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from oscdamp import kernels
-from oscdamp.powerflow import ReducedNetwork, solve_power_flow, build_ybus, kron_reduce
+from oscdamp.powerflow import (ReducedNetwork, solve_power_flow, load_admittances,
+                               kron_reduce)
 from oscdamp.dynamics import initialize_from_power_flow
 from oscdamp.synthesis import (SynthesisError, coupling_bounds, coupling_rows,
                                coupling_disturbance, verify_bound,
@@ -125,17 +126,17 @@ def test_verify_bound_falsification():
 
 def test_single_machine_design_solvable(two_bus_case):
     sol = solve_power_flow(two_bus_case)
-    red = kron_reduce(build_ybus(two_bus_case), two_bus_case, sol)
+    red = kron_reduce(two_bus_case, load_admittances(two_bus_case, sol))
     eq = initialize_from_power_flow(two_bus_case, sol, red)
-    ctrl, res = design_controllers(two_bus_case, eq, red, bound_scale=1.0)
+    ctrl, res = design_controllers(two_bus_case, eq, bound_scale=1.0)
     assert res.solution.status == "optimal"
     eigs = res.closed_loop_eigs[1]
     assert np.max(eigs.real) < 0.0
     assert np.any(ctrl.gains[0] != 0.0)
 
 
-def test_subset_design_structure(bundled_case, bundled_eq, bundled_red):
-    ctrl, res = design_controllers(bundled_case, bundled_eq, bundled_red,
+def test_subset_design_structure(bundled_case, bundled_eq):
+    ctrl, res = design_controllers(bundled_case, bundled_eq,
                                    subset=[2, 3])
     assert res.subset == (2, 3)
     ids = list(ctrl.machine_ids)
@@ -149,13 +150,13 @@ def test_subset_design_structure(bundled_case, bundled_eq, bundled_red):
     assert len([n for n in names if n.startswith("Y")]) == 2
 
 
-def test_governorless_machine_rejected(bundled_case, bundled_eq, bundled_red):
+def test_governorless_machine_rejected(bundled_case, bundled_eq):
     import dataclasses
     stripped = dataclasses.replace(
         bundled_case,
         governors=tuple(g for g in bundled_case.governors if g.machine != 4))
     with pytest.raises(SynthesisError, match="machine 4"):
-        design_controllers(stripped, bundled_eq, bundled_red, subset=[1, 4])
+        design_controllers(stripped, bundled_eq, subset=[1, 4])
 
 
 def test_gain_locality(bundled_design):
@@ -170,10 +171,13 @@ def test_gain_locality(bundled_design):
         assert np.allclose(res.gains[mid], rebuilt / scale, rtol=1e-12)
 
 
-def test_zero_gain_zero_control(bundled_design):
-    """The governor feedback the simulator evaluates is zero at the reference."""
+def test_zero_gain_zero_control(bundled_design, bundled_eq):
+    """The governor feedback the simulator evaluates is zero at the operating
+    point's own equilibrium, the reference it acts about."""
     ctrl, _ = bundled_design
-    assert np.all(kernels.feedback(ctrl.gains, ctrl.x_ref - ctrl.x_ref) == 0.0)
+    plan = bundled_eq.model.plan
+    x5 = plan.extend(bundled_eq.state)[plan.ix5]
+    assert np.all(kernels.feedback(ctrl.gains, x5 - bundled_eq.x5) == 0.0)
 
 
 def test_closed_loop_hurwitz(bundled_design):
@@ -184,10 +188,13 @@ def test_closed_loop_hurwitz(bundled_design):
 
 def test_controller_set_round_trip(bundled_design):
     ctrl, _ = bundled_design
-    again = ControllerSet.from_dict(ctrl.to_dict())
-    assert again.machine_ids == ctrl.machine_ids
-    assert np.array_equal(again.gains, ctrl.gains)
-    assert np.array_equal(again.x_ref, ctrl.x_ref)
+    doc = ctrl.to_dict()
+    assert set(doc) == {"machine_ids", "gains"}
+    # files written before the reference was dropped still carry x_ref
+    for d in (doc, {**doc, "x_ref": np.zeros((4, 5)).tolist()}):
+        again = ControllerSet.from_dict(d)
+        assert again.machine_ids == ctrl.machine_ids
+        assert np.array_equal(again.gains, ctrl.gains)
 
 
 def test_synthesis_summary_fields(bundled_design):

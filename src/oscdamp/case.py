@@ -61,7 +61,6 @@ class Machine:
     xqp: float
     td0p: float
     tq0p: float
-    e_max: float
     p_sched_mw: float
     v_sched: float
 
@@ -126,12 +125,6 @@ class PowerSystemCase:
         """Nominal rotor speed in rad/s."""
         return 2.0 * math.pi * self.base_frequency_hz
 
-    def bus_by_id(self, bus_id: int) -> Bus:
-        for b in self.buses:
-            if b.id == bus_id:
-                return b
-        raise CaseError(f"unknown bus {bus_id}")
-
     def machine_by_id(self, machine_id: int) -> Machine:
         for m in self.machines:
             if m.id == machine_id:
@@ -183,7 +176,7 @@ _TOP_KEYS = {"base_mva", "base_frequency_hz", "buses", "branches", "machines",
 _BUS_KEYS = {"id", "kind", "voltage_setpoint", "shunt_susceptance"}
 _BRANCH_KEYS = {"from", "to", "circuit", "r", "x", "b", "in_service"}
 _MACHINE_KEYS = {"id", "bus", "mva", "h", "d", "xd", "xq", "xdp", "xqp",
-                 "td0p", "tq0p", "e_max", "p_sched_mw", "v_sched"}
+                 "td0p", "tq0p", "p_sched_mw", "v_sched"}
 _GOV_KEYS = {"machine", "ke", "te", "t3", "t4", "t5", "tm", "r"}
 _EXC_KEYS = {"machine", "ka", "ta", "efd_min", "efd_max"}
 _PSS_KEYS = {"machine", "ks", "tw", "t1", "t2", "t3", "t4", "vmin", "vmax"}
@@ -365,8 +358,6 @@ def validate_case(case: PowerSystemCase) -> list[str]:
             v.append(f"{tag}: requires xd >= xdp > 0")
         if m.td0p <= 0 or m.tq0p <= 0:
             v.append(f"{tag}: transient time constants must be positive")
-        if m.e_max < 1:
-            v.append(f"{tag}: e_max must be at least 1")
         if m.mva <= 0:
             v.append(f"{tag}: rating must be positive")
         if m.bus not in bus_ids:

@@ -101,7 +101,7 @@ def _modal_for(case, eq, areas: dict, controllers: ControllerSet | None = None,
     None otherwise.  The point is linearized once; the closed-loop matrix is
     derived from the open-loop one."""
     layout = eq.model.layout
-    a_open = linearize(eq.model, eq.state)
+    a_open = linearize(eq)
 
     def table(a):
         return classify_table(modal_analysis(a, layout.labels),

@@ -144,20 +144,18 @@ def electrical_power(reduced: ReducedNetwork, delta: np.ndarray,
 
 @dataclass(frozen=True)
 class SimModel:
-    """Packed parameter arrays, the pre-disturbance reduced network and the one
-    RHS plan built from them.  Immutable: the arrays are read-only, and the
-    network and controller setting of a call are arguments, not fields."""
+    """Packed parameter arrays and the one RHS plan built from them.
+    Immutable: the arrays are read-only, and the network and controller
+    setting of a call are arguments, not fields."""
 
     layout: StateLayout
     omega0: float
     pf: np.ndarray          # (n_mach, kernels.NPF) float params
     pi: np.ndarray          # (n_mach, kernels.NPI) int params
-    gmat: np.ndarray        # (n_mach, n_mach)
-    bmat: np.ndarray        # (n_mach, n_mach)
     plan: kernels.RhsPlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for a in (self.pf, self.pi, self.gmat, self.bmat):
+        for a in (self.pf, self.pi):
             a.flags.writeable = False
         object.__setattr__(self, "plan", kernels.RhsPlan(self.pf, self.pi, self.omega0))
 
@@ -168,10 +166,6 @@ class SimModel:
     @property
     def n_states(self) -> int:
         return self.layout.n_states
-
-    def rhs(self, y: np.ndarray, control: kernels.Control | None = None) -> np.ndarray:
-        """dy on the model's own network, with `control` in service if given."""
-        return kernels.rhs(y, self.plan, self.gmat, self.bmat, control)
 
 
 def _pack_parameters(case: PowerSystemCase, layout: StateLayout):
@@ -241,11 +235,11 @@ class Equilibrium:
     delta: np.ndarray
     eqp: np.ndarray
     edp: np.ndarray
-    pe_sys: np.ndarray
     x5: np.ndarray          # (n_mach, 5) design-state equilibrium rows
 
     def rhs_norm(self) -> float:
-        return float(np.max(np.abs(self.model.rhs(self.state))))
+        dy = kernels.rhs(self.state, self.model.plan, self.network.g, self.network.b)
+        return float(np.max(np.abs(dy)))
 
 
 def _machine_bus_outputs(case: PowerSystemCase, sol: PowerFlowSolution):
@@ -294,7 +288,6 @@ def initialize_from_power_flow(case: PowerSystemCase, sol: PowerFlowSolution,
     delta = np.zeros(n)
     eqp = np.zeros(n)
     edp = np.zeros(n)
-    pe_sys = np.zeros(n)
     x5 = np.zeros((n, 5))
 
     for k, m in enumerate(case.machines):
@@ -313,7 +306,7 @@ def initialize_from_power_flow(case: PowerSystemCase, sol: PowerFlowSolution,
         efd = eqp_k + (pfk[PF.XD] - pfk[PF.XDP]) * i_d
         pe = edp_k * i_d + eqp_k * i_q + (pfk[PF.XQP] - pfk[PF.XDP]) * i_d * i_q
 
-        delta[k], eqp[k], edp[k], pe_sys[k] = dlt, eqp_k, edp_k, pe
+        delta[k], eqp[k], edp[k] = dlt, eqp_k, edp_k
         y0[layout.idx(m.id, "delta")] = dlt
         y0[layout.idx(m.id, "eqp")] = eqp_k
         y0[layout.idx(m.id, "edp")] = edp_k
@@ -352,8 +345,7 @@ def initialize_from_power_flow(case: PowerSystemCase, sol: PowerFlowSolution,
             pf[k, PF.EFDCONST] = efd
         # PSS washout states are zero at any speed equilibrium
 
-    model = SimModel(layout=layout, omega0=case.omega0, pf=pf, pi=pi,
-                     gmat=reduced.g.copy(), bmat=reduced.b.copy())
+    model = SimModel(layout=layout, omega0=case.omega0, pf=pf, pi=pi)
     return Equilibrium(model=model, network=reduced, state=y0,
                        boundary_machines=tuple(boundary),
-                       delta=delta, eqp=eqp, edp=edp, pe_sys=pe_sys, x5=x5)
+                       delta=delta, eqp=eqp, edp=edp, x5=x5)

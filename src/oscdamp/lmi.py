@@ -5,7 +5,8 @@ affine matrix-valued constraints required positive semidefinite.  The solver
 is a logarithmic-barrier path-following interior-point method on the
 vectorized problem: phase 1 minimizes a uniform slack to find a strictly
 feasible point, phase 2 follows the central path with damped Newton steps.
-Everything is dense and deterministic.
+Everything is dense numpy linear algebra and deterministic; each block's
+inverse comes from the inverse of its Cholesky factor.
 
 The module also writes/reads the SDPA sparse exchange format (``.dat-s``) so
 third-party solvers can cross-check solutions, and re-verifies any solution
@@ -18,7 +19,6 @@ import io
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 
 class LmiError(Exception):
@@ -29,19 +29,11 @@ class LmiError(Exception):
 class ScalarVar:
     name: str
 
-    @property
-    def n_components(self) -> int:
-        return 1
-
 
 @dataclass(frozen=True)
 class SymMatrixVar:
     name: str
     dim: int
-
-    @property
-    def n_components(self) -> int:
-        return self.dim * (self.dim + 1) // 2
 
 
 @dataclass(frozen=True)
@@ -95,8 +87,6 @@ class CanonicalSdp:
     c: np.ndarray                 # (n,)
     f0: list                      # [(d_b, d_b)]
     fk: list                      # [(n, d_b, d_b)]
-    component_names: list         # per component: (var, i, j) or (var, 0, 0)
-    block_names: list
 
     @property
     def n_vars(self) -> int:
@@ -107,18 +97,15 @@ class CanonicalSdp:
         return sum(f.shape[0] for f in self.f0)
 
 
-def _component_table(variables) -> tuple[list, dict]:
-    comps = []
+def _component_offsets(variables) -> tuple[int, dict]:
+    """Number of scalar components and each variable's first component: one
+    for a scalar, the upper triangle row by row for a symmetric matrix."""
+    n = 0
     offset = {}
     for v in variables:
-        offset[v.name] = len(comps)
-        if isinstance(v, ScalarVar):
-            comps.append((v.name, 0, 0))
-        else:
-            for i in range(v.dim):
-                for j in range(i, v.dim):
-                    comps.append((v.name, i, j))
-    return comps, offset
+        offset[v.name] = n
+        n += 1 if isinstance(v, ScalarVar) else v.dim * (v.dim + 1) // 2
+    return n, offset
 
 
 def _basis_matrix(dim: int, i: int, j: int) -> np.ndarray:
@@ -133,8 +120,7 @@ def canonicalize(problem: LmiProblem) -> CanonicalSdp:
     vars_by_name = {v.name: v for v in problem.variables}
     if len(vars_by_name) != len(problem.variables):
         raise LmiError("duplicate variable names")
-    comps, offset = _component_table(problem.variables)
-    n = len(comps)
+    n, offset = _component_offsets(problem.variables)
 
     c = np.zeros(n)
     for name, coef in problem.objective.items():
@@ -155,7 +141,6 @@ def canonicalize(problem: LmiProblem) -> CanonicalSdp:
 
     f0 = []
     fk = []
-    names = []
     for con in problem.constraints:
         d = con.dim
         if con.const.shape != (d, d):
@@ -191,27 +176,20 @@ def canonicalize(problem: LmiProblem) -> CanonicalSdp:
                         k += 1
         f0.append(con.const.copy())
         fk.append(fmat)
-        names.append(con.name)
-    return CanonicalSdp(c=c, f0=f0, fk=fk, component_names=comps, block_names=names)
+    return CanonicalSdp(c=c, f0=f0, fk=fk)
 
 
-@dataclass
-class SolverOptions:
-    """Path-following controls.
-
-    max_newton caps the centering effort per barrier stage: stages that stall
-    return the best interior point reached, which keeps the path practical on
-    badly conditioned problems; solution quality is judged by the independent
-    residual checks rather than centering exactness.
-    """
-
-    gap_tol: float = 3e-8
-    max_outer: int = 80
-    max_newton: int = 15
-    mu: float = 20.0
-    newton_tol: float = 1e-10
-    armijo: float = 0.01
-    feasibility_margin: float = 1e-9
+# Path-following controls.  MAX_NEWTON caps the centering effort per barrier
+# stage: stages that stall return the best interior point reached, which keeps
+# the path practical on badly conditioned problems; solution quality is judged
+# by the independent residual checks rather than centering exactness.
+GAP_TOL = 3e-8
+MAX_OUTER = 80
+MAX_NEWTON = 15
+MU = 20.0
+NEWTON_TOL = 1e-10
+ARMIJO = 0.01
+FEASIBILITY_MARGIN = 1e-9
 
 
 @dataclass
@@ -223,9 +201,6 @@ class LmiSolution:
     gap: float
     residual_min_eigs: list
     iterations: int
-
-    def value(self, name: str):
-        return self.values[name]
 
 
 def _eval_blocks(sdp: CanonicalSdp, x: np.ndarray) -> list:
@@ -260,17 +235,13 @@ def _prep_layouts(sdp: CanonicalSdp) -> list:
     return prep
 
 
-def _newton_center(sdp: CanonicalSdp, x: np.ndarray, t: float,
-                   opts: SolverOptions,
-                   prep: list | None = None,
+def _newton_center(sdp: CanonicalSdp, x: np.ndarray, t: float, prep: list,
                    stop_when=None) -> tuple[np.ndarray, bool, int]:
     """Damped Newton minimization of the barrier at parameter t.
 
     `stop_when(x)` short-circuits the centering as soon as it holds (used by
     phase 1 to bail out at the first strictly feasible iterate)."""
     n = sdp.n_vars
-    if prep is None:
-        prep = _prep_layouts(sdp)
     steps = 0
     blocks = _eval_blocks(sdp, x)
     chols = _try_cholesky(blocks)
@@ -278,12 +249,13 @@ def _newton_center(sdp: CanonicalSdp, x: np.ndarray, t: float,
         return x, False, steps
     if stop_when is not None and stop_when(x):
         return x, True, steps
-    for _ in range(opts.max_newton):
+    for _ in range(MAX_NEWTON):
         grad = t * sdp.c.copy()
         hess = np.zeros((n, n))
         for b in range(len(sdp.f0)):
             d, fb_flat, fb_stacked = prep[b]
-            sinv = scipy.linalg.cho_solve((chols[b], True), np.eye(d))
+            linv = np.linalg.inv(chols[b])
+            sinv = linv.T @ linv                          # S^-1 = L^-T L^-1
             sinv = 0.5 * (sinv + sinv.T)
             grad -= fb_flat @ sinv.ravel()
             w3 = (sinv @ fb_stacked).reshape(d, n, d)     # w3[i, k, j] = (Sinv F_k)[i, j]
@@ -299,7 +271,7 @@ def _newton_center(sdp: CanonicalSdp, x: np.ndarray, t: float,
         decrement = float(-grad @ dx)
         if not np.isfinite(decrement):
             return x, False, steps
-        if decrement / 2.0 <= opts.newton_tol * (1.0 + abs(t * float(sdp.c @ x))):
+        if decrement / 2.0 <= NEWTON_TOL * (1.0 + abs(t * float(sdp.c @ x))):
             return x, True, steps
         f_curr = _barrier_value(t, sdp.c, x, chols)
         dblocks = [np.tensordot(dx, sdp.fk[b], axes=1) for b in range(len(sdp.f0))]
@@ -310,7 +282,7 @@ def _newton_center(sdp: CanonicalSdp, x: np.ndarray, t: float,
             chols_new = _try_cholesky(trial)
             if chols_new is not None:
                 f_new = _barrier_value(t, sdp.c, x + alpha * dx, chols_new)
-                if f_new <= f_curr - opts.armijo * alpha * decrement:
+                if f_new <= f_curr - ARMIJO * alpha * decrement:
                     accepted = (x + alpha * dx, trial, chols_new)
                     break
             alpha *= 0.5
@@ -340,10 +312,8 @@ def _values_from_x(problem: LmiProblem, x: np.ndarray) -> dict:
     return values
 
 
-def solve_sdp(problem: LmiProblem,
-              options: SolverOptions | None = None) -> LmiSolution:
-    """Interior-point solve; deterministic for identical inputs and options."""
-    opts = options or SolverOptions()
+def solve_sdp(problem: LmiProblem) -> LmiSolution:
+    """Interior-point solve; deterministic for identical inputs."""
     sdp = canonicalize(problem)
     n = sdp.n_vars
     m_total = sdp.total_dim
@@ -375,10 +345,7 @@ def solve_sdp(problem: LmiProblem,
         f_aug[:n] = sdp.fk[b]
         f_aug[n] = np.eye(d)
         aug_fk.append(f_aug)
-    aug = CanonicalSdp(c=np.concatenate([np.zeros(n), [1.0]]),
-                       f0=sdp.f0, fk=aug_fk,
-                       component_names=sdp.component_names + [("_slack", 0, 0)],
-                       block_names=sdp.block_names)
+    aug = CanonicalSdp(c=np.concatenate([np.zeros(n), [1.0]]), f0=sdp.f0, fk=aug_fk)
     s0 = max(0.0, max(-float(np.min(np.linalg.eigvalsh(0.5 * (f + f.T))))
                       for f in sdp.f0)) + 1.0 + 0.1 * scale
     xz = np.concatenate([np.zeros(n), [s0]])
@@ -387,9 +354,9 @@ def solve_sdp(problem: LmiProblem,
     t_final = t
     feasible_x = None
     prep_aug = _prep_layouts(aug)
-    margin = opts.feasibility_margin * scale
-    for _ in range(opts.max_outer):
-        xz, ok, steps = _newton_center(aug, xz, t, opts, prep_aug,
+    margin = FEASIBILITY_MARGIN * scale
+    for _ in range(MAX_OUTER):
+        xz, ok, steps = _newton_center(aug, xz, t, prep_aug,
                                        stop_when=lambda z: z[n] < -margin)
         iters += steps
         if not ok:
@@ -400,7 +367,7 @@ def solve_sdp(problem: LmiProblem,
             break
         if (m_total + 1) / t < 1e-12 * scale + 1e-12:
             break
-        t *= opts.mu
+        t *= MU
     if feasible_x is None:
         t_final = t
         return finish("infeasible", xz[:n], iters)
@@ -410,17 +377,17 @@ def solve_sdp(problem: LmiProblem,
     t = max(1.0, m_total / (1.0 + abs(float(sdp.c @ x))))
     status = "iteration_limit"
     prep_main = _prep_layouts(sdp)
-    for _ in range(opts.max_outer):
-        x, ok, steps = _newton_center(sdp, x, t, opts, prep_main)
+    for _ in range(MAX_OUTER):
+        x, ok, steps = _newton_center(sdp, x, t, prep_main)
         iters += steps
         if not ok:
             t_final = t
             return finish("numerical_failure", x, iters)
         gap = m_total / t
-        if gap <= opts.gap_tol * (1.0 + abs(float(sdp.c @ x))):
+        if gap <= GAP_TOL * (1.0 + abs(float(sdp.c @ x))):
             status = "optimal"
             break
-        t *= opts.mu
+        t *= MU
     t_final = t
     return finish(status, x, iters)
 
@@ -429,7 +396,6 @@ def solve_sdp(problem: LmiProblem,
 class SolutionCheck:
     min_eigs: list
     objective: float
-    block_names: list
 
     def passes(self, eig_tol: float = -1e-9) -> bool:
         return all(e >= eig_tol for e in self.min_eigs)
@@ -447,7 +413,6 @@ def check_solution(problem: LmiProblem, solution: LmiSolution | dict) -> Solutio
         else:
             obj += float(np.sum(np.asarray(coef) * np.asarray(values[name])))
     mins = []
-    names = []
     for con in problem.constraints:
         s = con.const.copy()
         for t in con.terms:
@@ -464,8 +429,7 @@ def check_solution(problem: LmiProblem, solution: LmiSolution | dict) -> Solutio
             s += contrib
         s = 0.5 * (s + s.T)
         mins.append(float(np.min(np.linalg.eigvalsh(s))))
-        names.append(con.name)
-    return SolutionCheck(min_eigs=mins, objective=obj, block_names=names)
+    return SolutionCheck(min_eigs=mins, objective=obj)
 
 
 # --- SDPA sparse format ---------------------------------------------------------

@@ -33,9 +33,6 @@ class AdmittanceMatrix:
     y: np.ndarray          # complex (n, n), per unit on system base
     bus_ids: tuple[int, ...]
 
-    def index_of(self, bus_id: int) -> int:
-        return self.bus_ids.index(bus_id)
-
 
 @dataclass(frozen=True)
 class PowerFlowSolution:

@@ -3,9 +3,10 @@
 The open-loop state matrix is the complex-step derivative of the full
 nonlinear RHS about an equilibrium, exact to roundoff with no step to tune
 (Squire & Trapp 1998, SIAM Review 40(1)); the closed-loop one adds the
-governor feedback to it in closed form.  Eigenvalues/eigenvectors come from
-LAPACK's balanced Hessenberg + shifted-QR path (scipy.linalg.eig), which also
-supplies the left eigenvectors needed for participation factors.
+governor feedback to it in closed form.  Eigenvalues and right eigenvectors
+come from LAPACK's balanced Hessenberg + shifted-QR path (numpy.linalg.eig);
+the left eigenvectors for participation factors are the rows of the inverse
+of the right-eigenvector matrix.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
+from . import kernels
 from .case import PowerSystemCase
-from .dynamics import SimModel, StateLayout, build_design_matrices
+from .dynamics import Equilibrium, StateLayout, build_design_matrices
 from .kernels import Control
 
 
@@ -80,12 +81,14 @@ class ModeTable:
         return buf.getvalue()
 
 
-def linearize(model: SimModel, equilibrium: np.ndarray,
-              control: Control | None = None) -> np.ndarray:
-    """State matrix of the model RHS about an equilibrium by complex step:
-    column j is Im f(x + i h e_j) / h, all n perturbed states in one stacked
-    RHS call, whose real part is f(x) for the equilibrium check."""
-    r = model.rhs(equilibrium + 1j * COMPLEX_STEP * np.eye(equilibrium.size), control)
+def linearize(eq: Equilibrium, control: Control | None = None) -> np.ndarray:
+    """State matrix of the model RHS about an operating point, on the network
+    it was initialized on, by complex step: column j is Im f(x + i h e_j) / h,
+    all n perturbed states in one stacked RHS call, whose real part is f(x)
+    for the equilibrium check."""
+    x = eq.state
+    r = kernels.rhs(x + 1j * COMPLEX_STEP * np.eye(x.size), eq.model.plan,
+                    eq.network.g, eq.network.b, control)
     resid = np.max(np.abs(r.real))
     if resid > 1e-6:
         raise NonEquilibriumError(f"RHS norm {resid:.3e} at the linearization point")
@@ -126,7 +129,10 @@ def modal_analysis(a_full: np.ndarray,
     """
     if a_full.ndim != 2 or a_full.shape[0] != a_full.shape[1]:
         raise ValueError("state matrix must be square")
-    w, vl, vr = scipy.linalg.eig(a_full, left=True, right=True)
+    w, vr = np.linalg.eig(a_full)
+    # row i of vr^-1 is the left eigenvector of mode i; its scale cancels in
+    # the per-mode normalization of the participation factors
+    vl = np.linalg.inv(vr)
     labels = state_labels or tuple(f"x{i}" for i in range(a_full.shape[0]))
     modes: list[Mode] = []
     for i in range(len(w)):
@@ -137,7 +143,7 @@ def modal_analysis(a_full: np.ndarray,
             lam = 0j
         mag = abs(lam)
         zeta = 1.0 if mag == 0.0 else float(-lam.real / mag)
-        part = np.abs(vl[:, i] * vr[:, i])
+        part = np.abs(vl[i] * vr[:, i])
         total = part.sum()
         if total > 0:
             part = part / total

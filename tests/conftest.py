@@ -61,7 +61,7 @@ def make_two_bus_text(p_mw=50.0, q_mvar=20.0, x=0.1):
         "machines": [
             {"id": 1, "bus": 1, "mva": 100.0, "h": 6.5, "d": 1.0,
              "xd": 1.8, "xq": 1.7, "xdp": 0.3, "xqp": 0.55,
-             "td0p": 8.0, "tq0p": 0.4, "e_max": 2.0,
+             "td0p": 8.0, "tq0p": 0.4,
              "p_sched_mw": p_mw, "v_sched": 1.0},
         ],
         "governors": [

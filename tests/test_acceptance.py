@@ -44,7 +44,7 @@ def _min_mode(case, controllers=None, areas=None):
     eq = initialize_from_power_flow(case, sol, red)
     model = eq.model
     control = None if controllers is None else _closed_loop(eq, controllers)
-    table = modal_analysis(linearize(model, eq.state, control), model.layout.labels)
+    table = modal_analysis(linearize(eq, control), model.layout.labels)
     if areas is not None:
         classify_table(table, model.layout.speed_indices, areas,
                        model.layout.machine_ids)
@@ -186,7 +186,7 @@ def test_criterion_7_numerical_cross_checks(bundled_case, bundled_eq,
                    f"{worst_rel:.2e}"))
 
     # modal eigen-residuals
-    a_full = linearize(bundled_eq.model, bundled_eq.state)
+    a_full = linearize(bundled_eq)
     norm_a = np.linalg.norm(a_full, 2)
     worst_eig = max(np.linalg.norm(a_full @ m.right - m.eigenvalue * m.right)
                     / (norm_a * np.linalg.norm(m.right))
@@ -228,8 +228,8 @@ def test_criterion_7_numerical_cross_checks(bundled_case, bundled_eq,
         d *= 0.1 / np.linalg.norm(d)
         starts.append(bundled_eq.state + d)
     y = np.array(starts)
-    bad = kernels.rk4_span(y, 0.005, 6000, model.plan, model.gmat, model.bmat,
-                           control)
+    net = bundled_eq.network
+    bad = kernels.rk4_span(y, 0.005, 6000, model.plan, net.g, net.b, control)
     diverged = bad >= 0
     worst_dev = float(np.max(np.linalg.norm(y - bundled_eq.state, axis=1)))
     checks.append(("50-perturbation convergence", not diverged and worst_dev < 1e-3,

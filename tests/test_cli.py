@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -66,6 +69,29 @@ def test_input_error_exit_code(tmp_path):
     invalid = tmp_path / "invalid.json"
     invalid.write_text(json.dumps(doc))
     assert main(["pf", "--case", str(invalid)]) == EXIT_INPUT
+
+
+def test_case_with_e_max_is_input_error(tmp_path, capsys):
+    """`e_max` is no longer part of the machine schema: a case that still
+    carries it is refused as an input error."""
+    doc = json.loads(oscdamp.bundled_case_text())
+    doc["machines"][0]["e_max"] = 2.0
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc))
+    assert main(["pf", "--case", str(old)]) == EXIT_INPUT
+    assert "unknown key(s) ['e_max']" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    """numpy alone carries every module the CLI imports; scipy loads only for
+    the ringdown filter.  A fresh interpreter, since this one holds scipy."""
+    src = str(Path(oscdamp.__file__).resolve().parents[1])
+    code = ("import oscdamp.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"
 
 
 def test_numeric_error_exit_code(tmp_path):

@@ -230,7 +230,7 @@ def test_control_input_unity_chain(bundled_eq):
         assert model.pf[k, PF.PCREF] == bundled_eq.state[lay.idx(mid, "xe")]
     # the initialized model is immutable: its plan was built from these values
     with pytest.raises(dataclasses.FrozenInstanceError):
-        model.gmat = model.gmat.copy()
+        model.pf = model.pf.copy()
     with pytest.raises(ValueError):
         model.pf[0, PF.PCREF] = 0.0
 

@@ -43,17 +43,19 @@ def partial_eq():
     return initialize_from_power_flow(case, sol, red)
 
 
-def _model_args(model, control=None):
-    return model.plan, model.gmat, model.bmat, control
+def _model_args(eq, control=None):
+    return eq.model.plan, eq.network.g, eq.network.b, control
 
 
-def _reference_rhs(y, model, control=None):
-    """dy of one state, machine by machine, from the elementary forms."""
+def _reference_rhs(y, eq, control=None):
+    """dy of one state, machine by machine, from the elementary forms, on the
+    network the operating point was initialized on."""
+    model = eq.model
     pf, pi, w0 = model.pf, model.pi, model.omega0
     dy = np.zeros_like(y)
     delta, eqp, edp = (y[pi[:, col]] for col in (PI.I_DELTA, PI.I_EQP, PI.I_EDP))
     e_re, e_im, i_re, i_im, i_d, i_q = kernels.network_currents(
-        delta, eqp, edp, model.gmat, model.bmat)
+        delta, eqp, edp, eq.network.g, eq.network.b)
     for k in range(model.n_machines):
         p, ix = pf[k], pi[k]
         omega = y[ix[PI.I_OMEGA]]
@@ -104,16 +106,16 @@ def _reference_rhs(y, model, control=None):
     return dy
 
 
-def _reference_span(y, h, nsteps, model, out=None):
+def _reference_span(y, h, nsteps, eq, out=None):
     """Plain RK4 on the reference RHS with the valve clamp and the divergence
     check; -1, or the first step after which y left the divergence limit."""
-    pi = model.pi
+    pi = eq.model.pi
     xe_ix = pi[pi[:, PI.HAS_GOV] == 1, PI.I_XE]
     for k in range(nsteps):
-        k1 = _reference_rhs(y, model)
-        k2 = _reference_rhs(y + 0.5 * h * k1, model)
-        k3 = _reference_rhs(y + 0.5 * h * k2, model)
-        k4 = _reference_rhs(y + h * k3, model)
+        k1 = _reference_rhs(y, eq)
+        k2 = _reference_rhs(y + 0.5 * h * k1, eq)
+        k3 = _reference_rhs(y + 0.5 * h * k2, eq)
+        k4 = _reference_rhs(y + h * k3, eq)
         y += h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         y[xe_ix] = np.clip(y[xe_ix], 0.0, 1.0)
         if not np.all(np.abs(y) < kernels.DIVERGENCE_LIMIT):
@@ -128,8 +130,8 @@ def test_rhs_parity(bundled_eq):
     rng = np.random.default_rng(0)
     for _ in range(10):
         y = bundled_eq.state + 0.1 * rng.standard_normal(model.n_states)
-        d_plan = kernels.rhs(y, *_model_args(model))
-        assert np.allclose(d_plan, _reference_rhs(y, model), rtol=1e-12, atol=1e-12)
+        d_plan = kernels.rhs(y, *_model_args(bundled_eq))
+        assert np.allclose(d_plan, _reference_rhs(y, bundled_eq), rtol=1e-12, atol=1e-12)
 
 
 def test_rhs_parity_with_controllers(bundled_eq, bundled_design):
@@ -138,8 +140,8 @@ def test_rhs_parity_with_controllers(bundled_eq, bundled_design):
     control = kernels.Control(ctrl.gains, bundled_eq.x5, np.ones(model.n_machines))
     rng = np.random.default_rng(1)
     y = bundled_eq.state + 0.05 * rng.standard_normal(model.n_states)
-    d_plan = kernels.rhs(y, *_model_args(model, control))
-    assert np.allclose(d_plan, _reference_rhs(y, model, control), rtol=1e-12, atol=1e-10)
+    d_plan = kernels.rhs(y, *_model_args(bundled_eq, control))
+    assert np.allclose(d_plan, _reference_rhs(y, bundled_eq, control), rtol=1e-12, atol=1e-10)
 
 
 def test_span_parity(bundled_eq):
@@ -148,9 +150,9 @@ def test_span_parity(bundled_eq):
     y0 = bundled_eq.state + 0.02 * rng.standard_normal(model.n_states)
     out_plan = np.zeros((200, model.n_states))
     out_ref = np.zeros((200, model.n_states))
-    r1 = kernels.rk4_span(y0.copy(), 0.005, 200, *_model_args(model), out=out_plan,
+    r1 = kernels.rk4_span(y0.copy(), 0.005, 200, *_model_args(bundled_eq), out=out_plan,
                           out_offset=0)
-    r2 = _reference_span(y0.copy(), 0.005, 200, model, out_ref)
+    r2 = _reference_span(y0.copy(), 0.005, 200, bundled_eq, out_ref)
     assert r1 == r2 == -1
     assert np.allclose(out_plan, out_ref, rtol=1e-10, atol=1e-10)
 
@@ -159,7 +161,7 @@ def test_divergence_detection(bundled_eq):
     model = bundled_eq.model
     y = bundled_eq.state.copy()
     # absurd step size destabilizes RK4 and must be flagged, not raised
-    step = kernels.rk4_span(y, 5.0, 400, *_model_args(model))
+    step = kernels.rk4_span(y, 5.0, 400, *_model_args(bundled_eq))
     assert step >= 0
 
 
@@ -170,7 +172,7 @@ def test_valve_clamp_invariant(bundled_eq):
     # kick speeds hard so valves run against their limits
     y[lay.speed_indices] += 5.0
     out = np.zeros((2000, model.n_states))
-    kernels.rk4_span(y, 0.005, 2000, *_model_args(model), out=out, out_offset=0)
+    kernels.rk4_span(y, 0.005, 2000, *_model_args(bundled_eq), out=out, out_offset=0)
     for mid in lay.machine_ids:
         xe = out[:, lay.idx(mid, "xe")]
         assert np.all(xe >= 0.0)
@@ -185,8 +187,8 @@ def test_partial_device_rhs_parity(partial_eq):
                               partial_eq.x5, np.array([1.0, 0.0, 1.0, 0.0]))
     for scale in (0.01, 0.1, 1.0):      # 1.0 drives the limiters
         y = partial_eq.state + scale * rng.standard_normal(model.n_states)
-        d_plan = kernels.rhs(y, *_model_args(model, control))
-        assert np.allclose(d_plan, _reference_rhs(y, model, control),
+        d_plan = kernels.rhs(y, *_model_args(partial_eq, control))
+        assert np.allclose(d_plan, _reference_rhs(y, partial_eq, control),
                            rtol=1e-12, atol=1e-10)
 
 
@@ -196,9 +198,9 @@ def test_partial_device_span_parity(partial_eq):
     y0 = partial_eq.state + 0.02 * rng.standard_normal(model.n_states)
     out_plan = np.zeros((200, model.n_states))
     out_ref = np.zeros((200, model.n_states))
-    r1 = kernels.rk4_span(y0.copy(), 0.005, 200, *_model_args(model), out=out_plan,
+    r1 = kernels.rk4_span(y0.copy(), 0.005, 200, *_model_args(partial_eq), out=out_plan,
                           out_offset=0)
-    r2 = _reference_span(y0.copy(), 0.005, 200, model, out_ref)
+    r2 = _reference_span(y0.copy(), 0.005, 200, partial_eq, out_ref)
     assert r1 == r2 == -1
     assert np.allclose(out_plan, out_ref, rtol=1e-10, atol=1e-10)
 
@@ -213,9 +215,9 @@ def test_span_parity_through_valve_limits(bundled_eq, kick):
     y0[lay.speed_indices] += kick
     out_plan = np.zeros((400, model.n_states))
     out_ref = np.zeros((400, model.n_states))
-    r1 = kernels.rk4_span(y0.copy(), 0.005, 400, *_model_args(model), out=out_plan,
+    r1 = kernels.rk4_span(y0.copy(), 0.005, 400, *_model_args(bundled_eq), out=out_plan,
                           out_offset=0)
-    r2 = _reference_span(y0.copy(), 0.005, 400, model, out_ref)
+    r2 = _reference_span(y0.copy(), 0.005, 400, bundled_eq, out_ref)
     assert r1 == r2 == -1
     assert np.allclose(out_plan, out_ref, rtol=1e-10, atol=1e-10)
     xe = out_ref[:, [lay.idx(m, "xe") for m in lay.machine_ids]]
@@ -228,12 +230,12 @@ def test_stacked_rhs_matches_rows(which, bundled_eq, partial_eq):
     model = eq.model
     rng = np.random.default_rng(5)
     ys = eq.state + 0.1 * rng.standard_normal((16, model.n_states))
-    stacked = kernels.rhs(ys, *_model_args(model))
-    rows = np.array([kernels.rhs(y, *_model_args(model)) for y in ys])
+    stacked = kernels.rhs(ys, *_model_args(eq))
+    rows = np.array([kernels.rhs(y, *_model_args(eq)) for y in ys])
     assert stacked.shape == ys.shape
     assert np.allclose(stacked, rows, rtol=1e-12, atol=1e-12)
     # a one-row stack is the single-state call, bit for bit
-    one = kernels.rhs(ys[:1], *_model_args(model))
+    one = kernels.rhs(ys[:1], *_model_args(eq))
     assert one.shape == (1, model.n_states)
     assert np.array_equal(one[0], rows[0])
 
@@ -245,12 +247,12 @@ def test_stacked_span_matches_rows(partial_eq):
     ys[1, model.layout.speed_indices] += 20.0   # this row runs into the valve limits
     out = np.zeros((100, 3, model.n_states))
     stacked = ys.copy()
-    assert kernels.rk4_span(stacked, 0.005, 100, *_model_args(model), out=out,
+    assert kernels.rk4_span(stacked, 0.005, 100, *_model_args(partial_eq), out=out,
                             out_offset=0) == -1
     for b in range(3):
         y = ys[b].copy()
         out_b = np.zeros((100, model.n_states))
-        assert kernels.rk4_span(y, 0.005, 100, *_model_args(model), out=out_b,
+        assert kernels.rk4_span(y, 0.005, 100, *_model_args(partial_eq), out=out_b,
                                 out_offset=0) == -1
         assert np.allclose(out[:, b], out_b, rtol=1e-10, atol=1e-10)
     xe = out[:, 1, [model.layout.idx(m, "xe") for m in (1, 2, 3)]]
@@ -264,9 +266,9 @@ def test_stacked_span_reports_first_divergent_row(bundled_eq):
     ys = np.tile(bundled_eq.state, (2, 1))
     ys[1, lay.idx(1, "delta")] += 9.9e5     # rotor 1 runs past the limit
     ys[1, lay.idx(1, "omega")] += 1e5
-    first = _reference_span(ys[1].copy(), 0.005, 400, model)
+    first = _reference_span(ys[1].copy(), 0.005, 400, bundled_eq)
     assert 0 < first < 399
-    assert kernels.rk4_span(ys, 0.005, 400, *_model_args(model)) == first
+    assert kernels.rk4_span(ys, 0.005, 400, *_model_args(bundled_eq)) == first
     assert np.allclose(ys[0], bundled_eq.state, atol=1e-6)   # the quiet row
 
 
@@ -280,7 +282,7 @@ def test_plan_built_once_per_model(bundled_case, bundled_eq, monkeypatch):
     monkeypatch.setattr(kernels.RhsPlan, "__init__",
                         lambda self, *a: builds.append(1) or init(self, *a))
     bundled_eq.rhs_norm()
-    linearize(bundled_eq.model, bundled_eq.state)
+    linearize(bundled_eq)
     assert builds == []
     simulate(bundled_case, None, Scenario(duration=0.1, dt=0.01,
                                           events=(Event(0.05, "trip_line", (3, 101, 1)),)))

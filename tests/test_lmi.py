@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from oscdamp.lmi import (LmiProblem, Term, SolverOptions, solve_sdp,
-                         check_solution, export_sdpa, read_sdpa, canonicalize,
-                         LmiError)
+from oscdamp import lmi
+from oscdamp.lmi import (LmiProblem, Term, solve_sdp, check_solution,
+                         export_sdpa, read_sdpa, canonicalize, LmiError)
 
 
 def toy_min_t():
@@ -181,7 +181,8 @@ def test_term_shape_mismatch():
         canonicalize(p)
 
 
-def test_iteration_limit_status():
-    opts = SolverOptions(max_outer=1, gap_tol=1e-300)
-    sol = solve_sdp(toy_min_t(), opts)
+def test_iteration_limit_status(monkeypatch):
+    monkeypatch.setattr(lmi, "MAX_OUTER", 1)
+    monkeypatch.setattr(lmi, "GAP_TOL", 1e-300)
+    sol = solve_sdp(toy_min_t())
     assert sol.status == "iteration_limit"

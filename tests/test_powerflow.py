@@ -137,10 +137,10 @@ def test_kron_two_machines_one_bus():
         "machines": [
             {"id": 1, "bus": 1, "mva": 100.0, "h": 5.0, "d": 0.0, "xd": 1.0,
              "xq": 1.0, "xdp": 0.2, "xqp": 0.2, "td0p": 8.0, "tq0p": 0.4,
-             "e_max": 2.0, "p_sched_mw": 0.0, "v_sched": 1.0},
+             "p_sched_mw": 0.0, "v_sched": 1.0},
             {"id": 2, "bus": 1, "mva": 100.0, "h": 5.0, "d": 0.0, "xd": 1.0,
              "xq": 1.0, "xdp": 0.4, "xqp": 0.4, "td0p": 8.0, "tq0p": 0.4,
-             "e_max": 2.0, "p_sched_mw": 0.0, "v_sched": 1.0}],
+             "p_sched_mw": 0.0, "v_sched": 1.0}],
         "loads": [],
     }
     case = parse_case(json.dumps(doc))

@@ -140,7 +140,7 @@ def test_tripped_branch_flow_zeroes(bundled_case):
 def test_linear_regime_agreement(bundled_case, bundled_sol, bundled_red):
     from oscdamp.dynamics import initialize_from_power_flow
     eq = initialize_from_power_flow(bundled_case, bundled_sol, bundled_red)
-    a = linearize(eq.model, eq.state)
+    a = linearize(eq)
     rng = np.random.default_rng(9)
     direction = rng.standard_normal(eq.model.n_states)
     direction /= np.linalg.norm(direction)
@@ -151,8 +151,8 @@ def test_linear_regime_agreement(bundled_case, bundled_sol, bundled_red):
         y = eq.state + alpha * direction
         from oscdamp import kernels
         traj = np.zeros((n_steps, eq.model.n_states))
-        m = eq.model
-        kernels.rk4_span(y, dt_out / 2, 2 * n_steps, m.plan, m.gmat, m.bmat,
+        m, net = eq.model, eq.network
+        kernels.rk4_span(y, dt_out / 2, 2 * n_steps, m.plan, net.g, net.b,
                          out=np.zeros((2 * n_steps, m.n_states)), out_offset=0)
         # rebuild trajectory at dt_out for comparison
         y = eq.state + alpha * direction
@@ -160,7 +160,7 @@ def test_linear_regime_agreement(bundled_case, bundled_sol, bundled_red):
         errs = []
         refs = []
         for k in range(n_steps):
-            kernels.rk4_span(y, dt_out / 2, 2, m.plan, m.gmat, m.bmat)
+            kernels.rk4_span(y, dt_out / 2, 2, m.plan, net.g, net.b)
             z = prop @ z
             errs.append(np.linalg.norm((y - eq.state) / alpha - z))
             refs.append(np.linalg.norm(z))
@@ -254,7 +254,7 @@ def test_ringdown_cross_checks_modal(bundled_case, bundled_sol, bundled_red,
     from oscdamp.dynamics import initialize_from_power_flow
     from oscdamp.smallsignal import modal_analysis, min_damping
     eq = initialize_from_power_flow(bundled_case, bundled_sol, bundled_red)
-    table = modal_analysis(linearize(eq.model, eq.state),
+    table = modal_analysis(linearize(eq),
                            eq.model.layout.labels)
     dominant = min_damping(table, 0.3, 0.9)
     sc = Scenario(duration=40.0, dt=0.005,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -17,12 +18,12 @@ from conftest import make_two_bus_text
 
 def test_linearize_requires_equilibrium(bundled_eq):
     with pytest.raises(NonEquilibriumError):
-        linearize(bundled_eq.model, bundled_eq.state + 0.5)
+        linearize(dataclasses.replace(bundled_eq, state=bundled_eq.state + 0.5))
 
 
 def test_linearize_recovers_linear_system(bundled_eq):
     """On the governor block the model is linear, so the matrix is exact to roundoff."""
-    a_full = linearize(bundled_eq.model, bundled_eq.state)
+    a_full = linearize(bundled_eq)
     lay = bundled_eq.model.layout
     case_machine = 1
     rows = [lay.idx(case_machine, s) for s in ("pm", "xm", "xe")]
@@ -38,9 +39,9 @@ def test_linearize_recovers_linear_system(bundled_eq):
 def test_linearize_matches_column_reference(bundled_eq, bundled_design):
     """The complex-step matrix agrees with one central difference per column
     to the truncation error of the difference."""
-    model = bundled_eq.model
     ctrl, _ = bundled_design
-    control = Control(ctrl.gains, bundled_eq.x5, np.ones(model.n_machines))
+    control = Control(ctrl.gains, bundled_eq.x5, np.ones(bundled_eq.model.n_machines))
+    rhs = bundled_eq.model.plan.bind(bundled_eq.network.g, bundled_eq.network.b, control)
     x0 = bundled_eq.state
     ref = np.empty((x0.size, x0.size))
     for j in range(x0.size):
@@ -48,8 +49,8 @@ def test_linearize_matches_column_reference(bundled_eq, bundled_design):
         yp, ym = x0.copy(), x0.copy()
         yp[j] += h
         ym[j] -= h
-        ref[:, j] = (model.rhs(yp, control) - model.rhs(ym, control)) / (2.0 * h)
-    assert np.allclose(linearize(model, x0, control), ref, rtol=1e-9, atol=1e-5)
+        ref[:, j] = (rhs(yp) - rhs(ym)) / (2.0 * h)
+    assert np.allclose(linearize(bundled_eq, control), ref, rtol=1e-9, atol=1e-5)
 
 
 def _equilibrium(case):
@@ -69,9 +70,8 @@ def _closed_loop_pair(case, eq, gains):
     the gains in service (active where a row is nonzero, reference at the
     equilibrium)."""
     control = Control(gains, eq.x5, np.any(gains != 0.0, axis=1).astype(float))
-    derived = closed_loop_matrix(linearize(eq.model, eq.state), case,
-                                 eq.model.layout, gains)
-    return derived, linearize(eq.model, eq.state, control)
+    derived = closed_loop_matrix(linearize(eq), case, eq.model.layout, gains)
+    return derived, linearize(eq, control)
 
 
 @pytest.mark.parametrize("variant", ["bundled", "x0.9", "x1.1", "trip-3-101-1",
@@ -110,7 +110,7 @@ def test_closed_loop_matrix_at_valve_limit(bundled_design):
     slope = -gov.ke / (gov.te * gov.r * case.omega0)
     lay = eq.model.layout
     xe, omega = lay.idx(1, "xe"), lay.idx(1, "omega")
-    assert linearize(eq.model, eq.state)[xe, omega] == pytest.approx(slope, rel=1e-12)
+    assert linearize(eq)[xe, omega] == pytest.approx(slope, rel=1e-12)
     closed = slope + gains[0, 1] / gov.te
     for a in _closed_loop_pair(case, eq, gains):
         assert a[xe, omega] == pytest.approx(closed, rel=1e-12)
@@ -122,7 +122,7 @@ def test_single_machine_block_equals_analytic():
     sol = solve_power_flow(case)
     red = kron_reduce(case, load_admittances(case, sol))
     eq = initialize_from_power_flow(case, sol, red)
-    a_full = linearize(eq.model, eq.state)
+    a_full = linearize(eq)
     lay = eq.model.layout
     idx = [lay.idx(1, s) for s in ("delta", "omega", "pm", "xm", "xe")]
     block = a_full[np.ix_(idx, idx)]
@@ -158,13 +158,34 @@ def test_participation_identity_for_diagonal():
 
 
 def test_participation_rows_sum_to_one(bundled_eq):
-    a = linearize(bundled_eq.model, bundled_eq.state)
+    a = linearize(bundled_eq)
     for m in modal_analysis(a):
         assert np.sum(m.participation) == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("loop", ["open", "closed"])
+def test_participation_matches_lapack_left_eigenvectors(bundled_case, bundled_eq,
+                                                        bundled_design, loop):
+    """Participation from the rows of the inverse right-eigenvector matrix
+    equals that from LAPACK's own left eigenvectors: the per-mode
+    normalization cancels their scale."""
+    import scipy.linalg
+    a = linearize(bundled_eq)
+    if loop == "closed":
+        layout = bundled_eq.model.layout
+        a = closed_loop_matrix(a, bundled_case, layout,
+                               bundled_design[0].gains_for(layout.machine_ids))
+    w, vl, vr = scipy.linalg.eig(a, left=True, right=True)
+    table = modal_analysis(a)
+    assert len(table) == np.sum(w.imag >= 0.0)
+    for m in table:
+        i = int(np.argmin(np.abs(w - m.eigenvalue)))
+        ref = np.abs(vl[:, i] * vr[:, i])
+        assert np.allclose(m.participation, ref / ref.sum(), rtol=0.0, atol=1e-12)
+
+
 def test_eigen_residuals(bundled_eq):
-    a = linearize(bundled_eq.model, bundled_eq.state)
+    a = linearize(bundled_eq)
     norm_a = np.linalg.norm(a, 2)
     for m in modal_analysis(a):
         res = np.linalg.norm(a @ m.right - m.eigenvalue * m.right)
@@ -172,7 +193,7 @@ def test_eigen_residuals(bundled_eq):
 
 
 def test_damping_invariant_under_time_scaling(bundled_eq):
-    a = linearize(bundled_eq.model, bundled_eq.state)
+    a = linearize(bundled_eq)
     t1 = modal_analysis(a)
     t2 = modal_analysis(3.7 * a)
     z1 = sorted(m.damping_ratio for m in t1)
@@ -227,7 +248,7 @@ def test_classify_invariant_to_eigenvector_scaling():
 
 
 def test_bundled_interarea_band(bundled_eq, bundled_areas):
-    a = linearize(bundled_eq.model, bundled_eq.state)
+    a = linearize(bundled_eq)
     table = classify_table(modal_analysis(a, bundled_eq.model.layout.labels),
                            bundled_eq.model.layout.speed_indices,
                            bundled_areas, bundled_eq.model.layout.machine_ids)
@@ -255,7 +276,7 @@ def test_min_damping_band_exclusion():
 
 
 def test_mode_csv_shape(bundled_eq):
-    a = linearize(bundled_eq.model, bundled_eq.state)
+    a = linearize(bundled_eq)
     table = modal_analysis(a, bundled_eq.model.layout.labels)
     lines = table.to_csv().strip().splitlines()
     assert lines[0] == "re,im,freq_hz,damping_pct,class,top_participant"

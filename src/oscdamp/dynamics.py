@@ -232,10 +232,21 @@ class Equilibrium:
     network: ReducedNetwork
     state: np.ndarray
     boundary_machines: tuple[int, ...]
-    delta: np.ndarray
-    eqp: np.ndarray
-    edp: np.ndarray
     x5: np.ndarray          # (n_mach, 5) design-state equilibrium rows
+
+    # rotor angles and transient EMFs, read from the state through the plan's
+    # per-machine indices (rows delta, omega, eqp, edp, ...)
+    @property
+    def delta(self) -> np.ndarray:
+        return self.state[self.model.plan.ix_mach[0]]
+
+    @property
+    def eqp(self) -> np.ndarray:
+        return self.state[self.model.plan.ix_mach[2]]
+
+    @property
+    def edp(self) -> np.ndarray:
+        return self.state[self.model.plan.ix_mach[3]]
 
     def rhs_norm(self) -> float:
         dy = kernels.rhs(self.state, self.model.plan, self.network.g, self.network.b)
@@ -285,9 +296,6 @@ def initialize_from_power_flow(case: PowerSystemCase, sol: PowerFlowSolution,
     p_out, q_out = _machine_bus_outputs(case, sol)
     vc = sol.voltage()
     boundary: list[int] = []
-    delta = np.zeros(n)
-    eqp = np.zeros(n)
-    edp = np.zeros(n)
     x5 = np.zeros((n, 5))
 
     for k, m in enumerate(case.machines):
@@ -306,7 +314,6 @@ def initialize_from_power_flow(case: PowerSystemCase, sol: PowerFlowSolution,
         efd = eqp_k + (pfk[PF.XD] - pfk[PF.XDP]) * i_d
         pe = edp_k * i_d + eqp_k * i_q + (pfk[PF.XQP] - pfk[PF.XDP]) * i_d * i_q
 
-        delta[k], eqp[k], edp[k] = dlt, eqp_k, edp_k
         y0[layout.idx(m.id, "delta")] = dlt
         y0[layout.idx(m.id, "eqp")] = eqp_k
         y0[layout.idx(m.id, "edp")] = edp_k
@@ -347,5 +354,4 @@ def initialize_from_power_flow(case: PowerSystemCase, sol: PowerFlowSolution,
 
     model = SimModel(layout=layout, omega0=case.omega0, pf=pf, pi=pi)
     return Equilibrium(model=model, network=reduced, state=y0,
-                       boundary_machines=tuple(boundary),
-                       delta=delta, eqp=eqp, edp=edp, x5=x5)
+                       boundary_machines=tuple(boundary), x5=x5)

@@ -1,9 +1,11 @@
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oscdamp
@@ -92,6 +94,30 @@ def test_cli_import_loads_no_scipy():
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert run.stdout.strip() == "[]"
+
+
+def test_design_gains_independent_of_blas_threads():
+    """The bundled design gives the same gain bits with 1 and 2 BLAS threads.
+    Fresh interpreters, since OpenBLAS reads its thread count at load."""
+    src = str(Path(oscdamp.__file__).resolve().parents[1])
+    code = ("import sys, numpy as np, oscdamp; "
+            "from oscdamp.case import parse_case; "
+            "from oscdamp.powerflow import solve_power_flow, load_admittances, kron_reduce; "
+            "from oscdamp.dynamics import initialize_from_power_flow; "
+            "from oscdamp.synthesis import design_controllers; "
+            "case = parse_case(oscdamp.bundled_case_text()); "
+            "sol = solve_power_flow(case); "
+            "eq = initialize_from_power_flow(case, sol, "
+            "kron_reduce(case, load_admittances(case, sol))); "
+            "np.save(sys.stdout.buffer, design_controllers(case, eq)[0].gains)")
+    gains = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads}
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, check=True)
+        gains.append(np.load(io.BytesIO(run.stdout)))
+    assert np.array_equal(gains[0], gains[1])
 
 
 def test_numeric_error_exit_code(tmp_path):

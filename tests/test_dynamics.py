@@ -191,6 +191,16 @@ def test_initialization_fixed_point(bundled_eq):
     assert bundled_eq.rhs_norm() < 1e-8
 
 
+def test_equilibrium_angles_and_emfs_read_the_state(bundled_case, bundled_eq):
+    """delta, eqp and edp are the state's entries, not a second copy."""
+    layout = bundled_eq.model.layout
+    for name in ("delta", "eqp", "edp"):
+        at = [layout.idx(m.id, name) for m in bundled_case.machines]
+        assert np.array_equal(getattr(bundled_eq, name), bundled_eq.state[at])
+        with pytest.raises(AttributeError):
+            setattr(bundled_eq, name, np.zeros(len(at)))
+
+
 def test_initialization_fixed_point_after_trip(bundled_case):
     from oscdamp.case import apply_line_trip
     tripped = apply_line_trip(bundled_case, 3, 101, 1)

@@ -3,7 +3,8 @@
 A case file is a single UTF-8 JSON document.  Quantities keep the units the
 file carries (MW/MVAr for loads and dispatch, machine-base per-unit for
 machine parameters); conversion to system per-unit happens where the numeric
-models are built.  All types are immutable; transforms return new values.
+models are built, the reactances' through `Machine.system_reactances`.  All
+types are immutable; transforms return new values.
 """
 
 from __future__ import annotations
@@ -63,6 +64,11 @@ class Machine:
     tq0p: float
     p_sched_mw: float
     v_sched: float
+
+    def system_reactances(self, base_mva: float) -> tuple[float, float, float, float]:
+        """xd, xq, xdp, xqp converted from the machine base to the system base."""
+        scale = base_mva / self.mva
+        return self.xd * scale, self.xq * scale, self.xdp * scale, self.xqp * scale
 
 
 @dataclass(frozen=True)

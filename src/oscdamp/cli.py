@@ -21,7 +21,7 @@ from .smallsignal import (NonEquilibriumError, NoOscillatoryMode, linearize,
                           closed_loop_matrix, modal_analysis, classify_table,
                           min_damping)
 from .synthesis import (SynthesisError, ControllerSet, design_controllers,
-                        DEFAULT_BOUND_SCALE)
+                        synthesis_lmi, DEFAULT_BOUND_SCALE)
 from .simulator import (ScenarioError, parse_scenario, simulate, measure,
                         ringdown_damping)
 from .lmi import LmiError, export_sdpa
@@ -59,7 +59,11 @@ def _pipeline(case: PowerSystemCase):
 def _subset_from_arg(case, spec: str) -> list[int] | None:
     if spec == "all":
         return None
-    subset = [int(s) for s in spec.split(",")]
+    try:
+        subset = [int(s) for s in spec.split(",")]
+    except ValueError as exc:
+        raise CaseError("--controllers takes 'all', 'none' or comma-separated "
+                        f"machine ids, not {spec!r}") from exc
     governed = {m.id for m in case.machines
                 if case.governor_for(m.id) is not None}
     machine_ids = {m.id for m in case.machines}
@@ -94,7 +98,7 @@ def _controllers_for(case, args, eq=None) -> ControllerSet | None:
     return ctrl
 
 
-def _modal_for(case, eq, areas: dict, controllers: ControllerSet | None = None,
+def _modal_for(eq, areas: dict, controllers: ControllerSet | None = None,
                open_loop: bool = True):
     """Mode tables at a built operating point: the open-loop one when
     `open_loop`, and the closed-loop one when controllers are given; each is
@@ -110,7 +114,7 @@ def _modal_for(case, eq, areas: dict, controllers: ControllerSet | None = None,
     open_table = table(a_open) if open_loop else None
     if controllers is None:
         return open_table, None
-    a_closed = closed_loop_matrix(a_open, case, layout,
+    a_closed = closed_loop_matrix(a_open, eq.model.plan,
                                   controllers.gains_for(layout.machine_ids))
     return open_table, table(a_closed)
 
@@ -121,7 +125,7 @@ def _point_row(case, controllers, areas: dict, band, detail: bool) -> dict:
     classes) or of an N-1 scan."""
     try:
         sol, eq = _pipeline(case)
-        open_table, closed_table = _modal_for(case, eq, areas, controllers)
+        open_table, closed_table = _modal_for(eq, areas, controllers)
         worst = min_damping(open_table, *band)
     except NUMERIC_ERRORS as exc:
         return {"converged": False, "error": str(exc)}
@@ -180,7 +184,7 @@ def cmd_modal(args) -> int:
     case, text = _load_case(args.case)
     sol, eq = _pipeline(case)
     controllers = _controllers_for(case, args, eq)
-    open_table, closed_table = _modal_for(case, eq, machine_areas(case), controllers,
+    open_table, closed_table = _modal_for(eq, machine_areas(case), controllers,
                                           open_loop=controllers is None)
     table = open_table if closed_table is None else closed_table
     try:
@@ -207,11 +211,11 @@ def cmd_modal(args) -> int:
 def cmd_design(args) -> int:
     case, text = _load_case(args.case)
     _, eq = _pipeline(case)
-    subset = _subset_from_arg(case, args.controllers)    # main() maps none to all
+    subset = _subset_from_arg(case, args.controllers)    # never 'none' here
     ctrl, res = design_controllers(case, eq, subset=subset,
                                    beta_bar=args.beta_bar,
                                    bound_scale=args.bound_scale)
-    _, table = _modal_for(case, eq, machine_areas(case), ctrl, open_loop=False)
+    _, table = _modal_for(eq, machine_areas(case), ctrl, open_loop=False)
     worst = min_damping(table, *args.band)
     results = {
         "synthesis": res.summary(),
@@ -221,7 +225,7 @@ def cmd_design(args) -> int:
     }
     csvs = {"closed_loop_modes.csv": table.to_csv()}
     if args.out:
-        sdpa_text = export_sdpa(res.problem)
+        sdpa_text = export_sdpa(res.solution.sdp)
         csvs["synthesis.dat-s"] = sdpa_text
         results["sdpa_export"] = "synthesis.dat-s"
         write_report(args.out, "design", _config(args), results, text, csvs)
@@ -270,8 +274,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     case, text = _load_case(args.case)
-    fractions = [float(f) for f in args.fractions.split(",")]
-    if not fractions or any(f <= 0 for f in fractions):
+    try:
+        fractions = [float(f) for f in args.fractions.split(",")]
+    except ValueError as exc:
+        raise CaseError(f"--fractions takes comma-separated numbers, not "
+                        f"{args.fractions!r}") from exc
+    if any(not f > 0 for f in fractions):
         raise CaseError("stress fractions must be positive")
     areas = machine_areas(case)
     controllers = _controllers_for(case, args)
@@ -332,17 +340,35 @@ def cmd_scan_n1(args) -> int:
 def cmd_export_sdpa(args) -> int:
     case, text = _load_case(args.case)
     _, eq = _pipeline(case)
-    subset = _subset_from_arg(case, "all" if args.controllers == "none"
-                              else args.controllers)
-    _, res = design_controllers(case, eq, subset=subset,
-                                beta_bar=args.beta_bar,
-                                bound_scale=args.bound_scale)
-    sdpa_text = export_sdpa(res.problem)
+    syn = synthesis_lmi(case, eq, subset=_subset_from_arg(case, args.controllers),
+                        beta_bar=args.beta_bar, bound_scale=args.bound_scale)
+    sdpa_text = export_sdpa(syn.problem)
     out = Path(args.out or ".") / "synthesis.dat-s"
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(sdpa_text)
     print(f"wrote {out}")
     return EXIT_OK
+
+
+def _check_options(args) -> None:
+    """Settle --controllers and refuse flag values no command can run with.
+
+    --controllers defaults to 'all' where gains are designed (design,
+    export-sdpa, which also read 'none' as 'all') or given by --gains, and to
+    'none' elsewhere; --gains with an explicit 'none' is an input error."""
+    if not hasattr(args, "controllers"):
+        return
+    designs = args.command in ("design", "export-sdpa")
+    gains = getattr(args, "gains", None)
+    if gains and args.controllers == "none":
+        raise CaseError("--gains puts its controllers in service; "
+                        "it cannot be combined with --controllers none")
+    if args.controllers is None or (designs and args.controllers == "none"):
+        args.controllers = "all" if designs or gains else "none"
+    if not args.beta_bar >= 1.0:
+        raise CaseError(f"--beta-bar must be at least 1, not {args.beta_bar}")
+    if not args.bound_scale > 0.0:
+        raise CaseError(f"--bound-scale must be positive, not {args.bound_scale}")
 
 
 def _config(args) -> dict:
@@ -365,8 +391,10 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--band", type=float, nargs=2, default=(0.1, 3.0),
                             metavar=("LO", "HI"), help="oscillatory band (Hz)")
         if controllers:
-            sp.add_argument("--controllers", default="none",
-                            help="'all', 'none', or comma-separated machine ids")
+            sp.add_argument("--controllers", default=None,
+                            help="'all', 'none', or comma-separated machine ids "
+                                 "(default: all for design, export-sdpa and "
+                                 "--gains, none otherwise)")
             sp.add_argument("--beta-bar", type=float, default=1.0, dest="beta_bar")
             sp.add_argument("--bound-scale", type=float,
                             default=DEFAULT_BOUND_SCALE, dest="bound_scale")
@@ -396,9 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "command", "") == "design" and args.controllers == "none":
-        args.controllers = "all"
     try:
+        _check_options(args)
         return args.func(args)
     except INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -21,7 +21,6 @@ import numpy as np
 from .case import PowerSystemCase, Machine, GovernorParams
 from .powerflow import PowerFlowSolution, ReducedNetwork
 from . import kernels
-from .kernels import PF, PI
 
 
 class InitializationError(Exception):
@@ -144,83 +143,20 @@ def electrical_power(reduced: ReducedNetwork, delta: np.ndarray,
 
 @dataclass(frozen=True)
 class SimModel:
-    """Packed parameter arrays and the one RHS plan built from them.
-    Immutable: the arrays are read-only, and the network and controller
-    setting of a call are arguments, not fields."""
+    """The state layout and the one RHS plan, the model's parameter record.
+    Immutable: the plan's arrays are read-only, and the network and
+    controller setting of a call are arguments, not fields."""
 
     layout: StateLayout
-    omega0: float
-    pf: np.ndarray          # (n_mach, kernels.NPF) float params
-    pi: np.ndarray          # (n_mach, kernels.NPI) int params
-    plan: kernels.RhsPlan = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        for a in (self.pf, self.pi):
-            a.flags.writeable = False
-        object.__setattr__(self, "plan", kernels.RhsPlan(self.pf, self.pi, self.omega0))
+    plan: kernels.RhsPlan = field(repr=False, compare=False)
 
     @property
     def n_machines(self) -> int:
-        return self.pf.shape[0]
+        return len(self.layout.machine_ids)
 
     @property
     def n_states(self) -> int:
         return self.layout.n_states
-
-
-def _pack_parameters(case: PowerSystemCase, layout: StateLayout):
-    """The float and integer parameter matrices, without the equilibrium
-    references (PCREF, PMCONST, VREF, EFDCONST)."""
-    n = len(case.machines)
-    pf = np.zeros((n, kernels.NPF))
-    pi = np.full((n, kernels.NPI), -1, dtype=np.int64)
-    for k, m in enumerate(case.machines):
-        scale = case.base_mva / m.mva
-        pf[k, PF.H] = m.h
-        pf[k, PF.D] = m.d
-        pf[k, PF.SOUT] = m.mva / case.base_mva
-        pf[k, PF.XD] = m.xd * scale
-        pf[k, PF.XQ] = m.xq * scale
-        pf[k, PF.XDP] = m.xdp * scale
-        pf[k, PF.XQP] = m.xqp * scale
-        pf[k, PF.TD0P] = m.td0p
-        pf[k, PF.TQ0P] = m.tq0p
-        for slot_col, slot in ((PI.I_DELTA, "delta"), (PI.I_OMEGA, "omega"),
-                               (PI.I_EQP, "eqp"), (PI.I_EDP, "edp"),
-                               (PI.I_PM, "pm"), (PI.I_XM, "xm"), (PI.I_XE, "xe"),
-                               (PI.I_EFD, "efd"), (PI.I_Z1, "z1"),
-                               (PI.I_Z2, "z2"), (PI.I_Z3, "z3")):
-            if layout.has(m.id, slot):
-                pi[k, slot_col] = layout.idx(m.id, slot)
-        gov = case.governor_for(m.id)
-        pi[k, PI.HAS_GOV] = 1 if gov is not None else 0
-        if gov is not None:
-            pf[k, PF.KE] = gov.ke
-            pf[k, PF.TE] = gov.te
-            pf[k, PF.T3] = gov.t3
-            pf[k, PF.T4] = gov.t4
-            pf[k, PF.T5] = gov.t5
-            pf[k, PF.TM] = gov.tm
-            pf[k, PF.RDROOP] = gov.r
-        exc = case.exciter_for(m.id)
-        pi[k, PI.HAS_EXC] = 1 if exc is not None else 0
-        if exc is not None:
-            pf[k, PF.KA] = exc.ka
-            pf[k, PF.TA] = exc.ta
-            pf[k, PF.EFDMIN] = exc.efd_min
-            pf[k, PF.EFDMAX] = exc.efd_max
-        pss = case.pss_for(m.id)
-        pi[k, PI.HAS_PSS] = 1 if pss is not None else 0
-        if pss is not None:
-            pf[k, PF.KS] = pss.ks
-            pf[k, PF.TW] = pss.tw
-            pf[k, PF.TP1] = pss.t1
-            pf[k, PF.TP2] = pss.t2
-            pf[k, PF.TP3] = pss.t3
-            pf[k, PF.TP4] = pss.t4
-            pf[k, PF.VSMIN] = pss.vmin
-            pf[k, PF.VSMAX] = pss.vmax
-    return pf, pi
 
 
 @dataclass
@@ -286,41 +222,41 @@ def initialize_from_power_flow(case: PowerSystemCase, sol: PowerFlowSolution,
     The returned state is an exact fixed point of the assembled model: machine
     EMFs reproduce the power-flow currents through the reduced network, the
     governor chain sits at its unity-gain steady state, and exciter references
-    absorb the required field voltage.  The model is built last, once its
-    parameters hold these references.
+    absorb the required field voltage.  The model's plan is built last, from
+    the case, the layout and these references.
     """
     layout = build_layout(case)
-    pf, pi = _pack_parameters(case, layout)
     n = len(case.machines)
     y0 = np.zeros(layout.n_states)
     p_out, q_out = _machine_bus_outputs(case, sol)
     vc = sol.voltage()
     boundary: list[int] = []
     x5 = np.zeros((n, 5))
+    pm_ref, efd_ref, vref = np.zeros(n), np.zeros(n), np.zeros(n)
 
     for k, m in enumerate(case.machines):
         i = sol.index_of(m.bus)
         v = vc[i]
         s = complex(p_out[k], q_out[k])
         cur = np.conj(s / v)
-        pfk = pf[k]
-        xq_eff = pfk[PF.XQ] - pfk[PF.XQP] + pfk[PF.XDP]
+        xd, xq, xdp, xqp = m.system_reactances(case.base_mva)
+        xq_eff = xq - xqp + xdp
         dlt = float(np.angle(v + 1j * xq_eff * cur))
         rot = np.exp(-1j * (dlt - math.pi / 2))
-        e = (v + 1j * pfk[PF.XDP] * cur) * rot
+        e = (v + 1j * xdp * cur) * rot
         idq = cur * rot
         i_d, i_q = idq.real, idq.imag
         edp_k, eqp_k = e.real, e.imag
-        efd = eqp_k + (pfk[PF.XD] - pfk[PF.XDP]) * i_d
-        pe = edp_k * i_d + eqp_k * i_q + (pfk[PF.XQP] - pfk[PF.XDP]) * i_d * i_q
+        efd = eqp_k + (xd - xdp) * i_d
+        pe = edp_k * i_d + eqp_k * i_q + (xqp - xdp) * i_d * i_q
 
         y0[layout.idx(m.id, "delta")] = dlt
         y0[layout.idx(m.id, "eqp")] = eqp_k
         y0[layout.idx(m.id, "edp")] = edp_k
 
-        pm_m = pe / pfk[PF.SOUT]
+        pm_m = pe / (m.mva / case.base_mva)
         x5[k] = [dlt, 0.0, pm_m, pm_m, pm_m]
-        if pi[k, PI.HAS_GOV]:
+        if case.governor_for(m.id) is not None:
             if pm_m > 1.0 + 1e-9:
                 raise InitializationError(
                     f"machine {m.id}: equilibrium requires valve opening "
@@ -336,22 +272,19 @@ def initialize_from_power_flow(case: PowerSystemCase, sol: PowerFlowSolution,
             y0[layout.idx(m.id, "pm")] = pm_m
             y0[layout.idx(m.id, "xm")] = pm_m
             y0[layout.idx(m.id, "xe")] = pm_m
-            pf[k, PF.PCREF] = pm_m
-        else:
-            pf[k, PF.PMCONST] = pm_m
+        pm_ref[k] = pm_m
 
-        if pi[k, PI.HAS_EXC]:
-            exc = case.exciter_for(m.id)
+        exc = case.exciter_for(m.id)
+        if exc is not None:
             if not (exc.efd_min + 1e-12 <= efd <= exc.efd_max - 1e-12):
                 raise InitializationError(
                     f"machine {m.id}: equilibrium field voltage {efd:.4f} outside "
                     f"limits [{exc.efd_min}, {exc.efd_max}]")
             y0[layout.idx(m.id, "efd")] = efd
-            pf[k, PF.VREF] = abs(v) + efd / exc.ka
-        else:
-            pf[k, PF.EFDCONST] = efd
+            vref[k] = abs(v) + efd / exc.ka
+        efd_ref[k] = efd
         # PSS washout states are zero at any speed equilibrium
 
-    model = SimModel(layout=layout, omega0=case.omega0, pf=pf, pi=pi)
+    model = SimModel(layout, kernels.RhsPlan(case, layout, pm_ref, efd_ref, vref))
     return Equilibrium(model=model, network=reduced, state=y0,
                        boundary_machines=tuple(boundary), x5=x5)

@@ -1,9 +1,10 @@
 """Hot numeric kernels: full-system RHS evaluation and fixed-step RK4 spans.
 
 The model RHS is evaluated through an :class:`RhsPlan`, built once per model
-from ``(pf, pi, omega0)``: the gather indices of the base, governor, exciter
-and PSS states, the per-device coefficient vectors, and the permutation that
-puts the concatenated derivative blocks back into state order.  The network
+from the case's device records, the state layout and the equilibrium
+references: the gather indices of the base, governor, exciter and PSS states,
+the per-device coefficient vectors, and the permutation that puts the
+concatenated derivative blocks back into state order.  The network
 ``(gmat, bmat)`` and the governor feedback in service (a :class:`Control`, or
 None for none) are arguments of each call, never state of the plan.
 :func:`rhs` takes ``y`` of shape ``(n_states,)`` or ``(B, n_states)``, real
@@ -33,72 +34,9 @@ import numpy as np
 DIVERGENCE_LIMIT = 1e6
 
 
-class PF:
-    """Column indices of the float parameter matrix (one row per machine)."""
-    H = 0
-    D = 1
-    SOUT = 2      # machine MVA / system MVA: machine-base power -> system base
-    XD = 3
-    XQ = 4
-    XDP = 5
-    XQP = 6
-    TD0P = 7
-    TQ0P = 8
-    KE = 9
-    TE = 10
-    T3 = 11
-    T4 = 12
-    T5 = 13
-    TM = 14
-    RDROOP = 15
-    KA = 16
-    TA = 17
-    EFDMIN = 18
-    EFDMAX = 19
-    VREF = 20
-    KS = 21
-    TW = 22
-    TP1 = 23
-    TP2 = 24
-    TP3 = 25
-    TP4 = 26
-    VSMIN = 27
-    VSMAX = 28
-    PCREF = 29
-    PMCONST = 30
-    EFDCONST = 31
-
-
-NPF = 32
-
-
-class PI:
-    """Column indices of the integer parameter matrix (state slots, -1 if absent)."""
-    I_DELTA = 0
-    I_OMEGA = 1
-    I_EQP = 2
-    I_EDP = 3
-    I_PM = 4
-    I_XM = 5
-    I_XE = 6
-    I_EFD = 7
-    I_Z1 = 8
-    I_Z2 = 9
-    I_Z3 = 10
-    HAS_GOV = 11
-    HAS_EXC = 12
-    HAS_PSS = 13
-
-
-NPI = 14
-
-
 def active_backend() -> str:
     """Name of the kernel implementation; there is one."""
     return "numpy"
-
-
-_GOV_SLOTS = [PI.I_DELTA, PI.I_OMEGA, PI.I_PM, PI.I_XM, PI.I_XE]
 
 
 def network_currents(delta, eqp, edp, gmat, bmat):
@@ -149,9 +87,16 @@ def feedback(gains, dx):
     return np.einsum("ij,ij->i", tiled, flat).reshape(dx.shape[:-1])
 
 
+def _columns(rows, width):
+    """Float column vectors of a list of equal-length tuples (empty for none)."""
+    return np.array(rows, dtype=float).reshape(-1, width).T.copy()
+
+
 class RhsPlan:
-    """Gather indices, per-device coefficients and the output permutation of the
-    model RHS, derived once from the packed parameters ``(pf, pi, omega0)``.
+    """The model's parameter record: the gather indices, per-device
+    coefficients and output permutation of the model RHS, built in one pass
+    from the case's device records, the layout's state slots and the
+    equilibrium references.  Its arrays are read-only.
 
     States ``y`` are ``(n_states,)`` or stacked ``(..., n_states)``; every
     method works over the last axis.  Slots of absent devices (the mechanical
@@ -165,72 +110,79 @@ class RhsPlan:
     formulas in full.
     """
 
-    def __init__(self, pf, pi, omega0):
-        n = pf.shape[0]
-        has_gov, has_exc, has_pss = (pi[:, [PI.HAS_GOV, PI.HAS_EXC, PI.HAS_PSS]] == 1).T
-        gov, exc, pss = (np.flatnonzero(has) for has in (has_gov, has_exc, has_pss))
-        n_states = 4 * n + 3 * gov.size + exc.size + 3 * pss.size
-        self.omega0 = omega0
-
-        # absent-device slots point past the state into [PMCONST, 0.0, EFDCONST]
-        pm_at = n_states + np.arange(n)
+    def __init__(self, case, layout, pm, efd, vref):
+        """`pm` (machine base), `efd` and `vref` hold each machine's
+        equilibrium mechanical power, field voltage and exciter reference;
+        `vref` is read for machines with an exciter only."""
+        n, n_states, at = len(case.machines), layout.n_states, layout.index
+        self.omega0 = omega0 = case.omega0
+        # absent-device slots point past the state into [pm, 0.0, efd]
         zero_at = n_states + n
-        efd_at = n_states + n + 1 + np.arange(n)
+        mach, slots = [], []
+        gov, gov_p, exc, exc_p, pss_p, pss_ix = [], [], [], [], [], []
+        vpss_dst, vpss_src = [], []
+        for k, m in enumerate(case.machines):
+            g, e, p = case.governor_for(m.id), case.exciter_for(m.id), case.pss_for(m.id)
+            mach.append((m.h, m.d, m.mva / case.base_mva,
+                         *m.system_reactances(case.base_mva), m.td0p, m.tq0p))
+            # delta, omega, eqp, edp, pm, xm, xe, efd
+            slots.append((at[m.id, "delta"], at[m.id, "omega"], at[m.id, "eqp"],
+                          at[m.id, "edp"],
+                          *((at[m.id, "pm"], at[m.id, "xm"], at[m.id, "xe"])
+                            if g is not None else (n_states + k, zero_at, zero_at)),
+                          at[m.id, "efd"] if e is not None else zero_at + 1 + k))
+            if g is not None:
+                gov.append(k)
+                gov_p.append((g.ke, g.te, g.t3, g.t4, g.t5, g.tm, g.r, pm[k]))
+            if e is not None and p is not None:
+                vpss_dst.append(len(exc))
+                vpss_src.append(len(pss_p))
+            if e is not None:
+                exc.append(k)
+                exc_p.append((e.ka, e.ta, e.efd_min, e.efd_max, vref[k]))
+            if p is not None:
+                pss_p.append((p.ks, p.tw, p.t1, p.t2, p.t3, p.t4, p.vmin, p.vmax))
+                pss_ix.append((at[m.id, "omega"], at[m.id, "z1"], at[m.id, "z2"],
+                               at[m.id, "z3"]))
+        slot = np.array(slots, dtype=np.intp)
         self.const = None
-        if gov.size < n or exc.size < n:
-            self.const = np.concatenate((pf[:, PF.PMCONST], [0.0], pf[:, PF.EFDCONST]))
-        slot5 = pi[:, _GOV_SLOTS]
-        slot5[~has_gov, 2] = pm_at[~has_gov]
-        slot5[~has_gov, 3:] = zero_at
-        self.ix5 = slot5                                    # (n, 5) design states
-        efd_ix = np.where(has_exc, pi[:, PI.I_EFD], efd_at)
+        if len(gov) < n or len(exc) < n:
+            self.const = np.concatenate((pm, [0.0], efd))
+        self.ix5 = slot[:, [0, 1, 4, 5, 6]]                 # (n, 5) design states
         # rows: delta, omega, eqp, edp, pm, efd
-        self.ix_mach = np.stack([pi[:, PI.I_DELTA], pi[:, PI.I_OMEGA],
-                                 pi[:, PI.I_EQP], pi[:, PI.I_EDP],
-                                 slot5[:, 2], efd_ix])
+        self.ix_mach = slot[:, [0, 1, 2, 3, 4, 7]].T
 
         # network and rotor/two-axis coefficients
-        self.xdp = pf[:, PF.XDP]
-        self.xq_corr = pf[:, PF.XQP] - pf[:, PF.XDP]
-        self.sout = pf[:, PF.SOUT]
-        h2 = 2.0 * pf[:, PF.H]
-        self.c_damp = -(pf[:, PF.D] / h2)
+        h, d, self.sout, xd, xq, xdp, xqp, self.td0p, self.tq0p = _columns(mach, 9)
+        self.xdp = xdp
+        self.xq_corr = xqp - xdp
+        h2 = 2.0 * h
+        self.c_damp = -(d / h2)
         self.c_acc = omega0 / h2
-        self.xd_diff = pf[:, PF.XD] - pf[:, PF.XDP]
-        self.xq_diff = pf[:, PF.XQ] - pf[:, PF.XQP]
-        self.td0p = pf[:, PF.TD0P]
-        self.tq0p = pf[:, PF.TQ0P]
+        self.xd_diff = xd - xdp
+        self.xq_diff = xq - xqp
 
         # PSS (washout + two lead-lags): rows omega, z1, z2, z3
-        p = pf[pss]
-        self.ix_pss = pi[pss][:, [PI.I_OMEGA, PI.I_Z1, PI.I_Z2, PI.I_Z3]].T
-        self.ks, self.tw = p[:, PF.KS], p[:, PF.TW]
-        self.tp2, self.tp4 = p[:, PF.TP2], p[:, PF.TP4]
-        self.lead1 = p[:, PF.TP1] / p[:, PF.TP2]
-        self.lead2 = p[:, PF.TP3] / p[:, PF.TP4]
-        self.vsmin, self.vsmax = p[:, PF.VSMIN], p[:, PF.VSMAX]
+        self.ix_pss = np.array(pss_ix, dtype=np.intp).reshape(-1, 4).T
+        self.ks, self.tw, tp1, self.tp2, tp3, self.tp4, self.vsmin, self.vsmax = \
+            _columns(pss_p, 8)
+        self.lead1 = tp1 / self.tp2
+        self.lead2 = tp3 / self.tp4
 
         # exciter: the stabilizing signal of machines with both devices
-        p = pf[exc]
-        self.exc = None if exc.size == n else exc
-        self.ix_efd = pi[exc, PI.I_EFD]
-        self.ka, self.ta, self.vref = p[:, PF.KA], p[:, PF.TA], p[:, PF.VREF]
-        self.efdmin, self.efdmax = p[:, PF.EFDMIN], p[:, PF.EFDMAX]
-        both = has_pss[exc]
-        self.vpss_dst = np.flatnonzero(both)
-        pss_pos = np.zeros(n, dtype=pi.dtype)
-        pss_pos[pss] = np.arange(pss.size)
-        self.vpss_src = pss_pos[exc[both]]
-        self.vpss_all = exc.size == pss.size and both.all()
+        self.exc = None if len(exc) == n else np.array(exc, dtype=np.intp)
+        self.ix_efd = slot[exc, 7]
+        self.ka, self.ta, self.efdmin, self.efdmax, self.vref = _columns(exc_p, 5)
+        self.vpss_dst = np.array(vpss_dst, dtype=np.intp)
+        self.vpss_src = np.array(vpss_src, dtype=np.intp)
+        self.vpss_all = len(vpss_dst) == len(exc) == len(pss_p)
 
         # governor/turbine chain
-        p = pf[gov]
-        self.gov = None if gov.size == n else gov
-        self.ix5_gov = slot5[gov]
-        self.ix_xe = pi[gov, PI.I_XE]
-        ke, te, t3, t4 = p[:, PF.KE], p[:, PF.TE], p[:, PF.T3], p[:, PF.T4]
-        t5, tm, rr = p[:, PF.T5], p[:, PF.TM], p[:, PF.RDROOP]
-        self.pcref, self.te, self.tm, self.t5 = p[:, PF.PCREF], te, tm, t5
+        self.gov = None if len(gov) == n else np.array(gov, dtype=np.intp)
+        self.ix5_gov = self.ix5[gov]
+        self.ix_xe = self.ix5_gov[:, 4]
+        ke, te, t3, t4, t5, tm, rr, self.pcref = _columns(gov_p, 8)
+        self.te, self.tm, self.t5 = te, tm, t5
         self.xe_w = -ke / (te * rr * omega0)
         self.xm_w = -ke * t3 / (tm * te * rr * omega0)
         self.xm_xe = 1.0 - t3 / te
@@ -241,12 +193,13 @@ class RhsPlan:
         self.pm_pc = t3 * t4 / (tm * te * t5)
 
         # derivative blocks in concatenation order -> state order
-        order = np.concatenate((pi[:, PI.I_DELTA], pi[:, PI.I_OMEGA],
-                                pi[:, PI.I_EQP], pi[:, PI.I_EDP],
-                                self.ix_pss[1:].ravel(), self.ix_efd,
-                                pi[gov][:, [PI.I_PM, PI.I_XM, PI.I_XE]].T.ravel()))
+        order = np.concatenate((*slot[:, :4].T, self.ix_pss[1:].ravel(), self.ix_efd,
+                                self.ix5_gov[:, 2:].T.ravel()))
         self.perm = np.empty_like(order)
         self.perm[order] = np.arange(order.size)
+        for a in vars(self).values():
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
 
     def extend(self, y):
         """``y`` with the absent-device constants appended along the last axis."""

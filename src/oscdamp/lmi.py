@@ -290,6 +290,7 @@ class LmiSolution:
     gap: float
     residual_min_eigs: list
     iterations: int
+    sdp: CanonicalSdp                 # the canonical form that was solved
 
 
 @dataclass
@@ -501,7 +502,8 @@ def solve_sdp(problem: LmiProblem) -> LmiSolution:
         gap = m_total / t_final if status == "optimal" else float("inf")
         return LmiSolution(status=status, values=_values_from_x(problem, x),
                            objective=obj, x=x.copy(), gap=gap,
-                           residual_min_eigs=_min_eigs(main, x), iterations=iters)
+                           residual_min_eigs=_min_eigs(main, x), iterations=iters,
+                           sdp=sdp)
 
     if n == 0:
         t_final = float("inf")
@@ -603,8 +605,9 @@ def check_solution(problem: LmiProblem, solution: LmiSolution | dict) -> Solutio
 # Convention (SDPA "primal"):  min c.x  s.t.  X = sum_k x_k F_k - F0,  X PSD.
 # Our constraint  C0 + sum_k x_k F_k  PSD  maps to  F0_file = -C0.
 
-def export_sdpa(problem: LmiProblem) -> str:
-    sdp = canonicalize(problem)
+def export_sdpa(problem: LmiProblem | CanonicalSdp) -> str:
+    """The problem in SDPA sparse format; a canonical form is written as it is."""
+    sdp = problem if isinstance(problem, CanonicalSdp) else canonicalize(problem)
     out = io.StringIO()
     out.write(f"{sdp.n_vars}\n")
     out.write(f"{len(sdp.blocks)}\n")

@@ -205,8 +205,7 @@ def load_admittances(case: PowerSystemCase, sol: PowerFlowSolution) -> np.ndarra
 
 def machine_internal_admittances(case: PowerSystemCase) -> np.ndarray:
     """1/(j xdp) per machine on the system base."""
-    scale = np.array([case.base_mva / m.mva for m in case.machines])
-    xdp_sys = np.array([m.xdp for m in case.machines]) * scale
+    xdp_sys = np.array([m.system_reactances(case.base_mva)[2] for m in case.machines])
     return 1.0 / (1j * xdp_sys)
 
 

@@ -60,6 +60,16 @@ class Scenario:
                 raise ScenarioError(f"event at t={e.time} outside [0, duration]")
 
 
+def _machine_selection(value, where: str, words: tuple[str, ...]):
+    """One of `words`, or a list of machine ids (returned as a tuple)."""
+    if isinstance(value, list):
+        return tuple(value)
+    if value in words:
+        return value
+    raise ScenarioError(f"{where}: expected {' or '.join(map(repr, words))} or a "
+                        f"list of machine ids, not {value!r}")
+
+
 def parse_scenario(text: str) -> Scenario:
     try:
         raw = json.loads(text)
@@ -78,22 +88,29 @@ def parse_scenario(text: str) -> Scenario:
             kind = ev["type"]
         except (KeyError, TypeError) as exc:
             raise ScenarioError(f"events[{i}]: needs time and type") from exc
-        if kind == "trip_line":
-            params = (int(ev["from"]), int(ev["to"]), int(ev["circuit"]))
-        elif kind == "step_load":
-            params = (int(ev["bus"]), float(ev.get("dp_mw", 0.0)),
-                      float(ev.get("dq_mvar", 0.0)))
-        elif kind in ("activate_controllers", "deactivate_controllers"):
-            m = ev.get("machines", "all")
-            params = (tuple(m) if isinstance(m, list) else m,)
-        else:
-            raise ScenarioError(f"events[{i}]: unknown action {kind!r}")
+        try:
+            if kind == "trip_line":
+                params = (int(ev["from"]), int(ev["to"]), int(ev["circuit"]))
+            elif kind == "step_load":
+                params = (int(ev["bus"]), float(ev.get("dp_mw", 0.0)),
+                          float(ev.get("dq_mvar", 0.0)))
+            elif kind in ("activate_controllers", "deactivate_controllers"):
+                params = (_machine_selection(ev.get("machines", "all"),
+                                             f"events[{i}].machines", ("all",)),)
+            else:
+                raise ScenarioError(f"events[{i}]: unknown action {kind!r}")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ScenarioError(f"events[{i}]: {kind} has a missing or malformed "
+                                f"field ({type(exc).__name__}: {exc})") from exc
         events.append(Event(time=t, action=kind, params=params))
-    sc = Scenario(duration=float(raw["duration"]), dt=float(raw.get("dt", 0.005)),
+    try:
+        duration, dt = float(raw["duration"]), float(raw.get("dt", 0.005))
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"duration and dt must be numbers ({exc})") from exc
+    sc = Scenario(duration=duration, dt=dt,
                   events=tuple(sorted(events, key=lambda e: e.time)),
-                  initial_active=(tuple(raw["initial_active"])
-                                  if isinstance(raw.get("initial_active", "all"), list)
-                                  else raw.get("initial_active", "all")))
+                  initial_active=_machine_selection(raw.get("initial_active", "all"),
+                                                    "initial_active", ("all", "none")))
     sc.validate()
     return sc
 

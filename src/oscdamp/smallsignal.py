@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .case import PowerSystemCase
-from .dynamics import Equilibrium, StateLayout, build_design_matrices
+from .dynamics import Equilibrium
 from .kernels import Control
 
 
@@ -95,27 +94,24 @@ def linearize(eq: Equilibrium, control: Control | None = None) -> np.ndarray:
     return np.ascontiguousarray(r.imag.T / COMPLEX_STEP)
 
 
-def closed_loop_matrix(a_open: np.ndarray, case: PowerSystemCase,
-                       layout: StateLayout, gains: np.ndarray) -> np.ndarray:
+def closed_loop_matrix(a_open: np.ndarray, plan: kernels.RhsPlan,
+                       gains: np.ndarray) -> np.ndarray:
     """State matrix with the damping controllers in service.
 
     The control input enters the governor chain linearly through the design
-    model's input column, so machine k adds ``b_k k_k^T`` on its pm, xm, xe
-    rows and its delta, omega, pm, xm, xe columns.  `gains` holds one row
-    per machine in layout order; a machine without a governor or with an
-    all-zero row adds nothing.  It equals :func:`linearize` of the model with
-    the controllers in service, also where a valve sits on its limit: there
-    the anti-windup hold is inactive at the equilibrium itself.
+    model's input column ``[t3 t4/(tm te t5), t3/(tm te), 1/te]``, taken from
+    the plan's coefficients, so governed machine k adds ``b_k k_k^T`` on its
+    pm, xm, xe rows and its delta, omega, pm, xm, xe columns.  `gains` holds
+    one row per machine in layout order; a machine without a governor or with
+    an all-zero row adds nothing.  It equals :func:`linearize` of the model
+    with the controllers in service, also where a valve sits on its limit:
+    there the anti-windup hold is inactive at the equilibrium itself.
     """
     a = a_open.copy()
-    for m, k_row in zip(case.machines, gains):
-        gov = case.governor_for(m.id)
-        if gov is None:
-            continue
-        b = build_design_matrices(m, gov, case.omega0).b[2:]
-        rows = [layout.idx(m.id, s) for s in ("pm", "xm", "xe")]
-        cols = [layout.idx(m.id, s) for s in ("delta", "omega", "pm", "xm", "xe")]
-        a[np.ix_(rows, cols)] += np.outer(b, k_row)
+    k = gains if plan.gov is None else gains[plan.gov]
+    b = np.stack((plan.pm_pc, plan.xm_pc, 1.0 / plan.te), axis=1)
+    cols = plan.ix5_gov
+    a[cols[:, 2:, None], cols[:, None, :]] += b[:, :, None] * k[:, None, :]
     return a
 
 

@@ -319,8 +319,24 @@ class ControllerSet:
 
 
 @dataclass
-class SynthesisResult:
+class SynthesisLmi:
+    """The gain-synthesis LMI of one operating point, and what its solution
+    is read against: the design models as the LMI states them (per-unit
+    speed) and the state scale back to physical units."""
+
     subset: tuple[int, ...]
+    models: list[DesignModel]
+    state_scale: np.ndarray
+    problem: LmiProblem
+    e_max_q: np.ndarray
+    e_max_d: np.ndarray
+    beta_bar: np.ndarray
+    bound_scale: float
+
+
+@dataclass
+class SynthesisResult:
+    lmi: SynthesisLmi
     y_mats: dict
     l_rows: dict
     gains: dict
@@ -329,16 +345,11 @@ class SynthesisResult:
     kappa_l: dict
     solution: LmiSolution
     check: SolutionCheck
-    problem: LmiProblem
-    e_max_q: np.ndarray
-    e_max_d: np.ndarray
-    beta_bar: np.ndarray
-    bound_scale: float = 1.0
     closed_loop_eigs: dict = field(default_factory=dict)
 
     def summary(self) -> dict:
         return {
-            "subset": list(self.subset),
+            "subset": list(self.lmi.subset),
             "status": self.solution.status,
             "objective": self.solution.objective,
             "gap": self.solution.gap,
@@ -347,10 +358,10 @@ class SynthesisResult:
             "kappa_l": {str(k): v for k, v in self.kappa_l.items()},
             "gains": {str(k): list(v) for k, v in self.gains.items()},
             "min_block_eig": min(self.check.min_eigs),
-            "e_max_q": self.e_max_q.tolist(),
-            "e_max_d": self.e_max_d.tolist(),
-            "beta_bar": self.beta_bar.tolist(),
-            "bound_scale": self.bound_scale,
+            "e_max_q": self.lmi.e_max_q.tolist(),
+            "e_max_d": self.lmi.e_max_d.tolist(),
+            "beta_bar": self.lmi.beta_bar.tolist(),
+            "bound_scale": self.lmi.bound_scale,
             "eps": EPS,
             "closed_loop_max_re": max(float(np.max(e.real))
                                       for e in self.closed_loop_eigs.values()),
@@ -393,13 +404,12 @@ def extract_gains(solution: LmiSolution, design_models: list[DesignModel],
     return ControllerSet(machine_ids=tuple(all_ids), gains=gains), eigs_by_id
 
 
-def design_controllers(case: PowerSystemCase, equilibrium: Equilibrium,
-                       subset: list[int] | None = None,
-                       beta_bar: float | np.ndarray = 1.0,
-                       bound_scale: float = DEFAULT_BOUND_SCALE
-                       ) -> tuple[ControllerSet, SynthesisResult]:
-    """Full synthesis pipeline at an initialized operating point, on the
-    reduced network the point was initialized on.
+def synthesis_lmi(case: PowerSystemCase, equilibrium: Equilibrium,
+                  subset: list[int] | None = None,
+                  beta_bar: float | np.ndarray = 1.0,
+                  bound_scale: float = DEFAULT_BOUND_SCALE) -> SynthesisLmi:
+    """The synthesis LMI at an initialized operating point, on the reduced
+    network the point was initialized on, assembled but not solved.
 
     `subset` lists machine ids to host controllers (default: every machine
     with a governor).  EMF ceilings are E_MAX_FACTOR times the equilibrium
@@ -423,8 +433,7 @@ def design_controllers(case: PowerSystemCase, equilibrium: Equilibrium,
             raise SynthesisError(f"machine {mid} has no steam governor; "
                                  "it cannot host a damping controller")
 
-    all_ids = tuple(m.id for m in case.machines)
-    pos = {mid: k for k, mid in enumerate(all_ids)}
+    pos = {m.id: k for k, m in enumerate(case.machines)}
     e_max_q = E_MAX_FACTOR * np.abs(equilibrium.eqp)
     e_max_d = np.maximum(E_MAX_FACTOR * np.abs(equilibrium.edp), E_MAX_D_FLOOR)
     power_scale = np.array([case.base_mva / m.mva for m in case.machines])
@@ -446,25 +455,38 @@ def design_controllers(case: PowerSystemCase, equilibrium: Equilibrium,
                      for dm in design_models]
     beta = np.full(len(subset_ids), float(beta_bar)) if np.isscalar(beta_bar) \
         else np.asarray(beta_bar, dtype=float)
-    problem = assemble_synthesis_lmi(scaled_models, h_rows, beta_bar=beta)
-    solution = solve_sdp(problem)
+    return SynthesisLmi(subset=tuple(subset_ids), models=scaled_models,
+                        state_scale=tscale,
+                        problem=assemble_synthesis_lmi(scaled_models, h_rows,
+                                                       beta_bar=beta),
+                        e_max_q=e_max_q, e_max_d=e_max_d, beta_bar=beta,
+                        bound_scale=bound_scale)
+
+
+def design_controllers(case: PowerSystemCase, equilibrium: Equilibrium,
+                       subset: list[int] | None = None,
+                       beta_bar: float | np.ndarray = 1.0,
+                       bound_scale: float = DEFAULT_BOUND_SCALE
+                       ) -> tuple[ControllerSet, SynthesisResult]:
+    """Full synthesis pipeline: the LMI of :func:`synthesis_lmi`, solved,
+    checked, and read back into gain rows in physical state units."""
+    syn = synthesis_lmi(case, equilibrium, subset, beta_bar, bound_scale)
+    all_ids = tuple(m.id for m in case.machines)
+    solution = solve_sdp(syn.problem)
     if solution.status != "optimal":
         raise SynthesisError(f"synthesis LMI not solved: status {solution.status}")
-    chk = check_solution(problem, solution)
-    controllers, eigs = extract_gains(solution, scaled_models, subset_ids,
-                                      all_ids, state_scale=tscale)
+    chk = check_solution(syn.problem, solution)
+    controllers, eigs = extract_gains(solution, syn.models, list(syn.subset),
+                                      all_ids, state_scale=syn.state_scale)
+    ids = syn.subset
     result = SynthesisResult(
-        subset=tuple(subset_ids),
-        y_mats={dm.machine_id: solution.values[f"Y{i}"] for i, dm in enumerate(design_models)},
-        l_rows={dm.machine_id: np.array([solution.values[f"L{i}_{k}"] for k in range(5)])
-                for i, dm in enumerate(design_models)},
-        gains={mid: controllers.gains[pos[mid]] for mid in subset_ids},
-        gamma={dm.machine_id: solution.values[f"gamma{i}"] for i, dm in enumerate(design_models)},
-        kappa_y={dm.machine_id: solution.values[f"kappaY{i}"]
-                 for i, dm in enumerate(design_models)},
-        kappa_l={dm.machine_id: solution.values[f"kappaL{i}"]
-                 for i, dm in enumerate(design_models)},
-        solution=solution, check=chk, problem=problem,
-        e_max_q=e_max_q, e_max_d=e_max_d, beta_bar=beta,
-        bound_scale=bound_scale, closed_loop_eigs=eigs)
+        lmi=syn,
+        y_mats={mid: solution.values[f"Y{i}"] for i, mid in enumerate(ids)},
+        l_rows={mid: np.array([solution.values[f"L{i}_{k}"] for k in range(5)])
+                for i, mid in enumerate(ids)},
+        gains={mid: controllers.gains[all_ids.index(mid)] for mid in ids},
+        gamma={mid: solution.values[f"gamma{i}"] for i, mid in enumerate(ids)},
+        kappa_y={mid: solution.values[f"kappaY{i}"] for i, mid in enumerate(ids)},
+        kappa_l={mid: solution.values[f"kappaL{i}"] for i, mid in enumerate(ids)},
+        solution=solution, check=chk, closed_loop_eigs=eigs)
     return controllers, result

@@ -194,7 +194,7 @@ def test_criterion_7_numerical_cross_checks(bundled_case, bundled_eq,
     checks.append(("eigen residuals", worst_eig <= 1e-8, f"{worst_eig:.2e}"))
 
     # SDP solution certified independently, plus an SDPA round-trip cross-check
-    chk = check_solution(res.problem, res.solution)
+    chk = check_solution(res.lmi.problem, res.solution)
     toy = LmiProblem()
     toy.add_scalar("t")
     toy.objective["t"] = 1.0

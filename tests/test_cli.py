@@ -359,3 +359,86 @@ def test_simulate_with_gains_activation(case_path, tmp_path):
     u1 = [float(r[1]) for r in rows]
     assert all(v == 0.0 for v, tt in zip(u1, t) if tt < 10.0)
     assert any(v != 0.0 for v, tt in zip(u1, t) if tt > 10.5)
+
+
+def _report_files(out: Path) -> dict:
+    """Every file of a report directory, the JSON without its metadata."""
+    return {p.name: strip_metadata(p.read_text()) if p.suffix == ".json" else p.read_text()
+            for p in out.iterdir()}
+
+
+@pytest.mark.parametrize("command", ["modal", "sweep", "scan-n1", "simulate"])
+def test_gains_put_controllers_in_service(command, case_path, tmp_path, bundled_design):
+    """--gains alone runs with the gains in service, exactly as
+    --controllers all --gains does; with --controllers none it is refused."""
+    gains = tmp_path / "gains.json"
+    gains.write_text(json.dumps(bundled_design[0].to_dict()))
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({"duration": 0.5, "dt": 0.01, "events": [
+        {"time": 0.1, "type": "trip_line", "from": 3, "to": 101, "circuit": 1}]}))
+    extra = {"sweep": ["--fractions", "1.0"],
+             "simulate": ["--scenario", str(scen), "--channels", "u:1,delta_rel:3:1"]}
+    argv = [command, "--case", case_path, "--gains", str(gains), *extra.get(command, [])]
+    assert main([*argv, "--out", str(tmp_path / "a")]) == EXIT_OK
+    assert main([*argv, "--controllers", "all", "--out", str(tmp_path / "b")]) == EXIT_OK
+    assert _report_files(tmp_path / "a") == _report_files(tmp_path / "b")
+    assert main([*argv, "--controllers", "none"]) == EXIT_INPUT
+
+
+@pytest.mark.parametrize("argv, scenario", [
+    (["sweep", "--fractions", "abc"], None),
+    (["modal", "--controllers", "1,x"], None),
+    (["design", "--controllers", "1,x"], None),
+    (["design", "--beta-bar", "0.5"], None),
+    (["design", "--bound-scale", "-1"], None),
+    (["simulate"], {"duration": 1.0, "events": [
+        {"time": 0.5, "type": "trip_line", "to": 101, "circuit": 1}]}),
+    (["simulate"], {"duration": "x"}),
+    (["simulate", "--gains"], {"duration": 1.0, "initial_active": 5}),
+    (["simulate", "--gains"], {"duration": 1.0, "events": [
+        {"time": 0.5, "type": "activate_controllers", "machines": 3}]}),
+], ids=["fractions", "modal-controllers", "design-controllers", "beta-bar",
+        "bound-scale", "trip-without-from", "duration", "initial-active",
+        "activate-machines"])
+def test_malformed_flags_and_scenarios_are_input_errors(argv, scenario, case_path,
+                                                        tmp_path, capsys,
+                                                        bundled_design):
+    extra = []
+    if argv[-1] == "--gains":
+        gains = tmp_path / "gains.json"
+        gains.write_text(json.dumps(bundled_design[0].to_dict()))
+        extra.append(str(gains))
+    if scenario is not None:
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps(scenario))
+        extra += ["--scenario", str(scen)]
+    assert main([argv[0], "--case", case_path, *argv[1:], *extra]) == EXIT_INPUT
+    assert "input error:" in capsys.readouterr().err
+
+
+def test_export_sdpa_needs_no_solve(case_path, tmp_path):
+    """export-sdpa writes the LMI that design solves, byte for byte, without
+    solving it: also where the solve fails (Y numerically singular at
+    beta-bar 50)."""
+    assert main(["design", "--case", case_path, "--out", str(tmp_path / "d")]) == EXIT_OK
+    assert main(["export-sdpa", "--case", case_path, "--out", str(tmp_path / "e")]) == EXIT_OK
+    assert ((tmp_path / "e" / "synthesis.dat-s").read_text()
+            == (tmp_path / "d" / "synthesis.dat-s").read_text())
+    assert main(["design", "--case", case_path, "--beta-bar", "50"]) == EXIT_NUMERIC
+    out = tmp_path / "b50"
+    assert main(["export-sdpa", "--case", case_path, "--beta-bar", "50",
+                 "--out", str(out)]) == EXIT_OK
+    text = (out / "synthesis.dat-s").read_text()
+    assert text.startswith("92\n")            # 23 variables per machine
+    assert text != (tmp_path / "d" / "synthesis.dat-s").read_text()
+
+
+def test_design_canonicalizes_once(case_path, tmp_path, monkeypatch):
+    """design solves and exports one canonical form of its LMI."""
+    from oscdamp import lmi
+    calls = []
+    canonicalize = lmi.canonicalize
+    monkeypatch.setattr(lmi, "canonicalize",
+                        lambda problem: calls.append(1) or canonicalize(problem))
+    assert main(["design", "--case", case_path, "--out", str(tmp_path / "d")]) == EXIT_OK
+    assert len(calls) == 1

@@ -11,7 +11,6 @@ from oscdamp.powerflow import (solve_power_flow, load_admittances, kron_reduce,
 from oscdamp.dynamics import (rotor_rhs, governor_turbine_rhs, two_axis_rhs,
                               electrical_power, build_design_matrices,
                               initialize_from_power_flow, InitializationError)
-from oscdamp.kernels import PF
 from conftest import make_two_bus_text
 
 W0 = 2 * math.pi * 60
@@ -235,14 +234,17 @@ def test_valve_ceiling_violation():
 def test_control_input_unity_chain(bundled_eq):
     model = bundled_eq.model
     lay = model.layout
-    for k, mid in enumerate(lay.machine_ids):
-        assert model.pf[k, PF.PCREF] == bundled_eq.state[lay.idx(mid, "pm")]
-        assert model.pf[k, PF.PCREF] == bundled_eq.state[lay.idx(mid, "xe")]
-    # the initialized model is immutable: its plan was built from these values
+    for k, mid in enumerate(lay.machine_ids):     # every bundled machine is governed
+        assert model.plan.pcref[k] == bundled_eq.state[lay.idx(mid, "pm")]
+        assert model.plan.pcref[k] == bundled_eq.state[lay.idx(mid, "xe")]
+    # the initialized model is immutable: its plan is the one parameter record,
+    # and every array of the plan is read-only
     with pytest.raises(dataclasses.FrozenInstanceError):
-        model.pf = model.pf.copy()
+        model.plan = None
+    arrays = [a for a in vars(model.plan).values() if isinstance(a, np.ndarray)]
+    assert arrays and not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
-        model.pf[0, PF.PCREF] = 0.0
+        model.plan.pcref[0] = 0.0
 
 
 def test_exciter_limit_violation_at_equilibrium():

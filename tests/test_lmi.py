@@ -157,9 +157,9 @@ def test_sdpa_round_trip_solves_to_same_optimum():
 def test_sdpa_round_trip_matrix_variable(bundled_design):
     """Cross-check the real synthesis export through the independent reader."""
     _, res = bundled_design
-    text = export_sdpa(res.problem)
+    text = export_sdpa(res.lmi.problem)
     rt = read_sdpa(text)
-    c1, c2 = canonicalize(res.problem), canonicalize(rt)
+    c1, c2 = canonicalize(res.lmi.problem), canonicalize(rt)
     assert np.allclose(c1.c, c2.c)
     for f1, f2 in zip(c1.f0, c2.f0):
         assert np.allclose(f1, f2, atol=1e-12)
@@ -257,7 +257,7 @@ def interior_points(problem):
 def problem_named(which, request):
     """The bundled synthesis LMI or the generic SDPA problem."""
     if which == "synthesis":
-        return request.getfixturevalue("bundled_design")[1].problem
+        return request.getfixturevalue("bundled_design")[1].lmi.problem
     return generic_sdpa_problem()
 
 

@@ -322,7 +322,8 @@ def test_derived_channels_match_per_step_reference(bundled_case, bundled_design,
                      for m in lay.machine_ids]     # every bundled machine is governed
         eqp_ix = [lay.idx(m, "eqp") for m in lay.machine_ids]
         edp_ix = [lay.idx(m, "edp") for m in lay.machine_ids]
-        xq_corr = model.pf[:, kernels.PF.XQP] - model.pf[:, kernels.PF.XDP]
+        scale = np.array([bundled_case.base_mva / m.mva for m in bundled_case.machines])
+        xq_corr = np.array([m.xqp - m.xdp for m in bundled_case.machines]) * scale
         bounds = [sg.t_start for sg in segments] + [np.inf]
         seg = 0
         for k, t in enumerate(seen["tgrid"]):

@@ -65,26 +65,28 @@ def _valve_limit_case():
     return parse_case(json.dumps(doc))
 
 
-def _closed_loop_pair(case, eq, gains):
+def _closed_loop_pair(eq, gains):
     """The derived closed-loop matrix and the linearization of the model with
     the gains in service (active where a row is nonzero, reference at the
     equilibrium)."""
     control = Control(gains, eq.x5, np.any(gains != 0.0, axis=1).astype(float))
-    derived = closed_loop_matrix(linearize(eq), case, eq.model.layout, gains)
+    derived = closed_loop_matrix(linearize(eq), eq.model.plan, gains)
     return derived, linearize(eq, control)
 
 
 @pytest.mark.parametrize("variant", ["bundled", "x0.9", "x1.1", "trip-3-101-1",
-                                     "no-gov-4-zero-row-1", "valve-limit"])
+                                     "no-gov-4-zero-row-1", "no-gov-1", "valve-limit"])
 def test_closed_loop_matrix_matches_linearize(bundled_text, bundled_case,
                                               bundled_design, variant):
     ctrl, _ = bundled_design
     gains = ctrl.gains_for(tuple(m.id for m in bundled_case.machines))
-    if variant == "no-gov-4-zero-row-1":
+    if variant.startswith("no-gov"):
+        ungoverned = int(variant.split("-")[2])
         doc = json.loads(bundled_text)
-        doc["governors"] = [g for g in doc["governors"] if g["machine"] != 4]
+        doc["governors"] = [g for g in doc["governors"] if g["machine"] != ungoverned]
         case = parse_case(json.dumps(doc))
-        gains[0] = 0.0
+        if variant.endswith("zero-row-1"):
+            gains[0] = 0.0
     elif variant == "valve-limit":
         case = _valve_limit_case()
         gains = gains[:1]
@@ -93,7 +95,7 @@ def test_closed_loop_matrix_matches_linearize(bundled_text, bundled_case,
                 "x0.9": scale_stress(bundled_case, 0.9),
                 "x1.1": scale_stress(bundled_case, 1.1),
                 "trip-3-101-1": apply_line_trip(bundled_case, 3, 101, 1)}[variant]
-    derived, linearized = _closed_loop_pair(case, _equilibrium(case), gains)
+    derived, linearized = _closed_loop_pair(_equilibrium(case), gains)
     assert np.max(np.abs(derived - linearized)) <= 1e-12 * np.max(np.abs(linearized))
 
 
@@ -112,7 +114,7 @@ def test_closed_loop_matrix_at_valve_limit(bundled_design):
     xe, omega = lay.idx(1, "xe"), lay.idx(1, "omega")
     assert linearize(eq)[xe, omega] == pytest.approx(slope, rel=1e-12)
     closed = slope + gains[0, 1] / gov.te
-    for a in _closed_loop_pair(case, eq, gains):
+    for a in _closed_loop_pair(eq, gains):
         assert a[xe, omega] == pytest.approx(closed, rel=1e-12)
 
 
@@ -164,8 +166,8 @@ def test_participation_rows_sum_to_one(bundled_eq):
 
 
 @pytest.mark.parametrize("loop", ["open", "closed"])
-def test_participation_matches_lapack_left_eigenvectors(bundled_case, bundled_eq,
-                                                        bundled_design, loop):
+def test_participation_matches_lapack_left_eigenvectors(bundled_eq, bundled_design,
+                                                        loop):
     """Participation from the rows of the inverse right-eigenvector matrix
     equals that from LAPACK's own left eigenvectors: the per-mode
     normalization cancels their scale."""
@@ -173,7 +175,7 @@ def test_participation_matches_lapack_left_eigenvectors(bundled_case, bundled_eq
     a = linearize(bundled_eq)
     if loop == "closed":
         layout = bundled_eq.model.layout
-        a = closed_loop_matrix(a, bundled_case, layout,
+        a = closed_loop_matrix(a, bundled_eq.model.plan,
                                bundled_design[0].gains_for(layout.machine_ids))
     w, vl, vr = scipy.linalg.eig(a, left=True, right=True)
     table = modal_analysis(a)

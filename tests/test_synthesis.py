@@ -138,15 +138,15 @@ def test_single_machine_design_solvable(two_bus_case):
 def test_subset_design_structure(bundled_case, bundled_eq):
     ctrl, res = design_controllers(bundled_case, bundled_eq,
                                    subset=[2, 3])
-    assert res.subset == (2, 3)
+    assert res.lmi.subset == (2, 3)
     ids = list(ctrl.machine_ids)
     assert np.any(ctrl.gains[ids.index(2)] != 0.0)
     assert np.any(ctrl.gains[ids.index(3)] != 0.0)
     assert np.all(ctrl.gains[ids.index(1)] == 0.0)
     assert np.all(ctrl.gains[ids.index(4)] == 0.0)
     # variables for excluded machines are absent from the LMI
-    names = {v.name for v in res.problem.variables}
-    assert "Y2" not in names or len(res.subset) > 2 or "Y1" in names
+    names = {v.name for v in res.lmi.problem.variables}
+    assert "Y2" not in names or len(res.lmi.subset) > 2 or "Y1" in names
     assert len([n for n in names if n.startswith("Y")]) == 2
 
 
@@ -161,7 +161,7 @@ def test_governorless_machine_rejected(bundled_case, bundled_eq):
 
 def test_gain_locality(bundled_design):
     ctrl, res = bundled_design
-    for i, mid in enumerate(res.subset):
+    for i, mid in enumerate(res.lmi.subset):
         y = res.y_mats[mid]
         l_row = res.l_rows[mid]
         rebuilt = l_row @ np.linalg.inv(y)

@@ -4,6 +4,8 @@ from their results must be there, or `--trace 1` fails."""
 
 import importlib.util
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -48,3 +50,14 @@ def test_lmi_span_attributes_read_the_results(monkeypatch):
     assert spans._sdp_attrs((p,), {}, sol) == {"iterations": sol.iterations,
                                                 "status": "optimal"}
     assert sol.iterations > 0
+
+
+def test_bare_pytest_imports_the_package_from_src():
+    """`pytest` run in a checkout without PYTHONPATH finds the package under
+    src/ (pyproject's pythonpath setting)."""
+    root = SPANS.parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "--collect-only", "tests/test_case.py"],
+                         cwd=root, env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stdout + run.stderr

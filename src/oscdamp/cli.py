@@ -78,22 +78,25 @@ def _subset_from_arg(case, spec: str) -> list[int] | None:
 
 def _controllers_for(case, args, eq=None) -> ControllerSet | None:
     """Resolve --controllers/--gains into a ControllerSet (None for PSS-only).
+    Given gains keep only the rows of the machines --controllers lists; the
+    others become zero rows, as a designed subset has.
 
     Designing needs the base operating point: pass it as `eq` when the
     caller has one; otherwise it is built here, and only then."""
     if args.controllers == "none":
         return None
+    subset = _subset_from_arg(case, args.controllers)
     if args.gains:
         doc = json.loads(Path(args.gains).read_text())
         ctrl = ControllerSet.from_dict(doc["results"]["controllers"]
                                        if "results" in doc else doc)
         ctrl.gains_for(tuple(m.id for m in case.machines))    # a row for every machine
+        if subset is not None:
+            ctrl.gains[[mid not in subset for mid in ctrl.machine_ids]] = 0.0
         return ctrl
     if eq is None:
         _, eq = _pipeline(case)
-    ctrl, _ = design_controllers(case, eq,
-                                 subset=_subset_from_arg(case, args.controllers),
-                                 beta_bar=args.beta_bar,
+    ctrl, _ = design_controllers(case, eq, subset=subset, beta_bar=args.beta_bar,
                                  bound_scale=args.bound_scale)
     return ctrl
 

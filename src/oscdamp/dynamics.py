@@ -82,61 +82,10 @@ class DesignModel:
 
 def build_design_matrices(machine: Machine, gov: GovernorParams,
                           omega0: float) -> DesignModel:
-    h, d = machine.h, machine.d
-    ke, te, t3, t4, t5, tm, r = gov.ke, gov.te, gov.t3, gov.t4, gov.t5, gov.tm, gov.r
-    a = np.array([
-        [0.0, 1.0, 0.0, 0.0, 0.0],
-        [0.0, -d / (2 * h), omega0 / (2 * h), 0.0, 0.0],
-        [0.0, -ke * t3 * t4 / (tm * te * t5 * r * omega0), -1.0 / t5,
-         (tm - t4) / (t5 * tm), t4 * (te - t3) / (tm * t5 * te)],
-        [0.0, -ke * t3 / (tm * te * r * omega0), 0.0, -1.0 / tm, (te - t3) / (tm * te)],
-        [0.0, -ke / (te * r * omega0), 0.0, 0.0, -1.0 / te],
-    ])
-    b = np.array([0.0, 0.0, t3 * t4 / (tm * te * t5), t3 / (tm * te), 1.0 / te])
-    g = np.array([0.0, -omega0 / (2 * h), 0.0, 0.0, 0.0])
-    return DesignModel(machine_id=machine.id, a=a, b=b, g=g)
-
-
-# --- elementary right-hand sides (the reference form the kernel tests use) -----
-
-def rotor_rhs(delta: float, omega_r: float, pm: float, pe: float,
-              h: float, d: float, omega0: float) -> tuple[float, float]:
-    d_delta = omega_r
-    d_omega = -(d / (2 * h)) * omega_r + (omega0 / (2 * h)) * (pm - pe)
-    return d_delta, d_omega
-
-
-def governor_turbine_rhs(pm: float, xm: float, xe: float, omega_r: float,
-                         pc: float, gov: GovernorParams,
-                         omega0: float) -> tuple[float, float, float]:
-    ke, te, t3, t4, t5, tm, r = gov.ke, gov.te, gov.t3, gov.t4, gov.t5, gov.tm, gov.r
-    d_pm = (-ke * t3 * t4 / (tm * te * t5 * r * omega0) * omega_r
-            - pm / t5 + (1 - t4 / tm) * xm / t5
-            + t4 / (tm * t5) * (1 - t3 / te) * xe
-            + t3 * t4 / (tm * te * t5) * pc)
-    d_xm = (-ke * t3 / (tm * te * r * omega0) * omega_r
-            - xm / tm + (1 - t3 / te) * xe / tm + t3 / (tm * te) * pc)
-    d_xe = -ke / (te * r * omega0) * omega_r - xe / te + pc / te
-    return d_pm, d_xm, d_xe
-
-
-def two_axis_rhs(eqp: float, edp: float, i_d: float, i_q: float, efd: float,
-                 xd: float, xq: float, xdp: float, xqp: float,
-                 td0p: float, tq0p: float) -> tuple[float, float]:
-    d_eqp = (-eqp - (xd - xdp) * i_d + efd) / td0p
-    d_edp = (-edp + (xq - xqp) * i_q) / tq0p
-    return d_eqp, d_edp
-
-
-def electrical_power(reduced: ReducedNetwork, delta: np.ndarray,
-                     eqp: np.ndarray, edp: np.ndarray) -> np.ndarray:
-    """Per-machine electrical power (system base) from the reduced network.
-
-    Four-term EMF product form evaluated at absolute angles; the transient
-    saliency correction is not part of this quantity.
-    """
-    *_, i_d, i_q = kernels.network_currents(delta, eqp, edp, reduced.g, reduced.b)
-    return edp * i_d + eqp * i_q
+    """The machine's rows of the model operator over its design states."""
+    a, b, g = kernels.design_rows(machine.h, machine.d, omega0, gov)
+    return DesignModel(machine_id=machine.id, a=np.array(a), b=np.array(b),
+                       g=np.array(g))
 
 
 # --- assembled simulation model ------------------------------------------------

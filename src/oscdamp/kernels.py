@@ -1,28 +1,40 @@
 """Hot numeric kernels: full-system RHS evaluation and fixed-step RK4 spans.
 
-The model RHS is evaluated through an :class:`RhsPlan`, built once per model
-from the case's device records, the state layout and the equilibrium
-references: the gather indices of the base, governor, exciter and PSS states,
-the per-device coefficient vectors, and the permutation that puts the
-concatenated derivative blocks back into state order.  The network
-``(gmat, bmat)`` and the governor feedback in service (a :class:`Control`, or
-None for none) are arguments of each call, never state of the plan.
-:func:`rhs` takes ``y`` of shape ``(n_states,)`` or ``(B, n_states)``, real
-or complex; :func:`rk4_span` integrates either real shape in place and
-records into ``out`` of shape ``(T, n_states)`` or ``(T, B, n_states)``.  A
-single state and a one-row stack give the same bits; the rows of a larger
-stack go through matrix-matrix products and agree with single-state calls to
-about 1e-13.
+The model RHS is one linear operator plus a small nonlinear vector,
 
-Complex states carry a complex-step perturbation: every expression is the
+    dy = M · [y; φ(y)] + c,
+
+with the valve rows zeroed where the anti-windup hold acts.  An
+:class:`RhsPlan`, built once per model from the case's device records, the
+state layout and the equilibrium references, holds the dense ``M`` of shape
+``(n_states, n_states + 4 n_mach)`` and the constants ``c``.  ``M`` carries
+the linear part over the state (rotor, two-axis, PSS washout and lead-lags,
+exciter lag, governor/turbine chain) and the input columns of
+``φ = [pe, i_d, i_q, efd_cmd]``: the electrical power and the d/q currents of
+the reduced network, and the clamped field command, which holds the
+terminal-voltage modulus and the PSS and exciter clamps.  ``c`` carries the
+valve command references and the constants of absent devices (the mechanical
+power of an ungoverned machine, the field voltage of an unexcited one).
+
+The network ``(gmat, bmat)`` and the governor feedback in service (a
+:class:`Control`, or None for none) are arguments of each call, never state
+of the plan; the feedback is linear, so :meth:`RhsPlan.bind` folds it into a
+copy of ``M`` and ``c`` once per call site.  :func:`rhs` takes ``y`` of shape
+``(n_states,)`` or ``(B, n_states)``, real or complex; :func:`rk4_span`
+integrates either real shape in place and records into ``out`` of shape
+``(T, n_states)`` or ``(T, B, n_states)``.  A single state and a one-row stack
+give the same bits; the rows of a larger stack go through matrix-matrix
+products and agree with single-state calls to about 1e-13.
+
+φ is written in real form: for a complex state every expression is the
 analytic continuation of its real form (the terminal-voltage modulus becomes
 ``sqrt(re**2 + im**2)``), and the limiters (PSS and exciter clamps, the
 anti-windup hold) decide on real parts only, so the imaginary part of
-``rhs(x + i h e_j)`` is ``h`` times column j of the Jacobian.  Real states
-evaluate the plain real expressions, bit for bit.
+``rhs(x + i h e_j)`` is ``h`` times column j of the Jacobian.
 
 The test suite pins the plan to a per-machine reference written from the
-elementary forms in :mod:`oscdamp.dynamics`.
+elementary device equations, which reads only the equilibrium references of
+the plan.
 """
 
 from __future__ import annotations
@@ -33,26 +45,58 @@ import numpy as np
 
 DIVERGENCE_LIMIT = 1e6
 
+# whole-array reductions without the ndarray-method wrappers (hot loop)
+_least, _most = np.minimum.reduce, np.maximum.reduce
+
 
 def active_backend() -> str:
     """Name of the kernel implementation; there is one."""
     return "numpy"
 
 
-def network_currents(delta, eqp, edp, gmat, bmat):
-    """EMF components in the synchronous frame, the reduced-network currents
-    and their d/q projections, per machine over the last axis.  The products
-    are written ``e @ gmat.T``, which equals ``gmat @ e`` bit for bit for one
-    state; stacked rows go through a matrix-matrix product."""
-    sd, cd = np.sin(delta), np.cos(delta)
-    e_re = edp * sd + eqp * cd
-    e_im = eqp * sd - edp * cd
+def network_operator(gmat, bmat):
+    """The reduced network as one real matrix: ``[e_re, e_im] @ net`` is
+    ``[i_re, i_im, i_im, -i_re]``, the currents that the EMFs (synchronous
+    frame) drive, then the same turned by -90 degrees."""
     gt, bt = gmat.T, bmat.T
-    i_re = e_re @ gt - e_im @ bt
-    i_im = e_im @ gt + e_re @ bt
-    i_d = i_re * sd - i_im * cd
-    i_q = i_re * cd + i_im * sd
-    return e_re, e_im, i_re, i_im, i_d, i_q
+    return np.concatenate((np.concatenate((gt, bt, bt, -gt), axis=1),
+                           np.concatenate((-bt, gt, gt, bt), axis=1)))
+
+
+def design_rows(h, d, omega0, gov):
+    """The rotor and governor/turbine equations of one machine over its
+    design states [delta, omega, pm, xm, xe]: ``dx = a x + b pc + g pe``,
+    with pe on the machine base.  Without a governor (`gov` None) the pm,
+    xm, xe rows are zero.  Returns a (5, 5), b (5,) and g (5,) as lists."""
+    a = [[0.0, 1.0, 0.0, 0.0, 0.0],
+         [0.0, -d / (2 * h), omega0 / (2 * h), 0.0, 0.0]]
+    b = [0.0] * 5
+    if gov is None:
+        a += [[0.0] * 5] * 3
+    else:
+        ke, te, t3, t4, t5, tm, r = gov.ke, gov.te, gov.t3, gov.t4, gov.t5, gov.tm, gov.r
+        a += [[0.0, -ke * t3 * t4 / (tm * te * t5 * r * omega0), -1.0 / t5,
+               (tm - t4) / (t5 * tm), t4 * (te - t3) / (tm * t5 * te)],
+              [0.0, -ke * t3 / (tm * te * r * omega0), 0.0, -1.0 / tm, (te - t3) / (tm * te)],
+              [0.0, -ke / (te * r * omega0), 0.0, 0.0, -1.0 / te]]
+        b = [0.0, 0.0, t3 * t4 / (tm * te * t5), t3 / (tm * te), 1.0 / te]
+    return a, b, [0.0, -omega0 / (2 * h), 0.0, 0.0, 0.0]
+
+
+def pss_rows(p, omega0):
+    """The PSS washout and two lead-lags over (omega, z1, z2, z3): the rows
+    of dz1, dz2, dz3 and of the output y3 (before its clamp), as lists."""
+    l1, l2 = p.t1 / p.t2, p.t3 / p.t4
+    y1 = [p.ks / omega0, -1.0, 0.0, 0.0]        # washout output ks omega/omega0 - z1
+    y2 = [l1 * v for v in y1]
+    y2[2] += 1.0 - l1                           # z2 + l1 (y1 - z2)
+    y3 = [l2 * v for v in y2]
+    y3[3] += 1.0 - l2                           # z3 + l2 (y2 - z3)
+    d2 = [v / p.t2 for v in y1]
+    d2[2] -= 1.0 / p.t2                         # (y1 - z2) / t2
+    d3 = [v / p.t4 for v in y2]
+    d3[3] -= 1.0 / p.t4                         # (y2 - z3) / t4
+    return [[v / p.tw for v in y1], d2, d3], y3
 
 
 class Control(NamedTuple):
@@ -68,6 +112,16 @@ def _clip(x, lo, hi):
     the real part is not clamped."""
     c = np.minimum(np.maximum(x.real, lo), hi)
     return c if x.dtype.kind != "c" else np.where(c == x.real, x, c)
+
+
+def _sincos(x):
+    """sin x and cos x; complex parts continue through the real functions,
+    sin(a + ib) = sin a cosh b + i cos a sinh b, which numpy evaluates
+    several times faster than its complex sin and cos."""
+    if x.dtype.kind != "c":
+        return np.sin(x), np.cos(x)
+    sa, ca, chb, shb = np.sin(x.real), np.cos(x.real), np.cosh(x.imag), np.sinh(x.imag)
+    return sa * chb + 1j * (ca * shb), ca * chb - 1j * (sa * shb)
 
 
 def _modulus(re, im):
@@ -88,194 +142,176 @@ def feedback(gains, dx):
 
 
 def _columns(rows, width):
-    """Float column vectors of a list of equal-length tuples (empty for none)."""
+    """Float column vectors of a list of equal-length tuples."""
     return np.array(rows, dtype=float).reshape(-1, width).T.copy()
 
 
 class RhsPlan:
-    """The model's parameter record: the gather indices, per-device
-    coefficients and output permutation of the model RHS, built in one pass
-    from the case's device records, the layout's state slots and the
-    equilibrium references.  Its arrays are read-only.
+    """The model's parameter record: the operator ``M``, the constants ``c``
+    and the gathers of φ, built in one pass from the case's device records,
+    the layout's state slots and the equilibrium references.  Its arrays are
+    read-only.
 
     States ``y`` are ``(n_states,)`` or stacked ``(..., n_states)``; every
-    method works over the last axis.  Slots of absent devices (the mechanical
-    power of an ungoverned machine, the field voltage of an unexcited one) are
-    read from constants appended to ``y`` by :meth:`extend`.  Each device's
-    equations run over the machines that have it, and the derivative blocks
-    are concatenated and permuted back into state order.  Every expression
-    keeps its evaluation order; only whole left-to-right prefixes made of
-    parameters (such as ``-ke / (te * rr * omega0)``) are hoisted into the
-    coefficient vectors, so a single state gives the bits of evaluating the
-    formulas in full.
+    method works over the last axis.  The slots of absent devices (the
+    mechanical power of an ungoverned machine, the field voltage of an
+    unexcited one) point past the state into the constants ``const`` that
+    :meth:`extend` appends to ``y``: each machine's equilibrium mechanical
+    power, then its field voltage, then 0.  ``M`` is assembled over that
+    extended state, and the columns of the constants are then folded into
+    ``c``; the valve command reference of a governed machine is its
+    equilibrium mechanical power.
     """
 
     def __init__(self, case, layout, pm, efd, vref):
         """`pm` (machine base), `efd` and `vref` hold each machine's
         equilibrium mechanical power, field voltage and exciter reference;
         `vref` is read for machines with an exciter only."""
-        n, n_states, at = len(case.machines), layout.n_states, layout.index
-        self.omega0 = omega0 = case.omega0
-        # absent-device slots point past the state into [pm, 0.0, efd]
-        zero_at = n_states + n
-        mach, slots = [], []
-        gov, gov_p, exc, exc_p, pss_p, pss_ix = [], [], [], [], [], []
-        vpss_dst, vpss_src = [], []
+        n, ns, at = len(case.machines), layout.n_states, layout.index
+        w0 = case.omega0
+        # extended state [y, pm, efd, 0]; absent-device slots point past y
+        zero_at = ns + 2 * n
+        mach, rows, gov, slots, pss_k, pss_ix, pss_d, pss_y3 = ([] for _ in range(8))
         for k, m in enumerate(case.machines):
             g, e, p = case.governor_for(m.id), case.exciter_for(m.id), case.pss_for(m.id)
-            mach.append((m.h, m.d, m.mva / case.base_mva,
-                         *m.system_reactances(case.base_mva), m.td0p, m.tq0p))
+            # ka = 0 and zero limits give an absent exciter the command 0, and
+            # zero limits an absent PSS the output 0
+            mach.append((m.mva / case.base_mva, *m.system_reactances(case.base_mva),
+                         m.td0p, m.tq0p,
+                         *((0.0, 1.0, 0.0, 0.0, 0.0) if e is None
+                           else (e.ka, e.ta, e.efd_min, e.efd_max, vref[k])),
+                         *((0.0, 0.0) if p is None else (p.vmin, p.vmax))))
+            rows.append(design_rows(m.h, m.d, w0, g))
+            if g is not None:
+                gov.append(k)
             # delta, omega, eqp, edp, pm, xm, xe, efd
             slots.append((at[m.id, "delta"], at[m.id, "omega"], at[m.id, "eqp"],
                           at[m.id, "edp"],
                           *((at[m.id, "pm"], at[m.id, "xm"], at[m.id, "xe"])
-                            if g is not None else (n_states + k, zero_at, zero_at)),
-                          at[m.id, "efd"] if e is not None else zero_at + 1 + k))
-            if g is not None:
-                gov.append(k)
-                gov_p.append((g.ke, g.te, g.t3, g.t4, g.t5, g.tm, g.r, pm[k]))
-            if e is not None and p is not None:
-                vpss_dst.append(len(exc))
-                vpss_src.append(len(pss_p))
-            if e is not None:
-                exc.append(k)
-                exc_p.append((e.ka, e.ta, e.efd_min, e.efd_max, vref[k]))
+                            if g is not None else (ns + k, zero_at, zero_at)),
+                          at[m.id, "efd"] if e is not None else ns + n + k))
             if p is not None:
-                pss_p.append((p.ks, p.tw, p.t1, p.t2, p.t3, p.t4, p.vmin, p.vmax))
-                pss_ix.append((at[m.id, "omega"], at[m.id, "z1"], at[m.id, "z2"],
-                               at[m.id, "z3"]))
+                pss_k.append(k)
+                pss_ix.append([at[m.id, s] for s in ("omega", "z1", "z2", "z3")])
+                d, y3 = pss_rows(p, w0)
+                pss_d.append(d)
+                pss_y3.append(y3)
         slot = np.array(slots, dtype=np.intp)
-        self.const = None
-        if len(gov) < n or len(exc) < n:
-            self.const = np.concatenate((pm, [0.0], efd))
+        self.const = np.concatenate((pm, efd, [0.0]))
         self.ix5 = slot[:, [0, 1, 4, 5, 6]]                 # (n, 5) design states
-        # rows: delta, omega, eqp, edp, pm, efd
-        self.ix_mach = slot[:, [0, 1, 2, 3, 4, 7]].T
-
-        # network and rotor/two-axis coefficients
-        h, d, self.sout, xd, xq, xdp, xqp, self.td0p, self.tq0p = _columns(mach, 9)
-        self.xdp = xdp
-        self.xq_corr = xqp - xdp
-        h2 = 2.0 * h
-        self.c_damp = -(d / h2)
-        self.c_acc = omega0 / h2
-        self.xd_diff = xd - xdp
-        self.xq_diff = xq - xqp
-
-        # PSS (washout + two lead-lags): rows omega, z1, z2, z3
-        self.ix_pss = np.array(pss_ix, dtype=np.intp).reshape(-1, 4).T
-        self.ks, self.tw, tp1, self.tp2, tp3, self.tp4, self.vsmin, self.vsmax = \
-            _columns(pss_p, 8)
-        self.lead1 = tp1 / self.tp2
-        self.lead2 = tp3 / self.tp4
-
-        # exciter: the stabilizing signal of machines with both devices
-        self.exc = None if len(exc) == n else np.array(exc, dtype=np.intp)
-        self.ix_efd = slot[exc, 7]
-        self.ka, self.ta, self.efdmin, self.efdmax, self.vref = _columns(exc_p, 5)
-        self.vpss_dst = np.array(vpss_dst, dtype=np.intp)
-        self.vpss_src = np.array(vpss_src, dtype=np.intp)
-        self.vpss_all = len(vpss_dst) == len(exc) == len(pss_p)
-
-        # governor/turbine chain
-        self.gov = None if len(gov) == n else np.array(gov, dtype=np.intp)
+        self.ix_mach = slot[:, :4].T                        # rows: delta, omega, eqp, edp
+        self.gov = gov = np.array(gov, dtype=np.intp)
         self.ix5_gov = self.ix5[gov]
         self.ix_xe = self.ix5_gov[:, 4]
-        ke, te, t3, t4, t5, tm, rr, self.pcref = _columns(gov_p, 8)
-        self.te, self.tm, self.t5 = te, tm, t5
-        self.xe_w = -ke / (te * rr * omega0)
-        self.xm_w = -ke * t3 / (tm * te * rr * omega0)
-        self.xm_xe = 1.0 - t3 / te
-        self.xm_pc = t3 / (tm * te)
-        self.pm_w = -ke * t3 * t4 / (tm * te * t5 * rr * omega0)
-        self.pm_xm = 1.0 - t4 / tm
-        self.pm_xe = t4 / (tm * t5) * (1.0 - t3 / te)
-        self.pm_pc = t3 * t4 / (tm * te * t5)
+        (self.sout, xd, xq, xdp, xqp, td0p, tq0p, self.ka, ta, self.efdmin,
+         self.efdmax, self.vref, self.vsmin, self.vsmax) = _columns(mach, 14)
+        self.xq_corr = xqp - xdp
+        self.xdp2 = np.concatenate((xdp, xdp))
+        ne = ns + 2 * n + 1
+        phi = ne + np.arange(4 * n).reshape(4, n)           # pe, i_d, i_q, efd_cmd
+        wm = np.zeros((ns, ne + 4 * n))
 
-        # derivative blocks in concatenation order -> state order
-        order = np.concatenate((*slot[:, :4].T, self.ix_pss[1:].ravel(), self.ix_efd,
-                                self.ix5_gov[:, 2:].T.ravel()))
-        self.perm = np.empty_like(order)
-        self.perm[order] = np.arange(order.size)
-        for a in vars(self).values():
-            if isinstance(a, np.ndarray):
-                a.flags.writeable = False
+        # rotor rows of every machine, governor/turbine rows of governed ones
+        ab = np.array([a + [b, g] for a, b, g in rows])
+        a, b, g = ab[:, :5], ab[:, 5], ab[:, 6]
+        wm[self.ix5[:, :2, None], self.ix5[:, None, :]] = a[:, :2]
+        wm[self.ix5_gov[:, 2:, None], self.ix5_gov[:, None, :]] = a[gov, 2:]
+        self.b_pc = b[gov, 2:]                              # valve command columns
+        wm[self.ix5_gov[:, 2:], ns + gov[:, None]] = self.b_pc   # command pcref = pm
+        wm[slot[:, 1], phi[0]] = g[:, 1] / self.sout
+        # two-axis rows; the exciter lag towards the clamped command
+        eqp_, edp_, efd_ = slot[:, 2], slot[:, 3], slot[:, 7]
+        wm[eqp_, eqp_] = -1.0 / td0p
+        wm[eqp_, phi[1]] = -(xd - xdp) / td0p
+        wm[eqp_, efd_] = 1.0 / td0p
+        wm[edp_, edp_] = -1.0 / tq0p
+        wm[edp_, phi[2]] = (xq - xqp) / tq0p
+        exc = efd_ < ns
+        wm[efd_[exc], efd_[exc]] = -1.0 / ta[exc]
+        wm[efd_[exc], phi[3, exc]] = 1.0 / ta[exc]
+        # gathers of delta, delta, edp, eqp, eqp, -edp; then the PSS outputs
+        self.pre = np.zeros((ns, 7 * n))
+        self.pre[slot[:, [0, 0, 3, 2, 2, 3]], np.arange(6 * n).reshape(6, n).T] = \
+            [1.0, 1.0, 1.0, 1.0, 1.0, -1.0]
+        if pss_k:
+            ix = np.array(pss_ix, dtype=np.intp)
+            wm[ix[:, 1:, None], ix[:, None, :]] = pss_d
+            self.pre[ix, 6 * n + np.array(pss_k)[:, None]] = pss_y3
+        self.m = np.concatenate((wm[:, :ns], wm[:, ne:]), axis=1)
+        self.c = wm[:, ns:ne] @ self.const
+        for arr in vars(self).values():
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
 
     def extend(self, y):
         """``y`` with the absent-device constants appended along the last axis."""
-        if self.const is None:
-            return y
         return np.concatenate(
             (y, np.broadcast_to(self.const, y.shape[:-1] + self.const.shape)), axis=-1)
 
-    def machine_states(self, ye):
-        """delta, omega, eqp, edp, pm, efd per machine, each ``(..., n_mach)``."""
-        g = ye[..., self.ix_mach]
-        return tuple(g[..., k, :] for k in range(6))
+    def feedback_matrix(self, gains):
+        """The state-matrix term of the governor feedback: each governed
+        machine's ``b_k k_k^T`` on its pm, xm, xe rows and its design-state
+        columns; `gains` holds one row per machine."""
+        ns = self.c.size
+        out = np.zeros((ns, ns))
+        cols = self.ix5_gov
+        out[cols[:, 2:, None], cols[:, None, :]] = (self.b_pc[:, :, None]
+                                                    * gains[self.gov][:, None, :])
+        return out
 
-    def network(self, delta, eqp, edp, gmat, bmat):
-        """:func:`network_currents` plus the electrical power (system base)."""
-        e_re, e_im, i_re, i_im, i_d, i_q = network_currents(delta, eqp, edp, gmat, bmat)
-        pe_sys = edp * i_d + eqp * i_q + self.xq_corr * i_d * i_q
-        return e_re, e_im, i_re, i_im, i_d, i_q, pe_sys
+    def network(self, y, net):
+        """EMFs ``[e_re, e_im]`` (synchronous frame), the currents
+        ``[i_re, i_im, i_im, -i_re]`` through ``net`` (a
+        :func:`network_operator`), their d/q projections ``[i_d, i_q]``, the
+        electrical power (system base) and the PSS outputs (zero where a
+        machine has none), each stacking per-machine blocks on the last axis."""
+        n = self.sout.size
+        v = y @ self.pre
+        s, c = _sincos(v[..., :2 * n])
+        e = v[..., 2 * n:4 * n] * s + v[..., 4 * n:6 * n] * c
+        i = e @ net
+        idq = i[..., :2 * n] * s - i[..., 2 * n:] * c
+        p = v[..., 2 * n:4 * n] * idq
+        pe = p[..., :n] + p[..., n:] + self.xq_corr * idq[..., :n] * idq[..., n:]
+        return e, i, idq, pe, v[..., 6 * n:]
+
+    def phi(self, y, net):
+        """The nonlinear inputs, as the blocks ``pe``, ``[i_d, i_q]`` and
+        ``efd_cmd`` over the last axis.  The field command is clamped, and so
+        is the PSS output within it; it acts on the terminal voltage behind
+        the transient reactance, ``|e - j xdp i|``."""
+        e, i, idq, pe, y3 = self.network(y, net)
+        n = pe.shape[-1]
+        vt = e + self.xdp2 * i[..., 2 * n:]
+        vt = _modulus(vt[..., :n], vt[..., n:])
+        vpss = _clip(y3, self.vsmin, self.vsmax)
+        return pe, idq, _clip(self.ka * (self.vref - vt + vpss), self.efdmin, self.efdmax)
 
     def bind(self, gmat, bmat, control=None):
-        """The RHS ``y -> dy`` on one network with one controller setting."""
-        if control is not None and self.gov is not None:
-            control = Control(*(a[self.gov] for a in control))
-        return lambda y: self._rhs(y, gmat, bmat, control)
+        """The RHS ``y -> dy`` on one network with one controller setting.
+        The feedback ``active * gains . (x5 - xref)`` is folded into a copy
+        of the operator and the constants."""
+        mt, c = self.m.T, self.c
+        if control is not None:
+            fb = self.feedback_matrix(control.active[:, None] * control.gains)
+            xs = np.zeros(c.size)                   # the references at the design slots
+            xs[self.ix5_gov] = control.xref[self.gov]
+            m = self.m.copy()
+            m[:, :c.size] += fb
+            mt, c = m.T, c - fb @ xs
+        net, ix_xe, phi = network_operator(gmat, bmat), self.ix_xe, self.phi
 
-    def _rhs(self, y, gmat, bmat, control):
-        ye = self.extend(y)
-        delta, omega_r, eqp, edp, pm, efd = self.machine_states(ye)
-        e_re, e_im, i_re, i_im, i_d, i_q, pe_sys = self.network(delta, eqp, edp,
-                                                                gmat, bmat)
-        vt = _modulus(e_re + self.xdp * i_im, e_im - self.xdp * i_re)
-        blocks = [omega_r,
-                  self.c_damp * omega_r + self.c_acc * (pm - pe_sys / self.sout),
-                  (-eqp - self.xd_diff * i_d + efd) / self.td0p,
-                  (-edp + self.xq_diff * i_q) / self.tq0p]
-
-        vpss = None
-        if self.ks.size:
-            g = ye[..., self.ix_pss]
-            w, z1, z2, z3 = (g[..., k, :] for k in range(4))
-            u1 = self.ks * (w / self.omega0)
-            y1 = u1 - z1
-            d2 = y1 - z2
-            y2 = z2 + self.lead1 * d2
-            d3 = y2 - z3
-            y3 = z3 + self.lead2 * d3
-            blocks += [y1 / self.tw, d2 / self.tp2, d3 / self.tp4]
-            vpss = _clip(y3, self.vsmin, self.vsmax)
-
-        if self.ka.size:
-            if self.exc is not None:
-                vt = vt[..., self.exc]
-            if not self.vpss_all:
-                vp = np.zeros(vt.shape, vt.dtype)
-                if vpss is not None:
-                    vp[..., self.vpss_dst] = vpss[..., self.vpss_src]
-                vpss = vp
-            efd_cmd = _clip(self.ka * (self.vref - vt + vpss), self.efdmin, self.efdmax)
-            blocks.append((efd_cmd - ye[..., self.ix_efd]) / self.ta)
-
-        if self.pcref.size:
-            x5 = ye[..., self.ix5_gov]
-            w, pm, xm, xe = x5[..., 1], x5[..., 2], x5[..., 3], x5[..., 4]
-            pc = self.pcref
-            if control is not None:
-                pc = pc + control.active * feedback(control.gains, x5 - control.xref)
-            te, tm, t5 = self.te, self.tm, self.t5
-            d_xe = self.xe_w * w - xe / te + pc / te
-            # anti-windup: hold the valve state when pinned against an active limit
-            xe_r, d_xe_r = xe.real, d_xe.real
-            hold = ((xe_r >= 1.0) & (d_xe_r > 0.0)) | ((xe_r <= 0.0) & (d_xe_r < 0.0))
-            blocks += [self.pm_w * w - pm / t5 + self.pm_xm * xm / t5
-                       + self.pm_xe * xe + self.pm_pc * pc,
-                       self.xm_w * w - xm / tm + self.xm_xe * xe / tm + self.xm_pc * pc,
-                       np.where(hold, 0.0, d_xe)]
-        return np.concatenate(blocks, axis=-1)[..., self.perm]
+        def f(y):
+            dy = np.concatenate((y, *phi(y, net)), axis=-1) @ mt + c
+            # anti-windup: hold the valve state when pinned against an active
+            # limit; only a valve state at or past a limit can be held
+            xe = y[..., ix_xe].real
+            if _least(np.minimum(xe, 1.0 - xe), axis=None, initial=np.inf) <= 0.0:
+                d = dy[..., ix_xe].real
+                hold = ((xe >= 1.0) & (d > 0.0)) | ((xe <= 0.0) & (d < 0.0))
+                dy[..., ix_xe] = np.where(hold, 0.0, dy[..., ix_xe])
+            return dy
+        return f
 
 
 def rhs(y, plan, gmat, bmat, control=None):
@@ -291,15 +327,16 @@ def rk4_span(y, h, nsteps, plan, gmat, bmat, control=None, out=None, out_offset=
     (0-based) step after which some row left the divergence limit."""
     f = plan.bind(gmat, bmat, control)
     ix_xe = plan.ix_xe
+    shut, open_ = np.zeros(ix_xe.size), np.ones(ix_xe.size)
     half, sixth = 0.5 * h, h / 6.0
     for k in range(nsteps):
         k1 = f(y)
         k2 = f(y + half * k1)
         k3 = f(y + half * k2)
         k4 = f(y + h * k3)
-        y += sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        y[..., ix_xe] = np.minimum(np.maximum(y[..., ix_xe], 0.0), 1.0)
-        if not np.all(np.abs(y) < DIVERGENCE_LIMIT):
+        y += sixth * (k1 + k4 + 2.0 * (k2 + k3))
+        y[..., ix_xe] = np.minimum(np.maximum(y[..., ix_xe], shut), open_)
+        if not _most(np.abs(y), axis=None) < DIVERGENCE_LIMIT:     # also NaN
             return k
         if out is not None:
             out[out_offset + k] = y

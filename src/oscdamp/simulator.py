@@ -59,6 +59,16 @@ class Scenario:
             if not (0.0 <= e.time <= self.duration):
                 raise ScenarioError(f"event at t={e.time} outside [0, duration]")
 
+    def check_machines(self, machine_ids: tuple[int, ...]) -> None:
+        """Every machine the scenario names must be one of `machine_ids`."""
+        named = [("initial_active", self.initial_active)] + [
+            (f"{e.action} at t={e.time}", e.params[0]) for e in self.events
+            if e.action in ("activate_controllers", "deactivate_controllers")]
+        for where, sel in named:
+            unknown = sorted(set(sel) - set(machine_ids)) if isinstance(sel, tuple) else []
+            if unknown:
+                raise ScenarioError(f"{where} names machine(s) {unknown} the case lacks")
+
 
 def _machine_selection(value, where: str, words: tuple[str, ...]):
     """One of `words`, or a list of machine ids (returned as a tuple)."""
@@ -165,6 +175,7 @@ def _internal_emf(model: SimModel, states: np.ndarray) -> np.ndarray:
 def simulate(case: PowerSystemCase, controllers: ControllerSet | None,
              scenario: Scenario) -> SimulationResult:
     scenario.validate()
+    scenario.check_machines(tuple(m.id for m in case.machines))
     sol = solve_power_flow(case)
     y_load = load_admittances(case, sol)
     eq = initialize_from_power_flow(case, sol, kron_reduce(case, y_load))
@@ -328,15 +339,15 @@ def _derived_channels(model: SimModel, gains: np.ndarray, states: np.ndarray,
     # a row belongs to the last segment started at or before its time
     bounds = ([0] + [int(np.count_nonzero(tgrid < s.t_start - 1e-12))
                      for s in segments[1:]] + [n_t])
+    n = model.n_machines
     for s, r0, r1 in zip(segments, bounds, bounds[1:]):
+        net = kernels.network_operator(s.network.g, s.network.b)
         for b0 in range(r0, r1, _DERIVED_BLOCK_ROWS):
             rows = slice(b0, min(b0 + _DERIVED_BLOCK_ROWS, r1))
             ye = plan.extend(states[rows])
-            delta, _, eqp, edp, pm, _ = plan.machine_states(ye)
-            e_re, e_im, *_, pe[rows] = plan.network(delta, eqp, edp,
-                                                    s.network.g, s.network.b)
-            vbus[rows] = (e_re + 1j * e_im) @ s.network.emf_to_bus.T
-            pm_sys[rows] = pm * plan.sout
+            e, _, _, pe[rows], _ = plan.network(states[rows], net)
+            vbus[rows] = (e[:, :n] + 1j * e[:, n:]) @ s.network.emf_to_bus.T
+            pm_sys[rows] = ye[:, plan.ix5[:, 2]] * plan.sout
             u_out[rows] = s.active * kernels.feedback(gains, ye[:, plan.ix5] - s.xref)
     return pe, pm_sys, u_out, vbus
 

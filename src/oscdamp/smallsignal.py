@@ -99,20 +99,16 @@ def closed_loop_matrix(a_open: np.ndarray, plan: kernels.RhsPlan,
     """State matrix with the damping controllers in service.
 
     The control input enters the governor chain linearly through the design
-    model's input column ``[t3 t4/(tm te t5), t3/(tm te), 1/te]``, taken from
-    the plan's coefficients, so governed machine k adds ``b_k k_k^T`` on its
-    pm, xm, xe rows and its delta, omega, pm, xm, xe columns.  `gains` holds
-    one row per machine in layout order; a machine without a governor or with
-    an all-zero row adds nothing.  It equals :func:`linearize` of the model
+    model's input column ``[t3 t4/(tm te t5), t3/(tm te), 1/te]``, so governed
+    machine k adds ``b_k k_k^T`` on its pm, xm, xe rows and its delta, omega,
+    pm, xm, xe columns: the plan's :meth:`~kernels.RhsPlan.feedback_matrix`,
+    the term its bound RHS folds into the operator.  `gains` holds one row
+    per machine in layout order; a machine without a governor or with an
+    all-zero row adds nothing.  It equals :func:`linearize` of the model
     with the controllers in service, also where a valve sits on its limit:
     there the anti-windup hold is inactive at the equilibrium itself.
     """
-    a = a_open.copy()
-    k = gains if plan.gov is None else gains[plan.gov]
-    b = np.stack((plan.pm_pc, plan.xm_pc, 1.0 / plan.te), axis=1)
-    cols = plan.ix5_gov
-    a[cols[:, 2:, None], cols[:, None, :]] += b[:, :, None] * k[:, None, :]
-    return a
+    return a_open + plan.feedback_matrix(gains)
 
 
 def modal_analysis(a_full: np.ndarray,

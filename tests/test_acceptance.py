@@ -159,7 +159,7 @@ def test_criterion_7_numerical_cross_checks(bundled_case, bundled_eq,
     checks = []
 
     # analytic design matrices vs central-difference Jacobians
-    from oscdamp.dynamics import rotor_rhs, governor_turbine_rhs
+    from model_reference import rotor_rhs, governor_turbine_rhs
     w0 = bundled_case.omega0
     worst_rel = 0.0
     for m in bundled_case.machines:

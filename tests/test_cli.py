@@ -120,6 +120,32 @@ def test_design_gains_independent_of_blas_threads():
     assert np.array_equal(gains[0], gains[1])
 
 
+def test_simulate_report_independent_of_blas_threads(case_path, tmp_path, bundled_design):
+    """A short remedial simulate (trip, then controllers in service) writes
+    the same report outside metadata with 1 and 2 BLAS threads; the RHS runs
+    a BLAS matrix-vector product every evaluation.  Fresh interpreters, since
+    OpenBLAS reads its thread count at load."""
+    src = str(Path(oscdamp.__file__).resolve().parents[1])
+    gains = tmp_path / "gains.json"
+    gains.write_text(json.dumps(bundled_design[0].to_dict()))
+    scen = tmp_path / "remedial.json"
+    scen.write_text(json.dumps({"duration": 3.0, "dt": 0.005, "initial_active": "none",
+                                "events": [
+        {"time": 1.0, "type": "trip_line", "from": 3, "to": 101, "circuit": 1},
+        {"time": 2.0, "type": "activate_controllers", "machines": "all"}]}))
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads}
+        subprocess.run([sys.executable, "-m", "oscdamp.cli", "simulate", "--case", case_path,
+                        "--scenario", str(scen), "--gains", str(gains),
+                        "--out", str(out)], env=env, capture_output=True, check=True)
+        reports.append(_report_files(out))
+    assert set(reports[0]) == {"simulate.json", "trajectory.csv"}
+    assert reports[0] == reports[1]
+
+
 def test_numeric_error_exit_code(tmp_path):
     doc = json.loads(make_two_bus_text(p_mw=5000.0, q_mvar=2500.0))
     p = tmp_path / "heavy.json"
@@ -442,3 +468,41 @@ def test_design_canonicalizes_once(case_path, tmp_path, monkeypatch):
                         lambda problem: calls.append(1) or canonicalize(problem))
     assert main(["design", "--case", case_path, "--out", str(tmp_path / "d")]) == EXIT_OK
     assert len(calls) == 1
+
+
+def test_controllers_subset_applies_to_given_gains(case_path, tmp_path, bundled_design):
+    """--controllers 2,3 --gains G puts only rows 2 and 3 of G in service: the
+    same modes as G with rows 1 and 4 zeroed, and not those of all of G."""
+    ctrl = bundled_design[0].to_dict()
+    full, zeroed = tmp_path / "full.json", tmp_path / "zeroed.json"
+    full.write_text(json.dumps(ctrl))
+    ctrl["gains"] = [row if mid in (2, 3) else [0.0] * 5
+                     for mid, row in zip(ctrl["machine_ids"], ctrl["gains"])]
+    zeroed.write_text(json.dumps(ctrl))
+    runs = {"subset": ["--controllers", "2,3", "--gains", str(full)],
+            "zeroed": ["--gains", str(zeroed)],
+            "all": ["--controllers", "all", "--gains", str(full)]}
+    modes = {}
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert main(["modal", "--case", case_path, "--out", str(out), *argv]) == EXIT_OK
+        modes[name] = (out / "modes.csv").read_text()
+    assert modes["subset"] == modes["zeroed"]
+    assert modes["subset"] != modes["all"]
+
+
+@pytest.mark.parametrize("scenario", [
+    {"initial_active": [2, 7]},
+    {"events": [{"time": 0.5, "type": "activate_controllers", "machines": [7]}]},
+    {"events": [{"time": 0.5, "type": "deactivate_controllers", "machines": [1, 9]}]},
+], ids=["initial-active", "activate", "deactivate"])
+def test_scenario_naming_unknown_machine_is_input_error(scenario, case_path, tmp_path,
+                                                        capsys, bundled_design):
+    gains = tmp_path / "gains.json"
+    gains.write_text(json.dumps(bundled_design[0].to_dict()))
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({"duration": 1.0, **scenario}))
+    assert main(["simulate", "--case", case_path, "--scenario", str(scen),
+                 "--gains", str(gains)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "input error:" in err and "lacks" in err

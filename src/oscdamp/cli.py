@@ -79,7 +79,8 @@ def _subset_from_arg(case, spec: str) -> list[int] | None:
 def _controllers_for(case, args, eq=None) -> ControllerSet | None:
     """Resolve --controllers/--gains into a ControllerSet (None for PSS-only).
     Given gains keep only the rows of the machines --controllers lists; the
-    others become zero rows, as a designed subset has.
+    others become zero rows, as a designed subset has.  A nonzero row left
+    for a machine without a governor is an input error: nothing applies it.
 
     Designing needs the base operating point: pass it as `eq` when the
     caller has one; otherwise it is built here, and only then."""
@@ -90,9 +91,13 @@ def _controllers_for(case, args, eq=None) -> ControllerSet | None:
         doc = json.loads(Path(args.gains).read_text())
         ctrl = ControllerSet.from_dict(doc["results"]["controllers"]
                                        if "results" in doc else doc)
-        ctrl.gains_for(tuple(m.id for m in case.machines))    # a row for every machine
         if subset is not None:
             ctrl.gains[[mid not in subset for mid in ctrl.machine_ids]] = 0.0
+        ids = tuple(m.id for m in case.machines)
+        for mid, row in zip(ids, ctrl.gains_for(ids)):    # a row for every machine
+            if row.any() and case.governor_for(mid) is None:
+                raise CaseError(f"--gains has a nonzero row for machine {mid}, "
+                                "which has no steam governor to apply it")
         return ctrl
     if eq is None:
         _, eq = _pipeline(case)

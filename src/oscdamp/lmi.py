@@ -16,7 +16,9 @@ sparse Schur-complement assembly of Fujisawa, Kojima and Nakata (Math. Prog.
 vector form.  Blocks of one dimension are stacked, so each factorization and
 product runs once per size.  Everything is numpy and deterministic (the
 bundled problem gives the same bits with 1 and 2 BLAS threads); each block's
-inverse comes from the inverse of its Cholesky factor.
+inverse comes from the inverse of its Cholesky factor.  Terms are small blocks
+at offsets, and the F_k are built from their (variable, row, column, value)
+triplets, the coordinate form of SDPA files, with no dense matrix per variable.
 
 The module also writes/reads the SDPA sparse exchange format (``.dat-s``) so
 third-party solvers can cross-check solutions, and re-verifies any solution
@@ -48,11 +50,15 @@ class SymMatrixVar:
 
 @dataclass(frozen=True)
 class Term:
-    """Contribution  left @ V @ right  (plus its transpose when symmetrize is set)."""
+    """Contribution  left @ V @ right  (a scalar V scales left @ right) as a
+    block at (row, col) of its constraint, plus its transpose at (col, row)
+    when symmetrize is set."""
 
     var: str
     left: np.ndarray
     right: np.ndarray
+    row: int = 0
+    col: int = 0
     symmetrize: bool = False
 
 
@@ -153,21 +159,6 @@ def _component_offsets(variables) -> tuple[int, dict]:
     return n, offset
 
 
-def _basis_matrix(dim: int, i: int, j: int) -> np.ndarray:
-    m = np.zeros((dim, dim))
-    m[i, j] = 1.0
-    if i != j:
-        m[j, i] = 1.0
-    return m
-
-
-def _upper_nonzeros(m: np.ndarray):
-    """Rows, columns and values of the nonzero upper-triangle entries, row by row."""
-    i, j = np.nonzero(m)
-    upper = i <= j
-    return i[upper], j[upper], m[i[upper], j[upper]]
-
-
 def _cover_factors(var, row, col, val, dim: int):
     """Cover factors of every F_k on a block from its upper-triangle nonzeros.
 
@@ -203,6 +194,74 @@ def _cover_factors(var, row, col, val, dim: int):
     return jj, ks[kk], a
 
 
+def _term_product(con: Constraint, t: Term, v) -> np.ndarray:
+    """A term's product per component of its variable, (K, p, q), checked
+    against the variable and the constraint's dimension."""
+    left = np.atleast_2d(np.asarray(t.left, dtype=float))
+    right = np.atleast_2d(np.asarray(t.right, dtype=float))
+    inner = right.shape[0] if isinstance(v, ScalarVar) else v.dim
+    if left.shape[1] != inner or right.shape[0] != inner:
+        raise LmiError(f"constraint {con.name}, term on {t.var}: shape mismatch")
+    p, q = left.shape[0], right.shape[1]
+    if min(t.row, t.col) < 0 or t.row + p > con.dim or t.col + q > con.dim:
+        raise LmiError(f"constraint {con.name}, term on {t.var}: a {p}x{q} block at "
+                       f"({t.row}, {t.col}) runs past dimension {con.dim}")
+    if isinstance(v, ScalarVar):
+        return (left @ right)[None]
+    i, j = _components(v)
+    basis = np.zeros((i.size, v.dim, v.dim))      # the unit symmetric matrices
+    basis[np.arange(i.size), i, j] = basis[np.arange(i.size), j, i] = 1.0
+    return left @ basis @ right
+
+
+def _placed(t: Term, prod: np.ndarray) -> list:
+    """The (row, col, block) pieces a term adds (blocks on the last two axes):
+    its product, and with `symmetrize` the transpose, which is summed with it
+    first on the square covering both where the two overlap, as in F + F^T."""
+    p, q = prod.shape[-2:]
+    if not t.symmetrize:
+        return [(t.row, t.col, prod)]
+    if t.row >= t.col + q or t.col >= t.row + p:
+        return [(t.row, t.col, prod), (t.col, t.row, np.swapaxes(prod, -1, -2))]
+    lo = min(t.row, t.col)
+    size = max(t.row + p, t.col + q) - lo
+    square = np.zeros(prod.shape[:-2] + (size, size))
+    square[..., t.row - lo:t.row - lo + p, t.col - lo:t.col - lo + q] = prod
+    return [(lo, lo, square + np.swapaxes(square, -1, -2))]
+
+
+def _canonical_block(con: Constraint, vars_by_name: dict, offset: dict) -> SdpBlock:
+    """One constraint's F_k as upper-triangle triplets, gathered from the
+    nonzeros of each term's compact product per component."""
+    d = con.dim
+    if con.const.shape != (d, d):
+        raise LmiError(f"constraint {con.name}: constant has wrong shape")
+    parts = [(np.zeros(0, dtype=int),) * 3 + (np.zeros(0),)]
+    for t in con.terms:
+        v = vars_by_name.get(t.var)
+        if v is None:
+            raise LmiError(f"constraint {con.name} references unknown variable {t.var}")
+        for r0, c0, block in _placed(t, _term_product(con, t, v)):
+            k, r, c = np.nonzero(block)
+            parts.append((k + offset[t.var], r + r0, c + c0, block[k, r, c]))
+    var, row, col, val = map(np.concatenate, zip(*parts))
+    # one sum per variable, upper position and side of the diagonal; bincount adds in
+    # input order, so after a stable sort each sum runs over its terms in order
+    key = ((var * d + np.minimum(row, col)) * d + np.maximum(row, col)) * 2 + (row > col)
+    order = np.argsort(key, kind="stable")
+    entries, run = np.unique(key[order], return_inverse=True)
+    sums = np.bincount(run, val[order])
+    # (F + F^T) / 2 at each upper position: an entry plus its mirror, halved;
+    # a diagonal entry is its own mirror
+    upper, pair = np.unique(entries // 2, return_inverse=True)
+    total = np.bincount(pair, sums)
+    var, (row, col) = upper // (d * d), np.divmod(upper % (d * d), d)
+    val = np.where(row == col, 1.0, 0.5) * total
+    keep = val != 0.0
+    var, row, col, val = var[keep], row[keep], col[keep], val[keep]
+    return SdpBlock(con.const.copy(), var, row, col, val, *_cover_factors(var, row, col, val, d))
+
+
 def canonicalize(problem: LmiProblem) -> CanonicalSdp:
     vars_by_name = {v.name: v for v in problem.variables}
     if len(vars_by_name) != len(problem.variables):
@@ -223,49 +282,8 @@ def canonicalize(problem: LmiProblem) -> CanonicalSdp:
                 raise LmiError(f"objective coefficient for {name} has wrong shape")
             i, j = _components(v)
             c[k:k + i.size] += np.where(i == j, cm[i, j], cm[i, j] + cm[j, i])
-
-    blocks = []
-    for con in problem.constraints:
-        d = con.dim
-        if con.const.shape != (d, d):
-            raise LmiError(f"constraint {con.name}: constant has wrong shape")
-        acc = {}                  # variable -> its F_k, summed over the terms in order
-        for t in con.terms:
-            v = vars_by_name.get(t.var)
-            if v is None:
-                raise LmiError(f"constraint {con.name} references unknown variable {t.var}")
-            left = np.atleast_2d(np.asarray(t.left, dtype=float))
-            right = np.atleast_2d(np.asarray(t.right, dtype=float))
-            if isinstance(v, ScalarVar):
-                # scalar terms allow any conformable left @ right product
-                if left.shape[0] != d or right.shape[1] != d \
-                        or left.shape[1] != right.shape[0]:
-                    raise LmiError(f"constraint {con.name}, term on {t.var}: shape mismatch")
-                contribs = [left @ right]
-            elif left.shape != (d, v.dim) or right.shape != (v.dim, d):
-                raise LmiError(f"constraint {con.name}, term on {t.var}: shape mismatch")
-            else:
-                contribs = (left @ _basis_matrix(v.dim, i, j) @ right
-                            for i, j in zip(*_components(v)))
-            for k, contrib in enumerate(contribs, start=offset[t.var]):
-                if t.symmetrize:
-                    contrib = contrib + contrib.T
-                if k in acc:
-                    acc[k] += contrib
-                else:
-                    acc[k] = contrib
-        keys = sorted(acc)
-        # the symmetric part, which is F_k itself for a symmetric term
-        sym = [0.5 * (acc[k] + acc[k].T) for k in keys]
-        nz = [np.flatnonzero(f) for f in sym]
-        var = np.repeat(np.array(keys, dtype=int), [i.size for i in nz])
-        row, col = np.divmod(np.concatenate(nz or [np.zeros(0, dtype=int)]), d)
-        val = np.concatenate([f.ravel()[i] for f, i in zip(sym, nz)] or [np.zeros(0)])
-        upper = row <= col
-        var, row, col, val = var[upper], row[upper], col[upper], val[upper]
-        blocks.append(SdpBlock(con.const.copy(), var, row, col, val,
-                               *_cover_factors(var, row, col, val, d)))
-    return CanonicalSdp(c=c, blocks=blocks)
+    return CanonicalSdp(c=c, blocks=[_canonical_block(con, vars_by_name, offset)
+                                     for con in problem.constraints])
 
 
 # Path-following controls.  MAX_NEWTON caps the centering effort per barrier
@@ -570,7 +588,7 @@ class SolutionCheck:
 
 
 def check_solution(problem: LmiProblem, solution: LmiSolution | dict) -> SolutionCheck:
-    """Recompute constraint residuals and the objective from scratch."""
+    """Recompute constraint residuals and the objective from scratch, densely."""
     values = solution.values if isinstance(solution, LmiSolution) else solution
     vars_by_name = {v.name: v for v in problem.variables}
     obj = 0.0
@@ -592,9 +610,8 @@ def check_solution(problem: LmiProblem, solution: LmiSolution | dict) -> Solutio
                 contrib = float(val) * (left @ right)
             else:
                 contrib = left @ np.atleast_2d(np.asarray(val, dtype=float)) @ right
-            if t.symmetrize:
-                contrib = contrib + contrib.T
-            s += contrib
+            for r0, c0, block in _placed(t, contrib):
+                s[r0:r0 + block.shape[0], c0:c0 + block.shape[1]] += block
         s = 0.5 * (s + s.T)
         mins.append(float(np.min(np.linalg.eigvalsh(s))))
     return SolutionCheck(min_eigs=mins, objective=obj)
@@ -616,8 +633,8 @@ def export_sdpa(problem: LmiProblem | CanonicalSdp) -> str:
 
     # every stored upper-triangle nonzero: F0 (as -F0) block by block, then
     # variable by variable and, within a variable, block by block
-    entries = [(np.zeros(i.size, dtype=int), np.full(i.size, b), i, j, -x)
-               for b, (i, j, x) in enumerate(_upper_nonzeros(f) for f in sdp.f0)]
+    entries = [(np.zeros(i.size, dtype=int), np.full(i.size, b), i, j, -f[i, j])
+               for b, f in enumerate(sdp.f0) for i, j in [np.nonzero(np.triu(f))]]
     entries += [(blk.var + 1, np.full(blk.var.size, b), blk.row, blk.col, blk.val)
                 for b, blk in enumerate(sdp.blocks)]
     if entries:
@@ -637,44 +654,33 @@ def read_sdpa(text: str) -> LmiProblem:
             continue
         tokens.extend(stripped.replace(",", " ").replace("{", " ").replace("}", " ")
                       .replace("(", " ").replace(")", " ").split())
-    pos = 0
+    rest = iter(tokens)
 
     def take() -> str:
-        nonlocal pos
-        if pos >= len(tokens):
+        tok = next(rest, None)
+        if tok is None:
             raise LmiError("truncated SDPA input")
-        tok = tokens[pos]
-        pos += 1
         return tok
 
-    m = int(take())
-    nblocks = int(take())
+    m, nblocks = int(take()), int(take())
     dims = [abs(int(take())) for _ in range(nblocks)]
     c = [float(take()) for _ in range(m)]
     f0 = [np.zeros((d, d)) for d in dims]
-    fk = {}                      # (variable, block) -> F_k on the block, as given
-    while pos < len(tokens):
-        matno = int(take())
-        blkno = int(take()) - 1
-        i = int(take()) - 1
-        j = int(take()) - 1
-        v = float(take())
+    entries = {}        # (variable, block, row, col) -> value; a repeated entry keeps the last
+    for matno in map(int, rest):
+        blkno, i, j, v = int(take()) - 1, int(take()) - 1, int(take()) - 1, float(take())
         if matno == 0:
-            target = f0[blkno]
+            f0[blkno][i, j] = f0[blkno][j, i] = v
         else:
-            target = fk.setdefault((matno - 1, blkno), np.zeros((dims[blkno],) * 2))
-        target[i, j] = v
-        target[j, i] = v
+            entries[matno - 1, blkno, min(i, j), max(i, j)] = v
 
     problem = LmiProblem()
     for k in range(m):
         problem.add_scalar(f"x{k + 1}")
         problem.objective[f"x{k + 1}"] = c[k]
-    for b in range(nblocks):
-        con = problem.add_constraint(f"block{b + 1}", dims[b], const=-f0[b])
-        for k in range(m):
-            if (k, b) in fk and np.any(fk[k, b] != 0.0):
-                con.terms.append(Term(var=f"x{k + 1}",
-                                      left=fk[k, b],
-                                      right=np.eye(dims[b])))
+    cons = [problem.add_constraint(f"block{b + 1}", dims[b], const=-f0[b])
+            for b in range(nblocks)]
+    for (k, b, i, j), v in entries.items():
+        if v != 0.0:
+            cons[b].terms.append(Term(f"x{k + 1}", [[v]], [[1.0]], i, j, symmetrize=i != j))
     return problem

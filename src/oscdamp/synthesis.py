@@ -187,12 +187,6 @@ def verify_bound(bounds: CouplingBounds, reduced: ReducedNetwork,
 
 # --- LMI assembly ---------------------------------------------------------------
 
-def _embed(total: int, offset: int, dim: int) -> np.ndarray:
-    e = np.zeros((total, dim))
-    e[offset:offset + dim] = np.eye(dim)
-    return e
-
-
 def assemble_synthesis_lmi(design_models: list[DesignModel],
                            h_rows: list[np.ndarray],
                            beta_bar: np.ndarray | float = 1.0) -> LmiProblem:
@@ -201,6 +195,9 @@ def assemble_synthesis_lmi(design_models: list[DesignModel],
     Variables per machine: Y (5x5 symmetric), five gain-seed scalars L_k,
     and the scalars gamma, kappa_y, kappa_l.  Strict inequalities carry an
     EPS*I shift.  The objective minimizes sum(gamma + kappa_y + kappa_l).
+    Each term is its small coefficient at its offset: the stability block
+    holds the 5N design states, then one disturbance row per machine, then
+    each machine's coupling rows.
     """
     n = len(design_models)
     if n == 0:
@@ -226,16 +223,13 @@ def assemble_synthesis_lmi(design_models: list[DesignModel],
     m_rows = [h.shape[0] for h in h_rows]
     dim = 5 * n + n + sum(m_rows)
     c_dist = 5 * n
-    h_off = []
-    pos = c_dist + n
-    for mi in m_rows:
-        h_off.append(pos)
-        pos += mi
+    h_off = (c_dist + n + np.cumsum([0] + m_rows[:-1])).tolist()   # coupling rows' first row
 
     # per-machine positivity of Y
+    eye5 = np.eye(5)
     for i in range(n):
-        con = p.add_constraint(f"Ypos{i}", 5, const=-EPS * np.eye(5))
-        con.terms.append(Term(f"Y{i}", np.eye(5), np.eye(5)))
+        con = p.add_constraint(f"Ypos{i}", 5, const=-EPS * eye5)
+        con.terms.append(Term(f"Y{i}", eye5, eye5))
 
     # the bordered stabilization block, negated into PSD form
     const = -EPS * np.eye(dim)
@@ -245,21 +239,17 @@ def assemble_synthesis_lmi(design_models: list[DesignModel],
     const[c_dist:c_dist + n, c_dist:c_dist + n] += np.eye(n)
     big = p.add_constraint("stability", dim, const=const)
     for i, dm in enumerate(design_models):
-        e_i = _embed(dim, 5 * i, 5)
-        big.terms.append(Term(f"Y{i}", -(e_i @ dm.a), e_i.T, symmetrize=True))
+        big.terms.append(Term(f"Y{i}", -dm.a, eye5, 5 * i, 5 * i, symmetrize=True))
         for k in range(5):
-            ek = np.zeros((1, 5))
-            ek[0, k] = 1.0
-            big.terms.append(Term(f"L{i}_{k}", -(e_i @ dm.b[:, None]),
-                                  ek @ e_i.T, symmetrize=True))
+            big.terms.append(Term(f"L{i}_{k}", -dm.b[:, None], [[1.0]], 5 * i, 5 * i + k,
+                                  symmetrize=True))
         if m_rows[i] > 0:
-            r_i = _embed(dim, h_off[i], m_rows[i])
-            big.terms.append(Term(f"gamma{i}", r_i, r_i.T))
+            big.terms.append(Term(f"gamma{i}", np.eye(m_rows[i]), np.eye(m_rows[i]),
+                                  h_off[i], h_off[i]))
             for j in range(n):
                 hij = h_rows[i][:, 5 * j:5 * j + 5]
                 if np.any(hij != 0.0):
-                    e_j = _embed(dim, 5 * j, 5)
-                    big.terms.append(Term(f"Y{j}", -(r_i @ hij), e_j.T,
+                    big.terms.append(Term(f"Y{j}", -hij, eye5, h_off[i], 5 * j,
                                           symmetrize=True))
 
     for i in range(n):
@@ -267,23 +257,17 @@ def assemble_synthesis_lmi(design_models: list[DesignModel],
         const6 = -EPS * np.eye(6)
         const6[5, 5] += 1.0
         con = p.add_constraint(f"gainmag{i}", 6, const=const6)
-        p5 = _embed(6, 0, 5)
-        con.terms.append(Term(f"kappaL{i}", p5, p5.T))
+        con.terms.append(Term(f"kappaL{i}", eye5, eye5))
         for k in range(5):
-            lcol = np.zeros((6, 1))
-            lcol[k, 0] = 1.0
-            rrow = np.zeros((1, 6))
-            rrow[0, 5] = 1.0
-            con.terms.append(Term(f"L{i}_{k}", -lcol, rrow, symmetrize=True))
+            con.terms.append(Term(f"L{i}_{k}", [[-1.0]], [[1.0]], k, 5, symmetrize=True))
 
         # conditioning block: [[Y, I], [I, ky*I]] >= EPS*I
         const10 = -EPS * np.eye(10)
-        const10[:5, 5:] += np.eye(5)
-        const10[5:, :5] += np.eye(5)
+        const10[:5, 5:] += eye5
+        const10[5:, :5] += eye5
         con = p.add_constraint(f"conditioning{i}", 10, const=const10)
-        con.terms.append(Term(f"Y{i}", _embed(10, 0, 5), _embed(10, 0, 5).T))
-        p5 = _embed(10, 5, 5)
-        con.terms.append(Term(f"kappaY{i}", p5, p5.T))
+        con.terms.append(Term(f"Y{i}", eye5, eye5))
+        con.terms.append(Term(f"kappaY{i}", eye5, eye5, 5, 5))
 
         # robustness margin: gamma < 1/beta^2 (strict via EPS)
         con = p.add_constraint(f"margin{i}", 1,

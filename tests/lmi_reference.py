@@ -1,0 +1,103 @@
+"""The dense canonical form, written here as the independent reference for
+:func:`oscdamp.lmi.canonicalize`: every term is embedded in its constraint's
+full frame, every scalar component of a variable gets a dense d x d
+coefficient, and the nonzeros are read off the symmetrized sum."""
+
+import numpy as np
+
+from oscdamp.lmi import LmiError, ScalarVar
+
+
+def components(v):
+    """Rows and columns of a variable's scalar components, in the order of x."""
+    d = 1 if isinstance(v, ScalarVar) else v.dim
+    pairs = [(i, j) for i in range(d) for j in range(i, d)]
+    return [i for i, _ in pairs], [j for _, j in pairs]
+
+
+def basis_matrix(dim, i, j):
+    m = np.zeros((dim, dim))
+    m[i, j] = 1.0
+    m[j, i] = 1.0
+    return m
+
+
+def embedded(term, dim):
+    """The term's left and right factors in the constraint's full frame."""
+    left = np.atleast_2d(np.asarray(term.left, dtype=float))
+    right = np.atleast_2d(np.asarray(term.right, dtype=float))
+    full_left = np.zeros((dim, left.shape[1]))
+    full_left[term.row:term.row + left.shape[0]] = left
+    full_right = np.zeros((right.shape[0], dim))
+    full_right[:, term.col:term.col + right.shape[1]] = right
+    return full_left, full_right
+
+
+def canonical_triplets(problem):
+    """c, and per block (f0, var, row, col, val): the upper-triangle nonzeros
+    of every F_k, by variable and then row by row."""
+    offset, n = {}, 0
+    for v in problem.variables:
+        offset[v.name] = n
+        n += len(components(v)[0])
+    by_name = {v.name: v for v in problem.variables}
+    c = np.zeros(n)
+    for name, coef in problem.objective.items():
+        v = by_name[name]
+        if isinstance(v, ScalarVar):
+            c[offset[name]] += float(coef)
+        else:
+            cm = np.asarray(coef, dtype=float)
+            for k, (i, j) in enumerate(zip(*components(v)), start=offset[name]):
+                c[k] += cm[i, j] if i == j else cm[i, j] + cm[j, i]
+    blocks = []
+    for con in problem.constraints:
+        d = con.dim
+        acc = {}
+        for t in con.terms:
+            v = by_name[t.var]
+            left, right = embedded(t, d)
+            if left.shape[1] != right.shape[0]:
+                raise LmiError("shape mismatch")
+            if isinstance(v, ScalarVar):
+                contribs = [left @ right]
+            else:
+                contribs = [left @ basis_matrix(v.dim, i, j) @ right
+                            for i, j in zip(*components(v))]
+            for k, contrib in enumerate(contribs, start=offset[t.var]):
+                if t.symmetrize:
+                    contrib = contrib + contrib.T
+                if k in acc:
+                    acc[k] += contrib
+                else:
+                    acc[k] = contrib
+        var, row, col, val = [], [], [], []
+        for k in sorted(acc):
+            f = 0.5 * (acc[k] + acc[k].T)
+            for i, j in zip(*np.nonzero(f)):
+                if i <= j:
+                    var.append(k)
+                    row.append(i)
+                    col.append(j)
+                    val.append(f[i, j])
+        blocks.append((con.const.copy(), np.array(var, dtype=int), np.array(row, dtype=int),
+                       np.array(col, dtype=int), np.array(val, dtype=float)))
+    return c, blocks
+
+
+def dense_blocks(problem, values):
+    """Every constraint's matrix at `values`, each term embedded in its full
+    frame and added whole."""
+    by_name = {v.name: v for v in problem.variables}
+    out = []
+    for con in problem.constraints:
+        s = con.const.copy()
+        for t in con.terms:
+            left, right = embedded(t, con.dim)
+            if isinstance(by_name[t.var], ScalarVar):
+                contrib = float(values[t.var]) * (left @ right)
+            else:
+                contrib = left @ np.asarray(values[t.var], dtype=float) @ right
+            s += contrib + contrib.T if t.symmetrize else contrib
+        out.append(0.5 * (s + s.T))
+    return out

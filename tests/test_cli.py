@@ -187,6 +187,28 @@ def test_design_rejects_governorless(case_path, tmp_path):
     assert main(["design", "--case", str(p), "--controllers", "1,4"]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("command", ["modal", "simulate"])
+def test_gains_for_ungoverned_machine_is_input_error(command, case_path, tmp_path, capsys,
+                                                      bundled_design):
+    """A nonzero gain row for a machine without a governor is refused, since
+    the model would never apply it; the same gains with that row left out of
+    --controllers run."""
+    doc = json.loads(Path(case_path).read_text())
+    doc["governors"] = [g for g in doc["governors"] if g["machine"] != 4]
+    nogov = tmp_path / "nogov.json"
+    nogov.write_text(json.dumps(doc))
+    gains = tmp_path / "gains.json"
+    gains.write_text(json.dumps(bundled_design[0].to_dict()))
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({"duration": 0.1, "dt": 0.01, "events": []}))
+    extra = ["--scenario", str(scen), "--channels", "omega:1"] if command == "simulate" else []
+    argv = [command, "--case", str(nogov), "--gains", str(gains), *extra]
+    capsys.readouterr()
+    assert main(argv) == EXIT_INPUT
+    assert "machine 4" in capsys.readouterr().err
+    assert main(argv + ["--controllers", "1,2,3"]) == EXIT_OK
+
+
 def test_simulate_command(case_path, tmp_path):
     scen = tmp_path / "scen.json"
     scen.write_text(json.dumps({

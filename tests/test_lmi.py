@@ -1,9 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import lmi_reference
 from oscdamp import lmi
+from oscdamp.dynamics import DesignModel, build_design_matrices
 from oscdamp.lmi import (LmiProblem, Term, solve_sdp, check_solution,
                          export_sdpa, read_sdpa, canonicalize, LmiError)
+from oscdamp.synthesis import (CouplingBounds, assemble_synthesis_lmi, coupling_rows,
+                               synthesis_lmi)
 
 
 def toy_min_t():
@@ -187,6 +193,19 @@ def test_term_shape_mismatch():
         canonicalize(p)
 
 
+@pytest.mark.parametrize("row, col, size", [(2, 0, 2), (0, 2, 2), (3, 3, 1), (-1, 0, 1),
+                                            (0, 0, 4)])
+def test_term_block_past_dimension(row, col, size):
+    """A term whose block does not fit in its constraint is refused, whether
+    the offset or the block's size carries it past the edge."""
+    p = LmiProblem()
+    p.add_symmetric("Y", size)
+    con = p.add_constraint("c", 3)
+    con.terms.append(Term("Y", np.eye(size), np.eye(size), row, col, symmetrize=True))
+    with pytest.raises(LmiError, match="runs past dimension 3"):
+        canonicalize(p)
+
+
 def test_iteration_limit_status(monkeypatch):
     monkeypatch.setattr(lmi, "MAX_OUTER", 1)
     monkeypatch.setattr(lmi, "GAP_TOL", 1e-300)
@@ -300,3 +319,147 @@ def test_cover_factors_rebuild_every_coefficient_exactly(which, request):
                 rebuilt = half + half.transpose(0, 2, 1)
                 assert np.array_equal(rebuilt[:layout.m], fks[b])
                 assert not rebuilt[layout.m].any()      # padding columns are zero
+
+
+def offset_problem():
+    """Terms at offsets; the optimum is t = 1, Y = diag(1, 1/4), s = 1.  The
+    blocks: diag(1, [[t, 1], [1, t]]); [[Y, X], [X, I]] with X = diag(1, 1/2);
+    I plus s at (0, 1) and its mirror at (1, 0); and 3 I - Y on the lower
+    2 x 2 of a 3 x 3 block, where the term and its transpose overlap."""
+    p = LmiProblem()
+    p.add_scalar("t")
+    p.add_symmetric("Y", 2)
+    p.add_scalar("s")
+    p.objective.update(t=1.0, Y=np.eye(2), s=-1.0)
+    con = p.add_constraint("t", 3, const=[[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+    con.terms.append(Term("t", np.eye(2), np.eye(2), 1, 1))
+    const = np.zeros((4, 4))
+    const[:2, 2:] = const[2:, :2] = np.diag([1.0, 0.5])
+    const[2:, 2:] = np.eye(2)
+    p.add_constraint("Y", 4, const=const).terms.append(Term("Y", np.eye(2), np.eye(2)))
+    con = p.add_constraint("s", 3, const=np.eye(3))
+    con.terms.append(Term("s", [[1.0]], [[1.0]], 0, 1, symmetrize=True))
+    con = p.add_constraint("cap", 3, const=3.0 * np.eye(3))
+    con.terms.append(Term("Y", -0.5 * np.eye(2), np.eye(2), 1, 1, symmetrize=True))
+    return p
+
+
+def test_offset_terms_solve_and_check():
+    """Offset terms land where they say: the solve finds the optimum, and
+    check_solution's eigenvalues are those of the terms embedded in full."""
+    p = offset_problem()
+    sol = solve_sdp(p)
+    assert sol.status == "optimal"
+    assert sol.values["t"] == pytest.approx(1.0, abs=1e-5)
+    assert sol.values["s"] == pytest.approx(1.0, abs=1e-5)
+    np.testing.assert_allclose(sol.values["Y"], np.diag([1.0, 0.25]), atol=1e-5)
+    chk = check_solution(p, sol)
+    assert chk.passes()
+    want = [np.linalg.eigvalsh(s)[0] for s in lmi_reference.dense_blocks(p, sol.values)]
+    np.testing.assert_allclose(chk.min_eigs, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("var, change, block", [("t", -0.1, 0), ("s", 0.1, 2),
+                                                ("Y", np.diag([0.0, -0.1]), 1),
+                                                ("Y", np.diag([2.5, 0.0]), 3)])
+def test_check_flags_perturbed_offset_solution(var, change, block):
+    """A perturbed solution of the offset problem fails on the block whose
+    offset term it breaks, and only there."""
+    p = offset_problem()
+    values = {"t": 1.0, "s": 1.0, "Y": np.diag([1.0, 0.25])}
+    assert check_solution(p, values).passes(eig_tol=-1e-12)
+    values[var] = values[var] + change
+    mins = check_solution(p, values).min_eigs
+    assert [i for i, e in enumerate(mins) if e < -1e-3] == [block]
+
+
+def size_curve_lmi(case, n):
+    """The size-curve synthesis LMI of the benchmark: N copies of machine 1's
+    design model, in per-unit speed, with the same coupling weight 0.05 on
+    every pair."""
+    m = case.machines[0]
+    dm = build_design_matrices(m, case.governor_for(m.id), case.omega0)
+    tscale = np.array([1.0, case.omega0, 1.0, 1.0, 1.0])
+    scaled = DesignModel(machine_id=m.id, a=dm.a * tscale[None, :] / tscale[:, None],
+                         b=dm.b / tscale, g=dm.g / tscale)
+    w = np.full((n, n), 0.05)
+    np.fill_diagonal(w, 0.0)
+    zero, ones = np.zeros((n, n)), np.ones(n)
+    bounds = CouplingBounds(e_max_q=ones, e_max_d=ones, w_qq=w, w_qd=zero, w_dq=zero,
+                            w_dd=zero, power_scale=ones)
+    return assemble_synthesis_lmi([scaled] * n, coupling_rows(bounds))
+
+
+def overlapping_problem():
+    """Terms that pile up on shared entries, some symmetrized, some over their
+    own transpose, with random values: the sums round, so their order shows.
+    Each right factor picks columns, which keeps every product exact."""
+    rng = np.random.default_rng(12)
+    p = LmiProblem()
+    for k in range(3):
+        p.add_scalar(f"x{k}")
+    p.add_symmetric("Y", 3)
+    con = p.add_constraint("pile", 7, const=np.eye(7))
+    for _ in range(40):
+        var = ["x0", "x1", "x2", "Y"][rng.integers(4)]
+        inner = 3 if var == "Y" else int(rng.integers(1, 4))
+        rows, cols = rng.integers(1, 5, size=2)
+        pick = np.zeros((inner, cols))
+        pick[rng.integers(inner, size=cols), np.arange(cols)] = 1.0
+        con.terms.append(Term(var, rng.normal(size=(rows, inner)), pick,
+                              int(rng.integers(8 - rows)), int(rng.integers(8 - cols)),
+                              symmetrize=bool(rng.integers(2))))
+    return p
+
+
+def reference_problem(which, bundled_case, bundled_eq):
+    if which == "golden_toy":
+        return toy_min_t()
+    if which == "overlapping":
+        return overlapping_problem()
+    if which.startswith("curve"):
+        return size_curve_lmi(bundled_case, int(which[len("curve"):]))
+    problem = synthesis_lmi(bundled_case, bundled_eq).problem
+    return read_sdpa(export_sdpa(problem)) if which == "synthesis_round_trip" else problem
+
+
+@pytest.mark.parametrize("which", ["synthesis", "golden_toy", "synthesis_round_trip",
+                                   "curve2", "curve4", "curve6", "curve8", "overlapping"])
+def test_canonical_form_matches_dense_reference(which, bundled_case, bundled_eq):
+    """The stored F_k triplets, f0 and c are bit for bit those of the dense
+    reference, which gives every component of every term a full d x d matrix."""
+    problem = reference_problem(which, bundled_case, bundled_eq)
+    sdp = canonicalize(problem)
+    c, blocks = lmi_reference.canonical_triplets(problem)
+    assert sdp.c.dtype == c.dtype and sdp.c.tobytes() == c.tobytes()
+    assert len(sdp.blocks) == len(blocks)
+    for blk, want in zip(sdp.blocks, blocks):
+        for got, ref in zip((blk.f0, blk.var, blk.row, blk.col, blk.val), want):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
+
+def test_canonical_form_memory_at_n16(bundled_case):
+    """At N = 16 (the largest block is 336 x 336), canonicalizing the
+    size-curve LMI and reading its SDPA text back each stay under 50 MB of
+    traced allocations."""
+    problem = size_curve_lmi(bundled_case, 16)
+    text = export_sdpa(problem)
+    for step in (lambda: canonicalize(problem), lambda: read_sdpa(text)):
+        tracemalloc.start()
+        try:
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
+
+
+def test_read_sdpa_repeated_entry_keeps_last():
+    """An entry given twice, in either triangle, keeps the value given last."""
+    text = ("1\n1\n2\n1.0\n0 1 1 2 -1.0\n"
+            "1 1 1 1 5.0\n1 1 1 1 1.0\n1 1 1 2 3.0\n1 1 2 1 0.5\n1 1 2 2 1.0\n")
+    blk = canonicalize(read_sdpa(text)).blocks[0]
+    assert blk.var.tolist() == [0, 0, 0]
+    assert list(zip(blk.row.tolist(), blk.col.tolist())) == [(0, 0), (0, 1), (1, 1)]
+    assert blk.val.tolist() == [1.0, 0.5, 1.0]

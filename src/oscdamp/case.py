@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace, fields
 
 
@@ -187,6 +188,7 @@ _GOV_KEYS = {"machine", "ke", "te", "t3", "t4", "t5", "tm", "r"}
 _EXC_KEYS = {"machine", "ka", "ta", "efd_min", "efd_max"}
 _PSS_KEYS = {"machine", "ks", "tw", "t1", "t2", "t3", "t4", "vmin", "vmax"}
 _LOAD_KEYS = {"bus", "p_mw", "q_mvar"}
+_FLOAT_MAX = sys.float_info.max
 
 
 def _check_keys(obj: dict, allowed: set, required: set, path: str) -> None:
@@ -199,9 +201,9 @@ def _check_keys(obj: dict, allowed: set, required: set, path: str) -> None:
 
 
 def _num(obj: dict, key: str, path: str) -> float:
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise CaseError("expected a number", f"{path}.{key}")
+    v = obj[key]      # the bound also refuses NaN and an integer past the float range
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= _FLOAT_MAX:
+        raise CaseError("expected a finite number", f"{path}.{key}")
     return float(v)
 
 
@@ -210,6 +212,17 @@ def _intval(obj: dict, key: str, path: str) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise CaseError("expected an integer", f"{path}.{key}")
     return v
+
+
+def _objects(raw: dict, section: str) -> list:
+    """The entries of a section, which must be a list of objects."""
+    entries = raw.get(section, [])
+    if not isinstance(entries, list):
+        raise CaseError("expected a list", section)
+    for i, ob in enumerate(entries):
+        if not isinstance(ob, dict):
+            raise CaseError("expected an object", f"{section}[{i}]")
+    return entries
 
 
 def parse_case(text: str) -> PowerSystemCase:
@@ -233,7 +246,7 @@ def parse_case(text: str) -> PowerSystemCase:
 
     buses = []
     seen_bus = set()
-    for i, ob in enumerate(raw["buses"]):
+    for i, ob in enumerate(_objects(raw, "buses")):
         path = f"buses[{i}]"
         _check_keys(ob, _BUS_KEYS, {"id", "kind"}, path)
         bid = _intval(ob, "id", path)
@@ -249,7 +262,7 @@ def parse_case(text: str) -> PowerSystemCase:
 
     branches = []
     seen_branch = set()
-    for i, ob in enumerate(raw["branches"]):
+    for i, ob in enumerate(_objects(raw, "branches")):
         path = f"branches[{i}]"
         _check_keys(ob, _BRANCH_KEYS, {"from", "to", "circuit", "r", "x", "b"}, path)
         fb, tb = _intval(ob, "from", path), _intval(ob, "to", path)
@@ -266,7 +279,7 @@ def parse_case(text: str) -> PowerSystemCase:
 
     machines = []
     seen_mach = set()
-    for i, ob in enumerate(raw["machines"]):
+    for i, ob in enumerate(_objects(raw, "machines")):
         path = f"machines[{i}]"
         _check_keys(ob, _MACHINE_KEYS, _MACHINE_KEYS, path)
         mid = _intval(ob, "id", path)
@@ -282,7 +295,7 @@ def parse_case(text: str) -> PowerSystemCase:
     def _per_machine(section: str, keys: set, cls):
         out = []
         seen = set()
-        for i, ob in enumerate(raw.get(section, [])):
+        for i, ob in enumerate(_objects(raw, section)):
             path = f"{section}[{i}]"
             _check_keys(ob, keys, keys, path)
             mid = _intval(ob, "machine", path)
@@ -300,7 +313,7 @@ def parse_case(text: str) -> PowerSystemCase:
     psss = _per_machine("psss", _PSS_KEYS, PssParams)
 
     loads = []
-    for i, ob in enumerate(raw["loads"]):
+    for i, ob in enumerate(_objects(raw, "loads")):
         path = f"loads[{i}]"
         _check_keys(ob, _LOAD_KEYS, _LOAD_KEYS, path)
         lbus = _intval(ob, "bus", path)

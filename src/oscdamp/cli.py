@@ -112,7 +112,7 @@ def _modal_for(eq, areas: dict, controllers: ControllerSet | None = None,
     `open_loop`, and the closed-loop one when controllers are given; each is
     None otherwise.  The point is linearized once; the closed-loop matrix is
     derived from the open-loop one."""
-    layout = eq.model.layout
+    layout = eq.layout
     a_open = linearize(eq)
 
     def table(a):
@@ -122,7 +122,7 @@ def _modal_for(eq, areas: dict, controllers: ControllerSet | None = None,
     open_table = table(a_open) if open_loop else None
     if controllers is None:
         return open_table, None
-    a_closed = closed_loop_matrix(a_open, eq.model.plan,
+    a_closed = closed_loop_matrix(a_open, eq.plan,
                                   controllers.gains_for(layout.machine_ids))
     return open_table, table(a_closed)
 
@@ -248,9 +248,9 @@ def cmd_simulate(args) -> int:
     scenario = parse_scenario(Path(args.scenario).read_text())
     controllers = _controllers_for(case, args)
     result = simulate(case, controllers, scenario)
+    ids = result.layout.machine_ids
     channels = args.channels.split(",") if args.channels else \
-        [f"delta_rel:{result.machine_ids[-1]}:{result.machine_ids[0]}"] + \
-        [f"omega:{m}" for m in result.machine_ids]
+        [f"delta_rel:{ids[-1]}:{ids[0]}"] + [f"omega:{m}" for m in ids]
     ring = {}
     for ch in channels:
         if ch.startswith("delta_rel"):

@@ -88,53 +88,35 @@ def build_design_matrices(machine: Machine, gov: GovernorParams,
                        g=np.array(g))
 
 
-# --- assembled simulation model ------------------------------------------------
-
 @dataclass(frozen=True)
-class SimModel:
-    """The state layout and the one RHS plan, the model's parameter record.
-    Immutable: the plan's arrays are read-only, and the network and
-    controller setting of a call are arguments, not fields."""
+class Equilibrium:
+    """Initialized operating point: the state layout, the model's RHS plan
+    (its parameter record), the fixed-point state and the reduced network it
+    was initialized on.  Immutable: the plan's arrays are read-only, and the
+    network and controller setting of an RHS call are arguments, not fields."""
 
     layout: StateLayout
     plan: kernels.RhsPlan = field(repr=False, compare=False)
-
-    @property
-    def n_machines(self) -> int:
-        return len(self.layout.machine_ids)
-
-    @property
-    def n_states(self) -> int:
-        return self.layout.n_states
-
-
-@dataclass
-class Equilibrium:
-    """Initialized operating point: the model, its fixed-point state and the
-    reduced network it was initialized on."""
-
-    model: SimModel
     network: ReducedNetwork
     state: np.ndarray
     boundary_machines: tuple[int, ...]
-    x5: np.ndarray          # (n_mach, 5) design-state equilibrium rows
 
     # rotor angles and transient EMFs, read from the state through the plan's
     # per-machine indices (rows delta, omega, eqp, edp, ...)
     @property
     def delta(self) -> np.ndarray:
-        return self.state[self.model.plan.ix_mach[0]]
+        return self.state[self.plan.ix_mach[0]]
 
     @property
     def eqp(self) -> np.ndarray:
-        return self.state[self.model.plan.ix_mach[2]]
+        return self.state[self.plan.ix_mach[2]]
 
     @property
     def edp(self) -> np.ndarray:
-        return self.state[self.model.plan.ix_mach[3]]
+        return self.state[self.plan.ix_mach[3]]
 
     def rhs_norm(self) -> float:
-        dy = kernels.rhs(self.state, self.model.plan, self.network.g, self.network.b)
+        dy = kernels.rhs(self.state, self.plan, self.network.g, self.network.b)
         return float(np.max(np.abs(dy)))
 
 
@@ -180,7 +162,6 @@ def initialize_from_power_flow(case: PowerSystemCase, sol: PowerFlowSolution,
     p_out, q_out = _machine_bus_outputs(case, sol)
     vc = sol.voltage()
     boundary: list[int] = []
-    x5 = np.zeros((n, 5))
     pm_ref, efd_ref, vref = np.zeros(n), np.zeros(n), np.zeros(n)
 
     for k, m in enumerate(case.machines):
@@ -204,7 +185,6 @@ def initialize_from_power_flow(case: PowerSystemCase, sol: PowerFlowSolution,
         y0[layout.idx(m.id, "edp")] = edp_k
 
         pm_m = pe / (m.mva / case.base_mva)
-        x5[k] = [dlt, 0.0, pm_m, pm_m, pm_m]
         if case.governor_for(m.id) is not None:
             if pm_m > 1.0 + 1e-9:
                 raise InitializationError(
@@ -217,7 +197,6 @@ def initialize_from_power_flow(case: PowerSystemCase, sol: PowerFlowSolution,
             if pm_m <= 1e-12 or pm_m >= 1.0 - 1e-12:
                 boundary.append(m.id)
                 pm_m = min(max(pm_m, 0.0), 1.0)
-                x5[k, 2:] = pm_m
             y0[layout.idx(m.id, "pm")] = pm_m
             y0[layout.idx(m.id, "xm")] = pm_m
             y0[layout.idx(m.id, "xe")] = pm_m
@@ -234,6 +213,6 @@ def initialize_from_power_flow(case: PowerSystemCase, sol: PowerFlowSolution,
         efd_ref[k] = efd
         # PSS washout states are zero at any speed equilibrium
 
-    model = SimModel(layout, kernels.RhsPlan(case, layout, pm_ref, efd_ref, vref))
-    return Equilibrium(model=model, network=reduced, state=y0,
-                       boundary_machines=tuple(boundary), x5=x5)
+    return Equilibrium(layout=layout,
+                       plan=kernels.RhsPlan(case, layout, pm_ref, efd_ref, vref),
+                       network=reduced, state=y0, boundary_machines=tuple(boundary))

@@ -132,10 +132,8 @@ def _modulus(re, im):
 def feedback(gains, dx):
     """Per-machine gains . dx over the design states, dx of shape (..., m, 5).
 
-    A stack is evaluated as one 2-D einsum over all its rows, so that every
-    row sums in the order of a single (m, 5) call."""
-    if dx.ndim == 2:
-        return np.einsum("ij,ij->i", gains, dx)
+    Every stack is evaluated as one 2-D einsum over all its rows, so that
+    each row sums in the order of a single (m, 5) call."""
     flat = dx.reshape(-1, 5)
     tiled = np.tile(gains, (flat.shape[0] // gains.shape[0], 1))
     return np.einsum("ij,ij->i", tiled, flat).reshape(dx.shape[:-1])
@@ -155,9 +153,9 @@ class RhsPlan:
     States ``y`` are ``(n_states,)`` or stacked ``(..., n_states)``; every
     method works over the last axis.  The slots of absent devices (the
     mechanical power of an ungoverned machine, the field voltage of an
-    unexcited one) point past the state into the constants ``const`` that
-    :meth:`extend` appends to ``y``: each machine's equilibrium mechanical
-    power, then its field voltage, then 0.  ``M`` is assembled over that
+    unexcited one) point past the state into the constants ``const``, which
+    :meth:`design_states` appends to ``y``: each machine's equilibrium
+    mechanical power, then its field voltage, then 0.  ``M`` is assembled over that
     extended state, and the columns of the constants are then folded into
     ``c``; the valve command reference of a governed machine is its
     equilibrium mechanical power.
@@ -243,10 +241,14 @@ class RhsPlan:
             if isinstance(arr, np.ndarray):
                 arr.flags.writeable = False
 
-    def extend(self, y):
-        """``y`` with the absent-device constants appended along the last axis."""
-        return np.concatenate(
+    def design_states(self, y):
+        """Each machine's design states [delta, omega, pm, xm, xe] of ``y``,
+        shape ``(..., n_mach, 5)``, read from ``y`` with the absent-device
+        constants appended: an ungoverned machine reads its equilibrium
+        mechanical power and zero valve states."""
+        ye = np.concatenate(
             (y, np.broadcast_to(self.const, y.shape[:-1] + self.const.shape)), axis=-1)
+        return ye[..., self.ix5]
 
     def feedback_matrix(self, gains):
         """The state-matrix term of the governor feedback: each governed

@@ -1,20 +1,22 @@
 """Fixed-step nonlinear time-domain simulation with timed events.
 
 Classic RK4 on the closed-loop multi-machine model.  Events (line trip, load
-step, controller activation/deactivation) land exactly on their times: when
-an event falls inside a step, the step is split so the state grid stays
-uniform.  After a topology or load event the network is reduced again, with
-load admittances frozen at their pre-disturbance values (constant-impedance
-loads); each reduction also maps the internal EMFs to the bus voltages, from
-which the `vm:` and `flow:` channels are read.  Dynamic states carry over
-continuously.  Controller references stay at the last pre-disturbance
-equilibrium unless activation finds the system settled on a changed network.
+step, controller activation/deactivation) land exactly on their times: the
+duration is a whole number of steps, and the step that holds an event is
+split around it, so the state grid stays uniform.  After a topology or load
+event the network is reduced again, with load admittances frozen at their
+pre-disturbance values (constant-impedance loads); each reduction also maps
+the internal EMFs to the bus voltages, from which the `vm:` and `flow:`
+channels are read.  Dynamic states carry over continuously.  Controller
+references stay at the last pre-disturbance equilibrium unless activation
+finds the system settled on a changed network.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +24,7 @@ import numpy as np
 from .case import PowerSystemCase, apply_line_trip
 from .powerflow import (KronReductionError, ReducedNetwork, branch_power,
                         solve_power_flow, kron_reduce, load_admittances)
-from .dynamics import SimModel, initialize_from_power_flow
+from .dynamics import StateLayout, initialize_from_power_flow
 from .synthesis import ControllerSet
 from . import kernels
 
@@ -50,11 +52,20 @@ class Scenario:
     events: tuple[Event, ...] = ()
     initial_active: str | tuple = "all"     # "all", "none", or a tuple of machine ids
 
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.duration / self.dt))
+
     def validate(self) -> None:
-        if self.dt <= 0:
-            raise ScenarioError("dt must be positive")
-        if self.duration <= 0:
-            raise ScenarioError("duration must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ScenarioError(f"dt must be positive and finite, not {self.dt}")
+        if not (math.isfinite(self.duration) and self.duration > 0):
+            raise ScenarioError(f"duration must be positive and finite, not {self.duration}")
+        ratio = self.duration / self.dt       # a whole number of steps, to 1e-9
+        if not (math.isfinite(ratio) and self.n_steps > 0
+                and math.isclose(ratio, self.n_steps, rel_tol=1e-9)):
+            raise ScenarioError(f"duration {self.duration} is not a whole number of "
+                                f"dt {self.dt} steps")
         for e in self.events:
             if not (0.0 <= e.time <= self.duration):
                 raise ScenarioError(f"event at t={e.time} outside [0, duration]")
@@ -80,43 +91,55 @@ def _machine_selection(value, where: str, words: tuple[str, ...]):
                         f"list of machine ids, not {value!r}")
 
 
+def _finite(value) -> float:
+    """`value` as a finite float; ValueError if it is not finite."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{value!r} is not a finite number")
+    return x
+
+
 def parse_scenario(text: str) -> Scenario:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario syntax error: {exc.msg} (line {exc.lineno})") from exc
+    if not isinstance(raw, dict):
+        raise ScenarioError("scenario top level must be an object")
     known = {"duration", "dt", "events", "initial_active"}
     unknown = set(raw) - known
     if unknown:
         raise ScenarioError(f"unknown scenario key(s) {sorted(unknown)}")
     if "duration" not in raw:
         raise ScenarioError("scenario requires a duration")
+    if not isinstance(raw.get("events", []), list):
+        raise ScenarioError("scenario events must be a list")
     events = []
     for i, ev in enumerate(raw.get("events", [])):
         try:
-            t = float(ev["time"])
+            t = _finite(ev["time"])
             kind = ev["type"]
-        except (KeyError, TypeError) as exc:
-            raise ScenarioError(f"events[{i}]: needs time and type") from exc
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ScenarioError(f"events[{i}]: needs a finite time and a type") from exc
         try:
             if kind == "trip_line":
                 params = (int(ev["from"]), int(ev["to"]), int(ev["circuit"]))
             elif kind == "step_load":
-                params = (int(ev["bus"]), float(ev.get("dp_mw", 0.0)),
-                          float(ev.get("dq_mvar", 0.0)))
+                params = (int(ev["bus"]), _finite(ev.get("dp_mw", 0.0)),
+                          _finite(ev.get("dq_mvar", 0.0)))
             elif kind in ("activate_controllers", "deactivate_controllers"):
                 params = (_machine_selection(ev.get("machines", "all"),
                                              f"events[{i}].machines", ("all",)),)
             else:
                 raise ScenarioError(f"events[{i}]: unknown action {kind!r}")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ScenarioError(f"events[{i}]: {kind} has a missing or malformed "
                                 f"field ({type(exc).__name__}: {exc})") from exc
         events.append(Event(time=t, action=kind, params=params))
     try:
-        duration, dt = float(raw["duration"]), float(raw.get("dt", 0.005))
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"duration and dt must be numbers ({exc})") from exc
+        duration, dt = _finite(raw["duration"]), _finite(raw.get("dt", 0.005))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"duration and dt must be finite numbers ({exc})") from exc
     sc = Scenario(duration=duration, dt=dt,
                   events=tuple(sorted(events, key=lambda e: e.time)),
                   initial_active=_machine_selection(raw.get("initial_active", "all"),
@@ -127,8 +150,10 @@ def parse_scenario(text: str) -> Scenario:
 
 @dataclass
 class _Segment:
-    """Network and controller configuration valid from t_start onward."""
-    t_start: float
+    """Network and controller configuration from the trajectory row
+    `first_row` onward: the first grid row at or after the event that
+    started it."""
+    first_row: int
     network: ReducedNetwork
     active: np.ndarray
     xref: np.ndarray
@@ -138,16 +163,14 @@ class _Segment:
 class SimulationResult:
     time: np.ndarray               # (T,)
     states: np.ndarray             # (T, n_states)
-    layout: object
-    machine_ids: tuple[int, ...]
+    layout: StateLayout
     pe_sys: np.ndarray             # (T, n_mach) electrical power, system base
     pm_sys: np.ndarray             # (T, n_mach) mechanical power, system base
     u: np.ndarray                  # (T, n_mach) auxiliary governor signal, machine base
     bus_voltage: np.ndarray        # (T, n_bus) complex network voltages
     bus_ids: tuple[int, ...]
     event_log: list
-    case: PowerSystemCase | None = None
-    base_mva: float = 100.0
+    case: PowerSystemCase
     divergent: bool = False
     divergence_time: float | None = None
 
@@ -164,14 +187,6 @@ class SimulationResult:
         return buf.getvalue()
 
 
-def _internal_emf(model: SimModel, states: np.ndarray) -> np.ndarray:
-    lay = model.layout
-    delta = states[..., lay.delta_indices]
-    eqp = states[..., [lay.idx(m, "eqp") for m in lay.machine_ids]]
-    edp = states[..., [lay.idx(m, "edp") for m in lay.machine_ids]]
-    return (edp + 1j * eqp) * np.exp(1j * (delta - np.pi / 2))
-
-
 def simulate(case: PowerSystemCase, controllers: ControllerSet | None,
              scenario: Scenario) -> SimulationResult:
     scenario.validate()
@@ -179,10 +194,8 @@ def simulate(case: PowerSystemCase, controllers: ControllerSet | None,
     sol = solve_power_flow(case)
     y_load = load_admittances(case, sol)
     eq = initialize_from_power_flow(case, sol, kron_reduce(case, y_load))
-    model = eq.model
-    plan = model.plan
-    lay = model.layout
-    n_mach = model.n_machines
+    plan, lay = eq.plan, eq.layout
+    n_mach = len(lay.machine_ids)
 
     gains = (np.zeros((n_mach, 5)) if controllers is None
              else controllers.gains_for(lay.machine_ids))
@@ -197,18 +210,14 @@ def simulate(case: PowerSystemCase, controllers: ControllerSet | None,
 
     current_case = case
 
-    dt = scenario.dt
-    n_steps = int(round(scenario.duration / dt))
+    dt, n_steps = scenario.dt, scenario.n_steps
     tgrid = np.arange(n_steps + 1) * dt
-    states = np.zeros((n_steps + 1, model.n_states))
+    states = np.zeros((n_steps + 1, lay.n_states))
     states[0] = eq.state
     y = eq.state.copy()
     event_log: list = []
-    segments = [_Segment(0.0, eq.network, active, eq.x5)]
-    divergent = False
-    div_time = None
+    segments = [_Segment(0, eq.network, active, plan.design_states(eq.state))]
     topology_changed = False
-    step = 0
 
     def span(h: float, count: int, **record) -> int:
         """RK4 over `count` steps on the current segment's network and control."""
@@ -216,27 +225,13 @@ def simulate(case: PowerSystemCase, controllers: ControllerSet | None,
         return kernels.rk4_span(y, h, count, plan, s.network.g, s.network.b,
                                 kernels.Control(gains, s.xref, s.active), **record)
 
-    def advance(count: int) -> bool:
-        nonlocal step, divergent, div_time
-        if count <= 0:
-            return True
-        bad = span(dt, count, out=states, out_offset=step + 1)
-        if bad >= 0:
-            divergent = True
-            div_time = float(tgrid[step + bad + 1])
-            states[step + bad + 1:] = y
-            step = n_steps
-            return False
-        step += count
-        return True
-
     def reduce() -> ReducedNetwork:
         try:
             return kron_reduce(current_case, y_load)
         except KronReductionError as exc:
             raise ScenarioError("event left the network islanded") from exc
 
-    def fire(ev: Event, t_now: float) -> None:
+    def fire(ev: Event, t_now: float, first_row: int) -> None:
         nonlocal current_case, y_load, topology_changed
         seg = segments[-1]
         net, active, xref = seg.network, seg.active, seg.xref
@@ -251,7 +246,8 @@ def simulate(case: PowerSystemCase, controllers: ControllerSet | None,
             if bus not in net.bus_ids:
                 raise ScenarioError(f"step_load references unknown bus {bus}")
             idx = net.bus_ids.index(bus)
-            vm_now = abs((net.emf_to_bus @ _internal_emf(model, y))[idx])
+            e = plan.network(y, kernels.network_operator(net.g, net.b))[0]
+            vm_now = abs((net.emf_to_bus @ (e[:n_mach] + 1j * e[n_mach:]))[idx])
             s = complex(dp, dq) / current_case.base_mva
             y_load = y_load.copy()
             y_load[idx] += np.conj(s) / (vm_now ** 2 if vm_now > 0 else 1.0)
@@ -275,7 +271,7 @@ def simulate(case: PowerSystemCase, controllers: ControllerSet | None,
                 if topology_changed and settled:
                     # the settled operating point on the changed network is the
                     # operative equilibrium and becomes the reference
-                    xref = plan.extend(y)[plan.ix5]
+                    xref = plan.design_states(y)
                     ref_src = "settled_state"
                 else:
                     ref_src = "pre_disturbance_equilibrium"
@@ -287,68 +283,68 @@ def simulate(case: PowerSystemCase, controllers: ControllerSet | None,
                 active = active * (1.0 - mask)
                 event_log.append({"time": t_now, "action": ev.action,
                                   "machines": "all" if sel == "all" else list(sel)})
-        segments.append(_Segment(t_now, net, active, xref))
+        segments.append(_Segment(first_row, net, active, xref))
 
-    for ev in scenario.events:
-        if divergent:
-            break
-        whole = int(np.floor(ev.time / dt + 1e-9))
-        if not advance(min(whole, n_steps) - step):
-            break
-        frac = ev.time - step * dt
-        if frac > 1e-9:
-            # split step: integrate to the event instant, fire, finish the step
-            if span(frac, 1) >= 0:
-                divergent, div_time = True, ev.time
-                states[step + 1:] = y
+    # Step to each stop: the event times in order, then the end of the grid.
+    # `row` is the last recorded row.  A stop's whole steps run in one span;
+    # an event off the grid splits the next step around its firing.
+    row, t_fail = 0, None
+    for ev in (*scenario.events, None):
+        stop = n_steps if ev is None else min(int(np.floor(ev.time / dt + 1e-9)), n_steps)
+        if stop > row:
+            bad = span(dt, stop - row, out=states, out_offset=row + 1)
+            if bad >= 0:
+                row += bad
+                t_fail = float(tgrid[row + 1])
                 break
-            fire(ev, ev.time)
-            rest = (step + 1) * dt - ev.time
-            if span(rest, 1) >= 0:
-                divergent, div_time = True, float(tgrid[step + 1])
-                states[step + 1:] = y
-                break
-            states[step + 1] = y
-            step += 1
-        else:
-            fire(ev, float(tgrid[step]))
-    if not divergent:
-        advance(n_steps - step)
+            row = stop
+        if ev is None:
+            break
+        if row == n_steps or ev.time - row * dt <= 1e-9:
+            # on the grid, or past its last time within the duration's tolerance
+            fire(ev, float(tgrid[row]), row)
+            continue
+        if span(ev.time - row * dt, 1) >= 0:
+            t_fail = ev.time
+            break
+        fire(ev, ev.time, row + 1)
+        if span((row + 1) * dt - ev.time, 1) >= 0:
+            t_fail = float(tgrid[row + 1])
+            break
+        row += 1
+        states[row] = y
+    if t_fail is not None:
+        # the diverged state fills every row the run did not reach
+        states[row + 1:] = y
 
-    pe, pm_sys, u_out, vbus = _derived_channels(model, gains, states, tgrid,
-                                                segments)
-    return SimulationResult(time=tgrid, states=states, layout=lay,
-                            machine_ids=lay.machine_ids, pe_sys=pe,
+    pe, pm_sys, u_out, vbus = _derived_channels(plan, gains, states, segments)
+    return SimulationResult(time=tgrid, states=states, layout=lay, pe_sys=pe,
                             pm_sys=pm_sys, u=u_out, bus_voltage=vbus,
                             bus_ids=eq.network.bus_ids, event_log=event_log,
-                            case=case, base_mva=case.base_mva,
-                            divergent=divergent, divergence_time=div_time)
+                            case=case, divergent=t_fail is not None,
+                            divergence_time=t_fail)
 
 
-def _derived_channels(model: SimModel, gains: np.ndarray, states: np.ndarray,
-                      tgrid: np.ndarray, segments: list) -> tuple:
+def _derived_channels(plan: kernels.RhsPlan, gains: np.ndarray, states: np.ndarray,
+                      segments: list) -> tuple:
     """Electrical power, mechanical power, auxiliary governor signal and bus
     voltages, evaluated for blocks of rows at once on each segment's network
     and controller setting."""
-    plan = model.plan
-    n_t = states.shape[0]
-    pe = np.zeros((n_t, model.n_machines))
+    n_t, n = states.shape[0], plan.sout.size
+    pe = np.zeros((n_t, n))
     pm_sys = np.zeros_like(pe)
     u_out = np.zeros_like(pe)
     vbus = np.zeros((n_t, len(segments[0].network.bus_ids)), dtype=complex)
-    # a row belongs to the last segment started at or before its time
-    bounds = ([0] + [int(np.count_nonzero(tgrid < s.t_start - 1e-12))
-                     for s in segments[1:]] + [n_t])
-    n = model.n_machines
-    for s, r0, r1 in zip(segments, bounds, bounds[1:]):
+    ends = [s.first_row for s in segments[1:]] + [n_t]
+    for s, r1 in zip(segments, ends):
         net = kernels.network_operator(s.network.g, s.network.b)
-        for b0 in range(r0, r1, _DERIVED_BLOCK_ROWS):
+        for b0 in range(s.first_row, r1, _DERIVED_BLOCK_ROWS):
             rows = slice(b0, min(b0 + _DERIVED_BLOCK_ROWS, r1))
-            ye = plan.extend(states[rows])
+            x5 = plan.design_states(states[rows])
             e, _, _, pe[rows], _ = plan.network(states[rows], net)
             vbus[rows] = (e[:, :n] + 1j * e[:, n:]) @ s.network.emf_to_bus.T
-            pm_sys[rows] = ye[:, plan.ix5[:, 2]] * plan.sout
-            u_out[rows] = s.active * kernels.feedback(gains, ye[:, plan.ix5] - s.xref)
+            pm_sys[rows] = x5[..., 2] * plan.sout
+            u_out[rows] = s.active * kernels.feedback(gains, x5 - s.xref)
     return pe, pm_sys, u_out, vbus
 
 
@@ -359,7 +355,7 @@ def measure(result: SimulationResult, channel: str) -> np.ndarray:
     voltages; zero after the branch trips)."""
     parts = channel.split(":")
     kind = parts[0]
-    ids = list(result.machine_ids)
+    ids = list(result.layout.machine_ids)
     try:
         if kind == "delta_rel":
             return result.state(int(parts[1]), "delta") - result.state(int(parts[2]), "delta")
@@ -395,7 +391,7 @@ def _branch_flow_series(result: SimulationResult, f: int, t: int,
             break
     vf = result.bus_voltage[:, result.bus_ids.index(f)]
     vt = result.bus_voltage[:, result.bus_ids.index(t)]
-    p = np.real(branch_power(br, vf, vt)) * result.base_mva
+    p = np.real(branch_power(br, vf, vt)) * result.case.base_mva
     p[result.time >= trip_time - 1e-12] = 0.0
     return p
 

@@ -86,7 +86,7 @@ def linearize(eq: Equilibrium, control: Control | None = None) -> np.ndarray:
     all n perturbed states in one stacked RHS call, whose real part is f(x)
     for the equilibrium check."""
     x = eq.state
-    r = kernels.rhs(x + 1j * COMPLEX_STEP * np.eye(x.size), eq.model.plan,
+    r = kernels.rhs(x + 1j * COMPLEX_STEP * np.eye(x.size), eq.plan,
                     eq.network.g, eq.network.b, control)
     resid = np.max(np.abs(r.real))
     if resid > 1e-6:

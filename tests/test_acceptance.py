@@ -34,20 +34,20 @@ def _report(num: int, ok: bool, detail: str) -> None:
 def _closed_loop(eq, controllers):
     """The controllers in service wherever a gain row is nonzero, referenced
     to the equilibrium."""
-    gains = controllers.gains_for(eq.model.layout.machine_ids)
-    return kernels.Control(gains, eq.x5, np.any(gains != 0.0, axis=1).astype(float))
+    gains = controllers.gains_for(eq.layout.machine_ids)
+    return kernels.Control(gains, eq.plan.design_states(eq.state),
+                           np.any(gains != 0.0, axis=1).astype(float))
 
 
 def _min_mode(case, controllers=None, areas=None):
     sol = solve_power_flow(case)
     red = kron_reduce(case, load_admittances(case, sol))
     eq = initialize_from_power_flow(case, sol, red)
-    model = eq.model
     control = None if controllers is None else _closed_loop(eq, controllers)
-    table = modal_analysis(linearize(eq, control), model.layout.labels)
+    table = modal_analysis(linearize(eq, control), eq.layout.labels)
     if areas is not None:
-        classify_table(table, model.layout.speed_indices, areas,
-                       model.layout.machine_ids)
+        classify_table(table, eq.layout.speed_indices, areas,
+                       eq.layout.machine_ids)
     return min_damping(table, *BAND), sol
 
 
@@ -219,17 +219,16 @@ def test_criterion_7_numerical_cross_checks(bundled_case, bundled_eq,
     checks.append(("RK4 empirical order", order >= 3.7, f"{order:.2f}"))
 
     # closed-loop convergence from 50 random perturbed starts, integrated as one stack
-    model = bundled_eq.model
     control = _closed_loop(bundled_eq, ctrl)
     rng = np.random.default_rng(42)
     starts = []
     for _ in range(50):
-        d = rng.standard_normal(model.n_states)
+        d = rng.standard_normal(bundled_eq.state.size)
         d *= 0.1 / np.linalg.norm(d)
         starts.append(bundled_eq.state + d)
     y = np.array(starts)
     net = bundled_eq.network
-    bad = kernels.rk4_span(y, 0.005, 6000, model.plan, net.g, net.b, control)
+    bad = kernels.rk4_span(y, 0.005, 6000, bundled_eq.plan, net.g, net.b, control)
     diverged = bad >= 0
     worst_dev = float(np.max(np.linalg.norm(y - bundled_eq.state, axis=1)))
     checks.append(("50-perturbation convergence", not diverged and worst_dev < 1e-3,

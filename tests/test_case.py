@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -46,6 +47,36 @@ def test_unknown_key_rejected():
     doc["buses"][0]["area"] = 1
     with pytest.raises(CaseError, match="unknown key"):
         parse_case(json.dumps(doc))
+
+
+@pytest.mark.parametrize("section, index, key, value, path", [
+    ("machines", 0, "h", math.nan, "machines[0].h"),
+    ("machines", 0, "xd", math.inf, "machines[0].xd"),
+    ("branches", 0, "x", -math.inf, "branches[0].x"),
+    ("loads", 0, "p_mw", math.nan, "loads[0].p_mw"),
+    ("governors", 0, "r", math.nan, "governors[0].r"),
+    ("machines", 0, "h", 10 ** 400, "machines[0].h"),
+    (None, None, "base_mva", math.inf, "case.base_mva"),
+    (None, None, "buses", 5, "buses"),
+    (None, None, "governors", {"machine": 1}, "governors"),
+    ("loads", 0, None, 5, "loads[0]"),
+    ("branches", 0, None, [1, 2], "branches[0]"),
+], ids=["h-nan", "xd-inf", "x-minus-inf", "load-nan", "droop-nan", "h-past-float",
+        "base-inf", "buses-not-list", "governors-not-list", "load-not-object",
+        "branch-not-object"])
+def test_non_finite_and_wrong_typed_fields_rejected(section, index, key, value, path):
+    """Non-finite numbers (which Python's json reads) and sections that are
+    not lists of objects are case errors that name the field."""
+    doc = json.loads(make_two_bus_text())
+    if section is None:
+        doc[key] = value
+    elif key is None:
+        doc[section][index] = value
+    else:
+        doc[section][index][key] = value
+    with pytest.raises(CaseError) as err:
+        parse_case(json.dumps(doc))
+    assert err.value.path == path
 
 
 def test_validate_bundled_is_clean(bundled_case):

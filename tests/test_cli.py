@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -433,23 +434,43 @@ def test_gains_put_controllers_in_service(command, case_path, tmp_path, bundled_
     assert main([*argv, "--controllers", "none"]) == EXIT_INPUT
 
 
-@pytest.mark.parametrize("argv, scenario", [
-    (["sweep", "--fractions", "abc"], None),
-    (["modal", "--controllers", "1,x"], None),
-    (["design", "--controllers", "1,x"], None),
-    (["design", "--beta-bar", "0.5"], None),
-    (["design", "--bound-scale", "-1"], None),
+def _set_h(doc, value):
+    doc["machines"][0]["h"] = value
+
+
+_TRIP_AT_1 = {"time": 1.0, "type": "trip_line", "from": 3, "to": 101, "circuit": 1}
+
+
+@pytest.mark.parametrize("argv, scenario, case_edit", [
+    (["sweep", "--fractions", "abc"], None, None),
+    (["modal", "--controllers", "1,x"], None, None),
+    (["design", "--controllers", "1,x"], None, None),
+    (["design", "--beta-bar", "0.5"], None, None),
+    (["design", "--bound-scale", "-1"], None, None),
     (["simulate"], {"duration": 1.0, "events": [
-        {"time": 0.5, "type": "trip_line", "to": 101, "circuit": 1}]}),
-    (["simulate"], {"duration": "x"}),
-    (["simulate", "--gains"], {"duration": 1.0, "initial_active": 5}),
+        {"time": 0.5, "type": "trip_line", "to": 101, "circuit": 1}]}, None),
+    (["simulate"], {"duration": "x"}, None),
+    (["simulate", "--gains"], {"duration": 1.0, "initial_active": 5}, None),
     (["simulate", "--gains"], {"duration": 1.0, "events": [
-        {"time": 0.5, "type": "activate_controllers", "machines": 3}]}),
+        {"time": 0.5, "type": "activate_controllers", "machines": 3}]}, None),
+    (["simulate"], {"duration": 1.0, "dt": 0.3}, None),
+    (["simulate"], {"duration": 1.0, "dt": 0.3, "events": [_TRIP_AT_1]}, None),
+    (["simulate"], {"duration": 1.0, "dt": 0.3, "events": [
+        {"time": 0.95, "type": "activate_controllers"}]}, None),
+    (["simulate"], {"duration": 1.0, "dt": math.nan}, None),
+    (["simulate"], {"duration": math.inf}, None),
+    (["simulate"], {"duration": 1.0, "events": 5}, None),
+    (["simulate"], ["duration"], None),
+    (["modal"], None, lambda doc: doc.update(buses=5)),
+    (["modal"], None, lambda doc: doc.update(loads=[5])),
+    (["modal"], None, lambda doc: _set_h(doc, math.nan)),
 ], ids=["fractions", "modal-controllers", "design-controllers", "beta-bar",
         "bound-scale", "trip-without-from", "duration", "initial-active",
-        "activate-machines"])
-def test_malformed_flags_and_scenarios_are_input_errors(argv, scenario, case_path,
-                                                        tmp_path, capsys,
+        "activate-machines", "duration-off-grid", "trip-past-grid",
+        "activate-in-partial-step", "dt-nan", "duration-infinite", "events-not-list",
+        "scenario-list", "case-buses-not-list", "case-load-not-object", "case-h-nan"])
+def test_malformed_flags_and_scenarios_are_input_errors(argv, scenario, case_edit,
+                                                        case_path, tmp_path, capsys,
                                                         bundled_design):
     extra = []
     if argv[-1] == "--gains":
@@ -458,8 +479,12 @@ def test_malformed_flags_and_scenarios_are_input_errors(argv, scenario, case_pat
         extra.append(str(gains))
     if scenario is not None:
         scen = tmp_path / "scen.json"
-        scen.write_text(json.dumps(scenario))
+        scen.write_text(json.dumps(scenario))       # NaN and Infinity as Python's json writes them
         extra += ["--scenario", str(scen)]
+    if case_edit is not None:
+        doc = json.loads(Path(case_path).read_text())
+        case_edit(doc)
+        Path(case_path).write_text(json.dumps(doc))
     assert main([argv[0], "--case", case_path, *argv[1:], *extra]) == EXIT_INPUT
     assert "input error:" in capsys.readouterr().err
 

@@ -193,7 +193,7 @@ def test_initialization_fixed_point(bundled_eq):
 
 def test_equilibrium_angles_and_emfs_read_the_state(bundled_case, bundled_eq):
     """delta, eqp and edp are the state's entries, not a second copy."""
-    layout = bundled_eq.model.layout
+    layout = bundled_eq.layout
     for name in ("delta", "eqp", "edp"):
         at = [layout.idx(m.id, name) for m in bundled_case.machines]
         assert np.array_equal(getattr(bundled_eq, name), bundled_eq.state[at])
@@ -218,7 +218,7 @@ def test_zero_output_machine_is_boundary():
     red = kron_reduce(case, load_admittances(case, sol))
     eq = initialize_from_power_flow(case, sol, red)
     assert eq.boundary_machines == (1,)
-    lay = eq.model.layout
+    lay = eq.layout
     assert eq.state[lay.idx(1, "xe")] == 0.0
 
 
@@ -233,19 +233,18 @@ def test_valve_ceiling_violation():
 
 
 def test_control_input_unity_chain(bundled_eq):
-    model = bundled_eq.model
-    lay = model.layout
+    lay = bundled_eq.layout
     for k, mid in enumerate(lay.machine_ids):     # every bundled machine is governed
-        assert model.plan.const[k] == bundled_eq.state[lay.idx(mid, "pm")]
-        assert model.plan.const[k] == bundled_eq.state[lay.idx(mid, "xe")]
+        assert bundled_eq.plan.const[k] == bundled_eq.state[lay.idx(mid, "pm")]
+        assert bundled_eq.plan.const[k] == bundled_eq.state[lay.idx(mid, "xe")]
     # the initialized model is immutable: its plan is the one parameter record,
     # and every array of the plan is read-only
     with pytest.raises(dataclasses.FrozenInstanceError):
-        model.plan = None
-    arrays = [a for a in vars(model.plan).values() if isinstance(a, np.ndarray)]
+        bundled_eq.plan = None
+    arrays = [a for a in vars(bundled_eq.plan).values() if isinstance(a, np.ndarray)]
     assert arrays and not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
-        model.plan.const[0] = 0.0
+        bundled_eq.plan.const[0] = 0.0
 
 
 def test_exciter_limit_violation_at_equilibrium():

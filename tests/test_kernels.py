@@ -51,7 +51,7 @@ def partial_eq(partial_case):
 
 
 def _model_args(eq, control=None):
-    return eq.model.plan, eq.network.g, eq.network.b, control
+    return eq.plan, eq.network.g, eq.network.b, control
 
 
 def _reference_rhs(y, case, eq, control=None, seen=None):
@@ -62,7 +62,7 @@ def _reference_rhs(y, case, eq, control=None, seen=None):
     are read from the plan.  The limiter branches that act are added to the
     set `seen`: pss_min, pss_max, efd_min, efd_max, hold_shut, hold_open."""
     seen = set() if seen is None else seen
-    plan, lay = eq.model.plan, eq.model.layout
+    plan, lay = eq.plan, eq.layout
     n, w0 = len(case.machines), case.omega0
     dy = np.zeros_like(y)
     delta, eqp, edp = (y[[lay.idx(m.id, s) for m in case.machines]]
@@ -123,7 +123,7 @@ def _reference_rhs(y, case, eq, control=None, seen=None):
 def _reference_span(y, h, nsteps, case, eq, out=None):
     """Plain RK4 on the reference RHS with the valve clamp and the divergence
     check; -1, or the first step after which y left the divergence limit."""
-    xe_ix = [eq.model.layout.idx(m.id, "xe") for m in case.machines
+    xe_ix = [eq.layout.idx(m.id, "xe") for m in case.machines
              if case.governor_for(m.id) is not None]
     for k in range(nsteps):
         k1 = _reference_rhs(y, case, eq)
@@ -140,30 +140,28 @@ def _reference_span(y, h, nsteps, case, eq, out=None):
 
 
 def test_rhs_parity(bundled_case, bundled_eq):
-    model = bundled_eq.model
     rng = np.random.default_rng(0)
     for _ in range(10):
-        y = bundled_eq.state + 0.1 * rng.standard_normal(model.n_states)
+        y = bundled_eq.state + 0.1 * rng.standard_normal(bundled_eq.state.size)
         d_plan = kernels.rhs(y, *_model_args(bundled_eq))
         assert np.allclose(d_plan, _reference_rhs(y, bundled_case, bundled_eq), rtol=1e-12, atol=1e-12)
 
 
 def test_rhs_parity_with_controllers(bundled_case, bundled_eq, bundled_design):
-    model = bundled_eq.model
     ctrl, _ = bundled_design
-    control = kernels.Control(ctrl.gains, bundled_eq.x5, np.ones(model.n_machines))
+    control = kernels.Control(ctrl.gains, bundled_eq.plan.design_states(bundled_eq.state),
+                              np.ones(len(bundled_eq.layout.machine_ids)))
     rng = np.random.default_rng(1)
-    y = bundled_eq.state + 0.05 * rng.standard_normal(model.n_states)
+    y = bundled_eq.state + 0.05 * rng.standard_normal(bundled_eq.state.size)
     d_plan = kernels.rhs(y, *_model_args(bundled_eq, control))
     assert np.allclose(d_plan, _reference_rhs(y, bundled_case, bundled_eq, control), rtol=1e-12, atol=1e-10)
 
 
 def test_span_parity(bundled_case, bundled_eq):
-    model = bundled_eq.model
     rng = np.random.default_rng(2)
-    y0 = bundled_eq.state + 0.02 * rng.standard_normal(model.n_states)
-    out_plan = np.zeros((200, model.n_states))
-    out_ref = np.zeros((200, model.n_states))
+    y0 = bundled_eq.state + 0.02 * rng.standard_normal(bundled_eq.state.size)
+    out_plan = np.zeros((200, bundled_eq.state.size))
+    out_ref = np.zeros((200, bundled_eq.state.size))
     r1 = kernels.rk4_span(y0.copy(), 0.005, 200, *_model_args(bundled_eq), out=out_plan,
                           out_offset=0)
     r2 = _reference_span(y0.copy(), 0.005, 200, bundled_case, bundled_eq, out_ref)
@@ -172,7 +170,6 @@ def test_span_parity(bundled_case, bundled_eq):
 
 
 def test_divergence_detection(bundled_eq):
-    model = bundled_eq.model
     y = bundled_eq.state.copy()
     # absurd step size destabilizes RK4 and must be flagged, not raised
     step = kernels.rk4_span(y, 5.0, 400, *_model_args(bundled_eq))
@@ -180,12 +177,11 @@ def test_divergence_detection(bundled_eq):
 
 
 def test_valve_clamp_invariant(bundled_eq):
-    model = bundled_eq.model
-    lay = model.layout
+    lay = bundled_eq.layout
     y = bundled_eq.state.copy()
     # kick speeds hard so valves run against their limits
     y[lay.speed_indices] += 5.0
-    out = np.zeros((2000, model.n_states))
+    out = np.zeros((2000, bundled_eq.state.size))
     kernels.rk4_span(y, 0.005, 2000, *_model_args(bundled_eq), out=out, out_offset=0)
     for mid in lay.machine_ids:
         xe = out[:, lay.idx(mid, "xe")]
@@ -195,23 +191,22 @@ def test_valve_clamp_invariant(bundled_eq):
 
 
 def test_partial_device_rhs_parity(partial_case, partial_eq):
-    model = partial_eq.model
     rng = np.random.default_rng(3)
-    control = kernels.Control(100.0 * rng.standard_normal((model.n_machines, 5)),
-                              partial_eq.x5, np.array([1.0, 0.0, 1.0, 0.0]))
+    control = kernels.Control(100.0 * rng.standard_normal((len(partial_eq.layout.machine_ids), 5)),
+                              partial_eq.plan.design_states(partial_eq.state),
+                              np.array([1.0, 0.0, 1.0, 0.0]))
     for scale in (0.01, 0.1, 1.0):      # 1.0 drives the limiters
-        y = partial_eq.state + scale * rng.standard_normal(model.n_states)
+        y = partial_eq.state + scale * rng.standard_normal(partial_eq.state.size)
         d_plan = kernels.rhs(y, *_model_args(partial_eq, control))
         assert np.allclose(d_plan, _reference_rhs(y, partial_case, partial_eq, control),
                            rtol=1e-12, atol=1e-10)
 
 
 def test_partial_device_span_parity(partial_case, partial_eq):
-    model = partial_eq.model
     rng = np.random.default_rng(4)
-    y0 = partial_eq.state + 0.02 * rng.standard_normal(model.n_states)
-    out_plan = np.zeros((200, model.n_states))
-    out_ref = np.zeros((200, model.n_states))
+    y0 = partial_eq.state + 0.02 * rng.standard_normal(partial_eq.state.size)
+    out_plan = np.zeros((200, partial_eq.state.size))
+    out_ref = np.zeros((200, partial_eq.state.size))
     r1 = kernels.rk4_span(y0.copy(), 0.005, 200, *_model_args(partial_eq), out=out_plan,
                           out_offset=0)
     r2 = _reference_span(y0.copy(), 0.005, 200, partial_case, partial_eq, out_ref)
@@ -223,12 +218,11 @@ def test_partial_device_span_parity(partial_case, partial_eq):
 def test_span_parity_through_valve_limits(bundled_case, bundled_eq, kick):
     """A speed kick drives every valve onto a limit (shut for +20 rad/s, wide
     open for -5 rad/s), where the clamp and the anti-windup hold act."""
-    model = bundled_eq.model
-    lay = model.layout
+    lay = bundled_eq.layout
     y0 = bundled_eq.state.copy()
     y0[lay.speed_indices] += kick
-    out_plan = np.zeros((400, model.n_states))
-    out_ref = np.zeros((400, model.n_states))
+    out_plan = np.zeros((400, bundled_eq.state.size))
+    out_ref = np.zeros((400, bundled_eq.state.size))
     r1 = kernels.rk4_span(y0.copy(), 0.005, 400, *_model_args(bundled_eq), out=out_plan,
                           out_offset=0)
     r2 = _reference_span(y0.copy(), 0.005, 400, bundled_case, bundled_eq, out_ref)
@@ -241,42 +235,39 @@ def test_span_parity_through_valve_limits(bundled_case, bundled_eq, kick):
 @pytest.mark.parametrize("which", ["bundled", "partial"])
 def test_stacked_rhs_matches_rows(which, bundled_eq, partial_eq):
     eq = bundled_eq if which == "bundled" else partial_eq
-    model = eq.model
     rng = np.random.default_rng(5)
-    ys = eq.state + 0.1 * rng.standard_normal((16, model.n_states))
+    ys = eq.state + 0.1 * rng.standard_normal((16, eq.state.size))
     stacked = kernels.rhs(ys, *_model_args(eq))
     rows = np.array([kernels.rhs(y, *_model_args(eq)) for y in ys])
     assert stacked.shape == ys.shape
     assert np.allclose(stacked, rows, rtol=1e-12, atol=1e-12)
     # a one-row stack is the single-state call, bit for bit
     one = kernels.rhs(ys[:1], *_model_args(eq))
-    assert one.shape == (1, model.n_states)
+    assert one.shape == (1, eq.state.size)
     assert np.array_equal(one[0], rows[0])
 
 
 def test_stacked_span_matches_rows(partial_eq):
-    model = partial_eq.model
     rng = np.random.default_rng(6)
-    ys = partial_eq.state + 0.02 * rng.standard_normal((3, model.n_states))
-    ys[1, model.layout.speed_indices] += 20.0   # this row runs into the valve limits
-    out = np.zeros((100, 3, model.n_states))
+    ys = partial_eq.state + 0.02 * rng.standard_normal((3, partial_eq.state.size))
+    ys[1, partial_eq.layout.speed_indices] += 20.0   # this row runs into the valve limits
+    out = np.zeros((100, 3, partial_eq.state.size))
     stacked = ys.copy()
     assert kernels.rk4_span(stacked, 0.005, 100, *_model_args(partial_eq), out=out,
                             out_offset=0) == -1
     for b in range(3):
         y = ys[b].copy()
-        out_b = np.zeros((100, model.n_states))
+        out_b = np.zeros((100, partial_eq.state.size))
         assert kernels.rk4_span(y, 0.005, 100, *_model_args(partial_eq), out=out_b,
                                 out_offset=0) == -1
         assert np.allclose(out[:, b], out_b, rtol=1e-10, atol=1e-10)
-    xe = out[:, 1, [model.layout.idx(m, "xe") for m in (1, 2, 3)]]
+    xe = out[:, 1, [partial_eq.layout.idx(m, "xe") for m in (1, 2, 3)]]
     assert xe.min() == 0.0 or xe.max() == 1.0     # the clamp acted on row 1
     assert np.all((xe >= 0.0) & (xe <= 1.0))
 
 
 def test_stacked_span_reports_first_divergent_row(bundled_case, bundled_eq):
-    model = bundled_eq.model
-    lay = model.layout
+    lay = bundled_eq.layout
     ys = np.tile(bundled_eq.state, (2, 1))
     ys[1, lay.idx(1, "delta")] += 9.9e5     # rotor 1 runs past the limit
     ys[1, lay.idx(1, "omega")] += 1e5
@@ -305,7 +296,7 @@ def test_plan_built_once_per_model(bundled_case, bundled_eq, monkeypatch):
 
 def _terminal_voltage(y, case, eq):
     """Each machine's terminal voltage behind its transient reactance."""
-    lay = eq.model.layout
+    lay = eq.layout
     delta, eqp, edp = (y[[lay.idx(m.id, s) for m in case.machines]]
                        for s in ("delta", "eqp", "edp"))
     e_re, e_im, i_re, i_im, _, _ = network_currents(delta, eqp, edp,
@@ -322,13 +313,13 @@ def _limiter_state(eq, case, branch):
     clamp acts; the transient EMF eqp moves the terminal voltage so that the
     field command leaves its range; a speed offset pushes valves held at a
     limit outwards."""
-    lay, y = eq.model.layout, eq.state.copy()
+    lay, y = eq.layout, eq.state.copy()
     pss = [m.id for m in case.machines if case.pss_for(m.id) is not None]
     gov = [m.id for m in case.machines if case.governor_for(m.id) is not None]
     if branch in ("pss_min", "pss_max"):
         y[[lay.idx(m, "z1") for m in pss]] = 1.0 if branch == "pss_min" else -1.0
         exc = [k for k, m in enumerate(case.machines) if case.exciter_for(m.id) is not None]
-        target = eq.model.plan.vref[exc] + [
+        target = eq.plan.vref[exc] + [
             0.0 if m.id not in pss else getattr(case.pss_for(m.id), "v" + branch[4:])
             for m in (case.machines[k] for k in exc)]
         at = [lay.idx(case.machines[k].id, "eqp") for k in exc]
@@ -354,7 +345,8 @@ def test_limiter_branches_match_reference(which, branch, bundled_case, bundled_e
     controllers in service."""
     case, eq = (bundled_case, bundled_eq) if which == "bundled" else (partial_case, partial_eq)
     y = _limiter_state(eq, case, branch)
-    control = kernels.Control(bundled_design[0].gains, eq.x5, np.ones(len(case.machines)))
+    control = kernels.Control(bundled_design[0].gains, eq.plan.design_states(eq.state),
+                              np.ones(len(case.machines)))
     for ctl in (None, control):
         seen = set()
         ref = _reference_rhs(y, case, eq, ctl, seen)
@@ -373,7 +365,7 @@ def test_state_matrices_match_the_per_device_form(which, bundled_eq, partial_eq)
     ref = np.load(Path(__file__).parent / "data" / "state_matrices_a7276f0.npz")
     a = linearize(eq)
     for got, want in ((a, ref[f"{which}_open"]),
-                      (closed_loop_matrix(a, eq.model.plan, ref["gains"]),
+                      (closed_loop_matrix(a, eq.plan, ref["gains"]),
                        ref[f"{which}_closed"])):
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
@@ -385,7 +377,7 @@ def test_design_matrices_are_the_operator_rows(which, bundled_case, bundled_eq,
     governed machine's design states: the same a, the valve command column
     b and the electrical-power column g, and nothing else in those rows."""
     case, eq = (bundled_case, bundled_eq) if which == "bundled" else (partial_case, partial_eq)
-    plan, ns = eq.model.plan, eq.model.n_states
+    plan, ns = eq.plan, eq.state.size
     governed = 0
     for k, m in enumerate(case.machines):
         if case.governor_for(m.id) is None:

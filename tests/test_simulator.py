@@ -98,11 +98,22 @@ def test_off_grid_event_time(bundled_case):
     assert res.event_log[0]["time"] == pytest.approx(0.1234)
 
 
+def test_event_past_last_grid_time_fires_on_it(bundled_case):
+    """A duration that passes as whole steps may still end a few ns past the
+    last grid time; an event there fires on the last row, not in a step
+    past the end of the trajectory."""
+    sc = Scenario(duration=4.000000003, dt=0.01,
+                  events=(Event(4.000000003, "trip_line", (3, 101, 1)),))
+    res = simulate(bundled_case, None, sc)
+    assert res.time.size == 401 and not res.divergent
+    assert res.event_log[0]["time"] == res.time[-1]
+
+
 def test_valve_clamp_through_simulation(bundled_case):
     sc = Scenario(duration=5.0, dt=0.005,
                   events=(Event(0.5, "step_load", (14, 2000.0, 300.0)),))
     res = simulate(bundled_case, None, sc)
-    for mid in res.machine_ids:
+    for mid in res.layout.machine_ids:
         xe = measure(res, f"xe:{mid}")
         assert np.all(xe >= 0.0)
         assert np.all(xe <= 1.0)
@@ -143,7 +154,7 @@ def test_linear_regime_agreement(bundled_case, bundled_sol, bundled_red):
     eq = initialize_from_power_flow(bundled_case, bundled_sol, bundled_red)
     a = linearize(eq)
     rng = np.random.default_rng(9)
-    direction = rng.standard_normal(eq.model.n_states)
+    direction = rng.standard_normal(eq.state.size)
     direction /= np.linalg.norm(direction)
     dt_out = 0.01
     n_steps = 300
@@ -151,17 +162,17 @@ def test_linear_regime_agreement(bundled_case, bundled_sol, bundled_red):
     for alpha in (1e-2, 1e-3):
         y = eq.state + alpha * direction
         from oscdamp import kernels
-        traj = np.zeros((n_steps, eq.model.n_states))
-        m, net = eq.model, eq.network
-        kernels.rk4_span(y, dt_out / 2, 2 * n_steps, m.plan, net.g, net.b,
-                         out=np.zeros((2 * n_steps, m.n_states)), out_offset=0)
+        traj = np.zeros((n_steps, eq.state.size))
+        net = eq.network
+        kernels.rk4_span(y, dt_out / 2, 2 * n_steps, eq.plan, net.g, net.b,
+                         out=np.zeros((2 * n_steps, eq.state.size)), out_offset=0)
         # rebuild trajectory at dt_out for comparison
         y = eq.state + alpha * direction
         z = direction.copy()
         errs = []
         refs = []
         for k in range(n_steps):
-            kernels.rk4_span(y, dt_out / 2, 2, m.plan, net.g, net.b)
+            kernels.rk4_span(y, dt_out / 2, 2, eq.plan, net.g, net.b)
             z = prop @ z
             errs.append(np.linalg.norm((y - eq.state) / alpha - z))
             refs.append(np.linalg.norm(z))
@@ -256,7 +267,7 @@ def test_ringdown_cross_checks_modal(bundled_case, bundled_sol, bundled_red,
     from oscdamp.smallsignal import modal_analysis, min_damping
     eq = initialize_from_power_flow(bundled_case, bundled_sol, bundled_red)
     table = modal_analysis(linearize(eq),
-                           eq.model.layout.labels)
+                           eq.layout.labels)
     dominant = min_damping(table, 0.3, 0.9)
     sc = Scenario(duration=40.0, dt=0.005,
                   events=(Event(0.5, "step_load", (4, 40.0, 10.0)),))
@@ -298,10 +309,9 @@ def test_derived_channels_match_per_step_reference(bundled_case, bundled_design,
     seen = {}
     derive = simulator._derived_channels
 
-    def spy(model, gains, states, tgrid, segments):
-        seen.update(model=model, gains=gains, states=states, tgrid=tgrid,
-                    segments=segments)
-        return derive(model, gains, states, tgrid, segments)
+    def spy(plan, gains, states, segments):
+        seen.update(gains=gains, states=states, segments=segments)
+        return derive(plan, gains, states, segments)
 
     monkeypatch.setattr(simulator, "_derived_channels", spy)
     ctrl, _ = bundled_design
@@ -317,19 +327,21 @@ def test_derived_channels_match_per_step_reference(bundled_case, bundled_design,
     ]
     for sc in scenarios:
         res = simulate(bundled_case, ctrl, sc)
-        model, gains, segments = seen["model"], seen["gains"], seen["segments"]
-        lay = model.layout
+        gains, segments, lay = seen["gains"], seen["segments"], res.layout
         design_ix = [[lay.idx(m, s) for s in ("delta", "omega", "pm", "xm", "xe")]
                      for m in lay.machine_ids]     # every bundled machine is governed
         eqp_ix = [lay.idx(m, "eqp") for m in lay.machine_ids]
         edp_ix = [lay.idx(m, "edp") for m in lay.machine_ids]
         scale = np.array([bundled_case.base_mva / m.mva for m in bundled_case.machines])
         xq_corr = np.array([m.xqp - m.xdp for m in bundled_case.machines]) * scale
-        bounds = [sg.t_start for sg in segments] + [np.inf]
+        # one segment per fired event, in order, after the initial one
+        bounds = [0.0] + [e["time"] for e in res.event_log] + [np.inf]
+        assert len(bounds) == len(segments) + 1
         seg = 0
-        for k, t in enumerate(seen["tgrid"]):
+        for k, t in enumerate(res.time):
             while t >= bounds[seg + 1] - 1e-12:
                 seg += 1
+                assert segments[seg].first_row == k
             sg = segments[seg]
             y = seen["states"][k]
             eqp, edp = y[eqp_ix], y[edp_ix]
@@ -354,7 +366,7 @@ def test_initial_active_machine_list(bundled_case, bundled_design):
                   events=(Event(0.5, "trip_line", (3, 101, 1)),),
                   initial_active=(2, 3))
     res = simulate(bundled_case, ctrl, sc)
-    ids = list(res.machine_ids)
+    ids = list(res.layout.machine_ids)
     post = res.time > 1.0
     assert np.any(res.u[post][:, ids.index(2)] != 0.0)
     assert np.any(res.u[post][:, ids.index(3)] != 0.0)
@@ -377,3 +389,40 @@ def test_ringdown_too_few_peaks():
     overdamped = np.exp(-4.0 * t) * np.sin(2 * math.pi * 0.6 * t)
     with pytest.raises(ValueError, match="peaks"):
         ringdown_damping(overdamped, dt, (0.3, 1.2))
+
+
+@pytest.mark.parametrize("diverging_call, bad_step, div_time, first_unrecorded, logged", [
+    (1, 20, 0.21, 21, False),       # whole steps before the event
+    (2, 0, 0.505, 51, False),       # first half of the split step
+    (3, 0, 0.51, 51, True),         # second half of the split step
+    (4, 10, 0.62, 62, True),        # whole steps after the event
+], ids=["whole-before", "first-half", "second-half", "whole-after"])
+def test_every_divergence_exit(bundled_case, monkeypatch, diverging_call, bad_step,
+                               div_time, first_unrecorded, logged):
+    """An RK4 span that reports divergence ends the run wherever it falls:
+    the result is marked divergent at the grid time after the failed step
+    (the event time when the step up to an off-grid event fails), every row
+    from the failed step on holds the diverged state, and the event is logged
+    only if it fired before the failure."""
+    calls, diverged = [], []
+    span = kernels.rk4_span
+
+    def failing(y, h, nsteps, plan, gmat, bmat, control=None, out=None, out_offset=0):
+        calls.append(nsteps)
+        if len(calls) != diverging_call:
+            return span(y, h, nsteps, plan, gmat, bmat, control, out, out_offset)
+        span(y, h, bad_step, plan, gmat, bmat, control, out, out_offset)
+        y += 1e7                            # the state after the failed step
+        diverged.append(y.copy())
+        return bad_step
+
+    monkeypatch.setattr(kernels, "rk4_span", failing)
+    sc = Scenario(duration=1.0, dt=0.01,
+                  events=(Event(0.505, "trip_line", (3, 101, 1)),))
+    res = simulate(bundled_case, None, sc)
+    assert res.divergent
+    assert res.divergence_time == pytest.approx(div_time, abs=1e-12)
+    assert np.all(res.states[first_unrecorded:] == diverged[0])
+    assert np.all(np.abs(res.states[:first_unrecorded]) < 1e3)
+    assert any(e["action"] == "trip_line" for e in res.event_log) == logged
+    assert len(calls) == diverging_call

@@ -24,7 +24,7 @@ def test_linearize_requires_equilibrium(bundled_eq):
 def test_linearize_recovers_linear_system(bundled_eq):
     """On the governor block the model is linear, so the matrix is exact to roundoff."""
     a_full = linearize(bundled_eq)
-    lay = bundled_eq.model.layout
+    lay = bundled_eq.layout
     case_machine = 1
     rows = [lay.idx(case_machine, s) for s in ("pm", "xm", "xe")]
     cols = [lay.idx(case_machine, s) for s in ("delta", "omega", "pm", "xm", "xe")]
@@ -40,8 +40,9 @@ def test_linearize_matches_column_reference(bundled_eq, bundled_design):
     """The complex-step matrix agrees with one central difference per column
     to the truncation error of the difference."""
     ctrl, _ = bundled_design
-    control = Control(ctrl.gains, bundled_eq.x5, np.ones(bundled_eq.model.n_machines))
-    rhs = bundled_eq.model.plan.bind(bundled_eq.network.g, bundled_eq.network.b, control)
+    control = Control(ctrl.gains, bundled_eq.plan.design_states(bundled_eq.state),
+                      np.ones(len(bundled_eq.layout.machine_ids)))
+    rhs = bundled_eq.plan.bind(bundled_eq.network.g, bundled_eq.network.b, control)
     x0 = bundled_eq.state
     ref = np.empty((x0.size, x0.size))
     for j in range(x0.size):
@@ -69,8 +70,9 @@ def _closed_loop_pair(eq, gains):
     """The derived closed-loop matrix and the linearization of the model with
     the gains in service (active where a row is nonzero, reference at the
     equilibrium)."""
-    control = Control(gains, eq.x5, np.any(gains != 0.0, axis=1).astype(float))
-    derived = closed_loop_matrix(linearize(eq), eq.model.plan, gains)
+    control = Control(gains, eq.plan.design_states(eq.state),
+                      np.any(gains != 0.0, axis=1).astype(float))
+    derived = closed_loop_matrix(linearize(eq), eq.plan, gains)
     return derived, linearize(eq, control)
 
 
@@ -110,7 +112,7 @@ def test_closed_loop_matrix_at_valve_limit(bundled_design):
     gains = bundled_design[0].gains[:1]
     gov = case.governor_for(1)
     slope = -gov.ke / (gov.te * gov.r * case.omega0)
-    lay = eq.model.layout
+    lay = eq.layout
     xe, omega = lay.idx(1, "xe"), lay.idx(1, "omega")
     assert linearize(eq)[xe, omega] == pytest.approx(slope, rel=1e-12)
     closed = slope + gains[0, 1] / gov.te
@@ -125,7 +127,7 @@ def test_single_machine_block_equals_analytic():
     red = kron_reduce(case, load_admittances(case, sol))
     eq = initialize_from_power_flow(case, sol, red)
     a_full = linearize(eq)
-    lay = eq.model.layout
+    lay = eq.layout
     idx = [lay.idx(1, s) for s in ("delta", "omega", "pm", "xm", "xe")]
     block = a_full[np.ix_(idx, idx)]
     dm = build_design_matrices(case.machines[0], case.governor_for(1), case.omega0)
@@ -174,8 +176,8 @@ def test_participation_matches_lapack_left_eigenvectors(bundled_eq, bundled_desi
     import scipy.linalg
     a = linearize(bundled_eq)
     if loop == "closed":
-        layout = bundled_eq.model.layout
-        a = closed_loop_matrix(a, bundled_eq.model.plan,
+        layout = bundled_eq.layout
+        a = closed_loop_matrix(a, bundled_eq.plan,
                                bundled_design[0].gains_for(layout.machine_ids))
     w, vl, vr = scipy.linalg.eig(a, left=True, right=True)
     table = modal_analysis(a)
@@ -251,9 +253,9 @@ def test_classify_invariant_to_eigenvector_scaling():
 
 def test_bundled_interarea_band(bundled_eq, bundled_areas):
     a = linearize(bundled_eq)
-    table = classify_table(modal_analysis(a, bundled_eq.model.layout.labels),
-                           bundled_eq.model.layout.speed_indices,
-                           bundled_areas, bundled_eq.model.layout.machine_ids)
+    table = classify_table(modal_analysis(a, bundled_eq.layout.labels),
+                           bundled_eq.layout.speed_indices,
+                           bundled_areas, bundled_eq.layout.machine_ids)
     inter = [m for m in table
              if m.is_oscillatory and 0.4 <= m.frequency_hz <= 0.8]
     assert inter, "expected a swing pair in the low-frequency band"
@@ -279,7 +281,7 @@ def test_min_damping_band_exclusion():
 
 def test_mode_csv_shape(bundled_eq):
     a = linearize(bundled_eq)
-    table = modal_analysis(a, bundled_eq.model.layout.labels)
+    table = modal_analysis(a, bundled_eq.layout.labels)
     lines = table.to_csv().strip().splitlines()
     assert lines[0] == "re,im,freq_hz,damping_pct,class,top_participant"
     assert len(lines) == len(table.modes) + 1

@@ -173,11 +173,15 @@ def test_gain_locality(bundled_design):
 
 def test_zero_gain_zero_control(bundled_design, bundled_eq):
     """The governor feedback the simulator evaluates is zero at the operating
-    point's own equilibrium, the reference it acts about."""
+    point's own equilibrium, the reference it acts about: the design states
+    the plan reads from the state."""
     ctrl, _ = bundled_design
-    plan = bundled_eq.model.plan
-    x5 = plan.extend(bundled_eq.state)[plan.ix5]
-    assert np.all(kernels.feedback(ctrl.gains, x5 - bundled_eq.x5) == 0.0)
+    lay, y = bundled_eq.layout, bundled_eq.state
+    x5 = np.array([[y[lay.idx(m, s)] for s in ("delta", "omega", "pm", "xm", "xe")]
+                   for m in lay.machine_ids])     # every bundled machine is governed
+    xref = bundled_eq.plan.design_states(y)
+    assert np.array_equal(xref, x5)
+    assert np.all(kernels.feedback(ctrl.gains, x5 - xref) == 0.0)
 
 
 def test_closed_loop_hurwitz(bundled_design):

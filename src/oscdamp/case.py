@@ -274,8 +274,11 @@ def parse_case(text: str) -> PowerSystemCase:
         if key in seen_branch:
             raise CaseError(f"duplicate branch {key}", path)
         seen_branch.add(key)
+        in_service = ob.get("in_service", True)
+        if not isinstance(in_service, bool):
+            raise CaseError("expected true or false", f"{path}.in_service")
         branches.append(Branch(fb, tb, circ, _num(ob, "r", path), _num(ob, "x", path),
-                               _num(ob, "b", path), bool(ob.get("in_service", True))))
+                               _num(ob, "b", path), in_service))
 
     machines = []
     seen_mach = set()

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -251,9 +252,9 @@ def cmd_simulate(args) -> int:
     ids = result.layout.machine_ids
     channels = args.channels.split(",") if args.channels else \
         [f"delta_rel:{ids[-1]}:{ids[0]}"] + [f"omega:{m}" for m in ids]
-    ring = {}
+    ring = {}         # a diverged trace has no ringdown to read
     for ch in channels:
-        if ch.startswith("delta_rel"):
+        if ch.startswith("delta_rel") and not result.divergent:
             try:
                 ring[ch] = ringdown_damping(measure(result, ch)[result.time >= 0.0],
                                             scenario.dt, tuple(args.band))
@@ -363,7 +364,12 @@ def _check_options(args) -> None:
 
     --controllers defaults to 'all' where gains are designed (design,
     export-sdpa, which also read 'none' as 'all') or given by --gains, and to
-    'none' elsewhere; --gains with an explicit 'none' is an input error."""
+    'none' elsewhere; --gains with an explicit 'none' is an input error.
+    --band needs finite edges with 0 <= LO < HI."""
+    if hasattr(args, "band"):
+        lo, hi = args.band
+        if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 <= lo < hi):
+            raise CaseError(f"--band needs finite edges with 0 <= LO < HI, not {lo} {hi}")
     if not hasattr(args, "controllers"):
         return
     designs = args.command in ("design", "export-sdpa")

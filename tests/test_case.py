@@ -61,12 +61,15 @@ def test_unknown_key_rejected():
     (None, None, "governors", {"machine": 1}, "governors"),
     ("loads", 0, None, 5, "loads[0]"),
     ("branches", 0, None, [1, 2], "branches[0]"),
+    ("branches", 0, "in_service", "false", "branches[0].in_service"),
+    ("branches", 0, "in_service", 0, "branches[0].in_service"),
 ], ids=["h-nan", "xd-inf", "x-minus-inf", "load-nan", "droop-nan", "h-past-float",
         "base-inf", "buses-not-list", "governors-not-list", "load-not-object",
-        "branch-not-object"])
+        "branch-not-object", "in-service-string", "in-service-int"])
 def test_non_finite_and_wrong_typed_fields_rejected(section, index, key, value, path):
-    """Non-finite numbers (which Python's json reads) and sections that are
-    not lists of objects are case errors that name the field."""
+    """Non-finite numbers (which Python's json reads), sections that are not
+    lists of objects and a non-boolean `in_service` are case errors that name
+    the field."""
     doc = json.loads(make_two_bus_text())
     if section is None:
         doc[key] = value

@@ -85,16 +85,25 @@ def test_case_with_e_max_is_input_error(tmp_path, capsys):
     assert "unknown key(s) ['e_max']" in capsys.readouterr().err
 
 
-def test_cli_import_loads_no_scipy():
-    """numpy alone carries every module the CLI imports; scipy loads only for
-    the ringdown filter.  A fresh interpreter, since this one holds scipy."""
+def test_cli_import_loads_no_scipy(case_path, tmp_path):
+    """numpy alone carries the CLI, the ringdown filter included: a default
+    simulate long enough for a ringdown estimate loads no scipy module.  A
+    fresh interpreter, since this one holds scipy."""
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({"duration": 8.0, "dt": 0.01, "events": [
+        {"time": 0.5, "type": "step_load", "bus": 4, "dp_mw": 40.0, "dq_mvar": 10.0}]}))
+    out = tmp_path / "out"
     src = str(Path(oscdamp.__file__).resolve().parents[1])
-    code = ("import oscdamp.cli, sys; "
+    code = ("import sys; from oscdamp.cli import main; "
+            f"assert main(['simulate', '--case', {case_path!r}, '--scenario', "
+            f"{str(scen)!r}, '--out', {str(out)!r}]) == 0; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = {**os.environ, "PYTHONPATH": src}
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == "[]"
+    assert run.stdout.strip().splitlines()[-1] == "[]"
+    ring = json.loads((out / "simulate.json").read_text())["results"]["ringdown"]
+    assert list(ring) == ["delta_rel:4:1"]
 
 
 def test_design_gains_independent_of_blas_threads():
@@ -464,11 +473,23 @@ _TRIP_AT_1 = {"time": 1.0, "type": "trip_line", "from": 3, "to": 101, "circuit":
     (["modal"], None, lambda doc: doc.update(buses=5)),
     (["modal"], None, lambda doc: doc.update(loads=[5])),
     (["modal"], None, lambda doc: _set_h(doc, math.nan)),
+    (["modal"], None, lambda doc: doc["branches"][0].update(in_service="false")),
+    (["modal", "--band", "3.0", "0.1"], None, None),
+    (["modal", "--band", "nan", "2"], None, None),
+    (["sweep", "--fractions", "1.0", "--band", "0.1", "inf"], None, None),
+    (["simulate", "--band", "3.0", "0.1"], {"duration": 1.0}, None),
+    (["simulate", "--band", "-1", "2"], {"duration": 1.0}, None),
+    (["simulate", "--band", "nan", "2"], {"duration": 1.0}, None),
+    (["simulate", "--band", "0.1", "150"], {"duration": 1.0}, None),
+    (["simulate", "--band", "0", "2"], {"duration": 1.0}, None),
 ], ids=["fractions", "modal-controllers", "design-controllers", "beta-bar",
         "bound-scale", "trip-without-from", "duration", "initial-active",
         "activate-machines", "duration-off-grid", "trip-past-grid",
         "activate-in-partial-step", "dt-nan", "duration-infinite", "events-not-list",
-        "scenario-list", "case-buses-not-list", "case-load-not-object", "case-h-nan"])
+        "scenario-list", "case-buses-not-list", "case-load-not-object", "case-h-nan",
+        "case-in-service-string", "modal-band-reversed", "modal-band-nan",
+        "sweep-band-infinite", "simulate-band-reversed", "simulate-band-negative",
+        "simulate-band-nan", "simulate-band-past-nyquist", "simulate-band-zero-lo"])
 def test_malformed_flags_and_scenarios_are_input_errors(argv, scenario, case_edit,
                                                         case_path, tmp_path, capsys,
                                                         bundled_design):
@@ -487,6 +508,16 @@ def test_malformed_flags_and_scenarios_are_input_errors(argv, scenario, case_edi
         Path(case_path).write_text(json.dumps(doc))
     assert main([argv[0], "--case", case_path, *argv[1:], *extra]) == EXIT_INPUT
     assert "input error:" in capsys.readouterr().err
+
+
+def test_band_from_zero_is_valid_outside_ringdown(case_path, tmp_path):
+    """LO = 0 is a valid mode band; only the ringdown filter needs LO > 0,
+    and a simulate with no delta_rel channel computes no ringdown."""
+    assert main(["modal", "--case", case_path, "--band", "0", "3"]) == EXIT_OK
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({"duration": 1.0}))
+    assert main(["simulate", "--case", case_path, "--scenario", str(scen),
+                 "--band", "0", "3", "--channels", "omega:1"]) == EXIT_OK
 
 
 def test_export_sdpa_needs_no_solve(case_path, tmp_path):

@@ -391,6 +391,50 @@ def test_ringdown_too_few_peaks():
         ringdown_damping(overdamped, dt, (0.3, 1.2))
 
 
+@pytest.mark.parametrize("fs", [100.0, 200.0, 1000.0])
+@pytest.mark.parametrize("band", [(0.1, 1.0), (0.2, 0.8), (0.5, 2.5), (1.0, 3.0)])
+def test_bandpass_matches_scipy(fs, band):
+    """The numpy band-pass matches scipy's `butter(2, band, "bandpass",
+    output="sos")` and `sosfiltfilt` to 1e-9 of the output's largest value,
+    and its section poles are scipy's poles to 1e-12."""
+    import scipy.signal
+    rng = np.random.default_rng(7)
+    t = np.arange(4000) / fs
+    x = (rng.standard_normal(t.size).cumsum() + 3.0
+         + np.exp(-0.1 * t) * np.sin(2 * math.pi * sum(band) / 2 * t))
+    sos = simulator.bandpass_sections(band, fs)
+    y = simulator.zero_phase_filter(sos, x)
+    ref = scipy.signal.sosfiltfilt(
+        scipy.signal.butter(2, band, "bandpass", fs=fs, output="sos"), x)
+    assert np.max(np.abs(y - ref)) <= 1e-9 * np.max(np.abs(ref))
+    poles = np.sort_complex(np.concatenate([np.roots(row[3:]) for row in sos]))
+    ref_poles = np.sort_complex(
+        scipy.signal.butter(2, band, "bandpass", fs=fs, output="zpk")[1])
+    assert np.max(np.abs(poles - ref_poles)) <= 1e-12
+
+
+def test_positive_peaks_flat_tops():
+    """The mask finds the peaks the per-sample rule finds: above the floor,
+    at least the left neighbour and above the right one, so a flat top
+    counts once, at its last sample."""
+    x = np.array([0.0, 1.0, 1.0, 0.5, 2.0, 2.0, 2.0, 0.0, 0.001, 0.001, -1.0, 3.0, 2.0])
+    assert simulator.positive_peaks(x, 0.01).tolist() == [2, 6, 11]
+    x = np.round(4 * np.sin(np.arange(2000) * 0.05) * np.exp(-np.arange(2000) / 900))
+    ref = [k for k in range(1, x.size - 1)
+           if x[k] > 0.5 and x[k] >= x[k - 1] and x[k] > x[k + 1]]
+    assert simulator.positive_peaks(x, 0.5).tolist() == ref
+
+
+@pytest.mark.parametrize("band", [(0.0, 1.0), (1.0, 0.5), (0.3, 50.0), (math.nan, 1.0)],
+                         ids=["zero-lo", "reversed", "at-nyquist", "nan"])
+def test_ringdown_refuses_unrealizable_band(band):
+    """The filter needs 0 < LO < HI < fs/2; anything else is an input error,
+    not a missing estimate."""
+    series = np.sin(2 * math.pi * 0.6 * np.arange(0, 40, 0.01))
+    with pytest.raises(ScenarioError, match="ringdown band"):
+        ringdown_damping(series, 0.01, band)
+
+
 @pytest.mark.parametrize("diverging_call, bad_step, div_time, first_unrecorded, logged", [
     (1, 20, 0.21, 21, False),       # whole steps before the event
     (2, 0, 0.505, 51, False),       # first half of the split step

@@ -12,11 +12,14 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, replace, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import cache
+from typing import NamedTuple, get_args, get_origin, get_type_hints
 
 
 class CaseError(Exception):
-    """Malformed or inconsistent case data. `path` locates the offending field."""
+    """Malformed or inconsistent input: a case, a gains file or (as ScenarioError)
+    a scenario. `path` locates the offending field."""
 
     def __init__(self, message: str, path: str = ""):
         self.path = path
@@ -26,9 +29,17 @@ class CaseError(Exception):
 BUS_KINDS = ("slack", "pv", "pq")
 
 
+def _schema_field(*, key: str | None = None, refers: type | None = None,
+                  unique: bool = False):
+    """A required record field with its case-file rules: the file `key` where
+    it differs from the field name, the record type whose ids it must name,
+    and whether it is part of the entry's identity within its section."""
+    return field(metadata={"key": key, "refers": refers, "unique": unique})
+
+
 @dataclass(frozen=True)
 class Bus:
-    id: int
+    id: int = _schema_field(unique=True)
     kind: str
     voltage_setpoint: float | None = None
     shunt_susceptance: float = 0.0
@@ -36,9 +47,9 @@ class Bus:
 
 @dataclass(frozen=True)
 class Branch:
-    from_bus: int
-    to_bus: int
-    circuit: int
+    from_bus: int = _schema_field(key="from", refers=Bus, unique=True)
+    to_bus: int = _schema_field(key="to", refers=Bus, unique=True)
+    circuit: int = _schema_field(unique=True)
     r: float
     x: float
     b: float
@@ -52,8 +63,8 @@ class Branch:
 class Machine:
     """Synchronous machine; reactances/time constants on the machine MVA base."""
 
-    id: int
-    bus: int
+    id: int = _schema_field(unique=True)
+    bus: int = _schema_field(refers=Bus)
     mva: float
     h: float
     d: float
@@ -76,7 +87,7 @@ class Machine:
 class GovernorParams:
     """Steam valve governor and reheat turbine chain (machine-base per unit)."""
 
-    machine: int
+    machine: int = _schema_field(refers=Machine, unique=True)
     ke: float
     te: float
     t3: float
@@ -88,7 +99,7 @@ class GovernorParams:
 
 @dataclass(frozen=True)
 class ExciterParams:
-    machine: int
+    machine: int = _schema_field(refers=Machine, unique=True)
     ka: float
     ta: float
     efd_min: float
@@ -97,7 +108,7 @@ class ExciterParams:
 
 @dataclass(frozen=True)
 class PssParams:
-    machine: int
+    machine: int = _schema_field(refers=Machine, unique=True)
     ks: float
     tw: float
     t1: float
@@ -110,21 +121,23 @@ class PssParams:
 
 @dataclass(frozen=True)
 class Load:
-    bus: int
+    bus: int = _schema_field(refers=Bus)
     p_mw: float
     q_mvar: float
 
 
 @dataclass(frozen=True)
 class PowerSystemCase:
+    """A case; each tuple field is a section of the file, a list of records."""
+
     base_mva: float
     base_frequency_hz: float
     buses: tuple[Bus, ...]
     branches: tuple[Branch, ...]
     machines: tuple[Machine, ...]
-    governors: tuple[GovernorParams, ...]
-    exciters: tuple[ExciterParams, ...]
-    psss: tuple[PssParams, ...]
+    governors: tuple[GovernorParams, ...] = field(default=(), kw_only=True)
+    exciters: tuple[ExciterParams, ...] = field(default=(), kw_only=True)
+    psss: tuple[PssParams, ...] = field(default=(), kw_only=True)
     loads: tuple[Load, ...]
 
     @property
@@ -178,51 +191,109 @@ class PowerSystemCase:
 
 # --- parsing -----------------------------------------------------------------
 
-_TOP_KEYS = {"base_mva", "base_frequency_hz", "buses", "branches", "machines",
-             "governors", "exciters", "psss", "loads"}
-_BUS_KEYS = {"id", "kind", "voltage_setpoint", "shunt_susceptance"}
-_BRANCH_KEYS = {"from", "to", "circuit", "r", "x", "b", "in_service"}
-_MACHINE_KEYS = {"id", "bus", "mva", "h", "d", "xd", "xq", "xdp", "xqp",
-                 "td0p", "tq0p", "p_sched_mw", "v_sched"}
-_GOV_KEYS = {"machine", "ke", "te", "t3", "t4", "t5", "tm", "r"}
-_EXC_KEYS = {"machine", "ka", "ta", "efd_min", "efd_max"}
-_PSS_KEYS = {"machine", "ks", "tw", "t1", "t2", "t3", "t4", "vmin", "vmax"}
-_LOAD_KEYS = {"bus", "p_mw", "q_mvar"}
 _FLOAT_MAX = sys.float_info.max
 
 
-def _check_keys(obj: dict, allowed: set, required: set, path: str) -> None:
+def _is_number(v) -> bool:
+    # the bound also refuses NaN and an integer past the float range
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= _FLOAT_MAX
+
+
+# declared field type -> (test of a JSON value, refusal, conversion)
+VALUE_TYPES = {
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "expected an integer", int),
+    float: (_is_number, "expected a finite number", float),
+    bool: (lambda v: isinstance(v, bool), "expected true or false", bool),
+    str: (lambda v: isinstance(v, str), "expected a string", str),
+}
+VALUE_TYPES[float | None] = VALUE_TYPES[float]      # None only as the default
+
+
+def read_value(value, kind, path: str, error: type[CaseError] = CaseError):
+    """`value` as the declared type `kind`, a key of VALUE_TYPES (an integer
+    is accepted as a float); anything else raises `error` naming `path`."""
+    accepts, refusal, convert = VALUE_TYPES[kind]
+    if not accepts(value):
+        raise error(refusal, path)
+    return convert(value)
+
+
+def check_keys(obj: dict, allowed: set, required: set, path: str,
+               error: type[CaseError] = CaseError) -> None:
+    """Refuse a key of `obj` outside `allowed`, then a key of `required` it lacks."""
     unknown = set(obj) - allowed
     if unknown:
-        raise CaseError(f"unknown key(s) {sorted(unknown)}", path)
+        raise error(f"unknown key(s) {sorted(unknown)}", path)
     missing = required - set(obj)
     if missing:
-        raise CaseError(f"missing key(s) {sorted(missing)}", path)
+        raise error(f"missing key(s) {sorted(missing)}", path)
 
 
-def _num(obj: dict, key: str, path: str) -> float:
-    v = obj[key]      # the bound also refuses NaN and an integer past the float range
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= _FLOAT_MAX:
-        raise CaseError("expected a finite number", f"{path}.{key}")
-    return float(v)
+class _Field(NamedTuple):
+    name: str
+    key: str              # the key in a case file
+    kind: object          # the declared type, resolved
+    section: type | None  # the record type of a tuple field's entries
+    required: bool
+    refers: type | None
+    unique: bool
 
 
-def _intval(obj: dict, key: str, path: str) -> int:
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise CaseError("expected an integer", f"{path}.{key}")
-    return v
+@cache
+def _schema(cls: type) -> tuple[tuple[_Field, ...], set, set]:
+    """The fields of a record type as a case file holds them, with the keys
+    it allows and those it requires."""
+    kinds = get_type_hints(cls)
+    schema = tuple(_Field(f.name, f.metadata.get("key") or f.name, kinds[f.name],
+                          get_args(kinds[f.name])[0]
+                          if get_origin(kinds[f.name]) is tuple else None,
+                          f.default is MISSING, f.metadata.get("refers"),
+                          f.metadata.get("unique", False))
+                   for f in fields(cls))
+    return schema, {f.key for f in schema}, {f.key for f in schema if f.required}
 
 
-def _objects(raw: dict, section: str) -> list:
-    """The entries of a section, which must be a list of objects."""
-    entries = raw.get(section, [])
+def _read_record(cls: type, obj: dict, path: str, ids: dict):
+    """A record of type `cls` from the object at `path`: each value of the
+    field's declared type, each reference among `ids` (the identities of the
+    sections read so far), and each tuple field a section."""
+    schema, allowed, required = _schema(cls)
+    check_keys(obj, allowed, required, path)
+    values = {}
+    for f in schema:
+        if f.key not in obj:
+            continue
+        if f.section is not None:
+            values[f.name] = _read_section(f.section, obj[f.key], f.key, ids)
+            continue
+        values[f.name] = v = read_value(obj[f.key], f.kind, f"{path}.{f.key}")
+        if f.refers is not None and (v,) not in ids[f.refers]:
+            raise CaseError(f"references missing {f.refers.__name__.lower()} {v}",
+                            f"{path}.{f.key}")
+    return cls(**values)
+
+
+def _read_section(cls: type, entries, section: str, ids: dict) -> tuple:
+    """A section: a list of objects, each a record of type `cls` that shares
+    its unique fields with no other entry."""
     if not isinstance(entries, list):
         raise CaseError("expected a list", section)
-    for i, ob in enumerate(entries):
-        if not isinstance(ob, dict):
-            raise CaseError("expected an object", f"{section}[{i}]")
-    return entries
+    unique = [f for f in _schema(cls)[0] if f.unique]
+    seen = ids[cls] = set()
+    records = []
+    for i, obj in enumerate(entries):
+        path = f"{section}[{i}]"
+        if not isinstance(obj, dict):
+            raise CaseError("expected an object", path)
+        rec = _read_record(cls, obj, path, ids)
+        if unique:
+            key = tuple(getattr(rec, f.name) for f in unique)
+            if key in seen:
+                raise CaseError(f"duplicate {'/'.join(f.key for f in unique)} "
+                                f"{'/'.join(map(str, key))}", path)
+            seen.add(key)
+        records.append(rec)
+    return tuple(records)
 
 
 def parse_case(text: str) -> PowerSystemCase:
@@ -237,122 +308,30 @@ def parse_case(text: str) -> PowerSystemCase:
         raise CaseError(f"syntax error: {exc.msg}", f"line {exc.lineno}") from exc
     if not isinstance(raw, dict):
         raise CaseError("top level must be an object")
-    _check_keys(raw, _TOP_KEYS, _TOP_KEYS - {"governors", "exciters", "psss"}, "case")
-
-    base_mva = _num(raw, "base_mva", "case")
-    base_f = _num(raw, "base_frequency_hz", "case")
-    if base_mva <= 0 or base_f <= 0:
+    case = _read_record(PowerSystemCase, raw, "case", {})
+    if case.base_mva <= 0 or case.base_frequency_hz <= 0:
         raise CaseError("base_mva and base_frequency_hz must be positive", "case")
+    for i, bus in enumerate(case.buses):
+        if bus.kind not in BUS_KINDS:
+            raise CaseError(f"kind must be one of {BUS_KINDS}", f"buses[{i}].kind")
+    return case
 
-    buses = []
-    seen_bus = set()
-    for i, ob in enumerate(_objects(raw, "buses")):
-        path = f"buses[{i}]"
-        _check_keys(ob, _BUS_KEYS, {"id", "kind"}, path)
-        bid = _intval(ob, "id", path)
-        if bid in seen_bus:
-            raise CaseError(f"duplicate bus id {bid}", path)
-        seen_bus.add(bid)
-        kind = ob["kind"]
-        if kind not in BUS_KINDS:
-            raise CaseError(f"kind must be one of {BUS_KINDS}", f"{path}.kind")
-        vset = _num(ob, "voltage_setpoint", path) if "voltage_setpoint" in ob else None
-        shunt = _num(ob, "shunt_susceptance", path) if "shunt_susceptance" in ob else 0.0
-        buses.append(Bus(bid, kind, vset, shunt))
 
-    branches = []
-    seen_branch = set()
-    for i, ob in enumerate(_objects(raw, "branches")):
-        path = f"branches[{i}]"
-        _check_keys(ob, _BRANCH_KEYS, {"from", "to", "circuit", "r", "x", "b"}, path)
-        fb, tb = _intval(ob, "from", path), _intval(ob, "to", path)
-        circ = _intval(ob, "circuit", path)
-        for end, name in ((fb, "from"), (tb, "to")):
-            if end not in seen_bus:
-                raise CaseError(f"references missing bus {end}", f"{path}.{name}")
-        key = (fb, tb, circ)
-        if key in seen_branch:
-            raise CaseError(f"duplicate branch {key}", path)
-        seen_branch.add(key)
-        in_service = ob.get("in_service", True)
-        if not isinstance(in_service, bool):
-            raise CaseError("expected true or false", f"{path}.in_service")
-        branches.append(Branch(fb, tb, circ, _num(ob, "r", path), _num(ob, "x", path),
-                               _num(ob, "b", path), in_service))
-
-    machines = []
-    seen_mach = set()
-    for i, ob in enumerate(_objects(raw, "machines")):
-        path = f"machines[{i}]"
-        _check_keys(ob, _MACHINE_KEYS, _MACHINE_KEYS, path)
-        mid = _intval(ob, "id", path)
-        if mid in seen_mach:
-            raise CaseError(f"duplicate machine id {mid}", path)
-        seen_mach.add(mid)
-        mbus = _intval(ob, "bus", path)
-        if mbus not in seen_bus:
-            raise CaseError(f"references missing bus {mbus}", f"{path}.bus")
-        vals = {k: _num(ob, k, path) for k in _MACHINE_KEYS - {"id", "bus"}}
-        machines.append(Machine(id=mid, bus=mbus, **vals))
-
-    def _per_machine(section: str, keys: set, cls):
-        out = []
-        seen = set()
-        for i, ob in enumerate(_objects(raw, section)):
-            path = f"{section}[{i}]"
-            _check_keys(ob, keys, keys, path)
-            mid = _intval(ob, "machine", path)
-            if mid not in seen_mach:
-                raise CaseError(f"references missing machine {mid}", f"{path}.machine")
-            if mid in seen:
-                raise CaseError(f"duplicate entry for machine {mid}", path)
-            seen.add(mid)
-            vals = {k: _num(ob, k, path) for k in keys - {"machine"}}
-            out.append(cls(machine=mid, **vals))
-        return out
-
-    governors = _per_machine("governors", _GOV_KEYS, GovernorParams)
-    exciters = _per_machine("exciters", _EXC_KEYS, ExciterParams)
-    psss = _per_machine("psss", _PSS_KEYS, PssParams)
-
-    loads = []
-    for i, ob in enumerate(_objects(raw, "loads")):
-        path = f"loads[{i}]"
-        _check_keys(ob, _LOAD_KEYS, _LOAD_KEYS, path)
-        lbus = _intval(ob, "bus", path)
-        if lbus not in seen_bus:
-            raise CaseError(f"references missing bus {lbus}", f"{path}.bus")
-        loads.append(Load(lbus, _num(ob, "p_mw", path), _num(ob, "q_mvar", path)))
-
-    return PowerSystemCase(
-        base_mva=base_mva, base_frequency_hz=base_f,
-        buses=tuple(buses), branches=tuple(branches), machines=tuple(machines),
-        governors=tuple(governors), exciters=tuple(exciters), psss=tuple(psss),
-        loads=tuple(loads),
-    )
+def _document(record) -> dict:
+    """A record as its case-file object: sections as lists, None left out."""
+    doc = {}
+    for f in _schema(type(record))[0]:
+        value = getattr(record, f.name)
+        if f.section is not None:
+            value = [_document(r) for r in value]
+        if value is not None:
+            doc[f.key] = value
+    return doc
 
 
 def render_case(case: PowerSystemCase) -> str:
     """Serialize a case back to its JSON document form (parse/render round-trips)."""
-
-    def clean(d: dict) -> dict:
-        return {k: v for k, v in d.items() if v is not None}
-
-    doc = {
-        "base_mva": case.base_mva,
-        "base_frequency_hz": case.base_frequency_hz,
-        "buses": [clean({"id": b.id, "kind": b.kind, "voltage_setpoint": b.voltage_setpoint,
-                         "shunt_susceptance": b.shunt_susceptance}) for b in case.buses],
-        "branches": [{"from": br.from_bus, "to": br.to_bus, "circuit": br.circuit,
-                      "r": br.r, "x": br.x, "b": br.b, "in_service": br.in_service}
-                     for br in case.branches],
-        "machines": [{f.name: getattr(m, f.name) for f in fields(Machine)} for m in case.machines],
-        "governors": [{f.name: getattr(g, f.name) for f in fields(GovernorParams)} for g in case.governors],
-        "exciters": [{f.name: getattr(e, f.name) for f in fields(ExciterParams)} for e in case.exciters],
-        "psss": [{f.name: getattr(p, f.name) for f in fields(PssParams)} for p in case.psss],
-        "loads": [{"bus": l.bus, "p_mw": l.p_mw, "q_mvar": l.q_mvar} for l in case.loads],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(_document(case), indent=2) + "\n"
 
 
 # --- validation --------------------------------------------------------------
@@ -364,7 +343,6 @@ def validate_case(case: PowerSystemCase) -> list[str]:
     if len(slacks) != 1:
         v.append(f"expected exactly one slack bus, found {len(slacks)}: {slacks}")
 
-    bus_ids = {b.id for b in case.buses}
     for br in case.branches:
         tag = f"branch {br.key()}"
         if br.x == 0.0:
@@ -382,8 +360,6 @@ def validate_case(case: PowerSystemCase) -> list[str]:
             v.append(f"{tag}: transient time constants must be positive")
         if m.mva <= 0:
             v.append(f"{tag}: rating must be positive")
-        if m.bus not in bus_ids:
-            v.append(f"{tag}: attached bus {m.bus} does not exist")
 
     for g in case.governors:
         tag = f"governor on machine {g.machine}"
@@ -410,10 +386,6 @@ def validate_case(case: PowerSystemCase) -> list[str]:
         if p.vmin >= p.vmax:
             v.append(f"{tag}: output limits out of order")
 
-    for l in case.loads:
-        if l.bus not in bus_ids:
-            v.append(f"load at bus {l.bus}: bus does not exist")
-
     for b in case.buses:
         if b.kind in ("pv", "slack"):
             machs = [m for m in case.machines if m.bus == b.id]
@@ -425,7 +397,7 @@ def validate_case(case: PowerSystemCase) -> list[str]:
             elif not machs:
                 v.append(f"bus {b.id}: {b.kind} bus with no setpoint and no machine")
 
-    if len(bus_ids) > 1:
+    if len({b.id for b in case.buses}) > 1:
         unreachable = unreachable_buses(case)
         if unreachable:
             v.append(f"network not connected over in-service branches; "
@@ -453,33 +425,14 @@ def unreachable_buses(case: PowerSystemCase) -> set[int]:
 
 # --- transforms --------------------------------------------------------------
 
-def scale_stress(case: PowerSystemCase, fraction: float,
-                 load_buses: list[int] | None = None,
-                 machine_ids: list[int] | None = None) -> PowerSystemCase:
-    """Scale P and Q of the listed loads and scheduled P of the listed machines.
-
-    `None` selects every load / every machine.  fraction must be positive.
-    """
+def scale_stress(case: PowerSystemCase, fraction: float) -> PowerSystemCase:
+    """Scale P and Q of every load and the scheduled P of every machine by
+    `fraction`, which must be positive."""
     if fraction <= 0:
         raise CaseError("stress fraction must be positive")
-    bus_ids = {b.id for b in case.buses}
-    load_buses_set = set(load_buses) if load_buses is not None else {l.bus for l in case.loads}
-    for b in load_buses_set:
-        if b not in bus_ids:
-            raise CaseError(f"unknown bus {b} in stress load list")
-    mach_ids = {m.id for m in case.machines}
-    machine_set = set(machine_ids) if machine_ids is not None else mach_ids
-    for m in machine_set:
-        if m not in mach_ids:
-            raise CaseError(f"unknown machine {m} in stress generator list")
-
-    loads = tuple(
-        replace(l, p_mw=l.p_mw * fraction, q_mvar=l.q_mvar * fraction)
-        if l.bus in load_buses_set else l
-        for l in case.loads)
-    machines = tuple(
-        replace(m, p_sched_mw=m.p_sched_mw * fraction) if m.id in machine_set else m
-        for m in case.machines)
+    loads = tuple(replace(l, p_mw=l.p_mw * fraction, q_mvar=l.q_mvar * fraction)
+                  for l in case.loads)
+    machines = tuple(replace(m, p_sched_mw=m.p_sched_mw * fraction) for m in case.machines)
     return replace(case, loads=loads, machines=machines)
 
 

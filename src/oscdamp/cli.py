@@ -24,7 +24,7 @@ from .smallsignal import (NonEquilibriumError, NoOscillatoryMode, linearize,
 from .synthesis import (SynthesisError, ControllerSet, design_controllers,
                         synthesis_lmi, DEFAULT_BOUND_SCALE)
 from .simulator import (ScenarioError, parse_scenario, simulate, measure,
-                        ringdown_damping)
+                        check_channels, ringdown_damping)
 from .lmi import LmiError, export_sdpa
 from .areas import machine_areas, tie_flow_mw
 from .report import write_report
@@ -90,8 +90,9 @@ def _controllers_for(case, args, eq=None) -> ControllerSet | None:
     subset = _subset_from_arg(case, args.controllers)
     if args.gains:
         doc = json.loads(Path(args.gains).read_text())
-        ctrl = ControllerSet.from_dict(doc["results"]["controllers"]
-                                       if "results" in doc else doc)
+        if isinstance(doc, dict) and isinstance(doc.get("results"), dict):
+            doc = doc["results"].get("controllers")
+        ctrl = ControllerSet.from_dict(doc)
         if subset is not None:
             ctrl.gains[[mid not in subset for mid in ctrl.machine_ids]] = 0.0
         ids = tuple(m.id for m in case.machines)
@@ -247,11 +248,12 @@ def cmd_design(args) -> int:
 def cmd_simulate(args) -> int:
     case, text = _load_case(args.case)
     scenario = parse_scenario(Path(args.scenario).read_text())
-    controllers = _controllers_for(case, args)
-    result = simulate(case, controllers, scenario)
-    ids = result.layout.machine_ids
+    ids = [m.id for m in case.machines]
     channels = args.channels.split(",") if args.channels else \
         [f"delta_rel:{ids[-1]}:{ids[0]}"] + [f"omega:{m}" for m in ids]
+    check_channels(case, channels)
+    controllers = _controllers_for(case, args)
+    result = simulate(case, controllers, scenario)
     ring = {}         # a diverged trace has no ringdown to read
     for ch in channels:
         if ch.startswith("delta_rel") and not result.divergent:

@@ -17,14 +17,14 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .case import PowerSystemCase, apply_line_trip
+from .case import CaseError, PowerSystemCase, apply_line_trip, check_keys, read_value
 from .powerflow import (KronReductionError, ReducedNetwork, branch_power,
                         solve_power_flow, kron_reduce, load_admittances)
-from .dynamics import StateLayout, initialize_from_power_flow
+from .dynamics import StateLayout, build_layout, initialize_from_power_flow
 from .synthesis import ControllerSet
 from . import kernels
 
@@ -34,8 +34,8 @@ from . import kernels
 _DERIVED_BLOCK_ROWS = 512
 
 
-class ScenarioError(Exception):
-    pass
+class ScenarioError(CaseError):
+    """A malformed scenario, or an event the case cannot take."""
 
 
 @dataclass(frozen=True)
@@ -81,22 +81,48 @@ class Scenario:
                 raise ScenarioError(f"{where} names machine(s) {unknown} the case lacks")
 
 
-def _machine_selection(value, where: str, words: tuple[str, ...]):
-    """One of `words`, or a list of machine ids (returned as a tuple)."""
+_REQUIRED = object()     # an event key without a default
+
+# each action's keys besides `time` and `type`, in the order of Event.params:
+# (key, declared type, default); the type `tuple` is 'all' or machine ids
+EVENT_KEYS = {
+    "trip_line": (("from", int, _REQUIRED), ("to", int, _REQUIRED),
+                  ("circuit", int, _REQUIRED)),
+    "step_load": (("bus", int, _REQUIRED), ("dp_mw", float, 0.0), ("dq_mvar", float, 0.0)),
+    "activate_controllers": (("machines", tuple, "all"),),
+    "deactivate_controllers": (("machines", tuple, "all"),),
+}
+
+
+def _machine_selection(value, path: str, words: tuple[str, ...]):
+    """One of `words`, or a list of integer machine ids (returned as a tuple)."""
     if isinstance(value, list):
-        return tuple(value)
+        return tuple(read_value(v, int, f"{path}[{i}]", ScenarioError)
+                     for i, v in enumerate(value))
     if value in words:
         return value
-    raise ScenarioError(f"{where}: expected {' or '.join(map(repr, words))} or a "
-                        f"list of machine ids, not {value!r}")
+    raise ScenarioError(f"expected {' or '.join(map(repr, words))} or a "
+                        f"list of machine ids, not {value!r}", path)
 
 
-def _finite(value) -> float:
-    """`value` as a finite float; ValueError if it is not finite."""
-    x = float(value)
-    if not math.isfinite(x):
-        raise ValueError(f"{value!r} is not a finite number")
-    return x
+def _read_event(ev, path: str) -> Event:
+    """An event object: `time`, `type` and exactly the keys of its action."""
+    if not isinstance(ev, dict):
+        raise ScenarioError("expected an object", path)
+    action = ev.get("type")
+    spec = EVENT_KEYS.get(action) if isinstance(action, str) else None
+    if spec is None:
+        raise ScenarioError(f"expected one of {sorted(EVENT_KEYS)}, not {action!r}",
+                            f"{path}.type")
+    check_keys(ev, {"time", "type", *(k for k, _, _ in spec)},
+               {"time", "type", *(k for k, _, d in spec if d is _REQUIRED)},
+               path, ScenarioError)
+    params = tuple(_machine_selection(ev.get(key, default), f"{path}.{key}", ("all",))
+                   if kind is tuple else
+                   read_value(ev.get(key, default), kind, f"{path}.{key}", ScenarioError)
+                   for key, kind, default in spec)
+    return Event(read_value(ev["time"], float, f"{path}.time", ScenarioError),
+                 action, params)
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -106,44 +132,19 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError(f"scenario syntax error: {exc.msg} (line {exc.lineno})") from exc
     if not isinstance(raw, dict):
         raise ScenarioError("scenario top level must be an object")
-    known = {"duration", "dt", "events", "initial_active"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ScenarioError(f"unknown scenario key(s) {sorted(unknown)}")
-    if "duration" not in raw:
-        raise ScenarioError("scenario requires a duration")
-    if not isinstance(raw.get("events", []), list):
-        raise ScenarioError("scenario events must be a list")
-    events = []
-    for i, ev in enumerate(raw.get("events", [])):
-        try:
-            t = _finite(ev["time"])
-            kind = ev["type"]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ScenarioError(f"events[{i}]: needs a finite time and a type") from exc
-        try:
-            if kind == "trip_line":
-                params = (int(ev["from"]), int(ev["to"]), int(ev["circuit"]))
-            elif kind == "step_load":
-                params = (int(ev["bus"]), _finite(ev.get("dp_mw", 0.0)),
-                          _finite(ev.get("dq_mvar", 0.0)))
-            elif kind in ("activate_controllers", "deactivate_controllers"):
-                params = (_machine_selection(ev.get("machines", "all"),
-                                             f"events[{i}].machines", ("all",)),)
-            else:
-                raise ScenarioError(f"events[{i}]: unknown action {kind!r}")
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ScenarioError(f"events[{i}]: {kind} has a missing or malformed "
-                                f"field ({type(exc).__name__}: {exc})") from exc
-        events.append(Event(time=t, action=kind, params=params))
-    try:
-        duration, dt = _finite(raw["duration"]), _finite(raw.get("dt", 0.005))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"duration and dt must be finite numbers ({exc})") from exc
-    sc = Scenario(duration=duration, dt=dt,
-                  events=tuple(sorted(events, key=lambda e: e.time)),
-                  initial_active=_machine_selection(raw.get("initial_active", "all"),
-                                                    "initial_active", ("all", "none")))
+    check_keys(raw, {f.name for f in fields(Scenario)},
+               {f.name for f in fields(Scenario) if f.default is MISSING},
+               "scenario", ScenarioError)
+    events = raw.get("events", [])
+    if not isinstance(events, list):
+        raise ScenarioError("expected a list", "events")
+    sc = Scenario(
+        duration=read_value(raw["duration"], float, "scenario.duration", ScenarioError),
+        dt=read_value(raw.get("dt", Scenario.dt), float, "scenario.dt", ScenarioError),
+        events=tuple(sorted((_read_event(ev, f"events[{i}]") for i, ev in enumerate(events)),
+                            key=lambda e: e.time)),
+        initial_active=_machine_selection(raw.get("initial_active", Scenario.initial_active),
+                                          "scenario.initial_active", ("all", "none")))
     sc.validate()
     return sc
 
@@ -355,6 +356,8 @@ def measure(result: SimulationResult, channel: str) -> np.ndarray:
     voltages; zero after the branch trips)."""
     parts = channel.split(":")
     kind = parts[0]
+    if len(parts) != {"delta_rel": 3, "flow": 4}.get(kind, 2):
+        raise ScenarioError(f"unknown channel {channel!r}")
     ids = list(result.layout.machine_ids)
     try:
         if kind == "delta_rel":
@@ -372,9 +375,23 @@ def measure(result: SimulationResult, channel: str) -> np.ndarray:
         if kind == "flow":
             return _branch_flow_series(result, int(parts[1]), int(parts[2]),
                                        int(parts[3]))
-    except (KeyError, ValueError, IndexError) as exc:
+    except (KeyError, ValueError) as exc:
         raise ScenarioError(f"unknown channel {channel!r}") from exc
     raise ScenarioError(f"unknown channel {channel!r}")
+
+
+def check_channels(case: PowerSystemCase, channels: list[str]) -> None:
+    """Refuse a channel that `measure` could not read from a run of `case`,
+    before the run: `measure` reads each one from a run of no rows."""
+    lay = build_layout(case)
+    none = np.zeros((0, len(lay.machine_ids)))
+    empty = SimulationResult(time=np.zeros(0), states=np.zeros((0, lay.n_states)),
+                             layout=lay, pe_sys=none, pm_sys=none, u=none,
+                             bus_voltage=np.zeros((0, len(case.buses)), dtype=complex),
+                             bus_ids=tuple(b.id for b in case.buses), event_log=[],
+                             case=case)
+    for channel in channels:
+        measure(empty, channel)
 
 
 def _branch_flow_series(result: SimulationResult, f: int, t: int,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .case import CaseError, PowerSystemCase
+from .case import CaseError, PowerSystemCase, check_keys, read_value
 from .powerflow import ReducedNetwork
 from .dynamics import DesignModel, Equilibrium, build_design_matrices
 from .lmi import (LmiProblem, Term, LmiSolution, SolutionCheck, solve_sdp,
@@ -297,9 +297,29 @@ class ControllerSet:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ControllerSet":
-        """Read a `controllers` block; an `x_ref` entry of older files is ignored."""
-        return cls(machine_ids=tuple(d["machine_ids"]),
-                   gains=np.array(d["gains"], dtype=float))
+        """Read a `controllers` block: distinct integer `machine_ids` and, per
+        id, a row of 5 finite gains; an `x_ref` entry of older files is ignored."""
+        if not isinstance(d, dict):
+            raise CaseError("expected an object", "controllers")
+        check_keys(d, {"machine_ids", "gains", "x_ref"}, {"machine_ids", "gains"},
+                   "controllers")
+        ids, rows = d["machine_ids"], d["gains"]
+        if not isinstance(ids, list):
+            raise CaseError("expected a list", "controllers.machine_ids")
+        ids = tuple(read_value(v, int, f"controllers.machine_ids[{i}]")
+                    for i, v in enumerate(ids))
+        if len(set(ids)) != len(ids):
+            raise CaseError(f"machine ids repeat: {list(ids)}", "controllers.machine_ids")
+        if not isinstance(rows, list) or len(rows) != len(ids):
+            raise CaseError(f"expected a list of {len(ids)} rows, one per machine id",
+                            "controllers.gains")
+        gains = np.zeros((len(ids), 5))
+        for i, row in enumerate(rows):
+            if not isinstance(row, list) or len(row) != 5:
+                raise CaseError("expected a row of 5 numbers", f"controllers.gains[{i}]")
+            gains[i] = [read_value(v, float, f"controllers.gains[{i}][{j}]")
+                        for j, v in enumerate(row)]
+        return cls(machine_ids=ids, gains=gains)
 
 
 @dataclass

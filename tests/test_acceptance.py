@@ -80,7 +80,7 @@ def test_criterion_2_robust_improvement(bundled_case, bundled_eq, bundled_areas)
 def test_criterion_3_topology_robustness(bundled_case, bundled_design,
                                          bundled_areas):
     ctrl, _ = bundled_design
-    stressed = scale_stress(bundled_case, 1.0558, [4, 14], [1, 2, 3, 4])
+    stressed = scale_stress(bundled_case, 1.0558)
     tripped = apply_line_trip(stressed, 3, 101, 1)
     pre, _ = _min_mode(stressed)
     post, _ = _min_mode(tripped)
@@ -112,7 +112,7 @@ def test_criterion_4_stress_sweep(bundled_case, bundled_design):
 
 def test_criterion_5_activation_scenario(bundled_case, bundled_design):
     ctrl, _ = bundled_design
-    stressed = scale_stress(bundled_case, 1.0558, [4, 14], [1, 2, 3, 4])
+    stressed = scale_stress(bundled_case, 1.0558)
     scenario = Scenario(duration=30.0, dt=0.005,
                         events=(Event(1.0, "trip_line", (3, 101, 1)),
                                 Event(10.0, "activate_controllers", ("all",))),

@@ -1,11 +1,13 @@
 import json
 import math
+from dataclasses import is_dataclass
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
 
-from oscdamp.case import (CaseError, parse_case, render_case, validate_case,
-                          scale_stress, apply_line_trip)
+from oscdamp.case import (CaseError, PowerSystemCase, VALUE_TYPES, parse_case,
+                          render_case, validate_case, scale_stress, apply_line_trip)
 from conftest import make_two_bus_text
 
 
@@ -63,13 +65,18 @@ def test_unknown_key_rejected():
     ("branches", 0, None, [1, 2], "branches[0]"),
     ("branches", 0, "in_service", "false", "branches[0].in_service"),
     ("branches", 0, "in_service", 0, "branches[0].in_service"),
+    ("branches", 0, "from", 1.0, "branches[0].from"),
+    ("buses", 0, "kind", 5, "buses[0].kind"),
+    ("governors", 0, "machine", True, "governors[0].machine"),
+    ("governors", 0, "machine", 7, "governors[0].machine"),
 ], ids=["h-nan", "xd-inf", "x-minus-inf", "load-nan", "droop-nan", "h-past-float",
         "base-inf", "buses-not-list", "governors-not-list", "load-not-object",
-        "branch-not-object", "in-service-string", "in-service-int"])
+        "branch-not-object", "in-service-string", "in-service-int", "from-float",
+        "kind-int", "governor-machine-bool", "governor-missing-machine"])
 def test_non_finite_and_wrong_typed_fields_rejected(section, index, key, value, path):
     """Non-finite numbers (which Python's json reads), sections that are not
-    lists of objects and a non-boolean `in_service` are case errors that name
-    the field."""
+    lists of objects, values of another type than the field's and dangling
+    references are case errors that name the field."""
     doc = json.loads(make_two_bus_text())
     if section is None:
         doc[key] = value
@@ -113,6 +120,44 @@ def test_round_trip_exact(bundled_case, two_bus_case):
         assert parse_case(render_case(case)) == case
 
 
+def _record_types(cls=PowerSystemCase):
+    """The case record type and the record types its sections hold."""
+    yield cls
+    for kind in get_type_hints(cls).values():
+        if get_origin(kind) is tuple:
+            yield from _record_types(get_args(kind)[0])
+
+
+def test_every_case_field_has_a_reader():
+    """Each field of each case record has a value reader for its declared
+    type or is a section of records, so a new field of a type the reader
+    lacks fails here rather than being read loosely."""
+    types = list(_record_types())
+    assert len(types) == 8
+    for cls in types:
+        for name, kind in get_type_hints(cls).items():
+            section = get_origin(kind) is tuple and is_dataclass(get_args(kind)[0])
+            assert kind in VALUE_TYPES or section, (cls.__name__, name, kind)
+
+
+def test_round_trip_with_optional_fields_left_out():
+    """A bus without `voltage_setpoint` or `shunt_susceptance`, a branch
+    without `in_service` and a case without exciters or PSSs take the record
+    defaults, and render back to a document that parses to the same case."""
+    doc = json.loads(make_two_bus_text())
+    assert set(doc["buses"][1]) == {"id", "kind"}
+    assert "in_service" not in doc["branches"][0]
+    assert "exciters" not in doc and "psss" not in doc
+    case = parse_case(json.dumps(doc))
+    assert case.buses[1].voltage_setpoint is None
+    assert case.buses[1].shunt_susceptance == 0.0
+    assert case.branches[0].in_service is True
+    assert case.exciters == () and case.psss == ()
+    rendered = json.loads(render_case(case))
+    assert "voltage_setpoint" not in rendered["buses"][1]
+    assert parse_case(render_case(case)) == case
+
+
 def test_round_trip_random_values():
     rng = np.random.default_rng(7)
     for _ in range(25):
@@ -128,17 +173,24 @@ def test_scale_stress_identity(bundled_case):
 
 
 def test_scale_stress_heavy_loading_values(bundled_case):
-    scaled = scale_stress(bundled_case, 1.0558, [4, 14], [1, 2, 3, 4])
+    scaled = scale_stress(bundled_case, 1.0558)
     loads = {l.bus: l for l in scaled.loads}
     assert loads[4].p_mw == pytest.approx(1030.4608, abs=1e-9)
     assert loads[14].p_mw == pytest.approx(1855.0406, abs=1e-9)
 
 
 def test_scale_stress_arithmetic(bundled_case):
-    scaled = scale_stress(bundled_case, 0.5, [4], [])
+    """Every load's P and Q and every machine's scheduled P scale; nothing else does."""
+    scaled = scale_stress(bundled_case, 0.5)
     loads = {l.bus: l for l in scaled.loads}
     assert loads[4].p_mw == pytest.approx(488.0)
-    assert loads[14].p_mw == 1757.0      # untouched
+    assert loads[14].p_mw == pytest.approx(878.5)
+    for before, after in zip(bundled_case.loads, scaled.loads):
+        assert after.q_mvar == pytest.approx(0.5 * before.q_mvar)
+    for before, after in zip(bundled_case.machines, scaled.machines):
+        assert after.p_sched_mw == pytest.approx(0.5 * before.p_sched_mw)
+        assert after.v_sched == before.v_sched
+    assert scaled.branches == bundled_case.branches
 
 
 def test_scale_stress_composes(bundled_case):
@@ -154,13 +206,10 @@ def test_scale_stress_composes(bundled_case):
             assert m1.p_sched_mw == pytest.approx(m2.p_sched_mw, rel=1e-12)
 
 
-def test_scale_stress_unknown_ids(bundled_case):
-    with pytest.raises(CaseError, match="unknown bus"):
-        scale_stress(bundled_case, 1.1, [999], [])
-    with pytest.raises(CaseError, match="unknown machine"):
-        scale_stress(bundled_case, 1.1, [], [17])
-    with pytest.raises(CaseError, match="positive"):
-        scale_stress(bundled_case, 0.0)
+def test_scale_stress_nonpositive_fraction(bundled_case):
+    for fraction in (0.0, -1.1):
+        with pytest.raises(CaseError, match="positive"):
+            scale_stress(bundled_case, fraction)
 
 
 def test_apply_line_trip(bundled_case):

@@ -338,6 +338,29 @@ def test_gains_missing_a_machine_is_input_error(command, case_path, tmp_path, ca
     assert "input error:" in err and "[4]" in err
 
 
+@pytest.mark.parametrize("edit, path", [
+    (lambda d: d.update(gains=[row[:2] for row in d["gains"]]), "controllers.gains[0]"),
+    (lambda d: d.pop("machine_ids"), "controllers"),
+    (lambda d: d["gains"][1].__setitem__(2, math.nan), "controllers.gains[1][2]"),
+    (lambda d: d["gains"][0].__setitem__(0, "1.0"), "controllers.gains[0][0]"),
+    (lambda d: d["gains"].pop(), "controllers.gains"),
+    (lambda d: d["machine_ids"].__setitem__(1, 1), "controllers.machine_ids"),
+    (lambda d: d["machine_ids"].__setitem__(0, 1.0), "controllers.machine_ids[0]"),
+    (lambda d: d.update(note="x"), "controllers"),
+], ids=["rows-of-two", "no-machine-ids", "nan-gain", "string-gain", "row-missing",
+        "repeated-id", "float-id", "unknown-key"])
+def test_malformed_gains_file_is_input_error(edit, path, case_path, tmp_path, capsys,
+                                             bundled_design):
+    """A `--gains` file is read strictly: distinct integer machine ids and
+    one row of 5 finite numbers per id; anything else names the field."""
+    doc = bundled_design[0].to_dict()
+    edit(doc)
+    gains = tmp_path / "gains.json"
+    gains.write_text(json.dumps({"results": {"controllers": doc}}))
+    assert main(["modal", "--case", case_path, "--gains", str(gains)]) == EXIT_INPUT
+    assert f"input error: {path}:" in capsys.readouterr().err
+
+
 def test_scan_radial_case_all_island(tmp_path):
     p = tmp_path / "radial.json"
     p.write_text(make_two_bus_text())
@@ -482,6 +505,19 @@ _TRIP_AT_1 = {"time": 1.0, "type": "trip_line", "from": 3, "to": 101, "circuit":
     (["simulate", "--band", "nan", "2"], {"duration": 1.0}, None),
     (["simulate", "--band", "0.1", "150"], {"duration": 1.0}, None),
     (["simulate", "--band", "0", "2"], {"duration": 1.0}, None),
+    (["simulate"], {"duration": 1.0, "events": [{**_TRIP_AT_1, "from": 3.9}]}, None),
+    (["simulate"], {"duration": 1.0, "events": [{**_TRIP_AT_1, "circuit": "1"}]}, None),
+    (["simulate"], {"duration": 1.0, "events": [{**_TRIP_AT_1, "to": True}]}, None),
+    (["simulate"], {"duration": 1.0, "events": [{**_TRIP_AT_1, "circuit": True}]}, None),
+    (["simulate"], {"duration": 1.0, "events": [{**_TRIP_AT_1, "note": "tie"}]}, None),
+    (["simulate"], {"duration": 1.0, "events": [
+        {"time": 0.5, "type": "step_load", "bus": 4, "dp_mw": "100"}]}, None),
+    (["simulate", "--channels", "bogus:1"], {"duration": 1.0}, None),
+    (["simulate", "--channels", "omega:9"], {"duration": 1.0}, None),
+    (["simulate", "--channels", "omega:1:junk"], {"duration": 1.0}, None),
+    (["simulate", "--channels", "delta_rel:3"], {"duration": 1.0}, None),
+    (["simulate", "--channels", "bogus:1", "--out", "{out}"], {"duration": 1.0}, None),
+    (["simulate", "--channels", "omega:1,omega:9", "--out", "{out}"], {"duration": 1.0}, None),
 ], ids=["fractions", "modal-controllers", "design-controllers", "beta-bar",
         "bound-scale", "trip-without-from", "duration", "initial-active",
         "activate-machines", "duration-off-grid", "trip-past-grid",
@@ -489,7 +525,11 @@ _TRIP_AT_1 = {"time": 1.0, "type": "trip_line", "from": 3, "to": 101, "circuit":
         "scenario-list", "case-buses-not-list", "case-load-not-object", "case-h-nan",
         "case-in-service-string", "modal-band-reversed", "modal-band-nan",
         "sweep-band-infinite", "simulate-band-reversed", "simulate-band-negative",
-        "simulate-band-nan", "simulate-band-past-nyquist", "simulate-band-zero-lo"])
+        "simulate-band-nan", "simulate-band-past-nyquist", "simulate-band-zero-lo",
+        "trip-from-float", "trip-circuit-string", "trip-to-bool", "trip-circuit-bool", "event-unknown-key",
+        "step-load-dp-string", "channel-unknown-kind", "channel-unknown-machine",
+        "channel-trailing-part", "channel-missing-part",
+        "channel-unknown-kind-out", "channel-unknown-machine-out"])
 def test_malformed_flags_and_scenarios_are_input_errors(argv, scenario, case_edit,
                                                         case_path, tmp_path, capsys,
                                                         bundled_design):
@@ -506,8 +546,11 @@ def test_malformed_flags_and_scenarios_are_input_errors(argv, scenario, case_edi
         doc = json.loads(Path(case_path).read_text())
         case_edit(doc)
         Path(case_path).write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = [str(out) if a == "{out}" else a for a in argv]
     assert main([argv[0], "--case", case_path, *argv[1:], *extra]) == EXIT_INPUT
     assert "input error:" in capsys.readouterr().err
+    assert not out.exists()         # refused before anything ran
 
 
 def test_band_from_zero_is_valid_outside_ringdown(case_path, tmp_path):

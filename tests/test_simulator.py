@@ -192,7 +192,7 @@ def test_divergence_marked_not_raised(bundled_case):
 
 def test_activation_reference_is_predisturbance(bundled_case, bundled_design):
     ctrl, _ = bundled_design
-    st = scale_stress(bundled_case, 1.0558, [4, 14], [1, 2, 3, 4])
+    st = scale_stress(bundled_case, 1.0558)
     sc = Scenario(duration=12.0, dt=0.005,
                   events=(Event(1.0, "trip_line", (3, 101, 1)),
                           Event(10.0, "activate_controllers", ("all",))),

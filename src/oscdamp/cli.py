@@ -22,7 +22,7 @@ from .smallsignal import (NonEquilibriumError, NoOscillatoryMode, linearize,
                           closed_loop_matrix, modal_analysis, classify_table,
                           min_damping)
 from .synthesis import (SynthesisError, ControllerSet, design_controllers,
-                        synthesis_lmi, DEFAULT_BOUND_SCALE)
+                        governed_subset, synthesis_lmi, DEFAULT_BOUND_SCALE)
 from .simulator import (ScenarioError, parse_scenario, simulate, measure,
                         check_channels, ringdown_damping)
 from .lmi import LmiError, export_sdpa
@@ -65,16 +65,7 @@ def _subset_from_arg(case, spec: str) -> list[int] | None:
     except ValueError as exc:
         raise CaseError("--controllers takes 'all', 'none' or comma-separated "
                         f"machine ids, not {spec!r}") from exc
-    governed = {m.id for m in case.machines
-                if case.governor_for(m.id) is not None}
-    machine_ids = {m.id for m in case.machines}
-    for mid in subset:
-        if mid not in machine_ids:
-            raise CaseError(f"--controllers names unknown machine {mid}")
-        if mid not in governed:
-            raise CaseError(f"machine {mid} has no steam governor and cannot "
-                            "host a damping controller")
-    return subset
+    return governed_subset(case, subset)
 
 
 def _controllers_for(case, args, eq=None) -> ControllerSet | None:
@@ -240,7 +231,7 @@ def cmd_design(args) -> int:
         results["sdpa_export"] = "synthesis.dat-s"
         write_report(args.out, "design", _config(args), results, text, csvs)
     print(f"design {res.solution.status}: gamma "
-          f"{[round(v, 3) for v in res.gamma.values()]}, closed-loop min zeta "
+          f"{[round(v, 3) for v in res.by_machine('gamma').values()]}, closed-loop min zeta "
           f"{100 * worst.damping_ratio:.2f}% @ {worst.frequency_hz:.3f} Hz")
     return EXIT_OK
 

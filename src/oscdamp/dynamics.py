@@ -99,7 +99,6 @@ class Equilibrium:
     plan: kernels.RhsPlan = field(repr=False, compare=False)
     network: ReducedNetwork
     state: np.ndarray
-    boundary_machines: tuple[int, ...]
 
     # rotor angles and transient EMFs, read from the state through the plan's
     # per-machine indices (rows delta, omega, eqp, edp, ...)
@@ -114,10 +113,6 @@ class Equilibrium:
     @property
     def edp(self) -> np.ndarray:
         return self.state[self.plan.ix_mach[3]]
-
-    def rhs_norm(self) -> float:
-        dy = kernels.rhs(self.state, self.plan, self.network.g, self.network.b)
-        return float(np.max(np.abs(dy)))
 
 
 def _machine_bus_outputs(case: PowerSystemCase, sol: PowerFlowSolution):
@@ -161,7 +156,6 @@ def initialize_from_power_flow(case: PowerSystemCase, sol: PowerFlowSolution,
     y0 = np.zeros(layout.n_states)
     p_out, q_out = _machine_bus_outputs(case, sol)
     vc = sol.voltage()
-    boundary: list[int] = []
     pm_ref, efd_ref, vref = np.zeros(n), np.zeros(n), np.zeros(n)
 
     for k, m in enumerate(case.machines):
@@ -194,9 +188,7 @@ def initialize_from_power_flow(case: PowerSystemCase, sol: PowerFlowSolution,
                 raise InitializationError(
                     f"machine {m.id}: equilibrium requires valve opening "
                     f"{pm_m:.4f} < 0 (infeasible dispatch)")
-            if pm_m <= 1e-12 or pm_m >= 1.0 - 1e-12:
-                boundary.append(m.id)
-                pm_m = min(max(pm_m, 0.0), 1.0)
+            pm_m = min(max(pm_m, 0.0), 1.0)      # roundoff past a limit sits on it
             y0[layout.idx(m.id, "pm")] = pm_m
             y0[layout.idx(m.id, "xm")] = pm_m
             y0[layout.idx(m.id, "xe")] = pm_m
@@ -215,4 +207,4 @@ def initialize_from_power_flow(case: PowerSystemCase, sol: PowerFlowSolution,
 
     return Equilibrium(layout=layout,
                        plan=kernels.RhsPlan(case, layout, pm_ref, efd_ref, vref),
-                       network=reduced, state=y0, boundary_machines=tuple(boundary))
+                       network=reduced, state=y0)

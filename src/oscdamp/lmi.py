@@ -20,9 +20,10 @@ inverse comes from the inverse of its Cholesky factor.  Terms are small blocks
 at offsets, and the F_k are built from their (variable, row, column, value)
 triplets, the coordinate form of SDPA files, with no dense matrix per variable.
 
-The module also writes/reads the SDPA sparse exchange format (``.dat-s``) so
-third-party solvers can cross-check solutions, and re-verifies any solution
-independently of the solver internals (:func:`check_solution`).
+The module also writes the SDPA sparse exchange format (``.dat-s``) so
+third-party solvers can cross-check solutions, and certifies any solution
+independently of the solver internals (:func:`check_solution`); the solver
+itself computes no certificate.
 """
 
 from __future__ import annotations
@@ -306,7 +307,6 @@ class LmiSolution:
     objective: float
     x: np.ndarray
     gap: float
-    residual_min_eigs: list
     iterations: int
     sdp: CanonicalSdp                 # the canonical form that was solved
 
@@ -396,15 +396,6 @@ def _combine(layout: _Layout, x: np.ndarray) -> list:
 
 def _eval_blocks(layout: _Layout, x: np.ndarray) -> list:
     return [g.f0 + s for g, s in zip(layout.groups, _combine(layout, x))]
-
-
-def _min_eigs(layout: _Layout, x: np.ndarray) -> list:
-    """Smallest eigenvalue of every block at x, in block order."""
-    mins = {}
-    for g, s in zip(layout.groups, _eval_blocks(layout, x)):
-        lows = np.linalg.eigvalsh(0.5 * (s + s.transpose(0, 2, 1)))[:, 0]
-        mins.update(zip(g.members, lows.tolist()))
-    return [mins[b] for b in range(len(mins))]
 
 
 def _try_cholesky(blocks: list):
@@ -513,28 +504,26 @@ def solve_sdp(problem: LmiProblem) -> LmiSolution:
     sdp = canonicalize(problem)
     n = sdp.n_vars
     m_total = sdp.total_dim
-    main = _prep_layouts(sdp)
 
     def finish(status, x, iters):
         obj = float(sdp.c @ x)
         gap = m_total / t_final if status == "optimal" else float("inf")
         return LmiSolution(status=status, values=_values_from_x(problem, x),
-                           objective=obj, x=x.copy(), gap=gap,
-                           residual_min_eigs=_min_eigs(main, x), iterations=iters,
+                           objective=obj, x=x.copy(), gap=gap, iterations=iters,
                            sdp=sdp)
 
+    # smallest eigenvalue of each block at x = 0
+    f0_low = [float(np.linalg.eigvalsh(0.5 * (f + f.T))[0]) for f in sdp.f0]
     if n == 0:
         t_final = float("inf")
-        x = np.zeros(0)
-        feasible = all(e >= -1e-12 for e in _min_eigs(main, x))
-        return finish("optimal" if feasible else "infeasible", x, 0)
+        feasible = all(e >= -1e-12 for e in f0_low)
+        return finish("optimal" if feasible else "infeasible", np.zeros(0), 0)
 
     scale = max(1.0, max(np.max(np.abs(f)) for f in sdp.f0))
 
     # ---- phase 1: minimize slack s with blocks F(x) + s I
     c_aug = np.concatenate([np.zeros(n), [1.0]])
-    s0 = max(0.0, max(-float(np.min(np.linalg.eigvalsh(0.5 * (f + f.T))))
-                      for f in sdp.f0)) + 1.0 + 0.1 * scale
+    s0 = max(0.0, -min(f0_low)) + 1.0 + 0.1 * scale
     xz = np.concatenate([np.zeros(n), [s0]])
     t = 1.0
     iters = 0
@@ -561,6 +550,7 @@ def solve_sdp(problem: LmiProblem) -> LmiSolution:
 
     # ---- phase 2: follow the central path of the true objective
     x = feasible_x
+    main = _prep_layouts(sdp)
     t = max(1.0, m_total / (1.0 + abs(float(sdp.c @ x))))
     status = "iteration_limit"
     for _ in range(MAX_OUTER):
@@ -644,43 +634,3 @@ def export_sdpa(problem: LmiProblem | CanonicalSdp) -> str:
             out.write(f"{k} {b + 1} {i + 1} {j + 1} {v!r}\n")
     return out.getvalue()
 
-
-def read_sdpa(text: str) -> LmiProblem:
-    """Parse SDPA sparse format into an equivalent scalar-variable problem."""
-    tokens: list[str] = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("*") or stripped.startswith('"'):
-            continue
-        tokens.extend(stripped.replace(",", " ").replace("{", " ").replace("}", " ")
-                      .replace("(", " ").replace(")", " ").split())
-    rest = iter(tokens)
-
-    def take() -> str:
-        tok = next(rest, None)
-        if tok is None:
-            raise LmiError("truncated SDPA input")
-        return tok
-
-    m, nblocks = int(take()), int(take())
-    dims = [abs(int(take())) for _ in range(nblocks)]
-    c = [float(take()) for _ in range(m)]
-    f0 = [np.zeros((d, d)) for d in dims]
-    entries = {}        # (variable, block, row, col) -> value; a repeated entry keeps the last
-    for matno in map(int, rest):
-        blkno, i, j, v = int(take()) - 1, int(take()) - 1, int(take()) - 1, float(take())
-        if matno == 0:
-            f0[blkno][i, j] = f0[blkno][j, i] = v
-        else:
-            entries[matno - 1, blkno, min(i, j), max(i, j)] = v
-
-    problem = LmiProblem()
-    for k in range(m):
-        problem.add_scalar(f"x{k + 1}")
-        problem.objective[f"x{k + 1}"] = c[k]
-    cons = [problem.add_constraint(f"block{b + 1}", dims[b], const=-f0[b])
-            for b in range(nblocks)]
-    for (k, b, i, j), v in entries.items():
-        if v != 0.0:
-            cons[b].terms.append(Term(f"x{k + 1}", [[v]], [[1.0]], i, j, symmetrize=i != j))
-    return problem

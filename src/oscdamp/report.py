@@ -50,9 +50,3 @@ def write_report(out_dir: str | Path, name: str, config: dict, results: dict,
     for fname, text in (csv_files or {}).items():
         (out / fname).write_text(text)
     return path
-
-
-def strip_metadata(report_text: str) -> str:
-    doc = json.loads(report_text)
-    doc.pop("metadata", None)
-    return json.dumps(doc, indent=2, sort_keys=True)

@@ -340,16 +340,21 @@ class SynthesisLmi:
 
 @dataclass
 class SynthesisResult:
+    """A certified design: the LMI, its solution and the solution's check,
+    the designed machines' gain rows (subset order, physical units) and
+    their design-level closed-loop eigenvalues."""
+
     lmi: SynthesisLmi
-    y_mats: dict
-    l_rows: dict
-    gains: dict
-    gamma: dict
-    kappa_y: dict
-    kappa_l: dict
     solution: LmiSolution
     check: SolutionCheck
+    gains: np.ndarray
     closed_loop_eigs: dict = field(default_factory=dict)
+
+    def by_machine(self, name: str) -> dict:
+        """The solution's `name` variable (gamma, kappaY, kappaL, Y) of each
+        designed machine, keyed by machine id as the report writes it."""
+        return {str(mid): self.solution.values[f"{name}{i}"]
+                for i, mid in enumerate(self.lmi.subset)}
 
     def summary(self) -> dict:
         return {
@@ -357,10 +362,10 @@ class SynthesisResult:
             "status": self.solution.status,
             "objective": self.solution.objective,
             "gap": self.solution.gap,
-            "gamma": {str(k): v for k, v in self.gamma.items()},
-            "kappa_y": {str(k): v for k, v in self.kappa_y.items()},
-            "kappa_l": {str(k): v for k, v in self.kappa_l.items()},
-            "gains": {str(k): list(v) for k, v in self.gains.items()},
+            "gamma": self.by_machine("gamma"),
+            "kappa_y": self.by_machine("kappaY"),
+            "kappa_l": self.by_machine("kappaL"),
+            "gains": {str(mid): list(row) for mid, row in zip(self.lmi.subset, self.gains)},
             "min_block_eig": min(self.check.min_eigs),
             "e_max_q": self.lmi.e_max_q.tolist(),
             "e_max_d": self.lmi.e_max_d.tolist(),
@@ -373,16 +378,13 @@ class SynthesisResult:
 
 
 def extract_gains(solution: LmiSolution, design_models: list[DesignModel],
-                  subset_ids: list[int], all_ids: tuple[int, ...],
-                  state_scale: np.ndarray | None = None) -> tuple[ControllerSet, dict]:
-    """Recover k_i = L_i Y_i^{-1} and assert the design-level closed loop is stable.
-
-    `state_scale` undoes any similarity scaling applied to the design models
-    before the solve, returning gains in physical state units.
-    """
-    if solution.status != "optimal":
-        raise SynthesisError(f"solver status {solution.status}; gains unavailable")
-    gains_by_id = {}
+                  all_ids: tuple[int, ...],
+                  state_scale: np.ndarray) -> tuple[ControllerSet, dict]:
+    """Recover k_i = L_i Y_i^{-1} from machine i's own blocks, assert the
+    design-level closed loop is stable, and divide by `state_scale` (the
+    similarity scaling of the design models) for gains in physical state
+    units.  Machines outside the design get zero rows."""
+    gains = np.zeros((len(all_ids), 5))
     eigs_by_id = {}
     for i, dm in enumerate(design_models):
         y = solution.values[f"Y{i}"]
@@ -396,16 +398,28 @@ def extract_gains(solution: LmiSolution, design_models: list[DesignModel],
             raise SynthesisError(
                 f"machine {dm.machine_id}: closed-loop design block not Hurwitz "
                 f"(max Re {np.max(eigs.real):.3e}); solver tolerance failure")
-        if state_scale is not None:
-            k_row = k_row / state_scale
-        gains_by_id[dm.machine_id] = k_row
+        gains[all_ids.index(dm.machine_id)] = k_row / state_scale
         eigs_by_id[dm.machine_id] = eigs
-    n_all = len(all_ids)
-    gains = np.zeros((n_all, 5))
-    for k, mid in enumerate(all_ids):
-        if mid in gains_by_id:
-            gains[k] = gains_by_id[mid]
     return ControllerSet(machine_ids=tuple(all_ids), gains=gains), eigs_by_id
+
+
+def governed_subset(case: PowerSystemCase, subset: list[int] | None = None) -> list[int]:
+    """The machines that host damping controllers: `subset`, or every
+    machine with a governor when it is None.  A controller acts through its
+    machine's steam governor, so an unknown id, a machine without a governor
+    and an empty set are input errors."""
+    governed = [m.id for m in case.machines if case.governor_for(m.id) is not None]
+    subset_ids = governed if subset is None else list(subset)
+    if not subset_ids:
+        raise CaseError("no machine with a steam governor to host a damping controller")
+    known = {m.id for m in case.machines}
+    for mid in subset_ids:
+        if mid not in known:
+            raise CaseError(f"unknown machine {mid} named to host a damping controller")
+        if mid not in governed:
+            raise CaseError(f"machine {mid} has no steam governor and cannot "
+                            "host a damping controller")
+    return subset_ids
 
 
 def synthesis_lmi(case: PowerSystemCase, equilibrium: Equilibrium,
@@ -415,9 +429,10 @@ def synthesis_lmi(case: PowerSystemCase, equilibrium: Equilibrium,
     """The synthesis LMI at an initialized operating point, on the reduced
     network the point was initialized on, assembled but not solved.
 
-    `subset` lists machine ids to host controllers (default: every machine
-    with a governor).  EMF ceilings are E_MAX_FACTOR times the equilibrium
-    magnitudes with an absolute floor of E_MAX_D_FLOOR on the d-axis.
+    `subset` lists machine ids to host controllers (:func:`governed_subset`;
+    default: every machine with a governor).  EMF ceilings are E_MAX_FACTOR
+    times the equilibrium magnitudes with an absolute floor of E_MAX_D_FLOOR
+    on the d-axis.
 
     `bound_scale` sets the disturbance level the gains are certified against,
     as a fraction of the formal quadratic over-bound.  The over-bound's
@@ -425,18 +440,11 @@ def synthesis_lmi(case: PowerSystemCase, equilibrium: Equilibrium,
     conservative (an order of magnitude above any realizable coupling power),
     and certifying against all of it forces valve commands beyond the
     physical [0, 1] range.  The default deploys at a level near the tight
-    empirical disturbance envelope; the verification suite always checks the
-    unscaled bound.  The value is recorded in every report.
+    empirical disturbance envelope, so the gains are certified against
+    `bound_scale` times the bound; :func:`verify_bound` samples the unscaled
+    bound.  The value is recorded in every report.
     """
-    governed = [m.id for m in case.machines if case.governor_for(m.id) is not None]
-    subset_ids = governed if subset is None else list(subset)
-    if not subset_ids:
-        raise SynthesisError("no machines with governors to design for")
-    for mid in subset_ids:
-        if mid not in governed:
-            raise SynthesisError(f"machine {mid} has no steam governor; "
-                                 "it cannot host a damping controller")
-
+    subset_ids = governed_subset(case, subset)
     pos = {m.id: k for k, m in enumerate(case.machines)}
     e_max_q = E_MAX_FACTOR * np.abs(equilibrium.eqp)
     e_max_d = np.maximum(E_MAX_FACTOR * np.abs(equilibrium.edp), E_MAX_D_FLOOR)
@@ -473,24 +481,21 @@ def design_controllers(case: PowerSystemCase, equilibrium: Equilibrium,
                        bound_scale: float = DEFAULT_BOUND_SCALE
                        ) -> tuple[ControllerSet, SynthesisResult]:
     """Full synthesis pipeline: the LMI of :func:`synthesis_lmi`, solved,
-    checked, and read back into gain rows in physical state units."""
+    certified by :func:`check_solution`, and read back into gain rows in
+    physical state units.  A solution the check refuses gives no gains."""
     syn = synthesis_lmi(case, equilibrium, subset, beta_bar, bound_scale)
-    all_ids = tuple(m.id for m in case.machines)
     solution = solve_sdp(syn.problem)
     if solution.status != "optimal":
         raise SynthesisError(f"synthesis LMI not solved: status {solution.status}")
     chk = check_solution(syn.problem, solution)
-    controllers, eigs = extract_gains(solution, syn.models, list(syn.subset),
-                                      all_ids, state_scale=syn.state_scale)
-    ids = syn.subset
-    result = SynthesisResult(
-        lmi=syn,
-        y_mats={mid: solution.values[f"Y{i}"] for i, mid in enumerate(ids)},
-        l_rows={mid: np.array([solution.values[f"L{i}_{k}"] for k in range(5)])
-                for i, mid in enumerate(ids)},
-        gains={mid: controllers.gains[all_ids.index(mid)] for mid in ids},
-        gamma={mid: solution.values[f"gamma{i}"] for i, mid in enumerate(ids)},
-        kappa_y={mid: solution.values[f"kappaY{i}"] for i, mid in enumerate(ids)},
-        kappa_l={mid: solution.values[f"kappaL{i}"] for i, mid in enumerate(ids)},
-        solution=solution, check=chk, closed_loop_eigs=eigs)
-    return controllers, result
+    if not chk.passes():
+        worst = int(np.argmin(chk.min_eigs))
+        raise SynthesisError(
+            f"synthesis LMI solution fails its check: block "
+            f"{syn.problem.constraints[worst].name} has smallest eigenvalue "
+            f"{chk.min_eigs[worst]:.3e}")
+    all_ids = tuple(m.id for m in case.machines)
+    controllers, eigs = extract_gains(solution, syn.models, all_ids, syn.state_scale)
+    return controllers, SynthesisResult(lmi=syn, solution=solution, check=chk,
+                                        gains=controllers.gains_for(syn.subset),
+                                        closed_loop_eigs=eigs)

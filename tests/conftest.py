@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
 import oscdamp
+from oscdamp import synthesis
 from oscdamp.case import parse_case
 from oscdamp.powerflow import solve_power_flow, load_admittances, kron_reduce
 from oscdamp.dynamics import initialize_from_power_flow
@@ -44,6 +46,19 @@ def bundled_areas(bundled_case):
 def bundled_design(bundled_case, bundled_eq):
     """Default all-machine synthesis; shared because the solve is expensive."""
     return design_controllers(bundled_case, bundled_eq)
+
+
+@pytest.fixture()
+def uncertified_solve(monkeypatch):
+    """The design's solve returns machine 0's gamma past its margin block
+    (gamma < 1/beta^2), a point `check_solution` must refuse."""
+    solve = synthesis.solve_sdp
+
+    def solve_then_perturb(problem):
+        sol = solve(problem)
+        return dataclasses.replace(sol, values={**sol.values, "gamma0": 2.0})
+
+    monkeypatch.setattr(synthesis, "solve_sdp", solve_then_perturb)
 
 
 def make_two_bus_text(p_mw=50.0, q_mvar=20.0, x=0.1):

@@ -1,11 +1,13 @@
 """The dense canonical form, written here as the independent reference for
 :func:`oscdamp.lmi.canonicalize`: every term is embedded in its constraint's
 full frame, every scalar component of a variable gets a dense d x d
-coefficient, and the nonzeros are read off the symmetrized sum."""
+coefficient, and the nonzeros are read off the symmetrized sum.  Also a
+reader of SDPA sparse files, which round-trips :func:`oscdamp.lmi.export_sdpa`
+into a scalar-variable problem."""
 
 import numpy as np
 
-from oscdamp.lmi import LmiError, ScalarVar
+from oscdamp.lmi import LmiError, LmiProblem, ScalarVar, Term
 
 
 def components(v):
@@ -101,3 +103,44 @@ def dense_blocks(problem, values):
             s += contrib + contrib.T if t.symmetrize else contrib
         out.append(0.5 * (s + s.T))
     return out
+
+
+def read_sdpa(text: str) -> LmiProblem:
+    """Parse SDPA sparse format into an equivalent scalar-variable problem."""
+    tokens: list[str] = []
+    for line in text.splitlines():
+        stripped = line.strip()
+        if not stripped or stripped.startswith("*") or stripped.startswith('"'):
+            continue
+        tokens.extend(stripped.replace(",", " ").replace("{", " ").replace("}", " ")
+                      .replace("(", " ").replace(")", " ").split())
+    rest = iter(tokens)
+
+    def take() -> str:
+        tok = next(rest, None)
+        if tok is None:
+            raise LmiError("truncated SDPA input")
+        return tok
+
+    m, nblocks = int(take()), int(take())
+    dims = [abs(int(take())) for _ in range(nblocks)]
+    c = [float(take()) for _ in range(m)]
+    f0 = [np.zeros((d, d)) for d in dims]
+    entries = {}        # (variable, block, row, col) -> value; a repeated entry keeps the last
+    for matno in map(int, rest):
+        blkno, i, j, v = int(take()) - 1, int(take()) - 1, int(take()) - 1, float(take())
+        if matno == 0:
+            f0[blkno][i, j] = f0[blkno][j, i] = v
+        else:
+            entries[matno - 1, blkno, min(i, j), max(i, j)] = v
+
+    problem = LmiProblem()
+    for k in range(m):
+        problem.add_scalar(f"x{k + 1}")
+        problem.objective[f"x{k + 1}"] = c[k]
+    cons = [problem.add_constraint(f"block{b + 1}", dims[b], const=-f0[b])
+            for b in range(nblocks)]
+    for (k, b, i, j), v in entries.items():
+        if v != 0.0:
+            cons[b].terms.append(Term(f"x{k + 1}", [[v]], [[1.0]], i, j, symmetrize=i != j))
+    return problem

@@ -11,8 +11,15 @@ import pytest
 
 import oscdamp
 from oscdamp.cli import main, EXIT_OK, EXIT_INPUT, EXIT_NUMERIC, EXIT_DIVERGED
-from oscdamp.report import strip_metadata
 from conftest import make_two_bus_text
+from lmi_reference import read_sdpa
+
+
+def strip_metadata(report_text: str) -> str:
+    """A report's JSON without its `metadata` block, the part reruns may change."""
+    doc = json.loads(report_text)
+    doc.pop("metadata", None)
+    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 @pytest.fixture()
@@ -187,6 +194,14 @@ def test_design_subset_structure(case_path, tmp_path):
     assert any(v != 0 for v in gains[3])
     assert all(v == 0 for v in gains[1])
     assert all(v == 0 for v in gains[4])
+
+
+def test_design_refuses_uncertified_solution(case_path, tmp_path, capsys,
+                                            uncertified_solve):
+    out = tmp_path / "out"
+    assert main(["design", "--case", case_path, "--out", str(out)]) == EXIT_NUMERIC
+    assert "numerical failure: synthesis LMI solution fails its check" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_design_rejects_governorless(case_path, tmp_path):
@@ -402,7 +417,6 @@ def test_export_sdpa_command(case_path, tmp_path):
     out = tmp_path / "out"
     assert main(["export-sdpa", "--case", case_path, "--out", str(out)]) == EXIT_OK
     text = (out / "synthesis.dat-s").read_text()
-    from oscdamp.lmi import read_sdpa
     prob = read_sdpa(text)
     assert len(prob.variables) == int(text.splitlines()[0])
 
@@ -518,6 +532,7 @@ _TRIP_AT_1 = {"time": 1.0, "type": "trip_line", "from": 3, "to": 101, "circuit":
     (["simulate", "--channels", "delta_rel:3"], {"duration": 1.0}, None),
     (["simulate", "--channels", "bogus:1", "--out", "{out}"], {"duration": 1.0}, None),
     (["simulate", "--channels", "omega:1,omega:9", "--out", "{out}"], {"duration": 1.0}, None),
+    (["design", "--out", "{out}"], None, lambda doc: doc.update(governors=[])),
 ], ids=["fractions", "modal-controllers", "design-controllers", "beta-bar",
         "bound-scale", "trip-without-from", "duration", "initial-active",
         "activate-machines", "duration-off-grid", "trip-past-grid",
@@ -529,7 +544,8 @@ _TRIP_AT_1 = {"time": 1.0, "type": "trip_line", "from": 3, "to": 101, "circuit":
         "trip-from-float", "trip-circuit-string", "trip-to-bool", "trip-circuit-bool", "event-unknown-key",
         "step-load-dp-string", "channel-unknown-kind", "channel-unknown-machine",
         "channel-trailing-part", "channel-missing-part",
-        "channel-unknown-kind-out", "channel-unknown-machine-out"])
+        "channel-unknown-kind-out", "channel-unknown-machine-out",
+        "case-without-governors"])
 def test_malformed_flags_and_scenarios_are_input_errors(argv, scenario, case_edit,
                                                         case_path, tmp_path, capsys,
                                                         bundled_design):

@@ -286,7 +286,8 @@ def test_plan_built_once_per_model(bundled_case, bundled_eq, monkeypatch):
     init = kernels.RhsPlan.__init__
     monkeypatch.setattr(kernels.RhsPlan, "__init__",
                         lambda self, *a: builds.append(1) or init(self, *a))
-    bundled_eq.rhs_norm()
+    kernels.rhs(bundled_eq.state, bundled_eq.plan, bundled_eq.network.g,
+                bundled_eq.network.b)
     linearize(bundled_eq)
     assert builds == []
     simulate(bundled_case, None, Scenario(duration=0.1, dt=0.01,

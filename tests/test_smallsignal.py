@@ -108,11 +108,11 @@ def test_closed_loop_matrix_at_valve_limit(bundled_design):
     closed loop, in the derived matrix and the linearization alike."""
     case = _valve_limit_case()
     eq = _equilibrium(case)
-    assert eq.boundary_machines == (1,)
+    lay = eq.layout
+    assert [eq.state[lay.idx(1, s)] for s in ("pm", "xm", "xe")] == [0.0, 0.0, 0.0]
     gains = bundled_design[0].gains[:1]
     gov = case.governor_for(1)
     slope = -gov.ke / (gov.te * gov.r * case.omega0)
-    lay = eq.layout
     xe, omega = lay.idx(1, "xe"), lay.idx(1, "omega")
     assert linearize(eq)[xe, omega] == pytest.approx(slope, rel=1e-12)
     closed = slope + gains[0, 1] / gov.te

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oscdamp import kernels
+from oscdamp.case import CaseError
 from oscdamp.powerflow import (ReducedNetwork, solve_power_flow, load_admittances,
                                kron_reduce)
 from oscdamp.dynamics import initialize_from_power_flow
@@ -155,20 +156,28 @@ def test_governorless_machine_rejected(bundled_case, bundled_eq):
     stripped = dataclasses.replace(
         bundled_case,
         governors=tuple(g for g in bundled_case.governors if g.machine != 4))
-    with pytest.raises(SynthesisError, match="machine 4"):
+    with pytest.raises(CaseError, match="machine 4"):
         design_controllers(stripped, bundled_eq, subset=[1, 4])
+
+
+def test_design_refuses_uncertified_solution(bundled_case, bundled_eq, uncertified_solve):
+    """The check of the solution gates the gains: a point that fails it
+    gives no controllers, and the error names the block and its eigenvalue."""
+    with pytest.raises(SynthesisError, match=r"block margin0 has smallest eigenvalue -1\.0"):
+        design_controllers(bundled_case, bundled_eq)
 
 
 def test_gain_locality(bundled_design):
     ctrl, res = bundled_design
     for i, mid in enumerate(res.lmi.subset):
-        y = res.y_mats[mid]
-        l_row = res.l_rows[mid]
+        y = res.solution.values[f"Y{i}"]
+        l_row = np.array([res.solution.values[f"L{i}_{k}"] for k in range(5)])
         rebuilt = l_row @ np.linalg.inv(y)
         # the deployed gain derives only from machine mid's own blocks,
         # modulo the internal per-unit speed scaling
         scale = np.array([1.0, 2 * math.pi * 60, 1.0, 1.0, 1.0])
-        assert np.allclose(res.gains[mid], rebuilt / scale, rtol=1e-12)
+        assert np.allclose(res.gains[i], rebuilt / scale, rtol=1e-12)
+        assert np.array_equal(res.gains[i], ctrl.gains_for((mid,))[0])
 
 
 def test_zero_gain_zero_control(bundled_design, bundled_eq):

@@ -1,9 +1,12 @@
 """The benchmark's span tracer wraps public functions by module attribute;
 each one it names must exist on the package, and the attributes it reads
-from their results must be there, or `--trace 1` fails."""
+from their results must be there, or `--trace 1` fails.  The benchmark's SDP
+size curve and its set-up probe also import the package; each runs here once
+at its smallest size."""
 
 import importlib.util
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -13,19 +16,20 @@ import numpy as np
 
 from oscdamp import kernels, lmi
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
-def load_spans(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, spans)   # its dataclasses look it up
-    spec.loader.exec_module(spans)
-    return spans
+def load_perfbench(monkeypatch, name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)   # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_span_wraps_resolve(monkeypatch):
-    spans = load_spans(monkeypatch)
+    spans = load_perfbench(monkeypatch, "spans")
     missing = [(target, attr) for target, attr, _, _ in spans.WRAPS
                if not callable(getattr(spans._resolve(target), attr, None))]
     assert spans.WRAPS and missing == []
@@ -39,7 +43,7 @@ def test_rk4_span_nsteps_is_third_parameter():
 def test_lmi_span_attributes_read_the_results(monkeypatch):
     """The SDP spans' attribute extractors run on real results: the canonical
     form's variable count and largest block, the solve's steps and status."""
-    spans = load_spans(monkeypatch)
+    spans = load_perfbench(monkeypatch, "spans")
     p = lmi.LmiProblem()
     p.add_scalar("t")
     p.objective["t"] = 1.0
@@ -55,9 +59,33 @@ def test_lmi_span_attributes_read_the_results(monkeypatch):
 def test_bare_pytest_imports_the_package_from_src():
     """`pytest` run in a checkout without PYTHONPATH finds the package under
     src/ (pyproject's pythonpath setting)."""
-    root = SPANS.parents[1]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                           "--collect-only", "tests/test_case.py"],
-                         cwd=root, env=env, capture_output=True, text=True)
+                         cwd=ROOT, env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stdout + run.stderr
+
+
+def test_sdp_size_curve_runs(monkeypatch, bundled_case):
+    """The size curve assembles and solves the synthesis LMI through the
+    package's public names; at N = 2 it reports its time and Newton steps."""
+    curve = load_perfbench(monkeypatch, "sdp_curve")
+    monkeypatch.setattr(curve, "SIZES", (2,))
+    metrics = curve.size_curve(bundled_case)
+    assert set(metrics) == set(curve.zero_curve()) == {"lmi.solve_s.n2",
+                                                       "lmi.newton_steps.n2"}
+    assert metrics["lmi.newton_steps.n2"] > 0
+
+
+def test_setup_probe_runs():
+    """The set-up probe imports the CLI, reads the bundled case and the
+    pinned gains, and prints the time of each part."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, str(PERFBENCH / "setup_probe.py"),
+                          str(ROOT / "src" / "oscdamp" / "data" / "two_area.json"),
+                          str(PERFBENCH / "reference_gains.json")],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stdout + run.stderr
+    times = json.loads(run.stdout)
+    assert set(times) == {"import_s", "case_s", "gains_s"}
+    assert all(t >= 0.0 for t in times.values())

@@ -32,21 +32,35 @@ analytic continuation of its real form (the terminal-voltage modulus becomes
 anti-windup hold) decide on real parts only, so the imaginary part of
 ``rhs(x + i h e_j)`` is ``h`` times column j of the Jacobian.
 
+Evaluation allocates nothing per call.  :meth:`RhsPlan.bind` returns a
+:class:`BoundRhs`, which evaluates in one :class:`Workspace` per state shape
+and dtype, built on first use with every slice view it needs: ``z = [y | pe
+| i_d, i_q | efd_cmd]`` is the operand of ``M``, the state goes into its head
+and φ is evaluated into its tail in place.  :func:`rk4_span` writes each
+stage state straight into that state slot.  Elementwise ufuncs take their
+output positionally, which numpy parses faster than ``out=``; ``np.maximum``
+and ``np.minimum`` take ``out=``, because numpy 2.4 deprecates their
+positional output and each such call would run the warnings machinery.  What
+an evaluation returns (:func:`rhs`, a :class:`BoundRhs` call,
+:meth:`BoundRhs.network`) is a new array that the caller owns; no workspace
+buffer escapes.
+
 The test suite pins the plan to a per-machine reference written from the
 elementary device equations, which reads only the equilibrium references of
-the plan.
+the plan, and the workspace evaluation to the bits of an allocating one.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from math import isnan
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 DIVERGENCE_LIMIT = 1e6
 
-# whole-array reductions without the ndarray-method wrappers (hot loop)
-_least, _most = np.minimum.reduce, np.maximum.reduce
+# whole-array reduction without the ndarray-method wrapper (hot loop)
+_most = np.maximum.reduce
 
 
 def active_backend() -> str:
@@ -107,26 +121,36 @@ class Control(NamedTuple):
     active: np.ndarray      # (n_mach,) 1.0 while the machine's controller is in service
 
 
-def _clip(x, lo, hi):
-    """min(max(x, lo), hi); a complex-step perturbation passes through where
-    the real part is not clamped."""
-    c = np.minimum(np.maximum(x.real, lo), hi)
-    return c if x.dtype.kind != "c" else np.where(c == x.real, x, c)
-
-
-def _sincos(x):
-    """sin x and cos x; complex parts continue through the real functions,
-    sin(a + ib) = sin a cosh b + i cos a sinh b, which numpy evaluates
-    several times faster than its complex sin and cos."""
+def _clip(x, lo, hi, out):
+    """min(max(x, lo), hi) into `out`; a complex-step perturbation passes
+    through where the real part is not clamped."""
     if x.dtype.kind != "c":
-        return np.sin(x), np.cos(x)
+        np.maximum(x, lo, out=out)
+        np.minimum(out, hi, out=out)
+        return
+    c = np.minimum(np.maximum(x.real, lo), hi)
+    out[...] = np.where(c == x.real, x, c)
+
+
+def _sincos(x, s, c):
+    """sin x into `s` and cos x into `c`; complex parts continue through the
+    real functions, sin(a + ib) = sin a cosh b + i cos a sinh b, which numpy
+    evaluates several times faster than its complex sin and cos."""
+    if x.dtype.kind != "c":
+        np.sin(x, s)
+        np.cos(x, c)
+        return
     sa, ca, chb, shb = np.sin(x.real), np.cos(x.real), np.cosh(x.imag), np.sinh(x.imag)
-    return sa * chb + 1j * (ca * shb), ca * chb - 1j * (sa * shb)
+    np.add(sa * chb, 1j * (ca * shb), s)
+    np.subtract(ca * chb, 1j * (sa * shb), c)
 
 
-def _modulus(re, im):
-    """|re + i im|, continued as sqrt(re^2 + im^2) to complex parts."""
-    return np.hypot(re, im) if re.dtype.kind != "c" else np.sqrt(re * re + im * im)
+def _modulus(re, im, out):
+    """|re + i im| into `out`, continued as sqrt(re^2 + im^2) to complex parts."""
+    if re.dtype.kind != "c":
+        np.hypot(re, im, out)
+    else:
+        np.sqrt(re * re + im * im, out)
 
 
 def feedback(gains, dx):
@@ -261,34 +285,6 @@ class RhsPlan:
                                                     * gains[self.gov][:, None, :])
         return out
 
-    def network(self, y, net):
-        """EMFs ``[e_re, e_im]`` (synchronous frame), the currents
-        ``[i_re, i_im, i_im, -i_re]`` through ``net`` (a
-        :func:`network_operator`), their d/q projections ``[i_d, i_q]``, the
-        electrical power (system base) and the PSS outputs (zero where a
-        machine has none), each stacking per-machine blocks on the last axis."""
-        n = self.sout.size
-        v = y @ self.pre
-        s, c = _sincos(v[..., :2 * n])
-        e = v[..., 2 * n:4 * n] * s + v[..., 4 * n:6 * n] * c
-        i = e @ net
-        idq = i[..., :2 * n] * s - i[..., 2 * n:] * c
-        p = v[..., 2 * n:4 * n] * idq
-        pe = p[..., :n] + p[..., n:] + self.xq_corr * idq[..., :n] * idq[..., n:]
-        return e, i, idq, pe, v[..., 6 * n:]
-
-    def phi(self, y, net):
-        """The nonlinear inputs, as the blocks ``pe``, ``[i_d, i_q]`` and
-        ``efd_cmd`` over the last axis.  The field command is clamped, and so
-        is the PSS output within it; it acts on the terminal voltage behind
-        the transient reactance, ``|e - j xdp i|``."""
-        e, i, idq, pe, y3 = self.network(y, net)
-        n = pe.shape[-1]
-        vt = e + self.xdp2 * i[..., 2 * n:]
-        vt = _modulus(vt[..., :n], vt[..., n:])
-        vpss = _clip(y3, self.vsmin, self.vsmax)
-        return pe, idq, _clip(self.ka * (self.vref - vt + vpss), self.efdmin, self.efdmax)
-
     def bind(self, gmat, bmat, control=None):
         """The RHS ``y -> dy`` on one network with one controller setting.
         The feedback ``active * gains . (x5 - xref)`` is folded into a copy
@@ -301,23 +297,138 @@ class RhsPlan:
             m = self.m.copy()
             m[:, :c.size] += fb
             mt, c = m.T, c - fb @ xs
-        net, ix_xe, phi = network_operator(gmat, bmat), self.ix_xe, self.phi
+        return BoundRhs(self, network_operator(gmat, bmat), mt, c)
 
-        def f(y):
-            dy = np.concatenate((y, *phi(y, net)), axis=-1) @ mt + c
-            # anti-windup: hold the valve state when pinned against an active
-            # limit; only a valve state at or past a limit can be held
-            xe = y[..., ix_xe].real
-            if _least(np.minimum(xe, 1.0 - xe), axis=None, initial=np.inf) <= 0.0:
-                d = dy[..., ix_xe].real
-                hold = ((xe >= 1.0) & (d > 0.0)) | ((xe <= 0.0) & (d < 0.0))
-                dy[..., ix_xe] = np.where(hold, 0.0, dy[..., ix_xe])
-            return dy
-        return f
+
+class BoundRhs:
+    """The RHS of one plan on one network with one controller setting.  It
+    evaluates in one :class:`Workspace` per state shape and dtype, built on
+    first use; the arrays it returns are the caller's."""
+
+    def __init__(self, plan, net, mt, c):
+        self.plan, self.net, self.mt, self.c = plan, net, mt, c
+        self._spaces = {}
+
+    def workspace(self, shape, dtype):
+        """The workspace for states of `shape` and `dtype`."""
+        w = self._spaces.get((shape, dtype))
+        if w is None:
+            w = self._spaces[shape, dtype] = _workspace(self, shape, dtype)
+        return w
+
+    def _load(self, y):
+        w = self.workspace(y.shape, y.dtype)
+        np.copyto(w.y, y)
+        return w
+
+    def __call__(self, y):
+        """dy of `y`, as a new array."""
+        w = self._load(y)
+        return w.evaluate(np.empty(w.y.shape, w.y.dtype))
+
+    def network(self, y):
+        """The EMFs ``[e_re, e_im]`` (synchronous frame) and the electrical
+        power (system base) of `y`, as new arrays."""
+        w = self._load(y)
+        w.network()
+        return w.e.copy(), w.pe.copy()
+
+
+class Workspace(NamedTuple):
+    """The buffers of one state shape and dtype and the two evaluations that
+    run in them; every view they read or write is made once."""
+    y: np.ndarray           # the state slot
+    e: np.ndarray           # EMFs [e_re, e_im], synchronous frame
+    pe: np.ndarray          # electrical power, system base
+    network: Callable[[], None]                       # y -> e, pe, i_d, i_q
+    evaluate: Callable[[np.ndarray], np.ndarray]      # y -> dy into its argument
+
+
+def _workspace(bound, shape, dtype):
+    """The workspace of `bound` for states of `shape` and `dtype`.
+
+    ``z = [y | pe | i_d, i_q | efd_cmd]`` is the operand of ``M``: the state
+    goes into its head and φ is evaluated into its tail in place.  The gather
+    ``v = y @ pre`` is ``[delta, delta | edp, eqp, eqp, -edp | y3]`` and
+    ``sc = [sin delta, sin delta | cos delta, cos delta]``, so that the EMFs
+    and the d/q currents each take one 4n-wide product and one sum or
+    difference of its halves."""
+    plan, net, mt, c = bound.plan, bound.net, bound.mt, bound.c
+    n, ns = plan.sout.size, c.size
+    dtype = np.result_type(dtype, float)
+
+    def buf(width):
+        return np.empty(shape[:-1] + (width,), dtype)
+
+    z = buf(ns + 4 * n)
+    y, pe, idq, efd = (z[..., :ns], z[..., ns:ns + n], z[..., ns + n:ns + 3 * n],
+                       z[..., ns + 3 * n:])
+    i_d, i_q = idq[..., :n], idq[..., n:]
+    v = buf(7 * n)
+    delta2, emf_parts, dq_emf, y3 = (v[..., :2 * n], v[..., 2 * n:6 * n],
+                                     v[..., 2 * n:4 * n], v[..., 6 * n:])
+    sc = buf(4 * n)
+    sin, cos = sc[..., :2 * n], sc[..., 2 * n:]
+    t4 = buf(4 * n)                                 # products, then their halves
+    lo, hi = t4[..., :2 * n], t4[..., 2 * n:]
+    p_d, p_q, q = t4[..., :n], t4[..., n:2 * n], t4[..., 2 * n:3 * n]
+    e, i, vt = buf(2 * n), buf(4 * n), buf(2 * n)
+    i_turn, vt_re, vt_im = i[..., 2 * n:], vt[..., :n], vt[..., n:]
+    vm, vpss, cmd = buf(n), buf(n), buf(n)
+    pre, xq_corr, xdp2, ka, vref = plan.pre, plan.xq_corr, plan.xdp2, plan.ka, plan.vref
+    vsmin, vsmax, efdmin, efdmax = plan.vsmin, plan.vsmax, plan.efdmin, plan.efdmax
+    ix_xe = plan.ix_xe
+
+    def network():
+        """EMFs, currents ``i = [i_re, i_im, i_im, -i_re]``, their d/q
+        projections and the electrical power of the state slot."""
+        np.matmul(y, pre, v)
+        _sincos(delta2, sin, cos)
+        np.multiply(emf_parts, sc, t4)
+        np.add(lo, hi, e)
+        np.matmul(e, net, i)
+        np.multiply(i, sc, t4)
+        np.subtract(lo, hi, idq)
+        # pe = edp i_d + eqp i_q + xq_corr i_d i_q, summed in that order
+        np.multiply(dq_emf, idq, lo)
+        np.add(p_d, p_q, pe)
+        np.multiply(xq_corr, i_d, q)
+        np.multiply(q, i_q, q)
+        np.add(pe, q, pe)
+
+    def evaluate(out):
+        """dy of the state slot into `out`.  The field command is clamped,
+        and so is the PSS output within it; it acts on the terminal voltage
+        behind the transient reactance, ``|e - j xdp i|``."""
+        network()
+        np.multiply(xdp2, i_turn, vt)
+        np.add(e, vt, vt)
+        _modulus(vt_re, vt_im, vm)
+        _clip(y3, vsmin, vsmax, vpss)
+        np.subtract(vref, vm, cmd)
+        np.add(cmd, vpss, cmd)
+        np.multiply(ka, cmd, cmd)
+        _clip(cmd, efdmin, efdmax, efd)
+        np.matmul(z, mt, out)
+        np.add(out, c, out)
+        # anti-windup: hold the valve state when pinned against an active
+        # limit; only a valve state at or past a limit can be held, and none
+        # is while any valve state is NaN.  The test runs on Python floats,
+        # which is several times faster than numpy reductions at this size.
+        xe = y.take(ix_xe, -1).real
+        xs = xe.ravel().tolist()
+        if xs and (min(xs) <= 0.0 or max(xs) >= 1.0) and not any(map(isnan, xs)):
+            d = out[..., ix_xe].real
+            hold = ((xe >= 1.0) & (d > 0.0)) | ((xe <= 0.0) & (d < 0.0))
+            out[..., ix_xe] = np.where(hold, 0.0, out[..., ix_xe])
+        return out
+
+    return Workspace(y, e, pe, network, evaluate)
 
 
 def rhs(y, plan, gmat, bmat, control=None):
-    """dy for y of shape (n_states,) or (B, n_states) through a model's plan."""
+    """dy for y of shape (n_states,) or (B, n_states) through a model's plan,
+    as a new array."""
     return plan.bind(gmat, bmat, control)(y)
 
 
@@ -327,16 +438,29 @@ def rk4_span(y, h, nsteps, plan, gmat, bmat, control=None, out=None, out_offset=
     storing step k's state in out[out_offset + k] when out (shape
     (T, n_states) or (T, B, n_states)) is given.  Returns -1, or the first
     (0-based) step after which some row left the divergence limit."""
-    f = plan.bind(gmat, bmat, control)
+    w = plan.bind(gmat, bmat, control).workspace(y.shape, y.dtype)
+    stage, evaluate = w.y, w.evaluate
+    k1, k2, k3, k4, tmp = (np.empty_like(stage) for _ in range(5))
     ix_xe = plan.ix_xe
     shut, open_ = np.zeros(ix_xe.size), np.ones(ix_xe.size)
-    half, sixth = 0.5 * h, h / 6.0
+    # 0-d arrays: numpy takes them faster than Python floats, with the same bits
+    half, whole, two, sixth = (np.array(v) for v in (0.5 * h, h, 2.0, h / 6.0))
+    stages = ((k1, k2, half), (k2, k3, half), (k3, k4, whole))
     for k in range(nsteps):
-        k1 = f(y)
-        k2 = f(y + half * k1)
-        k3 = f(y + half * k2)
-        k4 = f(y + h * k3)
-        y += sixth * (k1 + k4 + 2.0 * (k2 + k3))
+        # each stage state goes straight into the workspace's state slot
+        np.copyto(stage, y)
+        evaluate(k1)
+        for k_in, k_out, a in stages:
+            np.multiply(k_in, a, tmp)
+            np.add(y, tmp, stage)
+            evaluate(k_out)
+        # y += sixth * (k1 + k4 + 2 (k2 + k3)), summed in that order
+        np.add(k2, k3, tmp)
+        np.multiply(tmp, two, tmp)
+        np.add(k1, k4, k1)
+        np.add(k1, tmp, k1)
+        np.multiply(k1, sixth, k1)
+        np.add(y, k1, y)
         y[..., ix_xe] = np.minimum(np.maximum(y[..., ix_xe], shut), open_)
         if not _most(np.abs(y), axis=None) < DIVERGENCE_LIMIT:     # also NaN
             return k

@@ -32,6 +32,8 @@ from . import kernels
 # rows per block of derived-channel evaluation: bounds the temporaries of a
 # long segment to well under the size of the trajectory itself
 _DERIVED_BLOCK_ROWS = 512
+# rows per block of CSV formatting, for the same reason
+_CSV_BLOCK_ROWS = 512
 
 
 class ScenarioError(CaseError):
@@ -179,12 +181,15 @@ class SimulationResult:
         return self.states[:, self.layout.idx(machine_id, slot)]
 
     def to_csv(self, channels: list[str]) -> str:
+        row = ",".join(["%.12g"] * (len(channels) + 1)) + "\n"
+        table = np.column_stack([self.time] + [measure(self, ch) for ch in channels])
         buf = io.StringIO()
         buf.write("time," + ",".join(channels) + "\n")
-        series = [measure(self, ch) for ch in channels]
-        for k in range(self.time.size):
-            buf.write(f"{self.time[k]:.12g}," +
-                      ",".join(f"{s[k]:.12g}" for s in series) + "\n")
+        # one format per row over Python floats, a block of rows at a time so
+        # that the whole table never exists as Python floats at once
+        for b0 in range(0, len(table), _CSV_BLOCK_ROWS):
+            buf.write("".join(row % tuple(r)
+                              for r in table[b0:b0 + _CSV_BLOCK_ROWS].tolist()))
         return buf.getvalue()
 
 
@@ -247,7 +252,7 @@ def simulate(case: PowerSystemCase, controllers: ControllerSet | None,
             if bus not in net.bus_ids:
                 raise ScenarioError(f"step_load references unknown bus {bus}")
             idx = net.bus_ids.index(bus)
-            e = plan.network(y, kernels.network_operator(net.g, net.b))[0]
+            e = plan.bind(net.g, net.b).network(y)[0]
             vm_now = abs((net.emf_to_bus @ (e[:n_mach] + 1j * e[n_mach:]))[idx])
             s = complex(dp, dq) / current_case.base_mva
             y_load = y_load.copy()
@@ -338,11 +343,11 @@ def _derived_channels(plan: kernels.RhsPlan, gains: np.ndarray, states: np.ndarr
     vbus = np.zeros((n_t, len(segments[0].network.bus_ids)), dtype=complex)
     ends = [s.first_row for s in segments[1:]] + [n_t]
     for s, r1 in zip(segments, ends):
-        net = kernels.network_operator(s.network.g, s.network.b)
+        f = plan.bind(s.network.g, s.network.b)
         for b0 in range(s.first_row, r1, _DERIVED_BLOCK_ROWS):
             rows = slice(b0, min(b0 + _DERIVED_BLOCK_ROWS, r1))
             x5 = plan.design_states(states[rows])
-            e, _, _, pe[rows], _ = plan.network(states[rows], net)
+            e, pe[rows] = f.network(states[rows])
             vbus[rows] = (e[:, :n] + 1j * e[:, n:]) @ s.network.emf_to_bus.T
             pm_sys[rows] = x5[..., 2] * plan.sout
             u_out[rows] = s.active * kernels.feedback(gains, x5 - s.xref)

@@ -193,8 +193,11 @@ def assemble_synthesis_lmi(design_models: list[DesignModel],
     """Build the gain-synthesis LMI over the given machines.
 
     Variables per machine: Y (5x5 symmetric), five gain-seed scalars L_k,
-    and the scalars gamma, kappa_y, kappa_l.  Strict inequalities carry an
-    EPS*I shift.  The objective minimizes sum(gamma + kappa_y + kappa_l).
+    and the scalars gamma, kappa_y, kappa_l.  A machine without coupling
+    rows sees no disturbance, so it has no gamma and no margin block (a
+    gamma bounded only by its margin would run off to minus infinity).
+    Strict inequalities carry an EPS*I shift.  The objective minimizes
+    sum(gamma + kappa_y + kappa_l).
     Each term is its small coefficient at its offset: the stability block
     holds the 5N design states, then one disturbance row per machine, then
     each machine's coupling rows.
@@ -208,19 +211,20 @@ def assemble_synthesis_lmi(design_models: list[DesignModel],
     if np.any(beta < 1.0):
         raise SynthesisError("beta_bar must be at least 1")
 
+    m_rows = [h.shape[0] for h in h_rows]
     p = LmiProblem()
     for i in range(n):
         p.add_symmetric(f"Y{i}", 5)
         for k in range(5):
             p.add_scalar(f"L{i}_{k}")
-        p.add_scalar(f"gamma{i}")
-        p.objective[f"gamma{i}"] = 1.0
+        if m_rows[i] > 0:
+            p.add_scalar(f"gamma{i}")
+            p.objective[f"gamma{i}"] = 1.0
         p.add_scalar(f"kappaY{i}")
         p.add_scalar(f"kappaL{i}")
         p.objective[f"kappaY{i}"] = 1.0
         p.objective[f"kappaL{i}"] = 1.0
 
-    m_rows = [h.shape[0] for h in h_rows]
     dim = 5 * n + n + sum(m_rows)
     c_dist = 5 * n
     h_off = (c_dist + n + np.cumsum([0] + m_rows[:-1])).tolist()   # coupling rows' first row
@@ -270,9 +274,10 @@ def assemble_synthesis_lmi(design_models: list[DesignModel],
         con.terms.append(Term(f"kappaY{i}", eye5, eye5, 5, 5))
 
         # robustness margin: gamma < 1/beta^2 (strict via EPS)
-        con = p.add_constraint(f"margin{i}", 1,
-                               const=[[1.0 / beta[i] ** 2 - EPS]])
-        con.terms.append(Term(f"gamma{i}", [[-1.0]], [[1.0]]))
+        if m_rows[i] > 0:
+            con = p.add_constraint(f"margin{i}", 1,
+                                   const=[[1.0 / beta[i] ** 2 - EPS]])
+            con.terms.append(Term(f"gamma{i}", [[-1.0]], [[1.0]]))
     return p
 
 
@@ -352,8 +357,10 @@ class SynthesisResult:
 
     def by_machine(self, name: str) -> dict:
         """The solution's `name` variable (gamma, kappaY, kappaL, Y) of each
-        designed machine, keyed by machine id as the report writes it."""
-        return {str(mid): self.solution.values[f"{name}{i}"]
+        designed machine, keyed by machine id as the report writes it.  The
+        gamma of a machine without coupling rows, which the LMI does not
+        have, reads 0.0."""
+        return {str(mid): self.solution.values.get(f"{name}{i}", 0.0)
                 for i, mid in enumerate(self.lmi.subset)}
 
     def summary(self) -> dict:

@@ -196,6 +196,27 @@ def test_design_subset_structure(case_path, tmp_path):
     assert all(v == 0 for v in gains[4])
 
 
+@pytest.mark.parametrize("which", ["two_bus", "one_machine_subset"])
+def test_design_without_coupling_rows_is_bounded(which, case_path, tmp_path, capsys):
+    """A designed machine without coupling rows (the one machine of a case,
+    or a one-machine subset) has no gamma that only its margin bounds, so
+    the objective is finite and its gamma reads 0."""
+    if which == "two_bus":
+        mini = tmp_path / "mini.json"
+        mini.write_text(make_two_bus_text())
+        argv = ["design", "--case", str(mini)]
+    else:
+        argv = ["design", "--case", case_path, "--controllers", "2"]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    assert "gamma [0.0]," in capsys.readouterr().out
+    syn = json.loads((out / "design.json").read_text())["results"]["synthesis"]
+    assert list(syn["gamma"].values()) == [0.0]
+    assert syn["status"] == "optimal"
+    assert 0.0 < syn["objective"] < 1e6
+
+
 def test_design_refuses_uncertified_solution(case_path, tmp_path, capsys,
                                             uncertified_solve):
     out = tmp_path / "out"

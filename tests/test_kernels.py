@@ -11,6 +11,11 @@ currents against a brute-force sum.  Besides the bundled case, where every
 machine has a governor and an exciter, a variant with missing devices checks
 the constants of absent devices, and constructed states drive every limiter
 branch.
+
+The workspace evaluator must give the bits of the allocating evaluation of
+the same operator form (``model_reference.reference_bind`` and
+``reference_rk4_span``) for every shape and dtype it takes, and no array it
+returns may share memory with its workspace.
 """
 
 import json
@@ -25,8 +30,9 @@ from oscdamp.case import parse_case
 from oscdamp.powerflow import solve_power_flow, load_admittances, kron_reduce
 from oscdamp.dynamics import SLOT_NAMES, build_design_matrices, initialize_from_power_flow
 from oscdamp.smallsignal import closed_loop_matrix, linearize
+from oscdamp.smallsignal import COMPLEX_STEP
 from model_reference import (network_currents, rotor_rhs, two_axis_rhs,
-                             governor_turbine_rhs)
+                             governor_turbine_rhs, reference_bind, reference_rk4_span)
 
 PSS = {"ks": 20.0, "tw": 10.0, "t1": 0.05, "t2": 0.02, "t3": 3.0, "t4": 5.4,
        "vmin": -0.2, "vmax": 0.2}
@@ -50,8 +56,27 @@ def partial_eq(partial_case):
     return initialize_from_power_flow(partial_case, sol, red)
 
 
+@pytest.fixture(scope="module")
+def nogov_eq():
+    """Bundled case with no governor at all: the plan has no valve state."""
+    doc = json.loads(oscdamp.bundled_case_text())
+    doc["governors"] = []
+    case = parse_case(json.dumps(doc))
+    sol = solve_power_flow(case)
+    return initialize_from_power_flow(case, sol, kron_reduce(case, load_admittances(case, sol)))
+
+
 def _model_args(eq, control=None):
     return eq.plan, eq.network.g, eq.network.b, control
+
+
+def _reference(eq, control=None):
+    return reference_bind(eq.plan, eq.network.g, eq.network.b, control)
+
+
+def _all_in_service(eq, gains):
+    return kernels.Control(gains, eq.plan.design_states(eq.state),
+                           np.ones(len(eq.layout.machine_ids)))
 
 
 def _reference_rhs(y, case, eq, control=None, seen=None):
@@ -354,7 +379,9 @@ def test_limiter_branches_match_reference(which, branch, bundled_case, bundled_e
         assert branch in seen
         if branch.startswith("pss"):
             assert not {"efd_min", "efd_max"} & seen
-        assert np.allclose(kernels.rhs(y, *_model_args(eq, ctl)), ref, rtol=1e-12, atol=1e-10)
+        got = kernels.rhs(y, *_model_args(eq, ctl))
+        assert np.allclose(got, ref, rtol=1e-12, atol=1e-10)
+        assert np.array_equal(got, _reference(eq, ctl)(y))
 
 
 @pytest.mark.parametrize("which", ["bundled", "partial"])
@@ -394,3 +421,77 @@ def test_design_matrices_are_the_operator_rows(which, bundled_case, bundled_eq,
         assert not rest.any()
         governed += 1
     assert governed == plan.gov.size > 0
+
+
+@pytest.mark.parametrize("kind", ["state", "stack", "complex_stack"])
+@pytest.mark.parametrize("which", ["bundled", "partial", "nogov"])
+def test_evaluator_is_the_allocating_form_bit_for_bit(which, kind, bundled_eq, partial_eq,
+                                                      nogov_eq, bundled_design):
+    """A real state, a real stack and linearize's complex stack give the
+    bits of the allocating evaluation, with and without the controllers."""
+    eq = {"bundled": bundled_eq, "partial": partial_eq, "nogov": nogov_eq}[which]
+    ns = eq.state.size
+    rng = np.random.default_rng(7)
+    y = {"state": lambda: eq.state + 0.1 * rng.standard_normal(ns),
+         "stack": lambda: eq.state + 0.1 * rng.standard_normal((16, ns)),
+         "complex_stack": lambda: eq.state + 1j * COMPLEX_STEP * np.eye(ns)}[kind]()
+    for ctl in (None, _all_in_service(eq, bundled_design[0].gains)):
+        got = kernels.rhs(y, *_model_args(eq, ctl))
+        want = _reference(eq, ctl)(y)
+        assert got.dtype == want.dtype and got.shape == y.shape
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("which", ["bundled", "partial", "nogov"])
+def test_span_is_the_allocating_form_bit_for_bit(which, bundled_eq, partial_eq, nogov_eq,
+                                                 bundled_design):
+    """6,000 RK4 steps: the bundled case with every controller in service,
+    the partial case with two in service and a speed kick that opens its
+    valves onto their limit, and a case without any governor."""
+    eq = {"bundled": bundled_eq, "partial": partial_eq, "nogov": nogov_eq}[which]
+    rng = np.random.default_rng(8)
+    y0 = eq.state + 0.02 * rng.standard_normal(eq.state.size)
+    control = None
+    if which != "nogov":
+        control = _all_in_service(eq, bundled_design[0].gains)
+    if which == "partial":
+        control = control._replace(active=np.array([1.0, 0.0, 1.0, 0.0]))
+        y0[eq.layout.speed_indices] -= 5.0
+    out, out_ref = np.zeros((2, 6000, eq.state.size))
+    args = (0.005, 6000, *_model_args(eq, control))
+    assert kernels.rk4_span(y0.copy(), *args, out=out) == -1
+    assert reference_rk4_span(y0.copy(), *args, out=out_ref) == -1
+    assert np.array_equal(out, out_ref)
+    if which == "partial":
+        assert out[:, eq.plan.ix_xe].max() == 1.0      # the clamp and the hold acted
+
+
+def test_no_workspace_buffer_escapes(bundled_eq, bundled_design):
+    """What the evaluator returns is the caller's: two successive results
+    keep their own values, and one bound evaluator called alternately with
+    a real state, a real stack and a complex stack gives the bits of fresh
+    binds, however its workspaces were used in between."""
+    eq, rng = bundled_eq, np.random.default_rng(9)
+    args = _model_args(eq, _all_in_service(eq, bundled_design[0].gains))
+    ns = eq.state.size
+    y1, y2 = eq.state + 0.1 * rng.standard_normal((2, ns))
+    r1 = kernels.rhs(y1, *args)
+    kept = r1.copy()
+    r2 = kernels.rhs(y2, *args)
+    assert not np.shares_memory(r1, r2)
+    assert np.array_equal(r1, kept) and not np.array_equal(r1, r2)
+
+    f = eq.plan.bind(*args[1:])
+    states = [y1, eq.state + 0.1 * rng.standard_normal((5, ns)),
+              eq.state + 1j * COMPLEX_STEP * np.eye(ns), y2,
+              eq.state + 0.1 * rng.standard_normal((5, ns))]
+    got = [f(y) for y in states + states[::-1]]
+    nets = [f.network(y) for y in states]
+    for y, r in zip(states + states[::-1], got):
+        assert np.array_equal(r, eq.plan.bind(*args[1:])(y))
+    for y, (e, pe) in zip(states, nets):
+        e_fresh, pe_fresh = eq.plan.bind(*args[1:]).network(y)
+        assert np.array_equal(e, e_fresh) and np.array_equal(pe, pe_fresh)
+    arrays = got + [a for pair in nets for a in pair]
+    assert not any(np.shares_memory(a, b) for k, a in enumerate(arrays)
+                   for b in arrays[k + 1:])

@@ -131,6 +131,12 @@ def test_single_machine_design_solvable(two_bus_case):
     eq = initialize_from_power_flow(two_bus_case, sol, red)
     ctrl, res = design_controllers(two_bus_case, eq, bound_scale=1.0)
     assert res.solution.status == "optimal"
+    # one machine has no coupling rows: no gamma, no margin block, and a
+    # finite objective; gamma reads 0
+    assert "gamma0" not in {v.name for v in res.lmi.problem.variables}
+    assert not any(c.name.startswith("margin") for c in res.lmi.problem.constraints)
+    assert 0.0 < res.solution.objective < 1e6
+    assert res.summary()["gamma"] == {"1": 0.0}
     eigs = res.closed_loop_eigs[1]
     assert np.max(eigs.real) < 0.0
     assert np.any(ctrl.gains[0] != 0.0)

@@ -88,9 +88,11 @@ def tie_branches(case: PowerSystemCase) -> list[tuple[int, int, int]]:
     return out
 
 
-def tie_flow_mw(case: PowerSystemCase, sol: PowerFlowSolution) -> float:
-    """Real power (MW) leaving area 0 over the boundary branches."""
+def tie_flow_mw(case: PowerSystemCase, sol: PowerFlowSolution,
+                ties: list[tuple[int, int, int]] | None = None) -> float:
+    """Real power (MW) leaving area 0 over the boundary branches: `ties`, a
+    corridor the caller already has, or else ``tie_branches(case)``."""
     total = 0.0
-    for f, t, c in tie_branches(case):
+    for f, t, c in tie_branches(case) if ties is None else ties:
         total += branch_flow(case, sol, f, t, c).real
     return total * case.base_mva

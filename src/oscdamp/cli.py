@@ -19,14 +19,14 @@ from .powerflow import (PowerFlowDiverged, KronReductionError, solve_power_flow,
                         load_admittances, kron_reduce)
 from .dynamics import InitializationError, initialize_from_power_flow
 from .smallsignal import (NonEquilibriumError, NoOscillatoryMode, linearize,
-                          closed_loop_matrix, modal_analysis, classify_table,
-                          min_damping)
+                          closed_loop_matrix, modal_analysis, classify_mode,
+                          classify_table, min_damping)
 from .synthesis import (SynthesisError, ControllerSet, design_controllers,
                         governed_subset, synthesis_lmi, DEFAULT_BOUND_SCALE)
 from .simulator import (ScenarioError, parse_scenario, simulate, measure,
                         check_channels, ringdown_damping)
 from .lmi import LmiError, export_sdpa
-from .areas import machine_areas, tie_flow_mw
+from .areas import machine_areas, tie_branches, tie_flow_mw
 from .report import write_report
 
 EXIT_OK = 0
@@ -99,51 +99,73 @@ def _controllers_for(case, args, eq=None) -> ControllerSet | None:
     return ctrl
 
 
-def _modal_for(eq, areas: dict, controllers: ControllerSet | None = None,
-               open_loop: bool = True):
+def _modal_for(eq, controllers: ControllerSet | None = None,
+               open_loop: bool = True, **detail):
     """Mode tables at a built operating point: the open-loop one when
     `open_loop`, and the closed-loop one when controllers are given; each is
     None otherwise.  The point is linearized once; the closed-loop matrix is
-    derived from the open-loop one."""
+    derived from the open-loop one.  `detail` goes to `modal_analysis`."""
     layout = eq.layout
     a_open = linearize(eq)
-
-    def table(a):
-        return classify_table(modal_analysis(a, layout.labels),
-                              layout.speed_indices, areas, layout.machine_ids)
-
-    open_table = table(a_open) if open_loop else None
+    open_table = modal_analysis(a_open, layout.labels, **detail) if open_loop else None
     if controllers is None:
         return open_table, None
     a_closed = closed_loop_matrix(a_open, eq.plan,
                                   controllers.gains_for(layout.machine_ids))
-    return open_table, table(a_closed)
+    return open_table, modal_analysis(a_closed, layout.labels, **detail)
 
 
-def _point_row(case, controllers, areas: dict, band, detail: bool) -> dict:
+def _class_keys(eq, areas: dict):
+    """What classifying a mode of the point `eq` reads besides the mode."""
+    return eq.layout.speed_indices, areas, eq.layout.machine_ids
+
+
+def _point_row(case, controllers, areas: dict, band, ties=None) -> dict:
     """Baseline and, with controllers, robust minimum damping at one analysed
-    operating point of a sweep (`detail`: also tie flow, frequency and mode
-    classes) or of an N-1 scan."""
+    operating point.  A sweep point gets the sweep's tie corridor `ties`: its
+    row also reports the tie flow over it, the frequency of the least-damped
+    open-loop mode and the classes of the least-damped modes, so only those
+    two modes are classified.  An N-1 point (`ties` None) reports the damping
+    ratios alone, which need no eigenvectors.  No participation factors are
+    computed.  A point whose power flow converged but has no open-loop or
+    closed-loop mode in `band` reports ``baseline_error`` or ``robust_error``."""
+    sweep = ties is not None
     try:
         sol, eq = _pipeline(case)
-        open_table, closed_table = _modal_for(eq, areas, controllers)
-        worst = min_damping(open_table, *band)
+        open_table, closed_table = _modal_for(eq, controllers, participation=False,
+                                              vectors=sweep)
     except NUMERIC_ERRORS as exc:
         return {"converged": False, "error": str(exc)}
-    row = {"converged": True, "zeta_baseline_pct": 100 * worst.damping_ratio}
-    if detail:
-        row.update(tie_flow_mw=tie_flow_mw(case, sol),
-                   mode_class=worst.classification, freq_hz=worst.frequency_hz)
-    if closed_table is not None:
-        try:
-            worst_c = min_damping(closed_table, *band)
-        except NoOscillatoryMode as exc:
-            row["robust_error"] = str(exc)
-            return row
+    row = {"converged": True}
+    if sweep:
+        row["tie_flow_mw"] = tie_flow_mw(case, sol, ties)
+    try:
+        worst = min_damping(open_table, *band)
+    except NoOscillatoryMode as exc:
+        row["baseline_error"] = str(exc)
+    else:
+        row["zeta_baseline_pct"] = 100 * worst.damping_ratio
+        if sweep:
+            row.update(mode_class=classify_mode(worst, *_class_keys(eq, areas)),
+                       freq_hz=worst.frequency_hz)
+    if closed_table is None:
+        return row
+    try:
+        worst_c = min_damping(closed_table, *band)
+    except NoOscillatoryMode as exc:
+        row["robust_error"] = str(exc)
+    else:
         row["zeta_robust_pct"] = 100 * worst_c.damping_ratio
-        if detail:
-            row["robust_mode_class"] = worst_c.classification
+        if sweep:
+            row["robust_mode_class"] = classify_mode(worst_c, *_class_keys(eq, areas))
     return row
+
+
+def _baseline_text(row: dict, name: str) -> str:
+    """The baseline damping of a converged row as the sweep and scan print it."""
+    if "zeta_baseline_pct" in row:
+        return f"{name} {row['zeta_baseline_pct']:6.2f}%"
+    return f"{name} none in the band"
 
 
 def _outage_row(case, controllers, areas: dict, band) -> dict:
@@ -152,7 +174,7 @@ def _outage_row(case, controllers, areas: dict, band) -> dict:
     islanded = unreachable_buses(case)
     if islanded:
         return {"converged": False, "islanded": sorted(islanded)}
-    return _point_row(case, controllers, areas, band, detail=False)
+    return _point_row(case, controllers, areas, band)
 
 
 def _mode_dict(m) -> dict:
@@ -185,9 +207,9 @@ def cmd_modal(args) -> int:
     case, text = _load_case(args.case)
     sol, eq = _pipeline(case)
     controllers = _controllers_for(case, args, eq)
-    open_table, closed_table = _modal_for(eq, machine_areas(case), controllers,
-                                          open_loop=controllers is None)
-    table = open_table if closed_table is None else closed_table
+    open_table, closed_table = _modal_for(eq, controllers, open_loop=controllers is None)
+    table = classify_table(open_table if closed_table is None else closed_table,
+                           *_class_keys(eq, machine_areas(case)))
     try:
         worst = min_damping(table, *args.band)
     except NoOscillatoryMode:
@@ -216,7 +238,8 @@ def cmd_design(args) -> int:
     ctrl, res = design_controllers(case, eq, subset=subset,
                                    beta_bar=args.beta_bar,
                                    bound_scale=args.bound_scale)
-    _, table = _modal_for(eq, machine_areas(case), ctrl, open_loop=False)
+    _, table = _modal_for(eq, ctrl, open_loop=False)
+    classify_table(table, *_class_keys(eq, machine_areas(case)))
     worst = min_damping(table, *args.band)
     results = {
         "synthesis": res.summary(),
@@ -284,10 +307,11 @@ def cmd_sweep(args) -> int:
     if any(not f > 0 for f in fractions):
         raise CaseError("stress fractions must be positive")
     areas = machine_areas(case)
+    ties = tie_branches(case)    # stress scaling keeps every branch: one corridor
     controllers = _controllers_for(case, args)
     rows = [{"fraction": frac,
              **_point_row(scale_stress(case, frac), controllers, areas,
-                          args.band, detail=True)}
+                          args.band, ties)}
             for frac in sorted(fractions)]
     results = {"rows": rows,
                "controllers": controllers.to_dict() if controllers else None}
@@ -303,7 +327,7 @@ def cmd_sweep(args) -> int:
         if r["converged"]:
             extra = f" robust {r['zeta_robust_pct']:.2f}%" if "zeta_robust_pct" in r else ""
             print(f"x{r['fraction']:.4f}: tie {r['tie_flow_mw']:7.1f} MW  "
-                  f"zeta {r['zeta_baseline_pct']:6.2f}%{extra}")
+                  f"{_baseline_text(r, 'zeta')}{extra}")
         else:
             print(f"x{r['fraction']:.4f}: non-convergent")
     return EXIT_OK
@@ -335,7 +359,7 @@ def cmd_scan_n1(args) -> int:
             extra = f" robust {r.get('zeta_robust_pct', float('nan')):6.2f}%" \
                 if "zeta_robust_pct" in r else ""
             print(f"  {r['branch'][0]}-{r['branch'][1]} c{r['branch'][2]}: "
-                  f"baseline {r['zeta_baseline_pct']:6.2f}%{extra}")
+                  f"{_baseline_text(r, 'baseline')}{extra}")
     return EXIT_OK
 
 

@@ -27,7 +27,7 @@ class InitializationError(Exception):
     """Equilibrium violates a hard device limit (infeasible dispatch)."""
 
 
-SLOT_NAMES = ("delta", "omega", "eqp", "edp", "pm", "xm", "xe", "efd", "z1", "z2", "z3")
+SLOT_NAMES = kernels.SLOT_NAMES
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,10 @@ import numpy as np
 
 DIVERGENCE_LIMIT = 1e6
 
+# a machine's state slots, in layout order; the governor, exciter and PSS
+# slots exist only where the device does
+SLOT_NAMES = ("delta", "omega", "eqp", "edp", "pm", "xm", "xe", "efd", "z1", "z2", "z3")
+
 # whole-array reduction without the ndarray-method wrapper (hot loop)
 _most = np.maximum.reduce
 
@@ -163,9 +167,23 @@ def feedback(gains, dx):
     return np.einsum("ij,ij->i", tiled, flat).reshape(dx.shape[:-1])
 
 
-def _columns(rows, width):
-    """Float column vectors of a list of equal-length tuples."""
-    return np.array(rows, dtype=float).reshape(-1, width).T.copy()
+# The entries of one machine in the operator and in the gathers of φ, as
+# (row, column) positions in the slot tables of RhsPlan.__init__, in the
+# order of their values there.  Both tables start with SLOT_NAMES (0-10);
+# row 11 is the omega that the PSS output reads; column 11 is the valve
+# command reference pm, then pe, i_d, i_q, efd_cmd (12-15) and the seven
+# gathers of φ (16-22).
+_DESIGN = [0, 1, 4, 5, 6]                                   # delta, omega, pm, xm, xe
+_ROWS = np.array([i for i in _DESIGN for _ in _DESIGN]      # rotor, governor/turbine
+                 + [4, 5, 6]                                # valve command
+                 + [1, 2, 2, 2, 3, 3, 7, 7]                 # pe; two-axis; exciter lag
+                 + [0, 0, 3, 2, 2, 3]                       # delta, delta, edp, eqp, eqp, -edp
+                 + [i for i in (8, 9, 10) for _ in range(4)]   # PSS washout, lead-lags
+                 + [11, 8, 9, 10])                          # PSS output
+_COLS = np.array(_DESIGN * 5 + [11] * 3 + [12, 2, 13, 7, 3, 14, 7, 15]
+                 + [16, 17, 18, 19, 20, 21] + [1, 8, 9, 10] * 3 + [22] * 4)
+# the PSS rows and output of a machine without a PSS, which land in the sink
+_NO_PSS = ([[0.0] * 4] * 3, [0.0] * 4)
 
 
 class RhsPlan:
@@ -190,77 +208,63 @@ class RhsPlan:
         equilibrium mechanical power, field voltage and exciter reference;
         `vref` is read for machines with an exciter only."""
         n, ns, at = len(case.machines), layout.n_states, layout.index
-        w0 = case.omega0
-        # extended state [y, pm, efd, 0]; absent-device slots point past y
-        zero_at = ns + 2 * n
-        mach, rows, gov, slots, pss_k, pss_ix, pss_d, pss_y3 = ([] for _ in range(8))
-        for k, m in enumerate(case.machines):
-            g, e, p = case.governor_for(m.id), case.exciter_for(m.id), case.pss_for(m.id)
-            # ka = 0 and zero limits give an absent exciter the command 0, and
-            # zero limits an absent PSS the output 0
-            mach.append((m.mva / case.base_mva, *m.system_reactances(case.base_mva),
-                         m.td0p, m.tq0p,
-                         *((0.0, 1.0, 0.0, 0.0, 0.0) if e is None
-                           else (e.ka, e.ta, e.efd_min, e.efd_max, vref[k])),
-                         *((0.0, 0.0) if p is None else (p.vmin, p.vmax))))
-            rows.append(design_rows(m.h, m.d, w0, g))
-            if g is not None:
-                gov.append(k)
-            # delta, omega, eqp, edp, pm, xm, xe, efd
-            slots.append((at[m.id, "delta"], at[m.id, "omega"], at[m.id, "eqp"],
-                          at[m.id, "edp"],
-                          *((at[m.id, "pm"], at[m.id, "xm"], at[m.id, "xe"])
-                            if g is not None else (ns + k, zero_at, zero_at)),
-                          at[m.id, "efd"] if e is not None else ns + n + k))
-            if p is not None:
-                pss_k.append(k)
-                pss_ix.append([at[m.id, s] for s in ("omega", "z1", "z2", "z3")])
-                d, y3 = pss_rows(p, w0)
-                pss_d.append(d)
-                pss_y3.append(y3)
-        slot = np.array(slots, dtype=np.intp)
+        k = np.arange(n)[:, None]
+        ne = ns + 2 * n + 1                 # the extended state [y, pm, efd, 0]
+        zero_at, sink = ne - 1, ns
+        # Each machine's slots over SLOT_NAMES, -1 where its device is absent.
+        # As columns, absent slots read the constants (pm, efd, else 0).  As
+        # rows, they are the sink, a row past the state that is dropped at the
+        # end, so that every device block is written for every machine.
+        slot = np.array([at.get((m.id, s), -1) for m in case.machines
+                         for s in SLOT_NAMES], dtype=np.intp).reshape(n, -1)
+        has = slot >= 0
+        absent = np.full(slot.shape, zero_at)
+        absent[:, 4:5], absent[:, 7:8] = ns + k, ns + n + k
+        col = np.concatenate((np.where(has, slot, absent), ns + k, ne + k + n * np.arange(11)),
+                             axis=1)
+        row = np.concatenate((np.where(has, slot, sink),
+                              np.where(has[:, 8:9], slot[:, 1:2], sink)), axis=1)
+        # One pass over the machines gives each one's parameters and the
+        # values of its entries, in the order of _ROWS and _COLS.  ka = 0 and
+        # zero limits give an absent exciter the command 0, zero limits an
+        # absent PSS the output 0; a unit lag keeps the exciter rows of an
+        # unexcited machine, which land in the sink, finite.
+        w0, records = case.omega0, []
+        devices = [{d.machine: d for d in devs}
+                   for devs in (case.governors, case.exciters, case.psss)]
+        for m in case.machines:
+            g, e, p = (of.get(m.id) for of in devices)
+            sout = m.mva / case.base_mva
+            xd, xq, xdp, xqp = m.system_reactances(case.base_mva)
+            ka, ta, efd_min, efd_max = ((0.0, 1.0, 0.0, 0.0) if e is None
+                                        else (e.ka, e.ta, e.efd_min, e.efd_max))
+            a, b, gpe = design_rows(m.h, m.d, w0, g)
+            d, y3 = _NO_PSS if p is None else pss_rows(p, w0)
+            records.append((
+                sout, xdp, xqp - xdp, ka, efd_min, efd_max,
+                *((0.0, 0.0) if p is None else (p.vmin, p.vmax)),
+                *a[0], *a[1], *a[2], *a[3], *a[4], *b[2:],
+                gpe[1] / sout, -1.0 / m.td0p, -(xd - xdp) / m.td0p, 1.0 / m.td0p,
+                -1.0 / m.tq0p, (xq - xqp) / m.tq0p, -1.0 / ta, 1.0 / ta,
+                1.0, 1.0, 1.0, 1.0, 1.0, -1.0, *d[0], *d[1], *d[2], *y3))
+        rec = np.array(records)
+        (self.sout, xdp, self.xq_corr, self.ka, self.efdmin, self.efdmax,
+         self.vsmin, self.vsmax) = rec[:, :8].T.copy()
+        self.vref = np.where(has[:, 7], vref, 0.0)
         self.const = np.concatenate((pm, efd, [0.0]))
-        self.ix5 = slot[:, [0, 1, 4, 5, 6]]                 # (n, 5) design states
-        self.ix_mach = slot[:, :4].T                        # rows: delta, omega, eqp, edp
-        self.gov = gov = np.array(gov, dtype=np.intp)
+        self.ix5 = col[:, _DESIGN]                         # (n, 5) design states
+        self.ix_mach = col[:, :4].T                        # rows: delta, omega, eqp, edp
+        self.gov = gov = np.flatnonzero(has[:, 4])
         self.ix5_gov = self.ix5[gov]
         self.ix_xe = self.ix5_gov[:, 4]
-        (self.sout, xd, xq, xdp, xqp, td0p, tq0p, self.ka, ta, self.efdmin,
-         self.efdmax, self.vref, self.vsmin, self.vsmax) = _columns(mach, 14)
-        self.xq_corr = xqp - xdp
         self.xdp2 = np.concatenate((xdp, xdp))
-        ne = ns + 2 * n + 1
-        phi = ne + np.arange(4 * n).reshape(4, n)           # pe, i_d, i_q, efd_cmd
-        wm = np.zeros((ns, ne + 4 * n))
-
-        # rotor rows of every machine, governor/turbine rows of governed ones
-        ab = np.array([a + [b, g] for a, b, g in rows])
-        a, b, g = ab[:, :5], ab[:, 5], ab[:, 6]
-        wm[self.ix5[:, :2, None], self.ix5[:, None, :]] = a[:, :2]
-        wm[self.ix5_gov[:, 2:, None], self.ix5_gov[:, None, :]] = a[gov, 2:]
-        self.b_pc = b[gov, 2:]                              # valve command columns
-        wm[self.ix5_gov[:, 2:], ns + gov[:, None]] = self.b_pc   # command pcref = pm
-        wm[slot[:, 1], phi[0]] = g[:, 1] / self.sout
-        # two-axis rows; the exciter lag towards the clamped command
-        eqp_, edp_, efd_ = slot[:, 2], slot[:, 3], slot[:, 7]
-        wm[eqp_, eqp_] = -1.0 / td0p
-        wm[eqp_, phi[1]] = -(xd - xdp) / td0p
-        wm[eqp_, efd_] = 1.0 / td0p
-        wm[edp_, edp_] = -1.0 / tq0p
-        wm[edp_, phi[2]] = (xq - xqp) / tq0p
-        exc = efd_ < ns
-        wm[efd_[exc], efd_[exc]] = -1.0 / ta[exc]
-        wm[efd_[exc], phi[3, exc]] = 1.0 / ta[exc]
-        # gathers of delta, delta, edp, eqp, eqp, -edp; then the PSS outputs
-        self.pre = np.zeros((ns, 7 * n))
-        self.pre[slot[:, [0, 0, 3, 2, 2, 3]], np.arange(6 * n).reshape(6, n).T] = \
-            [1.0, 1.0, 1.0, 1.0, 1.0, -1.0]
-        if pss_k:
-            ix = np.array(pss_ix, dtype=np.intp)
-            wm[ix[:, 1:, None], ix[:, None, :]] = pss_d
-            self.pre[ix, 6 * n + np.array(pss_k)[:, None]] = pss_y3
-        self.m = np.concatenate((wm[:, :ns], wm[:, ne:]), axis=1)
-        self.c = wm[:, ns:ne] @ self.const
+        # M over the extended state and φ, then the gathers of φ, in one scatter
+        wm = np.zeros((ns + 1, ne + 11 * n))
+        wm[row[:, _ROWS], col[:, _COLS]] = rec[:, 8:]
+        self.b_pc = wm[self.ix5_gov[:, 2:], ns + gov[:, None]]   # valve command columns
+        self.m = np.concatenate((wm[:ns, :ns], wm[:ns, ne:ne + 4 * n]), axis=1)
+        self.c = wm[:ns, ns:ne] @ self.const
+        self.pre = wm[:ns, ne + 4 * n:].copy()
         for arr in vars(self).values():
             if isinstance(arr, np.ndarray):
                 arr.flags.writeable = False

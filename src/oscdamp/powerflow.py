@@ -149,6 +149,13 @@ def solve_power_flow(case: PowerSystemCase, tol: float = 1e-10,
     vm[slack[0]] = vset[slack[0]]
     va[slack[0]] = 0.0
 
+    # the Jacobian's rows (P at pv and pq buses, Q at pq buses) and columns
+    # (angle at pv and pq buses, magnitude at pq buses) as flat indexes into
+    # the interleaved real views of dS/dva and dS/dvm, row-major (n, 2n):
+    # entry (i, j) has its real part at 2 n i + 2 j and its imaginary one next
+    row = np.concatenate((2 * n * pvpq, 2 * n * pq + 1))[:, None]
+    at_va, at_vm = row + 2 * pvpq, row + 2 * pq
+
     def mismatch(vc):
         s_calc = vc * np.conj(y @ vc)
         ds = s_calc - s_spec
@@ -168,11 +175,8 @@ def solve_power_flow(case: PowerSystemCase, tol: float = 1e-10,
         diag_e = np.diag(vc / np.abs(vc))
         ds_dva = 1j * diag_v @ np.conj(diag_i - y @ diag_v)
         ds_dvm = diag_v @ np.conj(y @ diag_e) + np.conj(diag_i) @ diag_e
-        j11 = ds_dva.real[np.ix_(pvpq, pvpq)]
-        j12 = ds_dvm.real[np.ix_(pvpq, pq)]
-        j21 = ds_dva.imag[np.ix_(pq, pvpq)]
-        j22 = ds_dvm.imag[np.ix_(pq, pq)]
-        jac = np.block([[j11, j12], [j21, j22]])
+        jac = np.concatenate((ds_dva.view(float).take(at_va),
+                              ds_dvm.view(float).take(at_vm)), axis=1)
         try:
             dx = np.linalg.solve(jac, -g)
         except np.linalg.LinAlgError as exc:

@@ -7,12 +7,23 @@ governor feedback to it in closed form.  Eigenvalues and right eigenvectors
 come from LAPACK's balanced Hessenberg + shifted-QR path (numpy.linalg.eig);
 the left eigenvectors for participation factors are the rows of the inverse
 of the right-eigenvector matrix.
+
+A mode table holds the frequency and damping ratio of every mode as arrays,
+computed in one pass.  Only `modal` and `design` report participation
+factors and a class and top participant for every mode, so only they build
+the full table.  A point of `sweep` or `scan-n1` reports the least-damped
+mode in the band: its table skips the inverse and the participation
+factors, a sweep point classifies the least-damped open-loop and
+closed-loop modes alone, and an N-1 point, which reports no class, takes
+the eigenvalues alone (numpy.linalg.eigvals, whose values match those of
+eig on the bundled case's points bit for bit).
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,8 +60,8 @@ class Mode:
     eigenvalue: complex
     frequency_hz: float
     damping_ratio: float
-    right: np.ndarray
-    participation: np.ndarray
+    right: np.ndarray | None = None
+    participation: np.ndarray | None = None
     classification: str = ""
     top_participant: str = ""
 
@@ -59,16 +70,49 @@ class Mode:
         return self.eigenvalue.imag != 0.0
 
 
-@dataclass
+@dataclass(eq=False)
 class ModeTable:
-    modes: list[Mode]
+    """The modes of a state matrix, one per conjugate pair (the eigenvalue
+    with positive imaginary part kept), sorted by damping ratio ascending.
+
+    The eigenvalues, frequencies and damping ratios are arrays over the
+    table; `right` holds the right eigenvectors as columns and
+    `participation` the participation factors as rows, each None where
+    :func:`modal_analysis` did not compute them.  :attr:`modes` builds a
+    :class:`Mode` for every entry on first use; :meth:`mode` builds one.
+    """
+
+    eigenvalues: np.ndarray
+    frequency_hz: np.ndarray
+    damping_ratio: np.ndarray
+    right: np.ndarray | None = None
+    participation: np.ndarray | None = None
     state_labels: tuple[str, ...] = ()
 
     def __iter__(self):
         return iter(self.modes)
 
     def __len__(self):
-        return len(self.modes)
+        return len(self.eigenvalues)
+
+    @cached_property
+    def modes(self) -> list[Mode]:
+        return [self._build(i) for i in range(len(self))]
+
+    def mode(self, i: int) -> Mode:
+        """Entry `i` as a Mode: the one in :attr:`modes` once those are built."""
+        built = self.__dict__.get("modes")
+        return built[i] if built is not None else self._build(i)
+
+    def _build(self, i: int) -> Mode:
+        part = None if self.participation is None else self.participation[i]
+        return Mode(
+            eigenvalue=complex(self.eigenvalues[i]),
+            frequency_hz=float(self.frequency_hz[i]),
+            damping_ratio=float(self.damping_ratio[i]),
+            right=None if self.right is None else self.right[:, i].copy(),
+            participation=part,
+            top_participant="" if part is None else self.state_labels[int(np.argmax(part))])
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -111,44 +155,50 @@ def closed_loop_matrix(a_open: np.ndarray, plan: kernels.RhsPlan,
     return a_open + plan.feedback_matrix(gains)
 
 
-def modal_analysis(a_full: np.ndarray,
-                   state_labels: tuple[str, ...] | None = None) -> ModeTable:
-    """Eigen-decomposition with per-mode frequency, damping and participation.
+def modal_analysis(a_full: np.ndarray, state_labels: tuple[str, ...] | None = None,
+                   *, participation: bool = True, vectors: bool = True) -> ModeTable:
+    """Eigen-decomposition with the frequency and damping ratio of every mode,
+    their right eigenvectors and participation factors.
 
     Conjugate pairs are reported once (positive imaginary part kept); modes are
     sorted by damping ratio ascending.  An eigenvalue with modulus below
     ``ZERO_EIGENVALUE_TOL`` is reported as 0, with damping ratio 1.
+
+    `participation` False skips the inverse of the eigenvector matrix: the
+    modes carry no participation factors and no top participant.  `vectors`
+    False (which needs `participation` False) skips the eigenvectors too and
+    gives the eigenvalues alone.
     """
     if a_full.ndim != 2 or a_full.shape[0] != a_full.shape[1]:
         raise ValueError("state matrix must be square")
-    w, vr = np.linalg.eig(a_full)
-    # row i of vr^-1 is the left eigenvector of mode i; its scale cancels in
-    # the per-mode normalization of the participation factors
-    vl = np.linalg.inv(vr)
+    if participation and not vectors:
+        raise ValueError("participation factors need the eigenvectors")
+    if vectors:
+        w, vr = np.linalg.eig(a_full)
+    else:
+        w, vr = np.linalg.eigvals(a_full), None
+    keep = np.flatnonzero(w.imag >= 0.0)
+    lam = w[keep]
+    # np.hypot is libm's hypot, as the scalar abs of a complex is; numpy's
+    # vectorised complex abs differs from both in the last bit for some values
+    mag = np.hypot(lam.real, lam.imag)
+    zero = mag < ZERO_EIGENVALUE_TOL
+    lam[zero] = 0.0
+    mag[zero] = 0.0
+    zeta = np.divide(-lam.real, mag, out=np.ones(mag.shape), where=~zero)
+    order = np.argsort(zeta, kind="stable")
+    keep, lam = keep[order], lam[order]
+    right = None if vr is None else vr[:, keep]
+    part = None
+    if participation:
+        # row i of vr^-1 is the left eigenvector of mode i; its scale cancels
+        # in the normalization, and each row sums to at least |vl_i . vr_i| = 1
+        part = np.abs(np.linalg.inv(vr)[keep] * right.T)
+        part /= part.sum(axis=1, keepdims=True)
     labels = state_labels or tuple(f"x{i}" for i in range(a_full.shape[0]))
-    modes: list[Mode] = []
-    for i in range(len(w)):
-        lam = w[i]
-        if lam.imag < 0.0:
-            continue
-        if abs(lam) < ZERO_EIGENVALUE_TOL:
-            lam = 0j
-        mag = abs(lam)
-        zeta = 1.0 if mag == 0.0 else float(-lam.real / mag)
-        part = np.abs(vl[i] * vr[:, i])
-        total = part.sum()
-        if total > 0:
-            part = part / total
-        modes.append(Mode(
-            eigenvalue=complex(lam),
-            frequency_hz=float(abs(lam.imag) / (2.0 * np.pi)),
-            damping_ratio=zeta,
-            right=vr[:, i].copy(),
-            participation=part,
-            top_participant=labels[int(np.argmax(part))],
-        ))
-    modes.sort(key=lambda m: m.damping_ratio)
-    return ModeTable(modes=modes, state_labels=tuple(labels))
+    return ModeTable(eigenvalues=lam, frequency_hz=np.abs(lam.imag) / (2.0 * np.pi),
+                     damping_ratio=zeta[order], right=right, participation=part,
+                     state_labels=tuple(labels))
 
 
 def classify_mode(mode: Mode, speed_indices: np.ndarray,
@@ -189,18 +239,14 @@ def classify_table(table: ModeTable, speed_indices: np.ndarray,
 
 def min_damping(table: ModeTable, min_freq_hz: float = 0.1,
                 max_freq_hz: float = 3.0) -> Mode:
-    """Least-damped oscillatory mode inside the frequency band."""
+    """Least-damped oscillatory mode inside the frequency band: the table is
+    sorted by damping, so the first one in it."""
     if min_freq_hz >= max_freq_hz:
         raise ValueError("invalid frequency band")
-    best: Mode | None = None
-    for m in table.modes:
-        if not m.is_oscillatory:
-            continue
-        if not (min_freq_hz <= m.frequency_hz <= max_freq_hz):
-            continue
-        if best is None or m.damping_ratio < best.damping_ratio:
-            best = m
-    if best is None:
+    f = table.frequency_hz
+    inside = np.flatnonzero((table.eigenvalues.imag != 0.0)
+                            & (min_freq_hz <= f) & (f <= max_freq_hz))
+    if inside.size == 0:
         raise NoOscillatoryMode(
             f"no oscillatory mode in [{min_freq_hz}, {max_freq_hz}] Hz")
-    return best
+    return table.mode(int(inside[0]))

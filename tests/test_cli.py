@@ -346,7 +346,8 @@ def test_modal_tables_computed_only_when_read(case_path, tmp_path, monkeypatch,
     gains.write_text(json.dumps({"results": {"controllers": bundled_design[0].to_dict()}}))
     calls = []
     modal = cli.modal_analysis
-    monkeypatch.setattr(cli, "modal_analysis", lambda *a: calls.append(1) or modal(*a))
+    monkeypatch.setattr(cli, "modal_analysis",
+                        lambda *a, **k: calls.append(1) or modal(*a, **k))
     out = str(tmp_path / "out")
     for argv, expected in ((["design"], 1),
                            (["modal", "--controllers", "all", "--gains", str(gains)], 1),
@@ -395,6 +396,111 @@ def test_malformed_gains_file_is_input_error(edit, path, case_path, tmp_path, ca
     gains.write_text(json.dumps({"results": {"controllers": doc}}))
     assert main(["modal", "--case", case_path, "--gains", str(gains)]) == EXIT_INPUT
     assert f"input error: {path}:" in capsys.readouterr().err
+
+
+def _full_point(case, areas, ctrl, band=(0.1, 3.0)):
+    """What a sweep or scan row reports, from the full path: the power flow,
+    every mode's participation and class, and the corridor of the point's
+    own case."""
+    from oscdamp.areas import tie_flow_mw
+    from oscdamp.dynamics import initialize_from_power_flow
+    from oscdamp.powerflow import kron_reduce, load_admittances, solve_power_flow
+    from oscdamp.smallsignal import (classify_table, closed_loop_matrix, linearize,
+                                     min_damping, modal_analysis)
+    sol = solve_power_flow(case)
+    eq = initialize_from_power_flow(case, sol, kron_reduce(case, load_admittances(case, sol)))
+    lay = eq.layout
+    a = linearize(eq)
+
+    def worst(m):
+        table = classify_table(modal_analysis(m, lay.labels), lay.speed_indices, areas,
+                               lay.machine_ids)
+        return min_damping(table, *band)
+
+    base = worst(a)
+    row = {"converged": True, "tie_flow_mw": tie_flow_mw(case, sol),
+           "zeta_baseline_pct": 100 * base.damping_ratio, "freq_hz": base.frequency_hz,
+           "mode_class": base.classification}
+    if ctrl is not None:
+        rob = worst(closed_loop_matrix(a, eq.plan, ctrl.gains_for(lay.machine_ids)))
+        row.update(zeta_robust_pct=100 * rob.damping_ratio,
+                   robust_mode_class=rob.classification)
+    return row
+
+
+@pytest.mark.parametrize("with_gains", [False, True])
+def test_point_rows_equal_the_full_path(with_gains, case_path, tmp_path, bundled_case,
+                                        bundled_areas, bundled_design):
+    """Every sweep row and every connected N-1 row holds exactly (==) what
+    the full modal table, classified mode by mode, gives at that point."""
+    from oscdamp.case import apply_line_trip, scale_stress
+    ctrl = bundled_design[0] if with_gains else None
+    argv = ["--case", case_path]
+    if with_gains:
+        gains = tmp_path / "gains.json"
+        gains.write_text(json.dumps(ctrl.to_dict()))
+        argv += ["--gains", str(gains)]
+    out = tmp_path / "out"
+    assert main(["sweep", "--fractions", "0.9,1.0,1.1", *argv, "--out", str(out)]) == EXIT_OK
+    assert main(["scan-n1", *argv, "--out", str(out)]) == EXIT_OK
+    sweep = json.loads((out / "sweep.json").read_text())["results"]["rows"]
+    scan = json.loads((out / "scan_n1.json").read_text())["results"]["rows"]
+    assert [r["fraction"] for r in sweep] == [0.9, 1.0, 1.1]
+    for r in sweep:
+        assert r == {"fraction": r["fraction"],
+                     **_full_point(scale_stress(bundled_case, r["fraction"]),
+                                   bundled_areas, ctrl)}
+    connected = [r for r in scan if r["converged"]]
+    assert len(connected) == 4
+    scan_keys = {"converged", "zeta_baseline_pct", "zeta_robust_pct"}
+    for r in connected:
+        full = _full_point(apply_line_trip(bundled_case, *r["branch"]), bundled_areas, ctrl)
+        assert r == {"branch": r["branch"], **{k: v for k, v in full.items() if k in scan_keys}}
+
+
+def test_sweep_computes_one_corridor(case_path, tmp_path, bundled_case, monkeypatch):
+    """Stress scaling keeps the tie corridor, so a sweep finds it once."""
+    import oscdamp.areas as areas
+    import oscdamp.cli as cli
+    from oscdamp.case import scale_stress
+    base = areas.tie_branches(bundled_case)
+    assert base
+    for f in (0.9, 0.95, 1.0, 1.05, 1.1):
+        assert areas.tie_branches(scale_stress(bundled_case, f)) == base
+    calls = []
+    for mod in (cli, areas):
+        monkeypatch.setattr(mod, "tie_branches",
+                            lambda case, _fn=areas.tie_branches: calls.append(1) or _fn(case))
+    assert main(["sweep", "--case", case_path, "--fractions", "0.9,0.95,1.0,1.05,1.1",
+                 "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert len(calls) == 1
+
+
+def test_point_without_mode_in_band_is_converged(case_path, tmp_path, capsys,
+                                                 bundled_design):
+    """A point whose power flow converged but has no open-loop mode in the
+    band is a converged row with a baseline_error, as the closed loop has a
+    robust_error; its tie flow is still reported."""
+    gains = tmp_path / "gains.json"
+    gains.write_text(json.dumps(bundled_design[0].to_dict()))
+    band = ["--band", "2.9", "3.0"]
+    out = tmp_path / "out"
+    assert main(["sweep", "--case", case_path, "--fractions", "1.0", *band,
+                 "--gains", str(gains), "--out", str(out)]) == EXIT_OK
+    assert "x1.0000: tie   399.8 MW  zeta none in the band" in capsys.readouterr().out
+    (row,) = json.loads((out / "sweep.json").read_text())["results"]["rows"]
+    message = "no oscillatory mode in [2.9, 3.0] Hz"
+    assert row == {"fraction": 1.0, "converged": True, "tie_flow_mw": row["tie_flow_mw"],
+                   "baseline_error": message, "robust_error": message}
+    assert row["tie_flow_mw"] == pytest.approx(399.75, abs=0.01)
+    assert (out / "sweep.csv").read_text().splitlines()[1] == \
+        f"1.0,True,{row['tie_flow_mw']},,"
+    assert main(["scan-n1", "--case", case_path, *band, "--out", str(out)]) == EXIT_OK
+    assert "14 branches, 4 converged, 10 islanded" in capsys.readouterr().out
+    rows = json.loads((out / "scan_n1.json").read_text())["results"]["rows"]
+    assert [r for r in rows if r["converged"]] == [
+        {"branch": r["branch"], "converged": True, "baseline_error": message}
+        for r in rows if "islanded" not in r]
 
 
 def test_scan_radial_case_all_island(tmp_path):

@@ -398,6 +398,23 @@ def test_state_matrices_match_the_per_device_form(which, bundled_eq, partial_eq)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
+@pytest.mark.parametrize("which", ["bundled", "partial", "nogov"])
+def test_plan_arrays_are_pinned(which, bundled_eq, partial_eq, nogov_eq):
+    """The operator, the gathers of φ, the indices and the parameter columns
+    of the plan are the bits that the build of commit e5f54f8 (a loop over
+    the machines and one scatter per device block) gave.  They come from
+    the case records alone; the constants `c` carry the equilibrium and are
+    checked through the RHS."""
+    plan = {"bundled": bundled_eq, "partial": partial_eq, "nogov": nogov_eq}[which].plan
+    ref = np.load(Path(__file__).parent / "data" / "plan_arrays_e5f54f8.npz")
+    keys = [k for k in ref.files if k.startswith(which + "_")]
+    assert len(keys) == 16
+    for key in keys:
+        got, want = getattr(plan, key[len(which) + 1:]), ref[key]
+        assert got.dtype == want.dtype and np.array_equal(got, want), key
+        assert np.array_equal(np.signbit(got), np.signbit(want)), key
+
+
 @pytest.mark.parametrize("which", ["bundled", "partial"])
 def test_design_matrices_are_the_operator_rows(which, bundled_case, bundled_eq,
                                                partial_case, partial_eq):

@@ -12,7 +12,7 @@ from oscdamp.dynamics import initialize_from_power_flow, build_design_matrices
 from oscdamp.smallsignal import (Mode, NonEquilibriumError, NoOscillatoryMode,
                                  linearize, closed_loop_matrix, modal_analysis,
                                  classify_mode, classify_table, min_damping,
-                                 INTER_AREA, LOCAL, CONTROL, REAL)
+                                 INTER_AREA, LOCAL, CONTROL, REAL, ZERO_EIGENVALUE_TOL)
 from conftest import make_two_bus_text
 
 
@@ -186,6 +186,86 @@ def test_participation_matches_lapack_left_eigenvectors(bundled_eq, bundled_desi
         i = int(np.argmin(np.abs(w - m.eigenvalue)))
         ref = np.abs(vl[:, i] * vr[:, i])
         assert np.allclose(m.participation, ref / ref.sum(), rtol=0.0, atol=1e-12)
+
+
+def _reference_modes(a):
+    """The modes of `a` one by one in scalar arithmetic, the reference for
+    the array pass of modal_analysis: (eigenvalue, frequency, damping ratio,
+    participation), sorted by damping ratio."""
+    w, vr = np.linalg.eig(a)
+    vl = np.linalg.inv(vr)
+    modes = []
+    for i in range(len(w)):
+        lam = w[i]
+        if lam.imag < 0.0:
+            continue
+        if abs(lam) < ZERO_EIGENVALUE_TOL:
+            lam = 0j
+        mag = abs(lam)
+        part = np.abs(vl[i] * vr[:, i])
+        modes.append((complex(lam), float(abs(lam.imag) / (2.0 * np.pi)),
+                      1.0 if mag == 0.0 else float(-lam.real / mag), part / part.sum()))
+    return sorted(modes, key=lambda m: m[2])
+
+
+def _test_matrices(case, eq, design):
+    """Open- and closed-loop state matrices of the bundled case, of two
+    stressed variants and of a line trip, and a matrix with a structural
+    zero eigenvalue."""
+    gains = design[0].gains_for(eq.layout.machine_ids)
+    out = []
+    for variant in (eq, *map(_equilibrium, (scale_stress(case, 0.9), scale_stress(case, 1.1),
+                                            apply_line_trip(case, 3, 101, 1)))):
+        a = linearize(variant)
+        out += [a, closed_loop_matrix(a, variant.plan, gains)]
+    t = np.random.default_rng(8).standard_normal((4, 4)) + 4.0 * np.eye(4)
+    core = np.diag([0.0, 0.0, 1e-9, -2.0])
+    core[:2, :2] = [[-0.1, 4.0], [-4.0, -0.1]]
+    return out + [t @ core @ np.linalg.inv(t)]
+
+
+def test_table_is_the_per_mode_reference(bundled_case, bundled_eq, bundled_design):
+    """The table's eigenvalues, frequencies and damping ratios are the bits
+    of the per-mode scalar reference, in its order; the participation
+    factors agree to roundoff and name the same top participant; and the
+    least-damped mode in a band is the reference's first one there."""
+    for a in _test_matrices(bundled_case, bundled_eq, bundled_design):
+        table, ref = modal_analysis(a), _reference_modes(a)
+        assert [(m.eigenvalue, m.frequency_hz, m.damping_ratio) for m in table] == \
+            [r[:3] for r in ref]
+        for m, r in zip(table, ref):
+            assert np.allclose(m.participation, r[3], rtol=1e-13, atol=0.0)
+            assert m.top_participant == f"x{int(np.argmax(r[3]))}"
+        for band in ((0.1, 3.0), (0.3, 0.9), (1.0, 2.0)):
+            inside = [r for r in ref if r[0].imag != 0.0 and band[0] <= r[1] <= band[1]]
+            if inside:
+                assert min_damping(table, *band).eigenvalue == inside[0][0]
+
+
+@pytest.mark.parametrize("loop", ["open", "closed"])
+def test_lean_tables_hold_the_full_table_values(bundled_eq, bundled_design, loop):
+    """Without participation factors, and without eigenvectors as well, the
+    table holds the eigenvalues, frequencies and damping ratios of the full
+    one, in its order and bit for bit; its least-damped mode has no top
+    participant."""
+    a, labels = linearize(bundled_eq), bundled_eq.layout.labels
+    if loop == "closed":
+        a = closed_loop_matrix(a, bundled_eq.plan,
+                               bundled_design[0].gains_for(bundled_eq.layout.machine_ids))
+    full = modal_analysis(a, labels)
+    worst = min_damping(full)
+    for vectors in (True, False):
+        lean = modal_analysis(a, labels, participation=False, vectors=vectors)
+        for field in ("eigenvalues", "frequency_hz", "damping_ratio"):
+            assert np.array_equal(getattr(lean, field), getattr(full, field))
+        assert lean.participation is None
+        assert np.array_equal(lean.right, full.right) if vectors else lean.right is None
+        m = min_damping(lean)
+        assert (m.eigenvalue, m.frequency_hz, m.damping_ratio) == \
+            (worst.eigenvalue, worst.frequency_hz, worst.damping_ratio)
+        assert m.participation is None and m.top_participant == ""
+    with pytest.raises(ValueError, match="eigenvectors"):
+        modal_analysis(a, vectors=False)
 
 
 def test_eigen_residuals(bundled_eq):

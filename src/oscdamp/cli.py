@@ -53,7 +53,7 @@ def _pipeline(case: PowerSystemCase):
     the network reduced with the loads frozen at the solved voltages."""
     sol = solve_power_flow(case)
     eq = initialize_from_power_flow(
-        case, sol, kron_reduce(case, load_admittances(case, sol)))
+        case, sol, kron_reduce(case, load_admittances(case, sol), sol.ybus))
     return sol, eq
 
 

@@ -14,11 +14,15 @@ three small matrices per block rather than from dense d x d products: the
 sparse Schur-complement assembly of Fujisawa, Kojima and Nakata (Math. Prog.
 79, 1997) and Benson, Ye and Zhang (SIAM J. Optim. 10, 2000), in its unit-
 vector form.  Blocks of one dimension are stacked, so each factorization and
-product runs once per size.  Everything is numpy and deterministic (the
-bundled problem gives the same bits with 1 and 2 BLAS threads); each block's
-inverse comes from the inverse of its Cholesky factor.  Terms are small blocks
-at offsets, and the F_k are built from their (variable, row, column, value)
-triplets, the coordinate form of SDPA files, with no dense matrix per variable.
+product runs once per size.  Each layout of the stacked blocks holds the
+Newton step's work arrays, so the assembly writes into buffers made once
+and a step allocates only its two sums and the d x d inverses; the solve
+releases the phase-1 layout before it builds phase 2's.  Everything is
+numpy and deterministic (the bundled problem gives the same bits with 1 and
+2 BLAS threads); each block's inverse comes from the inverse of its Cholesky
+factor.  Terms are small blocks at offsets, and the F_k are built from their
+(variable, row, column, value) triplets, the coordinate form of SDPA files,
+with no dense matrix per variable.
 
 The module also writes the SDPA sparse exchange format (``.dat-s``) so
 third-party solvers can cross-check solutions, and certifies any solution
@@ -316,7 +320,10 @@ class _Group:
     """The blocks of one dimension d, stacked for the Newton step.  Block i's
     factor columns are a[i] (d, R), with unit directions cover[i] (R,), as
     one-hot rows unit[i] (R, d), and variables owner[i] (R,); the columns
-    past a block's own are zero and belong to the spare index m."""
+    past a block's own are zero and belong to the spare index m.  The Newton
+    step writes W A into `wa` and Q1, Q2, Q3 into `q1`, `q2`, `q3`, made
+    once here, and diag(Q1) and the Hessian products into `diag` and
+    `products`, the group's views into its layout's flat sum inputs."""
 
     members: list                 # block indices
     f0: np.ndarray                # (B, d, d)
@@ -326,24 +333,57 @@ class _Group:
     owner: np.ndarray             # (B, R)
     rows_at: np.ndarray = field(init=False)     # (B, R, R) flat index of (S^-1 A)[J]
     pairs_at: np.ndarray = field(init=False)    # (B, R, R) flat index of S^-1[J, J]
+    a_t: np.ndarray = field(init=False)         # (B, R, d) view of a
+    wa: np.ndarray = field(init=False)          # (B, d, R)
+    q1: np.ndarray = field(init=False)          # (B, R, R)
+    q2: np.ndarray = field(init=False)
+    q3: np.ndarray = field(init=False)
+    diag: np.ndarray = field(init=False)        # (B, R) diag(Q1)
+    products: np.ndarray = field(init=False)    # (B, R, R) Q1 * Q1^T + Q2 * Q3
 
     def __post_init__(self):
         nb, d, r = self.a.shape
         first = np.arange(nb)[:, None, None] * d + self.cover[:, :, None]
         self.rows_at = first * r + np.arange(r)
         self.pairs_at = first * d + self.cover[:, None, :]
+        # every index is in range, so the gathers' mode="wrap" (which spares
+        # them numpy's buffered bounds check) never wraps
+        assert np.all((self.rows_at >= 0) & (self.rows_at < nb * d * r))
+        assert np.all((self.pairs_at >= 0) & (self.pairs_at < nb * d * d))
+        self.a_t = self.a.transpose(0, 2, 1)
+        self.wa = np.empty((nb, d, r))
+        self.q1, self.q2, self.q3 = (np.empty((nb, r, r)) for _ in range(3))
 
 
 @dataclass
 class _Layout:
     """The groups of a problem over m variables, with the flat position of
     every factor column in the gradient and of every column pair in the
-    (m + 1) x (m + 1) Hessian whose last row and column take the padding."""
+    (m + 1) x (m + 1) Hessian whose last row and column take the padding.
+    `grad_in` and `hess_in` hold every group's diag(Q1) and products, in
+    group order, for the two sums."""
 
     m: int
     groups: list
-    grad_at: np.ndarray
-    hess_at: np.ndarray
+    grad_at: np.ndarray = field(init=False)
+    hess_at: np.ndarray = field(init=False)
+    grad_in: np.ndarray = field(init=False)
+    hess_in: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        none = [np.zeros(0, dtype=int)]
+        self.grad_at = np.concatenate(none + [g.owner.ravel() for g in self.groups])
+        self.hess_at = np.concatenate(none + [(g.owner[:, :, None] * (self.m + 1)
+                                               + g.owner[:, None, :]).ravel()
+                                              for g in self.groups])
+        self.grad_in = np.empty(self.grad_at.size)
+        self.hess_in = np.empty(self.hess_at.size)
+        i = j = 0
+        for g in self.groups:
+            nb, r = g.owner.shape
+            g.diag = self.grad_in[i:i + nb * r].reshape(nb, r)
+            g.products = self.hess_in[j:j + nb * r * r].reshape(nb, r, r)
+            i, j = i + nb * r, j + nb * r * r
 
 
 def _prep_layouts(sdp: CanonicalSdp, slack: bool = False) -> _Layout:
@@ -377,11 +417,7 @@ def _prep_layouts(sdp: CanonicalSdp, slack: bool = False) -> _Layout:
             unit[i, np.arange(cv.size), cv] = 1.0
         groups.append(_Group(members, np.stack([sdp.blocks[b].f0 for b in members]),
                              a, unit, cover, owner))
-    none = [np.zeros(0, dtype=int)]
-    return _Layout(m, groups,
-                   np.concatenate(none + [g.owner.ravel() for g in groups]),
-                   np.concatenate(none + [(g.owner[:, :, None] * (m + 1)
-                                           + g.owner[:, None, :]).ravel() for g in groups]))
+    return _Layout(m, groups)
 
 
 def _combine(layout: _Layout, x: np.ndarray) -> list:
@@ -415,23 +451,26 @@ def _derivatives(layout: _Layout, chols: list) -> tuple[np.ndarray, np.ndarray]:
     the blocks, from their Cholesky factors.  With Q1 = (S^-1 A)[J],
     Q2 = A^T S^-1 A and Q3 = S^-1[J, J] over a block's factor columns,
     g_k = 2 sum diag(Q1) and H_kl = 2 sum (Q1 * Q1^T + Q2 * Q3) (elementwise
-    products), summed over the columns k and l own."""
+    products), summed over the columns k and l own.  Every product goes into
+    the layout's buffers; only the returned sums are new arrays."""
     m = layout.m
-    gs, hs = [], []
     for g, l in zip(layout.groups, chols):
         linv = np.linalg.inv(l)
         w = linv.transpose(0, 2, 1) @ linv                # S^-1 = L^-T L^-1
         w = 0.5 * (w + w.transpose(0, 2, 1))
-        wa = w @ g.a
-        q1 = np.take(wa, g.rows_at)
-        q2 = g.a.transpose(0, 2, 1) @ wa
-        q3 = np.take(w, g.pairs_at)
-        gs.append(np.diagonal(q1, axis1=1, axis2=2).ravel())
-        hs.append((q1 * q1.transpose(0, 2, 1) + q2 * q3).ravel())
-    grad = 2.0 * np.bincount(layout.grad_at, np.concatenate(gs), minlength=m + 1)[:m]
-    hess = 2.0 * np.bincount(layout.hess_at, np.concatenate(hs),
-                             minlength=(m + 1) ** 2).reshape(m + 1, m + 1)[:m, :m]
-    return grad, hess
+        np.matmul(w, g.a, out=g.wa)
+        np.take(g.wa, g.rows_at, out=g.q1, mode="wrap")
+        np.matmul(g.a_t, g.wa, out=g.q2)
+        np.take(w, g.pairs_at, out=g.q3, mode="wrap")
+        np.copyto(g.diag, np.diagonal(g.q1, axis1=1, axis2=2))
+        np.multiply(g.q1, g.q1.transpose(0, 2, 1), out=g.products)
+        np.multiply(g.q2, g.q3, out=g.q2)
+        np.add(g.products, g.q2, out=g.products)
+    grad = np.bincount(layout.grad_at, layout.grad_in, minlength=m + 1)
+    hess = np.bincount(layout.hess_at, layout.hess_in, minlength=(m + 1) ** 2)
+    grad *= 2.0
+    hess *= 2.0
+    return grad[:m], hess.reshape(m + 1, m + 1)[:m, :m]
 
 
 def _newton_center(c: np.ndarray, layout: _Layout, x: np.ndarray, t: float,
@@ -549,6 +588,7 @@ def solve_sdp(problem: LmiProblem) -> LmiSolution:
         return finish("infeasible", xz[:n], iters)
 
     # ---- phase 2: follow the central path of the true objective
+    del aug                               # its buffers go before phase 2's are made
     x = feasible_x
     main = _prep_layouts(sdp)
     t = max(1.0, m_total / (1.0 + abs(float(sdp.c @ x))))

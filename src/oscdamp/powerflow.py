@@ -36,13 +36,17 @@ class AdmittanceMatrix:
 
 @dataclass(frozen=True)
 class PowerFlowSolution:
-    bus_ids: tuple[int, ...]
+    ybus: AdmittanceMatrix  # the network the flow was solved on
     vm: np.ndarray         # per-unit magnitude
     va: np.ndarray         # rad, slack at 0
     p: np.ndarray          # net injection, p.u.
     q: np.ndarray          # net injection, p.u.
     iterations: int
     max_mismatch: float
+
+    @property
+    def bus_ids(self) -> tuple[int, ...]:
+        return self.ybus.bus_ids
 
     def voltage(self) -> np.ndarray:
         return self.vm * np.exp(1j * self.va)
@@ -190,7 +194,7 @@ def solve_power_flow(case: PowerSystemCase, tol: float = 1e-10,
 
     s_calc = vc * np.conj(y @ vc)
     return PowerFlowSolution(
-        bus_ids=ybus.bus_ids, vm=vm.copy(), va=va.copy(),
+        ybus=ybus, vm=vm.copy(), va=va.copy(),
         p=s_calc.real.copy(), q=s_calc.imag.copy(),
         iterations=iterations, max_mismatch=max_mis)
 
@@ -213,15 +217,19 @@ def machine_internal_admittances(case: PowerSystemCase) -> np.ndarray:
     return 1.0 / (1j * xdp_sys)
 
 
-def kron_reduce(case: PowerSystemCase, y_load: np.ndarray) -> ReducedNetwork:
+def kron_reduce(case: PowerSystemCase, y_load: np.ndarray,
+                ybus: AdmittanceMatrix | None = None) -> ReducedNetwork:
     """Eliminate every bus, keeping the machine internal nodes (Schur complement).
 
     The augmented admittance is Ybus, plus the per-bus load shunts `y_load`
     (constant-impedance loads), plus each machine's transient admittance to a
     new internal node.  The one elimination solve gives both the reduction and
-    the map from internal EMFs to bus voltages.
+    the map from internal EMFs to bus voltages.  `ybus` is the case's own
+    admittance matrix when the caller has it (a power flow's `sol.ybus` on
+    the same case); otherwise it is built here.
     """
-    ybus = build_ybus(case)
+    if ybus is None:
+        ybus = build_ybus(case)
     n = len(ybus.bus_ids)
     m = len(case.machines)
     idx = {bid: i for i, bid in enumerate(ybus.bus_ids)}

@@ -199,7 +199,7 @@ def simulate(case: PowerSystemCase, controllers: ControllerSet | None,
     scenario.check_machines(tuple(m.id for m in case.machines))
     sol = solve_power_flow(case)
     y_load = load_admittances(case, sol)
-    eq = initialize_from_power_flow(case, sol, kron_reduce(case, y_load))
+    eq = initialize_from_power_flow(case, sol, kron_reduce(case, y_load, sol.ybus))
     plan, lay = eq.plan, eq.layout
     n_mach = len(lay.machine_ids)
 

@@ -3,7 +3,8 @@
 full frame, every scalar component of a variable gets a dense d x d
 coefficient, and the nonzeros are read off the symmetrized sum.  Also a
 reader of SDPA sparse files, which round-trips :func:`oscdamp.lmi.export_sdpa`
-into a scalar-variable problem."""
+into a scalar-variable problem, and the allocating form of the Newton step's
+derivatives that :func:`oscdamp.lmi._derivatives` must match bit for bit."""
 
 import numpy as np
 
@@ -144,3 +145,25 @@ def read_sdpa(text: str) -> LmiProblem:
         if v != 0.0:
             cons[b].terms.append(Term(f"x{k + 1}", [[v]], [[1.0]], i, j, symmetrize=i != j))
     return problem
+
+
+def reference_derivatives(layout, chols):
+    """The gradient and Hessian of :func:`oscdamp.lmi._derivatives`, each
+    product in a fresh array and the per-group pieces concatenated before
+    the sums, in the same operations and order."""
+    m = layout.m
+    gs, hs = [], []
+    for g, l in zip(layout.groups, chols):
+        linv = np.linalg.inv(l)
+        w = linv.transpose(0, 2, 1) @ linv
+        w = 0.5 * (w + w.transpose(0, 2, 1))
+        wa = w @ g.a
+        q1 = np.take(wa, g.rows_at)
+        q2 = g.a.transpose(0, 2, 1) @ wa
+        q3 = np.take(w, g.pairs_at)
+        gs.append(np.diagonal(q1, axis1=1, axis2=2).ravel())
+        hs.append((q1 * q1.transpose(0, 2, 1) + q2 * q3).ravel())
+    grad = 2.0 * np.bincount(layout.grad_at, np.concatenate(gs), minlength=m + 1)[:m]
+    hess = 2.0 * np.bincount(layout.hess_at, np.concatenate(hs),
+                             minlength=(m + 1) ** 2).reshape(m + 1, m + 1)[:m, :m]
+    return grad, hess

@@ -337,6 +337,23 @@ def test_sweep_builds_and_linearizes_each_point_once(case_path, tmp_path,
     assert calls == {"solve_power_flow": 2, "linearize": 2}
 
 
+def test_pipeline_builds_one_ybus(bundled_case, bundled_eq, monkeypatch):
+    """An analysed point assembles its admittance matrix once: the Kron
+    reduction reuses the power flow's, and gives the bits of a reduction
+    that builds its own."""
+    import oscdamp.cli as cli
+    from oscdamp import powerflow
+    calls = []
+    build = powerflow.build_ybus
+    monkeypatch.setattr(powerflow, "build_ybus", lambda case: calls.append(1) or build(case))
+    _, eq = cli._pipeline(bundled_case)
+    assert len(calls) == 1
+    net, want = eq.network, bundled_eq.network
+    assert np.array_equal(net.g, want.g) and np.array_equal(net.b, want.b)
+    assert np.array_equal(net.emf_to_bus, want.emf_to_bus)
+    assert np.array_equal(eq.state, bundled_eq.state)
+
+
 def test_modal_tables_computed_only_when_read(case_path, tmp_path, monkeypatch,
                                               bundled_design):
     """`design` and `modal --controllers` read only the closed-loop table;

@@ -303,6 +303,90 @@ def test_structured_derivatives_match_dense(which, request):
         np.testing.assert_allclose(hess, ref_h, rtol=1e-12, atol=0)
 
 
+def interior_factors(problem):
+    """The layout and the blocks' Cholesky factors at each interior point."""
+    sdp, points = interior_points(problem)
+    out = []
+    for slack, x, shift in points:
+        layout = lmi._prep_layouts(sdp, slack)
+        blocks = [s + shift * np.eye(s.shape[-1]) for s in lmi._eval_blocks(layout, x)]
+        out.append((layout, [np.linalg.cholesky(s) for s in blocks]))
+    return out
+
+
+def assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+def test_derivatives_are_the_allocating_form_bit_for_bit(bundled_design, monkeypatch):
+    """The buffered gradient and Hessian are bit for bit those of the
+    allocating form: at the interior points of the bundled synthesis LMI and
+    the generic SDPA problem, and at every Newton iterate of the bundled
+    solve, in phase 1 (slack layout) and phase 2."""
+    problem = bundled_design[1].lmi.problem
+    for layout, chols in (interior_factors(problem)
+                          + interior_factors(generic_sdpa_problem())):
+        assert_same_bits(lmi._derivatives(layout, chols),
+                         lmi_reference.reference_derivatives(layout, chols))
+    derivatives, seen = lmi._derivatives, []
+
+    def checked(layout, chols):
+        got = derivatives(layout, chols)
+        assert_same_bits(got, lmi_reference.reference_derivatives(layout, chols))
+        seen.append(layout.m)
+        return got
+
+    monkeypatch.setattr(lmi, "_derivatives", checked)
+    sol = solve_sdp(problem)
+    assert sol.status == "optimal"
+    assert set(seen) == {sol.x.size + 1, sol.x.size}
+    assert len(seen) >= sol.iterations
+
+
+def test_solve_with_the_allocating_form_gives_the_same_x(bundled_design, monkeypatch):
+    problem = bundled_design[1].lmi.problem
+    want = solve_sdp(problem)
+    monkeypatch.setattr(lmi, "_derivatives", lmi_reference.reference_derivatives)
+    got = solve_sdp(problem)
+    assert np.array_equal(got.x, want.x)
+    assert got.iterations == want.iterations
+
+
+def test_derivatives_hold_no_state(bundled_design):
+    """A call on another layout or at another point in between, or a write
+    into a returned gradient or Hessian, leaves the next call's bits as
+    they were."""
+    problem = bundled_design[1].lmi.problem
+    (other, other_chols), (layout, chols) = interior_factors(problem)
+    first = [a.copy() for a in lmi._derivatives(layout, chols)]
+    lmi._derivatives(other, other_chols)
+    lmi._derivatives(layout, [2.0 * l for l in chols])
+    again = lmi._derivatives(layout, chols)
+    assert_same_bits(again, first)
+    for a in again:
+        a.fill(np.nan)
+    assert_same_bits(lmi._derivatives(layout, chols), first)
+
+
+def test_derivatives_allocate_less_than_one_product(bundled_design):
+    """After a warm-up call on the bundled phase-1 layout, whose stability
+    block has R = 168 factor columns, one more call's traced peak stays
+    below one R x R float64 array."""
+    layout, chols = interior_factors(bundled_design[1].lmi.problem)[1]
+    r = max(g.a.shape[2] for g in layout.groups)
+    assert r == 168
+    lmi._derivatives(layout, chols)
+    tracemalloc.start()
+    try:
+        lmi._derivatives(layout, chols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < r * r * 8
+
+
 @pytest.mark.parametrize("which", ["synthesis", "generic_sdpa"])
 def test_cover_factors_rebuild_every_coefficient_exactly(which, request):
     """F_k = E_J A_k^T + A_k E_J^T from the stored factors, bit for bit, on

@@ -177,14 +177,20 @@ def _outage_row(case, controllers, areas: dict, band) -> dict:
     return _point_row(case, controllers, areas, band)
 
 
+def _csv(columns: tuple[str, ...], rows: list[dict]) -> str:
+    """The rows as CSV over `columns`; a value a row lacks is an empty field."""
+    lines = [",".join(columns)] + [",".join(f"{r.get(c, '')}" for c in columns)
+                                   for r in rows]
+    return "".join(line + "\n" for line in lines)
+
+
 def _mode_dict(m) -> dict:
     return {"re": m.eigenvalue.real, "im": m.eigenvalue.imag,
             "freq_hz": m.frequency_hz, "damping_pct": 100 * m.damping_ratio,
             "class": m.classification, "top_participant": m.top_participant}
 
 
-def cmd_pf(args) -> int:
-    case, text = _load_case(args.case)
+def cmd_pf(args, case: PowerSystemCase, text: str) -> int:
     sol = solve_power_flow(case)
     results = {
         "iterations": sol.iterations,
@@ -203,8 +209,7 @@ def cmd_pf(args) -> int:
     return EXIT_OK
 
 
-def cmd_modal(args) -> int:
-    case, text = _load_case(args.case)
+def cmd_modal(args, case: PowerSystemCase, text: str) -> int:
     sol, eq = _pipeline(case)
     controllers = _controllers_for(case, args, eq)
     open_table, closed_table = _modal_for(eq, controllers, open_loop=controllers is None)
@@ -231,8 +236,7 @@ def cmd_modal(args) -> int:
     return EXIT_OK
 
 
-def cmd_design(args) -> int:
-    case, text = _load_case(args.case)
+def cmd_design(args, case: PowerSystemCase, text: str) -> int:
     _, eq = _pipeline(case)
     subset = _subset_from_arg(case, args.controllers)    # never 'none' here
     ctrl, res = design_controllers(case, eq, subset=subset,
@@ -259,8 +263,7 @@ def cmd_design(args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    case, text = _load_case(args.case)
+def cmd_simulate(args, case: PowerSystemCase, text: str) -> int:
     scenario = parse_scenario(Path(args.scenario).read_text())
     ids = [m.id for m in case.machines]
     channels = args.channels.split(",") if args.channels else \
@@ -297,15 +300,15 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    case, text = _load_case(args.case)
+def cmd_sweep(args, case: PowerSystemCase, text: str) -> int:
     try:
         fractions = [float(f) for f in args.fractions.split(",")]
     except ValueError as exc:
         raise CaseError(f"--fractions takes comma-separated numbers, not "
                         f"{args.fractions!r}") from exc
-    if any(not f > 0 for f in fractions):
-        raise CaseError("stress fractions must be positive")
+    if any(not (math.isfinite(f) and f > 0) for f in fractions):
+        raise CaseError(f"stress fractions must be positive and finite, not "
+                        f"{args.fractions!r}")
     areas = machine_areas(case)
     ties = tie_branches(case)    # stress scaling keeps every branch: one corridor
     controllers = _controllers_for(case, args)
@@ -316,11 +319,8 @@ def cmd_sweep(args) -> int:
     results = {"rows": rows,
                "controllers": controllers.to_dict() if controllers else None}
     if args.out:
-        csv = "fraction,converged,tie_flow_mw,zeta_baseline_pct,zeta_robust_pct\n"
-        for r in rows:
-            csv += (f"{r['fraction']},{r['converged']},"
-                    f"{r.get('tie_flow_mw', '')},{r.get('zeta_baseline_pct', '')},"
-                    f"{r.get('zeta_robust_pct', '')}\n")
+        csv = _csv(("fraction", "converged", "tie_flow_mw", "zeta_baseline_pct",
+                    "zeta_robust_pct"), rows)
         write_report(args.out, "sweep", _config(args), results, text,
                      {"sweep.csv": csv})
     for r in rows:
@@ -333,8 +333,7 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def cmd_scan_n1(args) -> int:
-    case, text = _load_case(args.case)
+def cmd_scan_n1(args, case: PowerSystemCase, text: str) -> int:
     areas = machine_areas(case)
     controllers = _controllers_for(case, args)
     rows = [{"branch": list(key),
@@ -346,11 +345,9 @@ def cmd_scan_n1(args) -> int:
                "branches_converged": n_conv,
                "controllers": controllers.to_dict() if controllers else None}
     if args.out:
-        csv = "from,to,circuit,converged,zeta_baseline_pct,zeta_robust_pct\n"
-        for r in rows:
-            csv += (f"{r['branch'][0]},{r['branch'][1]},{r['branch'][2]},"
-                    f"{r['converged']},{r.get('zeta_baseline_pct', '')},"
-                    f"{r.get('zeta_robust_pct', '')}\n")
+        csv = _csv(("from", "to", "circuit", "converged", "zeta_baseline_pct",
+                    "zeta_robust_pct"),
+                   [dict(zip(("from", "to", "circuit"), r["branch"]), **r) for r in rows])
         write_report(args.out, "scan_n1", _config(args), results, text,
                      {"scan_n1.csv": csv})
     print(f"scanned {len(rows)} branches, {n_conv} converged, {n_island} islanded")
@@ -363,8 +360,7 @@ def cmd_scan_n1(args) -> int:
     return EXIT_OK
 
 
-def cmd_export_sdpa(args) -> int:
-    case, text = _load_case(args.case)
+def cmd_export_sdpa(args, case: PowerSystemCase, text: str) -> int:
     _, eq = _pipeline(case)
     syn = synthesis_lmi(case, eq, subset=_subset_from_arg(case, args.controllers),
                         beta_bar=args.beta_bar, bound_scale=args.bound_scale)
@@ -382,7 +378,8 @@ def _check_options(args) -> None:
     --controllers defaults to 'all' where gains are designed (design,
     export-sdpa, which also read 'none' as 'all') or given by --gains, and to
     'none' elsewhere; --gains with an explicit 'none' is an input error.
-    --band needs finite edges with 0 <= LO < HI."""
+    --band needs finite edges with 0 <= LO < HI, --beta-bar a finite value of
+    at least 1 and --bound-scale a finite positive one."""
     if hasattr(args, "band"):
         lo, hi = args.band
         if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 <= lo < hi):
@@ -396,10 +393,10 @@ def _check_options(args) -> None:
                         "it cannot be combined with --controllers none")
     if args.controllers is None or (designs and args.controllers == "none"):
         args.controllers = "all" if designs or gains else "none"
-    if not args.beta_bar >= 1.0:
-        raise CaseError(f"--beta-bar must be at least 1, not {args.beta_bar}")
-    if not args.bound_scale > 0.0:
-        raise CaseError(f"--bound-scale must be positive, not {args.bound_scale}")
+    if not (math.isfinite(args.beta_bar) and args.beta_bar >= 1.0):
+        raise CaseError(f"--beta-bar must be finite and at least 1, not {args.beta_bar}")
+    if not (math.isfinite(args.bound_scale) and args.bound_scale > 0.0):
+        raise CaseError(f"--bound-scale must be finite and positive, not {args.bound_scale}")
 
 
 def _config(args) -> dict:
@@ -457,7 +454,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_options(args)
-        return args.func(args)
+        return args.func(args, *_load_case(args.case))
     except INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -6,9 +6,9 @@ on each machine's own MVA base so the physical valve range stays [0, 1];
 network-side quantities (EMFs, currents, electrical power over the reduced
 network) are on the system base.  The conversion factor is stored per machine.
 
-State layout is machine-major with the fixed slot order
-[delta, omega_r, eqp, edp, pm, xm, xe, efd, z1, z2, z3]; the governor, exciter
-and PSS slots exist only when the corresponding device is present.
+State layout is machine-major with the slot order of `kernels.SLOT_NAMES`;
+the governor, exciter and PSS slots exist only when the corresponding device
+is present.
 """
 
 from __future__ import annotations
@@ -25,9 +25,6 @@ from . import kernels
 
 class InitializationError(Exception):
     """Equilibrium violates a hard device limit (infeasible dispatch)."""
-
-
-SLOT_NAMES = kernels.SLOT_NAMES
 
 
 @dataclass(frozen=True)
@@ -56,16 +53,13 @@ def build_layout(case: PowerSystemCase) -> StateLayout:
     labels: list[str] = []
     index: dict = {}
     for m in case.machines:
-        slots = ["delta", "omega", "eqp", "edp"]
-        if case.governor_for(m.id) is not None:
-            slots += ["pm", "xm", "xe"]
-        if case.exciter_for(m.id) is not None:
-            slots += ["efd"]
-        if case.pss_for(m.id) is not None:
-            slots += ["z1", "z2", "z3"]
-        for s in slots:
-            index[(m.id, s)] = len(labels)
-            labels.append(f"m{m.id}:{s}")
+        present = {"machine": True, "governor": case.governor_for(m.id) is not None,
+                   "exciter": case.exciter_for(m.id) is not None,
+                   "pss": case.pss_for(m.id) is not None}
+        for s, device in zip(kernels.SLOT_NAMES, kernels.SLOT_DEVICES):
+            if present[device]:
+                index[(m.id, s)] = len(labels)
+                labels.append(f"m{m.id}:{s}")
     return StateLayout(machine_ids=tuple(m.id for m in case.machines),
                        labels=tuple(labels), index=index, n_states=len(labels))
 

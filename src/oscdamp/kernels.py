@@ -59,9 +59,10 @@ import numpy as np
 
 DIVERGENCE_LIMIT = 1e6
 
-# a machine's state slots, in layout order; the governor, exciter and PSS
-# slots exist only where the device does
+# a machine's state slots, in layout order, and the device that owns each:
+# the governor, exciter and PSS slots exist only where the device does
 SLOT_NAMES = ("delta", "omega", "eqp", "edp", "pm", "xm", "xe", "efd", "z1", "z2", "z3")
+SLOT_DEVICES = ("machine",) * 4 + ("governor",) * 3 + ("exciter",) + ("pss",) * 3
 
 # whole-array reduction without the ndarray-method wrapper (hot loop)
 _most = np.maximum.reduce

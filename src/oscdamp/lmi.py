@@ -456,8 +456,7 @@ def _derivatives(layout: _Layout, chols: list) -> tuple[np.ndarray, np.ndarray]:
     m = layout.m
     for g, l in zip(layout.groups, chols):
         linv = np.linalg.inv(l)
-        w = linv.transpose(0, 2, 1) @ linv                # S^-1 = L^-T L^-1
-        w = 0.5 * (w + w.transpose(0, 2, 1))
+        w = linv.transpose(0, 2, 1) @ linv      # S^-1 = L^-T L^-1, exactly symmetric
         np.matmul(w, g.a, out=g.wa)
         np.take(g.wa, g.rows_at, out=g.q1, mode="wrap")
         np.matmul(g.a_t, g.wa, out=g.q2)

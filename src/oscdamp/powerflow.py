@@ -221,9 +221,10 @@ def kron_reduce(case: PowerSystemCase, y_load: np.ndarray,
                 ybus: AdmittanceMatrix | None = None) -> ReducedNetwork:
     """Eliminate every bus, keeping the machine internal nodes (Schur complement).
 
-    The augmented admittance is Ybus, plus the per-bus load shunts `y_load`
-    (constant-impedance loads), plus each machine's transient admittance to a
-    new internal node.  The one elimination solve gives both the reduction and
+    The bus block is Ybus, plus the per-bus load shunts `y_load`
+    (constant-impedance loads), plus each machine's transient admittance
+    1/(j x'd) at its bus; that admittance also joins the bus to the machine's
+    internal node.  The one elimination solve gives both the reduction and
     the map from internal EMFs to bus voltages.  `ybus` is the case's own
     admittance matrix when the caller has it (a power flow's `sol.ybus` on
     the same case); otherwise it is built here.
@@ -233,23 +234,14 @@ def kron_reduce(case: PowerSystemCase, y_load: np.ndarray,
     n = len(ybus.bus_ids)
     m = len(case.machines)
     idx = {bid: i for i, bid in enumerate(ybus.bus_ids)}
+    at = np.array([idx[mach.bus] for mach in case.machines], dtype=np.intp)
     y_int = machine_internal_admittances(case)
 
-    aug = np.zeros((n + m, n + m), dtype=complex)
-    aug[:n, :n] = ybus.y + np.diag(y_load)
-    for k, mach in enumerate(case.machines):
-        i = idx[mach.bus]
-        kk = n + k
-        aug[kk, kk] += y_int[k]
-        aug[i, i] += y_int[k]
-        aug[kk, i] -= y_int[k]
-        aug[i, kk] -= y_int[k]
-
-    keep = np.arange(n, n + m)
-    elim = np.arange(n)
-    y_kk = aug[np.ix_(keep, keep)]
-    y_ke = aug[np.ix_(keep, elim)]
-    y_ee = aug[np.ix_(elim, elim)]
+    y_ee = ybus.y + np.diag(y_load)
+    np.add.at(y_ee, (at, at), y_int)     # machines may share a bus: add in case order
+    y_ke = np.zeros((m, n), dtype=complex)
+    y_ke[np.arange(m), at] -= y_int
+    y_kk = np.diag(y_int)
     try:
         x = np.linalg.solve(y_ee, y_ke.T)
     except np.linalg.LinAlgError as exc:

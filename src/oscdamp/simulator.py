@@ -155,8 +155,11 @@ def parse_scenario(text: str) -> Scenario:
 class _Segment:
     """Network and controller configuration from the trajectory row
     `first_row` onward: the first grid row at or after the event that
-    started it."""
+    started it.  The network is the Kron reduction of `case` with the load
+    shunts `y_load`."""
     first_row: int
+    case: PowerSystemCase
+    y_load: np.ndarray
     network: ReducedNetwork
     active: np.ndarray
     xref: np.ndarray
@@ -206,15 +209,15 @@ def simulate(case: PowerSystemCase, controllers: ControllerSet | None,
     gains = (np.zeros((n_mach, 5)) if controllers is None
              else controllers.gains_for(lay.machine_ids))
     has_gain = np.any(gains != 0.0, axis=1).astype(float)
+
+    def selected(sel) -> np.ndarray:
+        """1.0 for each machine `sel` names ('all' names every one), else 0.0."""
+        return np.array([1.0 if sel == "all" or m in sel else 0.0 for m in lay.machine_ids])
+
     if controllers is None or scenario.initial_active == "none":
         active = np.zeros(n_mach)
-    elif scenario.initial_active == "all":
-        active = has_gain.copy()
     else:
-        active = has_gain * np.array(
-            [1.0 if m in scenario.initial_active else 0.0 for m in lay.machine_ids])
-
-    current_case = case
+        active = has_gain * selected(scenario.initial_active)
 
     dt, n_steps = scenario.dt, scenario.n_steps
     tgrid = np.arange(n_steps + 1) * dt
@@ -222,8 +225,8 @@ def simulate(case: PowerSystemCase, controllers: ControllerSet | None,
     states[0] = eq.state
     y = eq.state.copy()
     event_log: list = []
-    segments = [_Segment(0, eq.network, active, plan.design_states(eq.state))]
-    topology_changed = False
+    segments = [_Segment(0, case, y_load, eq.network, active,
+                         plan.design_states(eq.state))]
 
     def span(h: float, count: int, **record) -> int:
         """RK4 over `count` steps on the current segment's network and control."""
@@ -231,22 +234,22 @@ def simulate(case: PowerSystemCase, controllers: ControllerSet | None,
         return kernels.rk4_span(y, h, count, plan, s.network.g, s.network.b,
                                 kernels.Control(gains, s.xref, s.active), **record)
 
-    def reduce() -> ReducedNetwork:
+    def reduce(case_now: PowerSystemCase, y_now: np.ndarray) -> ReducedNetwork:
         try:
-            return kron_reduce(current_case, y_load)
+            return kron_reduce(case_now, y_now)
         except KronReductionError as exc:
             raise ScenarioError("event left the network islanded") from exc
 
     def fire(ev: Event, t_now: float, first_row: int) -> None:
-        nonlocal current_case, y_load, topology_changed
         seg = segments[-1]
-        net, active, xref = seg.network, seg.active, seg.xref
+        case_now, y_now, net, active, xref = (seg.case, seg.y_load, seg.network,
+                                              seg.active, seg.xref)
+        entry = {"time": t_now, "action": ev.action}
         if ev.action == "trip_line":
             f, t, c = ev.params
-            current_case = apply_line_trip(current_case, f, t, c)
-            net = reduce()
-            topology_changed = True
-            event_log.append({"time": t_now, "action": "trip_line", "branch": [f, t, c]})
+            case_now = apply_line_trip(case_now, f, t, c)
+            net = reduce(case_now, y_now)
+            entry["branch"] = [f, t, c]
         elif ev.action == "step_load":
             bus, dp, dq = ev.params
             if bus not in net.bus_ids:
@@ -254,17 +257,14 @@ def simulate(case: PowerSystemCase, controllers: ControllerSet | None,
             idx = net.bus_ids.index(bus)
             e = plan.bind(net.g, net.b).network(y)[0]
             vm_now = abs((net.emf_to_bus @ (e[:n_mach] + 1j * e[n_mach:]))[idx])
-            s = complex(dp, dq) / current_case.base_mva
-            y_load = y_load.copy()
-            y_load[idx] += np.conj(s) / (vm_now ** 2 if vm_now > 0 else 1.0)
-            net = reduce()
-            topology_changed = True
-            event_log.append({"time": t_now, "action": "step_load", "bus": bus,
-                              "dp_mw": dp, "dq_mvar": dq})
+            s = complex(dp, dq) / case_now.base_mva
+            y_now = y_now.copy()
+            y_now[idx] += np.conj(s) / (vm_now ** 2 if vm_now > 0 else 1.0)
+            net = reduce(case_now, y_now)
+            entry.update(bus=bus, dp_mw=dp, dq_mvar=dq)
         else:
             sel = ev.params[0]
-            mask = np.ones(n_mach) if sel == "all" else np.array(
-                [1.0 if m in sel else 0.0 for m in lay.machine_ids])
+            entry["machines"] = "all" if sel == "all" else list(sel)
             if ev.action == "activate_controllers":
                 omega = y[lay.speed_indices]
                 rhs = kernels.rhs(y, plan, net.g, net.b,
@@ -274,22 +274,18 @@ def simulate(case: PowerSystemCase, controllers: ControllerSet | None,
                 # speeds equal (common droop slip) and all other derivatives quiet
                 settled = (np.max(np.abs(omega - np.mean(omega))) < 1e-4
                            and np.max(np.abs(non_angle)) < 1e-4)
-                if topology_changed and settled:
+                if net is not eq.network and settled:
                     # the settled operating point on the changed network is the
                     # operative equilibrium and becomes the reference
                     xref = plan.design_states(y)
-                    ref_src = "settled_state"
+                    entry["reference"] = "settled_state"
                 else:
-                    ref_src = "pre_disturbance_equilibrium"
-                active = np.clip(active + mask, 0, 1) * has_gain
-                event_log.append({"time": t_now, "action": ev.action,
-                                  "machines": "all" if sel == "all" else list(sel),
-                                  "reference": ref_src})
+                    entry["reference"] = "pre_disturbance_equilibrium"
+                active = np.clip(active + selected(sel), 0, 1) * has_gain
             else:
-                active = active * (1.0 - mask)
-                event_log.append({"time": t_now, "action": ev.action,
-                                  "machines": "all" if sel == "all" else list(sel)})
-        segments.append(_Segment(first_row, net, active, xref))
+                active = active * (1.0 - selected(sel))
+        event_log.append(entry)
+        segments.append(_Segment(first_row, case_now, y_now, net, active, xref))
 
     # Step to each stop: the event times in order, then the end of the grid.
     # `row` is the last recorded row.  A stop's whole steps run in one span;

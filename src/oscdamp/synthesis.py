@@ -189,7 +189,7 @@ def verify_bound(bounds: CouplingBounds, reduced: ReducedNetwork,
 
 def assemble_synthesis_lmi(design_models: list[DesignModel],
                            h_rows: list[np.ndarray],
-                           beta_bar: np.ndarray | float = 1.0) -> LmiProblem:
+                           beta_bar: float = 1.0) -> LmiProblem:
     """Build the gain-synthesis LMI over the given machines.
 
     Variables per machine: Y (5x5 symmetric), five gain-seed scalars L_k,
@@ -207,8 +207,7 @@ def assemble_synthesis_lmi(design_models: list[DesignModel],
         raise SynthesisError("empty design subset")
     if len(h_rows) != n:
         raise SynthesisError("one disturbance-row matrix is required per machine")
-    beta = np.full(n, float(beta_bar)) if np.isscalar(beta_bar) else np.asarray(beta_bar, dtype=float)
-    if np.any(beta < 1.0):
+    if beta_bar < 1.0:
         raise SynthesisError("beta_bar must be at least 1")
 
     m_rows = [h.shape[0] for h in h_rows]
@@ -276,7 +275,7 @@ def assemble_synthesis_lmi(design_models: list[DesignModel],
         # robustness margin: gamma < 1/beta^2 (strict via EPS)
         if m_rows[i] > 0:
             con = p.add_constraint(f"margin{i}", 1,
-                                   const=[[1.0 / beta[i] ** 2 - EPS]])
+                                   const=[[1.0 / beta_bar ** 2 - EPS]])
             con.terms.append(Term(f"gamma{i}", [[-1.0]], [[1.0]]))
     return p
 
@@ -339,7 +338,7 @@ class SynthesisLmi:
     problem: LmiProblem
     e_max_q: np.ndarray
     e_max_d: np.ndarray
-    beta_bar: np.ndarray
+    beta_bar: float
     bound_scale: float
 
 
@@ -376,7 +375,7 @@ class SynthesisResult:
             "min_block_eig": min(self.check.min_eigs),
             "e_max_q": self.lmi.e_max_q.tolist(),
             "e_max_d": self.lmi.e_max_d.tolist(),
-            "beta_bar": self.lmi.beta_bar.tolist(),
+            "beta_bar": [self.lmi.beta_bar] * len(self.lmi.subset),
             "bound_scale": self.lmi.bound_scale,
             "eps": EPS,
             "closed_loop_max_re": max(float(np.max(e.real))
@@ -431,7 +430,7 @@ def governed_subset(case: PowerSystemCase, subset: list[int] | None = None) -> l
 
 def synthesis_lmi(case: PowerSystemCase, equilibrium: Equilibrium,
                   subset: list[int] | None = None,
-                  beta_bar: float | np.ndarray = 1.0,
+                  beta_bar: float = 1.0,
                   bound_scale: float = DEFAULT_BOUND_SCALE) -> SynthesisLmi:
     """The synthesis LMI at an initialized operating point, on the reduced
     network the point was initialized on, assembled but not solved.
@@ -472,19 +471,17 @@ def synthesis_lmi(case: PowerSystemCase, equilibrium: Equilibrium,
                                  b=dm.b / tscale,
                                  g=dm.g / tscale)
                      for dm in design_models]
-    beta = np.full(len(subset_ids), float(beta_bar)) if np.isscalar(beta_bar) \
-        else np.asarray(beta_bar, dtype=float)
     return SynthesisLmi(subset=tuple(subset_ids), models=scaled_models,
                         state_scale=tscale,
                         problem=assemble_synthesis_lmi(scaled_models, h_rows,
-                                                       beta_bar=beta),
-                        e_max_q=e_max_q, e_max_d=e_max_d, beta_bar=beta,
+                                                       beta_bar=beta_bar),
+                        e_max_q=e_max_q, e_max_d=e_max_d, beta_bar=beta_bar,
                         bound_scale=bound_scale)
 
 
 def design_controllers(case: PowerSystemCase, equilibrium: Equilibrium,
                        subset: list[int] | None = None,
-                       beta_bar: float | np.ndarray = 1.0,
+                       beta_bar: float = 1.0,
                        bound_scale: float = DEFAULT_BOUND_SCALE
                        ) -> tuple[ControllerSet, SynthesisResult]:
     """Full synthesis pipeline: the LMI of :func:`synthesis_lmi`, solved,

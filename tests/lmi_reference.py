@@ -150,7 +150,9 @@ def read_sdpa(text: str) -> LmiProblem:
 def reference_derivatives(layout, chols):
     """The gradient and Hessian of :func:`oscdamp.lmi._derivatives`, each
     product in a fresh array and the per-group pieces concatenated before
-    the sums, in the same operations and order."""
+    the sums, in the same operations and order.  W = L^-T L^-1 is
+    symmetrized here; `_derivatives` relies on numpy forming the product
+    exactly symmetric, so the bit-for-bit tests fail if it ever does not."""
     m = layout.m
     gs, hs = [], []
     for g, l in zip(layout.groups, chols):

@@ -3,11 +3,15 @@ equations as the independent reference for the operator form in
 :mod:`oscdamp.kernels` (scalar arguments; one machine at a time), and the
 allocating evaluation of that operator form (``reference_network``,
 ``reference_phi``, ``reference_bind``, ``reference_rk4_span``): each step a
-new array, as the workspace evaluator must reproduce bit for bit."""
+new array, as the workspace evaluator must reproduce bit for bit.  The Kron
+reduction's augmented-matrix form (``reference_kron_reduce``) is the
+reference for the block form of :func:`oscdamp.powerflow.kron_reduce`."""
 
 import numpy as np
 
 from oscdamp.kernels import DIVERGENCE_LIMIT, network_operator
+from oscdamp.powerflow import (ReducedNetwork, build_ybus,
+                               machine_internal_admittances)
 
 
 def network_currents(delta, eqp, edp, gmat, bmat):
@@ -142,3 +146,36 @@ def reference_rk4_span(y, h, nsteps, plan, gmat, bmat, control=None, out=None):
         if out is not None:
             out[k] = y
     return -1
+
+
+def reference_kron_reduce(case, y_load, ybus=None):
+    """The Kron reduction over the augmented admittance: Ybus plus the load
+    shunts, and one internal node per machine joined to its bus by 1/(j x'd),
+    filled machine by machine; the three blocks are read back out of it."""
+    if ybus is None:
+        ybus = build_ybus(case)
+    n = len(ybus.bus_ids)
+    m = len(case.machines)
+    idx = {bid: i for i, bid in enumerate(ybus.bus_ids)}
+    y_int = machine_internal_admittances(case)
+
+    aug = np.zeros((n + m, n + m), dtype=complex)
+    aug[:n, :n] = ybus.y + np.diag(y_load)
+    for k, mach in enumerate(case.machines):
+        i = idx[mach.bus]
+        kk = n + k
+        aug[kk, kk] += y_int[k]
+        aug[i, i] += y_int[k]
+        aug[kk, i] -= y_int[k]
+        aug[i, kk] -= y_int[k]
+
+    keep = np.arange(n, n + m)
+    elim = np.arange(n)
+    y_kk = aug[np.ix_(keep, keep)]
+    y_ke = aug[np.ix_(keep, elim)]
+    y_ee = aug[np.ix_(elim, elim)]
+    x = np.linalg.solve(y_ee, y_ke.T)
+    reduced = y_kk - y_ke @ x
+    return ReducedNetwork(g=reduced.real.copy(), b=reduced.imag.copy(),
+                          machine_ids=tuple(mach.id for mach in case.machines),
+                          emf_to_bus=-x, bus_ids=ybus.bus_ids)

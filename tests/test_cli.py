@@ -637,6 +637,9 @@ _TRIP_AT_1 = {"time": 1.0, "type": "trip_line", "from": 3, "to": 101, "circuit":
     (["design", "--controllers", "1,x"], None, None),
     (["design", "--beta-bar", "0.5"], None, None),
     (["design", "--bound-scale", "-1"], None, None),
+    (["design", "--beta-bar", "inf"], None, None),
+    (["design", "--bound-scale", "inf"], None, None),
+    (["sweep", "--fractions", "1.0,inf"], None, None),
     (["simulate"], {"duration": 1.0, "events": [
         {"time": 0.5, "type": "trip_line", "to": 101, "circuit": 1}]}, None),
     (["simulate"], {"duration": "x"}, None),
@@ -678,7 +681,8 @@ _TRIP_AT_1 = {"time": 1.0, "type": "trip_line", "from": 3, "to": 101, "circuit":
     (["simulate", "--channels", "omega:1,omega:9", "--out", "{out}"], {"duration": 1.0}, None),
     (["design", "--out", "{out}"], None, lambda doc: doc.update(governors=[])),
 ], ids=["fractions", "modal-controllers", "design-controllers", "beta-bar",
-        "bound-scale", "trip-without-from", "duration", "initial-active",
+        "bound-scale", "beta-bar-infinite", "bound-scale-infinite",
+        "fractions-infinite", "trip-without-from", "duration", "initial-active",
         "activate-machines", "duration-off-grid", "trip-past-grid",
         "activate-in-partial-step", "dt-nan", "duration-infinite", "events-not-list",
         "scenario-list", "case-buses-not-list", "case-load-not-object", "case-h-nan",

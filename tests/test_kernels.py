@@ -26,9 +26,10 @@ import pytest
 
 import oscdamp
 from oscdamp import kernels
+from oscdamp.kernels import SLOT_NAMES
 from oscdamp.case import parse_case
 from oscdamp.powerflow import solve_power_flow, load_admittances, kron_reduce
-from oscdamp.dynamics import SLOT_NAMES, build_design_matrices, initialize_from_power_flow
+from oscdamp.dynamics import build_design_matrices, initialize_from_power_flow
 from oscdamp.smallsignal import closed_loop_matrix, linearize
 from oscdamp.smallsignal import COMPLEX_STEP
 from model_reference import (network_currents, rotor_rhs, two_axis_rhs,

@@ -1,13 +1,15 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from oscdamp.case import parse_case
+from oscdamp.case import apply_line_trip, parse_case
 from oscdamp.powerflow import (PowerFlowDiverged, build_ybus, solve_power_flow,
                                load_admittances, kron_reduce, branch_flow)
 from oscdamp.areas import tie_flow_mw
 from conftest import make_two_bus_text
+from model_reference import reference_kron_reduce
 
 
 def test_ybus_single_branch(two_bus_case):
@@ -153,6 +155,38 @@ def test_kron_two_machines_one_bus():
     expected = np.array([[ya - ya * ya / (ya + yb), -ya * yb / (ya + yb)],
                          [-ya * yb / (ya + yb), yb - yb * yb / (ya + yb)]])
     assert np.allclose(y, expected, atol=1e-12)
+
+
+def _shared_bus(case):
+    """The case with its second machine moved onto the first one's bus."""
+    first, second, *rest = case.machines
+    return dataclasses.replace(
+        case, machines=(first, dataclasses.replace(second, bus=first.bus), *rest))
+
+
+def _stepped_load(y_load):
+    """The load shunts after a load step at the fifth bus."""
+    y = y_load.copy()
+    y[4] += complex(0.3, -0.05)
+    return y
+
+
+@pytest.mark.parametrize("variant, loads", [
+    (lambda case: case, lambda y: y),
+    (lambda case: apply_line_trip(case, 3, 101, 1), lambda y: y),
+    (lambda case: case, _stepped_load),
+    (_shared_bus, lambda y: y),
+], ids=["bundled", "tripped", "load-step", "two-machines-one-bus"])
+def test_kron_reduce_is_the_augmented_form_bit_for_bit(bundled_case, bundled_sol,
+                                                       variant, loads):
+    """The block form of the reduction gives the bits of the augmented-matrix
+    form: the reduced conductance and susceptance and the EMF-to-bus map."""
+    case = variant(bundled_case)
+    y_load = loads(load_admittances(bundled_case, bundled_sol))
+    red, ref = kron_reduce(case, y_load), reference_kron_reduce(case, y_load)
+    for name in ("g", "b", "emf_to_bus"):
+        assert getattr(red, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert red.bus_ids == ref.bus_ids and red.machine_ids == ref.machine_ids
 
 
 def test_kron_symmetry(bundled_red):

@@ -235,6 +235,38 @@ def test_one_reduction_per_network(bundled_case, monkeypatch, events, reductions
     assert len(calls) == reductions
 
 
+def test_segments_carry_their_case_and_loads(bundled_case, monkeypatch):
+    """A load step after a trip reduces the tripped case, with the load
+    shunts of the trip's network plus the step at its bus alone."""
+    calls = []
+    reduce = simulator.kron_reduce
+    monkeypatch.setattr(simulator, "kron_reduce",
+                        lambda case, y_load, *a: calls.append((case, y_load.copy()))
+                        or reduce(case, y_load, *a))
+    simulate(bundled_case, None, Scenario(
+        duration=2.0, dt=0.01, events=(Event(0.5, "trip_line", (3, 101, 1)),
+                                       Event(1.0, "step_load", (4, 50.0, 10.0)))))
+    (case0, y0), (tripped, y_trip), (stepped, y_step) = calls
+    assert case0 is bundled_case and stepped is tripped
+    assert not tripped.find_branch(3, 101, 1).in_service
+    assert np.array_equal(y_trip, y0)
+    at = [b.id for b in bundled_case.buses].index(4)
+    changed = np.flatnonzero(y_step != y0)
+    assert changed.tolist() == [at] and y_step[at].real > y0[at].real
+
+
+def test_activation_on_the_undisturbed_network_keeps_the_equilibrium(bundled_case,
+                                                                      bundled_design):
+    """Activated at the undisturbed equilibrium, the system reads settled, but
+    its network has not changed: the reference stays the pre-disturbance one."""
+    ctrl, _ = bundled_design
+    res = simulate(bundled_case, ctrl, Scenario(
+        duration=1.0, dt=0.01, initial_active="none",
+        events=(Event(0.5, "activate_controllers", ("all",)),)))
+    acts = [e for e in res.event_log if e["action"] == "activate_controllers"]
+    assert acts[0]["reference"] == "pre_disturbance_equilibrium"
+
+
 def test_ringdown_synthetic_damped():
     dt = 0.01
     t = np.arange(0, 40, dt)

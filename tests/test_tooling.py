@@ -4,6 +4,7 @@ from their results must be there, or `--trace 1` fails.  The benchmark's SDP
 size curve and its set-up probe also import the package; each runs here once
 at its smallest size."""
 
+import ast
 import importlib.util
 import inspect
 import json
@@ -18,6 +19,7 @@ from oscdamp import kernels, lmi
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
+PACKAGE = ROOT / "src" / "oscdamp"
 
 
 def load_perfbench(monkeypatch, name):
@@ -33,6 +35,28 @@ def test_span_wraps_resolve(monkeypatch):
     missing = [(target, attr) for target, attr, _, _ in spans.WRAPS
                if not callable(getattr(spans._resolve(target), attr, None))]
     assert spans.WRAPS and missing == []
+
+
+def test_package_imports_are_used():
+    """Every name a package module imports is read in that module (the
+    `__future__` import aside).  A name kept only for the span tracer to wrap
+    would record no span once its caller stopped using it, and a per-layer
+    figure would read zero without any error."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in read]
+    assert unused == []
 
 
 def test_rk4_span_nsteps_is_third_parameter():

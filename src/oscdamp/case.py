@@ -13,7 +13,7 @@ import json
 import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
-from functools import cache
+from functools import cache, cached_property
 from typing import NamedTuple, get_args, get_origin, get_type_hints
 
 
@@ -151,23 +151,21 @@ class PowerSystemCase:
                 return m
         raise CaseError(f"unknown machine {machine_id}")
 
+    @cached_property
+    def bus_index(self) -> dict[int, int]:
+        """Each bus id's row in the network's arrays: the order of `buses`.
+        Computed once per case; the case is frozen, and its transforms return
+        new cases with their own index."""
+        return {b.id: i for i, b in enumerate(self.buses)}
+
     def governor_for(self, machine_id: int) -> GovernorParams | None:
-        for g in self.governors:
-            if g.machine == machine_id:
-                return g
-        return None
+        return next((g for g in self.governors if g.machine == machine_id), None)
 
     def exciter_for(self, machine_id: int) -> ExciterParams | None:
-        for e in self.exciters:
-            if e.machine == machine_id:
-                return e
-        return None
+        return next((e for e in self.exciters if e.machine == machine_id), None)
 
     def pss_for(self, machine_id: int) -> PssParams | None:
-        for p in self.psss:
-            if p.machine == machine_id:
-                return p
-        return None
+        return next((p for p in self.psss if p.machine == machine_id), None)
 
     def in_service_branches(self) -> tuple[Branch, ...]:
         return tuple(br for br in self.branches if br.in_service)

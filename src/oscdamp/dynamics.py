@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .case import PowerSystemCase, Machine, GovernorParams
-from .powerflow import PowerFlowSolution, ReducedNetwork
+from .powerflow import PowerFlowSolution, ReducedNetwork, bus_loads
 from . import kernels
 
 
@@ -116,15 +116,11 @@ def _machine_bus_outputs(case: PowerSystemCase, sol: PowerFlowSolution):
     by_bus: dict[int, list[int]] = {}
     for k, m in enumerate(case.machines):
         by_bus.setdefault(m.bus, []).append(k)
-    load_p = {b.id: 0.0 for b in case.buses}
-    load_q = {b.id: 0.0 for b in case.buses}
-    for l in case.loads:
-        load_p[l.bus] += l.p_mw / case.base_mva
-        load_q[l.bus] += l.q_mvar / case.base_mva
+    load = bus_loads(case)
     for bus_id, ks in by_bus.items():
-        i = sol.index_of(bus_id)
-        p_gen = sol.p[i] + load_p[bus_id]
-        q_gen = sol.q[i] + load_q[bus_id]
+        i = case.bus_index[bus_id]
+        p_gen = sol.p[i] + load[i].real
+        q_gen = sol.q[i] + load[i].imag
         mvas = np.array([case.machines[k].mva for k in ks])
         scheds = np.array([case.machines[k].p_sched_mw / case.base_mva for k in ks])
         # scheduled P plus a rating-proportional share of the residual (slack pickup)
@@ -153,8 +149,7 @@ def initialize_from_power_flow(case: PowerSystemCase, sol: PowerFlowSolution,
     pm_ref, efd_ref, vref = np.zeros(n), np.zeros(n), np.zeros(n)
 
     for k, m in enumerate(case.machines):
-        i = sol.index_of(m.bus)
-        v = vc[i]
+        v = vc[case.bus_index[m.bus]]
         s = complex(p_out[k], q_out[k])
         cur = np.conj(s / v)
         xd, xq, xdp, xqp = m.system_reactances(case.base_mva)

@@ -231,10 +231,8 @@ class RhsPlan:
         # absent PSS the output 0; a unit lag keeps the exciter rows of an
         # unexcited machine, which land in the sink, finite.
         w0, records = case.omega0, []
-        devices = [{d.machine: d for d in devs}
-                   for devs in (case.governors, case.exciters, case.psss)]
         for m in case.machines:
-            g, e, p = (of.get(m.id) for of in devices)
+            g, e, p = case.governor_for(m.id), case.exciter_for(m.id), case.pss_for(m.id)
             sout = m.mva / case.base_mva
             xd, xq, xdp, xqp = m.system_reactances(case.base_mva)
             ka, ta, efd_min, efd_max = ((0.0, 1.0, 0.0, 0.0) if e is None

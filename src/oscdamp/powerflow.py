@@ -29,14 +29,9 @@ class KronReductionError(Exception):
 
 
 @dataclass(frozen=True)
-class AdmittanceMatrix:
-    y: np.ndarray          # complex (n, n), per unit on system base
-    bus_ids: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class PowerFlowSolution:
-    ybus: AdmittanceMatrix  # the network the flow was solved on
+    ybus: np.ndarray       # complex (n, n): the network the flow was solved on
+    bus_ids: tuple[int, ...]
     vm: np.ndarray         # per-unit magnitude
     va: np.ndarray         # rad, slack at 0
     p: np.ndarray          # net injection, p.u.
@@ -44,15 +39,8 @@ class PowerFlowSolution:
     iterations: int
     max_mismatch: float
 
-    @property
-    def bus_ids(self) -> tuple[int, ...]:
-        return self.ybus.bus_ids
-
     def voltage(self) -> np.ndarray:
         return self.vm * np.exp(1j * self.va)
-
-    def index_of(self, bus_id: int) -> int:
-        return self.bus_ids.index(bus_id)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -72,7 +60,6 @@ class ReducedNetwork:
     b: np.ndarray          # real (m, m)
     machine_ids: tuple[int, ...]
     emf_to_bus: np.ndarray | None = None     # complex (n_bus, m): v = emf_to_bus @ e
-    bus_ids: tuple[int, ...] = ()
 
     @property
     def n_machines(self) -> int:
@@ -92,11 +79,11 @@ def branch_power(br: Branch, vf, vt):
     return vf * np.conj(ys * (vf - vt) + sh * vf)
 
 
-def build_ybus(case: PowerSystemCase) -> AdmittanceMatrix:
-    """Standard pi-model assembly; out-of-service branches excluded, shunts on the diagonal."""
-    bus_ids = tuple(b.id for b in case.buses)
-    idx = {bid: i for i, bid in enumerate(bus_ids)}
-    n = len(bus_ids)
+def build_ybus(case: PowerSystemCase) -> np.ndarray:
+    """Standard pi-model assembly, complex (n, n) in bus order; out-of-service
+    branches excluded, shunts on the diagonal."""
+    idx = case.bus_index
+    n = len(idx)
     y = np.zeros((n, n), dtype=complex)
     for br in case.in_service_branches():
         ys, sh = _pi_admittances(br)
@@ -105,20 +92,26 @@ def build_ybus(case: PowerSystemCase) -> AdmittanceMatrix:
         y[t, t] += ys + sh
         y[f, t] -= ys
         y[t, f] -= ys
-    for b in case.buses:
-        y[idx[b.id], idx[b.id]] += 1j * b.shunt_susceptance
-    return AdmittanceMatrix(y=y, bus_ids=bus_ids)
+    for i, b in enumerate(case.buses):
+        y[i, i] += 1j * b.shunt_susceptance
+    return y
+
+
+def bus_loads(case: PowerSystemCase) -> np.ndarray:
+    """Complex load (p.u.) of each bus in bus order, the sum of its loads."""
+    s = np.zeros(len(case.buses), dtype=complex)
+    for l in case.loads:
+        s[case.bus_index[l.bus]] += complex(l.p_mw, l.q_mvar) / case.base_mva
+    return s
 
 
 def _scheduled_injections(case: PowerSystemCase) -> tuple[np.ndarray, np.ndarray]:
     """Net scheduled complex injection (p.u.) and voltage setpoints per bus."""
     n = len(case.buses)
-    idx = {b.id: i for i, b in enumerate(case.buses)}
     s = np.zeros(n, dtype=complex)
     for m in case.machines:
-        s[idx[m.bus]] += m.p_sched_mw / case.base_mva
-    for l in case.loads:
-        s[idx[l.bus]] -= complex(l.p_mw, l.q_mvar) / case.base_mva
+        s[case.bus_index[m.bus]] += m.p_sched_mw / case.base_mva
+    s -= bus_loads(case)
     vset = np.ones(n)
     for i, b in enumerate(case.buses):
         if b.kind in ("pv", "slack"):
@@ -135,8 +128,7 @@ def solve_power_flow(case: PowerSystemCase, tol: float = 1e-10,
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    ybus = build_ybus(case)
-    y = ybus.y
+    y = build_ybus(case)
     n = len(case.buses)
     kinds = [b.kind for b in case.buses]
     slack = [i for i, k in enumerate(kinds) if k == "slack"]
@@ -194,21 +186,14 @@ def solve_power_flow(case: PowerSystemCase, tol: float = 1e-10,
 
     s_calc = vc * np.conj(y @ vc)
     return PowerFlowSolution(
-        ybus=ybus, vm=vm.copy(), va=va.copy(),
+        ybus=y, bus_ids=tuple(case.bus_index), vm=vm.copy(), va=va.copy(),
         p=s_calc.real.copy(), q=s_calc.imag.copy(),
         iterations=iterations, max_mismatch=max_mis)
 
 
 def load_admittances(case: PowerSystemCase, sol: PowerFlowSolution) -> np.ndarray:
     """Per-bus shunt admittance of constant-impedance loads at the solved voltages."""
-    n = len(case.buses)
-    idx = {b.id: i for i, b in enumerate(case.buses)}
-    y_load = np.zeros(n, dtype=complex)
-    for l in case.loads:
-        i = idx[l.bus]
-        s = complex(l.p_mw, l.q_mvar) / case.base_mva
-        y_load[i] += np.conj(s) / sol.vm[i] ** 2
-    return y_load
+    return np.conj(bus_loads(case)) / sol.vm ** 2
 
 
 def machine_internal_admittances(case: PowerSystemCase) -> np.ndarray:
@@ -218,7 +203,7 @@ def machine_internal_admittances(case: PowerSystemCase) -> np.ndarray:
 
 
 def kron_reduce(case: PowerSystemCase, y_load: np.ndarray,
-                ybus: AdmittanceMatrix | None = None) -> ReducedNetwork:
+                ybus: np.ndarray | None = None) -> ReducedNetwork:
     """Eliminate every bus, keeping the machine internal nodes (Schur complement).
 
     The bus block is Ybus, plus the per-bus load shunts `y_load`
@@ -231,13 +216,12 @@ def kron_reduce(case: PowerSystemCase, y_load: np.ndarray,
     """
     if ybus is None:
         ybus = build_ybus(case)
-    n = len(ybus.bus_ids)
+    n = len(case.buses)
     m = len(case.machines)
-    idx = {bid: i for i, bid in enumerate(ybus.bus_ids)}
-    at = np.array([idx[mach.bus] for mach in case.machines], dtype=np.intp)
+    at = np.array([case.bus_index[mach.bus] for mach in case.machines], dtype=np.intp)
     y_int = machine_internal_admittances(case)
 
-    y_ee = ybus.y + np.diag(y_load)
+    y_ee = ybus + np.diag(y_load)
     np.add.at(y_ee, (at, at), y_int)     # machines may share a bus: add in case order
     y_ke = np.zeros((m, n), dtype=complex)
     y_ke[np.arange(m), at] -= y_int
@@ -251,7 +235,7 @@ def kron_reduce(case: PowerSystemCase, y_load: np.ndarray,
         raise KronReductionError("non-finite entries after elimination (islanded node)")
     return ReducedNetwork(g=reduced.real.copy(), b=reduced.imag.copy(),
                           machine_ids=tuple(mach.id for mach in case.machines),
-                          emf_to_bus=-x, bus_ids=ybus.bus_ids)
+                          emf_to_bus=-x)
 
 
 def branch_flow(case: PowerSystemCase, sol: PowerFlowSolution,
@@ -261,4 +245,4 @@ def branch_flow(case: PowerSystemCase, sol: PowerFlowSolution,
     if br is None or not br.in_service:
         raise ValueError(f"branch {from_bus}-{to_bus} circuit {circuit} not in service")
     vc = sol.voltage()
-    return branch_power(br, vc[sol.index_of(from_bus)], vc[sol.index_of(to_bus)])
+    return branch_power(br, vc[case.bus_index[from_bus]], vc[case.bus_index[to_bus]])

@@ -72,15 +72,23 @@ class Scenario:
             if not (0.0 <= e.time <= self.duration):
                 raise ScenarioError(f"event at t={e.time} outside [0, duration]")
 
-    def check_machines(self, machine_ids: tuple[int, ...]) -> None:
-        """Every machine the scenario names must be one of `machine_ids`."""
+    def check_case(self, case: PowerSystemCase) -> None:
+        """Refuse, before any step is run, an event `case` cannot take: a
+        machine or load bus it lacks, or a trip of a branch it lacks or that
+        an earlier trip (or the case) has already switched out."""
+        machine_ids = {m.id for m in case.machines}
         named = [("initial_active", self.initial_active)] + [
             (f"{e.action} at t={e.time}", e.params[0]) for e in self.events
             if e.action in ("activate_controllers", "deactivate_controllers")]
         for where, sel in named:
-            unknown = sorted(set(sel) - set(machine_ids)) if isinstance(sel, tuple) else []
+            unknown = sorted(set(sel) - machine_ids) if isinstance(sel, tuple) else []
             if unknown:
                 raise ScenarioError(f"{where} names machine(s) {unknown} the case lacks")
+        for e in self.events:
+            if e.action == "step_load" and e.params[0] not in case.bus_index:
+                raise ScenarioError(f"step_load references unknown bus {e.params[0]}")
+            if e.action == "trip_line":
+                case = apply_line_trip(case, *e.params)
 
 
 _REQUIRED = object()     # an event key without a default
@@ -173,8 +181,7 @@ class SimulationResult:
     pe_sys: np.ndarray             # (T, n_mach) electrical power, system base
     pm_sys: np.ndarray             # (T, n_mach) mechanical power, system base
     u: np.ndarray                  # (T, n_mach) auxiliary governor signal, machine base
-    bus_voltage: np.ndarray        # (T, n_bus) complex network voltages
-    bus_ids: tuple[int, ...]
+    bus_voltage: np.ndarray        # (T, n_bus) complex network voltages, in case bus order
     event_log: list
     case: PowerSystemCase
     divergent: bool = False
@@ -199,7 +206,7 @@ class SimulationResult:
 def simulate(case: PowerSystemCase, controllers: ControllerSet | None,
              scenario: Scenario) -> SimulationResult:
     scenario.validate()
-    scenario.check_machines(tuple(m.id for m in case.machines))
+    scenario.check_case(case)
     sol = solve_power_flow(case)
     y_load = load_admittances(case, sol)
     eq = initialize_from_power_flow(case, sol, kron_reduce(case, y_load, sol.ybus))
@@ -252,9 +259,7 @@ def simulate(case: PowerSystemCase, controllers: ControllerSet | None,
             entry["branch"] = [f, t, c]
         elif ev.action == "step_load":
             bus, dp, dq = ev.params
-            if bus not in net.bus_ids:
-                raise ScenarioError(f"step_load references unknown bus {bus}")
-            idx = net.bus_ids.index(bus)
+            idx = case_now.bus_index[bus]
             e = plan.bind(net.g, net.b).network(y)[0]
             vm_now = abs((net.emf_to_bus @ (e[:n_mach] + 1j * e[n_mach:]))[idx])
             s = complex(dp, dq) / case_now.base_mva
@@ -322,8 +327,7 @@ def simulate(case: PowerSystemCase, controllers: ControllerSet | None,
     pe, pm_sys, u_out, vbus = _derived_channels(plan, gains, states, segments)
     return SimulationResult(time=tgrid, states=states, layout=lay, pe_sys=pe,
                             pm_sys=pm_sys, u=u_out, bus_voltage=vbus,
-                            bus_ids=eq.network.bus_ids, event_log=event_log,
-                            case=case, divergent=t_fail is not None,
+                            event_log=event_log, case=case, divergent=t_fail is not None,
                             divergence_time=t_fail)
 
 
@@ -336,7 +340,7 @@ def _derived_channels(plan: kernels.RhsPlan, gains: np.ndarray, states: np.ndarr
     pe = np.zeros((n_t, n))
     pm_sys = np.zeros_like(pe)
     u_out = np.zeros_like(pe)
-    vbus = np.zeros((n_t, len(segments[0].network.bus_ids)), dtype=complex)
+    vbus = np.zeros((n_t, len(segments[0].case.buses)), dtype=complex)
     ends = [s.first_row for s in segments[1:]] + [n_t]
     for s, r1 in zip(segments, ends):
         f = plan.bind(s.network.g, s.network.b)
@@ -372,7 +376,7 @@ def measure(result: SimulationResult, channel: str) -> np.ndarray:
         if kind == "u":
             return result.u[:, ids.index(int(parts[1]))]
         if kind == "vm":
-            return np.abs(result.bus_voltage[:, result.bus_ids.index(int(parts[1]))])
+            return np.abs(result.bus_voltage[:, result.case.bus_index[int(parts[1])]])
         if kind == "flow":
             return _branch_flow_series(result, int(parts[1]), int(parts[2]),
                                        int(parts[3]))
@@ -389,8 +393,7 @@ def check_channels(case: PowerSystemCase, channels: list[str]) -> None:
     empty = SimulationResult(time=np.zeros(0), states=np.zeros((0, lay.n_states)),
                              layout=lay, pe_sys=none, pm_sys=none, u=none,
                              bus_voltage=np.zeros((0, len(case.buses)), dtype=complex),
-                             bus_ids=tuple(b.id for b in case.buses), event_log=[],
-                             case=case)
+                             event_log=[], case=case)
     for channel in channels:
         measure(empty, channel)
 
@@ -407,8 +410,8 @@ def _branch_flow_series(result: SimulationResult, f: int, t: int,
         if ev["action"] == "trip_line" and result.case.find_branch(*ev["branch"]) is br:
             trip_time = ev["time"]
             break
-    vf = result.bus_voltage[:, result.bus_ids.index(f)]
-    vt = result.bus_voltage[:, result.bus_ids.index(t)]
+    vf = result.bus_voltage[:, result.case.bus_index[f]]
+    vt = result.bus_voltage[:, result.case.bus_index[t]]
     p = np.real(branch_power(br, vf, vt)) * result.case.base_mva
     p[result.time >= trip_time - 1e-12] = 0.0
     return p

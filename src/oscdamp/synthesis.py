@@ -14,6 +14,7 @@ check, which therefore runs on the system base.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -207,8 +208,8 @@ def assemble_synthesis_lmi(design_models: list[DesignModel],
         raise SynthesisError("empty design subset")
     if len(h_rows) != n:
         raise SynthesisError("one disturbance-row matrix is required per machine")
-    if beta_bar < 1.0:
-        raise SynthesisError("beta_bar must be at least 1")
+    if not (math.isfinite(beta_bar) and beta_bar >= 1.0):
+        raise SynthesisError(f"beta_bar must be finite and at least 1, not {beta_bar}")
 
     m_rows = [h.shape[0] for h in h_rows]
     p = LmiProblem()

@@ -154,15 +154,14 @@ def reference_kron_reduce(case, y_load, ybus=None):
     filled machine by machine; the three blocks are read back out of it."""
     if ybus is None:
         ybus = build_ybus(case)
-    n = len(ybus.bus_ids)
+    n = len(case.buses)
     m = len(case.machines)
-    idx = {bid: i for i, bid in enumerate(ybus.bus_ids)}
     y_int = machine_internal_admittances(case)
 
     aug = np.zeros((n + m, n + m), dtype=complex)
-    aug[:n, :n] = ybus.y + np.diag(y_load)
+    aug[:n, :n] = ybus + np.diag(y_load)
     for k, mach in enumerate(case.machines):
-        i = idx[mach.bus]
+        i = [b.id for b in case.buses].index(mach.bus)
         kk = n + k
         aug[kk, kk] += y_int[k]
         aug[i, i] += y_int[k]
@@ -178,4 +177,4 @@ def reference_kron_reduce(case, y_load, ybus=None):
     reduced = y_kk - y_ke @ x
     return ReducedNetwork(g=reduced.real.copy(), b=reduced.imag.copy(),
                           machine_ids=tuple(mach.id for mach in case.machines),
-                          emf_to_bus=-x, bus_ids=ybus.bus_ids)
+                          emf_to_bus=-x)

@@ -6,14 +6,16 @@ import pytest
 
 from oscdamp.case import apply_line_trip, parse_case
 from oscdamp.powerflow import (PowerFlowDiverged, build_ybus, solve_power_flow,
-                               load_admittances, kron_reduce, branch_flow)
+                               load_admittances, kron_reduce, branch_flow,
+                               _scheduled_injections)
+from oscdamp.dynamics import initialize_from_power_flow
 from oscdamp.areas import tie_flow_mw
 from conftest import make_two_bus_text
 from model_reference import reference_kron_reduce
 
 
 def test_ybus_single_branch(two_bus_case):
-    y = build_ybus(two_bus_case).y
+    y = build_ybus(two_bus_case)
     assert y[0, 1] == pytest.approx(10j)
     assert y[1, 0] == pytest.approx(10j)
     assert y[0, 0] == pytest.approx(-10j)
@@ -24,7 +26,7 @@ def test_ybus_empty_branch_set():
     doc = json.loads(make_two_bus_text())
     doc["branches"] = []
     doc["buses"][1]["shunt_susceptance"] = 0.5
-    y = build_ybus(parse_case(json.dumps(doc))).y
+    y = build_ybus(parse_case(json.dumps(doc)))
     assert y[0, 0] == 0.0
     assert y[1, 1] == pytest.approx(0.5j)
     assert y[0, 1] == 0.0
@@ -32,10 +34,9 @@ def test_ybus_empty_branch_set():
 
 def test_ybus_trip_equals_stamp_removal(bundled_case):
     from oscdamp.case import apply_line_trip
-    full = build_ybus(bundled_case).y
-    tripped = build_ybus(apply_line_trip(bundled_case, 3, 101, 1)).y
-    ids = build_ybus(bundled_case).bus_ids
-    i, j = ids.index(3), ids.index(101)
+    full = build_ybus(bundled_case)
+    tripped = build_ybus(apply_line_trip(bundled_case, 3, 101, 1))
+    i, j = bundled_case.bus_index[3], bundled_case.bus_index[101]
     ys = 1.0 / complex(0.011, 0.11)
     sh = 1j * 0.1925 / 2
     stamp = np.zeros_like(full)
@@ -81,7 +82,7 @@ def test_two_bus_against_hand_newton():
     sol = solve_power_flow(parse_case(make_two_bus_text(p_mw, q_mvar, x)),
                            tol=1e-12)
     v_ref, th_ref = _hand_newton_two_bus(p_mw / 100, q_mvar / 100, x)
-    i = sol.index_of(2)
+    i = sol.bus_ids.index(2)
     assert sol.vm[i] == pytest.approx(v_ref, abs=1e-8)
     assert sol.va[i] == pytest.approx(th_ref, abs=1e-8)
 
@@ -186,7 +187,7 @@ def test_kron_reduce_is_the_augmented_form_bit_for_bit(bundled_case, bundled_sol
     red, ref = kron_reduce(case, y_load), reference_kron_reduce(case, y_load)
     for name in ("g", "b", "emf_to_bus"):
         assert getattr(red, name).tobytes() == getattr(ref, name).tobytes(), name
-    assert red.bus_ids == ref.bus_ids and red.machine_ids == ref.machine_ids
+    assert red.machine_ids == ref.machine_ids
 
 
 def test_kron_symmetry(bundled_red):
@@ -205,7 +206,7 @@ def test_kron_preserves_equilibrium_injections(bundled_case, bundled_sol, bundle
     p_out, q_out = _machine_bus_outputs(bundled_case, bundled_sol)
     vc = bundled_sol.voltage()
     for k, m in enumerate(bundled_case.machines):
-        v = vc[bundled_sol.index_of(m.bus)]
+        v = vc[bundled_case.bus_index[m.bus]]
         i_full = np.conj(complex(p_out[k], q_out[k]) / v)
         assert abs(i_red[k] - i_full) < 1e-8
 
@@ -215,7 +216,6 @@ def test_kron_bus_map_reproduces_pf_voltages(bundled_eq, bundled_sol):
     voltages at the equilibrium EMFs."""
     eq = bundled_eq
     emf = (eq.edp + 1j * eq.eqp) * np.exp(1j * (eq.delta - np.pi / 2))
-    assert eq.network.bus_ids == bundled_sol.bus_ids
     assert np.max(np.abs(eq.network.emf_to_bus @ emf - bundled_sol.voltage())) < 1e-9
 
 
@@ -229,7 +229,7 @@ def test_branch_flows_balance_bus_injections(bundled_case, bundled_sol):
                                 br.circuit)
                     for br in bundled_case.in_service_branches()
                     if bus.id in (br.from_bus, br.to_bus))
-        i = bundled_sol.index_of(bus.id)
+        i = bundled_case.bus_index[bus.id]
         s_out += abs(vc[i]) ** 2 * np.conj(1j * bus.shunt_susceptance)
         assert abs(s_out - complex(bundled_sol.p[i], bundled_sol.q[i])) < 1e-9
 
@@ -241,3 +241,48 @@ def test_kron_electrical_power_matches_pf(bundled_case, bundled_sol, bundled_red
     pe = electrical_power(bundled_red, eq.delta, eq.eqp, eq.edp)
     p_out, _ = _machine_bus_outputs(bundled_case, bundled_sol)
     assert np.max(np.abs(pe - p_out)) < 1e-6
+
+
+def _operating_point(case):
+    sol = solve_power_flow(case)
+    red = kron_reduce(case, load_admittances(case, sol), sol.ybus)
+    return sol, red, initialize_from_power_flow(case, sol, red)
+
+
+def test_bus_order_comes_from_the_case(bundled_case):
+    """Listing the buses in reverse order changes no bus voltage, reduced
+    network or equilibrium state: each layer reads bus rows from the case."""
+    reversed_case = dataclasses.replace(bundled_case, buses=bundled_case.buses[::-1])
+    assert list(reversed_case.bus_index) == [b.id for b in bundled_case.buses[::-1]]
+    (sol, red, eq), (sol_r, red_r, eq_r) = (_operating_point(bundled_case),
+                                            _operating_point(reversed_case))
+    v, v_r = sol.voltage(), sol_r.voltage()
+    for bus_id, i in bundled_case.bus_index.items():
+        assert abs(v[i] - v_r[reversed_case.bus_index[bus_id]]) < 1e-12
+    assert np.max(np.abs(red.g - red_r.g)) < 1e-12
+    assert np.max(np.abs(red.b - red_r.b)) < 1e-12
+    assert eq.layout == eq_r.layout
+    assert np.max(np.abs(eq.state - eq_r.state)) < 1e-12
+
+
+def test_loads_sharing_a_bus_are_summed(bundled_case):
+    """Two loads on one bus inject, and shunt at the solved voltage, what
+    their per-load terms sum to."""
+    first, *rest = bundled_case.loads
+    halves = (dataclasses.replace(first, p_mw=600.0, q_mvar=150.0),
+              dataclasses.replace(first, p_mw=first.p_mw - 600.0,
+                                  q_mvar=first.q_mvar - 150.0))
+    case = dataclasses.replace(bundled_case, loads=(*halves, *rest))
+    sol = solve_power_flow(case)
+    s_ref = np.zeros(len(case.buses), dtype=complex)
+    y_ref = np.zeros(len(case.buses), dtype=complex)
+    for m in case.machines:
+        s_ref[case.bus_index[m.bus]] += m.p_sched_mw / case.base_mva
+    for l in case.loads:
+        i = case.bus_index[l.bus]
+        s_l = complex(l.p_mw, l.q_mvar) / case.base_mva
+        s_ref[i] -= s_l
+        y_ref[i] += np.conj(s_l) / sol.vm[i] ** 2
+    s, _ = _scheduled_injections(case)
+    assert np.allclose(s, s_ref, rtol=1e-15, atol=1e-15)
+    assert np.allclose(load_admittances(case, sol), y_ref, rtol=1e-15, atol=1e-15)

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 from oscdamp import kernels, simulator
-from oscdamp.case import scale_stress
+from oscdamp.case import CaseError, scale_stress
 from oscdamp.powerflow import solve_power_flow, branch_flow
 from oscdamp.simulator import (Scenario, Event, ScenarioError, parse_scenario,
                                simulate, measure, ringdown_damping)
@@ -107,6 +107,26 @@ def test_event_past_last_grid_time_fires_on_it(bundled_case):
     res = simulate(bundled_case, None, sc)
     assert res.time.size == 401 and not res.divergent
     assert res.event_log[0]["time"] == res.time[-1]
+
+
+@pytest.mark.parametrize("events, message", [
+    ((Event(19.0, "step_load", (999, 10.0, 0.0)),), "step_load references unknown bus 999"),
+    ((Event(19.0, "trip_line", (3, 999, 1)),), "branch 3-999 circuit 1 not found"),
+    ((Event(1.0, "trip_line", (3, 101, 1)), Event(19.0, "trip_line", (101, 3, 1))),
+     "branch 101-3 circuit 1 already out of service"),
+], ids=["unknown-bus", "unknown-branch", "second-trip"])
+def test_event_the_case_cannot_take_is_refused_before_any_step(bundled_case, monkeypatch,
+                                                              events, message):
+    """A load step on a bus the case lacks, or a trip of a branch it lacks or
+    has already switched out, is refused before the first RK4 step, however
+    late the event."""
+    calls = []
+    span = kernels.rk4_span
+    monkeypatch.setattr(kernels, "rk4_span",
+                        lambda *args, **kwargs: calls.append(1) or span(*args, **kwargs))
+    with pytest.raises(CaseError, match=message):
+        simulate(bundled_case, None, Scenario(duration=20.0, dt=0.01, events=events))
+    assert calls == []
 
 
 def test_valve_clamp_through_simulation(bundled_case):

@@ -10,7 +10,7 @@ from oscdamp.powerflow import (ReducedNetwork, solve_power_flow, load_admittance
 from oscdamp.dynamics import initialize_from_power_flow
 from oscdamp.synthesis import (SynthesisError, coupling_bounds, coupling_rows,
                                coupling_disturbance, verify_bound,
-                               design_controllers, ControllerSet)
+                               design_controllers, synthesis_lmi, ControllerSet)
 
 
 def test_coupling_weights_decoupled():
@@ -164,6 +164,14 @@ def test_governorless_machine_rejected(bundled_case, bundled_eq):
         governors=tuple(g for g in bundled_case.governors if g.machine != 4))
     with pytest.raises(CaseError, match="machine 4"):
         design_controllers(stripped, bundled_eq, subset=[1, 4])
+
+
+@pytest.mark.parametrize("beta_bar", [math.nan, math.inf])
+def test_synthesis_lmi_refuses_non_finite_beta_bar(bundled_case, bundled_eq, beta_bar):
+    """A NaN beta_bar would give every margin block a NaN constant, and an
+    infinite one the constant -EPS; neither LMI is assembled."""
+    with pytest.raises(SynthesisError, match="beta_bar must be finite"):
+        synthesis_lmi(bundled_case, bundled_eq, beta_bar=beta_bar)
 
 
 def test_design_refuses_uncertified_solution(bundled_case, bundled_eq, uncertified_solve):

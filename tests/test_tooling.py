@@ -113,3 +113,24 @@ def test_setup_probe_runs():
     times = json.loads(run.stdout)
     assert set(times) == {"import_s", "case_s", "gains_s"}
     assert all(t >= 0.0 for t in times.values())
+
+
+def test_report_set_commands_parse(monkeypatch, bundled_case):
+    """Every command of the byte-identity report set is one the CLI takes:
+    its arguments parse and pass the option checks, and each scenario it
+    names is one the tool writes and the bundled case can run.  None runs."""
+    from oscdamp import cli, simulator
+    spec = importlib.util.spec_from_file_location("report_set", ROOT / "tools" / "report_set.py")
+    report_set = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, report_set)
+    spec.loader.exec_module(report_set)
+    parser = cli.build_parser()
+    names = [name for name, _ in report_set.COMMANDS]
+    assert len(set(names)) == len(names)
+    for name, args in report_set.COMMANDS:
+        parsed = parser.parse_args([*args, "--out", name])
+        cli._check_options(parsed)
+        if parsed.command == "simulate":
+            scenario = report_set.SCENARIOS[parsed.scenario.removeprefix("inputs/")]
+            simulator.parse_scenario(json.dumps(scenario)).check_case(bundled_case)
+            simulator.check_channels(bundled_case, parsed.channels.split(","))

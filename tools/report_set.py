@@ -1,0 +1,127 @@
+"""Write the reports of a fixed set of CLI commands, for a byte-identity check
+between two checkouts.
+
+Usage (from anywhere):
+
+    python3 tools/report_set.py OUT
+
+Each command of `COMMANDS` runs in a fresh process of this checkout's
+package, with one BLAS thread and OUT as its working directory.  The
+bundled case, the gains pinned in ``perfbench/reference_gains.json`` and the
+scenarios of `SCENARIOS` are first copied into ``OUT/inputs`` and passed by
+relative path, so that a report's ``config`` and ``fingerprint`` do not
+depend on where OUT or the checkout is.  Command NAME writes its report
+into ``OUT/NAME``, with its standard output in ``stdout.txt`` and its exit
+code in ``exit_code.txt``; the ``metadata`` block (the time of writing) is
+stripped from every JSON report.  Two checkouts give the same numbers when
+
+    diff -r OUT_A OUT_B
+
+prints nothing.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+CASE = ROOT / "src" / "oscdamp" / "data" / "two_area.json"
+GAINS = ROOT / "perfbench" / "reference_gains.json"
+
+# the README's 30 s remedial action: trip a tie circuit, damp the swing later
+REMEDIAL = {
+    "duration": 30.0, "dt": 0.005, "initial_active": "none",
+    "events": [
+        {"time": 1.0, "type": "trip_line", "from": 3, "to": 101, "circuit": 1},
+        {"time": 10.0, "type": "activate_controllers", "machines": "all"},
+    ],
+}
+# every event kind, two of them off the time grid, and a subset of controllers
+EVENTS = {
+    "duration": 6.0, "dt": 0.01, "initial_active": "none",
+    "events": [
+        {"time": 0.5037, "type": "step_load", "bus": 4, "dp_mw": 50.0, "dq_mvar": 10.0},
+        {"time": 1.0023, "type": "trip_line", "from": 3, "to": 101, "circuit": 1},
+        {"time": 2.0, "type": "activate_controllers", "machines": [2, 3]},
+        {"time": 4.0, "type": "deactivate_controllers", "machines": [2]},
+    ],
+}
+# a small load step has settled by 8 s: the activation takes the settled state
+SETTLED = {
+    "duration": 9.0, "dt": 0.01, "initial_active": "none",
+    "events": [
+        {"time": 1.0, "type": "step_load", "bus": 4, "dp_mw": 0.01},
+        {"time": 8.0, "type": "activate_controllers", "machines": "all"},
+    ],
+}
+SCENARIOS = {"remedial.json": REMEDIAL, "events.json": EVENTS, "settled.json": SETTLED}
+
+_CASE = ["--case", "inputs/two_area.json"]
+_PINNED = ["--controllers", "all", "--gains", "inputs/gains.json"]
+
+# (name, arguments): the report of command NAME goes to OUT/NAME
+COMMANDS = [
+    ("pf", ["pf", *_CASE]),
+    ("modal_open", ["modal", *_CASE]),
+    ("modal_gains", ["modal", *_CASE, *_PINNED]),
+    ("design", ["design", *_CASE]),
+    ("design_2_3", ["design", *_CASE, "--controllers", "2,3"]),
+    ("export_sdpa", ["export-sdpa", *_CASE]),
+    ("sweep", ["sweep", *_CASE, "--fractions", "0.9,0.95,1.0,1.05,1.1", *_PINNED]),
+    ("scan_n1", ["scan-n1", *_CASE, *_PINNED]),
+    ("simulate_remedial", ["simulate", *_CASE, "--scenario", "inputs/remedial.json",
+                           *_PINNED, "--channels",
+                           "delta_rel:3:1,omega:1,omega:2,omega:3,omega:4"]),
+    ("simulate_events", ["simulate", *_CASE, "--scenario", "inputs/events.json",
+                         *_PINNED, "--channels",
+                         "delta_rel:3:1,pe:1,pm:2,u:2,u:3,vm:4,vm:101,"
+                         "flow:3:101:1,flow:3:101:2,xe:3"]),
+    ("simulate_settled", ["simulate", *_CASE, "--scenario", "inputs/settled.json",
+                          *_PINNED, "--channels", "delta_rel:3:1,u:1,vm:14"]),
+]
+
+
+def _strip_metadata(path: Path) -> None:
+    """Rewrite a report without its `metadata` block, in the writer's format."""
+    doc = json.loads(path.read_text())
+    doc.pop("metadata", None)
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    out = Path(argv[0]).resolve()
+    inputs = out / "inputs"
+    inputs.mkdir(parents=True, exist_ok=True)
+    shutil.copyfile(CASE, inputs / "two_area.json")
+    shutil.copyfile(GAINS, inputs / "gains.json")
+    for name, scenario in SCENARIOS.items():
+        (inputs / name).write_text(json.dumps(scenario, indent=2) + "\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (str(ROOT / "src"),
+                                                        os.environ.get("PYTHONPATH")))))
+    for name, args in COMMANDS:
+        run = out / name
+        if run.exists():
+            shutil.rmtree(run)
+        run.mkdir()
+        proc = subprocess.run([sys.executable, "-m", "oscdamp.cli", *args, "--out", name],
+                              cwd=out, env=env, capture_output=True, text=True)
+        (run / "stdout.txt").write_text(proc.stdout)
+        (run / "exit_code.txt").write_text(f"{proc.returncode}\n")
+        for report in run.glob("*.json"):
+            _strip_metadata(report)
+        print(f"{name}: exit {proc.returncode}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

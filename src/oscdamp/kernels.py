@@ -45,6 +45,15 @@ an evaluation returns (:func:`rhs`, a :class:`BoundRhs` call,
 :meth:`BoundRhs.network`) is a new array that the caller owns; no workspace
 buffer escapes.
 
+Every decision that the shape and dtype fix is made when the workspace is
+built.  A real workspace runs ``np.sin``, ``np.cos``, ``np.hypot`` and the
+``np.maximum``/``np.minimum`` clamps; a complex one runs the continuations
+above.  The valve states of every row are flat positions in a state, so the
+anti-windup hold reads the valve states and their derivatives as Python
+floats, decides each valve on them and writes ``0.0`` at the held positions
+only.  :func:`rk4_span` clamps the valve states through the same positions:
+a ``take`` into a buffer, the two clamps in place and a ``put`` back.
+
 The test suite pins the plan to a per-machine reference written from the
 elementary device equations, which reads only the equilibrium references of
 the plan, and the workspace evaluation to the bits of an allocating one.
@@ -127,35 +136,36 @@ class Control(NamedTuple):
 
 
 def _clip(x, lo, hi, out):
-    """min(max(x, lo), hi) into `out`; a complex-step perturbation passes
-    through where the real part is not clamped."""
-    if x.dtype.kind != "c":
-        np.maximum(x, lo, out=out)
-        np.minimum(out, hi, out=out)
-        return
+    """min(max(x, lo), hi) into `out`."""
+    np.maximum(x, lo, out=out)
+    np.minimum(out, hi, out=out)
+
+
+def _sincos(x, s, c):
+    """sin x into `s` and cos x into `c`."""
+    np.sin(x, s)
+    np.cos(x, c)
+
+
+def _clip_complex(x, lo, hi, out):
+    """min(max(x, lo), hi) on the real part into `out`; a complex-step
+    perturbation passes through where the real part is not clamped."""
     c = np.minimum(np.maximum(x.real, lo), hi)
     out[...] = np.where(c == x.real, x, c)
 
 
-def _sincos(x, s, c):
-    """sin x into `s` and cos x into `c`; complex parts continue through the
-    real functions, sin(a + ib) = sin a cosh b + i cos a sinh b, which numpy
+def _sincos_complex(x, s, c):
+    """sin x into `s` and cos x into `c`, continued through the real
+    functions, sin(a + ib) = sin a cosh b + i cos a sinh b, which numpy
     evaluates several times faster than its complex sin and cos."""
-    if x.dtype.kind != "c":
-        np.sin(x, s)
-        np.cos(x, c)
-        return
     sa, ca, chb, shb = np.sin(x.real), np.cos(x.real), np.cosh(x.imag), np.sinh(x.imag)
     np.add(sa * chb, 1j * (ca * shb), s)
     np.subtract(ca * chb, 1j * (sa * shb), c)
 
 
-def _modulus(re, im, out):
-    """|re + i im| into `out`, continued as sqrt(re^2 + im^2) to complex parts."""
-    if re.dtype.kind != "c":
-        np.hypot(re, im, out)
-    else:
-        np.sqrt(re * re + im * im, out)
+def _modulus_complex(re, im, out):
+    """|re + i im| into `out`, continued as sqrt(re^2 + im^2)."""
+    np.sqrt(re * re + im * im, out)
 
 
 def feedback(gains, dx):
@@ -343,6 +353,7 @@ class Workspace(NamedTuple):
     y: np.ndarray           # the state slot
     e: np.ndarray           # EMFs [e_re, e_im], synchronous frame
     pe: np.ndarray          # electrical power, system base
+    at_xe: np.ndarray       # every row's valve states as flat positions in a state
     network: Callable[[], None]                       # y -> e, pe, i_d, i_q
     evaluate: Callable[[np.ndarray], np.ndarray]      # y -> dy into its argument
 
@@ -380,13 +391,18 @@ def _workspace(bound, shape, dtype):
     vm, vpss, cmd = buf(n), buf(n), buf(n)
     pre, xq_corr, xdp2, ka, vref = plan.pre, plan.xq_corr, plan.xdp2, plan.ka, plan.vref
     vsmin, vsmax, efdmin, efdmax = plan.vsmin, plan.vsmax, plan.efdmin, plan.efdmax
-    ix_xe = plan.ix_xe
+    # the elementwise steps of φ, chosen once for the dtype
+    sincos, modulus, clip = ((_sincos_complex, _modulus_complex, _clip_complex)
+                             if dtype.kind == "c" else (_sincos, np.hypot, _clip))
+    # every row's valve states as flat positions in a state or a dy
+    at_xe = (np.arange(0, y.size, ns)[:, None] + plan.ix_xe).ravel()
+    y_re = y.real
 
     def network():
         """EMFs, currents ``i = [i_re, i_im, i_im, -i_re]``, their d/q
         projections and the electrical power of the state slot."""
         np.matmul(y, pre, v)
-        _sincos(delta2, sin, cos)
+        sincos(delta2, sin, cos)
         np.multiply(emf_parts, sc, t4)
         np.add(lo, hi, e)
         np.matmul(e, net, i)
@@ -406,27 +422,26 @@ def _workspace(bound, shape, dtype):
         network()
         np.multiply(xdp2, i_turn, vt)
         np.add(e, vt, vt)
-        _modulus(vt_re, vt_im, vm)
-        _clip(y3, vsmin, vsmax, vpss)
+        modulus(vt_re, vt_im, vm)
+        clip(y3, vsmin, vsmax, vpss)
         np.subtract(vref, vm, cmd)
         np.add(cmd, vpss, cmd)
         np.multiply(ka, cmd, cmd)
-        _clip(cmd, efdmin, efdmax, efd)
+        clip(cmd, efdmin, efdmax, efd)
         np.matmul(z, mt, out)
         np.add(out, c, out)
         # anti-windup: hold the valve state when pinned against an active
         # limit; only a valve state at or past a limit can be held, and none
-        # is while any valve state is NaN.  The test runs on Python floats,
-        # which is several times faster than numpy reductions at this size.
-        xe = y.take(ix_xe, -1).real
-        xs = xe.ravel().tolist()
+        # is while any valve state is NaN.  The hold is decided on Python
+        # floats, which is several times faster than numpy at this size.
+        xs = y_re.take(at_xe).tolist()
         if xs and (min(xs) <= 0.0 or max(xs) >= 1.0) and not any(map(isnan, xs)):
-            d = out[..., ix_xe].real
-            hold = ((xe >= 1.0) & (d > 0.0)) | ((xe <= 0.0) & (d < 0.0))
-            out[..., ix_xe] = np.where(hold, 0.0, out[..., ix_xe])
+            ds = out.real.take(at_xe).tolist()
+            out.put([p for p, x, d in zip(at_xe.tolist(), xs, ds)
+                     if (x >= 1.0 and d > 0.0) or (x <= 0.0 and d < 0.0)], 0.0)
         return out
 
-    return Workspace(y, e, pe, network, evaluate)
+    return Workspace(y, e, pe, at_xe, network, evaluate)
 
 
 def rhs(y, plan, gmat, bmat, control=None):
@@ -444,8 +459,11 @@ def rk4_span(y, h, nsteps, plan, gmat, bmat, control=None, out=None, out_offset=
     w = plan.bind(gmat, bmat, control).workspace(y.shape, y.dtype)
     stage, evaluate = w.y, w.evaluate
     k1, k2, k3, k4, tmp = (np.empty_like(stage) for _ in range(5))
-    ix_xe = plan.ix_xe
-    shut, open_ = np.zeros(ix_xe.size), np.ones(ix_xe.size)
+    # the valve states in place: the positions are in range, so the take
+    # need not check them
+    at_xe = w.at_xe
+    xe, mag = np.empty(at_xe.size, y.dtype), np.empty_like(y)
+    shut, open_ = np.zeros(at_xe.size), np.ones(at_xe.size)
     # 0-d arrays: numpy takes them faster than Python floats, with the same bits
     half, whole, two, sixth = (np.array(v) for v in (0.5 * h, h, 2.0, h / 6.0))
     stages = ((k1, k2, half), (k2, k3, half), (k3, k4, whole))
@@ -464,8 +482,11 @@ def rk4_span(y, h, nsteps, plan, gmat, bmat, control=None, out=None, out_offset=
         np.add(k1, tmp, k1)
         np.multiply(k1, sixth, k1)
         np.add(y, k1, y)
-        y[..., ix_xe] = np.minimum(np.maximum(y[..., ix_xe], shut), open_)
-        if not _most(np.abs(y), axis=None) < DIVERGENCE_LIMIT:     # also NaN
+        y.take(at_xe, out=xe, mode="wrap")
+        np.maximum(xe, shut, out=xe)
+        np.minimum(xe, open_, out=xe)
+        y.put(at_xe, xe)
+        if not _most(np.abs(y, mag), axis=None) < DIVERGENCE_LIMIT:     # also NaN
             return k
         if out is not None:
             out[out_offset + k] = y

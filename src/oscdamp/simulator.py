@@ -71,6 +71,12 @@ class Scenario:
         for e in self.events:
             if not (0.0 <= e.time <= self.duration):
                 raise ScenarioError(f"event at t={e.time} outside [0, duration]")
+        # events fire in list order, so the list must be in time order
+        for prev, e in zip(self.events, self.events[1:]):
+            if e.time < prev.time:
+                raise ScenarioError(f"{e.action} at t={e.time} comes after "
+                                    f"{prev.action} at t={prev.time}; events must be "
+                                    "in time order")
 
     def check_case(self, case: PowerSystemCase) -> None:
         """Refuse, before any step is run, an event `case` cannot take: a

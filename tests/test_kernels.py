@@ -460,6 +460,60 @@ def test_evaluator_is_the_allocating_form_bit_for_bit(which, kind, bundled_eq, p
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("kind", ["state", "stack", "complex_stack"])
+def test_mixed_valve_hold_is_the_allocating_form_bit_for_bit(kind, bundled_eq, bundled_design):
+    """The four valves of one state are held shut, wide open with an inward
+    derivative (not held), inside their range, and held wide open.  Each is
+    decided on its own state and derivative, in every row of a stack and on
+    linearize's complex stack; a NaN valve state anywhere holds none."""
+    eq, ns = bundled_eq, bundled_eq.state.size
+    ix_xe = eq.plan.ix_xe
+    unheld = eq.state.copy()                # the same valves at equilibrium speeds
+    unheld[ix_xe] = 0.0, 1.0, 0.5, 1.0
+    y = unheld.copy()
+    y[eq.layout.speed_indices] += (30.0, 0.0, 0.0, -30.0)
+    ys = {"state": lambda v: v,
+          "stack": lambda v: np.stack((unheld, eq.state, v)),
+          "complex_stack": lambda v: v + 1j * COMPLEX_STEP * np.eye(ns)}[kind]
+    for ctl in (None, _all_in_service(eq, bundled_design[0].gains)):
+        got = kernels.rhs(ys(y), *_model_args(eq, ctl))
+        assert np.array_equal(got, _reference(eq, ctl)(ys(y)))
+        if ctl is None:
+            d = got.reshape(-1, ns)[-1, ix_xe].real
+            assert d[0] == 0.0 and not np.signbit(d[0]) and d[3] == 0.0    # held
+            assert d[1] < 0.0 and d[2] != 0.0                               # not held
+            if kind == "stack":
+                assert np.all(got[0, ix_xe] != 0.0)
+    # a NaN in the first row's valve states spreads through M to the whole
+    # row, and no valve of any row is held
+    bad = ys(y)
+    bad.reshape(-1, ns)[0, ix_xe[2]] = np.nan
+    got = kernels.rhs(bad, *_model_args(eq))
+    assert np.array_equal(got, _reference(eq)(bad), equal_nan=True)
+    d = got.reshape(-1, ns)[-1, ix_xe].real
+    assert np.all(np.isnan(d)) if kind == "state" else d[0] < 0.0 and d[3] > 0.0
+
+
+def test_stacked_span_through_both_valve_limits_is_the_allocating_form_bit_for_bit(
+        bundled_eq):
+    """A 3-row stack whose first row runs its valves shut, its second wide
+    open and its third stays inside: the clamp and the hold of every row
+    give the bits of the allocating form on the same stack."""
+    eq = bundled_eq
+    ys = np.tile(eq.state, (3, 1))
+    ys[0, eq.layout.speed_indices] += 20.0
+    ys[1, eq.layout.speed_indices] -= 5.0
+    ys[2] += 0.02 * np.random.default_rng(10).standard_normal(eq.state.size)
+    out, out_ref = np.zeros((2, 400) + ys.shape)
+    args = (0.005, 400, *_model_args(eq))
+    assert kernels.rk4_span(ys.copy(), *args, out=out) == -1
+    assert reference_rk4_span(ys.copy(), *args, out=out_ref) == -1
+    assert np.array_equal(out, out_ref)
+    xe = out[:, :, eq.plan.ix_xe]
+    assert np.all(xe[:, 0].min(axis=0) == 0.0) and np.all(xe[:, 1].max(axis=0) == 1.0)
+    assert 0.0 < xe[:, 2].min() and xe[:, 2].max() < 1.0
+
+
 @pytest.mark.parametrize("which", ["bundled", "partial", "nogov"])
 def test_span_is_the_allocating_form_bit_for_bit(which, bundled_eq, partial_eq, nogov_eq,
                                                  bundled_design):

@@ -129,6 +129,28 @@ def test_event_the_case_cannot_take_is_refused_before_any_step(bundled_case, mon
     assert calls == []
 
 
+def test_events_out_of_time_order_are_refused(bundled_case, monkeypatch):
+    """Events fire in list order, so a library-built scenario whose trip
+    comes after a later load step is refused before any step, naming the
+    trip; events at equal times stay allowed, and a scenario file may list
+    its events in any order, because parsing sorts them."""
+    trip, step = Event(0.5, "trip_line", (3, 101, 1)), Event(1.5, "step_load", (4, 20.0, 5.0))
+    calls = []
+    span = kernels.rk4_span
+    monkeypatch.setattr(kernels, "rk4_span",
+                        lambda *args, **kwargs: calls.append(1) or span(*args, **kwargs))
+    with pytest.raises(ScenarioError, match=r"trip_line at t=0\.5 comes after step_load at t=1\.5"):
+        simulate(bundled_case, None, Scenario(duration=2.0, dt=0.01, events=(step, trip)))
+    assert calls == []
+    Scenario(duration=2.0, dt=0.01, events=(trip, step, Event(1.5, "trip_line", (3, 101, 2)),
+                                            Event(1.5, "activate_controllers", ("all",)))
+             ).validate()
+    doc = {"duration": 2.0, "dt": 0.01, "events": [
+        {"time": 1.5, "type": "step_load", "bus": 4, "dp_mw": 20.0, "dq_mvar": 5.0},
+        {"time": 0.5, "type": "trip_line", "from": 3, "to": 101, "circuit": 1}]}
+    assert parse_scenario(json.dumps(doc)).events == (trip, step)
+
+
 def test_valve_clamp_through_simulation(bundled_case):
     sc = Scenario(duration=5.0, dt=0.005,
                   events=(Event(0.5, "step_load", (14, 2000.0, 300.0)),))

@@ -43,10 +43,10 @@ def _electrical_distances(case: PowerSystemCase, source: int) -> dict[int, float
     return dist
 
 
-def machine_areas(case: PowerSystemCase) -> dict[int, int]:
-    """Map machine id -> area index (0 or 1); single-machine cases get one area."""
+def machine_areas(case: PowerSystemCase) -> list[int]:
+    """Each machine's area (0 or 1) in machine order; one machine has one area."""
     if len(case.machines) <= 1:
-        return {m.id: 0 for m in case.machines}
+        return [0] * len(case.machines)
     gen_buses = sorted({m.bus for m in case.machines})
     dists = {b: _electrical_distances(case, b) for b in gen_buses}
     seed_a, seed_b, worst = gen_buses[0], gen_buses[0], -1.0
@@ -55,15 +55,14 @@ def machine_areas(case: PowerSystemCase) -> dict[int, int]:
             if dists[ba][bb] > worst:
                 worst = dists[ba][bb]
                 seed_a, seed_b = ba, bb
-    return {m.id: (0 if dists[seed_a][m.bus] <= dists[seed_b][m.bus] else 1)
-            for m in case.machines}
+    return [0 if dists[seed_a][m.bus] <= dists[seed_b][m.bus] else 1
+            for m in case.machines]
 
 
 def bus_areas(case: PowerSystemCase) -> dict[int, int]:
-    areas = machine_areas(case)
     seeds: dict[int, int] = {}
-    for m in case.machines:
-        seeds.setdefault(areas[m.id], m.bus)
+    for m, area in zip(case.machines, machine_areas(case)):
+        seeds.setdefault(area, m.bus)
     if len(seeds) < 2:
         return {b.id: 0 for b in case.buses}
     d0 = _electrical_distances(case, seeds[0])

@@ -145,18 +145,18 @@ class PowerSystemCase:
         """Nominal rotor speed in rad/s."""
         return 2.0 * math.pi * self.base_frequency_hz
 
-    def machine_by_id(self, machine_id: int) -> Machine:
-        for m in self.machines:
-            if m.id == machine_id:
-                return m
-        raise CaseError(f"unknown machine {machine_id}")
-
     @cached_property
     def bus_index(self) -> dict[int, int]:
         """Each bus id's row in the network's arrays: the order of `buses`.
         Computed once per case; the case is frozen, and its transforms return
         new cases with their own index."""
         return {b.id: i for i, b in enumerate(self.buses)}
+
+    @cached_property
+    def machine_index(self) -> dict[int, int]:
+        """Each machine id's row in every machine-ordered array and list: the
+        order of `machines`, computed once per case as `bus_index` is."""
+        return {m.id: i for i, m in enumerate(self.machines)}
 
     def governor_for(self, machine_id: int) -> GovernorParams | None:
         return next((g for g in self.governors if g.machine == machine_id), None)
@@ -371,6 +371,8 @@ def validate_case(case: PowerSystemCase) -> list[str]:
         tag = f"exciter on machine {e.machine}"
         if e.ta <= 0:
             v.append(f"{tag}: lag Ta must be positive")
+        if e.ka <= 0:
+            v.append(f"{tag}: gain Ka must be positive")
         if e.efd_min >= e.efd_max:
             v.append(f"{tag}: field limits out of order")
 

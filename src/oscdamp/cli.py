@@ -72,7 +72,8 @@ def _controllers_for(case, args, eq=None) -> ControllerSet | None:
     """Resolve --controllers/--gains into a ControllerSet (None for PSS-only).
     Given gains keep only the rows of the machines --controllers lists; the
     others become zero rows, as a designed subset has.  A nonzero row left
-    for a machine without a governor is an input error: nothing applies it.
+    for a machine the case lacks, or for one without a governor, is an input
+    error: nothing applies it.
 
     Designing needs the base operating point: pass it as `eq` when the
     caller has one; otherwise it is built here, and only then."""
@@ -86,11 +87,12 @@ def _controllers_for(case, args, eq=None) -> ControllerSet | None:
         ctrl = ControllerSet.from_dict(doc)
         if subset is not None:
             ctrl.gains[[mid not in subset for mid in ctrl.machine_ids]] = 0.0
-        ids = tuple(m.id for m in case.machines)
-        for mid, row in zip(ids, ctrl.gains_for(ids)):    # a row for every machine
+        ctrl.gains_for(tuple(case.machine_index))      # refuses a machine without a row
+        for mid, row in zip(ctrl.machine_ids, ctrl.gains):
             if row.any() and case.governor_for(mid) is None:
-                raise CaseError(f"--gains has a nonzero row for machine {mid}, "
-                                "which has no steam governor to apply it")
+                why = ("has no steam governor to apply it" if mid in case.machine_index
+                       else "the case lacks")
+                raise CaseError(f"--gains has a nonzero row for machine {mid}, which {why}")
         return ctrl
     if eq is None:
         _, eq = _pipeline(case)
@@ -115,12 +117,12 @@ def _modal_for(eq, controllers: ControllerSet | None = None,
     return open_table, modal_analysis(a_closed, layout.labels, **detail)
 
 
-def _class_keys(eq, areas: dict):
+def _class_keys(eq, areas: list[int]):
     """What classifying a mode of the point `eq` reads besides the mode."""
-    return eq.layout.speed_indices, areas, eq.layout.machine_ids
+    return eq.layout.speed_indices, areas
 
 
-def _point_row(case, controllers, areas: dict, band, ties=None) -> dict:
+def _point_row(case, controllers, areas: list[int], band, ties=None) -> dict:
     """Baseline and, with controllers, robust minimum damping at one analysed
     operating point.  A sweep point gets the sweep's tie corridor `ties`: its
     row also reports the tie flow over it, the frequency of the least-damped
@@ -168,7 +170,7 @@ def _baseline_text(row: dict, name: str) -> str:
     return f"{name} none in the band"
 
 
-def _outage_row(case, controllers, areas: dict, band) -> dict:
+def _outage_row(case, controllers, areas: list[int], band) -> dict:
     """One N-1 row: an outage that islands buses names those cut off from the
     slack bus and runs no power flow; any other is an analysed point."""
     islanded = unreachable_buses(case)
@@ -265,9 +267,9 @@ def cmd_design(args, case: PowerSystemCase, text: str) -> int:
 
 def cmd_simulate(args, case: PowerSystemCase, text: str) -> int:
     scenario = parse_scenario(Path(args.scenario).read_text())
-    ids = [m.id for m in case.machines]
     channels = args.channels.split(",") if args.channels else \
-        [f"delta_rel:{ids[-1]}:{ids[0]}"] + [f"omega:{m}" for m in ids]
+        [f"delta_rel:{case.machines[-1].id}:{case.machines[0].id}"] + \
+        [f"omega:{m}" for m in case.machine_index]
     check_channels(case, channels)
     controllers = _controllers_for(case, args)
     result = simulate(case, controllers, scenario)

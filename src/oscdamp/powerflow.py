@@ -54,16 +54,16 @@ class PowerFlowSolution:
 @dataclass(frozen=True)
 class ReducedNetwork:
     """Conductance/susceptance coupling between machine internal nodes, and
-    the map from the internal EMFs back to the bus voltages."""
+    the map from the internal EMFs back to the bus voltages.  Its rows are
+    the case's machines, in `case.machine_index` order."""
 
     g: np.ndarray          # real (m, m)
     b: np.ndarray          # real (m, m)
-    machine_ids: tuple[int, ...]
     emf_to_bus: np.ndarray | None = None     # complex (n_bus, m): v = emf_to_bus @ e
 
     @property
     def n_machines(self) -> int:
-        return len(self.machine_ids)
+        return self.g.shape[0]
 
 
 def _pi_admittances(br: Branch) -> tuple[complex, complex]:
@@ -233,9 +233,7 @@ def kron_reduce(case: PowerSystemCase, y_load: np.ndarray,
     reduced = y_kk - y_ke @ x
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(reduced))):
         raise KronReductionError("non-finite entries after elimination (islanded node)")
-    return ReducedNetwork(g=reduced.real.copy(), b=reduced.imag.copy(),
-                          machine_ids=tuple(mach.id for mach in case.machines),
-                          emf_to_bus=-x)
+    return ReducedNetwork(g=reduced.real.copy(), b=reduced.imag.copy(), emf_to_bus=-x)
 
 
 def branch_flow(case: PowerSystemCase, sol: PowerFlowSolution,

@@ -82,12 +82,11 @@ class Scenario:
         """Refuse, before any step is run, an event `case` cannot take: a
         machine or load bus it lacks, or a trip of a branch it lacks or that
         an earlier trip (or the case) has already switched out."""
-        machine_ids = {m.id for m in case.machines}
         named = [("initial_active", self.initial_active)] + [
             (f"{e.action} at t={e.time}", e.params[0]) for e in self.events
             if e.action in ("activate_controllers", "deactivate_controllers")]
         for where, sel in named:
-            unknown = sorted(set(sel) - machine_ids) if isinstance(sel, tuple) else []
+            unknown = sorted(set(sel) - case.machine_index.keys()) if isinstance(sel, tuple) else []
             if unknown:
                 raise ScenarioError(f"{where} names machine(s) {unknown} the case lacks")
         for e in self.events:
@@ -369,18 +368,18 @@ def measure(result: SimulationResult, channel: str) -> np.ndarray:
     kind = parts[0]
     if len(parts) != {"delta_rel": 3, "flow": 4}.get(kind, 2):
         raise ScenarioError(f"unknown channel {channel!r}")
-    ids = list(result.layout.machine_ids)
+    col = result.case.machine_index
     try:
         if kind == "delta_rel":
             return result.state(int(parts[1]), "delta") - result.state(int(parts[2]), "delta")
         if kind in ("delta", "omega", "xe"):
             return result.state(int(parts[1]), kind)
         if kind == "pe":
-            return result.pe_sys[:, ids.index(int(parts[1]))]
+            return result.pe_sys[:, col[int(parts[1])]]
         if kind == "pm":
-            return result.pm_sys[:, ids.index(int(parts[1]))]
+            return result.pm_sys[:, col[int(parts[1])]]
         if kind == "u":
-            return result.u[:, ids.index(int(parts[1]))]
+            return result.u[:, col[int(parts[1])]]
         if kind == "vm":
             return np.abs(result.bus_voltage[:, result.case.bus_index[int(parts[1])]])
         if kind == "flow":

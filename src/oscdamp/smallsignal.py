@@ -133,7 +133,7 @@ def linearize(eq: Equilibrium, control: Control | None = None) -> np.ndarray:
     r = kernels.rhs(x + 1j * COMPLEX_STEP * np.eye(x.size), eq.plan,
                     eq.network.g, eq.network.b, control)
     resid = np.max(np.abs(r.real))
-    if resid > 1e-6:
+    if not resid <= 1e-6:        # a NaN residual is no equilibrium either
         raise NonEquilibriumError(f"RHS norm {resid:.3e} at the linearization point")
     return np.ascontiguousarray(r.imag.T / COMPLEX_STEP)
 
@@ -201,10 +201,9 @@ def modal_analysis(a_full: np.ndarray, state_labels: tuple[str, ...] | None = No
                      state_labels=tuple(labels))
 
 
-def classify_mode(mode: Mode, speed_indices: np.ndarray,
-                  area_map: dict[int, int],
-                  machine_ids: tuple[int, ...]) -> str:
-    """Label a mode by its rotor-speed content.
+def classify_mode(mode: Mode, speed_indices: np.ndarray, areas: list[int]) -> str:
+    """Label a mode by its rotor-speed content; `speed_indices` and `areas`
+    (`areas.machine_areas`) are both in machine order.
 
     Interarea: the two dominant speed entries sit in different areas and swing
     in antiphase (phase difference inside (90, 270) degrees); same area means
@@ -221,7 +220,7 @@ def classify_mode(mode: Mode, speed_indices: np.ndarray,
         return LOCAL
     order = np.argsort(np.abs(speed))[::-1]
     a, b = order[0], order[1]
-    if area_map[machine_ids[a]] == area_map[machine_ids[b]]:
+    if areas[a] == areas[b]:
         return LOCAL
     phase = np.degrees(np.angle(speed[a] / speed[b])) % 360.0
     if 90.0 < phase < 270.0:
@@ -230,10 +229,9 @@ def classify_mode(mode: Mode, speed_indices: np.ndarray,
 
 
 def classify_table(table: ModeTable, speed_indices: np.ndarray,
-                   area_map: dict[int, int],
-                   machine_ids: tuple[int, ...]) -> ModeTable:
+                   areas: list[int]) -> ModeTable:
     for m in table.modes:
-        m.classification = classify_mode(m, speed_indices, area_map, machine_ids)
+        m.classification = classify_mode(m, speed_indices, areas)
     return table
 
 

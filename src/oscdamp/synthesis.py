@@ -385,13 +385,14 @@ class SynthesisResult:
 
 
 def extract_gains(solution: LmiSolution, design_models: list[DesignModel],
-                  all_ids: tuple[int, ...],
+                  machine_index: dict[int, int],
                   state_scale: np.ndarray) -> tuple[ControllerSet, dict]:
     """Recover k_i = L_i Y_i^{-1} from machine i's own blocks, assert the
     design-level closed loop is stable, and divide by `state_scale` (the
     similarity scaling of the design models) for gains in physical state
-    units.  Machines outside the design get zero rows."""
-    gains = np.zeros((len(all_ids), 5))
+    units, in the rows of the case's `machine_index`; machines outside the
+    design get zero rows."""
+    gains = np.zeros((len(machine_index), 5))
     eigs_by_id = {}
     for i, dm in enumerate(design_models):
         y = solution.values[f"Y{i}"]
@@ -405,23 +406,24 @@ def extract_gains(solution: LmiSolution, design_models: list[DesignModel],
             raise SynthesisError(
                 f"machine {dm.machine_id}: closed-loop design block not Hurwitz "
                 f"(max Re {np.max(eigs.real):.3e}); solver tolerance failure")
-        gains[all_ids.index(dm.machine_id)] = k_row / state_scale
+        gains[machine_index[dm.machine_id]] = k_row / state_scale
         eigs_by_id[dm.machine_id] = eigs
-    return ControllerSet(machine_ids=tuple(all_ids), gains=gains), eigs_by_id
+    return ControllerSet(machine_ids=tuple(machine_index), gains=gains), eigs_by_id
 
 
 def governed_subset(case: PowerSystemCase, subset: list[int] | None = None) -> list[int]:
     """The machines that host damping controllers: `subset`, or every
     machine with a governor when it is None.  A controller acts through its
-    machine's steam governor, so an unknown id, a machine without a governor
-    and an empty set are input errors."""
+    machine's steam governor, so an unknown id, a repeated id, a machine
+    without a governor and an empty set are input errors."""
     governed = [m.id for m in case.machines if case.governor_for(m.id) is not None]
     subset_ids = governed if subset is None else list(subset)
     if not subset_ids:
         raise CaseError("no machine with a steam governor to host a damping controller")
-    known = {m.id for m in case.machines}
+    if len(set(subset_ids)) != len(subset_ids):
+        raise CaseError(f"machine ids repeat: {subset_ids}")
     for mid in subset_ids:
-        if mid not in known:
+        if mid not in case.machine_index:
             raise CaseError(f"unknown machine {mid} named to host a damping controller")
         if mid not in governed:
             raise CaseError(f"machine {mid} has no steam governor and cannot "
@@ -452,16 +454,15 @@ def synthesis_lmi(case: PowerSystemCase, equilibrium: Equilibrium,
     bound.  The value is recorded in every report.
     """
     subset_ids = governed_subset(case, subset)
-    pos = {m.id: k for k, m in enumerate(case.machines)}
     e_max_q = E_MAX_FACTOR * np.abs(equilibrium.eqp)
     e_max_d = np.maximum(E_MAX_FACTOR * np.abs(equilibrium.edp), E_MAX_D_FLOOR)
     power_scale = np.array([case.base_mva / m.mva for m in case.machines])
     bounds = coupling_bounds(equilibrium.network, e_max_q, e_max_d,
                              power_scale=power_scale)
 
-    subset_pos = [pos[mid] for mid in subset_ids]
+    subset_pos = [case.machine_index[mid] for mid in subset_ids]
     h_rows = coupling_rows(bounds, subset=subset_pos, weight_scale=bound_scale)
-    design_models = [build_design_matrices(case.machine_by_id(mid),
+    design_models = [build_design_matrices(case.machines[case.machine_index[mid]],
                                            case.governor_for(mid), case.omega0)
                      for mid in subset_ids]
     # per-unit speed inside the solver: without this the decision variables
@@ -499,8 +500,8 @@ def design_controllers(case: PowerSystemCase, equilibrium: Equilibrium,
             f"synthesis LMI solution fails its check: block "
             f"{syn.problem.constraints[worst].name} has smallest eigenvalue "
             f"{chk.min_eigs[worst]:.3e}")
-    all_ids = tuple(m.id for m in case.machines)
-    controllers, eigs = extract_gains(solution, syn.models, all_ids, syn.state_scale)
+    controllers, eigs = extract_gains(solution, syn.models, case.machine_index,
+                                      syn.state_scale)
     return controllers, SynthesisResult(lmi=syn, solution=solution, check=chk,
                                         gains=controllers.gains_for(syn.subset),
                                         closed_loop_eigs=eigs)

@@ -88,6 +88,14 @@ def make_two_bus_text(p_mw=50.0, q_mvar=20.0, x=0.1):
     return json.dumps(doc)
 
 
+def reversed_machine_order_text(text: str) -> str:
+    """The case `text` with its machines and their devices listed in reverse."""
+    doc = json.loads(text)
+    for section in ("machines", "governors", "exciters", "psss"):
+        doc[section] = doc[section][::-1]
+    return json.dumps(doc)
+
+
 @pytest.fixture()
 def two_bus_text():
     return make_two_bus_text()

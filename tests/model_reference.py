@@ -175,6 +175,4 @@ def reference_kron_reduce(case, y_load, ybus=None):
     y_ee = aug[np.ix_(elim, elim)]
     x = np.linalg.solve(y_ee, y_ke.T)
     reduced = y_kk - y_ke @ x
-    return ReducedNetwork(g=reduced.real.copy(), b=reduced.imag.copy(),
-                          machine_ids=tuple(mach.id for mach in case.machines),
-                          emf_to_bus=-x)
+    return ReducedNetwork(g=reduced.real.copy(), b=reduced.imag.copy(), emf_to_bus=-x)

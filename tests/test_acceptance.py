@@ -46,8 +46,7 @@ def _min_mode(case, controllers=None, areas=None):
     control = None if controllers is None else _closed_loop(eq, controllers)
     table = modal_analysis(linearize(eq, control), eq.layout.labels)
     if areas is not None:
-        classify_table(table, eq.layout.speed_indices, areas,
-                       eq.layout.machine_ids)
+        classify_table(table, eq.layout.speed_indices, areas)
     return min_damping(table, *BAND), sol
 
 

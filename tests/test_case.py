@@ -227,3 +227,19 @@ def test_apply_line_trip_errors(bundled_case):
     tripped = apply_line_trip(bundled_case, 3, 101, 1)
     with pytest.raises(CaseError, match="already out"):
         apply_line_trip(tripped, 3, 101, 1)
+
+
+def test_machine_index_is_the_order_of_machines(bundled_case):
+    assert bundled_case.machine_index == {m.id: i for i, m in enumerate(bundled_case.machines)}
+    assert bundled_case.machine_index is bundled_case.machine_index     # built once
+
+
+@pytest.mark.parametrize("ka", [0.0, -5.0])
+def test_validate_nonpositive_exciter_gain(ka, bundled_text):
+    """An exciter gain Ka of zero would put the voltage reference at
+    |v| + Efd / Ka = inf; zero and negative gains are refused."""
+    doc = json.loads(bundled_text)
+    doc["exciters"][1]["ka"] = ka
+    violations = validate_case(parse_case(json.dumps(doc)))
+    assert violations == [f"exciter on machine {doc['exciters'][1]['machine']}: "
+                          "gain Ka must be positive"]

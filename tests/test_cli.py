@@ -11,7 +11,7 @@ import pytest
 
 import oscdamp
 from oscdamp.cli import main, EXIT_OK, EXIT_INPUT, EXIT_NUMERIC, EXIT_DIVERGED
-from conftest import make_two_bus_text
+from conftest import make_two_bus_text, reversed_machine_order_text
 from lmi_reference import read_sdpa
 
 
@@ -430,8 +430,7 @@ def _full_point(case, areas, ctrl, band=(0.1, 3.0)):
     a = linearize(eq)
 
     def worst(m):
-        table = classify_table(modal_analysis(m, lay.labels), lay.speed_indices, areas,
-                               lay.machine_ids)
+        table = classify_table(modal_analysis(m, lay.labels), lay.speed_indices, areas)
         return min_damping(table, *band)
 
     base = worst(a)
@@ -628,6 +627,11 @@ def _set_h(doc, value):
     doc["machines"][0]["h"] = value
 
 
+def _zero_ka(doc):
+    """Ka = 0 puts the voltage reference |v| + Efd / Ka at infinity."""
+    doc["exciters"][2]["ka"] = 0.0
+
+
 _TRIP_AT_1 = {"time": 1.0, "type": "trip_line", "from": 3, "to": 101, "circuit": 1}
 
 
@@ -680,6 +684,12 @@ _TRIP_AT_1 = {"time": 1.0, "type": "trip_line", "from": 3, "to": 101, "circuit":
     (["simulate", "--channels", "bogus:1", "--out", "{out}"], {"duration": 1.0}, None),
     (["simulate", "--channels", "omega:1,omega:9", "--out", "{out}"], {"duration": 1.0}, None),
     (["design", "--out", "{out}"], None, lambda doc: doc.update(governors=[])),
+    (["pf"], None, _zero_ka),
+    (["modal"], None, _zero_ka),
+    (["design"], None, _zero_ka),
+    (["design", "--controllers", "1,1", "--out", "{out}"], None, None),
+    (["export-sdpa", "--controllers", "2,3,2", "--out", "{out}"], None, None),
+    (["modal", "--controllers", "1,1", "--gains"], None, None),
 ], ids=["fractions", "modal-controllers", "design-controllers", "beta-bar",
         "bound-scale", "beta-bar-infinite", "bound-scale-infinite",
         "fractions-infinite", "trip-without-from", "duration", "initial-active",
@@ -693,7 +703,9 @@ _TRIP_AT_1 = {"time": 1.0, "type": "trip_line", "from": 3, "to": 101, "circuit":
         "step-load-dp-string", "channel-unknown-kind", "channel-unknown-machine",
         "channel-trailing-part", "channel-missing-part",
         "channel-unknown-kind-out", "channel-unknown-machine-out",
-        "case-without-governors"])
+        "case-without-governors", "pf-ka-zero", "modal-ka-zero", "design-ka-zero",
+        "design-controllers-repeat", "export-sdpa-controllers-repeat",
+        "modal-gains-controllers-repeat"])
 def test_malformed_flags_and_scenarios_are_input_errors(argv, scenario, case_edit,
                                                         case_path, tmp_path, capsys,
                                                         bundled_design):
@@ -791,3 +803,61 @@ def test_scenario_naming_unknown_machine_is_input_error(scenario, case_path, tmp
                  "--gains", str(gains)]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert "input error:" in err and "lacks" in err
+
+
+@pytest.mark.parametrize("command", ["modal", "sweep", "scan-n1", "simulate"])
+def test_gains_for_a_machine_the_case_lacks_is_input_error(command, case_path, tmp_path,
+                                                           capsys, bundled_design):
+    """A nonzero gain row for a machine the case lacks is refused, naming the
+    machine, since nothing would apply it; zeroed by --controllers, it runs."""
+    ctrl = bundled_design[0].to_dict()
+    ctrl["machine_ids"].append(9)
+    ctrl["gains"].append([100.0, 1.0, 1.0, 1.0, 1.0])
+    gains = tmp_path / "gains.json"
+    gains.write_text(json.dumps(ctrl))
+    # x3.0 has no power flow: the gains are checked before any point is built
+    extra = {"sweep": ["--fractions", "3.0"],
+             "simulate": ["--scenario", str(tmp_path / "scen.json")]}.get(command, [])
+    (tmp_path / "scen.json").write_text(json.dumps({"duration": 0.1}))
+    argv = [command, "--case", case_path, "--gains", str(gains), *extra]
+    capsys.readouterr()
+    assert main(argv) == EXIT_INPUT
+    assert "nonzero row for machine 9, which the case lacks" in capsys.readouterr().err
+    if command == "modal":
+        assert main(argv + ["--controllers", "1,2,3,4"]) == EXIT_OK
+
+
+def test_machine_order_comes_from_the_case_alone(bundled_text, bundled_eq, tmp_path,
+                                                 bundled_design):
+    """The bundled case with its machines, governors, exciters and PSSs listed
+    in reverse gives each machine the same equilibrium state, the same
+    open-loop eigenvalues and, with given gains, the same closed-loop least
+    damping: every layer takes its machine rows from the case."""
+    from oscdamp.case import parse_case
+    from oscdamp.cli import _pipeline
+    from oscdamp.smallsignal import linearize
+    rev_text = reversed_machine_order_text(bundled_text)
+    rev = parse_case(rev_text)
+    assert [m.id for m in rev.machines] == [4, 3, 2, 1]
+    _, eq = _pipeline(rev)
+    assert eq.layout.machine_ids == (4, 3, 2, 1)
+    state = dict(zip(eq.layout.labels, eq.state))
+    ref = dict(zip(bundled_eq.layout.labels, bundled_eq.state))
+    assert state.keys() == ref.keys()
+    for label, value in ref.items():
+        assert state[label] == pytest.approx(value, rel=1e-12, abs=1e-14), label
+    lam, lam_ref = np.linalg.eigvals(linearize(eq)), np.linalg.eigvals(linearize(bundled_eq))
+    assert lam.size == lam_ref.size
+    assert max(np.min(np.abs(lam - x)) for x in lam_ref) < 1e-10
+    gains = tmp_path / "gains.json"
+    gains.write_text(json.dumps(bundled_design[0].to_dict()))
+    zeta = {}
+    for name, text in (("bundled", bundled_text), ("reversed", rev_text)):
+        case_file = tmp_path / f"{name}.json"
+        case_file.write_text(text)
+        out = tmp_path / name
+        assert main(["modal", "--case", str(case_file), "--gains", str(gains),
+                     "--out", str(out)]) == EXIT_OK
+        worst = json.loads((out / "modal.json").read_text())["results"]["min_damping"]
+        zeta[name] = worst["damping_pct"] / 100
+    assert abs(zeta["reversed"] - zeta["bundled"]) < 1e-12

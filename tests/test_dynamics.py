@@ -90,12 +90,11 @@ def _random_reduced(rng, n=3, lossless=False):
         g = np.zeros((n, n))
     b = rng.standard_normal((n, n))
     b = 0.5 * (b + b.T)
-    return ReducedNetwork(g=g, b=b, machine_ids=tuple(range(1, n + 1)))
+    return ReducedNetwork(g=g, b=b)
 
 
 def test_electrical_power_decoupled():
-    red = ReducedNetwork(g=np.zeros((3, 3)), b=np.zeros((3, 3)),
-                         machine_ids=(1, 2, 3))
+    red = ReducedNetwork(g=np.zeros((3, 3)), b=np.zeros((3, 3)))
     pe = electrical_power(red, np.array([0.1, 0.5, -0.2]),
                           np.array([1.0, 1.1, 0.9]), np.array([0.2, 0.1, 0.3]))
     assert np.allclose(pe, 0.0)

@@ -6,12 +6,13 @@ import pytest
 import scipy.linalg
 
 from oscdamp import kernels, simulator
-from oscdamp.case import CaseError, scale_stress
+from oscdamp.case import CaseError, parse_case, scale_stress
 from oscdamp.powerflow import solve_power_flow, branch_flow
 from oscdamp.simulator import (Scenario, Event, ScenarioError, parse_scenario,
                                simulate, measure, ringdown_damping)
 from oscdamp.smallsignal import linearize
 from model_reference import network_currents
+from conftest import reversed_machine_order_text
 
 
 def test_parse_scenario_round():
@@ -544,3 +545,17 @@ def test_every_divergence_exit(bundled_case, monkeypatch, diverging_call, bad_st
     assert np.all(np.abs(res.states[:first_unrecorded]) < 1e3)
     assert any(e["action"] == "trip_line" for e in res.event_log) == logged
     assert len(calls) == diverging_call
+
+
+def test_reversed_machine_order_measures_the_same_channels(bundled_case, bundled_text,
+                                                           bundled_design):
+    """A run of the case with its machines and their devices listed in
+    reverse reads, through `measure`, the same series for each machine and
+    bus: the channels find their columns through the case's `machine_index`."""
+    rev = parse_case(reversed_machine_order_text(bundled_text))
+    sc = Scenario(duration=1.0, dt=0.01, events=(Event(0.1, "step_load", (4, 50.0, 10.0)),))
+    runs = [simulate(case, bundled_design[0], sc) for case in (bundled_case, rev)]
+    for ch in ("pe:1", "u:2", "vm:4"):
+        ref, got = (measure(r, ch) for r in runs)
+        assert np.ptp(ref) > 1e-3, ch          # the channel moves
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10, err_msg=ch)

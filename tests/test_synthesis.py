@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 
 from oscdamp import kernels
-from oscdamp.case import CaseError
+from oscdamp.case import CaseError, parse_case
 from oscdamp.powerflow import (ReducedNetwork, solve_power_flow, load_admittances,
                                kron_reduce)
 from oscdamp.dynamics import initialize_from_power_flow
 from oscdamp.synthesis import (SynthesisError, coupling_bounds, coupling_rows,
                                coupling_disturbance, verify_bound,
                                design_controllers, synthesis_lmi, ControllerSet)
+from conftest import reversed_machine_order_text
 
 
 def test_coupling_weights_decoupled():
-    red = ReducedNetwork(g=np.zeros((3, 3)), b=np.zeros((3, 3)),
-                         machine_ids=(1, 2, 3))
+    red = ReducedNetwork(g=np.zeros((3, 3)), b=np.zeros((3, 3)))
     b = coupling_bounds(red, np.ones(3), np.ones(3))
     assert np.all(b.total == 0.0)
 
@@ -24,8 +24,7 @@ def test_coupling_weights_two_machine_hand_value():
     bij = 0.7
     e = 1.2
     red = ReducedNetwork(g=np.zeros((2, 2)),
-                         b=np.array([[0.0, bij], [bij, 0.0]]),
-                         machine_ids=(1, 2))
+                         b=np.array([[0.0, bij], [bij, 0.0]]))
     bounds = coupling_bounds(red, np.array([e, e]), np.zeros(2))
     # lone q-axis component: 4 e^2 * e * |b| * (e * |b|)
     assert bounds.w_qq[0, 1] == pytest.approx(4 * e ** 4 * bij ** 2, rel=1e-12)
@@ -40,10 +39,10 @@ def test_coupling_weights_monotone_in_susceptance():
     for _ in range(20):
         b0 = np.abs(rng.standard_normal((3, 3)))
         b0 = 0.5 * (b0 + b0.T)
-        red1 = ReducedNetwork(g=np.zeros((3, 3)), b=b0, machine_ids=(1, 2, 3))
+        red1 = ReducedNetwork(g=np.zeros((3, 3)), b=b0)
         b1 = b0.copy()
         b1[0, 1] = b1[1, 0] = b1[0, 1] * (1.0 + rng.random())
-        red2 = ReducedNetwork(g=np.zeros((3, 3)), b=b1, machine_ids=(1, 2, 3))
+        red2 = ReducedNetwork(g=np.zeros((3, 3)), b=b1)
         eq = 1.0 + rng.random(3)
         ed = rng.random(3)
         w1 = coupling_bounds(red1, eq, ed).total
@@ -53,8 +52,7 @@ def test_coupling_weights_monotone_in_susceptance():
 
 
 def test_rows_vanish_without_coupling():
-    red = ReducedNetwork(g=np.zeros((2, 2)), b=np.zeros((2, 2)),
-                         machine_ids=(1, 2))
+    red = ReducedNetwork(g=np.zeros((2, 2)), b=np.zeros((2, 2)))
     rows = coupling_rows(coupling_bounds(red, np.ones(2), np.ones(2)))
     assert all(r.shape[0] == 0 for r in rows)
 
@@ -113,8 +111,7 @@ def test_verify_bound_falsification():
     a 0.2 factor crosses the tight envelope near an in-phase configuration.
     """
     red = ReducedNetwork(g=np.zeros((2, 2)),
-                         b=np.array([[0.0, 1.0], [1.0, 0.0]]),
-                         machine_ids=(1, 2))
+                         b=np.array([[0.0, 1.0], [1.0, 0.0]]))
     bounds = coupling_bounds(red, np.ones(2), np.zeros(2) + 1e-9)
     delta_eq = np.zeros(2)
     assert verify_bound(bounds, red, delta_eq, samples=30000, seed=4,
@@ -231,3 +228,25 @@ def test_synthesis_summary_fields(bundled_design):
     assert s["bound_scale"] == pytest.approx(0.01)
     assert s["closed_loop_max_re"] < 0
     assert len(s["gains"]) == 4
+
+
+def test_design_rows_follow_the_machines_not_their_order(bundled_text, bundled_design):
+    """Designing the case with its machines and devices listed in reverse
+    gives each machine its own coupling rows, γ and gain row.  The SDP sees
+    its blocks in the other order, so the solve moves by its own tolerance:
+    the gains agree to 1 % of the largest entry (0.06 % seen) and γ to 1e-3
+    (2.4e-5 seen); coupling rows taken by position instead of by id move the
+    gains by 20 % and γ by 0.07."""
+    rev = parse_case(reversed_machine_order_text(bundled_text))
+    sol = solve_power_flow(rev)
+    eq = initialize_from_power_flow(rev, sol, kron_reduce(rev, load_admittances(rev, sol)))
+    ctrl, res = design_controllers(rev, eq)
+    ref_ctrl, ref_res = bundled_design
+    assert ctrl.machine_ids == (4, 3, 2, 1)
+    ids = ref_ctrl.machine_ids
+    scale = np.max(np.abs(ref_ctrl.gains))
+    assert np.max(np.abs(ctrl.gains_for(ids) - ref_ctrl.gains)) < 1e-2 * scale
+    gamma, ref_gamma = res.by_machine("gamma"), ref_res.by_machine("gamma")
+    assert gamma.keys() == ref_gamma.keys()
+    for mid, value in ref_gamma.items():
+        assert gamma[mid] == pytest.approx(value, abs=1e-3), mid

@@ -115,21 +115,27 @@ def test_setup_probe_runs():
     assert all(t >= 0.0 for t in times.values())
 
 
-def test_report_set_commands_parse(monkeypatch, bundled_case):
+def test_report_set_commands_parse(monkeypatch, tmp_path, bundled_case):
     """Every command of the byte-identity report set is one the CLI takes:
-    its arguments parse and pass the option checks, and each scenario it
-    names is one the tool writes and the bundled case can run.  None runs."""
+    its arguments parse and pass the option checks, its pinned gains pass
+    the gain-row checks for its --controllers, and each scenario it names is
+    one the tool writes and the bundled case can run.  None runs."""
     from oscdamp import cli, simulator
     spec = importlib.util.spec_from_file_location("report_set", ROOT / "tools" / "report_set.py")
     report_set = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, report_set)
     spec.loader.exec_module(report_set)
+    (tmp_path / "inputs").mkdir()
+    (tmp_path / "inputs" / "gains.json").write_text(report_set.GAINS.read_text())
+    monkeypatch.chdir(tmp_path)         # the commands name their inputs relative to OUT
     parser = cli.build_parser()
     names = [name for name, _ in report_set.COMMANDS]
     assert len(set(names)) == len(names)
     for name, args in report_set.COMMANDS:
         parsed = parser.parse_args([*args, "--out", name])
         cli._check_options(parsed)
+        if getattr(parsed, "gains", None):
+            assert cli._controllers_for(bundled_case, parsed) is not None
         if parsed.command == "simulate":
             scenario = report_set.SCENARIOS[parsed.scenario.removeprefix("inputs/")]
             simulator.parse_scenario(json.dumps(scenario)).check_case(bundled_case)

@@ -74,6 +74,8 @@ COMMANDS = [
     ("export_sdpa", ["export-sdpa", *_CASE]),
     ("sweep", ["sweep", *_CASE, "--fractions", "0.9,0.95,1.0,1.05,1.1", *_PINNED]),
     ("scan_n1", ["scan-n1", *_CASE, *_PINNED]),
+    ("scan_n1_2_3", ["scan-n1", *_CASE, "--controllers", "2,3",
+                     "--gains", "inputs/gains.json"]),
     ("simulate_remedial", ["simulate", *_CASE, "--scenario", "inputs/remedial.json",
                            *_PINNED, "--channels",
                            "delta_rel:3:1,omega:1,omega:2,omega:3,omega:4"]),

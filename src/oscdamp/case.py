@@ -427,9 +427,9 @@ def unreachable_buses(case: PowerSystemCase) -> set[int]:
 
 def scale_stress(case: PowerSystemCase, fraction: float) -> PowerSystemCase:
     """Scale P and Q of every load and the scheduled P of every machine by
-    `fraction`, which must be positive."""
-    if fraction <= 0:
-        raise CaseError("stress fraction must be positive")
+    `fraction`, which must be positive and finite."""
+    if not (math.isfinite(fraction) and fraction > 0):
+        raise CaseError(f"stress fraction must be positive and finite, not {fraction}")
     loads = tuple(replace(l, p_mw=l.p_mw * fraction, q_mvar=l.q_mvar * fraction)
                   for l in case.loads)
     machines = tuple(replace(m, p_sched_mw=m.p_sched_mw * fraction) for m in case.machines)

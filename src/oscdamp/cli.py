@@ -17,7 +17,7 @@ from .case import (CaseError, PowerSystemCase, parse_case, validate_case,
                    scale_stress, apply_line_trip, unreachable_buses)
 from .powerflow import (PowerFlowDiverged, KronReductionError, solve_power_flow,
                         load_admittances, kron_reduce)
-from .dynamics import InitializationError, initialize_from_power_flow
+from .dynamics import InitializationError, device_model, initialize_from_power_flow
 from .smallsignal import (NonEquilibriumError, NoOscillatoryMode, linearize,
                           closed_loop_matrix, modal_analysis, classify_mode,
                           classify_table, min_damping)
@@ -48,12 +48,14 @@ def _load_case(path: str) -> tuple[PowerSystemCase, str]:
     return case, text
 
 
-def _pipeline(case: PowerSystemCase):
+def _pipeline(case: PowerSystemCase, model=None):
     """The operating point of a case: its power flow, and the equilibrium on
-    the network reduced with the loads frozen at the solved voltages."""
+    the network reduced with the loads frozen at the solved voltages.  The
+    equilibrium's plan is the device part `model` at the point, or the
+    case's own when `model` is None."""
     sol = solve_power_flow(case)
     eq = initialize_from_power_flow(
-        case, sol, kron_reduce(case, load_admittances(case, sol), sol.ybus))
+        case, sol, kron_reduce(case, load_admittances(case, sol), sol.ybus), model)
     return sol, eq
 
 
@@ -68,7 +70,7 @@ def _subset_from_arg(case, spec: str) -> list[int] | None:
     return governed_subset(case, subset)
 
 
-def _controllers_for(case, args, eq=None) -> ControllerSet | None:
+def _controllers_for(case, args, eq=None, model=None) -> ControllerSet | None:
     """Resolve --controllers/--gains into a ControllerSet (None for PSS-only).
     Given gains keep only the rows of the machines --controllers lists; the
     others become zero rows, as a designed subset has.  A nonzero row left
@@ -76,7 +78,8 @@ def _controllers_for(case, args, eq=None) -> ControllerSet | None:
     error: nothing applies it.
 
     Designing needs the base operating point: pass it as `eq` when the
-    caller has one; otherwise it is built here, and only then."""
+    caller has one; otherwise it is built here, on the device part `model`
+    when given, and only then."""
     if args.controllers == "none":
         return None
     subset = _subset_from_arg(case, args.controllers)
@@ -95,7 +98,7 @@ def _controllers_for(case, args, eq=None) -> ControllerSet | None:
                 raise CaseError(f"--gains has a nonzero row for machine {mid}, which {why}")
         return ctrl
     if eq is None:
-        _, eq = _pipeline(case)
+        _, eq = _pipeline(case, model)
     ctrl, _ = design_controllers(case, eq, subset=subset, beta_bar=args.beta_bar,
                                  bound_scale=args.bound_scale)
     return ctrl
@@ -122,9 +125,10 @@ def _class_keys(eq, areas: list[int]):
     return eq.layout.speed_indices, areas
 
 
-def _point_row(case, controllers, areas: list[int], band, ties=None) -> dict:
+def _point_row(case, controllers, areas: list[int], band, model, ties=None) -> dict:
     """Baseline and, with controllers, robust minimum damping at one analysed
-    operating point.  A sweep point gets the sweep's tie corridor `ties`: its
+    operating point, whose plan is the device part `model` at the point.  A
+    sweep point gets the sweep's tie corridor `ties`: its
     row also reports the tie flow over it, the frequency of the least-damped
     open-loop mode and the classes of the least-damped modes, so only those
     two modes are classified.  An N-1 point (`ties` None) reports the damping
@@ -133,7 +137,7 @@ def _point_row(case, controllers, areas: list[int], band, ties=None) -> dict:
     closed-loop mode in `band` reports ``baseline_error`` or ``robust_error``."""
     sweep = ties is not None
     try:
-        sol, eq = _pipeline(case)
+        sol, eq = _pipeline(case, model)
         open_table, closed_table = _modal_for(eq, controllers, participation=False,
                                               vectors=sweep)
     except NUMERIC_ERRORS as exc:
@@ -170,13 +174,13 @@ def _baseline_text(row: dict, name: str) -> str:
     return f"{name} none in the band"
 
 
-def _outage_row(case, controllers, areas: list[int], band) -> dict:
+def _outage_row(case, controllers, areas: list[int], band, model) -> dict:
     """One N-1 row: an outage that islands buses names those cut off from the
     slack bus and runs no power flow; any other is an analysed point."""
     islanded = unreachable_buses(case)
     if islanded:
         return {"converged": False, "islanded": sorted(islanded)}
-    return _point_row(case, controllers, areas, band)
+    return _point_row(case, controllers, areas, band, model)
 
 
 def _csv(columns: tuple[str, ...], rows: list[dict]) -> str:
@@ -312,11 +316,12 @@ def cmd_sweep(args, case: PowerSystemCase, text: str) -> int:
         raise CaseError(f"stress fractions must be positive and finite, not "
                         f"{args.fractions!r}")
     areas = machine_areas(case)
-    ties = tie_branches(case)    # stress scaling keeps every branch: one corridor
-    controllers = _controllers_for(case, args)
+    # stress scaling keeps every branch and device: one corridor, one device part
+    ties, model = tie_branches(case), device_model(case)
+    controllers = _controllers_for(case, args, model=model)
     rows = [{"fraction": frac,
              **_point_row(scale_stress(case, frac), controllers, areas,
-                          args.band, ties)}
+                          args.band, model, ties)}
             for frac in sorted(fractions)]
     results = {"rows": rows,
                "controllers": controllers.to_dict() if controllers else None}
@@ -337,9 +342,11 @@ def cmd_sweep(args, case: PowerSystemCase, text: str) -> int:
 
 def cmd_scan_n1(args, case: PowerSystemCase, text: str) -> int:
     areas = machine_areas(case)
-    controllers = _controllers_for(case, args)
+    model = device_model(case)      # a trip keeps every device: one device part
+    controllers = _controllers_for(case, args, model=model)
     rows = [{"branch": list(key),
-             **_outage_row(apply_line_trip(case, *key), controllers, areas, args.band)}
+             **_outage_row(apply_line_trip(case, *key), controllers, areas, args.band,
+                           model)}
             for key in sorted(br.key() for br in case.in_service_branches())]
     n_conv = sum(1 for r in rows if r["converged"])
     n_island = sum(1 for r in rows if "islanded" in r)

@@ -64,6 +64,12 @@ def build_layout(case: PowerSystemCase) -> StateLayout:
                        labels=tuple(labels), index=index, n_states=len(labels))
 
 
+def device_model(case: PowerSystemCase) -> kernels.RhsPlan:
+    """The device part of the case's RHS plan, over the case's layout; its
+    `at` gives the plan of an operating point."""
+    return kernels.RhsPlan(case, build_layout(case))
+
+
 @dataclass(frozen=True)
 class DesignModel:
     """Per-machine 5-state governor/turbine design matrices over [delta, omega, pm, xm, xe]."""
@@ -132,16 +138,28 @@ def _machine_bus_outputs(case: PowerSystemCase, sol: PowerFlowSolution):
 
 
 def initialize_from_power_flow(case: PowerSystemCase, sol: PowerFlowSolution,
-                               reduced: ReducedNetwork) -> Equilibrium:
+                               reduced: ReducedNetwork,
+                               model: kernels.RhsPlan | None = None) -> Equilibrium:
     """Back-solve machine states from the converged power flow.
 
     The returned state is an exact fixed point of the assembled model: machine
     EMFs reproduce the power-flow currents through the reduced network, the
     governor chain sits at its unity-gain steady state, and exciter references
-    absorb the required field voltage.  The model's plan is built last, from
-    the case, the layout and these references.
+    absorb the required field voltage.  The model's plan is the device part
+    `model` at these references.  `model` is built from the case when None;
+    a caller may pass the device part of another case with the same machines
+    and devices, such as a stress-scaled or line-tripped variant of it.  A
+    device part whose machines, or whose machines with a governor, an
+    exciter or a PSS, differ from the case's is a ValueError.
     """
-    layout = build_layout(case)
+    if model is None:
+        model = device_model(case)
+    layout = model.layout
+    if layout.machine_ids != tuple(m.id for m in case.machines) or any(
+            {mid for mid, s in layout.index if s == slot} != {d.machine for d in devices}
+            for slot, devices in (("pm", case.governors), ("efd", case.exciters),
+                                  ("z1", case.psss))):
+        raise ValueError("the device part is not of this case's machines and devices")
     n = len(case.machines)
     y0 = np.zeros(layout.n_states)
     p_out, q_out = _machine_bus_outputs(case, sol)
@@ -194,6 +212,5 @@ def initialize_from_power_flow(case: PowerSystemCase, sol: PowerFlowSolution,
         efd_ref[k] = efd
         # PSS washout states are zero at any speed equilibrium
 
-    return Equilibrium(layout=layout,
-                       plan=kernels.RhsPlan(case, layout, pm_ref, efd_ref, vref),
+    return Equilibrium(layout=layout, plan=model.at(pm_ref, efd_ref, vref),
                        network=reduced, state=y0)

@@ -4,10 +4,14 @@ The model RHS is one linear operator plus a small nonlinear vector,
 
     dy = M · [y; φ(y)] + c,
 
-with the valve rows zeroed where the anti-windup hold acts.  An
-:class:`RhsPlan`, built once per model from the case's device records, the
-state layout and the equilibrium references, holds the dense ``M`` of shape
-``(n_states, n_states + 4 n_mach)`` and the constants ``c``.  ``M`` carries
+with the valve rows zeroed where the anti-windup hold acts.  A plan is a
+device part plus one operating point's references.  :class:`RhsPlan`, built
+from the case's device records and the state layout, is the device part: the
+dense ``M`` of shape ``(n_states, n_states + 4 n_mach)``, the gathers of φ
+and the device limits.  :meth:`RhsPlan.at` adds the equilibrium references
+and the constants ``c`` of one operating point and shares the rest, so the
+points of a stress sweep or an N-1 scan, which change only loads, dispatch
+or one branch, share one device part.  ``M`` carries
 the linear part over the state (rotor, two-axis, PSS washout and lead-lags,
 exciter lag, governor/turbine chain) and the input columns of
 ``φ = [pe, i_d, i_q, efd_cmd]``: the electrical power and the d/q currents of
@@ -61,6 +65,7 @@ the plan, and the workspace evaluation to the bits of an allocating one.
 
 from __future__ import annotations
 
+import copy
 from math import isnan
 from typing import Callable, NamedTuple
 
@@ -198,10 +203,12 @@ _NO_PSS = ([[0.0] * 4] * 3, [0.0] * 4)
 
 
 class RhsPlan:
-    """The model's parameter record: the operator ``M``, the constants ``c``
-    and the gathers of φ, built in one pass from the case's device records,
-    the layout's state slots and the equilibrium references.  Its arrays are
-    read-only.
+    """The model's parameter record.  Built from the case's device records
+    and the layout's state slots in one pass, it is the device part: the
+    operator ``M``, the gathers of φ and the device limits.  :meth:`at` gives
+    one operating point's plan, which shares these arrays and adds the
+    equilibrium references and the constants ``c``; only such a plan
+    evaluates, binds or linearizes.  Its arrays are read-only.
 
     States ``y`` are ``(n_states,)`` or stacked ``(..., n_states)``; every
     method works over the last axis.  The slots of absent devices (the
@@ -214,10 +221,7 @@ class RhsPlan:
     equilibrium mechanical power.
     """
 
-    def __init__(self, case, layout, pm, efd, vref):
-        """`pm` (machine base), `efd` and `vref` hold each machine's
-        equilibrium mechanical power, field voltage and exciter reference;
-        `vref` is read for machines with an exciter only."""
+    def __init__(self, case, layout):
         n, ns, at = len(case.machines), layout.n_states, layout.index
         k = np.arange(n)[:, None]
         ne = ns + 2 * n + 1                 # the extended state [y, pm, efd, 0]
@@ -257,10 +261,10 @@ class RhsPlan:
                 -1.0 / m.tq0p, (xq - xqp) / m.tq0p, -1.0 / ta, 1.0 / ta,
                 1.0, 1.0, 1.0, 1.0, 1.0, -1.0, *d[0], *d[1], *d[2], *y3))
         rec = np.array(records)
+        self.layout = layout
         (self.sout, xdp, self.xq_corr, self.ka, self.efdmin, self.efdmax,
          self.vsmin, self.vsmax) = rec[:, :8].T.copy()
-        self.vref = np.where(has[:, 7], vref, 0.0)
-        self.const = np.concatenate((pm, efd, [0.0]))
+        self.excited = has[:, 7]
         self.ix5 = col[:, _DESIGN]                         # (n, 5) design states
         self.ix_mach = col[:, :4].T                        # rows: delta, omega, eqp, edp
         self.gov = gov = np.flatnonzero(has[:, 4])
@@ -272,11 +276,22 @@ class RhsPlan:
         wm[row[:, _ROWS], col[:, _COLS]] = rec[:, 8:]
         self.b_pc = wm[self.ix5_gov[:, 2:], ns + gov[:, None]]   # valve command columns
         self.m = np.concatenate((wm[:ns, :ns], wm[:ns, ne:ne + 4 * n]), axis=1)
-        self.c = wm[:ns, ns:ne] @ self.const
+        self.m_const = wm[:ns, ns:ne].copy()               # the columns of the constants
         self.pre = wm[:ns, ne + 4 * n:].copy()
-        for arr in vars(self).values():
-            if isinstance(arr, np.ndarray):
-                arr.flags.writeable = False
+        self.vref = self.const = self.c = None             # set by `at`
+        _freeze(self)
+
+    def at(self, pm, efd, vref):
+        """The plan of one operating point, sharing this device part.
+        `pm` (machine base), `efd` and `vref` hold each machine's
+        equilibrium mechanical power, field voltage and exciter reference;
+        `vref` is read for machines with an exciter only."""
+        point = copy.copy(self)
+        point.vref = np.where(self.excited, vref, 0.0)
+        point.const = np.concatenate((pm, efd, [0.0]))
+        point.c = self.m_const @ point.const
+        _freeze(point)
+        return point
 
     def design_states(self, y):
         """Each machine's design states [delta, omega, pm, xm, xe] of ``y``,
@@ -311,6 +326,13 @@ class RhsPlan:
             m[:, :c.size] += fb
             mt, c = m.T, c - fb @ xs
         return BoundRhs(self, network_operator(gmat, bmat), mt, c)
+
+
+def _freeze(plan):
+    """Make every array of `plan` read-only."""
+    for arr in vars(plan).values():
+        if isinstance(arr, np.ndarray):
+            arr.flags.writeable = False
 
 
 class BoundRhs:

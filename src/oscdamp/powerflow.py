@@ -126,7 +126,7 @@ def solve_power_flow(case: PowerSystemCase, tol: float = 1e-10,
     Raises PowerFlowDiverged when the iteration cap is hit or the update
     produces non-finite voltages (infeasible operating point).
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tolerance must be positive")
     y = build_ybus(case)
     n = len(case.buses)
@@ -161,7 +161,7 @@ def solve_power_flow(case: PowerSystemCase, tol: float = 1e-10,
     vc = vm * np.exp(1j * va)
     g = mismatch(vc)
     max_mis = float(np.max(np.abs(g))) if g.size else 0.0
-    while max_mis > tol:
+    while not max_mis <= tol:          # NaN too: the guard below raises
         if iterations >= max_iter or not np.isfinite(max_mis):
             raise PowerFlowDiverged(iterations, max_mis)
         # MATPOWER-style complex power flow Jacobian, split into real blocks

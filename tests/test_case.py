@@ -179,6 +179,12 @@ def test_scale_stress_heavy_loading_values(bundled_case):
     assert loads[14].p_mw == pytest.approx(1855.0406, abs=1e-9)
 
 
+@pytest.mark.parametrize("fraction", [math.nan, math.inf, -math.inf, 0.0, -0.5])
+def test_scale_stress_refuses_a_fraction_not_positive_and_finite(bundled_case, fraction):
+    with pytest.raises(CaseError, match="positive and finite"):
+        scale_stress(bundled_case, fraction)
+
+
 def test_scale_stress_arithmetic(bundled_case):
     """Every load's P and Q and every machine's scheduled P scale; nothing else does."""
     scaled = scale_stress(bundled_case, 0.5)

@@ -492,6 +492,32 @@ def test_sweep_computes_one_corridor(case_path, tmp_path, bundled_case, monkeypa
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("controllers", ["none", "gains", "design"])
+@pytest.mark.parametrize("command", [["sweep", "--fractions", "0.9,1.0,1.1"], ["scan-n1"]],
+                         ids=["sweep", "scan-n1"])
+def test_device_part_built_once_per_command(command, controllers, case_path, tmp_path,
+                                            monkeypatch, bundled_design):
+    """A sweep or an N-1 scan builds one device part and one state layout,
+    from the base case, whether its controllers are absent, given or
+    designed; its points reuse them."""
+    from oscdamp import dynamics, kernels
+    builds, layouts = [], []
+    init, layout = kernels.RhsPlan.__init__, dynamics.build_layout
+    monkeypatch.setattr(kernels.RhsPlan, "__init__",
+                        lambda self, *a: builds.append(1) or init(self, *a))
+    monkeypatch.setattr(dynamics, "build_layout",
+                        lambda case: layouts.append(1) or layout(case))
+    argv = [*command, "--case", case_path, "--out", str(tmp_path / "out")]
+    if controllers == "gains":
+        gains = tmp_path / "gains.json"
+        gains.write_text(json.dumps(bundled_design[0].to_dict()))
+        argv += ["--gains", str(gains)]
+    elif controllers == "design":
+        argv += ["--controllers", "all"]
+    assert main(argv) == EXIT_OK
+    assert builds == [1] and layouts == [1]
+
+
 def test_point_without_mode_in_band_is_converged(case_path, tmp_path, capsys,
                                                  bundled_design):
     """A point whose power flow converged but has no open-loop mode in the

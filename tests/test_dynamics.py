@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from oscdamp import kernels
-from oscdamp.case import parse_case
+from oscdamp.case import apply_line_trip, parse_case, scale_stress, unreachable_buses
 from oscdamp.powerflow import (solve_power_flow, load_admittances, kron_reduce,
                                ReducedNetwork)
-from oscdamp.dynamics import (build_design_matrices, initialize_from_power_flow,
-                              InitializationError)
+from oscdamp.dynamics import (build_design_matrices, device_model,
+                              initialize_from_power_flow, InitializationError)
 from model_reference import (rotor_rhs, governor_turbine_rhs, two_axis_rhs,
                              electrical_power)
-from conftest import make_two_bus_text
+from conftest import make_two_bus_text, reversed_machine_order_text
 
 W0 = 2 * math.pi * 60
 
@@ -260,3 +260,66 @@ def test_exciter_limit_violation_at_equilibrium():
     red = kron_reduce(case, load_admittances(case, sol))
     with pytest.raises(InitializationError, match="field voltage"):
         initialize_from_power_flow(case, sol, red)
+
+
+def _sweep_and_outage_points(case):
+    """The bundled sweep fractions, then every outage that islands no bus."""
+    points = [(f"x{f}", scale_stress(case, f)) for f in (0.5, 0.9, 1.0, 1.1)]
+    for br in case.in_service_branches():
+        variant = apply_line_trip(case, *br.key())
+        if not unreachable_buses(variant):
+            points.append((f"trip {br.key()}", variant))
+    return points
+
+
+def test_shared_device_part_gives_each_point_its_own_plan(bundled_case):
+    """Stress scaling and a trip change no device: every point initialized on
+    the base case's device part has the equilibrium state and every plan
+    array (shape, dtype, bits, read-only) of a plan built for the point, and
+    shares the device arrays instead of copying them."""
+    model = device_model(bundled_case)
+    points = _sweep_and_outage_points(bundled_case)
+    assert sum(name.startswith("trip") for name, _ in points) == 4
+    for name, case in points:
+        sol = solve_power_flow(case)
+        red = kron_reduce(case, load_admittances(case, sol), sol.ybus)
+        shared = initialize_from_power_flow(case, sol, red, model)
+        fresh = initialize_from_power_flow(case, sol, red)
+        assert shared.layout == fresh.layout, name
+        assert shared.state.dtype == fresh.state.dtype, name
+        assert np.array_equal(shared.state, fresh.state), name
+        got, want = ({k: v for k, v in vars(eq.plan).items() if isinstance(v, np.ndarray)}
+                     for eq in (shared, fresh))
+        assert got.keys() == want.keys() and {"m", "c", "const", "vref"} <= got.keys()
+        for k, v in got.items():
+            assert v.shape == want[k].shape and v.dtype == want[k].dtype, (name, k)
+            assert np.array_equal(v, want[k]), (name, k)
+            assert not v.flags.writeable, (name, k)
+        assert shared.plan.m is model.m and shared.plan.pre is model.pre
+
+
+def test_device_part_holds_no_operating_point(bundled_case):
+    """A device part has no references or constants until `at` gives them,
+    and the columns of the constants it keeps for `at` own their data, so
+    the scatter they were cut from is freed."""
+    model = device_model(bundled_case)
+    assert model.c is None and model.const is None and model.vref is None
+    assert model.m_const.base is None and model.m.base is None and model.pre.base is None
+
+
+@pytest.mark.parametrize("variant", ["no governor", "no exciter", "no pss", "reversed"])
+def test_device_part_of_other_devices_is_refused(variant, bundled_case, bundled_text,
+                                                 bundled_sol, bundled_red):
+    """The device part of a case whose machines or devices differ is refused,
+    not initialized into a plan with slots nothing sets."""
+    if variant == "reversed":
+        other = parse_case(reversed_machine_order_text(bundled_text))
+    else:
+        field = {"no governor": "governors", "no exciter": "exciters",
+                 "no pss": "psss"}[variant]
+        assert getattr(bundled_case, field)
+        other = dataclasses.replace(bundled_case, **{field: getattr(bundled_case, field)[1:]})
+    with pytest.raises(ValueError, match="not of this case"):
+        initialize_from_power_flow(bundled_case, bundled_sol, bundled_red, device_model(other))
+    with pytest.raises(ValueError, match="not of this case"):
+        initialize_from_power_flow(other, bundled_sol, bundled_red, device_model(bundled_case))

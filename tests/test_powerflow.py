@@ -1,15 +1,16 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
-from oscdamp.case import apply_line_trip, parse_case
+from oscdamp.case import apply_line_trip, parse_case, scale_stress
 from oscdamp.powerflow import (PowerFlowDiverged, build_ybus, solve_power_flow,
                                load_admittances, kron_reduce, branch_flow,
                                _scheduled_injections)
 from oscdamp.dynamics import initialize_from_power_flow
-from oscdamp.areas import tie_flow_mw
+from oscdamp.areas import tie_branches, tie_flow_mw
 from conftest import make_two_bus_text
 from model_reference import reference_kron_reduce
 
@@ -122,6 +123,41 @@ def test_divergence_reported():
     doc = json.loads(make_two_bus_text(p_mw=5000.0, q_mvar=3000.0))
     with pytest.raises(PowerFlowDiverged):
         solve_power_flow(parse_case(json.dumps(doc)))
+
+
+def test_nan_mismatch_is_divergence(bundled_case):
+    """A NaN mismatch is not convergence: a case with a NaN load, built
+    without validation, diverges at the first check.  A NaN tolerance, which
+    no mismatch could meet, is refused."""
+    nan_load = dataclasses.replace(bundled_case.loads[0], p_mw=math.nan)
+    case = dataclasses.replace(bundled_case, loads=(nan_load, *bundled_case.loads[1:]))
+    with pytest.raises(PowerFlowDiverged) as err:
+        solve_power_flow(case)
+    assert err.value.iterations == 0 and math.isnan(err.value.mismatch)
+    for tol in (math.nan, 0.0):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            solve_power_flow(bundled_case, tol=tol)
+
+
+@pytest.mark.parametrize("fraction", [0.5, 0.9, 1.0, 1.1])
+def test_tie_flow_is_the_sum_of_branch_flows(bundled_case, fraction):
+    """The corridor's flow is the sum of `branch_flow` over its branches,
+    bit for bit, whether the corridor is given or found."""
+    case = scale_stress(bundled_case, fraction)
+    sol = solve_power_flow(case)
+    ties = tie_branches(case)
+    assert len(ties) > 1
+    total = 0.0
+    for key in ties:
+        total += branch_flow(case, sol, *key).real
+    assert tie_flow_mw(case, sol) == tie_flow_mw(case, sol, ties) == total * case.base_mva
+
+
+def test_tie_flow_refuses_an_out_of_service_tie(bundled_case, bundled_sol):
+    ties = tie_branches(bundled_case)
+    tripped = apply_line_trip(bundled_case, *ties[0])
+    with pytest.raises(ValueError, match="not in service"):
+        tie_flow_mw(tripped, bundled_sol, ties)
 
 
 def test_pf_csv_round_trip(bundled_sol):

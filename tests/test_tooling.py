@@ -130,7 +130,7 @@ def test_report_set_commands_parse(monkeypatch, tmp_path, bundled_case):
     monkeypatch.chdir(tmp_path)         # the commands name their inputs relative to OUT
     parser = cli.build_parser()
     names = [name for name, _ in report_set.COMMANDS]
-    assert len(set(names)) == len(names)
+    assert len(set(names)) == len(names) and {"sweep_wide", "sweep_open"} <= set(names)
     for name, args in report_set.COMMANDS:
         parsed = parser.parse_args([*args, "--out", name])
         cli._check_options(parsed)
@@ -140,3 +140,5 @@ def test_report_set_commands_parse(monkeypatch, tmp_path, bundled_case):
             scenario = report_set.SCENARIOS[parsed.scenario.removeprefix("inputs/")]
             simulator.parse_scenario(json.dumps(scenario)).check_case(bundled_case)
             simulator.check_channels(bundled_case, parsed.channels.split(","))
+        if parsed.command == "sweep":
+            assert all(float(f) > 0 for f in parsed.fractions.split(","))

@@ -73,6 +73,9 @@ COMMANDS = [
     ("design_2_3", ["design", *_CASE, "--controllers", "2,3"]),
     ("export_sdpa", ["export-sdpa", *_CASE]),
     ("sweep", ["sweep", *_CASE, "--fractions", "0.9,0.95,1.0,1.05,1.1", *_PINNED]),
+    # the power flow of the 1.15 point diverges: converged and non-convergent rows
+    ("sweep_wide", ["sweep", *_CASE, "--fractions", "0.5,1.0,1.15", *_PINNED]),
+    ("sweep_open", ["sweep", *_CASE, "--fractions", "0.95,1.05"]),
     ("scan_n1", ["scan-n1", *_CASE, *_PINNED]),
     ("scan_n1_2_3", ["scan-n1", *_CASE, "--controllers", "2,3",
                      "--gains", "inputs/gains.json"]),

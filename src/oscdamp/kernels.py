@@ -41,13 +41,18 @@ Evaluation allocates nothing per call.  :meth:`RhsPlan.bind` returns a
 and dtype, built on first use with every slice view it needs: ``z = [y | pe
 | i_d, i_q | efd_cmd]`` is the operand of ``M``, the state goes into its head
 and φ is evaluated into its tail in place.  :func:`rk4_span` writes each
-stage state straight into that state slot.  Elementwise ufuncs take their
-output positionally, which numpy parses faster than ``out=``; ``np.maximum``
-and ``np.minimum`` take ``out=``, because numpy 2.4 deprecates their
-positional output and each such call would run the warnings machinery.  What
-an evaluation returns (:func:`rhs`, a :class:`BoundRhs` call,
-:meth:`BoundRhs.network`) is a new array that the caller owns; no workspace
-buffer escapes.
+stage state straight into that state slot.  The three fixed products go
+through ``np.dot``, which on these 1-D and 2-D operands makes the same BLAS
+call as ``@`` with less dispatch; it writes only into a C-contiguous output
+of the result dtype, and on a 3-D operand it is not ``matmul``, so a state of
+more than two dimensions is refused.  ``np.dot`` and the elementwise ufuncs
+are bound once per workspace, as locals of its closures.  Elementwise ufuncs
+take their output positionally, which numpy parses faster than ``out=``;
+``np.maximum`` and ``np.minimum`` take ``out=``, because numpy 2.4 deprecates
+their positional output and each such call would run the warnings
+machinery.  What an evaluation returns (:func:`rhs`, a :class:`BoundRhs`
+call, :meth:`BoundRhs.network`) is a new array that the caller owns; no
+workspace buffer escapes.
 
 Every decision that the shape and dtype fix is made when the workspace is
 built.  A real workspace runs ``np.sin``, ``np.cos``, ``np.hypot`` and the
@@ -389,6 +394,9 @@ def _workspace(bound, shape, dtype):
     ``sc = [sin delta, sin delta | cos delta, cos delta]``, so that the EMFs
     and the d/q currents each take one 4n-wide product and one sum or
     difference of its halves."""
+    if len(shape) > 2:
+        # np.dot on a 3-D operand is not matmul: its bits differ
+        raise ValueError(f"a state is (n_states,) or (B, n_states), not {shape}")
     plan, net, mt, c = bound.plan, bound.net, bound.mt, bound.c
     n, ns = plan.sout.size, c.size
     dtype = np.result_type(dtype, float)
@@ -420,38 +428,44 @@ def _workspace(bound, shape, dtype):
     at_xe = (np.arange(0, y.size, ns)[:, None] + plan.ix_xe).ravel()
     y_re = y.real
 
+    # bound once: each call below reads a closure cell, not a global and
+    # an attribute
+    dot, mul, add, sub = np.dot, np.multiply, np.add, np.subtract
+
     def network():
         """EMFs, currents ``i = [i_re, i_im, i_im, -i_re]``, their d/q
         projections and the electrical power of the state slot."""
-        np.matmul(y, pre, v)
+        dot(y, pre, v)
         sincos(delta2, sin, cos)
-        np.multiply(emf_parts, sc, t4)
-        np.add(lo, hi, e)
-        np.matmul(e, net, i)
-        np.multiply(i, sc, t4)
-        np.subtract(lo, hi, idq)
+        mul(emf_parts, sc, t4)
+        add(lo, hi, e)
+        dot(e, net, i)
+        mul(i, sc, t4)
+        sub(lo, hi, idq)
         # pe = edp i_d + eqp i_q + xq_corr i_d i_q, summed in that order
-        np.multiply(dq_emf, idq, lo)
-        np.add(p_d, p_q, pe)
-        np.multiply(xq_corr, i_d, q)
-        np.multiply(q, i_q, q)
-        np.add(pe, q, pe)
+        mul(dq_emf, idq, lo)
+        add(p_d, p_q, pe)
+        mul(xq_corr, i_d, q)
+        mul(q, i_q, q)
+        add(pe, q, pe)
 
     def evaluate(out):
-        """dy of the state slot into `out`.  The field command is clamped,
-        and so is the PSS output within it; it acts on the terminal voltage
-        behind the transient reactance, ``|e - j xdp i|``."""
+        """dy of the state slot into `out`, which must be C-contiguous and
+        of the workspace's dtype (``np.dot`` writes into no other).  The
+        field command is clamped, and so is the PSS output within it; it
+        acts on the terminal voltage behind the transient reactance,
+        ``|e - j xdp i|``."""
         network()
-        np.multiply(xdp2, i_turn, vt)
-        np.add(e, vt, vt)
+        mul(xdp2, i_turn, vt)
+        add(e, vt, vt)
         modulus(vt_re, vt_im, vm)
         clip(y3, vsmin, vsmax, vpss)
-        np.subtract(vref, vm, cmd)
-        np.add(cmd, vpss, cmd)
-        np.multiply(ka, cmd, cmd)
+        sub(vref, vm, cmd)
+        add(cmd, vpss, cmd)
+        mul(ka, cmd, cmd)
         clip(cmd, efdmin, efdmax, efd)
-        np.matmul(z, mt, out)
-        np.add(out, c, out)
+        dot(z, mt, out)
+        add(out, c, out)
         # anti-windup: hold the valve state when pinned against an active
         # limit; only a valve state at or past a limit can be held, and none
         # is while any valve state is NaN.  The hold is decided on Python

@@ -33,7 +33,8 @@ from oscdamp.dynamics import build_design_matrices, initialize_from_power_flow
 from oscdamp.smallsignal import closed_loop_matrix, linearize
 from oscdamp.smallsignal import COMPLEX_STEP
 from model_reference import (network_currents, rotor_rhs, two_axis_rhs,
-                             governor_turbine_rhs, reference_bind, reference_rk4_span)
+                             governor_turbine_rhs, reference_bind, reference_network,
+                             reference_rk4_span)
 
 PSS = {"ks": 20.0, "tw": 10.0, "t1": 0.05, "t2": 0.02, "t3": 3.0, "t4": 5.4,
        "vmin": -0.2, "vmax": 0.2}
@@ -567,3 +568,74 @@ def test_no_workspace_buffer_escapes(bundled_eq, bundled_design):
     arrays = got + [a for pair in nets for a in pair]
     assert not any(np.shares_memory(a, b) for k, a in enumerate(arrays)
                    for b in arrays[k + 1:])
+
+
+def test_states_of_more_than_two_dimensions_are_refused(bundled_eq):
+    """The products go through np.dot, which on a 3-D operand is not matmul;
+    so a state is (n_states,) or (B, n_states), and the buffer an evaluation
+    writes into is C-contiguous and of the workspace's dtype."""
+    eq, ns = bundled_eq, bundled_eq.state.size
+    ys = np.tile(eq.state, (2, 3, 1))
+    with pytest.raises(ValueError, match="n_states"):
+        kernels.rhs(ys, *_model_args(eq))
+    with pytest.raises(ValueError, match="n_states"):
+        kernels.rk4_span(ys, 0.005, 1, *_model_args(eq))
+    assert np.array_equal(ys, np.tile(eq.state, (2, 3, 1)))     # nothing was written
+    w = eq.plan.bind(eq.network.g, eq.network.b).workspace((3, ns), np.dtype(float))
+    np.copyto(w.y, eq.state)
+    with pytest.raises(ValueError):
+        w.evaluate(np.empty((ns, 3)).T)                 # not C-contiguous
+    with pytest.raises(ValueError):
+        w.evaluate(np.empty((3, ns), complex))          # not the workspace's dtype
+    assert np.array_equal(w.evaluate(np.empty((3, ns))), _reference(eq)(w.y))
+
+
+@pytest.mark.parametrize("kick", [20.0, -5.0, "diverge"])
+def test_one_row_stack_span_is_the_single_state_span_bit_for_bit(kick, bundled_eq):
+    """A speed kick runs every valve shut (+20 rad/s) or wide open
+    (-5 rad/s), where the clamp acts on the valves' flat positions; a rotor
+    thrown past the limit diverges.  A one-row stack gives the single
+    state's trajectory and first divergent step, bit for bit."""
+    eq = bundled_eq
+    y0 = eq.state.copy()
+    if kick == "diverge":
+        y0[eq.layout.idx(1, "delta")] += 9.9e5
+        y0[eq.layout.idx(1, "omega")] += 1e5
+    else:
+        y0[eq.layout.speed_indices] += kick
+    args = (0.005, 400, *_model_args(eq))
+    single, stack = y0.copy(), y0[None].copy()
+    out, out_stack = np.zeros((400, y0.size)), np.zeros((400, 1, y0.size))
+    first = kernels.rk4_span(single, *args, out=out)
+    assert kernels.rk4_span(stack, *args, out=out_stack) == first
+    assert np.array_equal(out_stack[:, 0], out) and np.array_equal(stack[0], single)
+    if kick == "diverge":
+        assert 0 < first < 399
+    else:
+        assert first == -1
+        xe = out[:, eq.plan.ix_xe]
+        assert np.all(xe.min(axis=0) == 0.0) if kick > 0 else np.all(xe.max(axis=0) == 1.0)
+
+
+def test_network_of_a_trajectory_block_is_the_allocating_form_bit_for_bit(
+        bundled_case, bundled_sol, bundled_eq):
+    """`BoundRhs.network` on blocks of rows sliced out of a simulated
+    trajectory, as the simulator derives its channels, gives the allocating
+    form's EMFs and electrical power bit for bit, on each segment's network:
+    the initial one, then one with a tie circuit out."""
+    from oscdamp.case import apply_line_trip
+    from oscdamp.simulator import Scenario, Event, simulate
+    res = simulate(bundled_case, None, Scenario(
+        duration=3.0, dt=0.005, events=(Event(1.0, "trip_line", (3, 101, 1)),)))
+    tripped = kron_reduce(apply_line_trip(bundled_case, 3, 101, 1),
+                          load_admittances(bundled_case, bundled_sol))
+    plan, trip_row = bundled_eq.plan, 200
+    for network, rows in ((bundled_eq.network, slice(0, trip_row)),
+                          (tripped, slice(trip_row, None))):
+        block = res.states[rows]
+        e, pe = plan.bind(network.g, network.b).network(block)
+        e_ref, _, _, pe_ref, _ = reference_network(
+            plan, block, kernels.network_operator(network.g, network.b))
+        assert e.shape == e_ref.shape and pe.shape == pe_ref.shape == (block.shape[0], 4)
+        assert np.array_equal(e, e_ref) and np.array_equal(pe, pe_ref)
+        assert np.array_equal(pe, res.pe_sys[rows])     # the simulator's own channel

@@ -24,7 +24,7 @@ from .smallsignal import (NonEquilibriumError, NoOscillatoryMode, linearize,
 from .synthesis import (SynthesisError, ControllerSet, design_controllers,
                         governed_subset, synthesis_lmi, DEFAULT_BOUND_SCALE)
 from .simulator import (ScenarioError, parse_scenario, simulate, measure,
-                        check_channels, ringdown_damping)
+                        check_channels, check_ringdown_band, ringdown_damping)
 from .lmi import LmiError, export_sdpa
 from .areas import machine_areas, tie_branches, tie_flow_mw
 from .report import write_report
@@ -33,6 +33,12 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 EXIT_DIVERGED = 4
+
+# --band when not given (Hz)
+DEFAULT_BAND = (0.1, 3.0)
+# a ringdown window starts this long after its event: the first seconds after
+# a trip or an activation hold the valves' transient, not the swing's modes
+_RINGDOWN_SETTLE_S = 2.0
 
 INPUT_ERRORS = (CaseError, ScenarioError, FileNotFoundError, json.JSONDecodeError)
 NUMERIC_ERRORS = (PowerFlowDiverged, KronReductionError, InitializationError,
@@ -274,17 +280,30 @@ def cmd_simulate(args, case: PowerSystemCase, text: str) -> int:
     channels = args.channels.split(",") if args.channels else \
         [f"delta_rel:{case.machines[-1].id}:{case.machines[0].id}"] + \
         [f"omega:{m}" for m in case.machine_index]
+    rings = [ch for ch in channels if ch.startswith("delta_rel")]
     check_channels(case, channels)
+    if rings and tuple(args.band) != DEFAULT_BAND:
+        # the default band is checked only where a ringdown is read, so that
+        # a run at a dt too coarse for it still reports a divergence
+        check_ringdown_band(args.band, scenario.dt)
     controllers = _controllers_for(case, args)
     result = simulate(case, controllers, scenario)
-    ring = {}         # a diverged trace has no ringdown to read
-    for ch in channels:
-        if ch.startswith("delta_rel") and not result.divergent:
+    # one ringdown window per event segment: from t = 0, or from the settling
+    # time after an event, to the next event or the end.  A window too short
+    # or without a mode in the band gets no entry; a diverged trace has none.
+    times = [ev["time"] for ev in result.event_log]
+    windows = list(zip([0.0] + [t + _RINGDOWN_SETTLE_S for t in times],
+                       times + [scenario.duration]))
+    ring = {}
+    for ch in ([] if result.divergent else rings):
+        series, ring[ch] = measure(result, ch), []
+        for start, end in windows:
+            in_window = (result.time >= start - 1e-9) & (result.time <= end + 1e-9)
             try:
-                ring[ch] = ringdown_damping(measure(result, ch)[result.time >= 0.0],
-                                            scenario.dt, tuple(args.band))
+                est = ringdown_damping(series[in_window], scenario.dt, tuple(args.band))
             except ValueError:
-                pass
+                continue
+            ring[ch].append({"start_s": start, "end_s": end, **est})
     results = {
         "divergent": result.divergent,
         "divergence_time": result.divergence_time,
@@ -425,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--case", required=True, help="case JSON file")
         sp.add_argument("--out", default=None, help="output directory for reports")
         if band:
-            sp.add_argument("--band", type=float, nargs=2, default=(0.1, 3.0),
+            sp.add_argument("--band", type=float, nargs=2, default=DEFAULT_BAND,
                             metavar=("LO", "HI"), help="oscillatory band (Hz)")
         if controllers:
             sp.add_argument("--controllers", default=None,

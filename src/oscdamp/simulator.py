@@ -34,6 +34,15 @@ from . import kernels
 _DERIVED_BLOCK_ROWS = 512
 # rows per block of CSV formatting, for the same reason
 _CSV_BLOCK_ROWS = 512
+# a ringdown trace is decimated to at least this many samples per period of
+# the band's upper edge HI, a Nyquist frequency of at least 3 HI
+_RINGDOWN_RATE_PER_HI = 6.0
+# singular values of the ringdown's Hankel matrix below this share of the
+# largest are taken as noise: the rest set the model order
+_RINGDOWN_ORDER_CUT = 1e-2
+# at most this many Hankel columns, so that the SVD's cost grows linearly,
+# not cubically, with a long window (a 300 s one took 3.9 s at n // 3)
+_RINGDOWN_MAX_COLUMNS = 256
 
 
 class ScenarioError(CaseError):
@@ -422,96 +431,53 @@ def _branch_flow_series(result: SimulationResult, f: int, t: int,
     return p
 
 
-def bandpass_sections(band_hz: tuple[float, float], fs: float) -> np.ndarray:
-    """Second-order sections, rows (b0, b1, b2, 1, a1, a2), of the 2nd-order
-    Butterworth band-pass `band_hz` at sample rate `fs`: the analog low-pass
-    prototype, the low-pass to band-pass transform at the prewarped band
-    edges, and the bilinear transform, all at the normalized sample rate 2
-    (s = 4 (z - 1)/(z + 1)).  Each section holds one conjugate pole pair and
-    the zeros +1 and -1; the first carries the gain."""
-    w1, w2 = (4.0 * math.tan(math.pi * f / fs) for f in band_hz)    # prewarped edges
-    bw = w2 - w1
-    p_lp = -np.exp(1j * np.pi * np.array([-1.0, 1.0]) / 4) * bw / 2
-    root = np.sqrt(p_lp ** 2 - w1 * w2)
-    p = np.concatenate([p_lp + root, p_lp - root])           # analog band-pass poles
-    # two zeros at s = 0 map to z = +1 and two at infinity to z = -1
-    gain = bw ** 2 * np.real(16.0 / np.prod(4.0 - p))
-    pz = (4.0 + p[::2]) / (4.0 - p[::2])        # one pole of each conjugate pair
-    sos = np.zeros((2, 6))
-    sos[:, 0], sos[:, 2], sos[:, 3] = 1.0, -1.0, 1.0
-    sos[:, 4], sos[:, 5] = -2.0 * pz.real, pz.real ** 2 + pz.imag ** 2
-    sos[0, :3] *= gain
-    return sos
-
-
-def _sosfilt(sos: np.ndarray, x: np.ndarray, zi: np.ndarray) -> np.ndarray:
-    """Run `x` through the sections in turn (transposed direct form II),
-    each from its initial state `zi[i]`."""
-    y = x.tolist()
-    for (b0, b1, b2, _, a1, a2), (z0, z1) in zip(sos.tolist(), zi.tolist()):
-        out = []
-        for xn in y:
-            yn = b0 * xn + z0
-            z0 = b1 * xn - a1 * yn + z1
-            z1 = b2 * xn - a2 * yn
-            out.append(yn)
-        y = out
-    return np.array(y)
-
-
-def zero_phase_filter(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Forward-backward filtering over the sections, as `scipy.signal.sosfiltfilt`
-    does: an odd extension of 3 (2 sections + 1) samples at each end, and each
-    pass started from the sections' steady state for a step of its first
-    input sample (Gustafsson 1996, IEEE Trans. Signal Process. 44(4)).  `x`
-    must be longer than the extension; `ringdown_damping`'s ten cycles below
-    half the sample rate are more than 20 samples."""
-    edge = 3 * (2 * len(sos) + 1)
-    ext = np.concatenate([2 * x[0] - x[edge:0:-1], x, 2 * x[-1] - x[-2:-edge - 2:-1]])
-    zi = np.zeros((len(sos), 2))
-    scale = 1.0              # DC gain of the sections before this one
-    for i, (b0, b1, b2, _, a1, a2) in enumerate(sos):
-        dc = (b0 + b1 + b2) / (1.0 + a1 + a2)
-        zi[i] = scale * np.array([b1 + b2 - (a1 + a2) * dc, b2 - a2 * dc])
-        scale *= dc
-    y = _sosfilt(sos, ext, zi * ext[0])
-    y = _sosfilt(sos, y[::-1], zi * y[-1])[::-1]
-    return y[edge:-edge]
-
-
-def positive_peaks(x: np.ndarray, floor: float) -> np.ndarray:
-    """Indices of the local maxima of `x` above `floor`; a flat top counts
-    once, at its last sample."""
-    c = x[1:-1]
-    return np.flatnonzero((c > floor) & (c >= x[:-2]) & (c > x[2:])) + 1
+def check_ringdown_band(band_hz: tuple[float, float], dt: float) -> None:
+    """Refuse a ringdown band that is not 0 < LO < HI < half the sample rate
+    at `dt`: an input error, not a missing estimate."""
+    lo, hi = band_hz
+    if not 0.0 < lo < hi < 0.5 / dt:
+        raise ScenarioError(f"ringdown band [{lo}, {hi}] Hz needs 0 < LO < HI < "
+                            f"{0.5 / dt:g} Hz, half the sample rate at dt {dt}")
 
 
 def ringdown_damping(series: np.ndarray, dt: float,
                      band_hz: tuple[float, float]) -> dict:
-    """Frequency and damping from a ringdown trace: zero-phase second-order
-    band-pass, then a least-squares log decrement over successive positive
-    peaks; frequency from mean peak spacing.
+    """Oscillatory modes of a ringdown trace by the matrix pencil (Hua-Sarkar
+    1990, IEEE Trans. ASSP 38(5)): the trace, decimated by the largest step
+    that keeps `_RINGDOWN_RATE_PER_HI` samples per period of HI, and less its
+    mean, fills a Hankel matrix of n // 3 columns (at most
+    `_RINGDOWN_MAX_COLUMNS`).  Its singular values above `_RINGDOWN_ORDER_CUT`
+    of the largest set the model order; the shift of the leading right
+    singular vectors gives the poles, and one least-squares fit their
+    amplitudes.
 
-    A band the filter cannot realize at this `dt` is a ScenarioError; a
-    trace too short or too quiet for the estimate is a ValueError."""
+    Returns `modes`, each pole pair in the band as `frequency_hz`, `zeta` and
+    `amplitude` (at the trace's start), largest amplitude first; the first
+    one's `frequency_hz` and `zeta`; and `residual`, the fit's residual
+    relative to the trace.  A band `check_ringdown_band` refuses is a
+    ScenarioError; a trace shorter than 10 cycles of the band centre, or with
+    no oscillatory mode in the band, is a ValueError."""
+    check_ringdown_band(band_hz, dt)
     lo, hi = band_hz
-    fs = 1.0 / dt
-    if not 0.0 < lo < hi < 0.5 * fs:
-        raise ScenarioError(f"ringdown band [{lo}, {hi}] Hz needs 0 < LO < HI < "
-                            f"{0.5 * fs:g} Hz, half the sample rate at dt {dt}")
-    n_cycles = series.size * dt * (0.5 * (lo + hi))
-    if n_cycles < 10:
+    if series.size * dt * (0.5 * (lo + hi)) < 10:
         raise ValueError("series shorter than 10 cycles of the band center")
-    x = zero_phase_filter(bandpass_sections(band_hz, fs), series - np.mean(series))
-    floor = 0.01 * np.max(np.abs(x))      # ignore ripple below 1% of the envelope
-    peaks = positive_peaks(x, floor)
-    peaks = peaks[(0.05 * x.size < peaks) & (peaks < 0.95 * x.size)]
-    if len(peaks) < 3:
-        raise ValueError("fewer than 3 positive peaks found")
-    amps = x[peaks]
-    t_peaks = peaks * dt
-    freq = 1.0 / float(np.mean(np.diff(t_peaks)))
-    slope = np.polyfit(np.arange(len(amps)), np.log(np.maximum(amps, 1e-300)), 1)[0]
-    lam = -slope
-    zeta = lam / np.sqrt(4.0 * np.pi ** 2 + lam ** 2)
-    return {"frequency_hz": float(freq), "zeta": float(zeta)}
+    step = max(1, int(1.0 / (_RINGDOWN_RATE_PER_HI * hi * dt)))
+    x = series[::step] - np.mean(series[::step])
+    hankel = np.lib.stride_tricks.sliding_window_view(
+        x, min(x.size // 3, _RINGDOWN_MAX_COLUMNS))
+    _, sv, vh = np.linalg.svd(hankel, full_matrices=False)
+    v = vh[:np.count_nonzero(sv > _RINGDOWN_ORDER_CUT * sv[0])].T
+    z = np.linalg.eigvals(np.linalg.pinv(v[:-1]) @ v[1:])
+    powers = z ** np.arange(x.size)[:, None]
+    amp = np.linalg.lstsq(powers, x, rcond=None)[0]
+    s = np.log(z) / (step * dt)
+    modes = sorted(({"frequency_hz": float(f), "zeta": float(-p.real / abs(p)),
+                     "amplitude": float(2.0 * abs(a))}      # of the conjugate pair
+                    for p, f, a in zip(s, s.imag / (2.0 * math.pi), amp)
+                    if p.imag > 0.0 and lo <= f <= hi),
+                   key=lambda m: -m["amplitude"])
+    if not modes:
+        raise ValueError("no oscillatory mode in the band")
+    residual = np.linalg.norm(x - (powers @ amp).real) / np.linalg.norm(x)
+    return {"frequency_hz": modes[0]["frequency_hz"], "zeta": modes[0]["zeta"],
+            "modes": modes, "residual": float(residual)}

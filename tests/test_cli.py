@@ -93,11 +93,12 @@ def test_case_with_e_max_is_input_error(tmp_path, capsys):
 
 
 def test_cli_import_loads_no_scipy(case_path, tmp_path):
-    """numpy alone carries the CLI, the ringdown filter included: a default
-    simulate long enough for a ringdown estimate loads no scipy module.  A
-    fresh interpreter, since this one holds scipy."""
+    """numpy alone carries the CLI, the ringdown's matrix pencil included: a
+    default simulate whose load-step segment is long enough for a ringdown
+    estimate loads no scipy module.  A fresh interpreter, since this one
+    holds scipy."""
     scen = tmp_path / "scen.json"
-    scen.write_text(json.dumps({"duration": 8.0, "dt": 0.01, "events": [
+    scen.write_text(json.dumps({"duration": 10.0, "dt": 0.01, "events": [
         {"time": 0.5, "type": "step_load", "bus": 4, "dp_mw": 40.0, "dq_mvar": 10.0}]}))
     out = tmp_path / "out"
     src = str(Path(oscdamp.__file__).resolve().parents[1])
@@ -111,6 +112,7 @@ def test_cli_import_loads_no_scipy(case_path, tmp_path):
     assert run.stdout.strip().splitlines()[-1] == "[]"
     ring = json.loads((out / "simulate.json").read_text())["results"]["ringdown"]
     assert list(ring) == ["delta_rel:4:1"]
+    assert [(w["start_s"], w["end_s"]) for w in ring["delta_rel:4:1"]] == [(2.5, 10.0)]
 
 
 def test_design_gains_independent_of_blas_threads():
@@ -623,6 +625,60 @@ def test_simulate_with_gains_activation(case_path, tmp_path):
     u1 = [float(r[1]) for r in rows]
     assert all(v == 0.0 for v, tt in zip(u1, t) if tt < 10.0)
     assert any(v != 0.0 for v, tt in zip(u1, t) if tt > 10.5)
+
+
+def test_remedial_ringdown_per_segment_matches_modal(case_path, tmp_path):
+    """The 30 s remedial simulate with the pinned gains reads one ringdown per
+    event segment, each starting 2 s after its event.  In each, the mode
+    nearest in frequency to the modal prediction on the tripped network (the
+    open loop after the trip, the closed loop after the activation) has that
+    prediction's damping ratio to within one percentage point."""
+    from oscdamp.case import apply_line_trip, parse_case
+    from oscdamp.cli import _pipeline, _modal_for
+    from oscdamp.synthesis import ControllerSet
+    from oscdamp.smallsignal import min_damping
+    gains = Path(__file__).resolve().parents[1] / "perfbench" / "reference_gains.json"
+    scen = tmp_path / "remedial.json"
+    scen.write_text(json.dumps({"duration": 30.0, "dt": 0.005, "initial_active": "none",
+                                "events": [
+        {"time": 1.0, "type": "trip_line", "from": 3, "to": 101, "circuit": 1},
+        {"time": 10.0, "type": "activate_controllers", "machines": "all"}]}))
+    out = tmp_path / "out"
+    assert main(["simulate", "--case", case_path, "--scenario", str(scen),
+                 "--controllers", "all", "--gains", str(gains),
+                 "--channels", "delta_rel:3:1", "--out", str(out)]) == EXIT_OK
+    windows = json.loads((out / "simulate.json").read_text())["results"]["ringdown"]
+    trip_window, activation_window = windows["delta_rel:3:1"]
+    assert (trip_window["start_s"], trip_window["end_s"]) == (3.0, 10.0)
+    assert (activation_window["start_s"], activation_window["end_s"]) == (12.0, 30.0)
+
+    ctrl = ControllerSet.from_dict(json.loads(gains.read_text())["results"]["controllers"])
+    _, eq = _pipeline(apply_line_trip(parse_case(Path(case_path).read_text()), 3, 101, 1))
+    open_table, closed_table = _modal_for(eq, ctrl)
+    for window, table in ((trip_window, open_table), (activation_window, closed_table)):
+        predicted = min_damping(table, 0.1, 3.0)
+        mode = min(window["modes"],
+                   key=lambda m: abs(m["frequency_hz"] - predicted.frequency_hz))
+        assert abs(mode["frequency_hz"] - predicted.frequency_hz) <= 0.05
+        assert abs(mode["zeta"] - predicted.damping_ratio) <= 0.01
+        assert 0.0 <= window["residual"] < 0.05
+
+
+def test_unrealizable_ringdown_band_refused_before_the_run(case_path, tmp_path,
+                                                           monkeypatch, capsys):
+    """A ringdown band the pencil cannot use at the scenario's dt is refused
+    before anything is integrated."""
+    import oscdamp.cli as cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulate ran")
+
+    monkeypatch.setattr(cli, "simulate", no_run)
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({"duration": 30.0, "dt": 0.005}))
+    assert main(["simulate", "--case", case_path, "--scenario", str(scen),
+                 "--band", "0.1", "150"]) == EXIT_INPUT
+    assert "ringdown band" in capsys.readouterr().err
 
 
 def _report_files(out: Path) -> dict:

@@ -17,7 +17,10 @@ vector form.  Blocks of one dimension are stacked, so each factorization and
 product runs once per size.  Each layout of the stacked blocks holds the
 Newton step's work arrays, so the assembly writes into buffers made once
 and a step allocates only its two sums and the d x d inverses; the solve
-releases the phase-1 layout before it builds phase 2's.  Everything is
+releases the phase-1 layout before it builds phase 2's.  The backtracking
+line search builds and factors a step length's groups one at a time, the
+group that refused last first, and stops at the first that refuses; an
+accepted step hands its barrier value on to the next.  Everything is
 numpy and deterministic (the bundled problem gives the same bits with 1 and
 2 BLAS threads); each block's inverse comes from the inverse of its Cholesky
 factor.  Terms are small blocks at offsets, and the F_k are built from their
@@ -441,8 +444,24 @@ def _try_cholesky(blocks: list):
         return None
 
 
+def _try_step(blocks: list, dblocks: list, alpha: float, order: list):
+    """Every group's trial  blocks + alpha * dblocks  and its Cholesky factor,
+    in group order, or None.  The groups are built and factored one at a
+    time in `order`; the first that refuses ends the trial and moves to the
+    front of `order`."""
+    trial, chols = [None] * len(blocks), [None] * len(blocks)
+    for pos, i in enumerate(order):
+        trial[i] = blocks[i] + alpha * dblocks[i]
+        try:
+            chols[i] = np.linalg.cholesky(trial[i])
+        except np.linalg.LinAlgError:
+            order.insert(0, order.pop(pos))
+            return None
+    return trial, chols
+
+
 def _barrier_value(t: float, c: np.ndarray, x: np.ndarray, chols: list) -> float:
-    logdet = sum(2.0 * np.sum(np.log(np.diagonal(l, axis1=1, axis2=2))) for l in chols)
+    logdet = sum(2.0 * np.log(l.diagonal(0, 1, 2)).sum() for l in chols)
     return t * float(c @ x) - logdet
 
 
@@ -458,10 +477,10 @@ def _derivatives(layout: _Layout, chols: list) -> tuple[np.ndarray, np.ndarray]:
         linv = np.linalg.inv(l)
         w = linv.transpose(0, 2, 1) @ linv      # S^-1 = L^-T L^-1, exactly symmetric
         np.matmul(w, g.a, out=g.wa)
-        np.take(g.wa, g.rows_at, out=g.q1, mode="wrap")
+        g.wa.take(g.rows_at, out=g.q1, mode="wrap")
         np.matmul(g.a_t, g.wa, out=g.q2)
-        np.take(w, g.pairs_at, out=g.q3, mode="wrap")
-        np.copyto(g.diag, np.diagonal(g.q1, axis1=1, axis2=2))
+        w.take(g.pairs_at, out=g.q3, mode="wrap")
+        np.copyto(g.diag, g.q1.diagonal(0, 1, 2))
         np.multiply(g.q1, g.q1.transpose(0, 2, 1), out=g.products)
         np.multiply(g.q2, g.q3, out=g.q2)
         np.add(g.products, g.q2, out=g.products)
@@ -477,7 +496,17 @@ def _newton_center(c: np.ndarray, layout: _Layout, x: np.ndarray, t: float,
     """Damped Newton minimization of the barrier at parameter t.
 
     `stop_when(x)` short-circuits the centering as soon as it holds (used by
-    phase 1 to bail out at the first strictly feasible iterate)."""
+    phase 1 to bail out at the first strictly feasible iterate).
+
+    The backtracking line search skips only work whose result it would
+    discard.  For each step length it builds and factors one group's trial
+    at a time and stops at the first group that refuses (:func:`_try_step`);
+    that group is tried first from then on in this call.  The groups are
+    independent, so the order changes which factorizations run, not their
+    bits, and an accepted trial holds every group in group order.  The
+    barrier value is computed once at the start; after that an accepted step
+    carries over the value it was accepted on, the same call on the same
+    point and factors."""
     n = c.size
     steps = 0
     blocks = _eval_blocks(layout, x)
@@ -486,13 +515,15 @@ def _newton_center(c: np.ndarray, layout: _Layout, x: np.ndarray, t: float,
         return x, False, steps
     if stop_when is not None and stop_when(x):
         return x, True, steps
+    eye = np.eye(n)
+    order = list(range(len(blocks)))
+    f_curr = _barrier_value(t, c, x, chols)
     for _ in range(MAX_NEWTON):
         trace, hess = _derivatives(layout, chols)
         grad = t * c - trace
         hess = 0.5 * (hess + hess.T)
         try:
-            dx = np.linalg.solve(hess + 1e-14 * np.eye(n) * max(1.0, np.trace(hess) / n),
-                                 -grad)
+            dx = np.linalg.solve(hess + 1e-14 * eye * max(1.0, hess.trace() / n), -grad)
         except np.linalg.LinAlgError:
             return x, False, steps
         decrement = float(-grad @ dx)
@@ -500,22 +531,21 @@ def _newton_center(c: np.ndarray, layout: _Layout, x: np.ndarray, t: float,
             return x, False, steps
         if decrement / 2.0 <= NEWTON_TOL * (1.0 + abs(t * float(c @ x))):
             return x, True, steps
-        f_curr = _barrier_value(t, c, x, chols)
         dblocks = _combine(layout, dx)
         alpha = 1.0
         accepted = None
         while alpha > 1e-16:
-            trial = [s + alpha * ds for s, ds in zip(blocks, dblocks)]
-            chols_new = _try_cholesky(trial)
-            if chols_new is not None:
-                f_new = _barrier_value(t, c, x + alpha * dx, chols_new)
+            step = _try_step(blocks, dblocks, alpha, order)
+            if step is not None:
+                x_new = x + alpha * dx
+                f_new = _barrier_value(t, c, x_new, step[1])
                 if f_new <= f_curr - ARMIJO * alpha * decrement:
-                    accepted = (x + alpha * dx, trial, chols_new)
+                    accepted = (x_new, *step, f_new)
                     break
             alpha *= 0.5
         if accepted is None:
             return x, True, steps   # stalled: treat current point as centered
-        x, blocks, chols = accepted
+        x, blocks, chols, f_curr = accepted
         steps += 1
         if stop_when is not None and stop_when(x):
             return x, True, steps

@@ -3,11 +3,14 @@
 full frame, every scalar component of a variable gets a dense d x d
 coefficient, and the nonzeros are read off the symmetrized sum.  Also a
 reader of SDPA sparse files, which round-trips :func:`oscdamp.lmi.export_sdpa`
-into a scalar-variable problem, and the allocating form of the Newton step's
-derivatives that :func:`oscdamp.lmi._derivatives` must match bit for bit."""
+into a scalar-variable problem, the allocating form of the Newton step's
+derivatives that :func:`oscdamp.lmi._derivatives` must match bit for bit,
+and the eager line search that :func:`oscdamp.lmi._newton_center` must match
+bit for bit."""
 
 import numpy as np
 
+from oscdamp import lmi
 from oscdamp.lmi import LmiError, LmiProblem, ScalarVar, Term
 
 
@@ -169,3 +172,63 @@ def reference_derivatives(layout, chols):
     hess = 2.0 * np.bincount(layout.hess_at, np.concatenate(hs),
                              minlength=(m + 1) ** 2).reshape(m + 1, m + 1)[:m, :m]
     return grad, hess
+
+
+def _try_cholesky(blocks: list):
+    try:
+        return [np.linalg.cholesky(s) for s in blocks]
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _barrier_value(t, c, x, chols):
+    logdet = sum(2.0 * np.sum(np.log(np.diagonal(l, axis1=1, axis2=2))) for l in chols)
+    return t * float(c @ x) - logdet
+
+
+def reference_newton_center(c, layout, x, t, stop_when=None):
+    """:func:`oscdamp.lmi._newton_center` with the eager line search: every
+    step length builds every group's trial and factors the groups in group
+    order, and every Newton step evaluates the barrier at its start point."""
+    n = c.size
+    steps = 0
+    blocks = lmi._eval_blocks(layout, x)
+    chols = _try_cholesky(blocks)
+    if chols is None:
+        return x, False, steps
+    if stop_when is not None and stop_when(x):
+        return x, True, steps
+    for _ in range(lmi.MAX_NEWTON):
+        trace, hess = lmi._derivatives(layout, chols)
+        grad = t * c - trace
+        hess = 0.5 * (hess + hess.T)
+        try:
+            dx = np.linalg.solve(hess + 1e-14 * np.eye(n) * max(1.0, np.trace(hess) / n),
+                                 -grad)
+        except np.linalg.LinAlgError:
+            return x, False, steps
+        decrement = float(-grad @ dx)
+        if not np.isfinite(decrement):
+            return x, False, steps
+        if decrement / 2.0 <= lmi.NEWTON_TOL * (1.0 + abs(t * float(c @ x))):
+            return x, True, steps
+        f_curr = _barrier_value(t, c, x, chols)
+        dblocks = lmi._combine(layout, dx)
+        alpha = 1.0
+        accepted = None
+        while alpha > 1e-16:
+            trial = [s + alpha * ds for s, ds in zip(blocks, dblocks)]
+            chols_new = _try_cholesky(trial)
+            if chols_new is not None:
+                f_new = _barrier_value(t, c, x + alpha * dx, chols_new)
+                if f_new <= f_curr - lmi.ARMIJO * alpha * decrement:
+                    accepted = (x + alpha * dx, trial, chols_new)
+                    break
+            alpha *= 0.5
+        if accepted is None:
+            return x, True, steps   # stalled: treat current point as centered
+        x, blocks, chols = accepted
+        steps += 1
+        if stop_when is not None and stop_when(x):
+            return x, True, steps
+    return x, True, steps

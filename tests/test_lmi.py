@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import lmi_reference
+from test_tooling import load_perfbench
 from lmi_reference import read_sdpa
 from oscdamp import lmi
 from oscdamp.dynamics import DesignModel, build_design_matrices
@@ -44,13 +45,18 @@ def test_toy_scalar_bound():
     assert sol.values["x"] == pytest.approx(2.0, abs=1e-5)
 
 
-def test_infeasible_contradiction():
+def contradiction():
+    """x >= 0 and x <= -1."""
     p = LmiProblem()
     p.add_scalar("x")
     p.add_constraint("a", 1).terms.append(Term("x", [[1.0]], [[1.0]]))
     con = p.add_constraint("b", 1, const=[[-1.0]])
     con.terms.append(Term("x", [[-1.0]], [[1.0]]))
-    assert solve_sdp(p).status == "infeasible"
+    return p
+
+
+def test_infeasible_contradiction():
+    assert solve_sdp(contradiction()).status == "infeasible"
 
 
 def test_matrix_variable():
@@ -352,6 +358,79 @@ def test_solve_with_the_allocating_form_gives_the_same_x(bundled_design, monkeyp
     got = solve_sdp(problem)
     assert np.array_equal(got.x, want.x)
     assert got.iterations == want.iterations
+
+
+def lazy_and_eager(monkeypatch, solve):
+    """`solve()` with the line search of `_newton_center` and with the eager
+    reference form."""
+    lazy = solve()
+    with monkeypatch.context() as m:
+        m.setattr(lmi, "_newton_center", lmi_reference.reference_newton_center)
+        eager = solve()
+    return lazy, eager
+
+
+def assert_same_solve(got, want):
+    assert (got.status, got.iterations) == (want.status, want.iterations)
+    assert np.array([got.objective, got.gap]).tobytes() == \
+        np.array([want.objective, want.gap]).tobytes()
+    assert got.x.shape == want.x.shape and got.x.tobytes() == want.x.tobytes()
+
+
+def test_lazy_line_search_is_the_eager_one_bit_for_bit(bundled_design, bundled_case,
+                                                       monkeypatch):
+    """Factoring each step length's groups one at a time, the last refusing
+    group first, and carrying the accepted barrier value over give the
+    status, steps, objective, gap and x of the eager line search, bit for
+    bit: on the bundled synthesis LMI, the generic SDPA problem, an
+    infeasible one and the benchmark's size-curve LMIs at N = 2 and 4."""
+    for problem in (bundled_design[1].lmi.problem, generic_sdpa_problem(),
+                    contradiction()):
+        assert_same_solve(*lazy_and_eager(monkeypatch, lambda: solve_sdp(problem)))
+    curve = load_perfbench(monkeypatch, "sdp_curve")
+    monkeypatch.setattr(curve, "SIZES", (2, 4))
+    solved = []
+    monkeypatch.setattr(curve, "solve_sdp", lambda p: solved.append(solve_sdp(p)) or solved[-1])
+
+    def size_curve():
+        solved.clear()
+        curve.size_curve(bundled_case)
+        return list(solved)
+
+    lazy, eager = lazy_and_eager(monkeypatch, size_curve)
+    assert len(lazy) == len(eager) == 2
+    for got, want in zip(lazy, eager):
+        assert_same_solve(got, want)
+    # every trial these solves can factor passes the Armijo test; a steeper
+    # test refuses one of the generic problem's, so the barrier value carried
+    # over from the last accepted step decides
+    monkeypatch.setattr(lmi, "ARMIJO", 0.25)
+    assert_same_solve(*lazy_and_eager(monkeypatch, lambda: solve_sdp(generic_sdpa_problem())))
+
+
+def test_lazy_line_search_factors_less(bundled_design, monkeypatch):
+    """On the bundled solve the line search runs fewer Cholesky
+    factorizations than the eager one, with the same refusals."""
+    cholesky, tally = np.linalg.cholesky, []
+
+    def counted(a):
+        try:
+            out = cholesky(a)
+        except np.linalg.LinAlgError:
+            tally.append(False)
+            raise
+        tally.append(True)
+        return out
+
+    def solve():
+        tally.clear()
+        solve_sdp(bundled_design[1].lmi.problem)
+        return len(tally), tally.count(False)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    (lazy, lazy_refused), (eager, eager_refused) = lazy_and_eager(monkeypatch, solve)
+    assert lazy < eager
+    assert lazy_refused == eager_refused > 0
 
 
 def test_derivatives_hold_no_state(bundled_design):

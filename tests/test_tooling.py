@@ -115,16 +115,35 @@ def test_setup_probe_runs():
     assert all(t >= 0.0 for t in times.values())
 
 
+def load_report_set(monkeypatch):
+    spec = importlib.util.spec_from_file_location("report_set", ROOT / "tools" / "report_set.py")
+    report_set = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, report_set)
+    spec.loader.exec_module(report_set)
+    return report_set
+
+
+def test_report_set_help_runs_nothing(monkeypatch, tmp_path, capsys):
+    """`-h` and `--help` print the usage and exit 0; any other argument that
+    starts with `-` exits 2.  Neither runs a command or makes a directory."""
+    report_set = load_report_set(monkeypatch)
+    runs = []
+    monkeypatch.setattr(report_set.subprocess, "run", lambda *a, **k: runs.append(a))
+    monkeypatch.chdir(tmp_path)
+    for argv, code in ((["-h"], 0), (["--help"], 0), (["-o"], 2), (["--out"], 2)):
+        assert report_set.main(argv) == code
+        out, err = capsys.readouterr()
+        assert "Usage" in (out if code == 0 else err)
+    assert runs == [] and list(tmp_path.iterdir()) == []
+
+
 def test_report_set_commands_parse(monkeypatch, tmp_path, bundled_case):
     """Every command of the byte-identity report set is one the CLI takes:
     its arguments parse and pass the option checks, its pinned gains pass
     the gain-row checks for its --controllers, and each scenario it names is
     one the tool writes and the bundled case can run.  None runs."""
     from oscdamp import cli, simulator
-    spec = importlib.util.spec_from_file_location("report_set", ROOT / "tools" / "report_set.py")
-    report_set = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, report_set)
-    spec.loader.exec_module(report_set)
+    report_set = load_report_set(monkeypatch)
     (tmp_path / "inputs").mkdir()
     (tmp_path / "inputs" / "gains.json").write_text(report_set.GAINS.read_text())
     monkeypatch.chdir(tmp_path)         # the commands name their inputs relative to OUT

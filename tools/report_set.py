@@ -5,6 +5,9 @@ Usage (from anywhere):
 
     python3 tools/report_set.py OUT
 
+`-h` or `--help` prints this text, and any other OUT that starts with `-`
+is refused with exit code 2.
+
 Each command of `COMMANDS` runs in a fresh process of this checkout's
 package, with one BLAS thread and OUT as its working directory.  The
 bundled case, the gains pinned in ``perfbench/reference_gains.json`` and the
@@ -99,7 +102,10 @@ def _strip_metadata(path: Path) -> None:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
+    if argv in (["-h"], ["--help"]):
+        print(__doc__)
+        return 0
+    if len(argv) != 1 or argv[0].startswith("-"):
         print(__doc__, file=sys.stderr)
         return 2
     out = Path(argv[0]).resolve()

@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .case import (CaseError, PowerSystemCase, parse_case, validate_case,
@@ -18,9 +19,9 @@ from .case import (CaseError, PowerSystemCase, parse_case, validate_case,
 from .powerflow import (PowerFlowDiverged, KronReductionError, solve_power_flow,
                         load_admittances, kron_reduce)
 from .dynamics import InitializationError, device_model, initialize_from_power_flow
-from .smallsignal import (NonEquilibriumError, NoOscillatoryMode, linearize,
-                          closed_loop_matrix, modal_analysis, classify_mode,
-                          classify_table, min_damping)
+from .smallsignal import (NonEquilibriumError, NoOscillatoryMode, EigenvectorError,
+                          linearize, closed_loop_matrix, modal_analysis, right_vector,
+                          classify_mode, classify_table, min_damping)
 from .synthesis import (SynthesisError, ControllerSet, design_controllers,
                         governed_subset, synthesis_lmi, DEFAULT_BOUND_SCALE)
 from .simulator import (ScenarioError, parse_scenario, simulate, measure,
@@ -42,7 +43,8 @@ _RINGDOWN_SETTLE_S = 2.0
 
 INPUT_ERRORS = (CaseError, ScenarioError, FileNotFoundError, json.JSONDecodeError)
 NUMERIC_ERRORS = (PowerFlowDiverged, KronReductionError, InitializationError,
-                  NonEquilibriumError, NoOscillatoryMode, SynthesisError, LmiError)
+                  NonEquilibriumError, NoOscillatoryMode, EigenvectorError,
+                  SynthesisError, LmiError)
 
 
 def _load_case(path: str) -> tuple[PowerSystemCase, str]:
@@ -110,20 +112,26 @@ def _controllers_for(case, args, eq=None, model=None) -> ControllerSet | None:
     return ctrl
 
 
-def _modal_for(eq, controllers: ControllerSet | None = None,
-               open_loop: bool = True, **detail):
-    """Mode tables at a built operating point: the open-loop one when
-    `open_loop`, and the closed-loop one when controllers are given; each is
-    None otherwise.  The point is linearized once; the closed-loop matrix is
-    derived from the open-loop one.  `detail` goes to `modal_analysis`."""
-    layout = eq.layout
+def _state_matrices(eq, controllers: ControllerSet | None = None):
+    """The open-loop state matrix of a built operating point and, when
+    controllers are given, the closed-loop one (None otherwise).  The point
+    is linearized once; the closed-loop matrix is derived from the open-loop
+    one."""
     a_open = linearize(eq)
-    open_table = modal_analysis(a_open, layout.labels, **detail) if open_loop else None
     if controllers is None:
-        return open_table, None
-    a_closed = closed_loop_matrix(a_open, eq.plan,
-                                  controllers.gains_for(layout.machine_ids))
-    return open_table, modal_analysis(a_closed, layout.labels, **detail)
+        return a_open, None
+    return a_open, closed_loop_matrix(a_open, eq.plan,
+                                      controllers.gains_for(eq.layout.machine_ids))
+
+
+def _modal_for(eq, controllers: ControllerSet | None = None, open_loop: bool = True):
+    """Full mode tables at a built operating point: the open-loop one when
+    `open_loop`, and the closed-loop one when controllers are given; each is
+    None otherwise."""
+    a_open, a_closed = _state_matrices(eq, controllers)
+    labels = eq.layout.labels
+    return (modal_analysis(a_open, labels) if open_loop else None,
+            None if a_closed is None else modal_analysis(a_closed, labels))
 
 
 def _class_keys(eq, areas: list[int]):
@@ -131,45 +139,47 @@ def _class_keys(eq, areas: list[int]):
     return eq.layout.speed_indices, areas
 
 
+# a point row's fields for its open-loop and closed-loop least-damped mode:
+# damping, no mode in the band, and (sweep rows only) class and frequency
+_LOOP_FIELDS = (("zeta_baseline_pct", "baseline_error", "mode_class", "freq_hz"),
+                ("zeta_robust_pct", "robust_error", "robust_mode_class", None))
+
+
 def _point_row(case, controllers, areas: list[int], band, model, ties=None) -> dict:
     """Baseline and, with controllers, robust minimum damping at one analysed
-    operating point, whose plan is the device part `model` at the point.  A
-    sweep point gets the sweep's tie corridor `ties`: its
-    row also reports the tie flow over it, the frequency of the least-damped
-    open-loop mode and the classes of the least-damped modes, so only those
-    two modes are classified.  An N-1 point (`ties` None) reports the damping
-    ratios alone, which need no eigenvectors.  No participation factors are
-    computed.  A point whose power flow converged but has no open-loop or
-    closed-loop mode in `band` reports ``baseline_error`` or ``robust_error``."""
+    operating point, whose plan is the device part `model` at the point, from
+    each state matrix's eigenvalues alone.  A sweep point gets the sweep's tie
+    corridor `ties`: its row also reports the tie flow over it, the frequency
+    of the least-damped open-loop mode and the classes of the two least-damped
+    modes, each from the right eigenvector of one inverse-iteration solve.  An
+    N-1 point (`ties` None) reports the damping ratios alone.  A point with no
+    open-loop or closed-loop mode in `band` reports ``baseline_error`` or
+    ``robust_error``; one whose analysis fails is a non-converged row carrying
+    the error."""
     sweep = ties is not None
+    row = {"converged": True}
     try:
         sol, eq = _pipeline(case, model)
-        open_table, closed_table = _modal_for(eq, controllers, participation=False,
-                                              vectors=sweep)
+        for a, (zeta, error, cls, freq) in zip(_state_matrices(eq, controllers),
+                                               _LOOP_FIELDS):
+            if a is None:
+                continue
+            try:
+                worst = min_damping(modal_analysis(a, eq.layout.labels, participation=False),
+                                    *band)
+            except NoOscillatoryMode as exc:
+                row[error] = str(exc)
+                continue
+            row[zeta] = 100 * worst.damping_ratio
+            if sweep:
+                worst = replace(worst, right=right_vector(a, worst.eigenvalue))
+                row[cls] = classify_mode(worst, *_class_keys(eq, areas))
+                if freq:
+                    row[freq] = worst.frequency_hz
     except NUMERIC_ERRORS as exc:
         return {"converged": False, "error": str(exc)}
-    row = {"converged": True}
     if sweep:
         row["tie_flow_mw"] = tie_flow_mw(case, sol, ties)
-    try:
-        worst = min_damping(open_table, *band)
-    except NoOscillatoryMode as exc:
-        row["baseline_error"] = str(exc)
-    else:
-        row["zeta_baseline_pct"] = 100 * worst.damping_ratio
-        if sweep:
-            row.update(mode_class=classify_mode(worst, *_class_keys(eq, areas)),
-                       freq_hz=worst.frequency_hz)
-    if closed_table is None:
-        return row
-    try:
-        worst_c = min_damping(closed_table, *band)
-    except NoOscillatoryMode as exc:
-        row["robust_error"] = str(exc)
-    else:
-        row["zeta_robust_pct"] = 100 * worst_c.damping_ratio
-        if sweep:
-            row["robust_mode_class"] = classify_mode(worst_c, *_class_keys(eq, areas))
     return row
 
 
@@ -180,13 +190,21 @@ def _baseline_text(row: dict, name: str) -> str:
     return f"{name} none in the band"
 
 
-def _outage_row(case, controllers, areas: list[int], band, model) -> dict:
+def _outage_row(case, controllers, areas: list[int], band, model,
+                analysed: dict) -> dict:
     """One N-1 row: an outage that islands buses names those cut off from the
-    slack bus and runs no power flow; any other is an analysed point."""
+    slack bus and runs no power flow; any other is an analysed point.  The
+    scan's `analysed` rows key each point by its in-service branches with the
+    circuit numbers cleared, the only records its network is built from:
+    outages that leave the same network, as either of two identical parallel
+    circuits does, share one analysis, and each gets a copy of the row."""
     islanded = unreachable_buses(case)
     if islanded:
         return {"converged": False, "islanded": sorted(islanded)}
-    return _point_row(case, controllers, areas, band, model)
+    network = tuple(replace(br, circuit=0) for br in case.in_service_branches())
+    if network not in analysed:
+        analysed[network] = _point_row(case, controllers, areas, band, model)
+    return dict(analysed[network])
 
 
 def _csv(columns: tuple[str, ...], rows: list[dict]) -> str:
@@ -282,10 +300,17 @@ def cmd_simulate(args, case: PowerSystemCase, text: str) -> int:
         [f"omega:{m}" for m in case.machine_index]
     rings = [ch for ch in channels if ch.startswith("delta_rel")]
     check_channels(case, channels)
-    if rings and tuple(args.band) != DEFAULT_BAND:
-        # the default band is checked only where a ringdown is read, so that
-        # a run at a dt too coarse for it still reports a divergence
+    try:
         check_ringdown_band(args.band, scenario.dt)
+        readable = True
+    except ScenarioError:
+        # a band given for a ringdown is refused before the run, the default
+        # one at a dt too coarse for it reads no window.  argparse keeps the
+        # default object itself: a band given with --band is another object,
+        # even with the default's values.
+        if rings and args.band is not DEFAULT_BAND:
+            raise
+        readable = False
     controllers = _controllers_for(case, args)
     result = simulate(case, controllers, scenario)
     # one ringdown window per event segment: from t = 0, or from the settling
@@ -293,7 +318,7 @@ def cmd_simulate(args, case: PowerSystemCase, text: str) -> int:
     # or without a mode in the band gets no entry; a diverged trace has none.
     times = [ev["time"] for ev in result.event_log]
     windows = list(zip([0.0] + [t + _RINGDOWN_SETTLE_S for t in times],
-                       times + [scenario.duration]))
+                       times + [scenario.duration])) if readable else []
     ring = {}
     for ch in ([] if result.divergent else rings):
         series, ring[ch] = measure(result, ch), []
@@ -363,9 +388,10 @@ def cmd_scan_n1(args, case: PowerSystemCase, text: str) -> int:
     areas = machine_areas(case)
     model = device_model(case)      # a trip keeps every device: one device part
     controllers = _controllers_for(case, args, model=model)
+    analysed = {}
     rows = [{"branch": list(key),
              **_outage_row(apply_line_trip(case, *key), controllers, areas, args.band,
-                           model)}
+                           model, analysed)}
             for key in sorted(br.key() for br in case.in_service_branches())]
     n_conv = sum(1 for r in rows if r["converged"])
     n_island = sum(1 for r in rows if "islanded" in r)

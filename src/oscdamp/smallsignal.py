@@ -12,11 +12,12 @@ A mode table holds the frequency and damping ratio of every mode as arrays,
 computed in one pass.  Only `modal` and `design` report participation
 factors and a class and top participant for every mode, so only they build
 the full table.  A point of `sweep` or `scan-n1` reports the least-damped
-mode in the band: its table skips the inverse and the participation
-factors, a sweep point classifies the least-damped open-loop and
-closed-loop modes alone, and an N-1 point, which reports no class, takes
-the eigenvalues alone (numpy.linalg.eigvals, whose values match those of
-eig on the bundled case's points bit for bit).
+mode in the band, so its table holds the eigenvalues alone
+(numpy.linalg.eigvals, whose values match those of eig on the bundled
+case's points bit for bit).  A sweep point also classifies its
+least-damped open-loop and closed-loop modes: each takes its right
+eigenvector from one inverse-iteration solve (:func:`right_vector`), not
+from a full eigen-decomposition.
 """
 
 from __future__ import annotations
@@ -40,6 +41,10 @@ class NoOscillatoryMode(Exception):
     pass
 
 
+class EigenvectorError(Exception):
+    """The shifted matrix of an inverse-iteration solve is singular."""
+
+
 INTER_AREA = "inter_area"
 LOCAL = "local"
 CONTROL = "control"
@@ -49,6 +54,13 @@ REAL = "real"
 # rotor-angle reference gives a structural zero whose computed sign follows
 # roundoff (|re| ~1e-9 on the bundled case; the next-smallest |lambda| is 0.12).
 ZERO_EIGENVALUE_TOL = 1e-6
+
+# Relative shift of the eigenvalue in `right_vector`'s solve.  It sets the
+# shift some 4e5 units of roundoff away from the eigenvalue, so the shifted
+# matrix is not singular to working precision, and one solve still shrinks
+# another mode's content in the vector, against the start vector, by
+# 1e-10 |lambda| over that mode's distance from lambda.
+INVERSE_ITERATION_SHIFT = 1e-10
 
 # Imaginary step of the complex-step derivative.  Its square vanishes against
 # any state, so the result does not depend on it.
@@ -156,7 +168,7 @@ def closed_loop_matrix(a_open: np.ndarray, plan: kernels.RhsPlan,
 
 
 def modal_analysis(a_full: np.ndarray, state_labels: tuple[str, ...] | None = None,
-                   *, participation: bool = True, vectors: bool = True) -> ModeTable:
+                   *, participation: bool = True) -> ModeTable:
     """Eigen-decomposition with the frequency and damping ratio of every mode,
     their right eigenvectors and participation factors.
 
@@ -164,16 +176,12 @@ def modal_analysis(a_full: np.ndarray, state_labels: tuple[str, ...] | None = No
     sorted by damping ratio ascending.  An eigenvalue with modulus below
     ``ZERO_EIGENVALUE_TOL`` is reported as 0, with damping ratio 1.
 
-    `participation` False skips the inverse of the eigenvector matrix: the
-    modes carry no participation factors and no top participant.  `vectors`
-    False (which needs `participation` False) skips the eigenvectors too and
-    gives the eigenvalues alone.
+    `participation` False gives the eigenvalues alone: the modes carry no
+    eigenvectors, no participation factors and no top participant.
     """
     if a_full.ndim != 2 or a_full.shape[0] != a_full.shape[1]:
         raise ValueError("state matrix must be square")
-    if participation and not vectors:
-        raise ValueError("participation factors need the eigenvectors")
-    if vectors:
+    if participation:
         w, vr = np.linalg.eig(a_full)
     else:
         w, vr = np.linalg.eigvals(a_full), None
@@ -199,6 +207,21 @@ def modal_analysis(a_full: np.ndarray, state_labels: tuple[str, ...] | None = No
     return ModeTable(eigenvalues=lam, frequency_hz=np.abs(lam.imag) / (2.0 * np.pi),
                      damping_ratio=zeta[order], right=right, participation=part,
                      state_labels=tuple(labels))
+
+
+def right_vector(a_full: np.ndarray, eigenvalue: complex) -> np.ndarray:
+    """Right eigenvector of `a_full` for its computed eigenvalue λ, from one
+    inverse-iteration solve (A - μI) v = b: μ = λ(1 + INVERSE_ITERATION_SHIFT)
+    and b all ones, a constant start vector as in LAPACK's own inverse
+    iteration (xLAEIN).  v is unnormalized: a class reads only its ratios.
+    An EigenvectorError when the shifted matrix is singular."""
+    n = a_full.shape[0]
+    mu = eigenvalue * (1.0 + INVERSE_ITERATION_SHIFT)
+    try:
+        return np.linalg.solve(a_full - mu * np.eye(n), np.ones(n, dtype=complex))
+    except np.linalg.LinAlgError as exc:
+        raise EigenvectorError(f"inverse iteration at {complex(eigenvalue):.6g}: "
+                               f"{exc}") from exc
 
 
 def classify_mode(mode: Mode, speed_indices: np.ndarray, areas: list[int]) -> str:

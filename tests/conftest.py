@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -8,8 +9,16 @@ from oscdamp import synthesis
 from oscdamp.case import parse_case
 from oscdamp.powerflow import solve_power_flow, load_admittances, kron_reduce
 from oscdamp.dynamics import initialize_from_power_flow
-from oscdamp.synthesis import design_controllers
+from oscdamp.synthesis import ControllerSet, design_controllers
 from oscdamp.areas import machine_areas
+
+# the bundled-case gains the benchmark and the report set pin
+PINNED_GAINS = Path(__file__).resolve().parents[1] / "perfbench" / "reference_gains.json"
+
+
+def pinned_gains() -> ControllerSet:
+    doc = json.loads(PINNED_GAINS.read_text())
+    return ControllerSet.from_dict(doc["results"]["controllers"])
 
 
 @pytest.fixture(scope="session")

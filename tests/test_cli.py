@@ -11,7 +11,8 @@ import pytest
 
 import oscdamp
 from oscdamp.cli import main, EXIT_OK, EXIT_INPUT, EXIT_NUMERIC, EXIT_DIVERGED
-from conftest import make_two_bus_text, reversed_machine_order_text
+from conftest import (PINNED_GAINS, make_two_bus_text, pinned_gains,
+                      reversed_machine_order_text)
 from lmi_reference import read_sdpa
 
 
@@ -559,7 +560,8 @@ def test_scan_radial_case_all_island(tmp_path):
 
 def test_scan_islanding_outages_run_no_power_flow(case_path, tmp_path, monkeypatch):
     """An outage that cuts buses off from the slack bus is reported with those
-    buses before any power flow; only the connected outages are solved."""
+    buses before any power flow; only the connected outages are solved, each
+    pair of identical parallel circuits once."""
     import oscdamp.cli as cli
     calls = []
     solve = cli.solve_power_flow
@@ -569,11 +571,80 @@ def test_scan_islanding_outages_run_no_power_flow(case_path, tmp_path, monkeypat
     rows = json.loads((out / "scan_n1.json").read_text())["results"]["rows"]
     islanded = {tuple(r["branch"]): r for r in rows if "islanded" in r}
     assert len(islanded) == 10
-    assert len(calls) == 4
+    assert len(calls) == 2
     assert all(r == {"branch": list(k), "converged": False, "islanded": r["islanded"]}
                for k, r in islanded.items())
     assert islanded[(3, 4, 1)]["islanded"] == [4]
     assert islanded[(20, 3, 1)]["islanded"] == [1, 2, 10, 20]
+
+
+@pytest.mark.parametrize("x_101_13_c2, power_flows", [(None, 2), (0.12, 3)],
+                         ids=["bundled", "uneven"])
+def test_scan_analyses_each_network_once(x_101_13_c2, power_flows, tmp_path, monkeypatch,
+                                         bundled_text, bundled_areas):
+    """Tripping either circuit of an identical parallel pair leaves the same
+    network, so the bundled scan with the pinned gains solves one power flow
+    per pair.  In a copy whose 101-13 circuit 2 has another reactance, the
+    two 101-13 outages leave different networks and are solved apart.  Every
+    connected row holds what the full path gives at its own trip."""
+    import oscdamp.cli as cli
+    from oscdamp.case import apply_line_trip, parse_case
+    doc = json.loads(bundled_text)
+    if x_101_13_c2 is not None:
+        (br,) = [b for b in doc["branches"]
+                 if (b["from"], b["to"], b["circuit"]) == (101, 13, 2)]
+        br["x"] = x_101_13_c2
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(doc))
+    case = parse_case(path.read_text())
+    calls = []
+    solve = cli.solve_power_flow
+    monkeypatch.setattr(cli, "solve_power_flow", lambda case: calls.append(1) or solve(case))
+    out = tmp_path / "out"
+    assert main(["scan-n1", "--case", str(path), "--controllers", "all",
+                 "--gains", str(PINNED_GAINS), "--out", str(out)]) == EXIT_OK
+    assert len(calls) == power_flows
+    rows = json.loads((out / "scan_n1.json").read_text())["results"]["rows"]
+    connected = {tuple(r["branch"]): r for r in rows if r["converged"]}
+    assert set(connected) == {(3, 101, 1), (3, 101, 2), (101, 13, 1), (101, 13, 2)}
+    scan_keys = {"converged", "zeta_baseline_pct", "zeta_robust_pct"}
+    for key, r in connected.items():
+        full = _full_point(apply_line_trip(case, *key), bundled_areas, pinned_gains())
+        assert r == {"branch": list(key), **{k: v for k, v in full.items() if k in scan_keys}}
+    same = connected[(101, 13, 1)] == {**connected[(101, 13, 2)], "branch": [101, 13, 1]}
+    assert same == (x_101_13_c2 is None)
+
+
+def test_sweep_takes_no_full_eigendecomposition(case_path, tmp_path, monkeypatch):
+    """A sweep with the pinned gains classifies its modes without
+    np.linalg.eig."""
+    def no_eig(*args, **kwargs):
+        raise AssertionError("np.linalg.eig called")
+
+    monkeypatch.setattr(np.linalg, "eig", no_eig)
+    out = tmp_path / "out"
+    assert main(["sweep", "--case", case_path, "--fractions", "0.9,1.0,1.1",
+                 "--controllers", "all", "--gains", str(PINNED_GAINS),
+                 "--out", str(out)]) == EXIT_OK
+    rows = json.loads((out / "sweep.json").read_text())["results"]["rows"]
+    assert all("mode_class" in r and "robust_mode_class" in r for r in rows)
+
+
+def test_singular_inverse_iteration_is_a_non_converged_row(case_path, tmp_path,
+                                                           monkeypatch):
+    """A sweep point whose inverse-iteration solve is singular is a
+    non-converged row carrying the error; the sweep goes on."""
+    import oscdamp.cli as cli
+    from oscdamp.smallsignal import right_vector
+    monkeypatch.setattr(cli, "right_vector",
+                        lambda a, eigenvalue: right_vector(np.zeros_like(a), 0j))
+    out = tmp_path / "out"
+    assert main(["sweep", "--case", case_path, "--fractions", "0.95,1.05",
+                 "--out", str(out)]) == EXIT_OK
+    rows = json.loads((out / "sweep.json").read_text())["results"]["rows"]
+    assert rows == [{"fraction": f, "converged": False,
+                     "error": "inverse iteration at 0+0j: Singular matrix"}
+                    for f in (0.95, 1.05)]
 
 
 def test_scan_row_count(case_path, tmp_path):
@@ -679,6 +750,32 @@ def test_unrealizable_ringdown_band_refused_before_the_run(case_path, tmp_path,
     assert main(["simulate", "--case", case_path, "--scenario", str(scen),
                  "--band", "0.1", "150"]) == EXIT_INPUT
     assert "ringdown band" in capsys.readouterr().err
+
+
+def test_default_band_out_of_reach_reads_no_window(tmp_path, monkeypatch, capsys):
+    """At a dt coarser than 1/6 s the default 0.1-3 Hz band lies past half
+    the sample rate: a run that does not diverge gives each delta_rel
+    channel an empty window list and exits 0.  A band given at that dt is
+    still refused before the run, the default's values included."""
+    import oscdamp.cli as cli
+    case = tmp_path / "two_bus.json"
+    case.write_text(make_two_bus_text())
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({"duration": 30.0, "dt": 0.25, "events": [
+        {"time": 1.0, "type": "step_load", "bus": 2, "dp_mw": 5.0}]}))
+    out = tmp_path / "out"
+    argv = ["simulate", "--case", str(case), "--scenario", str(scen)]
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    results = json.loads((out / "simulate.json").read_text())["results"]
+    assert not results["divergent"] and results["ringdown"] == {"delta_rel:1:1": []}
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulate ran")
+
+    monkeypatch.setattr(cli, "simulate", no_run)
+    for band in (["0.1", "2.5"], ["0.1", "3.0"]):
+        assert main([*argv, "--band", *band]) == EXIT_INPUT
+        assert "ringdown band" in capsys.readouterr().err
 
 
 def _report_files(out: Path) -> dict:

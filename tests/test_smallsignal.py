@@ -5,15 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from oscdamp.case import parse_case, scale_stress, apply_line_trip
+from oscdamp.case import parse_case, scale_stress, apply_line_trip, unreachable_buses
 from oscdamp.kernels import Control
-from oscdamp.powerflow import solve_power_flow, load_admittances, kron_reduce
+from oscdamp.powerflow import (PowerFlowDiverged, solve_power_flow, load_admittances,
+                               kron_reduce)
 from oscdamp.dynamics import initialize_from_power_flow, build_design_matrices
 from oscdamp.smallsignal import (Mode, NonEquilibriumError, NoOscillatoryMode,
-                                 linearize, closed_loop_matrix, modal_analysis,
-                                 classify_mode, classify_table, min_damping,
-                                 INTER_AREA, LOCAL, CONTROL, REAL, ZERO_EIGENVALUE_TOL)
-from conftest import make_two_bus_text
+                                 EigenvectorError, linearize, closed_loop_matrix,
+                                 modal_analysis, right_vector, classify_mode,
+                                 classify_table, min_damping, INTER_AREA, LOCAL, CONTROL,
+                                 REAL, ZERO_EIGENVALUE_TOL, INVERSE_ITERATION_SHIFT)
+from conftest import make_two_bus_text, pinned_gains
 
 
 def test_linearize_requires_equilibrium(bundled_eq):
@@ -259,28 +261,23 @@ def test_table_is_the_per_mode_reference(bundled_case, bundled_eq, bundled_desig
 
 @pytest.mark.parametrize("loop", ["open", "closed"])
 def test_lean_tables_hold_the_full_table_values(bundled_eq, bundled_design, loop):
-    """Without participation factors, and without eigenvectors as well, the
-    table holds the eigenvalues, frequencies and damping ratios of the full
-    one, in its order and bit for bit; its least-damped mode has no top
-    participant."""
+    """Without participation factors the table holds the eigenvalues,
+    frequencies and damping ratios of the full one, in its order and bit for
+    bit, and no eigenvectors; its least-damped mode has no top participant."""
     a, labels = linearize(bundled_eq), bundled_eq.layout.labels
     if loop == "closed":
         a = closed_loop_matrix(a, bundled_eq.plan,
                                bundled_design[0].gains_for(bundled_eq.layout.machine_ids))
     full = modal_analysis(a, labels)
     worst = min_damping(full)
-    for vectors in (True, False):
-        lean = modal_analysis(a, labels, participation=False, vectors=vectors)
-        for field in ("eigenvalues", "frequency_hz", "damping_ratio"):
-            assert np.array_equal(getattr(lean, field), getattr(full, field))
-        assert lean.participation is None
-        assert np.array_equal(lean.right, full.right) if vectors else lean.right is None
-        m = min_damping(lean)
-        assert (m.eigenvalue, m.frequency_hz, m.damping_ratio) == \
-            (worst.eigenvalue, worst.frequency_hz, worst.damping_ratio)
-        assert m.participation is None and m.top_participant == ""
-    with pytest.raises(ValueError, match="eigenvectors"):
-        modal_analysis(a, vectors=False)
+    lean = modal_analysis(a, labels, participation=False)
+    for field in ("eigenvalues", "frequency_hz", "damping_ratio"):
+        assert np.array_equal(getattr(lean, field), getattr(full, field))
+    assert lean.participation is None and lean.right is None
+    m = min_damping(lean)
+    assert (m.eigenvalue, m.frequency_hz, m.damping_ratio) == \
+        (worst.eigenvalue, worst.frequency_hz, worst.damping_ratio)
+    assert m.participation is None and m.top_participant == ""
 
 
 def test_eigen_residuals(bundled_eq):
@@ -289,6 +286,61 @@ def test_eigen_residuals(bundled_eq):
     for m in modal_analysis(a):
         res = np.linalg.norm(a @ m.right - m.eigenvalue * m.right)
         assert res <= 1e-8 * norm_a * np.linalg.norm(m.right)
+
+
+def test_inverse_iteration_class_is_the_eig_class(bundled_case, bundled_areas):
+    """The right eigenvector of one inverse-iteration solve gives every
+    oscillatory mode the class LAPACK's eigenvector gives it, open loop and
+    with the pinned gains: at each stress fraction 0.5, 0.55, ..., 1.15 whose
+    power flow converges, and at each connected N-1 outage."""
+    gains = pinned_gains()
+    points = [scale_stress(bundled_case, round(0.5 + 0.05 * i, 2)) for i in range(14)]
+    points += [trip for trip in (apply_line_trip(bundled_case, *br.key())
+                                 for br in bundled_case.in_service_branches())
+               if not unreachable_buses(trip)]
+    analysed = 0
+    for case in points:
+        try:
+            eq = _equilibrium(case)
+        except PowerFlowDiverged:
+            continue
+        analysed += 1
+        keys = (eq.layout.speed_indices, bundled_areas)
+        a = linearize(eq)
+        for m in (a, closed_loop_matrix(a, eq.plan, gains.gains_for(eq.layout.machine_ids))):
+            table = classify_table(modal_analysis(m), *keys)
+            oscillatory = [mode for mode in table if mode.is_oscillatory]
+            assert oscillatory
+            for mode in oscillatory:
+                v = right_vector(m, mode.eigenvalue)
+                assert classify_mode(dataclasses.replace(mode, right=v), *keys) == \
+                    mode.classification
+    assert analysed == 13 + 4           # x1.15 has no power flow
+
+
+@pytest.mark.parametrize("loop", ["open", "closed"])
+def test_inverse_iteration_residuals(bundled_eq, loop):
+    """The inverse-iteration vector of every oscillatory mode meets the bound
+    `test_eigen_residuals` sets for LAPACK's."""
+    a = linearize(bundled_eq)
+    if loop == "closed":
+        a = closed_loop_matrix(a, bundled_eq.plan,
+                               pinned_gains().gains_for(bundled_eq.layout.machine_ids))
+    norm_a = np.linalg.norm(a, 2)
+    for m in modal_analysis(a):
+        if m.is_oscillatory:
+            v = right_vector(a, m.eigenvalue)
+            res = np.linalg.norm(a @ v - m.eigenvalue * v)
+            assert res <= 1e-8 * norm_a * np.linalg.norm(v)
+
+
+def test_singular_inverse_iteration_is_an_eigenvector_error():
+    """A shift that lands on an eigenvalue exactly makes the solve singular:
+    that is an EigenvectorError naming the eigenvalue."""
+    omega = 2.0
+    a = omega * (1.0 + INVERSE_ITERATION_SHIFT) * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    with pytest.raises(EigenvectorError, match="inverse iteration at 0\\+2j"):
+        right_vector(a, complex(0.0, omega))
 
 
 def test_damping_invariant_under_time_scaling(bundled_eq):

@@ -141,15 +141,24 @@ def test_report_set_commands_parse(monkeypatch, tmp_path, bundled_case):
     """Every command of the byte-identity report set is one the CLI takes:
     its arguments parse and pass the option checks, its pinned gains pass
     the gain-row checks for its --controllers, and each scenario it names is
-    one the tool writes and the bundled case can run.  None runs."""
+    one the tool writes and the bundled case can run.  The uneven case copy
+    is a valid case that differs from the bundled one in one branch's
+    reactance.  None runs."""
     from oscdamp import cli, simulator
+    from oscdamp.case import parse_case, validate_case
     report_set = load_report_set(monkeypatch)
+    uneven = parse_case(report_set.uneven_case_text())
+    assert validate_case(uneven) == []
+    changed = [(a, b) for a, b in zip(bundled_case.branches, uneven.branches) if a != b]
+    assert [(a.key(), b.x) for a, b in changed] == [(report_set.UNEVEN[1], report_set.UNEVEN[2])]
+    assert changed[0][0].x != changed[0][1].x
     (tmp_path / "inputs").mkdir()
     (tmp_path / "inputs" / "gains.json").write_text(report_set.GAINS.read_text())
     monkeypatch.chdir(tmp_path)         # the commands name their inputs relative to OUT
     parser = cli.build_parser()
     names = [name for name, _ in report_set.COMMANDS]
-    assert len(set(names)) == len(names) and {"sweep_wide", "sweep_open"} <= set(names)
+    assert len(set(names)) == len(names)
+    assert {"sweep_wide", "sweep_open", "scan_n1_uneven"} <= set(names)
     for name, args in report_set.COMMANDS:
         parsed = parser.parse_args([*args, "--out", name])
         cli._check_options(parsed)

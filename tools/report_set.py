@@ -10,9 +10,10 @@ is refused with exit code 2.
 
 Each command of `COMMANDS` runs in a fresh process of this checkout's
 package, with one BLAS thread and OUT as its working directory.  The
-bundled case, the gains pinned in ``perfbench/reference_gains.json`` and the
-scenarios of `SCENARIOS` are first copied into ``OUT/inputs`` and passed by
-relative path, so that a report's ``config`` and ``fingerprint`` do not
+bundled case, its copy with uneven 101-13 circuits (`UNEVEN`), the gains
+pinned in ``perfbench/reference_gains.json`` and the scenarios of
+`SCENARIOS` are first written into ``OUT/inputs`` and passed by relative
+path, so that a report's ``config`` and ``fingerprint`` do not
 depend on where OUT or the checkout is.  Command NAME writes its report
 into ``OUT/NAME``, with its standard output in ``stdout.txt`` and its exit
 code in ``exit_code.txt``; the ``metadata`` block (the time of writing) is
@@ -64,6 +65,10 @@ SETTLED = {
 }
 SCENARIOS = {"remedial.json": REMEDIAL, "events.json": EVENTS, "settled.json": SETTLED}
 
+# the bundled case with 101-13 circuit 2 at another reactance: the N-1 scan
+# must analyse its two 101-13 outages apart, as their networks differ
+UNEVEN = ("two_area_uneven.json", (101, 13, 2), 0.12)
+
 _CASE = ["--case", "inputs/two_area.json"]
 _PINNED = ["--controllers", "all", "--gains", "inputs/gains.json"]
 
@@ -82,6 +87,7 @@ COMMANDS = [
     ("scan_n1", ["scan-n1", *_CASE, *_PINNED]),
     ("scan_n1_2_3", ["scan-n1", *_CASE, "--controllers", "2,3",
                      "--gains", "inputs/gains.json"]),
+    ("scan_n1_uneven", ["scan-n1", "--case", f"inputs/{UNEVEN[0]}", *_PINNED]),
     ("simulate_remedial", ["simulate", *_CASE, "--scenario", "inputs/remedial.json",
                            *_PINNED, "--channels",
                            "delta_rel:3:1,omega:1,omega:2,omega:3,omega:4"]),
@@ -92,6 +98,15 @@ COMMANDS = [
     ("simulate_settled", ["simulate", *_CASE, "--scenario", "inputs/settled.json",
                           *_PINNED, "--channels", "delta_rel:3:1,u:1,vm:14"]),
 ]
+
+
+def uneven_case_text() -> str:
+    """The bundled case with the branch `UNEVEN` names at its reactance."""
+    name, key, x = UNEVEN
+    doc = json.loads(CASE.read_text())
+    (branch,) = [br for br in doc["branches"] if (br["from"], br["to"], br["circuit"]) == key]
+    branch["x"] = x
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def _strip_metadata(path: Path) -> None:
@@ -112,6 +127,7 @@ def main(argv: list[str]) -> int:
     inputs = out / "inputs"
     inputs.mkdir(parents=True, exist_ok=True)
     shutil.copyfile(CASE, inputs / "two_area.json")
+    (inputs / UNEVEN[0]).write_text(uneven_case_text())
     shutil.copyfile(GAINS, inputs / "gains.json")
     for name, scenario in SCENARIOS.items():
         (inputs / name).write_text(json.dumps(scenario, indent=2) + "\n")

@@ -124,19 +124,11 @@ def _state_matrices(eq, controllers: ControllerSet | None = None):
                                       controllers.gains_for(eq.layout.machine_ids))
 
 
-def _modal_for(eq, controllers: ControllerSet | None = None, open_loop: bool = True):
-    """Full mode tables at a built operating point: the open-loop one when
-    `open_loop`, and the closed-loop one when controllers are given; each is
-    None otherwise."""
+def _mode_table(eq, controllers: ControllerSet | None = None):
+    """The full mode table of a built operating point: the closed loop's when
+    controllers are given, the open loop's otherwise."""
     a_open, a_closed = _state_matrices(eq, controllers)
-    labels = eq.layout.labels
-    return (modal_analysis(a_open, labels) if open_loop else None,
-            None if a_closed is None else modal_analysis(a_closed, labels))
-
-
-def _class_keys(eq, areas: list[int]):
-    """What classifying a mode of the point `eq` reads besides the mode."""
-    return eq.layout.speed_indices, areas
+    return modal_analysis(a_open if a_closed is None else a_closed, eq.layout.labels)
 
 
 # a point row's fields for its open-loop and closed-loop least-damped mode:
@@ -173,7 +165,7 @@ def _point_row(case, controllers, areas: list[int], band, model, ties=None) -> d
             row[zeta] = 100 * worst.damping_ratio
             if sweep:
                 worst = replace(worst, right=right_vector(a, worst.eigenvalue))
-                row[cls] = classify_mode(worst, *_class_keys(eq, areas))
+                row[cls] = classify_mode(worst, eq.layout.speed_indices, areas)
                 if freq:
                     row[freq] = worst.frequency_hz
     except NUMERIC_ERRORS as exc:
@@ -208,10 +200,16 @@ def _outage_row(case, controllers, areas: list[int], band, model,
 
 
 def _csv(columns: tuple[str, ...], rows: list[dict]) -> str:
-    """The rows as CSV over `columns`; a value a row lacks is an empty field."""
+    """The rows as CSV over `columns`, one line per row: a number is written
+    as the JSON writes it, a flag as ``True``/``False``, a text as itself and
+    a value a row lacks as an empty field."""
     lines = [",".join(columns)] + [",".join(f"{r.get(c, '')}" for c in columns)
                                    for r in rows]
     return "".join(line + "\n" for line in lines)
+
+
+# the columns of a mode table's CSV: the keys of `_mode_dict`
+_MODE_COLUMNS = ("re", "im", "freq_hz", "damping_pct", "class", "top_participant")
 
 
 def _mode_dict(m) -> dict:
@@ -232,7 +230,8 @@ def cmd_pf(args, case: PowerSystemCase, text: str) -> int:
     }
     if args.out:
         write_report(args.out, "pf", _config(args), results, text,
-                     {"pf.csv": sol.to_csv()})
+                     {"pf.csv": _csv(("bus", "vm_pu", "va_rad", "p_pu", "q_pu"),
+                                     results["buses"])})
     print(f"power flow converged in {sol.iterations} iterations "
           f"(mismatch {sol.max_mismatch:.3e}); tie flow "
           f"{results['tie_flow_mw']:.1f} MW")
@@ -242,9 +241,8 @@ def cmd_pf(args, case: PowerSystemCase, text: str) -> int:
 def cmd_modal(args, case: PowerSystemCase, text: str) -> int:
     sol, eq = _pipeline(case)
     controllers = _controllers_for(case, args, eq)
-    open_table, closed_table = _modal_for(eq, controllers, open_loop=controllers is None)
-    table = classify_table(open_table if closed_table is None else closed_table,
-                           *_class_keys(eq, machine_areas(case)))
+    table = classify_table(_mode_table(eq, controllers), eq.layout.speed_indices,
+                           machine_areas(case))
     try:
         worst = min_damping(table, *args.band)
     except NoOscillatoryMode:
@@ -257,7 +255,7 @@ def cmd_modal(args, case: PowerSystemCase, text: str) -> int:
     }
     if args.out:
         write_report(args.out, "modal", _config(args), results, text,
-                     {"modes.csv": table.to_csv()})
+                     {"modes.csv": _csv(_MODE_COLUMNS, results["modes"])})
     if worst is None:
         print("no oscillatory mode inside the band")
     else:
@@ -272,8 +270,8 @@ def cmd_design(args, case: PowerSystemCase, text: str) -> int:
     ctrl, res = design_controllers(case, eq, subset=subset,
                                    beta_bar=args.beta_bar,
                                    bound_scale=args.bound_scale)
-    _, table = _modal_for(eq, ctrl, open_loop=False)
-    classify_table(table, *_class_keys(eq, machine_areas(case)))
+    table = classify_table(_mode_table(eq, ctrl), eq.layout.speed_indices,
+                           machine_areas(case))
     worst = min_damping(table, *args.band)
     results = {
         "synthesis": res.summary(),
@@ -281,11 +279,10 @@ def cmd_design(args, case: PowerSystemCase, text: str) -> int:
         "closed_loop_modes": [_mode_dict(m) for m in table],
         "closed_loop_min_damping": _mode_dict(worst),
     }
-    csvs = {"closed_loop_modes.csv": table.to_csv()}
     if args.out:
-        sdpa_text = export_sdpa(res.solution.sdp)
-        csvs["synthesis.dat-s"] = sdpa_text
         results["sdpa_export"] = "synthesis.dat-s"
+        csvs = {"closed_loop_modes.csv": _csv(_MODE_COLUMNS, results["closed_loop_modes"]),
+                "synthesis.dat-s": export_sdpa(res.solution.sdp)}
         write_report(args.out, "design", _config(args), results, text, csvs)
     print(f"design {res.solution.status}: gamma "
           f"{[round(v, 3) for v in res.by_machine('gamma').values()]}, closed-loop min zeta "
@@ -407,8 +404,7 @@ def cmd_scan_n1(args, case: PowerSystemCase, text: str) -> int:
     print(f"scanned {len(rows)} branches, {n_conv} converged, {n_island} islanded")
     for r in rows:
         if r["converged"]:
-            extra = f" robust {r.get('zeta_robust_pct', float('nan')):6.2f}%" \
-                if "zeta_robust_pct" in r else ""
+            extra = f" robust {r['zeta_robust_pct']:6.2f}%" if "zeta_robust_pct" in r else ""
             print(f"  {r['branch'][0]}-{r['branch'][1]} c{r['branch'][2]}: "
                   f"{_baseline_text(r, 'baseline')}{extra}")
     return EXIT_OK

@@ -90,15 +90,19 @@ def build_design_matrices(machine: Machine, gov: GovernorParams,
 
 @dataclass(frozen=True)
 class Equilibrium:
-    """Initialized operating point: the state layout, the model's RHS plan
-    (its parameter record), the fixed-point state and the reduced network it
-    was initialized on.  Immutable: the plan's arrays are read-only, and the
-    network and controller setting of an RHS call are arguments, not fields."""
+    """Initialized operating point: the model's RHS plan (its parameter
+    record, whose state layout is the point's `layout`), the fixed-point state
+    and the reduced network it was initialized on.  Immutable: the plan's
+    arrays are read-only, and the network and controller setting of an RHS
+    call are arguments, not fields."""
 
-    layout: StateLayout
     plan: kernels.RhsPlan = field(repr=False, compare=False)
     network: ReducedNetwork
     state: np.ndarray
+
+    @property
+    def layout(self) -> StateLayout:
+        return self.plan.layout
 
     # rotor angles and transient EMFs, read from the state through the plan's
     # per-machine indices (rows delta, omega, eqp, edp, ...)
@@ -212,5 +216,5 @@ def initialize_from_power_flow(case: PowerSystemCase, sol: PowerFlowSolution,
         efd_ref[k] = efd
         # PSS washout states are zero at any speed equilibrium
 
-    return Equilibrium(layout=layout, plan=model.at(pm_ref, efd_ref, vref),
+    return Equilibrium(plan=model.at(pm_ref, efd_ref, vref),
                        network=reduced, state=y0)

@@ -6,7 +6,6 @@ the cases in scope are desk-scale.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,14 +40,6 @@ class PowerFlowSolution:
 
     def voltage(self) -> np.ndarray:
         return self.vm * np.exp(1j * self.va)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("bus,vm_pu,va_rad,p_pu,q_pu\n")
-        for i, b in enumerate(self.bus_ids):
-            buf.write(f"{b},{self.vm[i]:.12g},{self.va[i]:.12g},"
-                      f"{self.p[i]:.12g},{self.q[i]:.12g}\n")
-        return buf.getvalue()
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,9 @@
 """Report emission: canonical JSON (byte-stable modulo the metadata block)
-plus CSV side files.  Every number written to CSV also appears in the JSON."""
+plus CSV side files.  The CSV of a row table (`pf`, `modal`, `design`,
+`sweep`, `scan-n1`) holds the JSON's rows: each cell is the text the JSON
+writes for its value.  `simulate`'s ``trajectory.csv`` holds the channel
+series at ``%.12g``, which the JSON leaves out: it keeps the final state
+alone."""
 
 from __future__ import annotations
 

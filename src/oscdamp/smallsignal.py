@@ -22,7 +22,6 @@ from a full eigen-decomposition.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -125,15 +124,6 @@ class ModeTable:
             right=None if self.right is None else self.right[:, i].copy(),
             participation=part,
             top_participant="" if part is None else self.state_labels[int(np.argmax(part))])
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("re,im,freq_hz,damping_pct,class,top_participant\n")
-        for m in self.modes:
-            buf.write(f"{m.eigenvalue.real:.12g},{m.eigenvalue.imag:.12g},"
-                      f"{m.frequency_hz:.12g},{100 * m.damping_ratio:.12g},"
-                      f"{m.classification},{m.top_participant}\n")
-        return buf.getvalue()
 
 
 def linearize(eq: Equilibrium, control: Control | None = None) -> np.ndarray:

@@ -40,6 +40,45 @@ def test_pf_command(case_path, tmp_path, capsys):
     assert len(doc["results"]["buses"]) == 13
 
 
+_PINNED = ["--controllers", "all", "--gains", str(PINNED_GAINS)]
+_MODE_CSV = ("re", "im", "freq_hz", "damping_pct", "class", "top_participant")
+_SWEEP_CSV = ("fraction", "converged", "tie_flow_mw", "zeta_baseline_pct", "zeta_robust_pct")
+_SCAN_CSV = ("from", "to", "circuit", "converged", "zeta_baseline_pct", "zeta_robust_pct")
+
+
+@pytest.mark.parametrize("argv, report, table, csv_name, columns", [
+    (["pf"], "pf", "buses", "pf.csv", ("bus", "vm_pu", "va_rad", "p_pu", "q_pu")),
+    (["modal"], "modal", "modes", "modes.csv", _MODE_CSV),
+    (["modal", *_PINNED], "modal", "modes", "modes.csv", _MODE_CSV),
+    (["design"], "design", "closed_loop_modes", "closed_loop_modes.csv", _MODE_CSV),
+    # the power flow of the 1.15 point diverges: a row without most columns
+    (["sweep", "--fractions", "0.5,1.0,1.15", *_PINNED], "sweep", "rows", "sweep.csv",
+     _SWEEP_CSV),
+    (["scan-n1", *_PINNED], "scan_n1", "rows", "scan_n1.csv", _SCAN_CSV),
+], ids=["pf", "modal_open", "modal_gains", "design", "sweep", "scan_n1"])
+def test_row_csvs_are_their_json_rows(case_path, tmp_path, argv, report, table, csv_name,
+                                      columns):
+    """A row table's CSV is its JSON rows: the header is the written columns,
+    there is one line per row, and each cell is the JSON text of the row's
+    value (the string itself for text, True/False for a flag, empty for a
+    key the row lacks).  A scan row's branch gives its from, to and circuit."""
+    out = tmp_path / "out"
+    assert main([argv[0], "--case", case_path, *argv[1:], "--out", str(out)]) == EXIT_OK
+    # every number as the text the JSON holds for it
+    doc = json.loads((out / f"{report}.json").read_text(), parse_float=str,
+                     parse_int=str, parse_constant=str)
+    rows = doc["results"][table]
+    if report == "scan_n1":
+        rows = [dict(zip(("from", "to", "circuit"), r["branch"]), **r) for r in rows]
+    lines = (out / csv_name).read_text().splitlines()
+    assert lines[0] == ",".join(columns)
+    assert len(lines) == len(rows) + 1
+    for line, row in zip(lines[1:], rows):
+        assert line.split(",") == [str(row.get(c, "")) for c in columns]
+    if report == "sweep":
+        assert any(row["converged"] is False for row in rows)
+
+
 def test_modal_command_baseline(case_path, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["modal", "--case", case_path, "--out", str(out)]) == EXIT_OK
@@ -705,7 +744,7 @@ def test_remedial_ringdown_per_segment_matches_modal(case_path, tmp_path):
     open loop after the trip, the closed loop after the activation) has that
     prediction's damping ratio to within one percentage point."""
     from oscdamp.case import apply_line_trip, parse_case
-    from oscdamp.cli import _pipeline, _modal_for
+    from oscdamp.cli import _pipeline, _mode_table
     from oscdamp.synthesis import ControllerSet
     from oscdamp.smallsignal import min_damping
     gains = Path(__file__).resolve().parents[1] / "perfbench" / "reference_gains.json"
@@ -725,7 +764,7 @@ def test_remedial_ringdown_per_segment_matches_modal(case_path, tmp_path):
 
     ctrl = ControllerSet.from_dict(json.loads(gains.read_text())["results"]["controllers"])
     _, eq = _pipeline(apply_line_trip(parse_case(Path(case_path).read_text()), 3, 101, 1))
-    open_table, closed_table = _modal_for(eq, ctrl)
+    open_table, closed_table = _mode_table(eq), _mode_table(eq, ctrl)
     for window, table in ((trip_window, open_table), (activation_window, closed_table)):
         predicted = min_damping(table, 0.1, 3.0)
         mode = min(window["modes"],

@@ -160,9 +160,13 @@ def test_tie_flow_refuses_an_out_of_service_tie(bundled_case, bundled_sol):
         tie_flow_mw(tripped, bundled_sol, ties)
 
 
-def test_pf_csv_round_trip(bundled_sol):
-    text = bundled_sol.to_csv()
-    lines = text.strip().splitlines()
+def test_pf_csv_round_trip(bundled_text, bundled_sol, tmp_path):
+    """`pf` writes pf.csv with a header and one line per bus."""
+    from oscdamp.cli import main
+    case = tmp_path / "two_area.json"
+    case.write_text(bundled_text)
+    assert main(["pf", "--case", str(case), "--out", str(tmp_path / "out")]) == 0
+    lines = (tmp_path / "out" / "pf.csv").read_text().strip().splitlines()
     assert lines[0] == "bus,vm_pu,va_rad,p_pu,q_pu"
     assert len(lines) == len(bundled_sol.bus_ids) + 1
 

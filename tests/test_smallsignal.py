@@ -425,23 +425,34 @@ def test_min_damping_band_exclusion():
         min_damping(table, 2.0, 3.0)
 
 
-def test_mode_csv_shape(bundled_eq):
-    a = linearize(bundled_eq)
-    table = modal_analysis(a, bundled_eq.layout.labels)
-    lines = table.to_csv().strip().splitlines()
+def test_mode_csv_shape(bundled_text, bundled_eq, tmp_path):
+    """`modal` writes modes.csv with a header and one line per mode of the
+    open-loop table."""
+    from oscdamp.cli import main
+    case = tmp_path / "two_area.json"
+    case.write_text(bundled_text)
+    assert main(["modal", "--case", str(case), "--out", str(tmp_path / "out")]) == 0
+    table = modal_analysis(linearize(bundled_eq), bundled_eq.layout.labels)
+    lines = (tmp_path / "out" / "modes.csv").read_text().strip().splitlines()
     assert lines[0] == "re,im,freq_hz,damping_pct,class,top_participant"
     assert len(lines) == len(table.modes) + 1
 
 
 def test_zero_eigenvalue_sign_is_not_reported():
-    """A structural zero eigenvalue reads the same whichever sign roundoff gave it."""
+    """A structural zero eigenvalue reads the same whichever sign roundoff
+    gave it, in the row and CSV line a report writes for it: a -0.0 would
+    show."""
+    from oscdamp.cli import _MODE_COLUMNS, _csv, _mode_dict
     rng = np.random.default_rng(8)
     t = rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
-    csvs = []
+    zero_lines = []
     for eps in (1e-9, -1e-9):
         core = np.diag([0.0, 0.0, eps, -2.0])
         core[:2, :2] = [[-0.1, 4.0], [-4.0, -0.1]]
         a = t @ core @ np.linalg.inv(t)
-        csvs.append(modal_analysis(a, ("a", "b", "c", "d")).to_csv())
-    assert csvs[0] == csvs[1]
-    assert "\n0,0,0,100,," in csvs[0]
+        rows = [_mode_dict(m) for m in modal_analysis(a, ("a", "b", "c", "d"))]
+        lines = _csv(_MODE_COLUMNS, rows).splitlines()[1:]
+        zero_lines += [line for line, r in zip(lines, rows)
+                       if abs(complex(r["re"], r["im"])) < ZERO_EIGENVALUE_TOL]
+    assert len(zero_lines) == 2 and zero_lines[0] == zero_lines[1]
+    assert zero_lines[0].startswith("0.0,0.0,0.0,100.0,,")

@@ -170,3 +170,14 @@ def test_report_set_commands_parse(monkeypatch, tmp_path, bundled_case):
             simulator.check_channels(bundled_case, parsed.channels.split(","))
         if parsed.command == "sweep":
             assert all(float(f) > 0 for f in parsed.fractions.split(","))
+
+
+def test_report_set_covers_every_subcommand(monkeypatch):
+    """The byte-identity report set runs every subcommand the CLI has, so a
+    refactor that reaches any command's report is compared."""
+    import argparse
+    from oscdamp import cli
+    report_set = load_report_set(monkeypatch)
+    (subparsers,) = [a for a in cli.build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    assert {args[0] for _, args in report_set.COMMANDS} == set(subparsers.choices)

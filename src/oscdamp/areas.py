@@ -43,10 +43,11 @@ def _electrical_distances(case: PowerSystemCase, source: int) -> dict[int, float
     return dist
 
 
-def machine_areas(case: PowerSystemCase) -> list[int]:
-    """Each machine's area (0 or 1) in machine order; one machine has one area."""
+def _partition(case: PowerSystemCase) -> tuple[list[int], dict[int, dict[int, float]]]:
+    """Each machine's area (0 or 1) in machine order, and the electrical
+    distances from each generator bus (none for one machine or fewer)."""
     if len(case.machines) <= 1:
-        return [0] * len(case.machines)
+        return [0] * len(case.machines), {}
     gen_buses = sorted({m.bus for m in case.machines})
     dists = {b: _electrical_distances(case, b) for b in gen_buses}
     seed_a, seed_b, worst = gen_buses[0], gen_buses[0], -1.0
@@ -56,17 +57,24 @@ def machine_areas(case: PowerSystemCase) -> list[int]:
                 worst = dists[ba][bb]
                 seed_a, seed_b = ba, bb
     return [0 if dists[seed_a][m.bus] <= dists[seed_b][m.bus] else 1
-            for m in case.machines]
+            for m in case.machines], dists
+
+
+def machine_areas(case: PowerSystemCase) -> list[int]:
+    """Each machine's area (0 or 1) in machine order; one machine has one area."""
+    return _partition(case)[0]
 
 
 def bus_areas(case: PowerSystemCase) -> dict[int, int]:
+    """Each bus's area: that of the nearer of the two areas' first machine
+    buses, whose distances the machine partition already has."""
+    areas, dists = _partition(case)
     seeds: dict[int, int] = {}
-    for m, area in zip(case.machines, machine_areas(case)):
+    for m, area in zip(case.machines, areas):
         seeds.setdefault(area, m.bus)
     if len(seeds) < 2:
         return {b.id: 0 for b in case.buses}
-    d0 = _electrical_distances(case, seeds[0])
-    d1 = _electrical_distances(case, seeds[1])
+    d0, d1 = dists[seeds[0]], dists[seeds[1]]
     # equidistant buses join area 1 so the boundary sits at the sending end
     # of a symmetric corridor
     return {b.id: (0 if d0[b.id] < d1[b.id] else 1) for b in case.buses}

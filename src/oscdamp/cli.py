@@ -8,6 +8,8 @@ Exit codes: 0 success, 2 input error, 3 numerical failure (power flow / LMI),
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
@@ -17,7 +19,7 @@ from pathlib import Path
 from .case import (CaseError, PowerSystemCase, parse_case, validate_case,
                    scale_stress, apply_line_trip, unreachable_buses)
 from .powerflow import (PowerFlowDiverged, KronReductionError, solve_power_flow,
-                        load_admittances, kron_reduce)
+                        solve_power_flows, load_admittances, kron_reduce)
 from .dynamics import InitializationError, device_model, initialize_from_power_flow
 from .smallsignal import (NonEquilibriumError, NoOscillatoryMode, EigenvectorError,
                           linearize, closed_loop_matrix, modal_analysis, right_vector,
@@ -57,14 +59,18 @@ def _load_case(path: str) -> tuple[PowerSystemCase, str]:
 
 
 def _pipeline(case: PowerSystemCase, model=None):
-    """The operating point of a case: its power flow, and the equilibrium on
-    the network reduced with the loads frozen at the solved voltages.  The
-    equilibrium's plan is the device part `model` at the point, or the
-    case's own when `model` is None."""
+    """The operating point of a case: its power flow and its equilibrium."""
     sol = solve_power_flow(case)
-    eq = initialize_from_power_flow(
+    return sol, _equilibrium(case, sol, model)
+
+
+def _equilibrium(case: PowerSystemCase, sol, model=None):
+    """The equilibrium of a case's solved power flow `sol`, on the network
+    reduced with the loads frozen at the solved voltages.  Its plan is the
+    device part `model` at the point, or the case's own when `model` is
+    None."""
+    return initialize_from_power_flow(
         case, sol, kron_reduce(case, load_admittances(case, sol), sol.ybus), model)
-    return sol, eq
 
 
 def _subset_from_arg(case, spec: str) -> list[int] | None:
@@ -137,10 +143,13 @@ _LOOP_FIELDS = (("zeta_baseline_pct", "baseline_error", "mode_class", "freq_hz")
                 ("zeta_robust_pct", "robust_error", "robust_mode_class", None))
 
 
-def _point_row(case, controllers, areas: list[int], band, model, ties=None) -> dict:
+def _point_row(case, flow, controllers, areas: list[int], band, model,
+               ties=None) -> dict:
     """Baseline and, with controllers, robust minimum damping at one analysed
-    operating point, whose plan is the device part `model` at the point, from
-    each state matrix's eigenvalues alone.  A sweep point gets the sweep's tie
+    operating point, from its power-flow outcome `flow` (a solution, or the
+    PowerFlowDiverged that makes the row non-converged); the point's plan is
+    the device part `model` at the point, and the modes come from each state
+    matrix's eigenvalues alone.  A sweep point gets the sweep's tie
     corridor `ties`: its row also reports the tie flow over it, the frequency
     of the least-damped open-loop mode and the classes of the two least-damped
     modes, each from the right eigenvector of one inverse-iteration solve.  An
@@ -148,10 +157,12 @@ def _point_row(case, controllers, areas: list[int], band, model, ties=None) -> d
     open-loop or closed-loop mode in `band` reports ``baseline_error`` or
     ``robust_error``; one whose analysis fails is a non-converged row carrying
     the error."""
+    if isinstance(flow, PowerFlowDiverged):
+        return {"converged": False, "error": str(flow)}
     sweep = ties is not None
     row = {"converged": True}
     try:
-        sol, eq = _pipeline(case, model)
+        eq = _equilibrium(case, flow, model)
         for a, (zeta, error, cls, freq) in zip(_state_matrices(eq, controllers),
                                                _LOOP_FIELDS):
             if a is None:
@@ -171,7 +182,7 @@ def _point_row(case, controllers, areas: list[int], band, model, ties=None) -> d
     except NUMERIC_ERRORS as exc:
         return {"converged": False, "error": str(exc)}
     if sweep:
-        row["tie_flow_mw"] = tie_flow_mw(case, sol, ties)
+        row["tie_flow_mw"] = tie_flow_mw(case, flow, ties)
     return row
 
 
@@ -182,30 +193,16 @@ def _baseline_text(row: dict, name: str) -> str:
     return f"{name} none in the band"
 
 
-def _outage_row(case, controllers, areas: list[int], band, model,
-                analysed: dict) -> dict:
-    """One N-1 row: an outage that islands buses names those cut off from the
-    slack bus and runs no power flow; any other is an analysed point.  The
-    scan's `analysed` rows key each point by its in-service branches with the
-    circuit numbers cleared, the only records its network is built from:
-    outages that leave the same network, as either of two identical parallel
-    circuits does, share one analysis, and each gets a copy of the row."""
-    islanded = unreachable_buses(case)
-    if islanded:
-        return {"converged": False, "islanded": sorted(islanded)}
-    network = tuple(replace(br, circuit=0) for br in case.in_service_branches())
-    if network not in analysed:
-        analysed[network] = _point_row(case, controllers, areas, band, model)
-    return dict(analysed[network])
-
-
 def _csv(columns: tuple[str, ...], rows: list[dict]) -> str:
     """The rows as CSV over `columns`, one line per row: a number is written
-    as the JSON writes it, a flag as ``True``/``False``, a text as itself and
-    a value a row lacks as an empty field."""
-    lines = [",".join(columns)] + [",".join(f"{r.get(c, '')}" for c in columns)
-                                   for r in rows]
-    return "".join(line + "\n" for line in lines)
+    as the JSON writes it, a flag as ``True``/``False``, a text or a list of
+    numbers as itself and a value a row lacks as an empty field.  A field
+    that holds a comma, a double quote or a newline is quoted (RFC 4180)."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([r.get(c, "") for c in columns] for r in rows)
+    return out.getvalue()
 
 
 # the columns of a mode table's CSV: the keys of `_mode_dict`
@@ -360,17 +357,19 @@ def cmd_sweep(args, case: PowerSystemCase, text: str) -> int:
     # stress scaling keeps every branch and device: one corridor, one device part
     ties, model = tie_branches(case), device_model(case)
     controllers = _controllers_for(case, args, model=model)
+    fractions = sorted(fractions)
+    cases = [scale_stress(case, frac) for frac in fractions]
     rows = [{"fraction": frac,
-             **_point_row(scale_stress(case, frac), controllers, areas,
-                          args.band, model, ties)}
-            for frac in sorted(fractions)]
+             **_point_row(point, flow, controllers, areas, args.band, model, ties)}
+            for frac, point, flow in zip(fractions, cases, solve_power_flows(cases))]
     results = {"rows": rows,
                "controllers": controllers.to_dict() if controllers else None}
     if args.out:
-        csv = _csv(("fraction", "converged", "tie_flow_mw", "zeta_baseline_pct",
-                    "zeta_robust_pct"), rows)
+        table = _csv(("fraction", "converged", "tie_flow_mw", "zeta_baseline_pct",
+                      "zeta_robust_pct", "freq_hz", "mode_class", "robust_mode_class",
+                      "baseline_error", "robust_error", "error"), rows)
         write_report(args.out, "sweep", _config(args), results, text,
-                     {"sweep.csv": csv})
+                     {"sweep.csv": table})
     for r in rows:
         if r["converged"]:
             extra = f" robust {r['zeta_robust_pct']:.2f}%" if "zeta_robust_pct" in r else ""
@@ -385,22 +384,41 @@ def cmd_scan_n1(args, case: PowerSystemCase, text: str) -> int:
     areas = machine_areas(case)
     model = device_model(case)      # a trip keeps every device: one device part
     controllers = _controllers_for(case, args, model=model)
-    analysed = {}
+    # An outage that islands buses names those cut off from the slack bus and
+    # runs no power flow.  Any other is keyed by its in-service branches with
+    # the circuit numbers cleared, the only records its network is built
+    # from: outages that leave the same network, as either of two identical
+    # parallel circuits does, share one analysis, and each gets a copy of the
+    # row.  The distinct networks' power flows are solved as one stack.
+    keys = sorted(br.key() for br in case.in_service_branches())
+    outages, networks = [], {}
+    for key in keys:
+        tripped = apply_line_trip(case, *key)
+        islanded = unreachable_buses(tripped)
+        if islanded:
+            outages.append({"converged": False, "islanded": sorted(islanded)})
+            continue
+        network = tuple(replace(br, circuit=0) for br in tripped.in_service_branches())
+        networks.setdefault(network, tripped)
+        outages.append(network)
+    points = list(networks.values())
+    analysed = {network: _point_row(point, flow, controllers, areas, args.band, model)
+                for network, point, flow in zip(networks, points, solve_power_flows(points))}
     rows = [{"branch": list(key),
-             **_outage_row(apply_line_trip(case, *key), controllers, areas, args.band,
-                           model, analysed)}
-            for key in sorted(br.key() for br in case.in_service_branches())]
+             **(outage if isinstance(outage, dict) else analysed[outage])}
+            for key, outage in zip(keys, outages)]
     n_conv = sum(1 for r in rows if r["converged"])
     n_island = sum(1 for r in rows if "islanded" in r)
     results = {"rows": rows, "branches_total": len(rows),
                "branches_converged": n_conv,
                "controllers": controllers.to_dict() if controllers else None}
     if args.out:
-        csv = _csv(("from", "to", "circuit", "converged", "zeta_baseline_pct",
-                    "zeta_robust_pct"),
-                   [dict(zip(("from", "to", "circuit"), r["branch"]), **r) for r in rows])
+        table = _csv(("from", "to", "circuit", "converged", "zeta_baseline_pct",
+                      "zeta_robust_pct", "islanded", "baseline_error", "robust_error",
+                      "error"),
+                     [dict(zip(("from", "to", "circuit"), r["branch"]), **r) for r in rows])
         write_report(args.out, "scan_n1", _config(args), results, text,
-                     {"scan_n1.csv": csv})
+                     {"scan_n1.csv": table})
     print(f"scanned {len(rows)} branches, {n_conv} converged, {n_island} islanded")
     for r in rows:
         if r["converged"]:

@@ -284,7 +284,7 @@ class RhsPlan:
         self.m_const = wm[:ns, ns:ne].copy()               # the columns of the constants
         self.pre = wm[:ns, ne + 4 * n:].copy()
         self.vref = self.const = self.c = None             # set by `at`
-        _freeze(self)
+        _freeze(*vars(self).values())
 
     def at(self, pm, efd, vref):
         """The plan of one operating point, sharing this device part.
@@ -295,7 +295,7 @@ class RhsPlan:
         point.vref = np.where(self.excited, vref, 0.0)
         point.const = np.concatenate((pm, efd, [0.0]))
         point.c = self.m_const @ point.const
-        _freeze(point)
+        _freeze(point.vref, point.const, point.c)
         return point
 
     def design_states(self, y):
@@ -333,9 +333,9 @@ class RhsPlan:
         return BoundRhs(self, network_operator(gmat, bmat), mt, c)
 
 
-def _freeze(plan):
-    """Make every array of `plan` read-only."""
-    for arr in vars(plan).values():
+def _freeze(*values):
+    """Make every array among `values` read-only."""
+    for arr in values:
         if isinstance(arr, np.ndarray):
             arr.flags.writeable = False
 

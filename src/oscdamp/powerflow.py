@@ -1,7 +1,11 @@
 """Bus admittance assembly, Newton-Raphson AC power flow, and Kron reduction.
 
 Dense complex linear algebra throughout (LAPACK partial-pivot LU via numpy);
-the cases in scope are desk-scale.
+the cases in scope are desk-scale.  The power flow has one Newton loop,
+`solve_power_flows`, over a stack of cases that share their buses, as the
+points of a stress sweep or the connected outages of an N-1 scan do: every
+iteration is one set of stacked numpy calls, and each case's outcome is
+what it gives alone.  `solve_power_flow` is the stack of one.
 """
 
 from __future__ import annotations
@@ -112,29 +116,62 @@ def _scheduled_injections(case: PowerSystemCase) -> tuple[np.ndarray, np.ndarray
 
 def solve_power_flow(case: PowerSystemCase, tol: float = 1e-10,
                      max_iter: int = 25) -> PowerFlowSolution:
-    """Full Newton power flow in polar coordinates from a flat start.
+    """The power flow of one case: :func:`solve_power_flows` on a stack of
+    one.  Raises the case's PowerFlowDiverged."""
+    (flow,) = solve_power_flows([case], tol, max_iter)
+    if isinstance(flow, PowerFlowDiverged):
+        raise flow
+    return flow
 
-    Raises PowerFlowDiverged when the iteration cap is hit or the update
-    produces non-finite voltages (infeasible operating point).
+
+def solve_power_flows(cases, tol: float = 1e-10, max_iter: int = 25
+                      ) -> list[PowerFlowSolution | PowerFlowDiverged]:
+    """Full Newton power flows in polar coordinates from a flat start, one
+    iteration over a stack of cases that share their buses (the same ids and
+    kinds in the same order).
+
+    Each case's outcome is what it gives solved alone, bit for bit: its
+    solution, or the PowerFlowDiverged it stops with when the iteration cap
+    is hit, the update produces non-finite voltages (infeasible operating
+    point) or its Jacobian is singular (the LinAlgError is the cause).  An
+    iteration updates only the cases still iterating.  Cases that hold the
+    same branch and bus records share one admittance matrix, as the points
+    of a stress sweep do.
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
-    y = build_ybus(case)
-    n = len(case.buses)
-    kinds = [b.kind for b in case.buses]
+    if not cases:
+        return []
+    first = cases[0].buses
+    buses = [(b.id, b.kind) for b in first]
+    if any(c.buses is not first and [(b.id, b.kind) for b in c.buses] != buses
+           for c in cases):
+        raise ValueError("the cases of one power-flow stack must share their buses")
+    n = len(buses)
+    kinds = [k for _, k in buses]
     slack = [i for i, k in enumerate(kinds) if k == "slack"]
     if len(slack) != 1:
         raise ValueError(f"expected exactly one slack bus, found {len(slack)}")
     pv = np.array([i for i, k in enumerate(kinds) if k == "pv"], dtype=int)
     pq = np.array([i for i, k in enumerate(kinds) if k == "pq"], dtype=int)
     pvpq = np.concatenate([pv, pq]).astype(int)
+    npvpq = len(pvpq)
 
-    s_spec, vset = _scheduled_injections(case)
-    vm = np.ones(n)
-    va = np.zeros(n)
-    vm[pv] = vset[pv]
-    vm[slack[0]] = vset[slack[0]]
-    va[slack[0]] = 0.0
+    networks, ybus = {}, []
+    for c in cases:
+        key = (id(c.branches), id(c.buses))
+        if key not in networks:
+            networks[key] = build_ybus(c)
+            networks[key].flags.writeable = False     # shared by its cases' solutions
+        ybus.append(networks[key])
+
+    # the flat start: every bus at its voltage setpoint (1 p.u. at pq buses)
+    k = len(cases)
+    s_spec = np.empty((k, n), dtype=complex)
+    vm = np.empty((k, n))
+    for i, c in enumerate(cases):
+        s_spec[i], vm[i] = _scheduled_injections(c)
+    va = np.zeros((k, n))
 
     # the Jacobian's rows (P at pv and pq buses, Q at pq buses) and columns
     # (angle at pv and pq buses, magnitude at pq buses) as flat indexes into
@@ -143,43 +180,74 @@ def solve_power_flow(case: PowerSystemCase, tol: float = 1e-10,
     row = np.concatenate((2 * n * pvpq, 2 * n * pq + 1))[:, None]
     at_va, at_vm = row + 2 * pvpq, row + 2 * pq
 
-    def mismatch(vc):
-        s_calc = vc * np.conj(y @ vc)
+    def mismatch(y, vc, s_spec):
+        """The bus currents, the computed injections, the mismatch vectors
+        and each case's largest absolute mismatch (0 for an empty one)."""
+        ibus = (y @ vc[..., None])[..., 0]
+        s_calc = vc * np.conj(ibus)
         ds = s_calc - s_spec
-        return np.concatenate([ds.real[pvpq], ds.imag[pq]])
+        g = np.concatenate((ds.real.take(pvpq, axis=1), ds.imag.take(pq, axis=1)), axis=1)
+        return ibus, s_calc, g, np.abs(g).max(axis=1, initial=0.0)
 
+    def diagonal(d):
+        """The diagonal matrices of the rows of `d`, as np.diag builds them."""
+        dm = np.zeros(d.shape + d.shape[-1:], dtype=complex)
+        dm.reshape(len(d), -1)[:, ::n + 1] = d
+        return dm
+
+    out: list = [None] * k
+    live = np.arange(k)                  # the stack's rows as positions in `cases`
+    y = np.stack(ybus)
     iterations = 0
     vc = vm * np.exp(1j * va)
-    g = mismatch(vc)
-    max_mis = float(np.max(np.abs(g))) if g.size else 0.0
-    while not max_mis <= tol:          # NaN too: the guard below raises
-        if iterations >= max_iter or not np.isfinite(max_mis):
-            raise PowerFlowDiverged(iterations, max_mis)
+    ibus, s_calc, g, max_mis = mismatch(y, vc, s_spec)
+    while True:
+        done = max_mis <= tol            # NaN is not: it diverges below
+        stop = done | (iterations >= max_iter) | ~np.isfinite(max_mis)
+        if stop.any():
+            for j in np.flatnonzero(stop):
+                i, mis = live[j], float(max_mis[j])
+                if not done[j]:
+                    out[i] = PowerFlowDiverged(iterations, mis)
+                    continue
+                out[i] = PowerFlowSolution(
+                    ybus=ybus[i], bus_ids=tuple(cases[i].bus_index), vm=vm[j].copy(),
+                    va=va[j].copy(), p=s_calc[j].real.copy(), q=s_calc[j].imag.copy(),
+                    iterations=iterations, max_mismatch=mis)
+            if stop.all():
+                return out
+            keep = ~stop
+            live, y, vm, va, s_spec, vc, ibus, g, max_mis = (
+                a[keep] for a in (live, y, vm, va, s_spec, vc, ibus, g, max_mis))
         # MATPOWER-style complex power flow Jacobian, split into real blocks
-        ibus = y @ vc
-        diag_v = np.diag(vc)
-        diag_i = np.diag(ibus)
-        diag_e = np.diag(vc / np.abs(vc))
+        m = len(live)
+        diag_v, diag_i, diag_e = diagonal(vc), diagonal(ibus), diagonal(vc / np.abs(vc))
         ds_dva = 1j * diag_v @ np.conj(diag_i - y @ diag_v)
         ds_dvm = diag_v @ np.conj(y @ diag_e) + np.conj(diag_i) @ diag_e
-        jac = np.concatenate((ds_dva.view(float).take(at_va),
-                              ds_dvm.view(float).take(at_vm)), axis=1)
+        jac = np.concatenate((ds_dva.view(float).reshape(m, -1).take(at_va, axis=1),
+                              ds_dvm.view(float).reshape(m, -1).take(at_vm, axis=1)),
+                             axis=2)
+        rhs = -g
         try:
-            dx = np.linalg.solve(jac, -g)
-        except np.linalg.LinAlgError as exc:
-            raise PowerFlowDiverged(iterations, max_mis) from exc
-        va[pvpq] += dx[: len(pvpq)]
-        vm[pq] += dx[len(pvpq):]
+            dx = np.linalg.solve(jac, rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            # LAPACK refused a matrix of the stack: solve each case alone, so
+            # that only the singular ones stop
+            dx, keep = np.empty_like(rhs), np.ones(m, dtype=bool)
+            for j in range(m):
+                try:
+                    dx[j] = np.linalg.solve(jac[j], rhs[j])
+                except np.linalg.LinAlgError as exc:
+                    out[live[j]] = err = PowerFlowDiverged(iterations, float(max_mis[j]))
+                    err.__cause__, keep[j] = exc, False
+            if not keep.any():
+                return out
+            live, y, vm, va, s_spec, dx = (a[keep] for a in (live, y, vm, va, s_spec, dx))
+        va[:, pvpq] += dx[:, :npvpq]
+        vm[:, pq] += dx[:, npvpq:]
         iterations += 1
         vc = vm * np.exp(1j * va)
-        g = mismatch(vc)
-        max_mis = float(np.max(np.abs(g)))
-
-    s_calc = vc * np.conj(y @ vc)
-    return PowerFlowSolution(
-        ybus=y, bus_ids=tuple(case.bus_index), vm=vm.copy(), va=va.copy(),
-        p=s_calc.real.copy(), q=s_calc.imag.copy(),
-        iterations=iterations, max_mismatch=max_mis)
+        ibus, s_calc, g, max_mis = mismatch(y, vc, s_spec)
 
 
 def load_admittances(case: PowerSystemCase, sol: PowerFlowSolution) -> np.ndarray:

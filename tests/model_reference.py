@@ -5,12 +5,16 @@ allocating evaluation of that operator form (``reference_network``,
 ``reference_phi``, ``reference_bind``, ``reference_rk4_span``): each step a
 new array, as the workspace evaluator must reproduce bit for bit.  The Kron
 reduction's augmented-matrix form (``reference_kron_reduce``) is the
-reference for the block form of :func:`oscdamp.powerflow.kron_reduce`."""
+reference for the block form of :func:`oscdamp.powerflow.kron_reduce`, and
+the one-case Newton loop (``reference_power_flow``) the reference for the
+stacked iteration of :func:`oscdamp.powerflow.solve_power_flows`."""
 
 import numpy as np
 
 from oscdamp.kernels import DIVERGENCE_LIMIT, network_operator
-from oscdamp.powerflow import (ReducedNetwork, build_ybus,
+from oscdamp.case import PowerSystemCase
+from oscdamp.powerflow import (PowerFlowDiverged, PowerFlowSolution, ReducedNetwork,
+                               _scheduled_injections, build_ybus,
                                machine_internal_admittances)
 
 
@@ -176,3 +180,76 @@ def reference_kron_reduce(case, y_load, ybus=None):
     x = np.linalg.solve(y_ee, y_ke.T)
     reduced = y_kk - y_ke @ x
     return ReducedNetwork(g=reduced.real.copy(), b=reduced.imag.copy(), emf_to_bus=-x)
+
+
+def reference_power_flow(case: PowerSystemCase, tol: float = 1e-10,
+                         max_iter: int = 25) -> PowerFlowSolution:
+    """Full Newton power flow in polar coordinates from a flat start.
+
+    Raises PowerFlowDiverged when the iteration cap is hit or the update
+    produces non-finite voltages (infeasible operating point).
+    """
+    if not tol > 0:
+        raise ValueError("tolerance must be positive")
+    y = build_ybus(case)
+    n = len(case.buses)
+    kinds = [b.kind for b in case.buses]
+    slack = [i for i, k in enumerate(kinds) if k == "slack"]
+    if len(slack) != 1:
+        raise ValueError(f"expected exactly one slack bus, found {len(slack)}")
+    pv = np.array([i for i, k in enumerate(kinds) if k == "pv"], dtype=int)
+    pq = np.array([i for i, k in enumerate(kinds) if k == "pq"], dtype=int)
+    pvpq = np.concatenate([pv, pq]).astype(int)
+
+    s_spec, vset = _scheduled_injections(case)
+    vm = np.ones(n)
+    va = np.zeros(n)
+    vm[pv] = vset[pv]
+    vm[slack[0]] = vset[slack[0]]
+    va[slack[0]] = 0.0
+
+    # the Jacobian's rows (P at pv and pq buses, Q at pq buses) and columns
+    # (angle at pv and pq buses, magnitude at pq buses) as flat indexes into
+    # the interleaved real views of dS/dva and dS/dvm, row-major (n, 2n):
+    # entry (i, j) has its real part at 2 n i + 2 j and its imaginary one next
+    row = np.concatenate((2 * n * pvpq, 2 * n * pq + 1))[:, None]
+    at_va, at_vm = row + 2 * pvpq, row + 2 * pq
+
+    def mismatch(vc):
+        s_calc = vc * np.conj(y @ vc)
+        ds = s_calc - s_spec
+        return np.concatenate([ds.real[pvpq], ds.imag[pq]])
+
+    iterations = 0
+    vc = vm * np.exp(1j * va)
+    g = mismatch(vc)
+    max_mis = float(np.max(np.abs(g))) if g.size else 0.0
+    while not max_mis <= tol:          # NaN too: the guard below raises
+        if iterations >= max_iter or not np.isfinite(max_mis):
+            raise PowerFlowDiverged(iterations, max_mis)
+        # MATPOWER-style complex power flow Jacobian, split into real blocks
+        ibus = y @ vc
+        diag_v = np.diag(vc)
+        diag_i = np.diag(ibus)
+        diag_e = np.diag(vc / np.abs(vc))
+        ds_dva = 1j * diag_v @ np.conj(diag_i - y @ diag_v)
+        ds_dvm = diag_v @ np.conj(y @ diag_e) + np.conj(diag_i) @ diag_e
+        jac = np.concatenate((ds_dva.view(float).take(at_va),
+                              ds_dvm.view(float).take(at_vm)), axis=1)
+        try:
+            dx = np.linalg.solve(jac, -g)
+        except np.linalg.LinAlgError as exc:
+            raise PowerFlowDiverged(iterations, max_mis) from exc
+        va[pvpq] += dx[: len(pvpq)]
+        vm[pq] += dx[len(pvpq):]
+        iterations += 1
+        vc = vm * np.exp(1j * va)
+        g = mismatch(vc)
+        max_mis = float(np.max(np.abs(g)))
+
+    s_calc = vc * np.conj(y @ vc)
+    return PowerFlowSolution(
+        ybus=y, bus_ids=tuple(case.bus_index), vm=vm.copy(), va=va.copy(),
+        p=s_calc.real.copy(), q=s_calc.imag.copy(),
+        iterations=iterations, max_mismatch=max_mis)
+

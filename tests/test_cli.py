@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -42,8 +43,11 @@ def test_pf_command(case_path, tmp_path, capsys):
 
 _PINNED = ["--controllers", "all", "--gains", str(PINNED_GAINS)]
 _MODE_CSV = ("re", "im", "freq_hz", "damping_pct", "class", "top_participant")
-_SWEEP_CSV = ("fraction", "converged", "tie_flow_mw", "zeta_baseline_pct", "zeta_robust_pct")
-_SCAN_CSV = ("from", "to", "circuit", "converged", "zeta_baseline_pct", "zeta_robust_pct")
+_SWEEP_CSV = ("fraction", "converged", "tie_flow_mw", "zeta_baseline_pct", "zeta_robust_pct",
+              "freq_hz", "mode_class", "robust_mode_class", "baseline_error", "robust_error",
+              "error")
+_SCAN_CSV = ("from", "to", "circuit", "converged", "zeta_baseline_pct", "zeta_robust_pct",
+             "islanded", "baseline_error", "robust_error", "error")
 
 
 @pytest.mark.parametrize("argv, report, table, csv_name, columns", [
@@ -60,8 +64,9 @@ def test_row_csvs_are_their_json_rows(case_path, tmp_path, argv, report, table, 
                                       columns):
     """A row table's CSV is its JSON rows: the header is the written columns,
     there is one line per row, and each cell is the JSON text of the row's
-    value (the string itself for text, True/False for a flag, empty for a
-    key the row lacks).  A scan row's branch gives its from, to and circuit."""
+    value (the string itself for text, True/False for a flag, the JSON list
+    for a list, empty for a key the row lacks), quoted where it holds a
+    comma.  A scan row's branch gives its from, to and circuit."""
     out = tmp_path / "out"
     assert main([argv[0], "--case", case_path, *argv[1:], "--out", str(out)]) == EXIT_OK
     # every number as the text the JSON holds for it
@@ -73,10 +78,36 @@ def test_row_csvs_are_their_json_rows(case_path, tmp_path, argv, report, table, 
     lines = (out / csv_name).read_text().splitlines()
     assert lines[0] == ",".join(columns)
     assert len(lines) == len(rows) + 1
-    for line, row in zip(lines[1:], rows):
-        assert line.split(",") == [str(row.get(c, "")) for c in columns]
+
+    def text(value):
+        return f"[{', '.join(value)}]" if isinstance(value, list) else str(value)
+
+    for cells, row in zip(csv.reader(lines[1:]), rows):
+        assert cells == [text(row.get(c, "")) for c in columns]
     if report == "sweep":
         assert any(row["converged"] is False for row in rows)
+
+
+def test_row_csvs_carry_the_failures(case_path, tmp_path):
+    """Read back as CSV, an islanded outage names its buses and a diverged
+    sweep point its error, as their JSON rows do, each in one cell."""
+    out = tmp_path / "out"
+    assert main(["sweep", "--case", case_path, "--fractions", "1.0,1.15",
+                 "--out", str(out)]) == EXIT_OK
+    assert main(["scan-n1", "--case", case_path, "--out", str(out)]) == EXIT_OK
+    sweep = json.loads((out / "sweep.json").read_text())["results"]["rows"]
+    scan = json.loads((out / "scan_n1.json").read_text())["results"]["rows"]
+    with open(out / "sweep.csv", newline="") as f:
+        diverged = list(csv.DictReader(f))[1]
+    assert diverged["fraction"] == "1.15" and diverged["converged"] == "False"
+    assert diverged["error"] == sweep[1]["error"]
+    assert diverged["error"].startswith("power flow diverged after 25 iterations")
+    with open(out / "scan_n1.csv", newline="") as f:
+        outages = {(int(r["from"]), int(r["to"]), int(r["circuit"])): r
+                   for r in csv.DictReader(f)}
+    (row,) = [r for r in scan if r["branch"] == [20, 3, 1]]
+    assert json.loads(outages[20, 3, 1]["islanded"]) == row["islanded"] == [1, 2, 10, 20]
+    assert outages[20, 3, 1]["error"] == "" and outages[20, 3, 1]["converged"] == "False"
 
 
 def test_modal_command_baseline(case_path, tmp_path, capsys):
@@ -364,19 +395,19 @@ def test_sweep_builds_and_linearizes_each_point_once(case_path, tmp_path,
     import oscdamp.cli as cli
     gains = tmp_path / "design.json"
     gains.write_text(json.dumps({"results": {"controllers": bundled_design[0].to_dict()}}))
-    calls = {"solve_power_flow": 0, "linearize": 0}
-    for name in calls:
-        def counted(*args, _fn=getattr(cli, name), _name=name, **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(cli, name, counted)
+    stacks, linearized = [], []
+    solve, linearize = cli.solve_power_flows, cli.linearize
+    monkeypatch.setattr(cli, "solve_power_flows",
+                        lambda cases: stacks.append(len(cases)) or solve(cases))
+    monkeypatch.setattr(cli, "linearize", lambda eq: linearized.append(1) or linearize(eq))
     out = tmp_path / "out"
     assert main(["sweep", "--case", case_path, "--fractions", "0.95,1.05",
                  "--controllers", "all", "--gains", str(gains),
                  "--out", str(out)]) == EXIT_OK
     rows = json.loads((out / "sweep.json").read_text())["results"]["rows"]
     assert all("zeta_robust_pct" in r for r in rows)
-    assert calls == {"solve_power_flow": 2, "linearize": 2}
+    # one stacked power flow of the two points, one linearization per point
+    assert stacks == [2] and len(linearized) == 2
 
 
 def test_pipeline_builds_one_ybus(bundled_case, bundled_eq, monkeypatch):
@@ -578,7 +609,7 @@ def test_point_without_mode_in_band_is_converged(case_path, tmp_path, capsys,
                    "baseline_error": message, "robust_error": message}
     assert row["tie_flow_mw"] == pytest.approx(399.75, abs=0.01)
     assert (out / "sweep.csv").read_text().splitlines()[1] == \
-        f"1.0,True,{row['tie_flow_mw']},,"
+        f'1.0,True,{row["tie_flow_mw"]},,,,,,"{message}","{message}",'
     assert main(["scan-n1", "--case", case_path, *band, "--out", str(out)]) == EXIT_OK
     assert "14 branches, 4 converged, 10 islanded" in capsys.readouterr().out
     rows = json.loads((out / "scan_n1.json").read_text())["results"]["rows"]
@@ -600,17 +631,18 @@ def test_scan_radial_case_all_island(tmp_path):
 def test_scan_islanding_outages_run_no_power_flow(case_path, tmp_path, monkeypatch):
     """An outage that cuts buses off from the slack bus is reported with those
     buses before any power flow; only the connected outages are solved, each
-    pair of identical parallel circuits once."""
+    pair of identical parallel circuits once, in one stacked power flow."""
     import oscdamp.cli as cli
-    calls = []
-    solve = cli.solve_power_flow
-    monkeypatch.setattr(cli, "solve_power_flow", lambda case: calls.append(1) or solve(case))
+    stacks = []
+    solve = cli.solve_power_flows
+    monkeypatch.setattr(cli, "solve_power_flows",
+                        lambda cases: stacks.append(len(cases)) or solve(cases))
     out = tmp_path / "out"
     assert main(["scan-n1", "--case", case_path, "--out", str(out)]) == EXIT_OK
     rows = json.loads((out / "scan_n1.json").read_text())["results"]["rows"]
     islanded = {tuple(r["branch"]): r for r in rows if "islanded" in r}
     assert len(islanded) == 10
-    assert len(calls) == 2
+    assert stacks == [2]
     assert all(r == {"branch": list(k), "converged": False, "islanded": r["islanded"]}
                for k, r in islanded.items())
     assert islanded[(3, 4, 1)]["islanded"] == [4]
@@ -636,13 +668,14 @@ def test_scan_analyses_each_network_once(x_101_13_c2, power_flows, tmp_path, mon
     path = tmp_path / "case.json"
     path.write_text(json.dumps(doc))
     case = parse_case(path.read_text())
-    calls = []
-    solve = cli.solve_power_flow
-    monkeypatch.setattr(cli, "solve_power_flow", lambda case: calls.append(1) or solve(case))
+    stacks = []
+    solve = cli.solve_power_flows
+    monkeypatch.setattr(cli, "solve_power_flows",
+                        lambda cases: stacks.append(len(cases)) or solve(cases))
     out = tmp_path / "out"
     assert main(["scan-n1", "--case", str(path), "--controllers", "all",
                  "--gains", str(PINNED_GAINS), "--out", str(out)]) == EXIT_OK
-    assert len(calls) == power_flows
+    assert stacks == [power_flows]
     rows = json.loads((out / "scan_n1.json").read_text())["results"]["rows"]
     connected = {tuple(r["branch"]): r for r in rows if r["converged"]}
     assert set(connected) == {(3, 101, 1), (3, 101, 2), (101, 13, 1), (101, 13, 2)}

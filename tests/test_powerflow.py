@@ -5,14 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from oscdamp.case import apply_line_trip, parse_case, scale_stress
+from oscdamp.case import apply_line_trip, parse_case, scale_stress, unreachable_buses
 from oscdamp.powerflow import (PowerFlowDiverged, build_ybus, solve_power_flow,
-                               load_admittances, kron_reduce, branch_flow,
-                               _scheduled_injections)
+                               solve_power_flows, load_admittances, kron_reduce,
+                               branch_flow, _scheduled_injections)
 from oscdamp.dynamics import initialize_from_power_flow
 from oscdamp.areas import tie_branches, tie_flow_mw
 from conftest import make_two_bus_text
-from model_reference import reference_kron_reduce
+from model_reference import reference_kron_reduce, reference_power_flow
 
 
 def test_ybus_single_branch(two_bus_case):
@@ -151,6 +151,88 @@ def test_tie_flow_is_the_sum_of_branch_flows(bundled_case, fraction):
     for key in ties:
         total += branch_flow(case, sol, *key).real
     assert tie_flow_mw(case, sol) == tie_flow_mw(case, sol, ties) == total * case.base_mva
+
+
+def _connected_outages(case):
+    return [tripped for tripped in (apply_line_trip(case, *br.key())
+                                    for br in case.in_service_branches())
+            if not unreachable_buses(tripped)]
+
+
+def _alone(case, **kwargs):
+    """The reference's outcome for one case: its solution or its error."""
+    try:
+        return reference_power_flow(case, **kwargs)
+    except PowerFlowDiverged as exc:
+        return exc
+
+
+@pytest.mark.parametrize("max_iter", [25, 2])
+def test_stacked_power_flows_are_each_case_alone(bundled_case, max_iter):
+    """One stack holds the bundled case at six stress fractions (5, 5, 6 and
+    7 iterations, then the cap with a finite and with a 5e5 mismatch), the
+    case with bus 4's one branch out (a singular Jacobian at the first
+    iteration), and the connected outages of the bundled case and of its copy
+    with an uneven 101-13 circuit 2.  Each outcome is what the one-case
+    Newton loop gives for that case alone, bit for bit, and its error the
+    same error."""
+    (radial,) = [br for br in bundled_case.branches if 4 in (br.from_bus, br.to_bus)]
+    uneven = dataclasses.replace(bundled_case, branches=tuple(
+        dataclasses.replace(br, x=0.12) if br.key() == (101, 13, 2) else br
+        for br in bundled_case.branches))
+    cases = ([scale_stress(bundled_case, f) for f in (0.5, 0.9, 1.0, 1.12, 1.15, 1.2)]
+             + [apply_line_trip(bundled_case, *radial.key())]
+             + _connected_outages(bundled_case) + _connected_outages(uneven))
+    outcomes = solve_power_flows(cases, max_iter=max_iter)
+    assert len(outcomes) == len(cases) == 15
+    want = [_alone(case, max_iter=max_iter) for case in cases]
+    if max_iter == 25:
+        assert [w.iterations for w in want[:7]] == [5, 5, 6, 7, 25, 25, 0]
+        assert 1 < want[4].mismatch < 1e3 and 1e5 < want[5].mismatch < 1e6
+    for got, ref in zip(outcomes, want):
+        assert type(got) is type(ref)
+        if isinstance(ref, PowerFlowDiverged):
+            assert (str(got), got.iterations, got.mismatch) == \
+                (str(ref), ref.iterations, ref.mismatch)
+            assert type(got.__cause__) is type(ref.__cause__)
+            continue
+        for field in ("vm", "va", "p", "q", "ybus"):
+            assert np.array_equal(getattr(got, field), getattr(ref, field)), field
+        assert (got.bus_ids, got.iterations, got.max_mismatch) == \
+            (ref.bus_ids, ref.iterations, ref.max_mismatch)
+    assert isinstance(outcomes[6].__cause__, np.linalg.LinAlgError)
+    with pytest.raises(PowerFlowDiverged) as alone:     # a stack of one stops too
+        solve_power_flow(cases[6], max_iter=max_iter)
+    assert isinstance(alone.value.__cause__, np.linalg.LinAlgError)
+    # the stress points hold the base case's branch records: one Ybus
+    if max_iter == 25:
+        assert all(sol.ybus is outcomes[0].ybus for sol in outcomes[1:4])
+
+
+def test_power_flow_stack_needs_shared_buses(bundled_case, two_bus_case):
+    """A stack's cases share their buses: other ids, kinds or order are
+    refused, and an empty stack has no outcome."""
+    assert solve_power_flows([]) == []
+    pv_kind = dataclasses.replace(bundled_case.buses[2], kind="pv")
+    for other in (two_bus_case,
+                  dataclasses.replace(bundled_case, buses=bundled_case.buses[::-1]),
+                  dataclasses.replace(bundled_case, buses=(*bundled_case.buses[:2], pv_kind,
+                                                           *bundled_case.buses[3:]))):
+        with pytest.raises(ValueError, match="share their buses"):
+            solve_power_flows([bundled_case, other])
+
+
+def test_tie_branches_measure_each_generator_bus_once(bundled_case, monkeypatch):
+    """The bus partition reads the distances the machine partition has
+    already measured: one Dijkstra search per generator bus."""
+    from oscdamp import areas
+    calls = []
+    measure = areas._electrical_distances
+    monkeypatch.setattr(areas, "_electrical_distances",
+                        lambda case, source: calls.append(source) or measure(case, source))
+    tie_branches(bundled_case)
+    assert sorted(calls) == sorted({m.bus for m in bundled_case.machines})
+    assert len(calls) == 4
 
 
 def test_tie_flow_refuses_an_out_of_service_tie(bundled_case, bundled_sol):

@@ -84,6 +84,10 @@ COMMANDS = [
     # the power flow of the 1.15 point diverges: converged and non-convergent rows
     ("sweep_wide", ["sweep", *_CASE, "--fractions", "0.5,1.0,1.15", *_PINNED]),
     ("sweep_open", ["sweep", *_CASE, "--fractions", "0.95,1.05"]),
+    # one stacked power flow whose points stop after 5, 6 and 7 iterations and
+    # two that hit the iteration cap
+    ("sweep_dense", ["sweep", *_CASE, "--fractions", "0.5,0.9,1.0,1.1,1.12,1.15,1.2",
+                     *_PINNED]),
     ("scan_n1", ["scan-n1", *_CASE, *_PINNED]),
     ("scan_n1_2_3", ["scan-n1", *_CASE, "--controllers", "2,3",
                      "--gains", "inputs/gains.json"]),

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import json
 from pathlib import Path
 
@@ -12,8 +13,17 @@ from oscdamp.dynamics import initialize_from_power_flow
 from oscdamp.synthesis import ControllerSet, design_controllers
 from oscdamp.areas import machine_areas
 
+ROOT = Path(__file__).resolve().parents[1]
 # the bundled-case gains the benchmark and the report set pin
-PINNED_GAINS = Path(__file__).resolve().parents[1] / "perfbench" / "reference_gains.json"
+PINNED_GAINS = ROOT / "perfbench" / "reference_gains.json"
+
+
+def load_report_set():
+    """`tools/report_set.py`, imported as a module."""
+    spec = importlib.util.spec_from_file_location("report_set", ROOT / "tools" / "report_set.py")
+    report_set = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(report_set)
+    return report_set
 
 
 def pinned_gains() -> ControllerSet:

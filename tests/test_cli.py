@@ -31,16 +31,6 @@ def case_path(tmp_path):
     return str(p)
 
 
-def test_pf_command(case_path, tmp_path, capsys):
-    out = tmp_path / "out"
-    assert main(["pf", "--case", case_path, "--out", str(out)]) == EXIT_OK
-    doc = json.loads((out / "pf.json").read_text())
-    assert abs(doc["results"]["tie_flow_mw"] - 400.0) < 5.0
-    assert (out / "pf.csv").read_text().startswith("bus,vm_pu,va_rad,p_pu,q_pu")
-    # every CSV number appears in the JSON
-    assert len(doc["results"]["buses"]) == 13
-
-
 _PINNED = ["--controllers", "all", "--gains", str(PINNED_GAINS)]
 _MODE_CSV = ("re", "im", "freq_hz", "damping_pct", "class", "top_participant")
 _SWEEP_CSV = ("fraction", "converged", "tie_flow_mw", "zeta_baseline_pct", "zeta_robust_pct",
@@ -108,16 +98,6 @@ def test_row_csvs_carry_the_failures(case_path, tmp_path):
     (row,) = [r for r in scan if r["branch"] == [20, 3, 1]]
     assert json.loads(outages[20, 3, 1]["islanded"]) == row["islanded"] == [1, 2, 10, 20]
     assert outages[20, 3, 1]["error"] == "" and outages[20, 3, 1]["converged"] == "False"
-
-
-def test_modal_command_baseline(case_path, tmp_path, capsys):
-    out = tmp_path / "out"
-    assert main(["modal", "--case", case_path, "--out", str(out)]) == EXIT_OK
-    doc = json.loads((out / "modal.json").read_text())
-    worst = doc["results"]["min_damping"]
-    assert worst["class"] == "inter_area"
-    assert 0.4 <= worst["freq_hz"] <= 0.8
-    assert 2.0 <= worst["damping_pct"] <= 12.0
 
 
 def test_modal_single_machine_no_interarea(tmp_path):

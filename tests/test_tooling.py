@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from oscdamp import kernels, lmi
+from conftest import load_report_set
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -115,18 +116,10 @@ def test_setup_probe_runs():
     assert all(t >= 0.0 for t in times.values())
 
 
-def load_report_set(monkeypatch):
-    spec = importlib.util.spec_from_file_location("report_set", ROOT / "tools" / "report_set.py")
-    report_set = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, report_set)
-    spec.loader.exec_module(report_set)
-    return report_set
-
-
 def test_report_set_help_runs_nothing(monkeypatch, tmp_path, capsys):
     """`-h` and `--help` print the usage and exit 0; any other argument that
     starts with `-` exits 2.  Neither runs a command or makes a directory."""
-    report_set = load_report_set(monkeypatch)
+    report_set = load_report_set()
     runs = []
     monkeypatch.setattr(report_set.subprocess, "run", lambda *a, **k: runs.append(a))
     monkeypatch.chdir(tmp_path)
@@ -137,47 +130,24 @@ def test_report_set_help_runs_nothing(monkeypatch, tmp_path, capsys):
     assert runs == [] and list(tmp_path.iterdir()) == []
 
 
-def test_report_set_commands_parse(monkeypatch, tmp_path, bundled_case):
-    """Every command of the byte-identity report set is one the CLI takes:
-    its arguments parse and pass the option checks, its pinned gains pass
-    the gain-row checks for its --controllers, and each scenario it names is
-    one the tool writes and the bundled case can run.  The uneven case copy
-    is a valid case that differs from the bundled one in one branch's
-    reactance.  None runs."""
-    from oscdamp import cli, simulator
+def test_report_set_uneven_case_differs_in_one_reactance(bundled_case):
+    """The uneven case copy is a valid case that differs from the bundled one
+    in one branch's reactance."""
     from oscdamp.case import parse_case, validate_case
-    report_set = load_report_set(monkeypatch)
+    report_set = load_report_set()
     uneven = parse_case(report_set.uneven_case_text())
     assert validate_case(uneven) == []
     changed = [(a, b) for a, b in zip(bundled_case.branches, uneven.branches) if a != b]
     assert [(a.key(), b.x) for a, b in changed] == [(report_set.UNEVEN[1], report_set.UNEVEN[2])]
     assert changed[0][0].x != changed[0][1].x
-    (tmp_path / "inputs").mkdir()
-    (tmp_path / "inputs" / "gains.json").write_text(report_set.GAINS.read_text())
-    monkeypatch.chdir(tmp_path)         # the commands name their inputs relative to OUT
-    parser = cli.build_parser()
-    names = [name for name, _ in report_set.COMMANDS]
-    assert len(set(names)) == len(names)
-    assert {"sweep_wide", "sweep_open", "scan_n1_uneven"} <= set(names)
-    for name, args in report_set.COMMANDS:
-        parsed = parser.parse_args([*args, "--out", name])
-        cli._check_options(parsed)
-        if getattr(parsed, "gains", None):
-            assert cli._controllers_for(bundled_case, parsed) is not None
-        if parsed.command == "simulate":
-            scenario = report_set.SCENARIOS[parsed.scenario.removeprefix("inputs/")]
-            simulator.parse_scenario(json.dumps(scenario)).check_case(bundled_case)
-            simulator.check_channels(bundled_case, parsed.channels.split(","))
-        if parsed.command == "sweep":
-            assert all(float(f) > 0 for f in parsed.fractions.split(","))
 
 
-def test_report_set_covers_every_subcommand(monkeypatch):
+def test_report_set_covers_every_subcommand():
     """The byte-identity report set runs every subcommand the CLI has, so a
     refactor that reaches any command's report is compared."""
     import argparse
     from oscdamp import cli
-    report_set = load_report_set(monkeypatch)
+    report_set = load_report_set()
     (subparsers,) = [a for a in cli.build_parser()._actions
                      if isinstance(a, argparse._SubParsersAction)]
     assert {args[0] for _, args in report_set.COMMANDS} == set(subparsers.choices)

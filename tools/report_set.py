@@ -1,5 +1,5 @@
 """Write the reports of a fixed set of CLI commands, for a byte-identity check
-between two checkouts.
+between two checkouts, and the record that the test suite compares them to.
 
 Usage (from anywhere):
 
@@ -12,16 +12,33 @@ Each command of `COMMANDS` runs in a fresh process of this checkout's
 package, with one BLAS thread and OUT as its working directory.  The
 bundled case, its copy with uneven 101-13 circuits (`UNEVEN`), the gains
 pinned in ``perfbench/reference_gains.json`` and the scenarios of
-`SCENARIOS` are first written into ``OUT/inputs`` and passed by relative
-path, so that a report's ``config`` and ``fingerprint`` do not
-depend on where OUT or the checkout is.  Command NAME writes its report
-into ``OUT/NAME``, with its standard output in ``stdout.txt`` and its exit
-code in ``exit_code.txt``; the ``metadata`` block (the time of writing) is
-stripped from every JSON report.  Two checkouts give the same numbers when
+`SCENARIOS` are first written into ``OUT/inputs`` (`write_inputs`) and
+passed by relative path, so that a report's ``config`` and ``fingerprint``
+do not depend on where OUT or the checkout is.  Command NAME writes its
+report into ``OUT/NAME``, with its standard output in ``stdout.txt`` and its
+exit code in ``exit_code.txt``; the ``metadata`` block (the time of writing)
+is stripped from every JSON report.  Two checkouts give the same bits when
 
     diff -r OUT_A OUT_B
 
 prints nothing.
+
+``OUT/report_set.json`` holds every command's record (`record`): its exit
+code, its standard output and the files it wrote.  A copy of it is
+``tests/data/report_set.json``, and ``tests/test_report_set.py`` runs the
+same commands in its own process and compares their records to that copy:
+strings, integers, flags and exit codes exactly, floats within a relative
+tolerance of 1e-8 (100 times below the 1e-6 move it must catch) plus a
+floor of 1e-11, for a CSV cell at least 1e-9 of the largest magnitude in
+its column, which the roundoff-level entries need on another BLAS build.
+The two designs (`EXIT_CODE_ONLY`) are pinned by their exit codes alone
+until the SDP solve returns one point to a stated tolerance, and
+bit-identity stays with ``diff -r``.  A change that moves a
+reported number regenerates the record,
+
+    python3 tools/report_set.py OUT && cp OUT/report_set.json tests/data/
+
+and states each moved number in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -103,6 +120,13 @@ COMMANDS = [
                           *_PINNED, "--channels", "delta_rel:3:1,u:1,vm:14"]),
 ]
 
+# the record holds only the exit code of these: summation order and machine
+# order move the gains the SDP solve returns by up to 0.2 %
+EXIT_CODE_ONLY = ("design", "design_2_3")
+# the record keeps every n-th row of a command's trajectory (the remedial one
+# has 6001 rows, 0.54 MB)
+TRAJECTORY_STRIDE = {"simulate_remedial": 10}
+
 
 def uneven_case_text() -> str:
     """The bundled case with the branch `UNEVEN` names at its reactance."""
@@ -113,11 +137,48 @@ def uneven_case_text() -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _strip_metadata(path: Path) -> None:
-    """Rewrite a report without its `metadata` block, in the writer's format."""
+def _report(path: Path) -> dict:
+    """A JSON report without its `metadata` block."""
     doc = json.loads(path.read_text())
     doc.pop("metadata", None)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return doc
+
+
+def _strip_metadata(path: Path) -> None:
+    """Rewrite a report without its `metadata` block, in the writer's format."""
+    path.write_text(json.dumps(_report(path), indent=2, sort_keys=True) + "\n")
+
+
+def write_inputs(out: Path) -> None:
+    """Write the files the commands read into ``out/inputs``."""
+    inputs = out / "inputs"
+    inputs.mkdir(parents=True, exist_ok=True)
+    shutil.copyfile(CASE, inputs / "two_area.json")
+    (inputs / UNEVEN[0]).write_text(uneven_case_text())
+    shutil.copyfile(GAINS, inputs / "gains.json")
+    for name, scenario in SCENARIOS.items():
+        (inputs / name).write_text(json.dumps(scenario, indent=2) + "\n")
+
+
+def record(run_dir: Path, stdout: str, exit_code: int) -> dict:
+    """What the record holds of the command named ``run_dir.name``: its exit
+    code, its standard output and every file it wrote into `run_dir`, a JSON
+    report parsed and without its `metadata` block, any other file as its
+    lines.  A command of `EXIT_CODE_ONLY` keeps its exit code alone, and a
+    trajectory is kept at the stride `TRAJECTORY_STRIDE` gives its command."""
+    name = run_dir.name
+    if name in EXIT_CODE_ONLY:
+        return {"exit_code": exit_code}
+    files = {}
+    for path in sorted(run_dir.iterdir()):
+        if path.suffix == ".json":
+            files[path.name] = _report(path)
+        else:
+            lines = path.read_text().splitlines()
+            if path.name == "trajectory.csv":
+                lines = lines[:1] + lines[1::TRAJECTORY_STRIDE.get(name, 1)]
+            files[path.name] = lines
+    return {"exit_code": exit_code, "stdout": stdout.splitlines(), "files": files}
 
 
 def main(argv: list[str]) -> int:
@@ -128,17 +189,12 @@ def main(argv: list[str]) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     out = Path(argv[0]).resolve()
-    inputs = out / "inputs"
-    inputs.mkdir(parents=True, exist_ok=True)
-    shutil.copyfile(CASE, inputs / "two_area.json")
-    (inputs / UNEVEN[0]).write_text(uneven_case_text())
-    shutil.copyfile(GAINS, inputs / "gains.json")
-    for name, scenario in SCENARIOS.items():
-        (inputs / name).write_text(json.dumps(scenario, indent=2) + "\n")
+    write_inputs(out)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, (str(ROOT / "src"),
                                                         os.environ.get("PYTHONPATH")))))
+    records = {}
     for name, args in COMMANDS:
         run = out / name
         if run.exists():
@@ -146,11 +202,13 @@ def main(argv: list[str]) -> int:
         run.mkdir()
         proc = subprocess.run([sys.executable, "-m", "oscdamp.cli", *args, "--out", name],
                               cwd=out, env=env, capture_output=True, text=True)
+        records[name] = record(run, proc.stdout, proc.returncode)
         (run / "stdout.txt").write_text(proc.stdout)
         (run / "exit_code.txt").write_text(f"{proc.returncode}\n")
         for report in run.glob("*.json"):
             _strip_metadata(report)
         print(f"{name}: exit {proc.returncode}", flush=True)
+    (out / "report_set.json").write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
     return 0
 
 

@@ -16,14 +16,17 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .case import (CaseError, PowerSystemCase, parse_case, validate_case,
                    scale_stress, apply_line_trip, unreachable_buses)
 from .powerflow import (PowerFlowDiverged, KronReductionError, solve_power_flow,
-                        solve_power_flows, load_admittances, kron_reduce)
-from .dynamics import InitializationError, device_model, initialize_from_power_flow
+                        solve_power_flows, load_admittances, kron_reduce, kron_reductions)
+from .dynamics import (InitializationError, device_model, initialize_from_power_flow,
+                       initialize_from_power_flows)
 from .smallsignal import (NonEquilibriumError, NoOscillatoryMode, EigenvectorError,
-                          linearize, closed_loop_matrix, modal_analysis, right_vector,
-                          classify_mode, classify_table, min_damping)
+                          linearize, linearize_points, closed_loop_matrix, modal_analysis,
+                          right_vector, classify_mode, classify_table, min_damping)
 from .synthesis import (SynthesisError, ControllerSet, design_controllers,
                         governed_subset, synthesis_lmi, DEFAULT_BOUND_SCALE)
 from .simulator import (ScenarioError, parse_scenario, simulate, measure,
@@ -143,45 +146,94 @@ _LOOP_FIELDS = (("zeta_baseline_pct", "baseline_error", "mode_class", "freq_hz")
                 ("zeta_robust_pct", "robust_error", "robust_mode_class", None))
 
 
-def _point_row(case, flow, controllers, areas: list[int], band, model,
-               ties=None) -> dict:
-    """Baseline and, with controllers, robust minimum damping at one analysed
-    operating point, from its power-flow outcome `flow` (a solution, or the
-    PowerFlowDiverged that makes the row non-converged); the point's plan is
-    the device part `model` at the point, and the modes come from each state
-    matrix's eigenvalues alone.  A sweep point gets the sweep's tie
-    corridor `ties`: its row also reports the tie flow over it, the frequency
-    of the least-damped open-loop mode and the classes of the two least-damped
-    modes, each from the right eigenvector of one inverse-iteration solve.  An
-    N-1 point (`ties` None) reports the damping ratios alone.  A point with no
-    open-loop or closed-loop mode in `band` reports ``baseline_error`` or
-    ``robust_error``; one whose analysis fails is a non-converged row carrying
-    the error."""
-    if isinstance(flow, PowerFlowDiverged):
-        return {"converged": False, "error": str(flow)}
-    sweep = ties is not None
-    row = {"converged": True}
+def _stage(points: list, build) -> None:
+    """One stacked stage over the points that have not failed: `build` takes
+    their positions and returns each one's outcome, which replaces its
+    entry in `points`."""
+    live = [i for i, point in enumerate(points) if not isinstance(point, Exception)]
+    for i, outcome in zip(live, build(live)):
+        points[i] = outcome
+
+
+def _least_damped(a, labels, band):
+    """The least-damped mode in `band` of state matrix `a`, from its
+    eigenvalues alone, or the NoOscillatoryMode of a matrix without one."""
     try:
-        eq = _equilibrium(case, flow, model)
-        for a, (zeta, error, cls, freq) in zip(_state_matrices(eq, controllers),
-                                               _LOOP_FIELDS):
-            if a is None:
-                continue
-            try:
-                worst = min_damping(modal_analysis(a, eq.layout.labels, participation=False),
-                                    *band)
-            except NoOscillatoryMode as exc:
-                row[error] = str(exc)
-                continue
-            row[zeta] = 100 * worst.damping_ratio
-            if sweep:
-                worst = replace(worst, right=right_vector(a, worst.eigenvalue))
-                row[cls] = classify_mode(worst, eq.layout.speed_indices, areas)
-                if freq:
-                    row[freq] = worst.frequency_hz
-    except NUMERIC_ERRORS as exc:
-        return {"converged": False, "error": str(exc)}
-    if sweep:
+        return min_damping(modal_analysis(a, labels, participation=False), *band)
+    except NoOscillatoryMode as exc:
+        return exc
+
+
+def _analysed_points(cases, flows, controllers, band, model, areas=None) -> list:
+    """The least-damped modes of the points of a sweep or an N-1 scan, from
+    each point's power-flow outcome in `flows` (a solution, or its
+    PowerFlowDiverged).  The points are built as one stack on the device
+    part `model`: one call each gives their Kron reductions, their
+    equilibria and their open-loop state matrices, and one sum their
+    closed-loop ones.  The modes come from each state matrix's eigenvalues
+    alone.  Per point, the result is the error that stopped it, or per loop
+    (open, then closed with controllers) its least-damped mode in `band` or
+    the NoOscillatoryMode.  At a sweep point (`areas` given) each such mode
+    is classified from its right eigenvector, and all of them come from one
+    stacked inverse-iteration solve; a singular one stops its point."""
+    if not cases:
+        return []
+    points = list(flows)
+    _stage(points, lambda live: kron_reductions(
+        cases[0], [load_admittances(cases[i], flows[i]) for i in live],
+        [flows[i].ybus for i in live]))
+    _stage(points, lambda live: initialize_from_power_flows(
+        [cases[i] for i in live], [flows[i] for i in live], [points[i] for i in live], model))
+    _stage(points, lambda live: linearize_points([points[i] for i in live]))
+    matrices = {i: [a] for i, a in enumerate(points) if not isinstance(a, Exception)}
+    if controllers is not None and matrices:
+        closed = closed_loop_matrix(np.array([loops[0] for loops in matrices.values()]),
+                                    model, controllers.gains_for(model.layout.machine_ids))
+        for loops, a in zip(matrices.values(), closed):
+            loops.append(a)
+    for i, loops in matrices.items():
+        points[i] = [_least_damped(a, model.layout.labels, band) for a in loops]
+    found = [(i, j) for i in matrices for j, mode in enumerate(points[i])
+             if not isinstance(mode, NoOscillatoryMode)]
+    if areas is None or not found:
+        return points
+    vectors = right_vector(np.array([matrices[i][j] for i, j in found]),
+                           np.array([points[i][j].eigenvalue for i, j in found]))
+    speed = model.layout.speed_indices
+    for (i, j), v in zip(found, vectors):
+        if isinstance(points[i], Exception):        # stopped at its open loop
+            continue
+        if isinstance(v, EigenvectorError):
+            points[i] = v
+            continue
+        mode = points[i][j] = replace(points[i][j], right=v)
+        mode.classification = classify_mode(mode, speed, areas)
+    return points
+
+
+def _point_row(case, flow, analysed, ties=None) -> dict:
+    """Baseline and, with controllers, robust minimum damping at one point,
+    read from what :func:`_analysed_points` gives for it (`analysed`) and
+    its power-flow solution `flow`.  A sweep point gets the sweep's tie
+    corridor `ties`: its row also reports the tie flow over it, the
+    frequency of the least-damped open-loop mode and the classes of the two
+    least-damped modes.  An N-1 point (`ties` None) reports the damping
+    ratios alone.  A point with no open-loop or closed-loop mode in the band
+    reports ``baseline_error`` or ``robust_error``; one whose analysis
+    failed is a non-converged row carrying the error."""
+    if isinstance(analysed, Exception):
+        return {"converged": False, "error": str(analysed)}
+    row = {"converged": True}
+    for worst, (zeta, error, cls, freq) in zip(analysed, _LOOP_FIELDS):
+        if isinstance(worst, NoOscillatoryMode):
+            row[error] = str(worst)
+            continue
+        row[zeta] = 100 * worst.damping_ratio
+        if ties is not None:
+            row[cls] = worst.classification
+            if freq:
+                row[freq] = worst.frequency_hz
+    if ties is not None:
         row["tie_flow_mw"] = tie_flow_mw(case, flow, ties)
     return row
 
@@ -359,9 +411,10 @@ def cmd_sweep(args, case: PowerSystemCase, text: str) -> int:
     controllers = _controllers_for(case, args, model=model)
     fractions = sorted(fractions)
     cases = [scale_stress(case, frac) for frac in fractions]
-    rows = [{"fraction": frac,
-             **_point_row(point, flow, controllers, areas, args.band, model, ties)}
-            for frac, point, flow in zip(fractions, cases, solve_power_flows(cases))]
+    flows = solve_power_flows(cases)
+    analysed = _analysed_points(cases, flows, controllers, args.band, model, areas)
+    rows = [{"fraction": frac, **_point_row(point, flow, result, ties)}
+            for frac, point, flow, result in zip(fractions, cases, flows, analysed)]
     results = {"rows": rows,
                "controllers": controllers.to_dict() if controllers else None}
     if args.out:
@@ -402,8 +455,10 @@ def cmd_scan_n1(args, case: PowerSystemCase, text: str) -> int:
         networks.setdefault(network, tripped)
         outages.append(network)
     points = list(networks.values())
-    analysed = {network: _point_row(point, flow, controllers, areas, args.band, model)
-                for network, point, flow in zip(networks, points, solve_power_flows(points))}
+    flows = solve_power_flows(points)
+    analysed = {network: _point_row(point, flow, result) for network, point, flow, result
+                in zip(networks, points, flows,
+                       _analysed_points(points, flows, controllers, args.band, model))}
     rows = [{"branch": list(key),
              **(outage if isinstance(outage, dict) else analysed[outage])}
             for key, outage in zip(keys, outages)]

@@ -9,6 +9,12 @@ network) are on the system base.  The conversion factor is stored per machine.
 State layout is machine-major with the slot order of `kernels.SLOT_NAMES`;
 the governor, exciter and PSS slots exist only when the corresponding device
 is present.
+
+The equilibrium back-solve, `initialize_from_power_flows`, runs over a stack
+of points × machines at once, for points that share their machines and
+devices, as the points of a stress sweep or an N-1 scan do; each point's
+outcome, its Equilibrium or its InitializationError, is what it gives
+alone.  `initialize_from_power_flow` is the stack of one.
 """
 
 from __future__ import annotations
@@ -120,101 +126,154 @@ class Equilibrium:
 
 
 def _machine_bus_outputs(case: PowerSystemCase, sol: PowerFlowSolution):
-    """Allocate solved bus P/Q generation to the machines on each bus."""
-    p_out = np.zeros(len(case.machines))
-    q_out = np.zeros(len(case.machines))
+    """Allocate one case's solved bus P/Q generation to the machines on each
+    bus: :func:`_machine_outputs` on a stack of one."""
+    p_out, q_out = _machine_outputs([case], [sol])
+    return p_out[0], q_out[0]
+
+
+def _machine_outputs(cases, sols):
+    """Allocate solved bus P/Q generation to the machines on each bus, for
+    a stack of cases with the same machines: arrays of shape (P, n_mach)."""
+    case = cases[0]
+    p_out = np.zeros((len(cases), len(case.machines)))
+    q_out = np.zeros(p_out.shape)
     by_bus: dict[int, list[int]] = {}
     for k, m in enumerate(case.machines):
         by_bus.setdefault(m.bus, []).append(k)
-    load = bus_loads(case)
+    load = np.array([bus_loads(c) for c in cases])
+    p = np.array([sol.p for sol in sols])
+    q = np.array([sol.q for sol in sols])
     for bus_id, ks in by_bus.items():
         i = case.bus_index[bus_id]
-        p_gen = sol.p[i] + load[i].real
-        q_gen = sol.q[i] + load[i].imag
+        p_gen = p[:, i] + load[:, i].real
+        q_gen = q[:, i] + load[:, i].imag
         mvas = np.array([case.machines[k].mva for k in ks])
-        scheds = np.array([case.machines[k].p_sched_mw / case.base_mva for k in ks])
+        scheds = np.array([[c.machines[k].p_sched_mw / c.base_mva for k in ks]
+                           for c in cases])
         # scheduled P plus a rating-proportional share of the residual (slack pickup)
-        resid = p_gen - scheds.sum()
-        for j, k in enumerate(ks):
-            p_out[k] = scheds[j] + resid * mvas[j] / mvas.sum()
-            q_out[k] = q_gen * mvas[j] / mvas.sum()
+        resid = p_gen - scheds.sum(axis=1)
+        p_out[:, ks] = scheds + resid[:, None] * mvas / mvas.sum()
+        q_out[:, ks] = q_gen[:, None] * mvas / mvas.sum()
     return p_out, q_out
+
+
+def _check_device_part(cases, model: kernels.RhsPlan) -> None:
+    """A ValueError unless `model` is a device part of each case's machines
+    and of its machines with a governor, an exciter and a PSS."""
+    layout = model.layout
+    want = [layout.machine_ids] + [{mid for mid, s in layout.index if s == slot}
+                                   for slot in ("pm", "efd", "z1")]
+    for case in cases:
+        if [tuple(m.id for m in case.machines)] + [
+                {d.machine for d in devices}
+                for devices in (case.governors, case.exciters, case.psss)] != want:
+            raise ValueError("the device part is not of this case's machines and devices")
 
 
 def initialize_from_power_flow(case: PowerSystemCase, sol: PowerFlowSolution,
                                reduced: ReducedNetwork,
                                model: kernels.RhsPlan | None = None) -> Equilibrium:
-    """Back-solve machine states from the converged power flow.
+    """The equilibrium of one case: :func:`initialize_from_power_flows` on a
+    stack of one.  Raises the case's InitializationError."""
+    (eq,) = initialize_from_power_flows([case], [sol], [reduced], model)
+    if isinstance(eq, InitializationError):
+        raise eq
+    return eq
 
-    The returned state is an exact fixed point of the assembled model: machine
-    EMFs reproduce the power-flow currents through the reduced network, the
-    governor chain sits at its unity-gain steady state, and exciter references
-    absorb the required field voltage.  The model's plan is the device part
-    `model` at these references.  `model` is built from the case when None;
-    a caller may pass the device part of another case with the same machines
-    and devices, such as a stress-scaled or line-tripped variant of it.  A
-    device part whose machines, or whose machines with a governor, an
-    exciter or a PSS, differ from the case's is a ValueError.
+
+def initialize_from_power_flows(cases, sols, reduced, model: kernels.RhsPlan | None = None
+                                ) -> list[Equilibrium | InitializationError]:
+    """Back-solve machine states from converged power flows, for a stack of
+    cases with the same machines and devices (as the points of a stress
+    sweep or the outages of an N-1 scan have): case i's power flow is
+    ``sols[i]`` and its reduced network ``reduced[i]``.
+
+    Each returned state is an exact fixed point of the assembled model:
+    machine EMFs reproduce the power-flow currents through the reduced
+    network, the governor chain sits at its unity-gain steady state, and
+    exciter references absorb the required field voltage.  Each point's plan
+    is the device part `model` at its references.  `model` is built from
+    the first case when None; a caller may pass the device part of another
+    case with the same machines and devices, such as the base case of a
+    sweep.  A device part whose machines, or whose machines with a governor,
+    an exciter or a PSS, differ from a case's is a ValueError.
+
+    The arithmetic runs over points × machines at once, with every complex
+    product and quotient written in real parts as numpy's complex scalars
+    evaluate it, so each point's outcome is what it gives alone, bit for
+    bit: its Equilibrium, or the InitializationError of its first machine
+    (in case order) whose equilibrium violates a hard device limit.
     """
+    if not cases:
+        return []
+    case = cases[0]
     if model is None:
         model = device_model(case)
-    layout = model.layout
-    if layout.machine_ids != tuple(m.id for m in case.machines) or any(
-            {mid for mid, s in layout.index if s == slot} != {d.machine for d in devices}
-            for slot, devices in (("pm", case.governors), ("efd", case.exciters),
-                                  ("z1", case.psss))):
-        raise ValueError("the device part is not of this case's machines and devices")
-    n = len(case.machines)
-    y0 = np.zeros(layout.n_states)
-    p_out, q_out = _machine_bus_outputs(case, sol)
-    vc = sol.voltage()
-    pm_ref, efd_ref, vref = np.zeros(n), np.zeros(n), np.zeros(n)
+    _check_device_part(cases, model)
+    layout, machines = model.layout, case.machines
+    gov = np.array([case.governor_for(m.id) is not None for m in machines])
+    excs = [case.exciter_for(m.id) for m in machines]
+    exc = np.array([e is not None for e in excs])
+    ka, efd_min, efd_max = np.array([(1.0, 0.0, 0.0) if e is None else
+                                     (e.ka, e.efd_min, e.efd_max) for e in excs]).T
+    xd, xq, xdp, xqp = np.array([m.system_reactances(case.base_mva) for m in machines]).T
+    xq_eff = xq - xqp + xdp
+    sout = np.array([m.mva / case.base_mva for m in machines])
+    at = [case.bus_index[m.bus] for m in machines]
 
-    for k, m in enumerate(case.machines):
-        v = vc[case.bus_index[m.bus]]
-        s = complex(p_out[k], q_out[k])
-        cur = np.conj(s / v)
-        xd, xq, xdp, xqp = m.system_reactances(case.base_mva)
-        xq_eff = xq - xqp + xdp
-        dlt = float(np.angle(v + 1j * xq_eff * cur))
-        rot = np.exp(-1j * (dlt - math.pi / 2))
-        e = (v + 1j * xdp * cur) * rot
-        idq = cur * rot
-        i_d, i_q = idq.real, idq.imag
-        edp_k, eqp_k = e.real, e.imag
-        efd = eqp_k + (xd - xdp) * i_d
-        pe = edp_k * i_d + eqp_k * i_q + (xqp - xdp) * i_d * i_q
+    p_out, q_out = _machine_outputs(cases, sols)
+    v = np.array([sol.voltage() for sol in sols])[:, at]
+    vr, vi = v.real, v.imag
+    # cur = conj(s / v), s = p_out + j q_out, by Smith's quotient
+    with np.errstate(divide="ignore", invalid="ignore"):
+        by_re = np.abs(vr) >= np.abs(vi)
+        rat = np.where(by_re, vi / vr, vr / vi)
+        scl = 1.0 / np.where(by_re, vr + vi * rat, vi + vr * rat)
+        cr = np.where(by_re, p_out + q_out * rat, p_out * rat + q_out) * scl
+        ci = -(np.where(by_re, q_out - p_out * rat, q_out * rat - p_out) * scl)
+    # the rotor angle of v + j xq_eff cur, and rot = exp(-j (delta - pi/2))
+    dlt = np.arctan2(vi + xq_eff * cr, vr - xq_eff * ci)
+    turn = np.zeros(dlt.shape, dtype=complex)
+    turn.imag = -(dlt - math.pi / 2)
+    rot = np.exp(turn)
+    rr, ri = rot.real, rot.imag
+    # e = (v + j xdp cur) rot and i_d + j i_q = cur rot
+    wr, wi = vr - xdp * ci, vi + xdp * cr
+    edp, eqp = wr * rr - wi * ri, wr * ri + wi * rr
+    i_d, i_q = cr * rr - ci * ri, cr * ri + ci * rr
+    efd = eqp + (xd - xdp) * i_d
+    pe = edp * i_d + eqp * i_q + (xqp - xdp) * i_d * i_q
+    pm = pe / sout
+    vref = np.hypot(vr, vi) + efd / ka
 
-        y0[layout.idx(m.id, "delta")] = dlt
-        y0[layout.idx(m.id, "eqp")] = eqp_k
-        y0[layout.idx(m.id, "edp")] = edp_k
+    # the first violated limit of each point, in machine order
+    open_, shut = gov & (pm > 1.0 + 1e-9), gov & (pm < -1e-9)
+    field = exc & ~((efd_min + 1e-12 <= efd) & (efd <= efd_max - 1e-12))
+    # roundoff past a limit sits on it
+    valve = np.where(1.0 < pm, 1.0, np.where(0.0 > pm, 0.0, pm))
+    pm_ref = np.where(gov, valve, pm)
 
-        pm_m = pe / (m.mva / case.base_mva)
-        if case.governor_for(m.id) is not None:
-            if pm_m > 1.0 + 1e-9:
-                raise InitializationError(
-                    f"machine {m.id}: equilibrium requires valve opening "
-                    f"{pm_m:.4f} > 1 (infeasible dispatch)")
-            if pm_m < -1e-9:
-                raise InitializationError(
-                    f"machine {m.id}: equilibrium requires valve opening "
-                    f"{pm_m:.4f} < 0 (infeasible dispatch)")
-            pm_m = min(max(pm_m, 0.0), 1.0)      # roundoff past a limit sits on it
-            y0[layout.idx(m.id, "pm")] = pm_m
-            y0[layout.idx(m.id, "xm")] = pm_m
-            y0[layout.idx(m.id, "xe")] = pm_m
-        pm_ref[k] = pm_m
+    y0 = np.zeros((len(cases), layout.n_states))
+    ix = model.ix_mach
+    y0[:, ix[0]], y0[:, ix[2]], y0[:, ix[3]] = dlt, eqp, edp
+    y0[:, model.ix5_gov[:, 2:]] = valve[:, model.gov, None]      # pm, xm, xe
+    y0[:, [layout.idx(m.id, "efd") for m, e in zip(machines, exc) if e]] = efd[:, exc]
 
-        exc = case.exciter_for(m.id)
-        if exc is not None:
-            if not (exc.efd_min + 1e-12 <= efd <= exc.efd_max - 1e-12):
-                raise InitializationError(
-                    f"machine {m.id}: equilibrium field voltage {efd:.4f} outside "
-                    f"limits [{exc.efd_min}, {exc.efd_max}]")
-            y0[layout.idx(m.id, "efd")] = efd
-            vref[k] = abs(v) + efd / exc.ka
-        efd_ref[k] = efd
-        # PSS washout states are zero at any speed equilibrium
-
-    return Equilibrium(plan=model.at(pm_ref, efd_ref, vref),
-                       network=reduced, state=y0)
+    out: list = []
+    for p, bad in enumerate(open_ | shut | field):
+        if not bad.any():
+            # PSS washout states are zero at any speed equilibrium
+            out.append(Equilibrium(plan=model.at(pm_ref[p], efd[p], vref[p]),
+                                   network=reduced[p], state=y0[p]))
+            continue
+        k = int(np.argmax(bad))
+        if open_[p, k] or shut[p, k]:
+            out.append(InitializationError(
+                f"machine {machines[k].id}: equilibrium requires valve opening "
+                f"{pm[p, k]:.4f} {'> 1' if open_[p, k] else '< 0'} (infeasible dispatch)"))
+        else:
+            out.append(InitializationError(
+                f"machine {machines[k].id}: equilibrium field voltage {efd[p, k]:.4f} "
+                f"outside limits [{excs[k].efd_min}, {excs[k].efd_max}]"))
+    return out

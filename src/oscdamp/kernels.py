@@ -5,13 +5,14 @@ The model RHS is one linear operator plus a small nonlinear vector,
     dy = M · [y; φ(y)] + c,
 
 with the valve rows zeroed where the anti-windup hold acts.  A plan is a
-device part plus one operating point's references.  :class:`RhsPlan`, built
-from the case's device records and the state layout, is the device part: the
-dense ``M`` of shape ``(n_states, n_states + 4 n_mach)``, the gathers of φ
-and the device limits.  :meth:`RhsPlan.at` adds the equilibrium references
-and the constants ``c`` of one operating point and shares the rest, so the
-points of a stress sweep or an N-1 scan, which change only loads, dispatch
-or one branch, share one device part.  ``M`` carries
+device part plus the references of one operating point or of a stack of P
+points.  :class:`RhsPlan`, built from the case's device records and the
+state layout, is the device part: the dense ``M`` of shape
+``(n_states, n_states + 4 n_mach)``, the gathers of φ and the device limits.
+:meth:`RhsPlan.at` adds the equilibrium references and the constants ``c``
+of one point, or of P points with a leading axis P, and shares the rest, so
+the points of a stress sweep or an N-1 scan, which change only loads,
+dispatch or one branch, share one device part.  ``M`` carries
 the linear part over the state (rotor, two-axis, PSS washout and lead-lags,
 exciter lag, governor/turbine chain) and the input columns of
 ``φ = [pe, i_d, i_q, efd_cmd]``: the electrical power and the d/q currents of
@@ -29,6 +30,18 @@ integrates either real shape in place and records into ``out`` of shape
 ``(T, n_states)`` or ``(T, B, n_states)``.  A single state and a one-row stack
 give the same bits; the rows of a larger stack go through matrix-matrix
 products and agree with single-state calls to about 1e-13.
+
+Per-row networks and constants: the B rows of a state split into P
+consecutive blocks of B / P rows, one per point (a ValueError when P does
+not divide B), when the plan stacks P points (its ``vref`` and ``c`` are
+repeated over each point's block once, when the workspace is built) or the
+network is a stack ``(P, m, m)``, whose operators ``(P, 2m, 4m)`` act through
+one batched ``np.matmul`` over the blocks.  A single network stays one
+``np.dot``, and a stack of one point is a single point, so :func:`rk4_span`
+and the simulator run as before.  Every block of two or more rows gets the
+bits of its own point's evaluation of that block; a block of one row does
+not (the shared products then go through matrix-matrix, not
+matrix-vector, products).
 
 φ is written in real form: for a complex state every expression is the
 analytic continuation of its real form (the terminal-voltage modulus becomes
@@ -95,10 +108,11 @@ def active_backend() -> str:
 def network_operator(gmat, bmat):
     """The reduced network as one real matrix: ``[e_re, e_im] @ net`` is
     ``[i_re, i_im, i_im, -i_re]``, the currents that the EMFs (synchronous
-    frame) drive, then the same turned by -90 degrees."""
-    gt, bt = gmat.T, bmat.T
-    return np.concatenate((np.concatenate((gt, bt, bt, -gt), axis=1),
-                           np.concatenate((-bt, gt, gt, bt), axis=1)))
+    frame) drive, then the same turned by -90 degrees.  A stack of networks
+    (P, m, m) gives a stack of operators (P, 2m, 4m)."""
+    gt, bt = np.swapaxes(gmat, -1, -2), np.swapaxes(bmat, -1, -2)
+    return np.concatenate((np.concatenate((gt, bt, bt, -gt), axis=-1),
+                           np.concatenate((-bt, gt, gt, bt), axis=-1)), axis=-2)
 
 
 def design_rows(h, d, omega0, gov):
@@ -211,9 +225,10 @@ class RhsPlan:
     """The model's parameter record.  Built from the case's device records
     and the layout's state slots in one pass, it is the device part: the
     operator ``M``, the gathers of φ and the device limits.  :meth:`at` gives
-    one operating point's plan, which shares these arrays and adds the
-    equilibrium references and the constants ``c``; only such a plan
-    evaluates, binds or linearizes.  Its arrays are read-only.
+    one operating point's plan, or a stack of points' plan, which shares
+    these arrays and adds the equilibrium references and the constants
+    ``c``; only such a plan evaluates, binds or linearizes.  Its arrays are
+    read-only.
 
     States ``y`` are ``(n_states,)`` or stacked ``(..., n_states)``; every
     method works over the last axis.  The slots of absent devices (the
@@ -287,14 +302,17 @@ class RhsPlan:
         _freeze(*vars(self).values())
 
     def at(self, pm, efd, vref):
-        """The plan of one operating point, sharing this device part.
-        `pm` (machine base), `efd` and `vref` hold each machine's
-        equilibrium mechanical power, field voltage and exciter reference;
-        `vref` is read for machines with an exciter only."""
+        """The plan of one operating point, or of a stack of P points,
+        sharing this device part.  `pm` (machine base), `efd` and `vref`
+        hold each machine's equilibrium mechanical power, field voltage and
+        exciter reference, shape ``(n_mach,)`` or ``(P, n_mach)``; `vref` is
+        read for machines with an exciter only.  The plan's `vref`, `const`
+        and `c` get the same leading axis, and each point's rows are what
+        it gives alone."""
         point = copy.copy(self)
         point.vref = np.where(self.excited, vref, 0.0)
-        point.const = np.concatenate((pm, efd, [0.0]))
-        point.c = self.m_const @ point.const
+        point.const = np.concatenate((pm, efd, np.zeros(np.shape(pm)[:-1] + (1,))), axis=-1)
+        point.c = np.matmul(self.m_const, point.const[..., None])[..., 0]
         _freeze(point.vref, point.const, point.c)
         return point
 
@@ -311,7 +329,7 @@ class RhsPlan:
         """The state-matrix term of the governor feedback: each governed
         machine's ``b_k k_k^T`` on its pm, xm, xe rows and its design-state
         columns; `gains` holds one row per machine."""
-        ns = self.c.size
+        ns = self.m.shape[0]
         out = np.zeros((ns, ns))
         cols = self.ix5_gov
         out[cols[:, 2:, None], cols[:, None, :]] = (self.b_pc[:, :, None]
@@ -319,16 +337,18 @@ class RhsPlan:
         return out
 
     def bind(self, gmat, bmat, control=None):
-        """The RHS ``y -> dy`` on one network with one controller setting.
-        The feedback ``active * gains . (x5 - xref)`` is folded into a copy
-        of the operator and the constants."""
+        """The RHS ``y -> dy`` on one network, or on one network per point
+        of a stacked plan (`gmat`, `bmat` of shape (P, m, m)), with one
+        controller setting.  The feedback ``active * gains . (x5 - xref)``
+        is folded into a copy of the operator and the constants."""
         mt, c = self.m.T, self.c
         if control is not None:
+            ns = self.m.shape[0]
             fb = self.feedback_matrix(control.active[:, None] * control.gains)
-            xs = np.zeros(c.size)                   # the references at the design slots
+            xs = np.zeros(ns)                       # the references at the design slots
             xs[self.ix5_gov] = control.xref[self.gov]
             m = self.m.copy()
-            m[:, :c.size] += fb
+            m[:, :ns] += fb
             mt, c = m.T, c - fb @ xs
         return BoundRhs(self, network_operator(gmat, bmat), mt, c)
 
@@ -340,8 +360,26 @@ def _freeze(*values):
             arr.flags.writeable = False
 
 
+def _block_rows(points, rows):
+    """The rows of each point's block in a state of `rows` rows that stacks
+    `points` points; a ValueError unless `points` divides `rows`."""
+    if rows % points:
+        raise ValueError(f"{rows} state rows do not split into the blocks of {points} points")
+    return rows // points
+
+
+def _per_row(a, rows):
+    """A plan array over the `rows` rows of a state: one point's (1-D) as it
+    is, and the P points' of a stack (P, width) each repeated over its
+    block of rows."""
+    if a.ndim == 1:
+        return a
+    return a[0] if len(a) == 1 else np.repeat(a, _block_rows(len(a), rows), axis=0)
+
+
 class BoundRhs:
-    """The RHS of one plan on one network with one controller setting.  It
+    """The RHS of one plan on one network, or on one network per point of a
+    stacked plan, with one controller setting.  It
     evaluates in one :class:`Workspace` per state shape and dtype, built on
     first use; the arrays it returns are the caller's."""
 
@@ -397,9 +435,13 @@ def _workspace(bound, shape, dtype):
     if len(shape) > 2:
         # np.dot on a 3-D operand is not matmul: its bits differ
         raise ValueError(f"a state is (n_states,) or (B, n_states), not {shape}")
-    plan, net, mt, c = bound.plan, bound.net, bound.mt, bound.c
-    n, ns = plan.sout.size, c.size
+    plan, net, mt = bound.plan, bound.net, bound.mt
+    n, ns = plan.sout.size, mt.shape[1]
     dtype = np.result_type(dtype, float)
+    rows = shape[0] if len(shape) == 2 else 1
+    c, vref = _per_row(bound.c, rows), _per_row(plan.vref, rows)
+    if net.ndim == 3 and len(net) == 1:
+        net = net[0]
 
     def buf(width):
         return np.empty(shape[:-1] + (width,), dtype)
@@ -419,7 +461,15 @@ def _workspace(bound, shape, dtype):
     e, i, vt = buf(2 * n), buf(4 * n), buf(2 * n)
     i_turn, vt_re, vt_im = i[..., 2 * n:], vt[..., :n], vt[..., n:]
     vm, vpss, cmd = buf(n), buf(n), buf(n)
-    pre, xq_corr, xdp2, ka, vref = plan.pre, plan.xq_corr, plan.xdp2, plan.ka, plan.vref
+    if net.ndim == 2:
+        # one network: one np.dot over every row
+        product, e_net, i_net = np.dot, e, i
+    else:
+        # one network per point: one batched matmul over the points' blocks
+        points, block = len(net), _block_rows(len(net), rows)
+        product, net = np.matmul, net.astype(dtype)
+        e_net, i_net = e.reshape(points, block, 2 * n), i.reshape(points, block, 4 * n)
+    pre, xq_corr, xdp2, ka = plan.pre, plan.xq_corr, plan.xdp2, plan.ka
     vsmin, vsmax, efdmin, efdmax = plan.vsmin, plan.vsmax, plan.efdmin, plan.efdmax
     # the elementwise steps of φ, chosen once for the dtype
     sincos, modulus, clip = ((_sincos_complex, _modulus_complex, _clip_complex)
@@ -439,7 +489,7 @@ def _workspace(bound, shape, dtype):
         sincos(delta2, sin, cos)
         mul(emf_parts, sc, t4)
         add(lo, hi, e)
-        dot(e, net, i)
+        product(e_net, net, i_net)
         mul(i, sc, t4)
         sub(lo, hi, idq)
         # pe = edp i_d + eqp i_q + xq_corr i_d i_q, summed in that order

@@ -5,7 +5,9 @@ the cases in scope are desk-scale.  The power flow has one Newton loop,
 `solve_power_flows`, over a stack of cases that share their buses, as the
 points of a stress sweep or the connected outages of an N-1 scan do: every
 iteration is one set of stacked numpy calls, and each case's outcome is
-what it gives alone.  `solve_power_flow` is the stack of one.
+what it gives alone.  The Kron reduction, `kron_reductions`, is one stacked
+elimination over points that share their buses and machines, with the same
+rule.  `solve_power_flow` and `kron_reduce` are the stacks of one.
 """
 
 from __future__ import annotations
@@ -263,36 +265,70 @@ def machine_internal_admittances(case: PowerSystemCase) -> np.ndarray:
 
 def kron_reduce(case: PowerSystemCase, y_load: np.ndarray,
                 ybus: np.ndarray | None = None) -> ReducedNetwork:
-    """Eliminate every bus, keeping the machine internal nodes (Schur complement).
+    """The Kron reduction of one case: :func:`kron_reductions` on a stack of
+    one.  `ybus` is the case's own admittance matrix when the caller has it
+    (a power flow's `sol.ybus` on the same case); otherwise it is built
+    here.  Raises the case's KronReductionError."""
+    (reduced,) = kron_reductions(case, [y_load], [build_ybus(case) if ybus is None else ybus])
+    if isinstance(reduced, KronReductionError):
+        raise reduced
+    return reduced
 
-    The bus block is Ybus, plus the per-bus load shunts `y_load`
-    (constant-impedance loads), plus each machine's transient admittance
-    1/(j x'd) at its bus; that admittance also joins the bus to the machine's
-    internal node.  The one elimination solve gives both the reduction and
-    the map from internal EMFs to bus voltages.  `ybus` is the case's own
-    admittance matrix when the caller has it (a power flow's `sol.ybus` on
-    the same case); otherwise it is built here.
+
+def kron_reductions(case: PowerSystemCase, y_loads, ybuses
+                    ) -> list[ReducedNetwork | KronReductionError]:
+    """Eliminate every bus, keeping the machine internal nodes (Schur
+    complement), for a stack of points with `case`'s buses and machines:
+    point i has the per-bus load shunts ``y_loads[i]`` (constant-impedance
+    loads) and the admittance matrix ``ybuses[i]``.
+
+    A point's bus block is its Ybus, plus its load shunts, plus each
+    machine's transient admittance 1/(j x'd) at its bus; that admittance also
+    joins the bus to the machine's internal node, so the machine blocks are
+    built once for the stack.  One stacked elimination solve gives every
+    point's reduction and its map from internal EMFs to bus voltages.  Each
+    point's outcome is what it gives reduced alone, bit for bit: its
+    network, or the KronReductionError of a singular or non-finite
+    elimination (an islanded node).
     """
-    if ybus is None:
-        ybus = build_ybus(case)
+    if not len(y_loads):
+        return []
     n = len(case.buses)
     m = len(case.machines)
     at = np.array([case.bus_index[mach.bus] for mach in case.machines], dtype=np.intp)
     y_int = machine_internal_admittances(case)
 
-    y_ee = ybus + np.diag(y_load)
-    np.add.at(y_ee, (at, at), y_int)     # machines may share a bus: add in case order
+    y_load = np.asarray(y_loads)
+    diag = np.zeros(y_load.shape + (n,), dtype=complex)
+    diag.reshape(len(y_load), -1)[:, ::n + 1] = y_load
+    y_ee = np.stack(ybuses) + diag
+    # machines may share a bus: add in case order
+    np.add.at(y_ee, (slice(None), at, at), y_int)
     y_ke = np.zeros((m, n), dtype=complex)
     y_ke[np.arange(m), at] -= y_int
     y_kk = np.diag(y_int)
+    out: list = [None] * len(y_ee)
     try:
         x = np.linalg.solve(y_ee, y_ke.T)
-    except np.linalg.LinAlgError as exc:
-        raise KronReductionError("singular elimination block (islanded node)") from exc
+    except np.linalg.LinAlgError:
+        # LAPACK refused a block of the stack: solve each point alone, so
+        # that only the singular ones fail
+        x = np.zeros(y_ee.shape[:2] + (m,), dtype=complex)
+        for j, block in enumerate(y_ee):
+            try:
+                x[j] = np.linalg.solve(block, y_ke.T)
+            except np.linalg.LinAlgError as exc:
+                out[j] = err = KronReductionError("singular elimination block (islanded node)")
+                err.__cause__ = exc
     reduced = y_kk - y_ke @ x
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(reduced))):
-        raise KronReductionError("non-finite entries after elimination (islanded node)")
-    return ReducedNetwork(g=reduced.real.copy(), b=reduced.imag.copy(), emf_to_bus=-x)
+    for j, (xj, rj) in enumerate(zip(x, reduced)):
+        if out[j] is not None:
+            continue
+        if not (np.all(np.isfinite(xj)) and np.all(np.isfinite(rj))):
+            out[j] = KronReductionError("non-finite entries after elimination (islanded node)")
+        else:
+            out[j] = ReducedNetwork(g=rj.real.copy(), b=rj.imag.copy(), emf_to_bus=-xj)
+    return out
 
 
 def branch_flow(case: PowerSystemCase, sol: PowerFlowSolution,

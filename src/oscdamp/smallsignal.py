@@ -8,6 +8,11 @@ come from LAPACK's balanced Hessenberg + shifted-QR path (numpy.linalg.eig);
 the left eigenvectors for participation factors are the rows of the inverse
 of the right-eigenvector matrix.
 
+:func:`linearize_points` linearizes P operating points that share one device
+part in one complex-step RHS call over P·n rows, with per-point references,
+constants and networks; each point keeps its own equilibrium check, and
+:func:`linearize` is the stack of one.
+
 A mode table holds the frequency and damping ratio of every mode as arrays,
 computed in one pass.  Only `modal` and `design` report participation
 factors and a class and top participant for every mode, so only they build
@@ -17,7 +22,9 @@ mode in the band, so its table holds the eigenvalues alone
 case's points bit for bit).  A sweep point also classifies its
 least-damped open-loop and closed-loop modes: each takes its right
 eigenvector from one inverse-iteration solve (:func:`right_vector`), not
-from a full eigen-decomposition.
+from a full eigen-decomposition, and the solves of all points and loops of a
+sweep are one stacked solve.  The eigenvalues stay one LAPACK call per
+matrix: a stacked `eigvals` is no faster per matrix.
 """
 
 from __future__ import annotations
@@ -128,16 +135,43 @@ class ModeTable:
 
 def linearize(eq: Equilibrium, control: Control | None = None) -> np.ndarray:
     """State matrix of the model RHS about an operating point, on the network
-    it was initialized on, by complex step: column j is Im f(x + i h e_j) / h,
-    all n perturbed states in one stacked RHS call, whose real part is f(x)
-    for the equilibrium check."""
-    x = eq.state
-    r = kernels.rhs(x + 1j * COMPLEX_STEP * np.eye(x.size), eq.plan,
-                    eq.network.g, eq.network.b, control)
-    resid = np.max(np.abs(r.real))
-    if not resid <= 1e-6:        # a NaN residual is no equilibrium either
-        raise NonEquilibriumError(f"RHS norm {resid:.3e} at the linearization point")
-    return np.ascontiguousarray(r.imag.T / COMPLEX_STEP)
+    it was initialized on: :func:`linearize_points` on a stack of one.
+    Raises the point's NonEquilibriumError."""
+    (a,) = linearize_points([eq], control)
+    if isinstance(a, NonEquilibriumError):
+        raise a
+    return a
+
+
+def linearize_points(eqs, control: Control | None = None
+                     ) -> list[np.ndarray | NonEquilibriumError]:
+    """State matrices of the model RHS about P operating points that share
+    one device part, each on the network it was initialized on, by complex
+    step: column j of point p's matrix is Im f_p(x_p + i h e_j) / h.  All
+    P·n perturbed states go through one RHS call, with per-row references,
+    constants and networks; its real part is each f_p(x_p), which each
+    point checks on its own.  A point's outcome is what it gives alone, bit
+    for bit: its state matrix, or its NonEquilibriumError."""
+    if not eqs:
+        return []
+    plan = eqs[0].plan
+    if any(eq.plan.m is not plan.m for eq in eqs):
+        raise ValueError("the points of one linearization stack must share their device part")
+    m, n = plan.sout.size, eqs[0].state.size
+    const = np.array([eq.plan.const for eq in eqs])
+    points = plan.at(const[:, :m], const[:, m:2 * m], np.array([eq.plan.vref for eq in eqs]))
+    x = np.array([eq.state for eq in eqs])[:, None, :]
+    r = kernels.rhs((x + 1j * COMPLEX_STEP * np.eye(n)).reshape(-1, n), points,
+                    np.array([eq.network.g for eq in eqs]),
+                    np.array([eq.network.b for eq in eqs]), control).reshape(len(eqs), n, n)
+    out: list = []
+    for rp in r:
+        resid = np.max(np.abs(rp.real))
+        if not resid <= 1e-6:        # a NaN residual is no equilibrium either
+            out.append(NonEquilibriumError(f"RHS norm {resid:.3e} at the linearization point"))
+        else:
+            out.append(np.ascontiguousarray(rp.imag.T / COMPLEX_STEP))
+    return out
 
 
 def closed_loop_matrix(a_open: np.ndarray, plan: kernels.RhsPlan,
@@ -199,16 +233,44 @@ def modal_analysis(a_full: np.ndarray, state_labels: tuple[str, ...] | None = No
                      state_labels=tuple(labels))
 
 
-def right_vector(a_full: np.ndarray, eigenvalue: complex) -> np.ndarray:
+def right_vector(a_full: np.ndarray, eigenvalue):
     """Right eigenvector of `a_full` for its computed eigenvalue λ, from one
     inverse-iteration solve (A - μI) v = b: μ = λ(1 + INVERSE_ITERATION_SHIFT)
     and b all ones, a constant start vector as in LAPACK's own inverse
     iteration (xLAEIN).  v is unnormalized: a class reads only its ratios.
-    An EigenvectorError when the shifted matrix is singular."""
-    n = a_full.shape[0]
-    mu = eigenvalue * (1.0 + INVERSE_ITERATION_SHIFT)
+    An EigenvectorError when the shifted matrix is singular.
+
+    A stack of matrices (P, n, n), with one eigenvalue each or one for all,
+    takes one stacked solve and gives the list of each matrix's outcome:
+    its vector, or the EigenvectorError it gives alone."""
+    n = a_full.shape[-1]
+    lam = np.asarray(eigenvalue)
+    # A - μI with μ taken off the diagonal in place: no (P, n, n) product
+    shifted = a_full.astype(complex)
+    shifted.reshape(shifted.shape[:-2] + (-1,))[..., ::n + 1] -= (
+        lam * (1.0 + INVERSE_ITERATION_SHIFT))[..., None]
+    b = np.ones(n, dtype=complex)
+    if a_full.ndim == 2:
+        return _inverse_iteration(shifted, b, lam)
+    lam = np.broadcast_to(lam, shifted.shape[:1])
     try:
-        return np.linalg.solve(a_full - mu * np.eye(n), np.ones(n, dtype=complex))
+        return list(np.linalg.solve(shifted, b))
+    except np.linalg.LinAlgError:
+        # LAPACK refused a matrix of the stack: solve each one alone, so
+        # that only the singular ones fail
+        out: list = []
+        for a, at in zip(shifted, lam):
+            try:
+                out.append(_inverse_iteration(a, b, at))
+            except EigenvectorError as exc:
+                out.append(exc)
+        return out
+
+
+def _inverse_iteration(shifted, b, eigenvalue):
+    """The solve of one shifted matrix; an EigenvectorError when it is singular."""
+    try:
+        return np.linalg.solve(shifted, b)
     except np.linalg.LinAlgError as exc:
         raise EigenvectorError(f"inverse iteration at {complex(eigenvalue):.6g}: "
                                f"{exc}") from exc

@@ -7,7 +7,12 @@ new array, as the workspace evaluator must reproduce bit for bit.  The Kron
 reduction's augmented-matrix form (``reference_kron_reduce``) is the
 reference for the block form of :func:`oscdamp.powerflow.kron_reduce`, and
 the one-case Newton loop (``reference_power_flow``) the reference for the
-stacked iteration of :func:`oscdamp.powerflow.solve_power_flows`."""
+stacked iteration of :func:`oscdamp.powerflow.solve_power_flows`.  The
+machine-by-machine back-solve on complex scalars (``reference_equilibrium``)
+is the reference for the real-part arithmetic over points × machines of
+:func:`oscdamp.dynamics.initialize_from_power_flows`."""
+
+import math
 
 import numpy as np
 
@@ -16,6 +21,7 @@ from oscdamp.case import PowerSystemCase
 from oscdamp.powerflow import (PowerFlowDiverged, PowerFlowSolution, ReducedNetwork,
                                _scheduled_injections, build_ybus,
                                machine_internal_admittances)
+from oscdamp.dynamics import InitializationError, _machine_bus_outputs
 
 
 def network_currents(delta, eqp, edp, gmat, bmat):
@@ -253,3 +259,56 @@ def reference_power_flow(case: PowerSystemCase, tol: float = 1e-10,
         p=s_calc.real.copy(), q=s_calc.imag.copy(),
         iterations=iterations, max_mismatch=max_mis)
 
+
+
+def reference_equilibrium(case, sol, layout):
+    """The equilibrium state over `layout` and each machine's mechanical
+    power (machine base), field voltage and exciter reference (0 without an
+    exciter), one machine at a time on complex scalars; raises the first
+    machine's InitializationError."""
+    n = len(case.machines)
+    y0 = np.zeros(layout.n_states)
+    p_out, q_out = _machine_bus_outputs(case, sol)
+    vc = sol.voltage()
+    pm_ref, efd_ref, vref = np.zeros(n), np.zeros(n), np.zeros(n)
+    for k, m in enumerate(case.machines):
+        v = vc[case.bus_index[m.bus]]
+        s = complex(p_out[k], q_out[k])
+        cur = np.conj(s / v)
+        xd, xq, xdp, xqp = m.system_reactances(case.base_mva)
+        xq_eff = xq - xqp + xdp
+        dlt = float(np.angle(v + 1j * xq_eff * cur))
+        rot = np.exp(-1j * (dlt - math.pi / 2))
+        e = (v + 1j * xdp * cur) * rot
+        idq = cur * rot
+        i_d, i_q = idq.real, idq.imag
+        edp_k, eqp_k = e.real, e.imag
+        efd = eqp_k + (xd - xdp) * i_d
+        pe = edp_k * i_d + eqp_k * i_q + (xqp - xdp) * i_d * i_q
+        y0[layout.idx(m.id, "delta")] = dlt
+        y0[layout.idx(m.id, "eqp")] = eqp_k
+        y0[layout.idx(m.id, "edp")] = edp_k
+        pm_m = pe / (m.mva / case.base_mva)
+        if case.governor_for(m.id) is not None:
+            if pm_m > 1.0 + 1e-9:
+                raise InitializationError(
+                    f"machine {m.id}: equilibrium requires valve opening "
+                    f"{pm_m:.4f} > 1 (infeasible dispatch)")
+            if pm_m < -1e-9:
+                raise InitializationError(
+                    f"machine {m.id}: equilibrium requires valve opening "
+                    f"{pm_m:.4f} < 0 (infeasible dispatch)")
+            pm_m = min(max(pm_m, 0.0), 1.0)
+            for slot in ("pm", "xm", "xe"):
+                y0[layout.idx(m.id, slot)] = pm_m
+        pm_ref[k] = pm_m
+        exc = case.exciter_for(m.id)
+        if exc is not None:
+            if not (exc.efd_min + 1e-12 <= efd <= exc.efd_max - 1e-12):
+                raise InitializationError(
+                    f"machine {m.id}: equilibrium field voltage {efd:.4f} outside "
+                    f"limits [{exc.efd_min}, {exc.efd_max}]")
+            y0[layout.idx(m.id, "efd")] = efd
+            vref[k] = abs(v) + efd / exc.ka
+        efd_ref[k] = efd
+    return y0, pm_ref, efd_ref, vref

@@ -370,24 +370,41 @@ def test_sweep_rows_sorted_and_recorded(case_path, tmp_path):
     assert all(r["converged"] for r in rows)
 
 
+# the stacked stages of a sweep or a scan, and the points each call gets
+_STACKED_STAGES = {"solve_power_flows": lambda cases, *args: len(cases),
+                   "kron_reductions": lambda case, y_loads, ybuses: len(y_loads),
+                   "initialize_from_power_flows": lambda cases, *args: len(cases),
+                   "linearize_points": lambda eqs, *args: len(eqs)}
+
+
+def _count_stacks(monkeypatch):
+    """Record, per stacked stage of `cli`, the number of points of each call;
+    the single-point linearization records its calls as stacks of one."""
+    import oscdamp.cli as cli
+    stacks = {}
+    stages = {**_STACKED_STAGES, "linearize": lambda eq, *args: 1}
+    for name, points in stages.items():
+        def counted(*args, _run=getattr(cli, name), _name=name, _points=points):
+            stacks.setdefault(_name, []).append(_points(*args))
+            return _run(*args)
+        monkeypatch.setattr(cli, name, counted)
+    return stacks
+
+
 def test_sweep_builds_and_linearizes_each_point_once(case_path, tmp_path,
                                                      monkeypatch, bundled_design):
-    import oscdamp.cli as cli
     gains = tmp_path / "design.json"
     gains.write_text(json.dumps({"results": {"controllers": bundled_design[0].to_dict()}}))
-    stacks, linearized = [], []
-    solve, linearize = cli.solve_power_flows, cli.linearize
-    monkeypatch.setattr(cli, "solve_power_flows",
-                        lambda cases: stacks.append(len(cases)) or solve(cases))
-    monkeypatch.setattr(cli, "linearize", lambda eq: linearized.append(1) or linearize(eq))
+    stacks = _count_stacks(monkeypatch)
     out = tmp_path / "out"
     assert main(["sweep", "--case", case_path, "--fractions", "0.95,1.05",
                  "--controllers", "all", "--gains", str(gains),
                  "--out", str(out)]) == EXIT_OK
     rows = json.loads((out / "sweep.json").read_text())["results"]["rows"]
     assert all("zeta_robust_pct" in r for r in rows)
-    # one stacked power flow of the two points, one linearization per point
-    assert stacks == [2] and len(linearized) == 2
+    # the two points go through one stacked call of each stage, and the
+    # closed loop is derived, not linearized
+    assert stacks == {name: [2] for name in _STACKED_STAGES}
 
 
 def test_pipeline_builds_one_ybus(bundled_case, bundled_eq, monkeypatch):
@@ -611,18 +628,15 @@ def test_scan_radial_case_all_island(tmp_path):
 def test_scan_islanding_outages_run_no_power_flow(case_path, tmp_path, monkeypatch):
     """An outage that cuts buses off from the slack bus is reported with those
     buses before any power flow; only the connected outages are solved, each
-    pair of identical parallel circuits once, in one stacked power flow."""
-    import oscdamp.cli as cli
-    stacks = []
-    solve = cli.solve_power_flows
-    monkeypatch.setattr(cli, "solve_power_flows",
-                        lambda cases: stacks.append(len(cases)) or solve(cases))
+    pair of identical parallel circuits once, in one stacked power flow, and
+    built and linearized in one stack."""
+    stacks = _count_stacks(monkeypatch)
     out = tmp_path / "out"
     assert main(["scan-n1", "--case", case_path, "--out", str(out)]) == EXIT_OK
     rows = json.loads((out / "scan_n1.json").read_text())["results"]["rows"]
     islanded = {tuple(r["branch"]): r for r in rows if "islanded" in r}
     assert len(islanded) == 10
-    assert stacks == [2]
+    assert stacks == {name: [2] for name in _STACKED_STAGES}
     assert all(r == {"branch": list(k), "converged": False, "islanded": r["islanded"]}
                for k, r in islanded.items())
     assert islanded[(3, 4, 1)]["islanded"] == [4]
@@ -634,11 +648,11 @@ def test_scan_islanding_outages_run_no_power_flow(case_path, tmp_path, monkeypat
 def test_scan_analyses_each_network_once(x_101_13_c2, power_flows, tmp_path, monkeypatch,
                                          bundled_text, bundled_areas):
     """Tripping either circuit of an identical parallel pair leaves the same
-    network, so the bundled scan with the pinned gains solves one power flow
-    per pair.  In a copy whose 101-13 circuit 2 has another reactance, the
-    two 101-13 outages leave different networks and are solved apart.  Every
-    connected row holds what the full path gives at its own trip."""
-    import oscdamp.cli as cli
+    network, so the bundled scan with the pinned gains solves, builds and
+    linearizes one point per pair, each stage as one stack.  In a copy whose
+    101-13 circuit 2 has another reactance, the two 101-13 outages leave
+    different networks and are solved apart.  Every connected row holds
+    what the full path gives at its own trip."""
     from oscdamp.case import apply_line_trip, parse_case
     doc = json.loads(bundled_text)
     if x_101_13_c2 is not None:
@@ -648,14 +662,11 @@ def test_scan_analyses_each_network_once(x_101_13_c2, power_flows, tmp_path, mon
     path = tmp_path / "case.json"
     path.write_text(json.dumps(doc))
     case = parse_case(path.read_text())
-    stacks = []
-    solve = cli.solve_power_flows
-    monkeypatch.setattr(cli, "solve_power_flows",
-                        lambda cases: stacks.append(len(cases)) or solve(cases))
+    stacks = _count_stacks(monkeypatch)
     out = tmp_path / "out"
     assert main(["scan-n1", "--case", str(path), "--controllers", "all",
                  "--gains", str(PINNED_GAINS), "--out", str(out)]) == EXIT_OK
-    assert stacks == [power_flows]
+    assert stacks == {name: [power_flows] for name in _STACKED_STAGES}
     rows = json.loads((out / "scan_n1.json").read_text())["results"]["rows"]
     connected = {tuple(r["branch"]): r for r in rows if r["converged"]}
     assert set(connected) == {(3, 101, 1), (3, 101, 2), (101, 13, 1), (101, 13, 2)}

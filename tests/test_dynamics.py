@@ -7,12 +7,13 @@ import pytest
 
 from oscdamp import kernels
 from oscdamp.case import apply_line_trip, parse_case, scale_stress, unreachable_buses
-from oscdamp.powerflow import (solve_power_flow, load_admittances, kron_reduce,
-                               ReducedNetwork)
+from oscdamp.powerflow import (solve_power_flow, solve_power_flows, load_admittances,
+                               kron_reduce, ReducedNetwork)
 from oscdamp.dynamics import (build_design_matrices, device_model,
-                              initialize_from_power_flow, InitializationError)
+                              initialize_from_power_flow, initialize_from_power_flows,
+                              InitializationError)
 from model_reference import (rotor_rhs, governor_turbine_rhs, two_axis_rhs,
-                             electrical_power)
+                             electrical_power, reference_equilibrium)
 from conftest import make_two_bus_text, reversed_machine_order_text
 
 W0 = 2 * math.pi * 60
@@ -305,6 +306,41 @@ def test_device_part_holds_no_operating_point(bundled_case):
     model = device_model(bundled_case)
     assert model.c is None and model.const is None and model.vref is None
     assert model.m_const.base is None and model.m.base is None and model.pre.base is None
+
+
+@pytest.mark.parametrize("variant", ["bundled", "partial", "no governors"])
+def test_stacked_initialization_is_the_scalar_reference_bit_for_bit(variant, bundled_text):
+    """Over points × machines, each point of a stress sweep from 0.5 to 1.14
+    (whose top points need a valve opening past 1) has the equilibrium
+    state, mechanical powers, field voltages and exciter references of the
+    machine-by-machine back-solve on complex scalars, bit for bit, and its
+    error; also with machines that lack a governor, an exciter or a PSS."""
+    doc = json.loads(bundled_text)
+    if variant == "partial":
+        doc["governors"] = [g for g in doc["governors"] if g["machine"] != 4]
+        doc["exciters"] = [e for e in doc["exciters"] if e["machine"] != 2]
+    elif variant == "no governors":
+        doc["governors"] = []
+    base = parse_case(json.dumps(doc))
+    model = device_model(base)
+    cases = [scale_stress(base, 0.5 + 0.02 * i) for i in range(33)]
+    points = [(c, s) for c, s in zip(cases, solve_power_flows(cases))
+              if not isinstance(s, Exception)]
+    nets = [kron_reduce(c, load_admittances(c, s), s.ybus) for c, s in points]
+    eqs = initialize_from_power_flows([c for c, _ in points], [s for _, s in points],
+                                      nets, model)
+    failed = 0
+    for eq, (case, sol) in zip(eqs, points):
+        try:
+            want = reference_equilibrium(case, sol, model.layout)
+        except InitializationError as exc:
+            assert type(eq) is InitializationError and str(eq) == str(exc)
+            failed += 1
+            continue
+        n = len(case.machines)
+        got = (eq.state, eq.plan.const[:n], eq.plan.const[n:2 * n], eq.plan.vref)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    assert len(points) > 25 and (failed > 0) == (variant != "no governors")
 
 
 @pytest.mark.parametrize("variant", ["no governor", "no exciter", "no pss", "reversed"])

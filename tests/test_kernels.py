@@ -15,7 +15,9 @@ branch.
 The workspace evaluator must give the bits of the allocating evaluation of
 the same operator form (``model_reference.reference_bind`` and
 ``reference_rk4_span``) for every shape and dtype it takes, and no array it
-returns may share memory with its workspace.
+returns may share memory with its workspace.  Over the blocks of several
+operating points, with per-point constants or networks, it must give each
+block the bits of that point's own evaluation.
 """
 
 import json
@@ -27,9 +29,9 @@ import pytest
 import oscdamp
 from oscdamp import kernels
 from oscdamp.kernels import SLOT_NAMES
-from oscdamp.case import parse_case
+from oscdamp.case import parse_case, scale_stress
 from oscdamp.powerflow import solve_power_flow, load_admittances, kron_reduce
-from oscdamp.dynamics import build_design_matrices, initialize_from_power_flow
+from oscdamp.dynamics import build_design_matrices, device_model, initialize_from_power_flow
 from oscdamp.smallsignal import closed_loop_matrix, linearize
 from oscdamp.smallsignal import COMPLEX_STEP
 from model_reference import (network_currents, rotor_rhs, two_axis_rhs,
@@ -639,3 +641,71 @@ def test_network_of_a_trajectory_block_is_the_allocating_form_bit_for_bit(
         assert e.shape == e_ref.shape and pe.shape == pe_ref.shape == (block.shape[0], 4)
         assert np.array_equal(e, e_ref) and np.array_equal(pe, pe_ref)
         assert np.array_equal(pe, res.pe_sys[rows])     # the simulator's own channel
+
+
+@pytest.fixture(scope="module")
+def sweep_eqs(bundled_case):
+    """Three stress points of the bundled case on its device part, each on
+    its own network."""
+    model = device_model(bundled_case)
+    eqs = []
+    for f in (0.9, 1.0, 1.1):
+        case = scale_stress(bundled_case, f)
+        sol = solve_power_flow(case)
+        eqs.append(initialize_from_power_flow(
+            case, sol, kron_reduce(case, load_admittances(case, sol), sol.ybus), model))
+    return eqs
+
+
+def _stacked(eqs):
+    """The plan of the points of `eqs` as one stack, and their networks."""
+    n = eqs[0].plan.sout.size
+    const = np.array([eq.plan.const for eq in eqs])
+    plan = eqs[0].plan.at(const[:, :n], const[:, n:2 * n], np.array([eq.plan.vref for eq in eqs]))
+    return plan, np.array([eq.network.g for eq in eqs]), np.array([eq.network.b for eq in eqs])
+
+
+@pytest.mark.parametrize("per_point", ["constants", "networks", "both"])
+@pytest.mark.parametrize("block", [2, 38])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_per_point_rows_are_each_block_alone(kind, block, per_point, sweep_eqs):
+    """A workspace over three points' blocks of rows, with per-point
+    references and constants, per-point networks (one batched matmul) or
+    both, gives each block the bits of its own point's evaluation: its dy,
+    its EMFs and its electrical power.  Shared parts are point 0's."""
+    plan, gmat, bmat = _stacked(sweep_eqs)
+    ns = sweep_eqs[0].state.size
+    rng = np.random.default_rng(11)
+    ys = (np.array([eq.state for eq in sweep_eqs])[:, None, :]
+          + 0.05 * rng.standard_normal((3, block, ns)))
+    if kind == "complex":
+        ys = ys + 1j * COMPLEX_STEP * rng.standard_normal(ys.shape)
+    first = sweep_eqs[0]
+    if per_point == "constants":
+        gmat, bmat = first.network.g, first.network.b
+    elif per_point == "networks":
+        plan = first.plan
+    bound = plan.bind(gmat, bmat)
+    dy = bound(ys.reshape(-1, ns)).reshape(ys.shape)
+    e, pe = (a.reshape(3, block, -1) for a in bound.network(ys.reshape(-1, ns)))
+    for p, eq in enumerate(sweep_eqs):
+        net = first.network if per_point == "constants" else eq.network
+        one = (first.plan if per_point == "networks" else eq.plan).bind(net.g, net.b)
+        assert dy[p].tobytes() == one(ys[p]).tobytes()
+        e_p, pe_p = one.network(ys[p])
+        assert e[p].tobytes() == e_p.tobytes() and pe[p].tobytes() == pe_p.tobytes()
+
+
+def test_rows_that_do_not_split_into_the_points_are_refused(sweep_eqs):
+    """A state's rows split into one block per point of a stacked plan or of
+    a stack of networks; a row count that is not a multiple of the point
+    count, a single state among them, is a ValueError."""
+    plan, gmat, bmat = _stacked(sweep_eqs)
+    eq = sweep_eqs[0]
+    ns = eq.state.size
+    for args in ((plan, gmat, bmat), (plan, eq.network.g, eq.network.b),
+                 (eq.plan, gmat, bmat)):
+        for y in (np.tile(eq.state, (4, 1)), eq.state):
+            with pytest.raises(ValueError, match="do not split into the blocks of 3 points"):
+                kernels.rhs(y, *args)
+        assert kernels.rhs(np.tile(eq.state, (6, 1)), *args).shape == (6, ns)

@@ -7,15 +7,19 @@ import pytest
 
 from oscdamp.case import parse_case, scale_stress, apply_line_trip, unreachable_buses
 from oscdamp.kernels import Control
-from oscdamp.powerflow import (PowerFlowDiverged, solve_power_flow, load_admittances,
-                               kron_reduce)
-from oscdamp.dynamics import initialize_from_power_flow, build_design_matrices
+from oscdamp.powerflow import (KronReductionError, PowerFlowDiverged, solve_power_flow,
+                               solve_power_flows, load_admittances, kron_reduce,
+                               kron_reductions)
+from oscdamp.dynamics import (InitializationError, device_model, initialize_from_power_flow,
+                              initialize_from_power_flows, build_design_matrices)
 from oscdamp.smallsignal import (Mode, NonEquilibriumError, NoOscillatoryMode,
-                                 EigenvectorError, linearize, closed_loop_matrix,
+                                 EigenvectorError, linearize, linearize_points,
+                                 closed_loop_matrix,
                                  modal_analysis, right_vector, classify_mode,
                                  classify_table, min_damping, INTER_AREA, LOCAL, CONTROL,
                                  REAL, ZERO_EIGENVALUE_TOL, INVERSE_ITERATION_SHIFT)
 from conftest import make_two_bus_text, pinned_gains
+from model_reference import reference_equilibrium, reference_kron_reduce
 
 
 def test_linearize_requires_equilibrium(bundled_eq):
@@ -316,6 +320,112 @@ def test_inverse_iteration_class_is_the_eig_class(bundled_case, bundled_areas):
                 assert classify_mode(dataclasses.replace(mode, right=v), *keys) == \
                     mode.classification
     assert analysed == 13 + 4           # x1.15 has no power flow
+
+
+def _same_outcome(got, want, fields):
+    """`got` is `want`: the same error type and message, or equal (==) bit
+    for bit in every one of `fields`."""
+    assert type(got) is type(want)
+    if isinstance(want, Exception):
+        assert str(got) == str(want) and type(got.__cause__) is type(want.__cause__)
+        return
+    for field in fields:
+        g, w = field(got), field(want)
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def _alone(build, *args):
+    """A single-point call's result, or the error it raises."""
+    try:
+        return build(*args)
+    except (KronReductionError, InitializationError, NonEquilibriumError,
+            EigenvectorError) as exc:
+        return exc
+
+
+def test_stacked_points_are_each_point_alone(bundled_case):
+    """One stack holds the bundled case at stress fractions 0.9-1.12 (x1.12
+    needs a valve opening past 1) and the connected outages of the bundled
+    case and of its copy with an uneven 101-13 circuit 2, each point on its
+    own network.  Through the stacked Kron reduction (plus a point whose
+    elimination block is singular), initialization, linearization (plus a
+    point off its equilibrium) and inverse iteration (plus a singular
+    shift), each point's outcome is what it gives alone, bit for bit, and
+    its error the same error.  The equilibria are also the machine-by-
+    machine complex-scalar back-solve's bits, and a stack of one is the
+    single-point call."""
+    uneven = dataclasses.replace(bundled_case, branches=tuple(
+        dataclasses.replace(br, x=0.12) if br.key() == (101, 13, 2) else br
+        for br in bundled_case.branches))
+    cases = [scale_stress(bundled_case, f) for f in (0.9, 0.95, 1.0, 1.05, 1.1, 1.12)]
+    cases += [trip for c in (bundled_case, uneven) for trip in
+              (apply_line_trip(c, *br.key()) for br in c.in_service_branches())
+              if not unreachable_buses(trip)]
+    sols = solve_power_flows(cases)
+    assert len(cases) == 6 + 4 + 4 and not any(isinstance(s, Exception) for s in sols)
+    model = device_model(bundled_case)
+
+    # Kron reduction; one more point has a bus cut off without a load
+    y_loads = [load_admittances(c, s) for c, s in zip(cases, sols)]
+    ybuses = [s.ybus for s in sols]
+    cut = next(i for i, b in enumerate(bundled_case.buses)
+               if b.id not in {m.bus for m in bundled_case.machines})
+    island = ybuses[0].copy()
+    island[cut, :] = island[:, cut] = 0.0
+    loads = y_loads[0].copy()
+    loads[cut] = 0.0
+    nets = kron_reductions(bundled_case, y_loads + [loads], ybuses + [island])
+    kron_fields = [lambda r: r.g, lambda r: r.b, lambda r: r.emf_to_bus]
+    for net, case, y_load, ybus in zip(nets, cases + [bundled_case], y_loads + [loads],
+                                       ybuses + [island]):
+        _same_outcome(net, _alone(kron_reduce, case, y_load, ybus), kron_fields)
+    assert isinstance(nets[-1].__cause__, np.linalg.LinAlgError)
+    for net, case, y_load in zip(nets, cases, y_loads):
+        _same_outcome(net, reference_kron_reduce(case, y_load), kron_fields[:2])
+    nets = nets[:-1]
+
+    # initialization: x1.12 stops at machine 3's valve
+    eqs = initialize_from_power_flows(cases, sols, nets, model)
+    eq_fields = [lambda e: e.state, lambda e: e.plan.c, lambda e: e.plan.vref,
+                 lambda e: e.plan.const]
+    for eq, case, sol, net in zip(eqs, cases, sols, nets):
+        _same_outcome(eq, _alone(initialize_from_power_flow, case, sol, net, model), eq_fields)
+        want = _alone(reference_equilibrium, case, sol, model.layout)
+        if isinstance(want, Exception):
+            _same_outcome(eq, want, ())
+            continue
+        n = len(case.machines)
+        got = (eq.state, eq.plan.const[:n], eq.plan.const[n:2 * n], eq.plan.vref)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    assert [type(e).__name__ for e in eqs[4:6]] == ["Equilibrium", "InitializationError"]
+    assert str(eqs[5]).startswith("machine 3: equilibrium requires valve opening")
+
+    # linearization; one more point is off its equilibrium
+    eqs = [eq for eq in eqs if not isinstance(eq, Exception)]
+    off = dataclasses.replace(eqs[0], state=eqs[0].state + 1e-3)
+    mats = linearize_points(eqs + [off])
+    for a, eq in zip(mats, eqs + [off]):
+        _same_outcome(a, _alone(linearize, eq), [lambda a: a])
+    assert isinstance(mats[-1], NonEquilibriumError)
+    mats = mats[:-1]
+
+    # inverse iteration at each least-damped mode; one more shift is singular
+    lams = [min_damping(modal_analysis(a, participation=False)).eigenvalue for a in mats]
+    zero = np.zeros_like(mats[0])
+    vectors = right_vector(np.array(mats + [zero]), np.array(lams + [0j]))
+    for v, a, lam in zip(vectors, mats + [zero], lams + [0j]):
+        _same_outcome(v, _alone(right_vector, a, lam), [lambda v: v])
+    assert str(vectors[-1]) == "inverse iteration at 0+0j: Singular matrix"
+
+    # a stack of one is the single-point call
+    (net,) = kron_reductions(cases[0], y_loads[:1], ybuses[:1])
+    _same_outcome(net, kron_reduce(cases[0], y_loads[0], ybuses[0]), kron_fields)
+    (eq,) = initialize_from_power_flows(cases[:1], sols[:1], nets[:1], model)
+    _same_outcome(eq, initialize_from_power_flow(cases[0], sols[0], nets[0], model), eq_fields)
+    (a,) = linearize_points(eqs[:1])
+    _same_outcome(a, linearize(eqs[0]), [lambda a: a])
+    (v,) = right_vector(mats[0][None], lams[:1])
+    _same_outcome(v, right_vector(mats[0], lams[0]), [lambda v: v])
 
 
 @pytest.mark.parametrize("loop", ["open", "closed"])

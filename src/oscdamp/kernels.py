@@ -429,9 +429,11 @@ def _workspace(bound, shape, dtype):
     ``z = [y | pe | i_d, i_q | efd_cmd]`` is the operand of ``M``: the state
     goes into its head and φ is evaluated into its tail in place.  The gather
     ``v = y @ pre`` is ``[delta, delta | edp, eqp, eqp, -edp | y3]`` and
-    ``sc = [sin delta, sin delta | cos delta, cos delta]``, so that the EMFs
-    and the d/q currents each take one 4n-wide product and one sum or
-    difference of its halves."""
+    ``sc = [sin delta, sin delta | cos delta, cos delta | xdp, xdp]``, so that
+    the EMFs and the d/q currents each take one 4n-wide product and one sum
+    or difference of its halves.  The network operator carries the turned
+    currents twice, so the currents' product with ``sc`` also gives the
+    ``xdp`` drop of the terminal voltage."""
     if len(shape) > 2:
         # np.dot on a 3-D operand is not matmul: its bits differ
         raise ValueError(f"a state is (n_states,) or (B, n_states), not {shape}")
@@ -442,6 +444,9 @@ def _workspace(bound, shape, dtype):
     c, vref = _per_row(bound.c, rows), _per_row(plan.vref, rows)
     if net.ndim == 3 and len(net) == 1:
         net = net[0]
+    # the turned currents once more, for the terminal voltage: the product
+    # gives i = [i_re, i_im, i_im, -i_re | i_im, -i_re]
+    net = np.concatenate((net, net[..., 2 * n:4 * n]), axis=-1)
 
     def buf(width):
         return np.empty(shape[:-1] + (width,), dtype)
@@ -453,13 +458,15 @@ def _workspace(bound, shape, dtype):
     v = buf(7 * n)
     delta2, emf_parts, dq_emf, y3 = (v[..., :2 * n], v[..., 2 * n:6 * n],
                                      v[..., 2 * n:4 * n], v[..., 6 * n:])
-    sc = buf(4 * n)
-    sin, cos = sc[..., :2 * n], sc[..., 2 * n:]
-    t4 = buf(4 * n)                                 # products, then their halves
+    sc = buf(6 * n)
+    sc4, sin, cos = sc[..., :4 * n], sc[..., :2 * n], sc[..., 2 * n:4 * n]
+    sc[..., 4 * n:] = plan.xdp2                     # a constant tail
+    t6 = buf(6 * n)                                 # products, then their halves
+    t4, xdp_i = t6[..., :4 * n], t6[..., 4 * n:]
     lo, hi = t4[..., :2 * n], t4[..., 2 * n:]
     p_d, p_q, q = t4[..., :n], t4[..., n:2 * n], t4[..., 2 * n:3 * n]
-    e, i, vt = buf(2 * n), buf(4 * n), buf(2 * n)
-    i_turn, vt_re, vt_im = i[..., 2 * n:], vt[..., :n], vt[..., n:]
+    e, i, vt = buf(2 * n), buf(6 * n), buf(2 * n)
+    vt_re, vt_im = vt[..., :n], vt[..., n:]
     vm, vpss, cmd = buf(n), buf(n), buf(n)
     if net.ndim == 2:
         # one network: one np.dot over every row
@@ -468,8 +475,8 @@ def _workspace(bound, shape, dtype):
         # one network per point: one batched matmul over the points' blocks
         points, block = len(net), _block_rows(len(net), rows)
         product, net = np.matmul, net.astype(dtype)
-        e_net, i_net = e.reshape(points, block, 2 * n), i.reshape(points, block, 4 * n)
-    pre, xq_corr, xdp2, ka = plan.pre, plan.xq_corr, plan.xdp2, plan.ka
+        e_net, i_net = e.reshape(points, block, 2 * n), i.reshape(points, block, 6 * n)
+    pre, xq_corr, ka = plan.pre, plan.xq_corr, plan.ka
     vsmin, vsmax, efdmin, efdmax = plan.vsmin, plan.vsmax, plan.efdmin, plan.efdmax
     # the elementwise steps of φ, chosen once for the dtype
     sincos, modulus, clip = ((_sincos_complex, _modulus_complex, _clip_complex)
@@ -483,14 +490,15 @@ def _workspace(bound, shape, dtype):
     dot, mul, add, sub = np.dot, np.multiply, np.add, np.subtract
 
     def network():
-        """EMFs, currents ``i = [i_re, i_im, i_im, -i_re]``, their d/q
-        projections and the electrical power of the state slot."""
+        """EMFs, currents ``i = [i_re, i_im, i_im, -i_re | i_im, -i_re]``,
+        their d/q projections, ``xdp2`` times the turned currents and the
+        electrical power of the state slot."""
         dot(y, pre, v)
         sincos(delta2, sin, cos)
-        mul(emf_parts, sc, t4)
+        mul(emf_parts, sc4, t4)
         add(lo, hi, e)
         product(e_net, net, i_net)
-        mul(i, sc, t4)
+        mul(i, sc, t6)
         sub(lo, hi, idq)
         # pe = edp i_d + eqp i_q + xq_corr i_d i_q, summed in that order
         mul(dq_emf, idq, lo)
@@ -506,8 +514,7 @@ def _workspace(bound, shape, dtype):
         acts on the terminal voltage behind the transient reactance,
         ``|e - j xdp i|``."""
         network()
-        mul(xdp2, i_turn, vt)
-        add(e, vt, vt)
+        add(e, xdp_i, vt)
         modulus(vt_re, vt_im, vm)
         clip(y3, vsmin, vsmax, vpss)
         sub(vref, vm, cmd)

@@ -18,13 +18,14 @@ import io
 import json
 import math
 from dataclasses import MISSING, dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
 from .case import CaseError, PowerSystemCase, apply_line_trip, check_keys, read_value
 from .powerflow import (KronReductionError, ReducedNetwork, branch_power,
                         solve_power_flow, kron_reduce, load_admittances)
-from .dynamics import StateLayout, build_layout, initialize_from_power_flow
+from .dynamics import StateLayout, device_model, initialize_from_power_flow
 from .synthesis import ControllerSet
 from . import kernels
 
@@ -189,17 +190,46 @@ class _Segment:
 
 @dataclass
 class SimulationResult:
+    """A run: its time grid, the recorded states and the events fired, and
+    what the derived channels are read from, the plan, the gains and the
+    event segments.  `pe_sys`, `pm_sys`, `u` and `bus_voltage` (the
+    `pe:`, `pm:`, `u:`, `vm:` and `flow:` channels) cost one pass over the
+    reduced network at every recorded state, which runs once, on the first
+    read of any of them; the states alone cost nothing more."""
     time: np.ndarray               # (T,)
     states: np.ndarray             # (T, n_states)
     layout: StateLayout
-    pe_sys: np.ndarray             # (T, n_mach) electrical power, system base
-    pm_sys: np.ndarray             # (T, n_mach) mechanical power, system base
-    u: np.ndarray                  # (T, n_mach) auxiliary governor signal, machine base
-    bus_voltage: np.ndarray        # (T, n_bus) complex network voltages, in case bus order
     event_log: list
     case: PowerSystemCase
+    plan: kernels.RhsPlan
+    gains: np.ndarray              # (n_mach, 5) over the design states
+    segments: list                 # of _Segment, the first at row 0
     divergent: bool = False
     divergence_time: float | None = None
+
+    @cached_property
+    def _derived(self) -> tuple:
+        return _derived_channels(self.plan, self.gains, self.states, self.segments)
+
+    @property
+    def pe_sys(self) -> np.ndarray:
+        """(T, n_mach) electrical power, system base."""
+        return self._derived[0]
+
+    @property
+    def pm_sys(self) -> np.ndarray:
+        """(T, n_mach) mechanical power, system base."""
+        return self._derived[1]
+
+    @property
+    def u(self) -> np.ndarray:
+        """(T, n_mach) auxiliary governor signal, machine base."""
+        return self._derived[2]
+
+    @property
+    def bus_voltage(self) -> np.ndarray:
+        """(T, n_bus) complex network voltages, in case bus order."""
+        return self._derived[3]
 
     def state(self, machine_id: int, slot: str) -> np.ndarray:
         return self.states[:, self.layout.idx(machine_id, slot)]
@@ -338,11 +368,9 @@ def simulate(case: PowerSystemCase, controllers: ControllerSet | None,
         # the diverged state fills every row the run did not reach
         states[row + 1:] = y
 
-    pe, pm_sys, u_out, vbus = _derived_channels(plan, gains, states, segments)
-    return SimulationResult(time=tgrid, states=states, layout=lay, pe_sys=pe,
-                            pm_sys=pm_sys, u=u_out, bus_voltage=vbus,
-                            event_log=event_log, case=case, divergent=t_fail is not None,
-                            divergence_time=t_fail)
+    return SimulationResult(time=tgrid, states=states, layout=lay, event_log=event_log,
+                            case=case, plan=plan, gains=gains, segments=segments,
+                            divergent=t_fail is not None, divergence_time=t_fail)
 
 
 def _derived_channels(plan: kernels.RhsPlan, gains: np.ndarray, states: np.ndarray,
@@ -357,6 +385,8 @@ def _derived_channels(plan: kernels.RhsPlan, gains: np.ndarray, states: np.ndarr
     vbus = np.zeros((n_t, len(segments[0].case.buses)), dtype=complex)
     ends = [s.first_row for s in segments[1:]] + [n_t]
     for s, r1 in zip(segments, ends):
+        if r1 == s.first_row:
+            continue        # no row recorded on this segment's network
         f = plan.bind(s.network.g, s.network.b)
         for b0 in range(s.first_row, r1, _DERIVED_BLOCK_ROWS):
             rows = slice(b0, min(b0 + _DERIVED_BLOCK_ROWS, r1))
@@ -401,13 +431,14 @@ def measure(result: SimulationResult, channel: str) -> np.ndarray:
 
 def check_channels(case: PowerSystemCase, channels: list[str]) -> None:
     """Refuse a channel that `measure` could not read from a run of `case`,
-    before the run: `measure` reads each one from a run of no rows."""
-    lay = build_layout(case)
-    none = np.zeros((0, len(lay.machine_ids)))
+    before the run: `measure` reads each one from a run of no rows, whose
+    one segment is never evaluated."""
+    plan = device_model(case)
+    lay = plan.layout
     empty = SimulationResult(time=np.zeros(0), states=np.zeros((0, lay.n_states)),
-                             layout=lay, pe_sys=none, pm_sys=none, u=none,
-                             bus_voltage=np.zeros((0, len(case.buses)), dtype=complex),
-                             event_log=[], case=case)
+                             layout=lay, event_log=[], case=case, plan=plan,
+                             gains=np.zeros((len(lay.machine_ids), 5)),
+                             segments=[_Segment(0, case, None, None, None, None)])
     for channel in channels:
         measure(empty, channel)
 

@@ -1,10 +1,13 @@
+import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import oscdamp
 from oscdamp import kernels, simulator
 from oscdamp.case import CaseError, parse_case, scale_stress
 from oscdamp.powerflow import solve_power_flow, branch_flow
@@ -12,7 +15,7 @@ from oscdamp.simulator import (Scenario, Event, ScenarioError, parse_scenario,
                                simulate, measure, ringdown_damping)
 from oscdamp.smallsignal import linearize
 from model_reference import network_currents
-from conftest import reversed_machine_order_text
+from conftest import PINNED_GAINS, reversed_machine_order_text
 
 
 def test_parse_scenario_round():
@@ -402,6 +405,7 @@ def test_derived_channels_match_per_step_reference(bundled_case, bundled_design,
     ]
     for sc in scenarios:
         res = simulate(bundled_case, ctrl, sc)
+        res.pe_sys      # the derived channels are computed on their first read
         gains, segments, lay = seen["gains"], seen["segments"], res.layout
         design_ix = [[lay.idx(m, s) for s in ("delta", "omega", "pm", "xm", "xe")]
                      for m in lay.machine_ids]     # every bundled machine is governed
@@ -565,3 +569,108 @@ def test_reversed_machine_order_measures_the_same_channels(bundled_case, bundled
         ref, got = (measure(r, ch) for r in runs)
         assert np.ptp(ref) > 1e-3, ch          # the channel moves
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10, err_msg=ch)
+
+
+def _count_derived_passes(monkeypatch) -> list:
+    """Patch `simulator._derived_channels` with a spy; the returned list
+    gets one entry per call."""
+    calls, derive = [], simulator._derived_channels
+
+    def spy(*args):
+        calls.append(args)
+        return derive(*args)
+
+    monkeypatch.setattr(simulator, "_derived_channels", spy)
+    return calls
+
+
+_EVENTS = Scenario(duration=3.0, dt=0.01, initial_active="none", events=(
+    Event(0.5037, "step_load", (4, 50.0, 10.0)),
+    Event(1.0023, "trip_line", (3, 101, 1)),
+    Event(2.0, "activate_controllers", ((2, 3),)),
+    Event(2.5, "deactivate_controllers", ((2,),))))
+
+
+def test_state_only_simulate_runs_no_derived_pass(tmp_path, monkeypatch):
+    """`cmd_simulate` with channels read from the states alone never runs the
+    derived pass, and writes the report and CSV of a run that derives every
+    channel right after the integration."""
+    from oscdamp import cli
+    case_path, scenario = tmp_path / "case.json", tmp_path / "scenario.json"
+    case_path.write_text(oscdamp.bundled_case_text())
+    scenario.write_text(json.dumps({
+        "duration": 3.0, "dt": 0.01, "initial_active": "none",
+        "events": [{"time": 1.0, "type": "trip_line", "from": 3, "to": 101, "circuit": 1},
+                   {"time": 2.0, "type": "activate_controllers", "machines": "all"}]}))
+    argv = ["simulate", "--case", str(case_path), "--scenario", str(scenario),
+            "--controllers", "all", "--gains", str(PINNED_GAINS),
+            "--channels", "delta_rel:3:1,omega:1,omega:4,xe:3"]
+    calls = _count_derived_passes(monkeypatch)
+    assert cli.main([*argv, "--out", str(tmp_path / "lazy")]) == cli.EXIT_OK
+    assert len(calls) == 0
+
+    def simulate_then_derive(*args):
+        res = simulate(*args)
+        res.pe_sys      # every derived field, at once
+        return res
+
+    monkeypatch.setattr(cli, "simulate", simulate_then_derive)
+    assert cli.main([*argv, "--out", str(tmp_path / "eager")]) == cli.EXIT_OK
+    assert len(calls) == 1
+    lazy, eager = tmp_path / "lazy", tmp_path / "eager"
+    reports = [json.loads((d / "simulate.json").read_text()) for d in (lazy, eager)]
+    for doc in reports:
+        doc.pop("metadata")
+    assert reports[0] == reports[1]
+    assert (lazy / "trajectory.csv").read_bytes() == (eager / "trajectory.csv").read_bytes()
+
+
+def test_derived_fields_run_one_pass_in_any_order(bundled_case, bundled_design,
+                                                  monkeypatch):
+    """Whichever derived field is read first, the pass runs once for all four,
+    and later reads, `measure` and `to_csv` reuse it."""
+    calls = _count_derived_passes(monkeypatch)
+    sc = Scenario(duration=0.5, dt=0.01, events=(Event(0.2, "trip_line", (3, 101, 1)),))
+    names = ("pe_sys", "pm_sys", "u", "bus_voltage")
+    for order in itertools.permutations(names):
+        res = simulate(bundled_case, bundled_design[0], sc)
+        assert len(calls) == 0
+        first = {name: getattr(res, name) for name in order}
+        assert len(calls) == 1
+        for name in names:
+            assert getattr(res, name) is first[name]
+        res.to_csv(["pe:1", "pm:2", "u:3", "vm:4", "flow:3:101:2"])
+        assert len(calls) == 1
+        calls.clear()
+
+
+def test_derived_fields_equal_an_explicit_pass(bundled_case, bundled_design):
+    """On a run through every event kind, the fields read on demand are the
+    bits of `_derived_channels` called on the run's plan, gains, states and
+    segments."""
+    res = simulate(bundled_case, bundled_design[0], _EVENTS)
+    want = simulator._derived_channels(res.plan, res.gains, res.states.copy(),
+                                       res.segments)
+    assert len(res.segments) == len(_EVENTS.events) + 1
+    for name, ref in zip(("pe_sys", "pm_sys", "u", "bus_voltage"), want):
+        got = getattr(res, name)
+        assert got.shape == ref.shape and got.dtype == ref.dtype, name
+        assert got.tobytes() == ref.tobytes(), name
+    assert np.any(res.u != 0.0)
+
+
+def test_state_only_simulate_holds_little_more_than_its_states(bundled_case):
+    """A run that nobody reads a derived channel of peaks, under
+    `tracemalloc`, below 1.5 times its recorded states: the derived pass,
+    which evaluates the network at every recorded state and keeps four more
+    trajectories, does not run with it."""
+    sc = Scenario(duration=10.0, dt=0.005, events=(Event(1.0, "trip_line", (3, 101, 1)),))
+    simulate(bundled_case, None, Scenario(duration=0.1, dt=0.005))     # warm caches
+    tracemalloc.start()
+    try:
+        res = simulate(bundled_case, None, sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not res.divergent
+    assert peak < 1.5 * res.states.nbytes, (peak, res.states.nbytes)

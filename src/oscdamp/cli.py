@@ -121,23 +121,15 @@ def _controllers_for(case, args, eq=None, model=None) -> ControllerSet | None:
     return ctrl
 
 
-def _state_matrices(eq, controllers: ControllerSet | None = None):
-    """The open-loop state matrix of a built operating point and, when
-    controllers are given, the closed-loop one (None otherwise).  The point
-    is linearized once; the closed-loop matrix is derived from the open-loop
-    one."""
-    a_open = linearize(eq)
-    if controllers is None:
-        return a_open, None
-    return a_open, closed_loop_matrix(a_open, eq.plan,
-                                      controllers.gains_for(eq.layout.machine_ids))
-
-
 def _mode_table(eq, controllers: ControllerSet | None = None):
     """The full mode table of a built operating point: the closed loop's when
-    controllers are given, the open loop's otherwise."""
-    a_open, a_closed = _state_matrices(eq, controllers)
-    return modal_analysis(a_open if a_closed is None else a_closed, eq.layout.labels)
+    controllers are given, the open loop's otherwise.  The point is
+    linearized once; the closed-loop matrix is derived from the open-loop
+    one."""
+    a = linearize(eq)
+    if controllers is not None:
+        a = closed_loop_matrix(a, eq.plan, controllers.gains_for(eq.layout.machine_ids))
+    return modal_analysis(a, eq.layout.labels)
 
 
 # a point row's fields for its open-loop and closed-loop least-damped mode:

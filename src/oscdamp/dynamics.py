@@ -27,6 +27,7 @@ import numpy as np
 from .case import PowerSystemCase, Machine, GovernorParams
 from .powerflow import PowerFlowSolution, ReducedNetwork, bus_loads
 from . import kernels
+from .stacking import alone
 
 
 class InitializationError(Exception):
@@ -125,13 +126,6 @@ class Equilibrium:
         return self.state[self.plan.ix_mach[3]]
 
 
-def _machine_bus_outputs(case: PowerSystemCase, sol: PowerFlowSolution):
-    """Allocate one case's solved bus P/Q generation to the machines on each
-    bus: :func:`_machine_outputs` on a stack of one."""
-    p_out, q_out = _machine_outputs([case], [sol])
-    return p_out[0], q_out[0]
-
-
 def _machine_outputs(cases, sols):
     """Allocate solved bus P/Q generation to the machines on each bus, for
     a stack of cases with the same machines: arrays of shape (P, n_mach)."""
@@ -176,10 +170,7 @@ def initialize_from_power_flow(case: PowerSystemCase, sol: PowerFlowSolution,
                                model: kernels.RhsPlan | None = None) -> Equilibrium:
     """The equilibrium of one case: :func:`initialize_from_power_flows` on a
     stack of one.  Raises the case's InitializationError."""
-    (eq,) = initialize_from_power_flows([case], [sol], [reduced], model)
-    if isinstance(eq, InitializationError):
-        raise eq
-    return eq
+    return alone(initialize_from_power_flows([case], [sol], [reduced], model))
 
 
 def initialize_from_power_flows(cases, sols, reduced, model: kernels.RhsPlan | None = None

@@ -573,9 +573,9 @@ def solve_sdp(problem: LmiProblem) -> LmiSolution:
     n = sdp.n_vars
     m_total = sdp.total_dim
 
-    def finish(status, x, iters):
+    def finish(status, x, iters, t):
         obj = float(sdp.c @ x)
-        gap = m_total / t_final if status == "optimal" else float("inf")
+        gap = m_total / t if status == "optimal" else float("inf")
         return LmiSolution(status=status, values=_values_from_x(problem, x),
                            objective=obj, x=x.copy(), gap=gap, iterations=iters,
                            sdp=sdp)
@@ -583,9 +583,8 @@ def solve_sdp(problem: LmiProblem) -> LmiSolution:
     # smallest eigenvalue of each block at x = 0
     f0_low = [float(np.linalg.eigvalsh(0.5 * (f + f.T))[0]) for f in sdp.f0]
     if n == 0:
-        t_final = float("inf")
         feasible = all(e >= -1e-12 for e in f0_low)
-        return finish("optimal" if feasible else "infeasible", np.zeros(0), 0)
+        return finish("optimal" if feasible else "infeasible", np.zeros(0), 0, float("inf"))
 
     scale = max(1.0, max(np.max(np.abs(f)) for f in sdp.f0))
 
@@ -595,7 +594,6 @@ def solve_sdp(problem: LmiProblem) -> LmiSolution:
     xz = np.concatenate([np.zeros(n), [s0]])
     t = 1.0
     iters = 0
-    t_final = t
     feasible_x = None
     aug = _prep_layouts(sdp, slack=True)
     margin = FEASIBILITY_MARGIN * scale
@@ -604,8 +602,7 @@ def solve_sdp(problem: LmiProblem) -> LmiSolution:
                                        stop_when=lambda z: z[n] < -margin)
         iters += steps
         if not ok:
-            t_final = t
-            return finish("numerical_failure", xz[:n], iters)
+            return finish("numerical_failure", xz[:n], iters, t)
         if xz[n] < -margin:
             feasible_x = xz[:n].copy()
             break
@@ -613,8 +610,7 @@ def solve_sdp(problem: LmiProblem) -> LmiSolution:
             break
         t *= MU
     if feasible_x is None:
-        t_final = t
-        return finish("infeasible", xz[:n], iters)
+        return finish("infeasible", xz[:n], iters, t)
 
     # ---- phase 2: follow the central path of the true objective
     del aug                               # its buffers go before phase 2's are made
@@ -626,15 +622,13 @@ def solve_sdp(problem: LmiProblem) -> LmiSolution:
         x, ok, steps = _newton_center(sdp.c, main, x, t)
         iters += steps
         if not ok:
-            t_final = t
-            return finish("numerical_failure", x, iters)
+            return finish("numerical_failure", x, iters, t)
         gap = m_total / t
         if gap <= GAP_TOL * (1.0 + abs(float(sdp.c @ x))):
             status = "optimal"
             break
         t *= MU
-    t_final = t
-    return finish(status, x, iters)
+    return finish(status, x, iters, t)
 
 
 @dataclass

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .case import Branch, PowerSystemCase
+from .stacking import alone, solve_each
 
 
 class PowerFlowDiverged(Exception):
@@ -120,10 +121,7 @@ def solve_power_flow(case: PowerSystemCase, tol: float = 1e-10,
                      max_iter: int = 25) -> PowerFlowSolution:
     """The power flow of one case: :func:`solve_power_flows` on a stack of
     one.  Raises the case's PowerFlowDiverged."""
-    (flow,) = solve_power_flows([case], tol, max_iter)
-    if isinstance(flow, PowerFlowDiverged):
-        raise flow
-    return flow
+    return alone(solve_power_flows([case], tol, max_iter))
 
 
 def solve_power_flows(cases, tol: float = 1e-10, max_iter: int = 25
@@ -229,24 +227,18 @@ def solve_power_flows(cases, tol: float = 1e-10, max_iter: int = 25
         jac = np.concatenate((ds_dva.view(float).reshape(m, -1).take(at_va, axis=1),
                               ds_dvm.view(float).reshape(m, -1).take(at_vm, axis=1)),
                              axis=2)
-        rhs = -g
-        try:
-            dx = np.linalg.solve(jac, rhs[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            # LAPACK refused a matrix of the stack: solve each case alone, so
-            # that only the singular ones stop
-            dx, keep = np.empty_like(rhs), np.ones(m, dtype=bool)
-            for j in range(m):
-                try:
-                    dx[j] = np.linalg.solve(jac[j], rhs[j])
-                except np.linalg.LinAlgError as exc:
-                    out[live[j]] = err = PowerFlowDiverged(iterations, float(max_mis[j]))
-                    err.__cause__, keep[j] = exc, False
-            if not keep.any():
+        dx, refused = solve_each(jac, -g[..., None])
+        if refused:
+            # LAPACK refused these cases' Jacobians: only they stop
+            for j, exc in refused.items():
+                out[live[j]] = err = PowerFlowDiverged(iterations, float(max_mis[j]))
+                err.__cause__ = exc
+            if len(refused) == m:
                 return out
+            keep = np.array([j not in refused for j in range(m)])
             live, y, vm, va, s_spec, dx = (a[keep] for a in (live, y, vm, va, s_spec, dx))
-        va[:, pvpq] += dx[:, :npvpq]
-        vm[:, pq] += dx[:, npvpq:]
+        va[:, pvpq] += dx[:, :npvpq, 0]
+        vm[:, pq] += dx[:, npvpq:, 0]
         iterations += 1
         vc = vm * np.exp(1j * va)
         ibus, s_calc, g, max_mis = mismatch(y, vc, s_spec)
@@ -269,10 +261,7 @@ def kron_reduce(case: PowerSystemCase, y_load: np.ndarray,
     one.  `ybus` is the case's own admittance matrix when the caller has it
     (a power flow's `sol.ybus` on the same case); otherwise it is built
     here.  Raises the case's KronReductionError."""
-    (reduced,) = kron_reductions(case, [y_load], [build_ybus(case) if ybus is None else ybus])
-    if isinstance(reduced, KronReductionError):
-        raise reduced
-    return reduced
+    return alone(kron_reductions(case, [y_load], [build_ybus(case) if ybus is None else ybus]))
 
 
 def kron_reductions(case: PowerSystemCase, y_loads, ybuses
@@ -307,27 +296,17 @@ def kron_reductions(case: PowerSystemCase, y_loads, ybuses
     y_ke = np.zeros((m, n), dtype=complex)
     y_ke[np.arange(m), at] -= y_int
     y_kk = np.diag(y_int)
-    out: list = [None] * len(y_ee)
-    try:
-        x = np.linalg.solve(y_ee, y_ke.T)
-    except np.linalg.LinAlgError:
-        # LAPACK refused a block of the stack: solve each point alone, so
-        # that only the singular ones fail
-        x = np.zeros(y_ee.shape[:2] + (m,), dtype=complex)
-        for j, block in enumerate(y_ee):
-            try:
-                x[j] = np.linalg.solve(block, y_ke.T)
-            except np.linalg.LinAlgError as exc:
-                out[j] = err = KronReductionError("singular elimination block (islanded node)")
-                err.__cause__ = exc
+    x, refused = solve_each(y_ee, y_ke.T)
     reduced = y_kk - y_ke @ x
+    out: list = []
     for j, (xj, rj) in enumerate(zip(x, reduced)):
-        if out[j] is not None:
-            continue
-        if not (np.all(np.isfinite(xj)) and np.all(np.isfinite(rj))):
-            out[j] = KronReductionError("non-finite entries after elimination (islanded node)")
+        if j in refused:
+            out.append(KronReductionError("singular elimination block (islanded node)"))
+            out[-1].__cause__ = refused[j]
+        elif not (np.all(np.isfinite(xj)) and np.all(np.isfinite(rj))):
+            out.append(KronReductionError("non-finite entries after elimination (islanded node)"))
         else:
-            out[j] = ReducedNetwork(g=rj.real.copy(), b=rj.imag.copy(), emf_to_bus=-xj)
+            out.append(ReducedNetwork(g=rj.real.copy(), b=rj.imag.copy(), emf_to_bus=-xj))
     return out
 
 

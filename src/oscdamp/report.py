@@ -12,26 +12,12 @@ import json
 import time
 from pathlib import Path
 
-import numpy as np
-
 
 def fingerprint(case_text: str, config: dict) -> str:
     h = hashlib.sha256()
     h.update(case_text.encode())
-    h.update(json.dumps(config, sort_keys=True, default=_jsonable).encode())
+    h.update(json.dumps(config, sort_keys=True).encode())
     return h.hexdigest()
-
-
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, Path):
-        return str(obj)
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
 def write_report(out_dir: str | Path, name: str, config: dict, results: dict,
@@ -50,7 +36,7 @@ def write_report(out_dir: str | Path, name: str, config: dict, results: dict,
         "results": results,
     }
     path = out / f"{name}.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True, default=_jsonable) + "\n")
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     for fname, text in (csv_files or {}).items():
         (out / fname).write_text(text)
     return path

@@ -37,6 +37,7 @@ import numpy as np
 from . import kernels
 from .dynamics import Equilibrium
 from .kernels import Control
+from .stacking import alone, solve_each
 
 
 class NonEquilibriumError(Exception):
@@ -137,10 +138,7 @@ def linearize(eq: Equilibrium, control: Control | None = None) -> np.ndarray:
     """State matrix of the model RHS about an operating point, on the network
     it was initialized on: :func:`linearize_points` on a stack of one.
     Raises the point's NonEquilibriumError."""
-    (a,) = linearize_points([eq], control)
-    if isinstance(a, NonEquilibriumError):
-        raise a
-    return a
+    return alone(linearize_points([eq], control))
 
 
 def linearize_points(eqs, control: Control | None = None
@@ -242,38 +240,22 @@ def right_vector(a_full: np.ndarray, eigenvalue):
 
     A stack of matrices (P, n, n), with one eigenvalue each or one for all,
     takes one stacked solve and gives the list of each matrix's outcome:
-    its vector, or the EigenvectorError it gives alone."""
+    its vector, or the EigenvectorError it gives alone.  One matrix is the
+    stack of one."""
+    if a_full.ndim == 2:
+        return alone(right_vector(a_full[None], eigenvalue))
     n = a_full.shape[-1]
-    lam = np.asarray(eigenvalue)
+    lam = np.broadcast_to(eigenvalue, a_full.shape[:1])
     # A - μI with μ taken off the diagonal in place: no (P, n, n) product
     shifted = a_full.astype(complex)
-    shifted.reshape(shifted.shape[:-2] + (-1,))[..., ::n + 1] -= (
-        lam * (1.0 + INVERSE_ITERATION_SHIFT))[..., None]
-    b = np.ones(n, dtype=complex)
-    if a_full.ndim == 2:
-        return _inverse_iteration(shifted, b, lam)
-    lam = np.broadcast_to(lam, shifted.shape[:1])
-    try:
-        return list(np.linalg.solve(shifted, b))
-    except np.linalg.LinAlgError:
-        # LAPACK refused a matrix of the stack: solve each one alone, so
-        # that only the singular ones fail
-        out: list = []
-        for a, at in zip(shifted, lam):
-            try:
-                out.append(_inverse_iteration(a, b, at))
-            except EigenvectorError as exc:
-                out.append(exc)
-        return out
-
-
-def _inverse_iteration(shifted, b, eigenvalue):
-    """The solve of one shifted matrix; an EigenvectorError when it is singular."""
-    try:
-        return np.linalg.solve(shifted, b)
-    except np.linalg.LinAlgError as exc:
-        raise EigenvectorError(f"inverse iteration at {complex(eigenvalue):.6g}: "
-                               f"{exc}") from exc
+    mu = lam * (1.0 + INVERSE_ITERATION_SHIFT)
+    shifted.reshape(len(shifted), -1)[:, ::n + 1] -= mu[:, None]
+    v, refused = solve_each(shifted, np.ones(n, dtype=complex))
+    out = list(v)
+    for j, exc in refused.items():
+        out[j] = EigenvectorError(f"inverse iteration at {complex(lam[j]):.6g}: {exc}")
+        out[j].__cause__ = exc
+    return out
 
 
 def classify_mode(mode: Mode, speed_indices: np.ndarray, areas: list[int]) -> str:

@@ -21,7 +21,7 @@ from oscdamp.case import PowerSystemCase
 from oscdamp.powerflow import (PowerFlowDiverged, PowerFlowSolution, ReducedNetwork,
                                _scheduled_injections, build_ybus,
                                machine_internal_admittances)
-from oscdamp.dynamics import InitializationError, _machine_bus_outputs
+from oscdamp.dynamics import InitializationError, _machine_outputs
 
 
 def network_currents(delta, eqp, edp, gmat, bmat):
@@ -268,7 +268,7 @@ def reference_equilibrium(case, sol, layout):
     machine's InitializationError."""
     n = len(case.machines)
     y0 = np.zeros(layout.n_states)
-    p_out, q_out = _machine_bus_outputs(case, sol)
+    (p_out,), (q_out,) = _machine_outputs([case], [sol])
     vc = sol.voltage()
     pm_ref, efd_ref, vref = np.zeros(n), np.zeros(n), np.zeros(n)
     for k, m in enumerate(case.machines):

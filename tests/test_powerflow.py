@@ -320,12 +320,12 @@ def test_kron_symmetry(bundled_red):
 def test_kron_preserves_equilibrium_injections(bundled_case, bundled_sol, bundled_red):
     """Machine currents through the reduced network equal full-network currents."""
     from oscdamp.powerflow import machine_internal_admittances
-    from oscdamp.dynamics import initialize_from_power_flow, _machine_bus_outputs
+    from oscdamp.dynamics import initialize_from_power_flow, _machine_outputs
     eq = initialize_from_power_flow(bundled_case, bundled_sol, bundled_red)
     emf = (eq.edp + 1j * eq.eqp) * np.exp(1j * (eq.delta - np.pi / 2))
     i_red = (bundled_red.g + 1j * bundled_red.b) @ emf
     # full-network oracle: machine current from its terminal phasor and output
-    p_out, q_out = _machine_bus_outputs(bundled_case, bundled_sol)
+    (p_out,), (q_out,) = _machine_outputs([bundled_case], [bundled_sol])
     vc = bundled_sol.voltage()
     for k, m in enumerate(bundled_case.machines):
         v = vc[bundled_case.bus_index[m.bus]]
@@ -357,11 +357,11 @@ def test_branch_flows_balance_bus_injections(bundled_case, bundled_sol):
 
 
 def test_kron_electrical_power_matches_pf(bundled_case, bundled_sol, bundled_red):
-    from oscdamp.dynamics import initialize_from_power_flow, _machine_bus_outputs
+    from oscdamp.dynamics import initialize_from_power_flow, _machine_outputs
     from model_reference import electrical_power
     eq = initialize_from_power_flow(bundled_case, bundled_sol, bundled_red)
     pe = electrical_power(bundled_red, eq.delta, eq.eqp, eq.edp)
-    p_out, _ = _machine_bus_outputs(bundled_case, bundled_sol)
+    (p_out,), _ = _machine_outputs([bundled_case], [bundled_sol])
     assert np.max(np.abs(pe - p_out)) < 1e-6
 
 

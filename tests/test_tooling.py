@@ -151,3 +151,37 @@ def test_report_set_covers_every_subcommand():
     (subparsers,) = [a for a in cli.build_parser()._actions
                      if isinstance(a, argparse._SubParsersAction)]
     assert {args[0] for _, args in report_set.COMMANDS} == set(subparsers.choices)
+
+
+def test_private_package_names_are_used():
+    """Every module-level `_private` function or class of a package module
+    is read by some package module.  One that only the tests call is a
+    second copy of what they could call instead."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    unused = [f"{name}:{node.lineno} {node.name}" for name, tree in trees.items()
+              for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and node.name.startswith("_") and not node.name.startswith("__")
+              and node.name not in read]
+    assert unused == []
+
+
+def test_readme_layout_names_every_module():
+    """README's `## Layout` table has one row for each package module
+    (`__init__` aside), and no row for a module that is gone."""
+    readme = (ROOT / "README.md").read_text()
+    table = readme.split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1].strip() for line in table.splitlines()
+            if line.startswith("| `oscdamp.")]
+    modules = [f"`oscdamp.{path.stem}`" for path in sorted(PACKAGE.glob("*.py"))
+               if path.stem != "__init__"]
+    assert sorted(rows) == modules

@@ -32,7 +32,7 @@ from .synthesis import (SynthesisError, ControllerSet, design_controllers,
 from .simulator import (ScenarioError, parse_scenario, simulate, measure,
                         check_channels, check_ringdown_band, ringdown_damping)
 from .lmi import LmiError, export_sdpa
-from .areas import machine_areas, tie_branches, tie_flow_mw
+from .areas import two_areas, tie_flow_mw
 from .report import write_report
 
 EXIT_OK = 0
@@ -264,7 +264,7 @@ def cmd_pf(args, case: PowerSystemCase, text: str) -> int:
     results = {
         "iterations": sol.iterations,
         "max_mismatch": sol.max_mismatch,
-        "tie_flow_mw": tie_flow_mw(case, sol),
+        "tie_flow_mw": tie_flow_mw(case, sol, two_areas(case)[1]),
         "buses": [{"bus": b, "vm_pu": sol.vm[i], "va_rad": sol.va[i],
                    "p_pu": sol.p[i], "q_pu": sol.q[i]}
                   for i, b in enumerate(sol.bus_ids)],
@@ -282,14 +282,14 @@ def cmd_pf(args, case: PowerSystemCase, text: str) -> int:
 def cmd_modal(args, case: PowerSystemCase, text: str) -> int:
     sol, eq = _pipeline(case)
     controllers = _controllers_for(case, args, eq)
-    table = classify_table(_mode_table(eq, controllers), eq.layout.speed_indices,
-                           machine_areas(case))
+    areas, ties = two_areas(case)
+    table = classify_table(_mode_table(eq, controllers), eq.layout.speed_indices, areas)
     try:
         worst = min_damping(table, *args.band)
     except NoOscillatoryMode:
         worst = None
     results = {
-        "tie_flow_mw": tie_flow_mw(case, sol),
+        "tie_flow_mw": tie_flow_mw(case, sol, ties),
         "controllers": controllers.to_dict() if controllers else None,
         "modes": [_mode_dict(m) for m in table],
         "min_damping": _mode_dict(worst) if worst is not None else None,
@@ -312,7 +312,7 @@ def cmd_design(args, case: PowerSystemCase, text: str) -> int:
                                    beta_bar=args.beta_bar,
                                    bound_scale=args.bound_scale)
     table = classify_table(_mode_table(eq, ctrl), eq.layout.speed_indices,
-                           machine_areas(case))
+                           two_areas(case)[0])
     worst = min_damping(table, *args.band)
     results = {
         "synthesis": res.summary(),
@@ -397,9 +397,8 @@ def cmd_sweep(args, case: PowerSystemCase, text: str) -> int:
     if any(not (math.isfinite(f) and f > 0) for f in fractions):
         raise CaseError(f"stress fractions must be positive and finite, not "
                         f"{args.fractions!r}")
-    areas = machine_areas(case)
     # stress scaling keeps every branch and device: one corridor, one device part
-    ties, model = tie_branches(case), device_model(case)
+    (areas, ties), model = two_areas(case), device_model(case)
     controllers = _controllers_for(case, args, model=model)
     fractions = sorted(fractions)
     cases = [scale_stress(case, frac) for frac in fractions]
@@ -426,7 +425,6 @@ def cmd_sweep(args, case: PowerSystemCase, text: str) -> int:
 
 
 def cmd_scan_n1(args, case: PowerSystemCase, text: str) -> int:
-    areas = machine_areas(case)
     model = device_model(case)      # a trip keeps every device: one device part
     controllers = _controllers_for(case, args, model=model)
     # An outage that islands buses names those cut off from the slack bus and

@@ -437,27 +437,20 @@ def _eval_blocks(layout: _Layout, x: np.ndarray) -> list:
     return [g.f0 + s for g, s in zip(layout.groups, _combine(layout, x))]
 
 
-def _try_cholesky(blocks: list):
-    try:
-        return [np.linalg.cholesky(s) for s in blocks]
-    except np.linalg.LinAlgError:
-        return None
-
-
-def _try_step(blocks: list, dblocks: list, alpha: float, order: list):
-    """Every group's trial  blocks + alpha * dblocks  and its Cholesky factor,
-    in group order, or None.  The groups are built and factored one at a
-    time in `order`; the first that refuses ends the trial and moves to the
-    front of `order`."""
-    trial, chols = [None] * len(blocks), [None] * len(blocks)
+def _factor(build, order: list):
+    """Every group's matrix  build(i)  and its Cholesky factor, in group
+    order, or None.  The groups are built and factored one at a time in
+    `order`; the first that refuses ends the call and moves to the front of
+    `order`."""
+    mats, chols = [None] * len(order), [None] * len(order)
     for pos, i in enumerate(order):
-        trial[i] = blocks[i] + alpha * dblocks[i]
+        mats[i] = build(i)
         try:
-            chols[i] = np.linalg.cholesky(trial[i])
+            chols[i] = np.linalg.cholesky(mats[i])
         except np.linalg.LinAlgError:
             order.insert(0, order.pop(pos))
             return None
-    return trial, chols
+    return mats, chols
 
 
 def _barrier_value(t: float, c: np.ndarray, x: np.ndarray, chols: list) -> float:
@@ -498,25 +491,24 @@ def _newton_center(c: np.ndarray, layout: _Layout, x: np.ndarray, t: float,
     `stop_when(x)` short-circuits the centering as soon as it holds (used by
     phase 1 to bail out at the first strictly feasible iterate).
 
-    The backtracking line search skips only work whose result it would
-    discard.  For each step length it builds and factors one group's trial
-    at a time and stops at the first group that refuses (:func:`_try_step`);
-    that group is tried first from then on in this call.  The groups are
-    independent, so the order changes which factorizations run, not their
-    bits, and an accepted trial holds every group in group order.  The
-    barrier value is computed once at the start; after that an accepted step
-    carries over the value it was accepted on, the same call on the same
-    point and factors."""
+    The start point and each step length of the line search are factored
+    by :func:`_factor`, which skips only work whose result it would discard:
+    it stops at the first group that refuses, and that group is tried first
+    from then on in this call.  The groups are independent, so the order
+    changes which factorizations run, not their bits, and an accepted trial
+    holds every group in group order.  The barrier value is computed once at
+    the start; after that an accepted step carries over the value it was
+    accepted on, the same call on the same point and factors."""
     n = c.size
     steps = 0
-    blocks = _eval_blocks(layout, x)
-    chols = _try_cholesky(blocks)
-    if chols is None:
+    order = list(range(len(layout.groups)))
+    start = _factor(_eval_blocks(layout, x).__getitem__, order)
+    if start is None:
         return x, False, steps
     if stop_when is not None and stop_when(x):
         return x, True, steps
+    blocks, chols = start
     eye = np.eye(n)
-    order = list(range(len(blocks)))
     f_curr = _barrier_value(t, c, x, chols)
     for _ in range(MAX_NEWTON):
         trace, hess = _derivatives(layout, chols)
@@ -535,7 +527,7 @@ def _newton_center(c: np.ndarray, layout: _Layout, x: np.ndarray, t: float,
         alpha = 1.0
         accepted = None
         while alpha > 1e-16:
-            step = _try_step(blocks, dblocks, alpha, order)
+            step = _factor(lambda i: blocks[i] + alpha * dblocks[i], order)
             if step is not None:
                 x_new = x + alpha * dx
                 f_new = _barrier_value(t, c, x_new, step[1])
@@ -567,6 +559,22 @@ def _values_from_x(problem: LmiProblem, x: np.ndarray) -> dict:
     return values
 
 
+def _follow_path(c: np.ndarray, layout: _Layout, x: np.ndarray, t: float, done,
+                 stop_when=None) -> tuple[str | None, np.ndarray, float, int]:
+    """Centre the barrier at t, t * MU, ... at most MAX_OUTER times, until a
+    centering fails ("numerical_failure") or `done(x, t)` gives a status.
+    Returns that status (None when neither happened), x, t and the steps."""
+    steps = 0
+    for _ in range(MAX_OUTER):
+        x, ok, taken = _newton_center(c, layout, x, t, stop_when)
+        steps += taken
+        status = done(x, t) if ok else "numerical_failure"
+        if status:
+            return status, x, t, steps
+        t *= MU
+    return None, x, t, steps
+
+
 def solve_sdp(problem: LmiProblem) -> LmiSolution:
     """Interior-point solve; deterministic for identical inputs."""
     sdp = canonicalize(problem)
@@ -587,48 +595,34 @@ def solve_sdp(problem: LmiProblem) -> LmiSolution:
         return finish("optimal" if feasible else "infeasible", np.zeros(0), 0, float("inf"))
 
     scale = max(1.0, max(np.max(np.abs(f)) for f in sdp.f0))
+    margin = FEASIBILITY_MARGIN * scale
 
-    # ---- phase 1: minimize slack s with blocks F(x) + s I
+    def strictly_feasible(z):
+        return z[n] < -margin
+
+    def slack_done(z, t):
+        if strictly_feasible(z):
+            return "feasible"
+        return "infeasible" if (m_total + 1) / t < 1e-12 * scale + 1e-12 else None
+
+    def gap_done(x, t):
+        return "optimal" if m_total / t <= GAP_TOL * (1.0 + abs(float(sdp.c @ x))) else None
+
+    # ---- phase 1: minimize slack s with blocks F(x) + s I (its layout's
+    # buffers go before phase 2's are made)
     c_aug = np.concatenate([np.zeros(n), [1.0]])
     s0 = max(0.0, -min(f0_low)) + 1.0 + 0.1 * scale
     xz = np.concatenate([np.zeros(n), [s0]])
-    t = 1.0
-    iters = 0
-    feasible_x = None
-    aug = _prep_layouts(sdp, slack=True)
-    margin = FEASIBILITY_MARGIN * scale
-    for _ in range(MAX_OUTER):
-        xz, ok, steps = _newton_center(c_aug, aug, xz, t,
-                                       stop_when=lambda z: z[n] < -margin)
-        iters += steps
-        if not ok:
-            return finish("numerical_failure", xz[:n], iters, t)
-        if xz[n] < -margin:
-            feasible_x = xz[:n].copy()
-            break
-        if (m_total + 1) / t < 1e-12 * scale + 1e-12:
-            break
-        t *= MU
-    if feasible_x is None:
-        return finish("infeasible", xz[:n], iters, t)
+    status, xz, t, iters = _follow_path(c_aug, _prep_layouts(sdp, slack=True), xz, 1.0,
+                                        slack_done, strictly_feasible)
+    if status != "feasible":
+        return finish(status or "infeasible", xz[:n], iters, t)
 
     # ---- phase 2: follow the central path of the true objective
-    del aug                               # its buffers go before phase 2's are made
-    x = feasible_x
-    main = _prep_layouts(sdp)
+    x = xz[:n]
     t = max(1.0, m_total / (1.0 + abs(float(sdp.c @ x))))
-    status = "iteration_limit"
-    for _ in range(MAX_OUTER):
-        x, ok, steps = _newton_center(sdp.c, main, x, t)
-        iters += steps
-        if not ok:
-            return finish("numerical_failure", x, iters, t)
-        gap = m_total / t
-        if gap <= GAP_TOL * (1.0 + abs(float(sdp.c @ x))):
-            status = "optimal"
-            break
-        t *= MU
-    return finish(status, x, iters, t)
+    status, x, t, steps = _follow_path(sdp.c, _prep_layouts(sdp), x, t, gap_done)
+    return finish(status or "iteration_limit", x, iters + steps, t)
 
 
 @dataclass

@@ -260,7 +260,7 @@ def right_vector(a_full: np.ndarray, eigenvalue):
 
 def classify_mode(mode: Mode, speed_indices: np.ndarray, areas: list[int]) -> str:
     """Label a mode by its rotor-speed content; `speed_indices` and `areas`
-    (`areas.machine_areas`) are both in machine order.
+    (the machine areas of `areas.two_areas`) are both in machine order.
 
     Interarea: the two dominant speed entries sit in different areas and swing
     in antiphase (phase difference inside (90, 270) degrees); same area means

@@ -11,7 +11,7 @@ from oscdamp.case import parse_case
 from oscdamp.powerflow import solve_power_flow, load_admittances, kron_reduce
 from oscdamp.dynamics import initialize_from_power_flow
 from oscdamp.synthesis import ControllerSet, design_controllers
-from oscdamp.areas import machine_areas
+from oscdamp.areas import two_areas
 
 ROOT = Path(__file__).resolve().parents[1]
 # the bundled-case gains the benchmark and the report set pin
@@ -58,7 +58,7 @@ def bundled_eq(bundled_case, bundled_sol, bundled_red):
 
 @pytest.fixture(scope="session")
 def bundled_areas(bundled_case):
-    return machine_areas(bundled_case)
+    return two_areas(bundled_case)[0]
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,7 @@ from oscdamp.smallsignal import (linearize, modal_analysis, classify_table,
                                  min_damping)
 from oscdamp.synthesis import coupling_bounds, coupling_rows, verify_bound
 from oscdamp.simulator import Scenario, Event, simulate, measure
-from oscdamp.areas import tie_flow_mw
+from oscdamp.areas import two_areas, tie_flow_mw
 from oscdamp.lmi import LmiProblem, Term, solve_sdp, check_solution, export_sdpa
 from lmi_reference import read_sdpa
 
@@ -99,7 +99,7 @@ def test_criterion_4_stress_sweep(bundled_case, bundled_design):
     for f in fractions:
         stressed = scale_stress(bundled_case, f)
         worst, sol = _min_mode(stressed)
-        ties.append(tie_flow_mw(stressed, sol))
+        ties.append(tie_flow_mw(stressed, sol, two_areas(stressed)[1]))
         z_base.append(worst.damping_ratio)
         worst_r, _ = _min_mode(stressed, ctrl)
         z_rob.append(worst_r.damping_ratio)

@@ -489,7 +489,7 @@ def _full_point(case, areas, ctrl, band=(0.1, 3.0)):
     """What a sweep or scan row reports, from the full path: the power flow,
     every mode's participation and class, and the corridor of the point's
     own case."""
-    from oscdamp.areas import tie_flow_mw
+    from oscdamp.areas import two_areas, tie_flow_mw
     from oscdamp.dynamics import initialize_from_power_flow
     from oscdamp.powerflow import kron_reduce, load_admittances, solve_power_flow
     from oscdamp.smallsignal import (classify_table, closed_loop_matrix, linearize,
@@ -504,7 +504,7 @@ def _full_point(case, areas, ctrl, band=(0.1, 3.0)):
         return min_damping(table, *band)
 
     base = worst(a)
-    row = {"converged": True, "tie_flow_mw": tie_flow_mw(case, sol),
+    row = {"converged": True, "tie_flow_mw": tie_flow_mw(case, sol, two_areas(case)[1]),
            "zeta_baseline_pct": 100 * base.damping_ratio, "freq_hz": base.frequency_hz,
            "mode_class": base.classification}
     if ctrl is not None:
@@ -544,22 +544,33 @@ def test_point_rows_equal_the_full_path(with_gains, case_path, tmp_path, bundled
         assert r == {"branch": r["branch"], **{k: v for k, v in full.items() if k in scan_keys}}
 
 
-def test_sweep_computes_one_corridor(case_path, tmp_path, bundled_case, monkeypatch):
-    """Stress scaling keeps the tie corridor, so a sweep finds it once."""
-    import oscdamp.areas as areas
-    import oscdamp.cli as cli
+def test_stress_scaling_keeps_the_corridor(bundled_case):
+    """A stressed case has the base case's machine areas and tie corridor,
+    so a sweep reads them from the base case alone."""
+    from oscdamp.areas import two_areas
     from oscdamp.case import scale_stress
-    base = areas.tie_branches(bundled_case)
-    assert base
+    base = two_areas(bundled_case)
+    assert base[1]
     for f in (0.9, 0.95, 1.0, 1.05, 1.1):
-        assert areas.tie_branches(scale_stress(bundled_case, f)) == base
+        assert two_areas(scale_stress(bundled_case, f)) == base
+
+
+@pytest.mark.parametrize("argv, searches", [
+    (["pf"], 4), (["modal"], 4), (["design"], 4),
+    (["sweep", "--fractions", "0.9,0.95,1.0,1.05,1.1"], 4), (["scan-n1"], 0)],
+    ids=["pf", "modal", "design", "sweep", "scan-n1"])
+def test_partition_searches_per_command(argv, searches, case_path, tmp_path, monkeypatch):
+    """A command that reads the area partition finds it once, with one
+    Dijkstra search per generator bus (four on the bundled case); a sweep
+    finds it on the base case alone, and an N-1 scan, which reads no area,
+    runs none."""
+    from oscdamp import areas
     calls = []
-    for mod in (cli, areas):
-        monkeypatch.setattr(mod, "tie_branches",
-                            lambda case, _fn=areas.tie_branches: calls.append(1) or _fn(case))
-    assert main(["sweep", "--case", case_path, "--fractions", "0.9,0.95,1.0,1.05,1.1",
-                 "--out", str(tmp_path / "out")]) == EXIT_OK
-    assert len(calls) == 1
+    measure = areas._electrical_distances
+    monkeypatch.setattr(areas, "_electrical_distances",
+                        lambda case, source: calls.append(source) or measure(case, source))
+    assert main([*argv, "--case", case_path, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert len(calls) == searches
 
 
 @pytest.mark.parametrize("controllers", ["none", "gains", "design"])

@@ -378,13 +378,15 @@ def assert_same_solve(got, want):
 
 
 def test_lazy_line_search_is_the_eager_one_bit_for_bit(bundled_design, bundled_case,
-                                                       monkeypatch):
+                                                       bundled_eq, monkeypatch):
     """Factoring each step length's groups one at a time, the last refusing
     group first, and carrying the accepted barrier value over give the
     status, steps, objective, gap and x of the eager line search, bit for
-    bit: on the bundled synthesis LMI, the generic SDPA problem, an
-    infeasible one and the benchmark's size-curve LMIs at N = 2 and 4."""
-    for problem in (bundled_design[1].lmi.problem, generic_sdpa_problem(),
+    bit: on the bundled synthesis LMI, its machines 1-3 subset at bound
+    scale 0.1, the generic SDPA problem, an infeasible one and the
+    benchmark's size-curve LMIs at N = 2 and 4."""
+    subset = synthesis_lmi(bundled_case, bundled_eq, subset=[1, 2, 3], bound_scale=0.1)
+    for problem in (bundled_design[1].lmi.problem, subset.problem, generic_sdpa_problem(),
                     contradiction()):
         assert_same_solve(*lazy_and_eager(monkeypatch, lambda: solve_sdp(problem)))
     curve = load_perfbench(monkeypatch, "sdp_curve")
@@ -401,9 +403,14 @@ def test_lazy_line_search_is_the_eager_one_bit_for_bit(bundled_design, bundled_c
     assert len(lazy) == len(eager) == 2
     for got, want in zip(lazy, eager):
         assert_same_solve(got, want)
-    # every trial these solves can factor passes the Armijo test; a steeper
-    # test refuses one of the generic problem's, so the barrier value carried
-    # over from the last accepted step decides
+    # the Armijo test refuses factorable trials of the subset solve: without
+    # it, that solve ends at another x (after the same 107 steps), so the
+    # barrier value carried over from the last accepted step decides there;
+    # a steeper test also refuses one of the generic problem's
+    with monkeypatch.context() as m:
+        m.setattr(lmi, "ARMIJO", -np.inf)
+        unchecked = solve_sdp(subset.problem)
+    assert unchecked.x.tobytes() != solve_sdp(subset.problem).x.tobytes()
     monkeypatch.setattr(lmi, "ARMIJO", 0.25)
     assert_same_solve(*lazy_and_eager(monkeypatch, lambda: solve_sdp(generic_sdpa_problem())))
 

@@ -10,7 +10,7 @@ from oscdamp.powerflow import (PowerFlowDiverged, build_ybus, solve_power_flow,
                                solve_power_flows, load_admittances, kron_reduce,
                                branch_flow, _scheduled_injections)
 from oscdamp.dynamics import initialize_from_power_flow
-from oscdamp.areas import tie_branches, tie_flow_mw
+from oscdamp.areas import two_areas, tie_flow_mw
 from conftest import make_two_bus_text
 from model_reference import reference_kron_reduce, reference_power_flow
 
@@ -89,7 +89,7 @@ def test_two_bus_against_hand_newton():
 
 
 def test_bundled_tie_flow(bundled_case, bundled_sol):
-    tie = tie_flow_mw(bundled_case, bundled_sol)
+    tie = tie_flow_mw(bundled_case, bundled_sol, two_areas(bundled_case)[1])
     assert abs(tie - 400.0) <= 5.0
 
 
@@ -142,15 +142,15 @@ def test_nan_mismatch_is_divergence(bundled_case):
 @pytest.mark.parametrize("fraction", [0.5, 0.9, 1.0, 1.1])
 def test_tie_flow_is_the_sum_of_branch_flows(bundled_case, fraction):
     """The corridor's flow is the sum of `branch_flow` over its branches,
-    bit for bit, whether the corridor is given or found."""
+    bit for bit."""
     case = scale_stress(bundled_case, fraction)
     sol = solve_power_flow(case)
-    ties = tie_branches(case)
+    ties = two_areas(case)[1]
     assert len(ties) > 1
     total = 0.0
     for key in ties:
         total += branch_flow(case, sol, *key).real
-    assert tie_flow_mw(case, sol) == tie_flow_mw(case, sol, ties) == total * case.base_mva
+    assert tie_flow_mw(case, sol, ties) == total * case.base_mva
 
 
 def _connected_outages(case):
@@ -223,20 +223,20 @@ def test_power_flow_stack_needs_shared_buses(bundled_case, two_bus_case):
 
 
 def test_tie_branches_measure_each_generator_bus_once(bundled_case, monkeypatch):
-    """The bus partition reads the distances the machine partition has
-    already measured: one Dijkstra search per generator bus."""
+    """The machine areas and the corridor come from the same distances: one
+    Dijkstra search per generator bus."""
     from oscdamp import areas
     calls = []
     measure = areas._electrical_distances
     monkeypatch.setattr(areas, "_electrical_distances",
                         lambda case, source: calls.append(source) or measure(case, source))
-    tie_branches(bundled_case)
+    two_areas(bundled_case)
     assert sorted(calls) == sorted({m.bus for m in bundled_case.machines})
     assert len(calls) == 4
 
 
 def test_tie_flow_refuses_an_out_of_service_tie(bundled_case, bundled_sol):
-    ties = tie_branches(bundled_case)
+    ties = two_areas(bundled_case)[1]
     tripped = apply_line_trip(bundled_case, *ties[0])
     with pytest.raises(ValueError, match="not in service"):
         tie_flow_mw(tripped, bundled_sol, ties)

@@ -352,8 +352,7 @@ def test_stacked_points_are_each_point_alone(bundled_case):
     point off its equilibrium) and inverse iteration (plus a singular
     shift), each point's outcome is what it gives alone, bit for bit, and
     its error the same error.  The equilibria are also the machine-by-
-    machine complex-scalar back-solve's bits, and a stack of one is the
-    single-point call."""
+    machine complex-scalar back-solve's bits."""
     uneven = dataclasses.replace(bundled_case, branches=tuple(
         dataclasses.replace(br, x=0.12) if br.key() == (101, 13, 2) else br
         for br in bundled_case.branches))
@@ -416,16 +415,6 @@ def test_stacked_points_are_each_point_alone(bundled_case):
     for v, a, lam in zip(vectors, mats + [zero], lams + [0j]):
         _same_outcome(v, _alone(right_vector, a, lam), [lambda v: v])
     assert str(vectors[-1]) == "inverse iteration at 0+0j: Singular matrix"
-
-    # a stack of one is the single-point call
-    (net,) = kron_reductions(cases[0], y_loads[:1], ybuses[:1])
-    _same_outcome(net, kron_reduce(cases[0], y_loads[0], ybuses[0]), kron_fields)
-    (eq,) = initialize_from_power_flows(cases[:1], sols[:1], nets[:1], model)
-    _same_outcome(eq, initialize_from_power_flow(cases[0], sols[0], nets[0], model), eq_fields)
-    (a,) = linearize_points(eqs[:1])
-    _same_outcome(a, linearize(eqs[0]), [lambda a: a])
-    (v,) = right_vector(mats[0][None], lams[:1])
-    _same_outcome(v, right_vector(mats[0], lams[0]), [lambda v: v])
 
 
 @pytest.mark.parametrize("loop", ["open", "closed"])

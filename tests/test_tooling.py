@@ -60,6 +60,39 @@ def test_package_imports_are_used():
     assert unused == []
 
 
+def _scope_stores(fn) -> dict:
+    """The names function `fn` assigns in its own scope, each at its first
+    line; those assigned in a function, lambda or class nested in it are
+    theirs."""
+    stores, stack = {}, list(fn.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            stores[node.id] = min(node.lineno, stores.get(node.id, node.lineno))
+        stack.extend(ast.iter_child_nodes(node))
+    return stores
+
+
+def test_package_locals_are_read():
+    """Every local that a package function assigns is read in that function
+    or in one nested in it (names starting with `_` aside).  A value that is
+    computed and never read is work done for nothing."""
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            read = {node.id for node in ast.walk(fn)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            read.update(name for node in ast.walk(fn)
+                        if isinstance(node, (ast.Global, ast.Nonlocal)) for name in node.names)
+            unread += [f"{path.name}:{line} {name}" for name, line in _scope_stores(fn).items()
+                       if not name.startswith("_") and name not in read]
+    assert unread == []
+
+
 def test_rk4_span_nsteps_is_third_parameter():
     """The tracer reads a span's step count from the third positional argument."""
     assert list(inspect.signature(kernels.rk4_span).parameters)[2] == "nsteps"

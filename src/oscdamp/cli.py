@@ -62,17 +62,12 @@ def _load_case(path: str) -> tuple[PowerSystemCase, str]:
 
 
 def _pipeline(case: PowerSystemCase, model=None):
-    """The operating point of a case: its power flow and its equilibrium."""
+    """The operating point of a case: its power flow and its equilibrium, on
+    the network reduced with the loads frozen at the solved voltages.  The
+    equilibrium's plan is the device part `model` at the point, or the
+    case's own when `model` is None."""
     sol = solve_power_flow(case)
-    return sol, _equilibrium(case, sol, model)
-
-
-def _equilibrium(case: PowerSystemCase, sol, model=None):
-    """The equilibrium of a case's solved power flow `sol`, on the network
-    reduced with the loads frozen at the solved voltages.  Its plan is the
-    device part `model` at the point, or the case's own when `model` is
-    None."""
-    return initialize_from_power_flow(
+    return sol, initialize_from_power_flow(
         case, sol, kron_reduce(case, load_admittances(case, sol), sol.ybus), model)
 
 

@@ -44,9 +44,6 @@ class StateLayout:
     def idx(self, machine_id: int, slot: str) -> int:
         return self.index[(machine_id, slot)]
 
-    def has(self, machine_id: int, slot: str) -> bool:
-        return (machine_id, slot) in self.index
-
     @property
     def speed_indices(self) -> np.ndarray:
         return np.array([self.idx(m, "omega") for m in self.machine_ids], dtype=int)

@@ -22,14 +22,15 @@ valve command references and the constants of absent devices (the mechanical
 power of an ungoverned machine, the field voltage of an unexcited one).
 
 The network ``(gmat, bmat)`` and the governor feedback in service (a
-:class:`Control`, or None for none) are arguments of each call, never state
-of the plan; the feedback is linear, so :meth:`RhsPlan.bind` folds it into a
-copy of ``M`` and ``c`` once per call site.  :func:`rhs` takes ``y`` of shape
-``(n_states,)`` or ``(B, n_states)``, real or complex; :func:`rk4_span`
-integrates either real shape in place and records into ``out`` of shape
-``(T, n_states)`` or ``(T, B, n_states)``.  A single state and a one-row stack
-give the same bits; the rows of a larger stack go through matrix-matrix
-products and agree with single-state calls to about 1e-13.
+:class:`Control`, or None for none) are never state of the plan:
+:meth:`RhsPlan.bind` folds the linear feedback into a copy of ``M`` and
+``c`` and returns the bound RHS, a :class:`BoundRhs`.  :func:`rhs` binds and
+evaluates ``y`` of shape ``(n_states,)`` or ``(B, n_states)``, real or
+complex; :func:`rk4_span` runs a bound RHS and binds nothing, integrating
+either real shape in place and recording into ``out`` of shape
+``(T, n_states)`` or ``(T, B, n_states)``.  A single state and a one-row
+stack give the same bits; the rows of a larger stack go through
+matrix-matrix products and agree with single-state calls to about 1e-13.
 
 Per-row networks and constants: the B rows of a state split into P
 consecutive blocks of B / P rows, one per point (a ValueError when P does
@@ -543,13 +544,14 @@ def rhs(y, plan, gmat, bmat, control=None):
     return plan.bind(gmat, bmat, control)(y)
 
 
-def rk4_span(y, h, nsteps, plan, gmat, bmat, control=None, out=None, out_offset=0):
+def rk4_span(y, h, nsteps, rhs, out=None, out_offset=0):
     """Integrate y of shape (n_states,) or (B, n_states) in place over nsteps
-    fixed steps, clamping the valve states to [0, 1] after each step and
-    storing step k's state in out[out_offset + k] when out (shape
-    (T, n_states) or (T, B, n_states)) is given.  Returns -1, or the first
-    (0-based) step after which some row left the divergence limit."""
-    w = plan.bind(gmat, bmat, control).workspace(y.shape, y.dtype)
+    fixed steps of the bound RHS `rhs` (a :class:`BoundRhs`), clamping the
+    valve states to [0, 1] after each step and storing step k's state in
+    out[out_offset + k] when out (shape (T, n_states) or (T, B, n_states))
+    is given.  Returns -1, or the first (0-based) step after which some row
+    left the divergence limit."""
+    w = rhs.workspace(y.shape, y.dtype)
     stage, evaluate = w.y, w.evaluate
     k1, k2, k3, k4, tmp = (np.empty_like(stage) for _ in range(5))
     # the valve states in place: the positions are in range, so the take

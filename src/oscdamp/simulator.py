@@ -179,37 +179,44 @@ class _Segment:
     """Network and controller configuration from the trajectory row
     `first_row` onward: the first grid row at or after the event that
     started it.  The network is the Kron reduction of `case` with the load
-    shunts `y_load`."""
+    shunts `y_load`; `rhs` is the plan bound once to that network and to
+    `control`, and every evaluation of the run on this segment runs it."""
     first_row: int
     case: PowerSystemCase
     y_load: np.ndarray
     network: ReducedNetwork
-    active: np.ndarray
-    xref: np.ndarray
+    control: kernels.Control
+    rhs: kernels.BoundRhs
+
+
+def _segment_rows(segments: list, n_rows: int) -> list:
+    """Each segment with the slice of the `n_rows` trajectory rows it holds."""
+    ends = [s.first_row for s in segments[1:]] + [n_rows]
+    return [(s, slice(s.first_row, end)) for s, end in zip(segments, ends)]
 
 
 @dataclass
 class SimulationResult:
     """A run: its time grid, the recorded states and the events fired, and
-    what the derived channels are read from, the plan, the gains and the
-    event segments.  `pe_sys`, `pm_sys`, `u` and `bus_voltage` (the
-    `pe:`, `pm:`, `u:`, `vm:` and `flow:` channels) cost one pass over the
-    reduced network at every recorded state, which runs once, on the first
-    read of any of them; the states alone cost nothing more."""
+    what the derived channels are read from, the plan and the event segments
+    (whose controls carry the gains).  `pe_sys`, `pm_sys`, `u` and
+    `bus_voltage` (the `pe:`, `pm:`, `u:`, `vm:` and `flow:` channels) cost
+    one pass over the reduced network at every recorded state, which runs
+    once, on the first read of any of them; the states alone cost nothing
+    more."""
     time: np.ndarray               # (T,)
     states: np.ndarray             # (T, n_states)
     layout: StateLayout
     event_log: list
     case: PowerSystemCase
     plan: kernels.RhsPlan
-    gains: np.ndarray              # (n_mach, 5) over the design states
     segments: list                 # of _Segment, the first at row 0
     divergent: bool = False
     divergence_time: float | None = None
 
     @cached_property
     def _derived(self) -> tuple:
-        return _derived_channels(self.plan, self.gains, self.states, self.segments)
+        return _derived_channels(self.plan, self.states, self.segments)
 
     @property
     def pe_sys(self) -> np.ndarray:
@@ -276,14 +283,18 @@ def simulate(case: PowerSystemCase, controllers: ControllerSet | None,
     states[0] = eq.state
     y = eq.state.copy()
     event_log: list = []
-    segments = [_Segment(0, case, y_load, eq.network, active,
-                         plan.design_states(eq.state))]
+
+    def segment(first_row, case_now, y_now, net, active, xref) -> _Segment:
+        """A segment, with the plan bound once to its network and control."""
+        control = kernels.Control(gains, xref, active)
+        return _Segment(first_row, case_now, y_now, net, control,
+                        plan.bind(net.g, net.b, control))
+
+    segments = [segment(0, case, y_load, eq.network, active, plan.design_states(eq.state))]
 
     def span(h: float, count: int, **record) -> int:
-        """RK4 over `count` steps on the current segment's network and control."""
-        s = segments[-1]
-        return kernels.rk4_span(y, h, count, plan, s.network.g, s.network.b,
-                                kernels.Control(gains, s.xref, s.active), **record)
+        """RK4 over `count` steps of the current segment's bound RHS."""
+        return kernels.rk4_span(y, h, count, segments[-1].rhs, **record)
 
     def reduce(case_now: PowerSystemCase, y_now: np.ndarray) -> ReducedNetwork:
         try:
@@ -293,8 +304,8 @@ def simulate(case: PowerSystemCase, controllers: ControllerSet | None,
 
     def fire(ev: Event, t_now: float, first_row: int) -> None:
         seg = segments[-1]
-        case_now, y_now, net, active, xref = (seg.case, seg.y_load, seg.network,
-                                              seg.active, seg.xref)
+        case_now, y_now, net = seg.case, seg.y_load, seg.network
+        active, xref = seg.control.active, seg.control.xref
         entry = {"time": t_now, "action": ev.action}
         if ev.action == "trip_line":
             f, t, c = ev.params
@@ -304,7 +315,7 @@ def simulate(case: PowerSystemCase, controllers: ControllerSet | None,
         elif ev.action == "step_load":
             bus, dp, dq = ev.params
             idx = case_now.bus_index[bus]
-            e = plan.bind(net.g, net.b).network(y)[0]
+            e = seg.rhs.network(y)[0]
             vm_now = abs((net.emf_to_bus @ (e[:n_mach] + 1j * e[n_mach:]))[idx])
             s = complex(dp, dq) / case_now.base_mva
             y_now = y_now.copy()
@@ -316,9 +327,7 @@ def simulate(case: PowerSystemCase, controllers: ControllerSet | None,
             entry["machines"] = "all" if sel == "all" else list(sel)
             if ev.action == "activate_controllers":
                 omega = y[lay.speed_indices]
-                rhs = kernels.rhs(y, plan, net.g, net.b,
-                                  kernels.Control(gains, xref, active))
-                non_angle = np.delete(rhs, lay.delta_indices)
+                non_angle = np.delete(seg.rhs(y), lay.delta_indices)
                 # post-event steady state is a uniformly drifting frame:
                 # speeds equal (common droop slip) and all other derivatives quiet
                 settled = (np.max(np.abs(omega - np.mean(omega))) < 1e-4
@@ -334,7 +343,7 @@ def simulate(case: PowerSystemCase, controllers: ControllerSet | None,
             else:
                 active = active * (1.0 - selected(sel))
         event_log.append(entry)
-        segments.append(_Segment(first_row, case_now, y_now, net, active, xref))
+        segments.append(segment(first_row, case_now, y_now, net, active, xref))
 
     # Step to each stop: the event times in order, then the end of the grid.
     # `row` is the last recorded row.  A stop's whole steps run in one span;
@@ -369,32 +378,31 @@ def simulate(case: PowerSystemCase, controllers: ControllerSet | None,
         states[row + 1:] = y
 
     return SimulationResult(time=tgrid, states=states, layout=lay, event_log=event_log,
-                            case=case, plan=plan, gains=gains, segments=segments,
+                            case=case, plan=plan, segments=segments,
                             divergent=t_fail is not None, divergence_time=t_fail)
 
 
-def _derived_channels(plan: kernels.RhsPlan, gains: np.ndarray, states: np.ndarray,
-                      segments: list) -> tuple:
+def _derived_channels(plan: kernels.RhsPlan, states: np.ndarray, segments: list) -> tuple:
     """Electrical power, mechanical power, auxiliary governor signal and bus
     voltages, evaluated for blocks of rows at once on each segment's network
-    and controller setting."""
+    and controller setting.  The network is bound here, so that the
+    workspaces of these blocks do not outlive the pass."""
     n_t, n = states.shape[0], plan.sout.size
     pe = np.zeros((n_t, n))
     pm_sys = np.zeros_like(pe)
     u_out = np.zeros_like(pe)
     vbus = np.zeros((n_t, len(segments[0].case.buses)), dtype=complex)
-    ends = [s.first_row for s in segments[1:]] + [n_t]
-    for s, r1 in zip(segments, ends):
-        if r1 == s.first_row:
+    for s, held in _segment_rows(segments, n_t):
+        if held.start == held.stop:
             continue        # no row recorded on this segment's network
-        f = plan.bind(s.network.g, s.network.b)
-        for b0 in range(s.first_row, r1, _DERIVED_BLOCK_ROWS):
-            rows = slice(b0, min(b0 + _DERIVED_BLOCK_ROWS, r1))
+        f, ctl = plan.bind(s.network.g, s.network.b), s.control
+        for b0 in range(held.start, held.stop, _DERIVED_BLOCK_ROWS):
+            rows = slice(b0, min(b0 + _DERIVED_BLOCK_ROWS, held.stop))
             x5 = plan.design_states(states[rows])
             e, pe[rows] = f.network(states[rows])
             vbus[rows] = (e[:, :n] + 1j * e[:, n:]) @ s.network.emf_to_bus.T
             pm_sys[rows] = x5[..., 2] * plan.sout
-            u_out[rows] = s.active * kernels.feedback(gains, x5 - s.xref)
+            u_out[rows] = ctl.active * kernels.feedback(ctl.gains, x5 - ctl.xref)
     return pe, pm_sys, u_out, vbus
 
 
@@ -402,7 +410,8 @@ def measure(result: SimulationResult, channel: str) -> np.ndarray:
     """Extract a named series: delta:<id>, omega:<id>, delta_rel:<i>:<j>,
     pm:<id>, pe:<id>, u:<id>, xe:<id>, vm:<bus>, flow:<from>:<to>:<circuit>
     (branch real power in MW at the from side, from the reconstructed network
-    voltages; zero after the branch trips)."""
+    voltages; zero on every segment whose case has the branch out of
+    service)."""
     parts = channel.split(":")
     kind = parts[0]
     if len(parts) != {"delta_rel": 3, "flow": 4}.get(kind, 2):
@@ -437,7 +446,6 @@ def check_channels(case: PowerSystemCase, channels: list[str]) -> None:
     lay = plan.layout
     empty = SimulationResult(time=np.zeros(0), states=np.zeros((0, lay.n_states)),
                              layout=lay, event_log=[], case=case, plan=plan,
-                             gains=np.zeros((len(lay.machine_ids), 5)),
                              segments=[_Segment(0, case, None, None, None, None)])
     for channel in channels:
         measure(empty, channel)
@@ -448,17 +456,12 @@ def _branch_flow_series(result: SimulationResult, f: int, t: int,
     br = result.case.find_branch(f, t, circuit)
     if br is None:
         raise ScenarioError(f"branch {f}-{t} circuit {circuit} not in the case")
-    trip_time = np.inf
-    if not br.in_service:
-        trip_time = -np.inf
-    for ev in result.event_log:
-        if ev["action"] == "trip_line" and result.case.find_branch(*ev["branch"]) is br:
-            trip_time = ev["time"]
-            break
     vf = result.bus_voltage[:, result.case.bus_index[f]]
     vt = result.bus_voltage[:, result.case.bus_index[t]]
     p = np.real(branch_power(br, vf, vt)) * result.case.base_mva
-    p[result.time >= trip_time - 1e-12] = 0.0
+    for s, held in _segment_rows(result.segments, len(p)):
+        if not s.case.find_branch(f, t, circuit).in_service:
+            p[held] = 0.0
     return p
 
 

@@ -227,7 +227,7 @@ def test_criterion_7_numerical_cross_checks(bundled_case, bundled_eq,
         starts.append(bundled_eq.state + d)
     y = np.array(starts)
     net = bundled_eq.network
-    bad = kernels.rk4_span(y, 0.005, 6000, bundled_eq.plan, net.g, net.b, control)
+    bad = kernels.rk4_span(y, 0.005, 6000, bundled_eq.plan.bind(net.g, net.b, control))
     diverged = bad >= 0
     worst_dev = float(np.max(np.linalg.norm(y - bundled_eq.state, axis=1)))
     checks.append(("50-perturbation convergence", not diverged and worst_dev < 1e-3,

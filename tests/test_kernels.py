@@ -74,6 +74,10 @@ def _model_args(eq, control=None):
     return eq.plan, eq.network.g, eq.network.b, control
 
 
+def _bound(eq, control=None):
+    return eq.plan.bind(eq.network.g, eq.network.b, control)
+
+
 def _reference(eq, control=None):
     return reference_bind(eq.plan, eq.network.g, eq.network.b, control)
 
@@ -99,7 +103,7 @@ def _reference_rhs(y, case, eq, control=None, seen=None):
     e_re, e_im, i_re, i_im, i_d, i_q = network_currents(
         delta, eqp, edp, eq.network.g, eq.network.b)
     for k, m in enumerate(case.machines):
-        at = {s: lay.idx(m.id, s) for s in SLOT_NAMES if lay.has(m.id, s)}
+        at = {s: lay.idx(m.id, s) for s in SLOT_NAMES if (m.id, s) in lay.index}
         gov, exc, pss = case.governor_for(m.id), case.exciter_for(m.id), case.pss_for(m.id)
         scale = case.base_mva / m.mva
         xd, xq, xdp, xqp = m.xd * scale, m.xq * scale, m.xdp * scale, m.xqp * scale
@@ -191,7 +195,7 @@ def test_span_parity(bundled_case, bundled_eq):
     y0 = bundled_eq.state + 0.02 * rng.standard_normal(bundled_eq.state.size)
     out_plan = np.zeros((200, bundled_eq.state.size))
     out_ref = np.zeros((200, bundled_eq.state.size))
-    r1 = kernels.rk4_span(y0.copy(), 0.005, 200, *_model_args(bundled_eq), out=out_plan,
+    r1 = kernels.rk4_span(y0.copy(), 0.005, 200, _bound(bundled_eq), out=out_plan,
                           out_offset=0)
     r2 = _reference_span(y0.copy(), 0.005, 200, bundled_case, bundled_eq, out_ref)
     assert r1 == r2 == -1
@@ -201,7 +205,7 @@ def test_span_parity(bundled_case, bundled_eq):
 def test_divergence_detection(bundled_eq):
     y = bundled_eq.state.copy()
     # absurd step size destabilizes RK4 and must be flagged, not raised
-    step = kernels.rk4_span(y, 5.0, 400, *_model_args(bundled_eq))
+    step = kernels.rk4_span(y, 5.0, 400, _bound(bundled_eq))
     assert step >= 0
 
 
@@ -211,7 +215,7 @@ def test_valve_clamp_invariant(bundled_eq):
     # kick speeds hard so valves run against their limits
     y[lay.speed_indices] += 5.0
     out = np.zeros((2000, bundled_eq.state.size))
-    kernels.rk4_span(y, 0.005, 2000, *_model_args(bundled_eq), out=out, out_offset=0)
+    kernels.rk4_span(y, 0.005, 2000, _bound(bundled_eq), out=out, out_offset=0)
     for mid in lay.machine_ids:
         xe = out[:, lay.idx(mid, "xe")]
         assert np.all(xe >= 0.0)
@@ -236,7 +240,7 @@ def test_partial_device_span_parity(partial_case, partial_eq):
     y0 = partial_eq.state + 0.02 * rng.standard_normal(partial_eq.state.size)
     out_plan = np.zeros((200, partial_eq.state.size))
     out_ref = np.zeros((200, partial_eq.state.size))
-    r1 = kernels.rk4_span(y0.copy(), 0.005, 200, *_model_args(partial_eq), out=out_plan,
+    r1 = kernels.rk4_span(y0.copy(), 0.005, 200, _bound(partial_eq), out=out_plan,
                           out_offset=0)
     r2 = _reference_span(y0.copy(), 0.005, 200, partial_case, partial_eq, out_ref)
     assert r1 == r2 == -1
@@ -252,7 +256,7 @@ def test_span_parity_through_valve_limits(bundled_case, bundled_eq, kick):
     y0[lay.speed_indices] += kick
     out_plan = np.zeros((400, bundled_eq.state.size))
     out_ref = np.zeros((400, bundled_eq.state.size))
-    r1 = kernels.rk4_span(y0.copy(), 0.005, 400, *_model_args(bundled_eq), out=out_plan,
+    r1 = kernels.rk4_span(y0.copy(), 0.005, 400, _bound(bundled_eq), out=out_plan,
                           out_offset=0)
     r2 = _reference_span(y0.copy(), 0.005, 400, bundled_case, bundled_eq, out_ref)
     assert r1 == r2 == -1
@@ -282,12 +286,12 @@ def test_stacked_span_matches_rows(partial_eq):
     ys[1, partial_eq.layout.speed_indices] += 20.0   # this row runs into the valve limits
     out = np.zeros((100, 3, partial_eq.state.size))
     stacked = ys.copy()
-    assert kernels.rk4_span(stacked, 0.005, 100, *_model_args(partial_eq), out=out,
+    assert kernels.rk4_span(stacked, 0.005, 100, _bound(partial_eq), out=out,
                             out_offset=0) == -1
     for b in range(3):
         y = ys[b].copy()
         out_b = np.zeros((100, partial_eq.state.size))
-        assert kernels.rk4_span(y, 0.005, 100, *_model_args(partial_eq), out=out_b,
+        assert kernels.rk4_span(y, 0.005, 100, _bound(partial_eq), out=out_b,
                                 out_offset=0) == -1
         assert np.allclose(out[:, b], out_b, rtol=1e-10, atol=1e-10)
     xe = out[:, 1, [partial_eq.layout.idx(m, "xe") for m in (1, 2, 3)]]
@@ -302,7 +306,7 @@ def test_stacked_span_reports_first_divergent_row(bundled_case, bundled_eq):
     ys[1, lay.idx(1, "omega")] += 1e5
     first = _reference_span(ys[1].copy(), 0.005, 400, bundled_case, bundled_eq)
     assert 0 < first < 399
-    assert kernels.rk4_span(ys, 0.005, 400, *_model_args(bundled_eq)) == first
+    assert kernels.rk4_span(ys, 0.005, 400, _bound(bundled_eq)) == first
     assert np.allclose(ys[0], bundled_eq.state, atol=1e-6)   # the quiet row
 
 
@@ -508,9 +512,8 @@ def test_stacked_span_through_both_valve_limits_is_the_allocating_form_bit_for_b
     ys[1, eq.layout.speed_indices] -= 5.0
     ys[2] += 0.02 * np.random.default_rng(10).standard_normal(eq.state.size)
     out, out_ref = np.zeros((2, 400) + ys.shape)
-    args = (0.005, 400, *_model_args(eq))
-    assert kernels.rk4_span(ys.copy(), *args, out=out) == -1
-    assert reference_rk4_span(ys.copy(), *args, out=out_ref) == -1
+    assert kernels.rk4_span(ys.copy(), 0.005, 400, _bound(eq), out=out) == -1
+    assert reference_rk4_span(ys.copy(), 0.005, 400, *_model_args(eq), out=out_ref) == -1
     assert np.array_equal(out, out_ref)
     xe = out[:, :, eq.plan.ix_xe]
     assert np.all(xe[:, 0].min(axis=0) == 0.0) and np.all(xe[:, 1].max(axis=0) == 1.0)
@@ -533,9 +536,9 @@ def test_span_is_the_allocating_form_bit_for_bit(which, bundled_eq, partial_eq, 
         control = control._replace(active=np.array([1.0, 0.0, 1.0, 0.0]))
         y0[eq.layout.speed_indices] -= 5.0
     out, out_ref = np.zeros((2, 6000, eq.state.size))
-    args = (0.005, 6000, *_model_args(eq, control))
-    assert kernels.rk4_span(y0.copy(), *args, out=out) == -1
-    assert reference_rk4_span(y0.copy(), *args, out=out_ref) == -1
+    assert kernels.rk4_span(y0.copy(), 0.005, 6000, _bound(eq, control), out=out) == -1
+    assert reference_rk4_span(y0.copy(), 0.005, 6000, *_model_args(eq, control),
+                              out=out_ref) == -1
     assert np.array_equal(out, out_ref)
     if which == "partial":
         assert out[:, eq.plan.ix_xe].max() == 1.0      # the clamp and the hold acted
@@ -581,7 +584,7 @@ def test_states_of_more_than_two_dimensions_are_refused(bundled_eq):
     with pytest.raises(ValueError, match="n_states"):
         kernels.rhs(ys, *_model_args(eq))
     with pytest.raises(ValueError, match="n_states"):
-        kernels.rk4_span(ys, 0.005, 1, *_model_args(eq))
+        kernels.rk4_span(ys, 0.005, 1, _bound(eq))
     assert np.array_equal(ys, np.tile(eq.state, (2, 3, 1)))     # nothing was written
     w = eq.plan.bind(eq.network.g, eq.network.b).workspace((3, ns), np.dtype(float))
     np.copyto(w.y, eq.state)
@@ -605,7 +608,7 @@ def test_one_row_stack_span_is_the_single_state_span_bit_for_bit(kick, bundled_e
         y0[eq.layout.idx(1, "omega")] += 1e5
     else:
         y0[eq.layout.speed_indices] += kick
-    args = (0.005, 400, *_model_args(eq))
+    args = (0.005, 400, _bound(eq))
     single, stack = y0.copy(), y0[None].copy()
     out, out_stack = np.zeros((400, y0.size)), np.zeros((400, 1, y0.size))
     first = kernels.rk4_span(single, *args, out=out)

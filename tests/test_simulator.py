@@ -9,13 +9,13 @@ import scipy.linalg
 
 import oscdamp
 from oscdamp import kernels, simulator
-from oscdamp.case import CaseError, parse_case, scale_stress
+from oscdamp.case import CaseError, apply_line_trip, parse_case, scale_stress
 from oscdamp.powerflow import solve_power_flow, branch_flow
 from oscdamp.simulator import (Scenario, Event, ScenarioError, parse_scenario,
                                simulate, measure, ringdown_damping)
 from oscdamp.smallsignal import linearize
 from model_reference import network_currents
-from conftest import PINNED_GAINS, reversed_machine_order_text
+from conftest import PINNED_GAINS, load_report_set, pinned_gains, reversed_machine_order_text
 
 
 def test_parse_scenario_round():
@@ -187,12 +187,28 @@ def test_tie_flow_matches_power_flow_at_start(bundled_case):
 
 
 def test_tripped_branch_flow_zeroes(bundled_case):
+    """A branch's flow reads zero on every row of the segments whose case has
+    it out of service: from the grid time of an on-grid trip, from the row
+    after an off-grid one, and everywhere for a branch the case itself has
+    switched out."""
     sc = Scenario(duration=2.0, dt=0.005,
                   events=(Event(1.0, "trip_line", (3, 101, 1)),))
     res = simulate(bundled_case, None, sc)
     series = measure(res, "flow:3:101:1")
     assert abs(series[0]) > 10.0
     assert np.all(series[res.time >= 1.0] == 0.0)
+
+    res = simulate(bundled_case, None, Scenario(
+        duration=2.0, dt=0.005, events=(Event(1.0023, "trip_line", (3, 101, 1)),)))
+    series, first = measure(res, "flow:3:101:1"), res.segments[1].first_row
+    assert res.time[first - 1] < 1.0023 < res.time[first]
+    assert abs(series[first - 1]) > 10.0
+    assert np.all(series[first:] == 0.0)
+
+    res = simulate(apply_line_trip(bundled_case, 3, 101, 1), None,
+                   Scenario(duration=0.5, dt=0.005))
+    assert np.all(measure(res, "flow:3:101:1") == 0.0)
+    assert np.all(np.abs(measure(res, "flow:3:101:2")) > 10.0)
 
 
 def test_linear_regime_agreement(bundled_case, bundled_sol, bundled_red):
@@ -209,8 +225,8 @@ def test_linear_regime_agreement(bundled_case, bundled_sol, bundled_red):
         y = eq.state + alpha * direction
         from oscdamp import kernels
         traj = np.zeros((n_steps, eq.state.size))
-        net = eq.network
-        kernels.rk4_span(y, dt_out / 2, 2 * n_steps, eq.plan, net.g, net.b,
+        rhs = eq.plan.bind(eq.network.g, eq.network.b)
+        kernels.rk4_span(y, dt_out / 2, 2 * n_steps, rhs,
                          out=np.zeros((2 * n_steps, eq.state.size)), out_offset=0)
         # rebuild trajectory at dt_out for comparison
         y = eq.state + alpha * direction
@@ -218,7 +234,7 @@ def test_linear_regime_agreement(bundled_case, bundled_sol, bundled_red):
         errs = []
         refs = []
         for k in range(n_steps):
-            kernels.rk4_span(y, dt_out / 2, 2, eq.plan, net.g, net.b)
+            kernels.rk4_span(y, dt_out / 2, 2, rhs)
             z = prop @ z
             errs.append(np.linalg.norm((y - eq.state) / alpha - z))
             refs.append(np.linalg.norm(z))
@@ -387,9 +403,9 @@ def test_derived_channels_match_per_step_reference(bundled_case, bundled_design,
     seen = {}
     derive = simulator._derived_channels
 
-    def spy(plan, gains, states, segments):
-        seen.update(gains=gains, states=states, segments=segments)
-        return derive(plan, gains, states, segments)
+    def spy(plan, states, segments):
+        seen.update(states=states, segments=segments)
+        return derive(plan, states, segments)
 
     monkeypatch.setattr(simulator, "_derived_channels", spy)
     ctrl, _ = bundled_design
@@ -406,7 +422,8 @@ def test_derived_channels_match_per_step_reference(bundled_case, bundled_design,
     for sc in scenarios:
         res = simulate(bundled_case, ctrl, sc)
         res.pe_sys      # the derived channels are computed on their first read
-        gains, segments, lay = seen["gains"], seen["segments"], res.layout
+        segments, lay = seen["segments"], res.layout
+        gains = ctrl.gains_for(lay.machine_ids)
         design_ix = [[lay.idx(m, s) for s in ("delta", "omega", "pm", "xm", "xe")]
                      for m in lay.machine_ids]     # every bundled machine is governed
         eqp_ix = [lay.idx(m, "eqp") for m in lay.machine_ids]
@@ -427,7 +444,8 @@ def test_derived_channels_match_per_step_reference(bundled_case, bundled_design,
             e_re, e_im, _, _, i_d, i_q = network_currents(
                 y[lay.delta_indices], eqp, edp, sg.network.g, sg.network.b)
             pe = edp * i_d + eqp * i_q + xq_corr * i_d * i_q
-            u = sg.active * np.einsum("ij,ij->i", gains, y[design_ix] - sg.xref)
+            u = sg.control.active * np.einsum("ij,ij->i", gains,
+                                              y[design_ix] - sg.control.xref)
             assert np.allclose(res.pe_sys[k], pe, rtol=1e-12, atol=1e-12)
             assert np.allclose(res.bus_voltage[k],
                                sg.network.emf_to_bus @ (e_re + 1j * e_im),
@@ -436,7 +454,7 @@ def test_derived_channels_match_per_step_reference(bundled_case, bundled_design,
         assert seg == len(segments) - 1
     acts = [e for e in res.event_log if e["action"] == "activate_controllers"]
     assert acts[0]["reference"] == "settled_state"
-    assert not np.array_equal(segments[-1].xref, segments[0].xref)
+    assert not np.array_equal(segments[-1].control.xref, segments[0].control.xref)
 
 
 def test_initial_active_machine_list(bundled_case, bundled_design):
@@ -536,11 +554,11 @@ def test_every_divergence_exit(bundled_case, monkeypatch, diverging_call, bad_st
     calls, diverged = [], []
     span = kernels.rk4_span
 
-    def failing(y, h, nsteps, plan, gmat, bmat, control=None, out=None, out_offset=0):
+    def failing(y, h, nsteps, rhs, out=None, out_offset=0):
         calls.append(nsteps)
         if len(calls) != diverging_call:
-            return span(y, h, nsteps, plan, gmat, bmat, control, out, out_offset)
-        span(y, h, bad_step, plan, gmat, bmat, control, out, out_offset)
+            return span(y, h, nsteps, rhs, out, out_offset)
+        span(y, h, bad_step, rhs, out, out_offset)
         y += 1e7                            # the state after the failed step
         diverged.append(y.copy())
         return bad_step
@@ -646,17 +664,43 @@ def test_derived_fields_run_one_pass_in_any_order(bundled_case, bundled_design,
 
 def test_derived_fields_equal_an_explicit_pass(bundled_case, bundled_design):
     """On a run through every event kind, the fields read on demand are the
-    bits of `_derived_channels` called on the run's plan, gains, states and
+    bits of `_derived_channels` called on the run's plan, states and
     segments."""
     res = simulate(bundled_case, bundled_design[0], _EVENTS)
-    want = simulator._derived_channels(res.plan, res.gains, res.states.copy(),
-                                       res.segments)
+    want = simulator._derived_channels(res.plan, res.states.copy(), res.segments)
     assert len(res.segments) == len(_EVENTS.events) + 1
     for name, ref in zip(("pe_sys", "pm_sys", "u", "bus_voltage"), want):
         got = getattr(res, name)
         assert got.shape == ref.shape and got.dtype == ref.dtype, name
         assert got.tobytes() == ref.tobytes(), name
     assert np.any(res.u != 0.0)
+
+
+@pytest.mark.parametrize("name, segments", [("remedial.json", 3), ("events.json", 5),
+                                            ("settled.json", 3)])
+def test_one_bind_per_segment(bundled_case, monkeypatch, name, segments):
+    """On the report set's scenarios with the pinned gains, a run binds the
+    plan once per segment, when the segment starts, and every RK4 span, the
+    load step's voltage read and the activation's settled test evaluate that
+    bound RHS: no span binds."""
+    binds, span_binds = [], []
+    bind, span = kernels.RhsPlan.bind, kernels.rk4_span
+    monkeypatch.setattr(kernels.RhsPlan, "bind",
+                        lambda *a, **kw: binds.append(1) or bind(*a, **kw))
+
+    def counted(*args, **kwargs):
+        before = len(binds)
+        try:
+            return span(*args, **kwargs)
+        finally:
+            span_binds.append(len(binds) - before)
+
+    monkeypatch.setattr(kernels, "rk4_span", counted)
+    sc = parse_scenario(json.dumps(load_report_set().SCENARIOS[name]))
+    res = simulate(bundled_case, pinned_gains(), sc)
+    assert not res.divergent and len(res.segments) == segments
+    assert len(binds) == segments
+    assert span_binds and not any(span_binds)
 
 
 def test_state_only_simulate_holds_little_more_than_its_states(bundled_case):

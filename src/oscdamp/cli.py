@@ -61,14 +61,12 @@ def _load_case(path: str) -> tuple[PowerSystemCase, str]:
     return case, text
 
 
-def _pipeline(case: PowerSystemCase, model=None):
+def _pipeline(case: PowerSystemCase):
     """The operating point of a case: its power flow and its equilibrium, on
-    the network reduced with the loads frozen at the solved voltages.  The
-    equilibrium's plan is the device part `model` at the point, or the
-    case's own when `model` is None."""
+    the network reduced with the loads frozen at the solved voltages."""
     sol = solve_power_flow(case)
     return sol, initialize_from_power_flow(
-        case, sol, kron_reduce(case, load_admittances(case, sol), sol.ybus), model)
+        case, sol, kron_reduce(case, load_admittances(case, sol), sol.ybus))
 
 
 def _subset_from_arg(case, spec: str) -> list[int] | None:
@@ -82,37 +80,27 @@ def _subset_from_arg(case, spec: str) -> list[int] | None:
     return governed_subset(case, subset)
 
 
-def _controllers_for(case, args, eq=None, model=None) -> ControllerSet | None:
-    """Resolve --controllers/--gains into a ControllerSet (None for PSS-only).
-    Given gains keep only the rows of the machines --controllers lists; the
-    others become zero rows, as a designed subset has.  A nonzero row left
-    for a machine the case lacks, or for one without a governor, is an input
-    error: nothing applies it.
-
-    Designing needs the base operating point: pass it as `eq` when the
-    caller has one; otherwise it is built here, on the device part `model`
-    when given, and only then."""
+def _controllers_for(case, args) -> ControllerSet | None:
+    """Read --gains into a ControllerSet (None for PSS-only), keeping only
+    the rows of the machines --controllers lists; the others become zero
+    rows, as a designed subset has.  A nonzero row left for a machine the
+    case lacks, or for one without a governor, is an input error: nothing
+    applies it."""
     if args.controllers == "none":
         return None
     subset = _subset_from_arg(case, args.controllers)
-    if args.gains:
-        doc = json.loads(Path(args.gains).read_text())
-        if isinstance(doc, dict) and isinstance(doc.get("results"), dict):
-            doc = doc["results"].get("controllers")
-        ctrl = ControllerSet.from_dict(doc)
-        if subset is not None:
-            ctrl.gains[[mid not in subset for mid in ctrl.machine_ids]] = 0.0
-        ctrl.gains_for(tuple(case.machine_index))      # refuses a machine without a row
-        for mid, row in zip(ctrl.machine_ids, ctrl.gains):
-            if row.any() and case.governor_for(mid) is None:
-                why = ("has no steam governor to apply it" if mid in case.machine_index
-                       else "the case lacks")
-                raise CaseError(f"--gains has a nonzero row for machine {mid}, which {why}")
-        return ctrl
-    if eq is None:
-        _, eq = _pipeline(case, model)
-    ctrl, _ = design_controllers(case, eq, subset=subset, beta_bar=args.beta_bar,
-                                 bound_scale=args.bound_scale)
+    doc = json.loads(Path(args.gains).read_text())
+    if isinstance(doc, dict) and isinstance(doc.get("results"), dict):
+        doc = doc["results"].get("controllers")
+    ctrl = ControllerSet.from_dict(doc)
+    if subset is not None:
+        ctrl.gains[[mid not in subset for mid in ctrl.machine_ids]] = 0.0
+    ctrl.gains_for(tuple(case.machine_index))      # refuses a machine without a row
+    for mid, row in zip(ctrl.machine_ids, ctrl.gains):
+        if row.any() and case.governor_for(mid) is None:
+            why = ("has no steam governor to apply it" if mid in case.machine_index
+                   else "the case lacks")
+            raise CaseError(f"--gains has a nonzero row for machine {mid}, which {why}")
     return ctrl
 
 
@@ -276,7 +264,7 @@ def cmd_pf(args, case: PowerSystemCase, text: str) -> int:
 
 def cmd_modal(args, case: PowerSystemCase, text: str) -> int:
     sol, eq = _pipeline(case)
-    controllers = _controllers_for(case, args, eq)
+    controllers = _controllers_for(case, args)
     areas, ties = two_areas(case)
     table = classify_table(_mode_table(eq, controllers), eq.layout.speed_indices, areas)
     try:
@@ -394,7 +382,7 @@ def cmd_sweep(args, case: PowerSystemCase, text: str) -> int:
                         f"{args.fractions!r}")
     # stress scaling keeps every branch and device: one corridor, one device part
     (areas, ties), model = two_areas(case), device_model(case)
-    controllers = _controllers_for(case, args, model=model)
+    controllers = _controllers_for(case, args)
     fractions = sorted(fractions)
     cases = [scale_stress(case, frac) for frac in fractions]
     flows = solve_power_flows(cases)
@@ -421,7 +409,7 @@ def cmd_sweep(args, case: PowerSystemCase, text: str) -> int:
 
 def cmd_scan_n1(args, case: PowerSystemCase, text: str) -> int:
     model = device_model(case)      # a trip keeps every device: one device part
-    controllers = _controllers_for(case, args, model=model)
+    controllers = _controllers_for(case, args)
     # An outage that islands buses names those cut off from the slack bus and
     # runs no power flow.  Any other is keyed by its in-service branches with
     # the circuit numbers cleared, the only records its network is built
@@ -483,28 +471,33 @@ def cmd_export_sdpa(args, case: PowerSystemCase, text: str) -> int:
 def _check_options(args) -> None:
     """Settle --controllers and refuse flag values no command can run with.
 
-    --controllers defaults to 'all' where gains are designed (design,
-    export-sdpa, which also read 'none' as 'all') or given by --gains, and to
-    'none' elsewhere; --gains with an explicit 'none' is an input error.
-    --band needs finite edges with 0 <= LO < HI, --beta-bar a finite value of
-    at least 1 and --bound-scale a finite positive one."""
+    The commands that design gains (design, export-sdpa) read --controllers
+    'none' as its default 'all', and need --beta-bar finite and at least 1
+    and --bound-scale finite and positive.  The others take their gains from
+    --gains: --controllers defaults to 'all' with it and to 'none' without,
+    and any other value without --gains, or --gains with an explicit 'none',
+    is an input error.  --band needs finite edges with 0 <= LO < HI."""
     if hasattr(args, "band"):
         lo, hi = args.band
         if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 <= lo < hi):
             raise CaseError(f"--band needs finite edges with 0 <= LO < HI, not {lo} {hi}")
     if not hasattr(args, "controllers"):
         return
-    designs = args.command in ("design", "export-sdpa")
-    gains = getattr(args, "gains", None)
-    if gains and args.controllers == "none":
+    if hasattr(args, "beta_bar"):           # a command that designs its gains
+        if args.controllers in (None, "none"):
+            args.controllers = "all"
+        if not (math.isfinite(args.beta_bar) and args.beta_bar >= 1.0):
+            raise CaseError(f"--beta-bar must be finite and at least 1, not {args.beta_bar}")
+        if not (math.isfinite(args.bound_scale) and args.bound_scale > 0.0):
+            raise CaseError(f"--bound-scale must be finite and positive, not {args.bound_scale}")
+    elif args.controllers is None:
+        args.controllers = "all" if args.gains else "none"
+    elif args.gains and args.controllers == "none":
         raise CaseError("--gains puts its controllers in service; "
                         "it cannot be combined with --controllers none")
-    if args.controllers is None or (designs and args.controllers == "none"):
-        args.controllers = "all" if designs or gains else "none"
-    if not (math.isfinite(args.beta_bar) and args.beta_bar >= 1.0):
-        raise CaseError(f"--beta-bar must be finite and at least 1, not {args.beta_bar}")
-    if not (math.isfinite(args.bound_scale) and args.bound_scale > 0.0):
-        raise CaseError(f"--bound-scale must be finite and positive, not {args.bound_scale}")
+    elif not args.gains and args.controllers != "none":
+        raise CaseError(f"--controllers {args.controllers} needs --gains: gains are "
+                        "designed by `oscdamp design`, whose report --gains reads")
 
 
 def _config(args) -> dict:
@@ -518,33 +511,39 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="turbine-governor damping control toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help, band=True, controllers=True, gains=True):
-        """A subcommand with the flags its function reads."""
+    def command(name, func, help, band=True, controllers="gains"):
+        """A subcommand with the flags its function reads: `controllers` is
+        None for a command without controllers, "design" for one that
+        designs their gains and "gains" for one that reads them from
+        --gains."""
         sp = sub.add_parser(name, help=help)
         sp.add_argument("--case", required=True, help="case JSON file")
         sp.add_argument("--out", default=None, help="output directory for reports")
         if band:
             sp.add_argument("--band", type=float, nargs=2, default=DEFAULT_BAND,
                             metavar=("LO", "HI"), help="oscillatory band (Hz)")
-        if controllers:
+        if controllers == "design":
             sp.add_argument("--controllers", default=None,
-                            help="'all', 'none', or comma-separated machine ids "
-                                 "(default: all for design, export-sdpa and "
-                                 "--gains, none otherwise)")
+                            help="'all' or comma-separated machine ids to design "
+                                 "gains for (default: all)")
             sp.add_argument("--beta-bar", type=float, default=1.0, dest="beta_bar")
             sp.add_argument("--bound-scale", type=float,
                             default=DEFAULT_BOUND_SCALE, dest="bound_scale")
-        if gains:
+        elif controllers:
+            sp.add_argument("--controllers", default=None,
+                            help="'all', 'none', or comma-separated machine ids "
+                                 "whose --gains rows are in service (default: all "
+                                 "with --gains, none without; any but none needs "
+                                 "--gains)")
             sp.add_argument("--gains", default=None,
                             help="reuse gains from a design report JSON")
         sp.set_defaults(func=func)
         return sp
 
-    command("pf", cmd_pf, "solve the AC power flow",
-            band=False, controllers=False, gains=False)
+    command("pf", cmd_pf, "solve the AC power flow", band=False, controllers=None)
     command("modal", cmd_modal, "small-signal modal analysis")
     command("design", cmd_design, "synthesize decentralized damping gains",
-            gains=False)
+            controllers="design")
     sp = command("simulate", cmd_simulate, "nonlinear time-domain simulation")
     sp.add_argument("--scenario", required=True, help="scenario JSON file")
     sp.add_argument("--channels", default=None,
@@ -554,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated stress fractions")
     command("scan-n1", cmd_scan_n1, "single-line-outage damping scan")
     command("export-sdpa", cmd_export_sdpa, "write the synthesis LMI in SDPA format",
-            band=False, gains=False)
+            band=False, controllers="design")
     return p
 
 

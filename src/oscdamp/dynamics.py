@@ -163,14 +163,14 @@ def _check_device_part(cases, model: kernels.RhsPlan) -> None:
 
 
 def initialize_from_power_flow(case: PowerSystemCase, sol: PowerFlowSolution,
-                               reduced: ReducedNetwork,
-                               model: kernels.RhsPlan | None = None) -> Equilibrium:
+                               reduced: ReducedNetwork) -> Equilibrium:
     """The equilibrium of one case: :func:`initialize_from_power_flows` on a
-    stack of one.  Raises the case's InitializationError."""
-    return alone(initialize_from_power_flows([case], [sol], [reduced], model))
+    stack of one, on the case's own device part.  Raises the case's
+    InitializationError."""
+    return alone(initialize_from_power_flows([case], [sol], [reduced], device_model(case)))
 
 
-def initialize_from_power_flows(cases, sols, reduced, model: kernels.RhsPlan | None = None
+def initialize_from_power_flows(cases, sols, reduced, model: kernels.RhsPlan
                                 ) -> list[Equilibrium | InitializationError]:
     """Back-solve machine states from converged power flows, for a stack of
     cases with the same machines and devices (as the points of a stress
@@ -181,11 +181,10 @@ def initialize_from_power_flows(cases, sols, reduced, model: kernels.RhsPlan | N
     machine EMFs reproduce the power-flow currents through the reduced
     network, the governor chain sits at its unity-gain steady state, and
     exciter references absorb the required field voltage.  Each point's plan
-    is the device part `model` at its references.  `model` is built from
-    the first case when None; a caller may pass the device part of another
-    case with the same machines and devices, such as the base case of a
-    sweep.  A device part whose machines, or whose machines with a governor,
-    an exciter or a PSS, differ from a case's is a ValueError.
+    is the device part `model` at its references: that of any case with the
+    same machines and devices, such as the base case of a sweep.  A device
+    part whose machines, or whose machines with a governor, an exciter or a
+    PSS, differ from a case's is a ValueError.
 
     The arithmetic runs over points × machines at once, with every complex
     product and quotient written in real parts as numpy's complex scalars
@@ -196,8 +195,6 @@ def initialize_from_power_flows(cases, sols, reduced, model: kernels.RhsPlan | N
     if not cases:
         return []
     case = cases[0]
-    if model is None:
-        model = device_model(case)
     _check_device_part(cases, model)
     layout, machines = model.layout, case.machines
     gov = np.array([case.governor_for(m.id) is not None for m in machines])

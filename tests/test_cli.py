@@ -573,14 +573,14 @@ def test_partition_searches_per_command(argv, searches, case_path, tmp_path, mon
     assert len(calls) == searches
 
 
-@pytest.mark.parametrize("controllers", ["none", "gains", "design"])
+@pytest.mark.parametrize("controllers", ["none", "gains"])
 @pytest.mark.parametrize("command", [["sweep", "--fractions", "0.9,1.0,1.1"], ["scan-n1"]],
                          ids=["sweep", "scan-n1"])
 def test_device_part_built_once_per_command(command, controllers, case_path, tmp_path,
                                             monkeypatch, bundled_design):
     """A sweep or an N-1 scan builds one device part and one state layout,
-    from the base case, whether its controllers are absent, given or
-    designed; its points reuse them."""
+    from the base case, whether its controllers are absent or given; its
+    points reuse them."""
     from oscdamp import dynamics, kernels
     builds, layouts = [], []
     init, layout = kernels.RhsPlan.__init__, dynamics.build_layout
@@ -593,8 +593,6 @@ def test_device_part_built_once_per_command(command, controllers, case_path, tmp
         gains = tmp_path / "gains.json"
         gains.write_text(json.dumps(bundled_design[0].to_dict()))
         argv += ["--gains", str(gains)]
-    elif controllers == "design":
-        argv += ["--controllers", "all"]
     assert main(argv) == EXIT_OK
     assert builds == [1] and layouts == [1]
 
@@ -876,6 +874,34 @@ def test_gains_put_controllers_in_service(command, case_path, tmp_path, bundled_
     assert main([*argv, "--controllers", "none"]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("command", ["modal", "sweep", "scan-n1", "simulate"])
+def test_only_design_designs_gains(command, case_path, tmp_path, capsys, monkeypatch):
+    """`design` alone designs gains; the analysis commands read them from
+    --gains.  Without it, any --controllers but none is refused before the
+    case is read: exit 2, a message naming --gains and design, no report
+    and no power flow.  --beta-bar and --bound-scale are not their flags."""
+    from oscdamp import powerflow
+    solves = []
+    injections = powerflow._scheduled_injections       # one call per solved case
+    monkeypatch.setattr(powerflow, "_scheduled_injections",
+                        lambda case: solves.append(1) or injections(case))
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({"duration": 0.5, "dt": 0.01}))
+    extra = {"sweep": ["--fractions", "1.0"], "simulate": ["--scenario", str(scen)]}
+    out = tmp_path / "out"
+    argv = [command, "--case", case_path, *extra.get(command, []), "--out", str(out)]
+    for controllers in ("all", "2,3"):
+        assert main([*argv, "--controllers", controllers]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "--gains" in err and "design" in err
+    assert not out.exists() and solves == []
+    for flag in (["--beta-bar", "2"], ["--bound-scale", "0.1"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *flag])
+        assert exc.value.code == 2
+    assert main([*argv, "--controllers", "none"]) == EXIT_OK and solves   # the count counts
+
+
 def _set_h(doc, value):
     doc["machines"][0]["h"] = value
 
@@ -890,7 +916,7 @@ _TRIP_AT_1 = {"time": 1.0, "type": "trip_line", "from": 3, "to": 101, "circuit":
 
 @pytest.mark.parametrize("argv, scenario, case_edit", [
     (["sweep", "--fractions", "abc"], None, None),
-    (["modal", "--controllers", "1,x"], None, None),
+    (["modal", "--controllers", "1,x", "--gains"], None, None),
     (["design", "--controllers", "1,x"], None, None),
     (["design", "--beta-bar", "0.5"], None, None),
     (["design", "--bound-scale", "-1"], None, None),

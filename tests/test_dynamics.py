@@ -284,7 +284,7 @@ def test_shared_device_part_gives_each_point_its_own_plan(bundled_case):
     for name, case in points:
         sol = solve_power_flow(case)
         red = kron_reduce(case, load_admittances(case, sol), sol.ybus)
-        shared = initialize_from_power_flow(case, sol, red, model)
+        (shared,) = initialize_from_power_flows([case], [sol], [red], model)
         fresh = initialize_from_power_flow(case, sol, red)
         assert shared.layout == fresh.layout, name
         assert shared.state.dtype == fresh.state.dtype, name
@@ -356,6 +356,8 @@ def test_device_part_of_other_devices_is_refused(variant, bundled_case, bundled_
         assert getattr(bundled_case, field)
         other = dataclasses.replace(bundled_case, **{field: getattr(bundled_case, field)[1:]})
     with pytest.raises(ValueError, match="not of this case"):
-        initialize_from_power_flow(bundled_case, bundled_sol, bundled_red, device_model(other))
+        initialize_from_power_flows([bundled_case], [bundled_sol], [bundled_red],
+                                    device_model(other))
     with pytest.raises(ValueError, match="not of this case"):
-        initialize_from_power_flow(other, bundled_sol, bundled_red, device_model(bundled_case))
+        initialize_from_power_flows([other], [bundled_sol], [bundled_red],
+                                    device_model(bundled_case))

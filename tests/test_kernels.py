@@ -31,7 +31,8 @@ from oscdamp import kernels
 from oscdamp.kernels import SLOT_NAMES
 from oscdamp.case import parse_case, scale_stress
 from oscdamp.powerflow import solve_power_flow, load_admittances, kron_reduce
-from oscdamp.dynamics import build_design_matrices, device_model, initialize_from_power_flow
+from oscdamp.dynamics import (build_design_matrices, device_model, initialize_from_power_flow,
+                              initialize_from_power_flows)
 from oscdamp.smallsignal import closed_loop_matrix, linearize
 from oscdamp.smallsignal import COMPLEX_STEP
 from model_reference import (network_currents, rotor_rhs, two_axis_rhs,
@@ -655,8 +656,8 @@ def sweep_eqs(bundled_case):
     for f in (0.9, 1.0, 1.1):
         case = scale_stress(bundled_case, f)
         sol = solve_power_flow(case)
-        eqs.append(initialize_from_power_flow(
-            case, sol, kron_reduce(case, load_admittances(case, sol), sol.ybus), model))
+        eqs += initialize_from_power_flows(
+            [case], [sol], [kron_reduce(case, load_admittances(case, sol), sol.ybus)], model)
     return eqs
 
 

@@ -388,7 +388,8 @@ def test_stacked_points_are_each_point_alone(bundled_case):
     eq_fields = [lambda e: e.state, lambda e: e.plan.c, lambda e: e.plan.vref,
                  lambda e: e.plan.const]
     for eq, case, sol, net in zip(eqs, cases, sols, nets):
-        _same_outcome(eq, _alone(initialize_from_power_flow, case, sol, net, model), eq_fields)
+        _same_outcome(eq, initialize_from_power_flows([case], [sol], [net], model)[0],
+                      eq_fields)
         want = _alone(reference_equilibrium, case, sol, model.layout)
         if isinstance(want, Exception):
             _same_outcome(eq, want, ())

@@ -186,26 +186,56 @@ def test_report_set_covers_every_subcommand():
     assert {args[0] for _, args in report_set.COMMANDS} == set(subparsers.choices)
 
 
-def test_private_package_names_are_used():
-    """Every module-level `_private` function or class of a package module
-    is read by some package module.  One that only the tests call is a
-    second copy of what they could call instead."""
-    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+def _names_read(paths) -> set:
+    """Every name the modules at `paths` read: as a name, as an attribute or
+    by importing it from a module."""
     read = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 read.update(alias.name for alias in node.names)
-    unused = [f"{name}:{node.lineno} {node.name}" for name, tree in trees.items()
-              for node in tree.body
-              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-              and node.name.startswith("_") and not node.name.startswith("__")
-              and node.name not in read]
-    assert unused == []
+    return read
+
+
+def _unread_package_names(private: bool, readers) -> list[str]:
+    """The module-level functions and classes of the package modules, the
+    `_private` ones or the public ones, that no module of `readers` reads."""
+    read = _names_read(readers)
+    return [f"{path.name}:{node.lineno} {node.name}"
+            for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("__")
+            and node.name.startswith("_") == private and node.name not in read]
+
+
+def test_private_package_names_are_used():
+    """Every module-level `_private` function or class of a package module
+    is read by some package module.  One that only the tests call is a
+    second copy of what they could call instead."""
+    assert _unread_package_names(True, PACKAGE.glob("*.py")) == []
+
+
+# public names that no package module, benchmark or tool reads, and why each stays
+_READ_ELSEWHERE = {
+    "bundled_case_text": "the accessor of the shipped case",
+    "render_case": "the writer of the case generator of ROADMAP item 6",
+    "verify_bound": "the sampled bound check that `design` runs under ROADMAP item 2",
+}
+
+
+def test_public_package_names_are_read():
+    """Every module-level public function or class of a package module is
+    read by some package module, benchmark or tool, or is listed with the
+    reason it stays.  One that only the tests read is test code kept in the
+    package."""
+    readers = [*PACKAGE.glob("*.py"), *PERFBENCH.glob("*.py"), *(ROOT / "tools").glob("*.py")]
+    unread = _unread_package_names(False, readers)
+    assert sorted(name.split()[1] for name in unread) == sorted(_READ_ELSEWHERE)
 
 
 def test_readme_layout_names_every_module():
